@@ -7,83 +7,31 @@
 
 #include "analyze/cfg/Dataflow.h"
 
+#include "isa/Semantics.h"
+
+#include <functional>
+
 using namespace elfie;
 using namespace elfie::analyze;
 using namespace elfie::analyze::cfg;
 using isa::Opcode;
-
-static uint64_t sext(int32_t Imm) {
-  return static_cast<uint64_t>(static_cast<int64_t>(Imm));
-}
-
-/// rd = A op B with the EVM's exact semantics (VM.cpp execDecoded).
-static uint64_t aluOp(Opcode Op, uint64_t A, uint64_t B) {
-  switch (Op) {
-  case Opcode::Add:
-  case Opcode::Addi:
-    return A + B;
-  case Opcode::Sub:
-    return A - B;
-  case Opcode::Mul:
-  case Opcode::Muli:
-    return A * B;
-  case Opcode::Mulh: {
-    __int128 P = static_cast<__int128>(static_cast<int64_t>(A)) *
-                 static_cast<int64_t>(B);
-    return static_cast<uint64_t>(P >> 64);
-  }
-  case Opcode::Div: {
-    int64_t SA = static_cast<int64_t>(A), SB = static_cast<int64_t>(B);
-    if (SB == 0)
-      return UINT64_MAX;
-    if (SA == INT64_MIN && SB == -1)
-      return static_cast<uint64_t>(INT64_MIN);
-    return static_cast<uint64_t>(SA / SB);
-  }
-  case Opcode::Divu:
-    return B == 0 ? UINT64_MAX : A / B;
-  case Opcode::Rem: {
-    int64_t SA = static_cast<int64_t>(A), SB = static_cast<int64_t>(B);
-    if (SB == 0)
-      return static_cast<uint64_t>(SA);
-    if (SA == INT64_MIN && SB == -1)
-      return 0;
-    return static_cast<uint64_t>(SA % SB);
-  }
-  case Opcode::Remu:
-    return B == 0 ? A : A % B;
-  case Opcode::And:
-  case Opcode::Andi:
-    return A & B;
-  case Opcode::Or:
-  case Opcode::Ori:
-    return A | B;
-  case Opcode::Xor:
-  case Opcode::Xori:
-    return A ^ B;
-  case Opcode::Shl:
-  case Opcode::Shli:
-    return A << (B & 63);
-  case Opcode::Shr:
-  case Opcode::Shri:
-    return A >> (B & 63);
-  case Opcode::Sar:
-  case Opcode::Sari:
-    return static_cast<uint64_t>(static_cast<int64_t>(A) >> (B & 63));
-  case Opcode::Slt:
-  case Opcode::Slti:
-    return static_cast<int64_t>(A) < static_cast<int64_t>(B);
-  case Opcode::Sltu:
-  case Opcode::Sltui:
-    return A < B;
-  case Opcode::Seq:
-    return A == B;
-  default:
-    return 0;
-  }
-}
+namespace sem = isa::sem;
 
 void cfg::applyInst(const isa::Inst &I, uint64_t PC, RegState &S) {
+  // rd = Op(rs1, rs2) and rd = Op(rs1, sext(imm)), known when the inputs are.
+  auto RegOp = [&](auto Op) {
+    if (S.known(I.Rs1) && S.known(I.Rs2))
+      S.set(I.Rd, Op(S.get(I.Rs1), S.get(I.Rs2)));
+    else
+      S.kill(I.Rd);
+  };
+  auto ImmOp = [&](auto Op) {
+    if (S.known(I.Rs1))
+      S.set(I.Rd, Op(S.get(I.Rs1), sem::sext(I.Imm)));
+    else
+      S.kill(I.Rd);
+  };
+
   switch (I.Op) {
   // No GPR effect.
   case Opcode::Nop:
@@ -124,28 +72,23 @@ void cfg::applyInst(const isa::Inst &I, uint64_t PC, RegState &S) {
     return;
 
   // Register ALU.
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Mulh:
-  case Opcode::Div:
-  case Opcode::Divu:
-  case Opcode::Rem:
-  case Opcode::Remu:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Sar:
-  case Opcode::Slt:
-  case Opcode::Sltu:
-  case Opcode::Seq:
-    if (S.known(I.Rs1) && S.known(I.Rs2))
-      S.set(I.Rd, aluOp(I.Op, S.get(I.Rs1), S.get(I.Rs2)));
-    else
-      S.kill(I.Rd);
-    return;
+  case Opcode::Add: RegOp(std::plus<uint64_t>()); return;
+  case Opcode::Sub: RegOp(std::minus<uint64_t>()); return;
+  case Opcode::Mul: RegOp(std::multiplies<uint64_t>()); return;
+  case Opcode::Mulh: RegOp(sem::mulh); return;
+  case Opcode::Div: RegOp(sem::div); return;
+  case Opcode::Divu: RegOp(sem::divu); return;
+  case Opcode::Rem: RegOp(sem::rem); return;
+  case Opcode::Remu: RegOp(sem::remu); return;
+  case Opcode::And: RegOp(std::bit_and<uint64_t>()); return;
+  case Opcode::Or: RegOp(std::bit_or<uint64_t>()); return;
+  case Opcode::Xor: RegOp(std::bit_xor<uint64_t>()); return;
+  case Opcode::Shl: RegOp(sem::shl); return;
+  case Opcode::Shr: RegOp(sem::shr); return;
+  case Opcode::Sar: RegOp(sem::sar); return;
+  case Opcode::Slt: RegOp(sem::slt); return;
+  case Opcode::Sltu: RegOp(sem::sltu); return;
+  case Opcode::Seq: RegOp(std::equal_to<uint64_t>()); return;
   case Opcode::Mov:
     if (S.known(I.Rs1))
       S.set(I.Rd, S.get(I.Rs1));
@@ -154,37 +97,22 @@ void cfg::applyInst(const isa::Inst &I, uint64_t PC, RegState &S) {
     return;
 
   // Immediate ALU.
-  case Opcode::Addi:
-  case Opcode::Muli:
-  case Opcode::Andi:
-  case Opcode::Ori:
-  case Opcode::Xori:
-  case Opcode::Slti:
-  case Opcode::Sltui:
-    if (S.known(I.Rs1))
-      S.set(I.Rd, aluOp(I.Op, S.get(I.Rs1), sext(I.Imm)));
-    else
-      S.kill(I.Rd);
-    return;
-  case Opcode::Shli:
-  case Opcode::Shri:
-  case Opcode::Sari:
-    // The VM masks the raw immediate, not its sign extension; identical
-    // modulo 64 either way.
-    if (S.known(I.Rs1))
-      S.set(I.Rd, aluOp(I.Op, S.get(I.Rs1),
-                        static_cast<uint64_t>(static_cast<uint32_t>(I.Imm))));
-    else
-      S.kill(I.Rd);
-    return;
+  case Opcode::Addi: ImmOp(std::plus<uint64_t>()); return;
+  case Opcode::Muli: ImmOp(std::multiplies<uint64_t>()); return;
+  case Opcode::Andi: ImmOp(std::bit_and<uint64_t>()); return;
+  case Opcode::Ori: ImmOp(std::bit_or<uint64_t>()); return;
+  case Opcode::Xori: ImmOp(std::bit_xor<uint64_t>()); return;
+  case Opcode::Shli: ImmOp(sem::shl); return;
+  case Opcode::Shri: ImmOp(sem::shr); return;
+  case Opcode::Sari: ImmOp(sem::sar); return;
+  case Opcode::Slti: ImmOp(sem::slt); return;
+  case Opcode::Sltui: ImmOp(sem::sltu); return;
   case Opcode::Ldi:
-    S.set(I.Rd, sext(I.Imm));
+    S.set(I.Rd, sem::sext(I.Imm));
     return;
   case Opcode::Ldih:
     if (S.known(I.Rd))
-      S.set(I.Rd,
-            (static_cast<uint64_t>(static_cast<uint32_t>(I.Imm)) << 32) |
-                (S.get(I.Rd) & 0xffffffffull));
+      S.set(I.Rd, sem::ldih(S.get(I.Rd), I.Imm));
     else
       S.kill(I.Rd);
     return;

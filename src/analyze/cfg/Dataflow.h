@@ -7,13 +7,14 @@
 ///
 /// \file
 /// A small abstract interpreter over EG64 GPRs: each register is either a
-/// known 64-bit constant or unknown. The transfer function mirrors the
-/// EVM's ALU semantics exactly (shift masking, RISC-V division edge
-/// cases, Ldih's high-half merge), so a value the analysis calls "known"
-/// is the value the interpreter and the JIT would compute. State is
-/// tracked within a basic block only — block entry is all-unknown (except
-/// r0) — which keeps the analysis conservative without fixpoint iteration:
-/// the pass catalog in DESIGN.md §13 documents what that gives up.
+/// known 64-bit constant or unknown. The transfer function evaluates the
+/// integer ALU with the functions in isa/Semantics.h (shift masking,
+/// RISC-V division edge cases, Ldih's high-half merge) — the same ones the
+/// interpreter calls — so a value the analysis calls "known" is the value
+/// the EVM computes. State is tracked within a basic block only — block
+/// entry is all-unknown (except r0) — which keeps the analysis
+/// conservative without fixpoint iteration: the pass catalog in DESIGN.md
+/// §13 documents what that gives up.
 ///
 //===----------------------------------------------------------------------===//
 

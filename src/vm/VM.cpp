@@ -9,6 +9,7 @@
 
 #include "elf/ELFReader.h"
 #include "isa/BlockDecode.h"
+#include "isa/Semantics.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -25,6 +26,7 @@ using namespace elfie;
 using namespace elfie::vm;
 using isa::Inst;
 using isa::Opcode;
+namespace sem = isa::sem;
 
 Observer::~Observer() = default;
 
@@ -723,90 +725,34 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   case Opcode::Add: R[I.Rd] = R[I.Rs1] + R[I.Rs2]; break;
   case Opcode::Sub: R[I.Rd] = R[I.Rs1] - R[I.Rs2]; break;
   case Opcode::Mul: R[I.Rd] = R[I.Rs1] * R[I.Rs2]; break;
-  case Opcode::Mulh: {
-    __int128 P = static_cast<__int128>(static_cast<int64_t>(R[I.Rs1])) *
-                 static_cast<int64_t>(R[I.Rs2]);
-    R[I.Rd] = static_cast<uint64_t>(P >> 64);
-    break;
-  }
-  case Opcode::Div: {
-    int64_t A = static_cast<int64_t>(R[I.Rs1]);
-    int64_t B = static_cast<int64_t>(R[I.Rs2]);
-    if (B == 0)
-      R[I.Rd] = UINT64_MAX;
-    else if (A == INT64_MIN && B == -1)
-      R[I.Rd] = static_cast<uint64_t>(INT64_MIN);
-    else
-      R[I.Rd] = static_cast<uint64_t>(A / B);
-    break;
-  }
-  case Opcode::Divu:
-    R[I.Rd] = R[I.Rs2] == 0 ? UINT64_MAX : R[I.Rs1] / R[I.Rs2];
-    break;
-  case Opcode::Rem: {
-    int64_t A = static_cast<int64_t>(R[I.Rs1]);
-    int64_t B = static_cast<int64_t>(R[I.Rs2]);
-    if (B == 0)
-      R[I.Rd] = static_cast<uint64_t>(A);
-    else if (A == INT64_MIN && B == -1)
-      R[I.Rd] = 0;
-    else
-      R[I.Rd] = static_cast<uint64_t>(A % B);
-    break;
-  }
-  case Opcode::Remu:
-    R[I.Rd] = R[I.Rs2] == 0 ? R[I.Rs1] : R[I.Rs1] % R[I.Rs2];
-    break;
+  case Opcode::Mulh: R[I.Rd] = sem::mulh(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Div: R[I.Rd] = sem::div(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Divu: R[I.Rd] = sem::divu(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Rem: R[I.Rd] = sem::rem(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Remu: R[I.Rd] = sem::remu(R[I.Rs1], R[I.Rs2]); break;
   case Opcode::And: R[I.Rd] = R[I.Rs1] & R[I.Rs2]; break;
   case Opcode::Or: R[I.Rd] = R[I.Rs1] | R[I.Rs2]; break;
   case Opcode::Xor: R[I.Rd] = R[I.Rs1] ^ R[I.Rs2]; break;
-  case Opcode::Shl: R[I.Rd] = R[I.Rs1] << (R[I.Rs2] & 63); break;
-  case Opcode::Shr: R[I.Rd] = R[I.Rs1] >> (R[I.Rs2] & 63); break;
-  case Opcode::Sar:
-    R[I.Rd] = static_cast<uint64_t>(static_cast<int64_t>(R[I.Rs1]) >>
-                                    (R[I.Rs2] & 63));
-    break;
-  case Opcode::Slt:
-    R[I.Rd] = static_cast<int64_t>(R[I.Rs1]) < static_cast<int64_t>(R[I.Rs2]);
-    break;
-  case Opcode::Sltu: R[I.Rd] = R[I.Rs1] < R[I.Rs2]; break;
+  case Opcode::Shl: R[I.Rd] = sem::shl(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Shr: R[I.Rd] = sem::shr(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Sar: R[I.Rd] = sem::sar(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Slt: R[I.Rd] = sem::slt(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Sltu: R[I.Rd] = sem::sltu(R[I.Rs1], R[I.Rs2]); break;
   case Opcode::Seq: R[I.Rd] = R[I.Rs1] == R[I.Rs2]; break;
   case Opcode::Mov: R[I.Rd] = R[I.Rs1]; break;
 
-  case Opcode::Addi:
-    R[I.Rd] = R[I.Rs1] + static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Muli:
-    R[I.Rd] = R[I.Rs1] * static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Andi:
-    R[I.Rd] = R[I.Rs1] & static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Ori:
-    R[I.Rd] = R[I.Rs1] | static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Xori:
-    R[I.Rd] = R[I.Rs1] ^ static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Shli: R[I.Rd] = R[I.Rs1] << (I.Imm & 63); break;
-  case Opcode::Shri: R[I.Rd] = R[I.Rs1] >> (I.Imm & 63); break;
-  case Opcode::Sari:
-    R[I.Rd] = static_cast<uint64_t>(static_cast<int64_t>(R[I.Rs1]) >>
-                                    (I.Imm & 63));
-    break;
-  case Opcode::Slti:
-    R[I.Rd] = static_cast<int64_t>(R[I.Rs1]) < static_cast<int64_t>(I.Imm);
-    break;
-  case Opcode::Sltui:
-    R[I.Rd] = R[I.Rs1] < static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Ldi:
-    R[I.Rd] = static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Ldih:
-    R[I.Rd] = (static_cast<uint64_t>(static_cast<uint32_t>(I.Imm)) << 32) |
-              (R[I.Rd] & 0xffffffffull);
-    break;
+  case Opcode::Addi: R[I.Rd] = R[I.Rs1] + sem::sext(I.Imm); break;
+  case Opcode::Muli: R[I.Rd] = R[I.Rs1] * sem::sext(I.Imm); break;
+  case Opcode::Andi: R[I.Rd] = R[I.Rs1] & sem::sext(I.Imm); break;
+  case Opcode::Ori: R[I.Rd] = R[I.Rs1] | sem::sext(I.Imm); break;
+  case Opcode::Xori: R[I.Rd] = R[I.Rs1] ^ sem::sext(I.Imm); break;
+  case Opcode::Shli: R[I.Rd] = sem::shl(R[I.Rs1], sem::sext(I.Imm)); break;
+  case Opcode::Shri: R[I.Rd] = sem::shr(R[I.Rs1], sem::sext(I.Imm)); break;
+  case Opcode::Sari: R[I.Rd] = sem::sar(R[I.Rs1], sem::sext(I.Imm)); break;
+  case Opcode::Slti: R[I.Rd] = sem::slt(R[I.Rs1], sem::sext(I.Imm)); break;
+  case Opcode::Sltui: R[I.Rd] = sem::sltu(R[I.Rs1], sem::sext(I.Imm)); break;
+  case Opcode::Ldi: R[I.Rd] = sem::sext(I.Imm); break;
+  case Opcode::Ldih: R[I.Rd] = sem::ldih(R[I.Rd], I.Imm); break;
 
   // ---- Loads/stores ----
   case Opcode::Ld1:
@@ -869,15 +815,10 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
     switch (I.Op) {
     case Opcode::Beq: Taken = R[I.Rs1] == R[I.Rs2]; break;
     case Opcode::Bne: Taken = R[I.Rs1] != R[I.Rs2]; break;
-    case Opcode::Blt:
-      Taken = static_cast<int64_t>(R[I.Rs1]) < static_cast<int64_t>(R[I.Rs2]);
-      break;
-    case Opcode::Bge:
-      Taken =
-          static_cast<int64_t>(R[I.Rs1]) >= static_cast<int64_t>(R[I.Rs2]);
-      break;
-    case Opcode::Bltu: Taken = R[I.Rs1] < R[I.Rs2]; break;
-    case Opcode::Bgeu: Taken = R[I.Rs1] >= R[I.Rs2]; break;
+    case Opcode::Blt: Taken = sem::slt(R[I.Rs1], R[I.Rs2]); break;
+    case Opcode::Bge: Taken = !sem::slt(R[I.Rs1], R[I.Rs2]); break;
+    case Opcode::Bltu: Taken = sem::sltu(R[I.Rs1], R[I.Rs2]); break;
+    case Opcode::Bgeu: Taken = !sem::sltu(R[I.Rs1], R[I.Rs2]); break;
     default: break;
     }
     uint64_t To = Taken ? PC + static_cast<int64_t>(I.Imm) : NextPC;

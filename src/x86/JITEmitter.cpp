@@ -7,6 +7,8 @@
 
 #include "x86/JITEmitter.h"
 
+#include "x86/Lowering.h"
+
 #include <cstring>
 #include <deque>
 
@@ -26,7 +28,8 @@ namespace {
 class BlockEmitter {
 public:
   BlockEmitter(uint64_t StartPC, const JitLayout &L, JitBlockCode &Out)
-      : StartPC(StartPC), L(L), Out(Out) {}
+      : StartPC(StartPC), L(L), Thread{R14, L.GprOff, L.FprOff},
+        Out(Out) {}
 
   bool emit(const Inst *Insts, size_t N);
 
@@ -43,15 +46,6 @@ private:
     Stubs.push_back(Stub{Label(), Sub, NextPC, Kind});
     return Stubs.back().Target;
   }
-
-  void loadGpr(Reg Dst, unsigned R) { E.movRegMem(Dst, R14, L.gpr(R)); }
-  void storeGpr(unsigned R, Reg Src) {
-    if (R == isa::RegZero)
-      return; // r0 stays zero: its slot is never written
-    E.movMemReg(R14, L.gpr(R), Src);
-  }
-  void loadFprBits(Reg Dst, unsigned R) { E.movRegMem(Dst, R14, L.fpr(R)); }
-  void storeFprBits(unsigned R, Reg Src) { E.movMemReg(R14, L.fpr(R), Src); }
 
   void setNextPC(uint64_t V) {
     if (V <= 0x7fffffffull) {
@@ -82,7 +76,7 @@ private:
   /// Calls the load helper for Addr = r[Rs1] + Imm; result in RAX. Emits
   /// the fault check (exit with instruction \p Idx not retired).
   void emitLoadCall(size_t Idx, const Inst &I, JitLoadKind Kind) {
-    loadGpr(RSI, I.Rs1);
+    loadGpr(E, Thread, RSI, I.Rs1);
     if (I.Imm != 0)
       E.leaRegMem(RSI, RSI, I.Imm);
     E.movRegMem(RDI, R15, L.CookieOff);
@@ -114,6 +108,7 @@ private:
 
   uint64_t StartPC;
   const JitLayout &L;
+  const StateRef Thread; // the guest register file in the ThreadState
   JitBlockCode &Out;
   Encoder E;
   std::deque<Stub> Stubs; // deque: stable Label addresses across growth
@@ -172,41 +167,17 @@ bool BlockEmitter::emit(const Inst *Insts, size_t N) {
 }
 
 void BlockEmitter::emitInst(size_t Idx, const Inst &I, uint32_t Prefix) {
+  // Register-only instructions lower as in the AOT translator.
+  if (lowerDataOp(E, Thread, I))
+    return;
   uint64_t PC = StartPC + 8 * Idx;
   auto Imm64 = [&]() { return static_cast<int64_t>(I.Imm); };
 
-  auto BinOp = [&](void (Encoder::*Op)(Reg, Reg, int32_t)) {
-    loadGpr(RAX, I.Rs1);
-    (E.*Op)(RAX, R14, L.gpr(I.Rs2));
-    storeGpr(I.Rd, RAX);
-  };
-  auto BinOpImm = [&](void (Encoder::*Op)(Reg, int32_t)) {
-    loadGpr(RAX, I.Rs1);
-    (E.*Op)(RAX, I.Imm);
-    storeGpr(I.Rd, RAX);
-  };
-  auto ShiftOp = [&](void (Encoder::*Op)(Reg)) {
-    loadGpr(RAX, I.Rs1);
-    loadGpr(RCX, I.Rs2);
-    (E.*Op)(RAX);
-    storeGpr(I.Rd, RAX);
-  };
-  auto ShiftOpImm = [&](void (Encoder::*Op)(Reg, uint8_t)) {
-    loadGpr(RAX, I.Rs1);
-    (E.*Op)(RAX, static_cast<uint8_t>(I.Imm & 63));
-    storeGpr(I.Rd, RAX);
-  };
-  auto CmpSet = [&](Cond C) {
-    loadGpr(RAX, I.Rs1);
-    E.cmpRegMem(RAX, R14, L.gpr(I.Rs2));
-    E.setcc(C, RAX);
-    storeGpr(I.Rd, RAX);
-  };
   // Branches are the block's last instruction: both outcomes leave through
   // chain exits, each retiring the whole prefix.
   auto Branch = [&](Cond C) {
-    loadGpr(RAX, I.Rs1);
-    E.cmpRegMem(RAX, R14, L.gpr(I.Rs2));
+    loadGpr(E, Thread, RAX, I.Rs1);
+    E.cmpRegMem(RAX, R14, Thread.gpr(I.Rs2));
     Label Taken;
     E.jcc(C, Taken);
     chainExit(Prefix, PC + 8);
@@ -217,155 +188,28 @@ void BlockEmitter::emitInst(size_t Idx, const Inst &I, uint32_t Prefix) {
     if (Rd == isa::RegZero)
       return;
     E.movRegImm64(RAX, PC + 8);
-    E.movMemReg(R14, L.gpr(Rd), RAX);
-  };
-  auto FBinOp = [&](void (Encoder::*Op)(XmmReg, XmmReg)) {
-    E.movsdXmmMem(XMM0, R14, L.fpr(I.Rs1));
-    E.movsdXmmMem(XMM1, R14, L.fpr(I.Rs2));
-    (E.*Op)(XMM0, XMM1);
-    E.movsdMemXmm(R14, L.fpr(I.Rd), XMM0);
+    storeGpr(E, Thread, Rd, RAX);
   };
   // Effective address of a load/store into RSI (helper argument).
   auto LoadEA = [&]() {
-    loadGpr(RSI, I.Rs1);
+    loadGpr(E, Thread, RSI, I.Rs1);
     if (I.Imm != 0)
       E.leaRegMem(RSI, RSI, I.Imm);
   };
   auto Load = [&](JitLoadKind Kind) {
     emitLoadCall(Idx, I, Kind);
-    storeGpr(I.Rd, RAX);
+    storeGpr(E, Thread, I.Rd, RAX);
   };
   auto Store = [&](uint32_t Size) {
     LoadEA();
-    loadGpr(RDX, I.Rd);
+    loadGpr(E, Thread, RDX, I.Rd);
     emitStoreCall(Idx, I, Size);
   };
 
   switch (I.Op) {
-  case Opcode::Nop:
   case Opcode::Fence:
     // Fence: the EVM runs on one host thread, so like the interpreter the
     // fence only retires.
-    break;
-
-  case Opcode::Add: BinOp(&Encoder::addRegMem); break;
-  case Opcode::Sub: BinOp(&Encoder::subRegMem); break;
-  case Opcode::Mul: BinOp(&Encoder::imulRegMem); break;
-  case Opcode::Mulh:
-    loadGpr(RAX, I.Rs1);
-    E.imulMem(R14, L.gpr(I.Rs2)); // rdx:rax = rax * m64
-    storeGpr(I.Rd, RDX);
-    break;
-  case Opcode::Div:
-  case Opcode::Rem: {
-    bool IsRem = I.Op == Opcode::Rem;
-    Label Done, DoDiv, ZeroDiv;
-    loadGpr(RAX, I.Rs1);
-    loadGpr(RCX, I.Rs2);
-    E.testRegReg(RCX, RCX);
-    E.jcc(CondE, ZeroDiv);
-    E.cmpRegImm32(RCX, -1);
-    E.jcc(CondNE, DoDiv);
-    E.movRegImm64(RDX, 0x8000000000000000ull);
-    E.cmpRegReg(RAX, RDX);
-    E.jcc(CondNE, DoDiv);
-    if (IsRem)
-      E.xorRegReg(RAX, RAX); // INT64_MIN % -1 == 0
-    E.jmp(Done);             // div: rax already INT64_MIN
-    E.bind(DoDiv);
-    E.cqo();
-    E.idivReg(RCX);
-    if (IsRem)
-      E.movRegReg(RAX, RDX);
-    E.jmp(Done);
-    E.bind(ZeroDiv);
-    if (!IsRem)
-      E.movRegImm64(RAX, UINT64_MAX); // div by zero -> all ones
-    E.bind(Done);                     // rem by zero -> dividend (in rax)
-    storeGpr(I.Rd, RAX);
-    break;
-  }
-  case Opcode::Divu:
-  case Opcode::Remu: {
-    bool IsRem = I.Op == Opcode::Remu;
-    Label Done, ZeroDiv;
-    loadGpr(RAX, I.Rs1);
-    loadGpr(RCX, I.Rs2);
-    E.testRegReg(RCX, RCX);
-    E.jcc(CondE, ZeroDiv);
-    E.xorRegReg(RDX, RDX);
-    E.divReg(RCX);
-    if (IsRem)
-      E.movRegReg(RAX, RDX);
-    E.jmp(Done);
-    E.bind(ZeroDiv);
-    if (!IsRem)
-      E.movRegImm64(RAX, UINT64_MAX);
-    E.bind(Done);
-    storeGpr(I.Rd, RAX);
-    break;
-  }
-  case Opcode::And: BinOp(&Encoder::andRegMem); break;
-  case Opcode::Or: BinOp(&Encoder::orRegMem); break;
-  case Opcode::Xor: BinOp(&Encoder::xorRegMem); break;
-  case Opcode::Shl: ShiftOp(&Encoder::shlRegCl); break;
-  case Opcode::Shr: ShiftOp(&Encoder::shrRegCl); break;
-  case Opcode::Sar: ShiftOp(&Encoder::sarRegCl); break;
-  case Opcode::Slt: CmpSet(CondL); break;
-  case Opcode::Sltu: CmpSet(CondB); break;
-  case Opcode::Seq: CmpSet(CondE); break;
-  case Opcode::Mov:
-    loadGpr(RAX, I.Rs1);
-    storeGpr(I.Rd, RAX);
-    break;
-
-  case Opcode::Addi: BinOpImm(&Encoder::addRegImm32); break;
-  case Opcode::Muli:
-    loadGpr(RAX, I.Rs1);
-    E.movRegImm64(RCX, static_cast<uint64_t>(Imm64()));
-    E.imulRegReg(RAX, RCX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Andi: BinOpImm(&Encoder::andRegImm32); break;
-  case Opcode::Ori:
-    loadGpr(RAX, I.Rs1);
-    E.movRegImm64(RCX, static_cast<uint64_t>(Imm64()));
-    E.orRegReg(RAX, RCX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Xori:
-    loadGpr(RAX, I.Rs1);
-    E.movRegImm64(RCX, static_cast<uint64_t>(Imm64()));
-    E.xorRegReg(RAX, RCX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Shli: ShiftOpImm(&Encoder::shlRegImm); break;
-  case Opcode::Shri: ShiftOpImm(&Encoder::shrRegImm); break;
-  case Opcode::Sari: ShiftOpImm(&Encoder::sarRegImm); break;
-  case Opcode::Slti:
-    loadGpr(RAX, I.Rs1);
-    E.cmpRegImm32(RAX, I.Imm);
-    E.setcc(CondL, RAX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Sltui:
-    loadGpr(RAX, I.Rs1);
-    E.cmpRegImm32(RAX, I.Imm);
-    E.setcc(CondB, RAX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Ldi:
-    E.movRegImm64(RAX, static_cast<uint64_t>(Imm64()));
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Ldih:
-    loadGpr(RAX, I.Rd);
-    E.movRegImm64(RDX, 0xffffffffull);
-    E.andRegReg(RAX, RDX);
-    E.movRegImm64(RDX, static_cast<uint64_t>(static_cast<uint32_t>(I.Imm))
-                           << 32);
-    E.orRegReg(RAX, RDX);
-    storeGpr(I.Rd, RAX);
     break;
 
   case Opcode::Ld1: Load(JitLoadU8); break;
@@ -396,7 +240,7 @@ void BlockEmitter::emitInst(size_t Idx, const Inst &I, uint32_t Prefix) {
   case Opcode::Jalr:
     // Target from the *pre-link* register file; alignment check before the
     // link write (a misaligned jalr faults without writing rd).
-    loadGpr(RCX, I.Rs1);
+    loadGpr(E, Thread, RCX, I.Rs1);
     if (I.Imm != 0)
       E.leaRegMem(RCX, RCX, I.Imm);
     E.testRegImm32(RCX, 7);
@@ -408,93 +252,18 @@ void BlockEmitter::emitInst(size_t Idx, const Inst &I, uint32_t Prefix) {
     E.ret();
     break;
 
-  case Opcode::Fadd: FBinOp(&Encoder::addsd); break;
-  case Opcode::Fsub: FBinOp(&Encoder::subsd); break;
-  case Opcode::Fmul: FBinOp(&Encoder::mulsd); break;
-  case Opcode::Fdiv: FBinOp(&Encoder::divsd); break;
-  case Opcode::Fmin: FBinOp(&Encoder::minsd); break;
-  case Opcode::Fmax: FBinOp(&Encoder::maxsd); break;
-  case Opcode::Fsqrt:
-    E.movsdXmmMem(XMM0, R14, L.fpr(I.Rs1));
-    E.sqrtsd(XMM0, XMM0);
-    E.movsdMemXmm(R14, L.fpr(I.Rd), XMM0);
-    break;
-  case Opcode::Fneg:
-    loadFprBits(RAX, I.Rs1);
-    E.movRegImm64(RDX, 0x8000000000000000ull);
-    E.xorRegReg(RAX, RDX);
-    storeFprBits(I.Rd, RAX);
-    break;
-  case Opcode::Fabs:
-    loadFprBits(RAX, I.Rs1);
-    E.movRegImm64(RDX, 0x7fffffffffffffffull);
-    E.andRegReg(RAX, RDX);
-    storeFprBits(I.Rd, RAX);
-    break;
-  case Opcode::Fmov:
-    loadFprBits(RAX, I.Rs1);
-    storeFprBits(I.Rd, RAX);
-    break;
-  case Opcode::Feq:
-    E.movsdXmmMem(XMM0, R14, L.fpr(I.Rs1));
-    E.movsdXmmMem(XMM1, R14, L.fpr(I.Rs2));
-    E.ucomisd(XMM0, XMM1);
-    E.setcc(CondE, RAX);
-    E.setcc(CondNP, RDX);
-    E.andRegReg(RAX, RDX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Flt:
-    // a < b  <=>  ucomisd(b, a) sets "above" (NaN-safe).
-    E.movsdXmmMem(XMM0, R14, L.fpr(I.Rs2));
-    E.movsdXmmMem(XMM1, R14, L.fpr(I.Rs1));
-    E.ucomisd(XMM0, XMM1);
-    E.setcc(CondA, RAX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Fle:
-    E.movsdXmmMem(XMM0, R14, L.fpr(I.Rs2));
-    E.movsdXmmMem(XMM1, R14, L.fpr(I.Rs1));
-    E.ucomisd(XMM0, XMM1);
-    E.setcc(CondAE, RAX);
-    storeGpr(I.Rd, RAX);
-    break;
   case Opcode::Fld:
     emitLoadCall(Idx, I, JitLoadU64);
-    storeFprBits(I.Rd, RAX);
+    storeFprBits(E, Thread, I.Rd, RAX);
     break;
   case Opcode::Fst:
     LoadEA();
-    loadFprBits(RDX, I.Rd);
+    loadFprBits(E, Thread, RDX, I.Rd);
     emitStoreCall(Idx, I, 8);
     break;
-  case Opcode::Fcvtid:
-    loadGpr(RAX, I.Rs1);
-    E.cvtsi2sd(XMM0, RAX);
-    E.movsdMemXmm(R14, L.fpr(I.Rd), XMM0);
-    break;
-  case Opcode::Fcvtdi:
-    E.movsdXmmMem(XMM0, R14, L.fpr(I.Rs1));
-    E.cvttsd2si(RAX, XMM0);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::FmvToF:
-    loadGpr(RAX, I.Rs1);
-    storeFprBits(I.Rd, RAX);
-    break;
-  case Opcode::FmvToI:
-    loadFprBits(RAX, I.Rs1);
-    storeGpr(I.Rd, RAX);
-    break;
-
-  case Opcode::Syscall:
-  case Opcode::Marker:
-  case Opcode::Halt:
-  case Opcode::Pause:
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
-    // Unreachable: jitNeedsInterpreter() keeps these out of the prefix.
+  default:
+    // Register-only instructions went through lowerDataOp above; the
+    // jitNeedsInterpreter() set never reaches here (it ends the prefix).
     break;
   }
 }

@@ -33,6 +33,12 @@
 ///  * Syscalls, markers, halt, pause, and atomics are not translated: the
 ///    block's compilable prefix ends there and the bail exit hands the
 ///    instruction to the interpreter (bailout taxonomy in DESIGN.md §12).
+///    The AOT atomics lowering does not carry over: it works on host
+///    addresses, and JIT memory goes through the VM helpers.
+///  * Instructions that touch only guest registers are lowered by
+///    x86/Lowering, exactly as in the AOT Translator; this file keeps the
+///    helper-call memory path and the exit protocol, which share no code
+///    with the Translator's direct memory access and label jumps.
 ///  * Each chain exit ends in a patchable `jmp rel32` (initially rel32=0,
 ///    falling through to a return stub). The block cache patches it to the
 ///    target's entry once that target is compiled — direct-threaded
@@ -107,9 +113,6 @@ struct JitLayout {
   // Offsets into the thread state (%r14 base).
   int32_t GprOff = 0; ///< 16 x u64
   int32_t FprOff = 0; ///< 16 x f64
-
-  int32_t gpr(unsigned R) const { return GprOff + 8 * static_cast<int>(R); }
-  int32_t fpr(unsigned R) const { return FprOff + 8 * static_cast<int>(R); }
 };
 
 /// A patchable chain exit: `JmpOff` is the offset (within the block's code)

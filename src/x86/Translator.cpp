@@ -7,12 +7,17 @@
 
 #include "x86/Translator.h"
 
+#include "x86/Lowering.h"
+
 #include <cstring>
 
 using namespace elfie;
 using namespace elfie::x86;
 using isa::Inst;
 using isa::Opcode;
+
+/// The guest register file: the thread's context block at %r15.
+static constexpr StateRef Ctx{R15, CtxLayout::GprOff, CtxLayout::FprOff};
 
 void Translator::addCodePage(uint64_t GuestAddr, const uint8_t *Bytes,
                              size_t Size) {
@@ -29,24 +34,6 @@ void Translator::addCodePage(uint64_t GuestAddr, const uint8_t *Bytes,
 
 Label &Translator::labelFor(uint64_t GuestAddr) { return Labels[GuestAddr]; }
 
-void Translator::loadGpr(Reg Dst, unsigned GuestReg) {
-  E.movRegMem(Dst, R15, CtxLayout::gpr(GuestReg));
-}
-
-void Translator::storeGpr(unsigned GuestReg, Reg Src) {
-  if (GuestReg == isa::RegZero)
-    return; // r0 stays zero: its slot is initialized to 0 and never written
-  E.movMemReg(R15, CtxLayout::gpr(GuestReg), Src);
-}
-
-void Translator::loadFprBits(Reg Dst, unsigned GuestReg) {
-  E.movRegMem(Dst, R15, CtxLayout::fpr(GuestReg));
-}
-
-void Translator::storeFprBits(unsigned GuestReg, Reg Src) {
-  E.movMemReg(R15, CtxLayout::fpr(GuestReg), Src);
-}
-
 void Translator::storeLinkAddress(unsigned GuestReg, uint64_t Value) {
   if (Value <= 0x7fffffffull) {
     E.movMemImm32(R15, CtxLayout::gpr(GuestReg),
@@ -60,7 +47,6 @@ void Translator::storeLinkAddress(unsigned GuestReg, uint64_t Value) {
 Error Translator::translateAll(const RuntimeLabels &RT) {
   if (Pages.empty())
     return makeError("no executable pages to translate");
-  Abort = RT.AbortStub;
 
   // Translate pages in address order; each 8-byte slot gets a label bound
   // at its translation. Slots that fail to decode jump to the abort stub
@@ -120,6 +106,9 @@ void Translator::translateInst(uint64_t PC, const Inst &I,
     E.decMem(R15, CtxLayout::ICountOff);
     E.jcc(CondS, *RT.CountdownExit);
   }
+  // Register-only instructions lower as in the JIT (x86/Lowering).
+  if (lowerDataOp(E, Ctx, I))
+    return;
 
   auto Imm64 = [&]() { return static_cast<int64_t>(I.Imm); };
 
@@ -132,38 +121,9 @@ void Translator::translateInst(uint64_t PC, const Inst &I,
     E.jmp(labelFor(Target));
   };
 
-  // rd = rs1 <op> rs2 with a simple reg-mem ALU op.
-  auto BinOp = [&](void (Encoder::*Op)(Reg, Reg, int32_t)) {
-    loadGpr(RAX, I.Rs1);
-    (E.*Op)(RAX, R15, CtxLayout::gpr(I.Rs2));
-    storeGpr(I.Rd, RAX);
-  };
-  // rd = rs1 <op> imm.
-  auto BinOpImm = [&](void (Encoder::*Op)(Reg, int32_t)) {
-    loadGpr(RAX, I.Rs1);
-    (E.*Op)(RAX, I.Imm);
-    storeGpr(I.Rd, RAX);
-  };
-  auto ShiftOp = [&](void (Encoder::*Op)(Reg)) {
-    loadGpr(RAX, I.Rs1);
-    loadGpr(RCX, I.Rs2);
-    (E.*Op)(RAX);
-    storeGpr(I.Rd, RAX);
-  };
-  auto ShiftOpImm = [&](void (Encoder::*Op)(Reg, uint8_t)) {
-    loadGpr(RAX, I.Rs1);
-    (E.*Op)(RAX, static_cast<uint8_t>(I.Imm & 63));
-    storeGpr(I.Rd, RAX);
-  };
-  auto CmpSet = [&](Cond C) {
-    loadGpr(RAX, I.Rs1);
-    E.cmpRegMem(RAX, R15, CtxLayout::gpr(I.Rs2));
-    E.setcc(C, RAX);
-    storeGpr(I.Rd, RAX);
-  };
   auto Branch = [&](Cond C) {
     uint64_t Target = PC + Imm64();
-    loadGpr(RAX, I.Rs1);
+    loadGpr(E, Ctx, RAX, I.Rs1);
     E.cmpRegMem(RAX, R15, CtxLayout::gpr(I.Rs2));
     if (Target < CodeLo || Target >= CodeHi || (Target & 7)) {
       // Taken path diverges out of the captured code: abort if taken.
@@ -174,20 +134,12 @@ void Translator::translateInst(uint64_t PC, const Inst &I,
   };
   // Effective address of a load/store into RAX.
   auto LoadEA = [&]() {
-    loadGpr(RAX, I.Rs1);
+    loadGpr(E, Ctx, RAX, I.Rs1);
     if (I.Imm != 0)
       E.leaRegMem(RAX, RAX, I.Imm);
   };
-  auto FBinOp = [&](void (Encoder::*Op)(XmmReg, XmmReg)) {
-    E.movsdXmmMem(XMM0, R15, CtxLayout::fpr(I.Rs1));
-    E.movsdXmmMem(XMM1, R15, CtxLayout::fpr(I.Rs2));
-    (E.*Op)(XMM0, XMM1);
-    E.movsdMemXmm(R15, CtxLayout::fpr(I.Rd), XMM0);
-  };
 
   switch (I.Op) {
-  case Opcode::Nop:
-    break;
   case Opcode::Fence:
     E.mfence();
     break;
@@ -207,182 +159,59 @@ void Translator::translateInst(uint64_t PC, const Inst &I,
     E.call(SyscallStub);
     break;
 
-  case Opcode::Add: BinOp(&Encoder::addRegMem); break;
-  case Opcode::Sub: BinOp(&Encoder::subRegMem); break;
-  case Opcode::Mul: BinOp(&Encoder::imulRegMem); break;
-  case Opcode::Mulh:
-    loadGpr(RAX, I.Rs1);
-    E.imulMem(R15, CtxLayout::gpr(I.Rs2)); // rdx:rax = rax * m64
-    storeGpr(I.Rd, RDX);
-    break;
-  case Opcode::Div:
-  case Opcode::Rem: {
-    bool IsRem = I.Op == Opcode::Rem;
-    Label Done, DoDiv, ZeroDiv;
-    loadGpr(RAX, I.Rs1);
-    loadGpr(RCX, I.Rs2);
-    E.testRegReg(RCX, RCX);
-    E.jcc(CondE, ZeroDiv);
-    // INT64_MIN / -1 overflow guard (RISC-V defined result).
-    E.cmpRegImm32(RCX, -1);
-    E.jcc(CondNE, DoDiv);
-    E.movRegImm64(RDX, 0x8000000000000000ull);
-    E.cmpRegReg(RAX, RDX);
-    E.jcc(CondNE, DoDiv);
-    if (IsRem)
-      E.xorRegReg(RAX, RAX); // rem = 0
-    // div: rax already INT64_MIN
-    E.jmp(Done);
-    E.bind(DoDiv);
-    E.cqo();
-    E.idivReg(RCX);
-    if (IsRem)
-      E.movRegReg(RAX, RDX);
-    E.jmp(Done);
-    E.bind(ZeroDiv);
-    if (!IsRem)
-      E.movRegImm64(RAX, UINT64_MAX); // div by zero -> all ones
-    // rem by zero -> dividend (already in rax)
-    E.bind(Done);
-    storeGpr(I.Rd, RAX);
-    break;
-  }
-  case Opcode::Divu:
-  case Opcode::Remu: {
-    bool IsRem = I.Op == Opcode::Remu;
-    Label Done, ZeroDiv;
-    loadGpr(RAX, I.Rs1);
-    loadGpr(RCX, I.Rs2);
-    E.testRegReg(RCX, RCX);
-    E.jcc(CondE, ZeroDiv);
-    E.xorRegReg(RDX, RDX);
-    E.divReg(RCX);
-    if (IsRem)
-      E.movRegReg(RAX, RDX);
-    E.jmp(Done);
-    E.bind(ZeroDiv);
-    if (!IsRem)
-      E.movRegImm64(RAX, UINT64_MAX);
-    E.bind(Done);
-    storeGpr(I.Rd, RAX);
-    break;
-  }
-  case Opcode::And: BinOp(&Encoder::andRegMem); break;
-  case Opcode::Or: BinOp(&Encoder::orRegMem); break;
-  case Opcode::Xor: BinOp(&Encoder::xorRegMem); break;
-  case Opcode::Shl: ShiftOp(&Encoder::shlRegCl); break;
-  case Opcode::Shr: ShiftOp(&Encoder::shrRegCl); break;
-  case Opcode::Sar: ShiftOp(&Encoder::sarRegCl); break;
-  case Opcode::Slt: CmpSet(CondL); break;
-  case Opcode::Sltu: CmpSet(CondB); break;
-  case Opcode::Seq: CmpSet(CondE); break;
-  case Opcode::Mov:
-    loadGpr(RAX, I.Rs1);
-    storeGpr(I.Rd, RAX);
-    break;
-
-  case Opcode::Addi: BinOpImm(&Encoder::addRegImm32); break;
-  case Opcode::Muli:
-    loadGpr(RAX, I.Rs1);
-    E.movRegImm64(RCX, static_cast<uint64_t>(Imm64()));
-    E.imulRegReg(RAX, RCX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Andi: BinOpImm(&Encoder::andRegImm32); break;
-  case Opcode::Ori:
-    loadGpr(RAX, I.Rs1);
-    E.movRegImm64(RCX, static_cast<uint64_t>(Imm64()));
-    E.orRegReg(RAX, RCX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Xori:
-    loadGpr(RAX, I.Rs1);
-    E.movRegImm64(RCX, static_cast<uint64_t>(Imm64()));
-    E.xorRegReg(RAX, RCX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Shli: ShiftOpImm(&Encoder::shlRegImm); break;
-  case Opcode::Shri: ShiftOpImm(&Encoder::shrRegImm); break;
-  case Opcode::Sari: ShiftOpImm(&Encoder::sarRegImm); break;
-  case Opcode::Slti:
-    loadGpr(RAX, I.Rs1);
-    E.cmpRegImm32(RAX, I.Imm);
-    E.setcc(CondL, RAX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Sltui:
-    loadGpr(RAX, I.Rs1);
-    E.cmpRegImm32(RAX, I.Imm);
-    E.setcc(CondB, RAX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Ldi:
-    E.movRegImm64(RAX, static_cast<uint64_t>(Imm64()));
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Ldih:
-    // rd = (imm32 << 32) | (rd & 0xffffffff)
-    loadGpr(RAX, I.Rd);
-    E.movRegImm64(RDX, 0xffffffffull);
-    E.andRegReg(RAX, RDX);
-    E.movRegImm64(RDX, static_cast<uint64_t>(static_cast<uint32_t>(I.Imm))
-                           << 32);
-    E.orRegReg(RAX, RDX);
-    storeGpr(I.Rd, RAX);
-    break;
   case Opcode::Ld1:
     LoadEA();
     E.movzxRegMem8(RDX, RAX, 0);
-    storeGpr(I.Rd, RDX);
+    storeGpr(E, Ctx, I.Rd, RDX);
     break;
   case Opcode::Ld2:
     LoadEA();
     E.movzxRegMem16(RDX, RAX, 0);
-    storeGpr(I.Rd, RDX);
+    storeGpr(E, Ctx, I.Rd, RDX);
     break;
   case Opcode::Ld4:
     LoadEA();
     E.movRegMem32(RDX, RAX, 0);
-    storeGpr(I.Rd, RDX);
+    storeGpr(E, Ctx, I.Rd, RDX);
     break;
   case Opcode::Ld8:
     LoadEA();
     E.movRegMem(RDX, RAX, 0);
-    storeGpr(I.Rd, RDX);
+    storeGpr(E, Ctx, I.Rd, RDX);
     break;
   case Opcode::Ld1s:
     LoadEA();
     E.movsxRegMem8(RDX, RAX, 0);
-    storeGpr(I.Rd, RDX);
+    storeGpr(E, Ctx, I.Rd, RDX);
     break;
   case Opcode::Ld2s:
     LoadEA();
     E.movsxRegMem16(RDX, RAX, 0);
-    storeGpr(I.Rd, RDX);
+    storeGpr(E, Ctx, I.Rd, RDX);
     break;
   case Opcode::Ld4s:
     LoadEA();
     E.movsxRegMem32(RDX, RAX, 0);
-    storeGpr(I.Rd, RDX);
+    storeGpr(E, Ctx, I.Rd, RDX);
     break;
   case Opcode::St1:
     LoadEA();
-    loadGpr(RDX, I.Rd);
+    loadGpr(E, Ctx, RDX, I.Rd);
     E.movMemReg8(RAX, 0, RDX);
     break;
   case Opcode::St2:
     LoadEA();
-    loadGpr(RDX, I.Rd);
+    loadGpr(E, Ctx, RDX, I.Rd);
     E.movMemReg16(RAX, 0, RDX);
     break;
   case Opcode::St4:
     LoadEA();
-    loadGpr(RDX, I.Rd);
+    loadGpr(E, Ctx, RDX, I.Rd);
     E.movMemReg32(RAX, 0, RDX);
     break;
   case Opcode::St8:
     LoadEA();
-    loadGpr(RDX, I.Rd);
+    loadGpr(E, Ctx, RDX, I.Rd);
     E.movMemReg(RAX, 0, RDX);
     break;
 
@@ -404,7 +233,7 @@ void Translator::translateInst(uint64_t PC, const Inst &I,
   case Opcode::Jalr: {
     if (I.Rd != isa::RegZero)
       storeLinkAddress(I.Rd, PC + 8);
-    loadGpr(RAX, I.Rs1);
+    loadGpr(E, Ctx, RAX, I.Rs1);
     if (I.Imm != 0)
       E.leaRegMem(RAX, RAX, I.Imm);
     // Alignment check.
@@ -426,103 +255,36 @@ void Translator::translateInst(uint64_t PC, const Inst &I,
   }
 
   case Opcode::AmoAdd:
-    loadGpr(RAX, I.Rs2);
-    loadGpr(RCX, I.Rs1);
+    loadGpr(E, Ctx, RAX, I.Rs2);
+    loadGpr(E, Ctx, RCX, I.Rs1);
     E.lockXaddMemReg(RCX, 0, RAX);
-    storeGpr(I.Rd, RAX);
+    storeGpr(E, Ctx, I.Rd, RAX);
     break;
   case Opcode::AmoSwap:
-    loadGpr(RAX, I.Rs2);
-    loadGpr(RCX, I.Rs1);
+    loadGpr(E, Ctx, RAX, I.Rs2);
+    loadGpr(E, Ctx, RCX, I.Rs1);
     E.xchgMemReg(RCX, 0, RAX);
-    storeGpr(I.Rd, RAX);
+    storeGpr(E, Ctx, I.Rd, RAX);
     break;
   case Opcode::Cas:
-    loadGpr(RAX, I.Rd); // expected
-    loadGpr(RDX, I.Rs2); // new value
-    loadGpr(RCX, I.Rs1); // address
+    loadGpr(E, Ctx, RAX, I.Rd); // expected
+    loadGpr(E, Ctx, RDX, I.Rs2); // new value
+    loadGpr(E, Ctx, RCX, I.Rs1); // address
     E.lockCmpxchgMemReg(RCX, 0, RDX);
-    storeGpr(I.Rd, RAX); // rax holds the old value either way
+    storeGpr(E, Ctx, I.Rd, RAX); // rax holds the old value either way
     break;
 
-  case Opcode::Fadd: FBinOp(&Encoder::addsd); break;
-  case Opcode::Fsub: FBinOp(&Encoder::subsd); break;
-  case Opcode::Fmul: FBinOp(&Encoder::mulsd); break;
-  case Opcode::Fdiv: FBinOp(&Encoder::divsd); break;
-  case Opcode::Fmin: FBinOp(&Encoder::minsd); break;
-  case Opcode::Fmax: FBinOp(&Encoder::maxsd); break;
-  case Opcode::Fsqrt:
-    E.movsdXmmMem(XMM0, R15, CtxLayout::fpr(I.Rs1));
-    E.sqrtsd(XMM0, XMM0);
-    E.movsdMemXmm(R15, CtxLayout::fpr(I.Rd), XMM0);
-    break;
-  case Opcode::Fneg:
-    loadFprBits(RAX, I.Rs1);
-    E.movRegImm64(RDX, 0x8000000000000000ull);
-    E.xorRegReg(RAX, RDX);
-    storeFprBits(I.Rd, RAX);
-    break;
-  case Opcode::Fabs:
-    loadFprBits(RAX, I.Rs1);
-    E.movRegImm64(RDX, 0x7fffffffffffffffull);
-    E.andRegReg(RAX, RDX);
-    storeFprBits(I.Rd, RAX);
-    break;
-  case Opcode::Fmov:
-    loadFprBits(RAX, I.Rs1);
-    storeFprBits(I.Rd, RAX);
-    break;
-  case Opcode::Feq:
-    E.movsdXmmMem(XMM0, R15, CtxLayout::fpr(I.Rs1));
-    E.movsdXmmMem(XMM1, R15, CtxLayout::fpr(I.Rs2));
-    E.ucomisd(XMM0, XMM1);
-    E.setcc(CondE, RAX);
-    E.setcc(CondNP, RDX);
-    E.andRegReg(RAX, RDX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Flt:
-    // a < b  <=>  ucomisd(b, a) sets "above" (NaN-safe).
-    E.movsdXmmMem(XMM0, R15, CtxLayout::fpr(I.Rs2));
-    E.movsdXmmMem(XMM1, R15, CtxLayout::fpr(I.Rs1));
-    E.ucomisd(XMM0, XMM1);
-    E.setcc(CondA, RAX);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::Fle:
-    E.movsdXmmMem(XMM0, R15, CtxLayout::fpr(I.Rs2));
-    E.movsdXmmMem(XMM1, R15, CtxLayout::fpr(I.Rs1));
-    E.ucomisd(XMM0, XMM1);
-    E.setcc(CondAE, RAX);
-    storeGpr(I.Rd, RAX);
-    break;
   case Opcode::Fld:
     LoadEA();
     E.movRegMem(RDX, RAX, 0);
-    storeFprBits(I.Rd, RDX);
+    storeFprBits(E, Ctx, I.Rd, RDX);
     break;
   case Opcode::Fst:
     LoadEA();
-    loadFprBits(RDX, I.Rd);
+    loadFprBits(E, Ctx, RDX, I.Rd);
     E.movMemReg(RAX, 0, RDX);
     break;
-  case Opcode::Fcvtid:
-    loadGpr(RAX, I.Rs1);
-    E.cvtsi2sd(XMM0, RAX);
-    E.movsdMemXmm(R15, CtxLayout::fpr(I.Rd), XMM0);
-    break;
-  case Opcode::Fcvtdi:
-    E.movsdXmmMem(XMM0, R15, CtxLayout::fpr(I.Rs1));
-    E.cvttsd2si(RAX, XMM0);
-    storeGpr(I.Rd, RAX);
-    break;
-  case Opcode::FmvToF:
-    loadGpr(RAX, I.Rs1);
-    storeFprBits(I.Rd, RAX);
-    break;
-  case Opcode::FmvToI:
-    loadFprBits(RAX, I.Rs1);
-    storeGpr(I.Rd, RAX);
-    break;
+  default:
+    break; // register-only: lowered by lowerDataOp above
   }
 }

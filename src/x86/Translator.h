@@ -29,6 +29,11 @@
 ///  * `syscall` calls the runtime stub; `marker` emits an SSC-style marker
 ///    (`mov ebx, tag; 0x64 0x67 0x90`) so x86 analysis tools can find ROI
 ///    boundaries (§II-B5).
+///  * Instructions that touch only guest registers (ALU, div/rem guards,
+///    FP) are lowered by x86/Lowering, shared with the JIT. This file keeps
+///    what differs: direct guest-memory access, label/abort-stub control
+///    flow, and the fence/marker/syscall/halt/pause and atomic lowerings
+///    the JIT leaves to the interpreter (DESIGN.md §12).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -118,11 +123,6 @@ private:
   void translateInst(uint64_t PC, const isa::Inst &I,
                      const RuntimeLabels &RT);
   Label &labelFor(uint64_t GuestAddr);
-  // Helpers reading/writing guest register slots.
-  void loadGpr(Reg Dst, unsigned GuestReg);
-  void storeGpr(unsigned GuestReg, Reg Src);
-  void loadFprBits(Reg Dst, unsigned GuestReg);
-  void storeFprBits(unsigned GuestReg, Reg Src);
   void storeLinkAddress(unsigned GuestReg, uint64_t Value);
 
   Encoder &E;
@@ -131,7 +131,6 @@ private:
   uint64_t CodeLo = 0, CodeHi = 0;
   std::map<uint64_t, Label> Labels;      // guest addr -> host label
   std::map<uint64_t, size_t> InstOffsets; // guest addr -> encoder offset
-  Label *Abort = nullptr;
 };
 
 } // namespace x86

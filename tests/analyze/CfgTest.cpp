@@ -20,6 +20,7 @@
 
 #include "analyze/Passes.h"
 #include "analyze/cfg/CodePasses.h"
+#include "analyze/cfg/Dataflow.h"
 #include "core/Pinball2Elf.h"
 #include "isa/ISA.h"
 #include "vm/VM.h"
@@ -30,6 +31,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <unistd.h>
 
 using namespace elfie;
@@ -199,6 +201,76 @@ TEST(CfgDataflow, ResolvesSyscallNumbersAndAddresses) {
   for (const Finding &F : A.Findings)
     SawUnmapped |= F.Code == "CODE.MEM_UNMAPPED";
   EXPECT_TRUE(SawUnmapped);
+}
+
+TEST(CfgDataflow, KnownConstantsMatchInterpreterOnEdgeOperands) {
+  // Every integer ALU opcode (register forms 0x10-0x21, immediate forms
+  // 0x30-0x3b, Ldi and Ldih included) over edge operands: wherever
+  // applyInst calls rd known, it must hold what the EVM computes for the
+  // same instruction. rs1 = r1, rs2 = r2, rd = r3 (Ldih also reads rd).
+  const uint64_t Operands[] = {0, 1, UINT64_MAX,
+                               static_cast<uint64_t>(INT64_MIN), INT64_MAX};
+  const uint64_t ShiftAmounts[] = {0, 63, 64, UINT64_MAX};
+  const int32_t Imms[] = {0, 1, -1, INT32_MIN, INT32_MAX};
+  const int32_t ShiftImms[] = {0, 63, 64, -1};
+
+  struct Case {
+    isa::Inst I;
+    uint64_t A, B;
+  };
+  std::vector<Case> Cases;
+  for (unsigned Byte = 0x10; Byte <= 0x3b; ++Byte) {
+    if (!isa::isValidOpcode(static_cast<uint8_t>(Byte)))
+      continue;
+    Opcode Op = static_cast<Opcode>(Byte);
+    bool Shift = Op == Opcode::Shl || Op == Opcode::Shr ||
+                 Op == Opcode::Sar || Op == Opcode::Shli ||
+                 Op == Opcode::Shri || Op == Opcode::Sari;
+    for (uint64_t A : Operands) {
+      if (Byte < 0x30) {
+        for (uint64_t B : Shift ? std::span<const uint64_t>(ShiftAmounts)
+                                : std::span<const uint64_t>(Operands))
+          Cases.push_back({I4(Op, 3, 1, 2, 0), A, B});
+      } else {
+        for (int32_t Imm : Shift ? std::span<const int32_t>(ShiftImms)
+                                 : std::span<const int32_t>(Imms))
+          Cases.push_back({I4(Op, 3, 1, 2, Imm), A, 0});
+      }
+    }
+  }
+  ASSERT_EQ(Cases.size(), (15 * 5 + 3 * 4) * 5 + (9 * 5 + 3 * 4) * 5u);
+
+  // All cases sit side by side in one code range; each runs as one step of
+  // its own thread.
+  std::vector<isa::Inst> Code;
+  for (const Case &C : Cases)
+    Code.push_back(C.I);
+  std::vector<uint8_t> Bytes = encodeProgram(Code);
+  vm::VM M;
+  M.mem().map(Base, Bytes.size(), vm::PermRead | vm::PermExec);
+  ASSERT_EQ(M.mem().poke(Base, Bytes.data(), Bytes.size()),
+            vm::MemFault::None);
+
+  for (size_t K = 0; K < Cases.size(); ++K) {
+    const Case &C = Cases[K];
+    uint64_t PC = Base + K * isa::InstSize;
+    vm::ThreadState T;
+    T.PC = PC;
+    T.GPR[1] = T.GPR[3] = C.A;
+    T.GPR[2] = C.B;
+    uint32_t Tid = M.spawnThread(T);
+    ASSERT_EQ(M.stepThread(Tid), vm::StopReason::BudgetReached);
+
+    cfg::RegState S;
+    S.set(1, C.A);
+    S.set(3, C.A);
+    S.set(2, C.B);
+    cfg::applyInst(C.I, PC, S);
+    ASSERT_TRUE(S.known(3)) << isa::disassemble(C.I, PC);
+    EXPECT_EQ(S.get(3), M.thread(Tid)->GPR[3])
+        << isa::disassemble(C.I, PC) << " with r1=" << C.A
+        << " r2=" << C.B;
+  }
 }
 
 //===--------------------------------------------------------------------===//

@@ -36,10 +36,14 @@ namespace {
 std::string randomProgram(uint64_t Seed, unsigned NumOps) {
   RNG R(Seed);
   std::string S = "_start:\n";
-  // Seed registers r1..r13 with random values, f0..f15 from ints.
-  for (unsigned I = 1; I <= 13; ++I)
+  // Seed registers r1..r9 with random values and r10..r13 with the
+  // division/overflow edge operands, f0..f15 from ints.
+  static const int64_t Edges[] = {INT64_MIN, -1, INT64_MAX, 0};
+  for (unsigned I = 1; I <= 13; ++I) {
+    int64_t V = static_cast<int64_t>(R.next() >> 1);
     S += formatString("  li r%u, %lld\n", I,
-                      static_cast<long long>(R.next() >> 1));
+                      static_cast<long long>(I >= 10 ? Edges[I - 10] : V));
+  }
   for (unsigned I = 0; I < 16; ++I)
     S += formatString("  fcvtid f%u, r%u\n", I, 1 + I % 13);
 
@@ -114,6 +118,27 @@ std::string randomProgram(uint64_t Seed, unsigned NumOps) {
       break;
     }
   }
+
+  // The random ops rarely pair the edge operands, so run every division
+  // edge case once on r14/r15 and fold each result into a dumped register
+  // (xor keeps the random result visible too).
+  static const struct {
+    const char *Op;
+    int64_t A, B;
+  } EdgeOps[] = {
+      {"div", INT64_MIN, -1},         {"rem", INT64_MIN, -1},
+      {"div", INT64_MAX, 0},          {"rem", INT64_MIN, 0},
+      {"divu", -1, 0},                {"remu", INT64_MIN, 0},
+      {"div", INT64_MIN, INT64_MAX},  {"rem", -1, INT64_MIN},
+      {"divu", INT64_MIN, -1},        {"remu", -1, INT64_MIN},
+      {"mulh", INT64_MIN, INT64_MIN}, {"mulh", INT64_MIN, -1},
+  };
+  for (unsigned K = 0; K < std::size(EdgeOps); ++K)
+    S += formatString("  li r14, %lld\n  li r15, %lld\n  %s r14, r14, r15\n"
+                      "  xor r%u, r%u, r14\n",
+                      static_cast<long long>(EdgeOps[K].A),
+                      static_cast<long long>(EdgeOps[K].B), EdgeOps[K].Op,
+                      K + 1, K + 1);
 
   // Dump: store r1..r13 and all FPR bit patterns into a buffer, write it.
   S += "  la r14, dump\n";
