@@ -67,6 +67,14 @@ void setup() {
   exitOnError(core::pinballToElfFile(G->MT, Opts, G->MTElfie));
 }
 
+/// Replay options for the interpreted replayer the overhead rows measure
+/// (the VM JITs by default).
+replay::ReplayOptions interpreted() {
+  replay::ReplayOptions Opts;
+  Opts.Config.EnableJit = false;
+  return Opts;
+}
+
 void runElfie(const std::string &Path) {
   auto R = runNativeElfie(Path);
   // perfle is off here; success == process exit 0, which runNativeElfie
@@ -82,14 +90,14 @@ BENCHMARK(BM_NativeElfie_ST)->Unit(benchmark::kMillisecond);
 
 void BM_ConstrainedReplay_ST(benchmark::State &S) {
   for (auto _ : S) {
-    auto R = replay::replayPinball(G->ST);
+    auto R = replay::replayPinball(G->ST, interpreted());
     benchmark::DoNotOptimize(R.hasValue());
   }
 }
 BENCHMARK(BM_ConstrainedReplay_ST)->Unit(benchmark::kMillisecond);
 
 void BM_InjectionlessReplay_ST(benchmark::State &S) {
-  replay::ReplayOptions Opts;
+  replay::ReplayOptions Opts = interpreted();
   Opts.Injection = false;
   for (auto _ : S) {
     auto R = replay::replayPinball(G->ST, Opts);
@@ -106,14 +114,14 @@ BENCHMARK(BM_NativeElfie_MT)->Unit(benchmark::kMillisecond);
 
 void BM_ConstrainedReplay_MT(benchmark::State &S) {
   for (auto _ : S) {
-    auto R = replay::replayPinball(G->MT);
+    auto R = replay::replayPinball(G->MT, interpreted());
     benchmark::DoNotOptimize(R.hasValue());
   }
 }
 BENCHMARK(BM_ConstrainedReplay_MT)->Unit(benchmark::kMillisecond);
 
 void BM_ConstrainedReplay_ST_NoDecodeCache(benchmark::State &S) {
-  replay::ReplayOptions Opts;
+  replay::ReplayOptions Opts = interpreted();
   Opts.Config.EnableDecodeCache = false;
   for (auto _ : S) {
     auto R = replay::replayPinball(G->ST, Opts);
@@ -159,10 +167,10 @@ void printMatrixAndOverhead() {
 
   double NativeST = timeOf([] { runElfie(G->STElfie); });
   double ReplayST =
-      timeOf([] { (void)replay::replayPinball(G->ST); }, 3);
+      timeOf([] { (void)replay::replayPinball(G->ST, interpreted()); }, 3);
   double NativeMT = timeOf([] { runElfie(G->MTElfie); });
   double ReplayMT =
-      timeOf([] { (void)replay::replayPinball(G->MT); }, 3);
+      timeOf([] { (void)replay::replayPinball(G->MT, interpreted()); }, 3);
 
   std::printf("\nMeasured run times (region re-execution):\n");
   std::printf("  ST: native ELFie %.2f ms, constrained replay %.2f ms -> "
@@ -187,9 +195,9 @@ void printMatrixAndOverhead() {
 void printDecodeCacheComparison() {
   printHeader("Replay VM decoded-block cache: before/after");
 
-  replay::ReplayOptions Off;
+  replay::ReplayOptions Off = interpreted();
   Off.Config.EnableDecodeCache = false;
-  replay::ReplayOptions On;
+  replay::ReplayOptions On = interpreted();
   On.Config.EnableDecodeCache = true;
 
   auto ROff = replay::replayPinball(G->ST, Off);
@@ -232,7 +240,7 @@ void printDecodeCacheComparison() {
 void printJitComparison() {
   printHeader("Replay VM template JIT: interpreter+cache vs. -jit");
 
-  replay::ReplayOptions Interp; // decode cache on by default
+  replay::ReplayOptions Interp = interpreted(); // decode cache on
   replay::ReplayOptions Jit;
   Jit.Config.EnableJit = true;
 

@@ -5,7 +5,8 @@
 # SPDX-License-Identifier: MIT
 #
 # Runs the tier-1 verify in three configurations:
-#   1. default build        -> full ctest suite
+#   1. default build        -> full ctest suite, then the pipeline
+#                              benchmark self-test (pipebench/selftest.py)
 #   2. sanitized build      -> full ctest suite under ELFIE_SANITIZE
 #   3. TSan build           -> the multi-threaded replay/JIT suites under
 #                              -fsanitize=thread (data-race detection)
@@ -42,6 +43,13 @@ run_pass() { # <name> <build-dir> <timeout> [extra cmake args...]
 # Pass 1: tier-1 verify, default configuration (with the compile database
 # the lint lane consumes).
 run_pass default "$ROOT/default" 120 -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
+
+# Pipeline benchmark self-test, once, on the default configuration: tiny
+# inputs through the driver's end-to-end correctness checks (exact capture
+# lengths, clean JIT replay, bit-identical cold/resumed SimStats) with the
+# JIT on in every stage. Its build tree goes under the CI root.
+echo "==== [pipebench] selftest ===="
+(cd "$REPO" && CARGO_TARGET_DIR="$ROOT/pipebench" python3 pipebench/selftest.py)
 
 # Pass 2: tier-1 verify, sanitized. Separate tree so object files never
 # mix; sanitized tests run slower, hence the larger per-test timeout.

@@ -66,7 +66,10 @@ public:
   /// calls this from its stdout sink while the region is active.
   void recordOutput(const char *Data, size_t Len);
 
-  // Observer interface.
+  // Observer interface. Instruction granularity (the default) on purpose:
+  // lazily injected pages record globalRetired() at first touch, and
+  // compiled dispatch only advances that count at block exits. The
+  // fast-forward to the region start runs observer-free, so it JITs.
   void onInstruction(const vm::ThreadState &T, uint64_t PC,
                      const isa::Inst &I) override;
   void onSyscall(uint32_t Tid, uint64_t Nr, const uint64_t *Args,

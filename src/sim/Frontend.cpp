@@ -332,7 +332,7 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
 
   // Pre-ROI fast-forward: until the first marker retires, nothing is
   // measured, so a JIT-enabled VM may run that stretch natively under a
-  // marker watcher (wantsPerInstruction() == false keeps the JIT active).
+  // marker watcher (Events granularity keeps the JIT active).
   // A -warmup-load resume fast-forwards the same way even without the
   // JIT: its warming stretch needs no callbacks either.
   // Single-core only — the multicore path is timing-driven from the start.
@@ -344,7 +344,9 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
     class MarkerWatch : public vm::Observer {
     public:
       explicit MarkerWatch(vm::VM &M) : M(M) {}
-      bool wantsPerInstruction() const override { return false; }
+      Granularity granularity() const override {
+        return Granularity::Events;
+      }
       void onMarker(uint32_t, isa::MarkerKind, int32_t) override {
         Seen = true;
         M.requestStop();

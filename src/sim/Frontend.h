@@ -82,9 +82,9 @@ struct SimResult {
   /// extents, copy-on-write faults, and private (dirty) bytes.
   vm::MemStats MemStats;
   /// JIT counters from the functional VM. Non-zero only with
-  /// VMConfig::EnableJit; in binary mode the JIT accelerates the pre-ROI
-  /// fast-forward (the detailed phase needs per-instruction callbacks and
-  /// runs interpreted).
+  /// VMConfig::EnableJit (the library default; `esim` sets it from -jit);
+  /// in binary mode the JIT accelerates the pre-ROI fast-forward (the
+  /// detailed phase needs per-instruction callbacks and runs interpreted).
   vm::JitStats JitStats;
   /// Instructions consumed by the warming phase (functionally skipped
   /// instructions when resuming from a checkpoint).

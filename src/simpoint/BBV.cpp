@@ -7,6 +7,7 @@
 
 #include "simpoint/BBV.h"
 
+#include <algorithm>
 
 using namespace elfie;
 using namespace elfie::simpoint;
@@ -18,11 +19,13 @@ BBVCollector::BBVCollector(uint64_t SliceSize, unsigned Dims,
   assert(SliceSize > 0 && "slice size must be positive");
 }
 
-void BBVCollector::accountBlock(uint64_t BlockEntry, uint64_t Count) {
-  if (Count == 0)
-    return;
+const double *BBVCollector::weights(uint64_t BlockEntry) {
+  auto [It, Inserted] = Weights.try_emplace(BlockEntry);
+  std::vector<double> &Ws = It->second;
+  if (!Inserted)
+    return Ws.data();
   // Random projection: hash the block address into `Dims` signed unit
-  // weights; accumulate Count * weight. Deterministic across runs.
+  // weights. Deterministic across runs.
   //
   // The mixer must avalanche into its low bits: FNV-1a's low bits are a
   // linear function of the input parity, which collapses 8-aligned block
@@ -38,8 +41,17 @@ void BBVCollector::accountBlock(uint64_t BlockEntry, uint64_t Count) {
     // A second bit scales some weights down to decorrelate dimensions.
     if (Z & 2)
       W *= 0.5;
-    Acc[D] += static_cast<double>(Count) * W;
+    Ws.push_back(W);
   }
+  return Ws.data();
+}
+
+void BBVCollector::accountBlock(uint64_t BlockEntry, uint64_t Count) {
+  if (Count == 0)
+    return;
+  const double *W = weights(BlockEntry);
+  for (unsigned D = 0; D < Dims; ++D)
+    Acc[D] += static_cast<double>(Count) * W[D];
 }
 
 void BBVCollector::closeSlice() {
@@ -58,29 +70,30 @@ void BBVCollector::closeSlice() {
   InstrInSlice = 0;
 }
 
-void BBVCollector::onInstruction(const vm::ThreadState &T, uint64_t PC,
-                                 const isa::Inst &I) {
-  if (CurBlockLen == 0)
-    CurBlockEntry = PC;
-  ++CurBlockLen;
-  ++InstrInSlice;
-  if (isa::isControlFlow(I.Op)) {
-    accountBlock(CurBlockEntry, CurBlockLen);
-    CurBlockLen = 0;
-  }
-  if (InstrInSlice >= SliceSize) {
-    if (CurBlockLen) {
+void BBVCollector::onBlock(uint32_t, uint64_t EntryPC, uint64_t NumInsts,
+                           bool EndsInControlFlow) {
+  // Splits the run at slice boundaries; accounting happens at the same
+  // points (and so in the same order) as for single instructions.
+  while (NumInsts > 0) {
+    uint64_t Take = std::min(NumInsts, SliceSize - InstrInSlice);
+    if (CurBlockLen == 0)
+      CurBlockEntry = EntryPC;
+    CurBlockLen += Take;
+    InstrInSlice += Take;
+    EntryPC += Take * isa::InstSize;
+    NumInsts -= Take;
+    if (NumInsts == 0 && EndsInControlFlow) {
       accountBlock(CurBlockEntry, CurBlockLen);
       CurBlockLen = 0;
     }
-    closeSlice();
+    if (InstrInSlice >= SliceSize) {
+      if (CurBlockLen) {
+        accountBlock(CurBlockEntry, CurBlockLen);
+        CurBlockLen = 0;
+      }
+      closeSlice();
+    }
   }
-}
-
-void BBVCollector::onControlTransfer(uint32_t, uint64_t, uint64_t ToPC,
-                                     bool) {
-  // The next instruction starts a new block at ToPC; onInstruction
-  // handles it via CurBlockLen == 0.
 }
 
 void BBVCollector::finish() {

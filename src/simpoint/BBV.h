@@ -21,7 +21,7 @@
 #include "vm/VM.h"
 
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace elfie {
@@ -40,16 +40,22 @@ struct SliceVector {
 /// instruction. Projection: each block address is hashed into
 /// `Dims` pseudo-random unit weights (deterministic), so no global block
 /// table is needed (standard SimPoint practice).
+///
+/// The collector is a Block-granularity observer, so profiling keeps the
+/// JIT on: it sees straight-line runs (onBlock), not single instructions,
+/// and the slices are bit-identical whichever executor retired the run.
+/// Blocks follow global retirement order across threads: a run that
+/// starts while another thread's block is still open (no control transfer
+/// yet) extends that block, exactly as a per-instruction stream would.
 class BBVCollector : public vm::Observer {
 public:
   BBVCollector(uint64_t SliceSize, unsigned Dims = 16,
                uint64_t ProjectionSeed = 42);
 
   // Observer interface.
-  void onInstruction(const vm::ThreadState &T, uint64_t PC,
-                     const isa::Inst &I) override;
-  void onControlTransfer(uint32_t Tid, uint64_t FromPC, uint64_t ToPC,
-                         bool Taken) override;
+  Granularity granularity() const override { return Granularity::Block; }
+  void onBlock(uint32_t Tid, uint64_t EntryPC, uint64_t NumInsts,
+               bool EndsInControlFlow) override;
 
   /// Flushes the in-progress slice (call at end of run; partial slices
   /// shorter than 10% of SliceSize are discarded).
@@ -61,6 +67,8 @@ public:
 
 private:
   void accountBlock(uint64_t BlockEntry, uint64_t Count);
+  /// The `Dims` projection weights of a block entry, hashed on first use.
+  const double *weights(uint64_t BlockEntry);
   void closeSlice();
 
   uint64_t SliceSize;
@@ -71,6 +79,8 @@ private:
   uint64_t CurBlockLen = 0;
   uint64_t InstrInSlice = 0;
   std::vector<double> Acc;
+  /// Block entry -> its `Dims` projection weights.
+  std::unordered_map<uint64_t, std::vector<double>> Weights;
   std::vector<SliceVector> Slices;
   uint64_t NextSliceIndex = 0;
 };

@@ -59,6 +59,7 @@ void JitCache::compile(const DecodedBlock &B) {
   CB.StartPC = PC;
   CB.Entry = Off;
   CB.NumInsts = Code.NumInsts;
+  CB.EndsInControlFlow = isa::isControlFlow(B.Insts[Code.NumInsts - 1].Op);
 
   // Resolve this block's chain exits: self-loops and already-compiled
   // targets are patched now, the rest wait in PendingSites.

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The EVM side of the template JIT (`ereplay -jit` / `esim -jit`,
-/// DESIGN.md §12): owns the W^X executable buffer, maps guest block-start
-/// PCs to compiled code, chains blocks into superblocks by patching their
-/// chain exits, and mirrors the DecodeCache's invalidation contract — the
+/// The EVM side of the template JIT (on by default, DESIGN.md §12): owns
+/// the W^X executable buffer, maps guest block-start PCs to compiled code,
+/// chains blocks into superblocks by patching their chain exits, and
+/// mirrors the DecodeCache's invalidation contract — the
 /// VM wires the same AddressSpace code-invalidate hook into both, so
 /// self-modifying code, page injection, unmaps, and access-tracking resets
 /// drop compiled code exactly where they drop decoded blocks.
@@ -78,6 +78,8 @@ public:
     uint64_t StartPC = 0;
     size_t Entry = 0;      ///< buffer offset of the block's entry check
     uint32_t NumInsts = 0; ///< compiled prefix length (max retired/entry)
+    /// The prefix's last instruction is control flow (isa::isControlFlow).
+    bool EndsInControlFlow = false;
   };
 
   JitCache(const x86::JitLayout &Layout, size_t BufferBytes);

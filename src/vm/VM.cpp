@@ -344,7 +344,17 @@ RunResult VM::run(uint64_t MaxInstructions) {
         uint64_t Exec = 0;
         if (jitDispatch(*Cur, Quota, Exec)) {
           Budget -= Exec;
-          QuantumLeft -= std::min(Exec, QuantumLeft);
+          if (Exec <= QuantumLeft) {
+            QuantumLeft -= Exec;
+          } else {
+            // A lone thread ran past quantum boundaries: leave the phase
+            // interpretation would have left (it re-picks the same thread
+            // with a fresh quantum at each boundary), so the interleaving
+            // after a later clone matches.
+            uint64_t Q = std::max<uint64_t>(Config.Quantum, 1);
+            uint64_t Over = (Exec - QuantumLeft) % Q;
+            QuantumLeft = Over ? Q - Over : 0;
+          }
           if (StopRequested)
             return Done(StopReason::Stopped);
           if (Exec > 0)
@@ -473,7 +483,7 @@ VM::ThreadRunResult VM::runThread(uint32_t Tid, uint64_t MaxInstructions) {
 // ---------------------------------------------------------------------------
 
 bool VM::jitActive() const {
-  return Jit != nullptr && (!Obs || !Obs->wantsPerInstruction());
+  return Jit != nullptr && ObsGran != Observer::Granularity::Instruction;
 }
 
 JitStats VM::jitStats() const { return Jit ? Jit->JC.Stats : JitStats(); }
@@ -488,6 +498,15 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
     Quota = INT64_MAX; // the emitted entry check compares signed
   if (Quota < CB->NumInsts)
     return false; // entry check would fail; interpret the quantum tail
+  // A block observer sees one compiled block per dispatch: with the quota
+  // at the block's length the next chained entry check exits. Copy what
+  // the report needs now — a store inside the block may free the entry.
+  const bool ReportBlock = ObsGran == Observer::Granularity::Block;
+  const uint64_t StartPC = CB->StartPC;
+  const uint32_t NumInsts = CB->NumInsts;
+  const bool EndsInControlFlow = CB->EndsInControlFlow;
+  if (ReportBlock)
+    Quota = NumInsts;
   // Drain deferred chain un-patching before entering the buffer — after
   // this, every patched chain exit targets live code.
   J.JC.maintenance();
@@ -511,6 +530,9 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
   if (Kind == x86::JitExitBail || Kind == x86::JitExitMemRetry ||
       Kind == x86::JitExitInvalidate)
     ++J.JC.Stats.Bailouts;
+  if (ReportBlock && Exec > 0)
+    Obs->onBlock(T.Tid, StartPC, Exec,
+                 Exec == NumInsts && EndsInControlFlow);
   return true;
 }
 
@@ -677,8 +699,12 @@ VM::StepStatus VM::stepOne(ThreadState &T) {
 
 VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   uint64_t PC = T.PC;
-  if (Obs)
-    Obs->onInstruction(T, PC, I);
+  if (Obs) {
+    if (ObsGran == Observer::Granularity::Block)
+      Obs->onBlock(T.Tid, PC, 1, isa::isControlFlow(I.Op));
+    else
+      Obs->onInstruction(T, PC, I);
+  }
 
   uint64_t *R = T.GPR;
   double *F = T.FPR;

@@ -92,24 +92,48 @@ struct RunResult {
   DecodeCacheStats CacheStats;
   /// Memory-substrate counters (image extents, COW faults, dirty bytes).
   MemStats MemoryStats;
-  /// JIT counters (all zero unless VMConfig::EnableJit).
+  /// JIT counters (all zero when the JIT is off or inert).
   JitStats Jit;
 };
 
 /// Instrumentation interface (the Pin "analysis routine" analogue).
-/// Callbacks fire synchronously from the interpreter loop.
+/// Callbacks fire synchronously from the interpreter loop (and, for block
+/// observers, from the JIT dispatcher).
 class Observer {
 public:
+  /// How finely an observer needs to see execution. The JIT retires whole
+  /// compiled blocks without firing onInstruction / onMemoryAccess /
+  /// onControlTransfer; syscalls, markers, and thread events always fire
+  /// (those instructions bail to the interpreter).
+  enum class Granularity {
+    /// onInstruction before every instruction: compiled dispatch stands
+    /// down while the observer is attached.
+    Instruction,
+    /// onBlock for every straight-line run of retired instructions instead
+    /// of onInstruction; the JIT stays on and reports one compiled block
+    /// per dispatch.
+    Block,
+    /// Only the events that bail to the interpreter are needed; the JIT
+    /// stays on and the per-instruction hooks fire only for interpreted
+    /// instructions.
+    Events,
+  };
   virtual ~Observer();
-  /// Return false when this observer can tolerate compiled-code dispatch:
-  /// the JIT retires whole blocks without firing onInstruction /
-  /// onMemoryAccess / onControlTransfer (syscalls, markers, and thread
-  /// events still fire — those bail to the interpreter). The default
-  /// (true) disables JIT dispatch while the observer is attached.
-  virtual bool wantsPerInstruction() const { return true; }
-  /// Before executing the instruction at \p PC.
+  virtual Granularity granularity() const { return Granularity::Instruction; }
+  /// Before executing the instruction at \p PC (Instruction and Events
+  /// observers; the latter only for interpreted instructions).
   virtual void onInstruction(const ThreadState &T, uint64_t PC,
                              const isa::Inst &I) {}
+  /// Block observers only: \p NumInsts instructions at \p EntryPC,
+  /// EntryPC + 8, ... retire on \p Tid with no control transfer between
+  /// them; \p EndsInControlFlow says the last one is a control-flow
+  /// instruction (isa::isControlFlow). The interpreter reports each
+  /// instruction as a one-instruction block where onInstruction would fire;
+  /// compiled dispatch reports after the block ran. Calls follow global
+  /// retirement order across threads, and a run may stop short of the
+  /// block's end (budget, quantum, faulting access).
+  virtual void onBlock(uint32_t Tid, uint64_t EntryPC, uint64_t NumInsts,
+                       bool EndsInControlFlow) {}
   /// After computing the effective address of a load/store/atomic.
   virtual void onMemoryAccess(uint32_t Tid, uint64_t Addr, uint32_t Size,
                               bool IsWrite) {}
@@ -148,11 +172,11 @@ struct VMConfig {
   /// Bound on resident decoded blocks before the cache takes a full flush
   /// (0 = DecodeCache::DefaultMaxBlocks).
   size_t DecodeCacheMaxBlocks = 0;
-  /// Translate hot blocks to host x86-64 and dispatch them natively
-  /// (`ereplay -jit` / `esim -jit`). Requires EnableDecodeCache; silently
-  /// inert on non-x86-64 hosts and while an observer that wants
-  /// per-instruction callbacks is attached.
-  bool EnableJit = false;
+  /// Translate hot blocks to host x86-64 and dispatch them natively (the
+  /// default; `ereplay -jit` / `esim -jit` set it explicitly). Requires
+  /// EnableDecodeCache; silently inert on non-x86-64 hosts and while an
+  /// Instruction-granularity observer is attached.
+  bool EnableJit = true;
   /// Decode-cache entries crossing this hit count get compiled.
   uint32_t JitThreshold = 32;
   /// Size of the JIT's executable code buffer.
@@ -211,8 +235,12 @@ public:
   };
   ThreadRunResult runThread(uint32_t Tid, uint64_t MaxInstructions);
 
-  /// Observer management (one active observer; null to detach).
-  void setObserver(Observer *O) { Obs = O; }
+  /// Observer management (one active observer; null to detach). The
+  /// observer's granularity() is read here, once.
+  void setObserver(Observer *O) {
+    Obs = O;
+    ObsGran = O ? O->granularity() : Observer::Granularity::Events;
+  }
 
   /// From an observer callback: makes run() return Stopped after the
   /// current instruction.
@@ -276,12 +304,14 @@ private:
   /// cache, the execution context, and the software TLBs).
   struct JitRuntime;
   /// True when compiled dispatch may run right now (JIT configured, host
-  /// supported, and no per-instruction observer attached).
+  /// supported, and no Instruction-granularity observer attached).
   bool jitActive() const;
   /// One native dispatch of the compiled block at T.PC, bounded by
   /// \p Quota retired instructions. Returns false when no compiled block
   /// starts there or the quota is too small for its entry check; true when
-  /// compiled code ran, with \p Exec set to the instructions retired.
+  /// compiled code ran, with \p Exec set to the instructions retired. A
+  /// Block observer caps the quota at the block's length and receives one
+  /// onBlock per dispatch.
   /// After a true return with Exec == 0 the caller must interpret at least
   /// one step before re-dispatching (memory-retry exits make no progress).
   bool jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec);
@@ -346,6 +376,8 @@ private:
   Fault LastFault;
 
   Observer *Obs = nullptr;
+  /// Obs->granularity(), or Events while no observer is attached.
+  Observer::Granularity ObsGran = Observer::Granularity::Events;
   SyscallInterceptor Interceptor;
 
   std::map<int, FDEntry> FDs;

@@ -172,6 +172,104 @@ TEST(JitDifferential, FileReaderLockstep) {
   removeTree(Dir);
 }
 
+/// A single-threaded prefix of 2 * Prefix + 1 instructions (not a multiple
+/// of the default 100-instruction quantum), then three clones, then four
+/// threads doing racy (non-atomic) read-modify-writes of one shared word:
+/// the final total and every thread's retired count depend on the exact
+/// interleaving after the clones.
+std::string prefixThenCloneProgram(int Prefix) {
+  return R"(
+  .equ NTHREADS, 4
+  .equ WORK, 700
+_start:
+  ldi  r9, )" + std::to_string(Prefix) + R"(
+prefix:
+  addi r9, r9, -1
+  bnez r9, prefix
+  ldi  r9, 1
+spawn:
+  ldi  r7, 9               # clone(entry=worker, stack, arg=index)
+  la   r1, worker
+  la   r2, stacks
+  muli r3, r9, 8192
+  add  r2, r2, r3
+  mov  r3, r9
+  syscall
+  addi r9, r9, 1
+  slti r4, r9, NTHREADS
+  bnez r4, spawn
+  jal  lr, work
+waitend:
+  la   r2, finished
+  ld8  r3, 0(r2)
+  pause
+  slti r4, r3, NTHREADS
+  bnez r4, waitend
+  la   r2, shared
+  ld8  r1, 0(r2)
+  ldi  r7, 1               # exit_group(shared)
+  syscall
+
+worker:
+  jal  lr, work
+  ldi  r7, 0
+  ldi  r1, 0
+  syscall
+
+work:
+  ldi  r12, WORK
+racy:
+  la   r2, shared
+  ld8  r3, 0(r2)
+  add  r3, r3, r12
+  st8  r3, 0(r2)
+  addi r12, r12, -1
+  bnez r12, racy
+  la   r2, finished
+  ldi  r3, 1
+  amoadd r4, (r2), r3
+  ret
+
+  .data
+  .align 8
+shared:   .quad 0
+finished: .quad 0
+  .bss
+  .align 8
+stacks:   .space 40960
+)";
+}
+
+TEST(JitDifferential, LoneThreadPrefixKeepsQuantumPhase) {
+  // A lone thread may dispatch past quantum boundaries; afterwards the
+  // scheduler must hold the quantum phase interpretation would hold, or
+  // the first clone hands the main thread a different slice and the two
+  // executors interleave differently from there on. One run() to exit.
+  for (int Prefix : {1234, 2017}) {
+    vm::VMConfig CI, CJ;
+    CI.EnableJit = false;
+    CJ.EnableJit = true;
+    CJ.JitThreshold = 4;
+    std::string Src = prefixThenCloneProgram(Prefix);
+    auto MI = makeVM(Src, nullptr, CI);
+    auto MJ = makeVM(Src, nullptr, CJ);
+    ASSERT_TRUE(MI);
+    ASSERT_TRUE(MJ);
+    vm::RunResult RI = MI->run();
+    vm::RunResult RJ = MJ->run();
+    ASSERT_EQ(RI.Reason, vm::StopReason::AllExited);
+    ASSERT_EQ(RJ.Reason, vm::StopReason::AllExited);
+    EXPECT_EQ(RI.ExitCode, RJ.ExitCode) << "prefix " << Prefix;
+    EXPECT_EQ(MI->globalRetired(), MJ->globalRetired()) << "prefix " << Prefix;
+    ASSERT_EQ(MI->threadIds().size(), 4u);
+    compareThreads(*MI, *MJ, Prefix);
+    EXPECT_EQ(memDigest(*MI), memDigest(*MJ)) << "prefix " << Prefix;
+#if defined(__x86_64__)
+    EXPECT_GT(RJ.Jit.Hits, uint64_t(Prefix)) << "the prefix did not JIT";
+#endif
+  }
+}
+
 // -------------------------------------------------------------------------
 // Replay-level differential: same pinball, JIT on vs off.
 // -------------------------------------------------------------------------
@@ -206,6 +304,7 @@ void replayDifferential(const pinball::Pinball &PB, bool Injection,
                         bool ExpectClean) {
   ReplayOptions OI;
   OI.Injection = Injection;
+  OI.Config.EnableJit = false;
   ReplayOptions OJ = OI;
   OJ.Config.EnableJit = true;
   OJ.Config.JitThreshold = 4;

@@ -380,7 +380,9 @@ TEST(Replay, DecodeCacheStatsReported) {
   std::string Dir = tempDir("cache_stats");
   auto PB = capture(Dir, computeProgram(), 1000, 5000, LoggerOptions::fat());
   ASSERT_TRUE(PB.hasValue());
-  auto R = replayPinball(*PB);
+  ReplayOptions On;
+  On.Config.EnableJit = false; // compiled dispatch bypasses the counters
+  auto R = replayPinball(*PB, On);
   ASSERT_TRUE(R.hasValue()) << R.message();
   // Constrained replay steps 5000 instructions; each one is served by the
   // cache (one hit or one miss).

@@ -476,11 +476,13 @@ TEST(CheckpointIdentity, JitResumeMatchesInterpretedCold) {
   vm::VMConfig Jit;
   Jit.EnableJit = true;
   Jit.JitThreshold = 1;
+  vm::VMConfig Interp;
+  Interp.EnableJit = false;
   // Save interpreted, resume with the JIT fast-forwarding the warming
   // stretch: the detailed phase must still be bit-identical.
   expectColdSaveResumeIdentity(P.Image, makeNehalemLike(), Controls,
                                P.Dir + "/region.esimstate",
-                               /*SaveCfg=*/{}, /*LoadCfg=*/Jit);
+                               /*SaveCfg=*/Interp, /*LoadCfg=*/Jit);
 }
 
 TEST(CheckpointIdentity, ClockSyscallElfie) {
@@ -610,6 +612,8 @@ TEST(CheckpointIndex, SameBoundaryAcrossAllPaths) {
   vm::VMConfig Jit;
   Jit.EnableJit = true;
   Jit.JitThreshold = 1;
+  vm::VMConfig Interp;
+  Interp.EnableJit = false;
 
   auto boundary = [&](uint64_t W, bool Save, bool UseJit) -> uint64_t {
     RunControls C;
@@ -620,7 +624,7 @@ TEST(CheckpointIndex, SameBoundaryAcrossAllPaths) {
     else
       C.LoadStatePath = Path;
     auto R = simulateBinaryImage(P.Image, Machine, C,
-                                 UseJit ? Jit : vm::VMConfig{});
+                                 UseJit ? Jit : Interp);
     EXPECT_TRUE(R.hasValue()) << R.message();
     return R ? R->CheckpointRetired : 0;
   };

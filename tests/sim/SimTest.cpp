@@ -293,7 +293,9 @@ TEST(Frontend, JitDoesNotPerturbSimulation) {
   JitCfg.EnableJit = true;
   JitCfg.JitThreshold = 1;
   auto RJit = simulateBinaryImage(*Image, makeNehalemLike(), {}, JitCfg);
-  auto RInt = simulateBinaryImage(*Image, makeNehalemLike());
+  vm::VMConfig IntCfg;
+  IntCfg.EnableJit = false;
+  auto RInt = simulateBinaryImage(*Image, makeNehalemLike(), {}, IntCfg);
   ASSERT_TRUE(RJit.hasValue()) << RJit.message();
   ASSERT_TRUE(RInt.hasValue()) << RInt.message();
   EXPECT_EQ(RJit->RoiRetired, RInt->RoiRetired);

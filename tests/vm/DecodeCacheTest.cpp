@@ -62,7 +62,9 @@ std::unique_ptr<VM> rawVM(const std::vector<isa::Inst> &Prog,
 
 TEST(DecodeCache, HitMissAccountingCoversEveryInstruction) {
   auto Out = std::make_shared<std::string>();
-  auto M = makeVM(computeProgram(), Out);
+  VMConfig C;
+  C.EnableJit = false; // compiled dispatch bypasses the cache counters
+  auto M = makeVM(computeProgram(), Out, C);
   ASSERT_TRUE(M);
   RunResult R = M->run();
   EXPECT_EQ(R.Reason, StopReason::AllExited);
@@ -92,6 +94,7 @@ TEST(DecodeCache, OnOffBehaviourIdentical) {
   auto Run = [](bool Enable) {
     VMConfig C;
     C.EnableDecodeCache = Enable;
+    C.EnableJit = false;
     auto Out = std::make_shared<std::string>();
     auto M = makeVM(computeProgram(), Out, C);
     RunResult R = M->run();
@@ -105,6 +108,7 @@ TEST(DecodeCache, OnOffBehaviourIdenticalMultiThreaded) {
   auto Run = [](bool Enable) {
     VMConfig C;
     C.EnableDecodeCache = Enable;
+    C.EnableJit = false;
     auto Out = std::make_shared<std::string>();
     auto M = makeVM(multiThreadProgram(4, 2, 300), Out, C);
     RunResult R = M->run();
@@ -173,6 +177,7 @@ TEST(DecodeCache, SelfModifyingCodeReexecutesFreshBytes) {
   for (bool Enable : {true, false}) {
     VMConfig C;
     C.EnableDecodeCache = Enable;
+    C.EnableJit = false;
     auto M = rawVM(smcProgram(), C);
     RunResult R = M->run();
     EXPECT_EQ(R.Reason, StopReason::Halted);
@@ -249,6 +254,7 @@ TEST(DecodeCache, CappedCacheBehaviourIdentical) {
   auto Run = [](size_t Cap) {
     VMConfig C;
     C.DecodeCacheMaxBlocks = Cap;
+    C.EnableJit = false;
     auto Out = std::make_shared<std::string>();
     auto M = makeVM(computeProgram(), Out, C);
     RunResult R = M->run();

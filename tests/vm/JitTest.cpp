@@ -349,7 +349,9 @@ TEST(Jit, ObserverGatingFollowsWantsPerInstruction) {
     bool PerInst;
     uint64_t Insts = 0, Syscalls = 0;
     explicit Counting(bool PerInst) : PerInst(PerInst) {}
-    bool wantsPerInstruction() const override { return PerInst; }
+    Granularity granularity() const override {
+      return PerInst ? Granularity::Instruction : Granularity::Events;
+    }
     void onInstruction(const ThreadState &, uint64_t,
                        const isa::Inst &) override {
       ++Insts;
