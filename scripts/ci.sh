@@ -44,6 +44,15 @@ run_pass() { # <name> <build-dir> <timeout> [extra cmake args...]
 # the lint lane consumes).
 run_pass default "$ROOT/default" 120 -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 
+# JSON syntax lives in support/Json: a quoted key spelled out in C++
+# source elsewhere means a hand-rolled emitter has come back.
+echo "==== [json] no hand-rolled JSON outside support/Json ===="
+if grep -rnE '\\"[A-Za-z_%0-9]+\\":' "$REPO/src" --include=*.cpp \
+    --include=*.h; then
+  echo "ci.sh: hand-rolled JSON found (use support/Json's JsonWriter)"
+  exit 1
+fi
+
 # Pipeline benchmark self-test, once, on the default configuration: tiny
 # inputs through the driver's end-to-end correctness checks (exact capture
 # lengths, clean JIT replay, bit-identical cold/resumed SimStats) with the

@@ -9,6 +9,7 @@
 #include "analyze/Passes.h"
 
 #include "support/Format.h"
+#include "support/Json.h"
 
 using namespace elfie;
 using namespace elfie::analyze;
@@ -71,61 +72,31 @@ std::string Report::renderText() const {
   return Out;
 }
 
-void analyze::appendJSONString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  Out += '"';
-}
-
-void analyze::appendFindingsJSON(std::string &Out,
-                                 const std::vector<Finding> &Fs) {
-  unsigned Counts[3] = {0, 0, 0};
-  Out += "\"findings\":[";
-  for (size_t I = 0; I < Fs.size(); ++I) {
-    const Finding &F = Fs[I];
+void analyze::writeFindingsJSON(JsonWriter &W,
+                                const std::vector<Finding> &Fs) {
+  uint64_t Counts[3] = {0, 0, 0};
+  W.key("findings").beginArray();
+  for (const Finding &F : Fs) {
     ++Counts[static_cast<unsigned>(F.Sev)];
-    if (I)
-      Out += ',';
-    Out += "{\"severity\":";
-    appendJSONString(Out, severityName(F.Sev));
-    Out += ",\"code\":";
-    appendJSONString(Out, F.Code);
-    Out += formatString(",\"addr\":%llu,\"message\":",
-                        static_cast<unsigned long long>(F.Addr));
-    appendJSONString(Out, F.Message);
-    Out += '}';
+    W.beginObject();
+    W.key("severity").value(severityName(F.Sev));
+    W.key("code").value(F.Code);
+    W.key("addr").value(F.Addr);
+    W.key("message").value(F.Message);
+    W.endObject();
   }
-  Out += formatString("],\"errors\":%u,\"warnings\":%u,\"notes\":%u",
-                      Counts[static_cast<unsigned>(Severity::Error)],
-                      Counts[static_cast<unsigned>(Severity::Warning)],
-                      Counts[static_cast<unsigned>(Severity::Note)]);
+  W.endArray();
+  W.key("errors").value(Counts[static_cast<unsigned>(Severity::Error)]);
+  W.key("warnings").value(Counts[static_cast<unsigned>(Severity::Warning)]);
+  W.key("notes").value(Counts[static_cast<unsigned>(Severity::Note)]);
 }
 
 std::string Report::renderJSON() const {
-  std::string Out = formatString("{\"schema\":%u,", ReportSchemaVersion);
-  appendFindingsJSON(Out, Findings);
-  Out += "}\n";
-  return Out;
+  JsonWriter W;
+  W.beginObject().key("schema").value(ReportSchemaVersion);
+  writeFindingsJSON(W, Findings);
+  W.endObject();
+  return W.str() + "\n";
 }
 
 ElfKind AnalysisInput::classify(const elf::ELFReader &R) {

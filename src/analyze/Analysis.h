@@ -34,6 +34,9 @@
 #include <vector>
 
 namespace elfie {
+
+class JsonWriter;
+
 namespace analyze {
 
 enum class Severity { Note, Warning, Error };
@@ -54,14 +57,12 @@ struct Finding {
 /// -json report leads with). Bump when a field changes meaning or moves;
 /// consumers (efleet, campaign tooling) key parsing off it. The shape
 /// itself is locked by the golden-file test in tests/analyze.
-constexpr unsigned ReportSchemaVersion = 1;
+constexpr uint64_t ReportSchemaVersion = 1;
 
-/// Appends \p S as a JSON string literal (quotes + escapes).
-void appendJSONString(std::string &Out, const std::string &S);
-
-/// Appends `"findings":[...],"errors":N,"warnings":N,"notes":N` — the
-/// common tail of every report object (everify's and ecfg's).
-void appendFindingsJSON(std::string &Out, const std::vector<Finding> &Fs);
+/// Writes the members `"findings":[...],"errors":N,"warnings":N,
+/// "notes":N` — the common tail of every report object (everify's and
+/// ecfg's) — into the object \p W has open.
+void writeFindingsJSON(JsonWriter &W, const std::vector<Finding> &Fs);
 
 /// Accumulates findings across passes and renders them.
 class Report {

@@ -28,6 +28,16 @@ using namespace elfie::analyze;
 
 namespace {
 
+/// Maps a runtime EFAULT.STORE.* code onto its finding code; the seal
+/// guards the manifest, and anything else is a content mismatch.
+const char *findingCodeFor(const std::string &ErrCode) {
+  if (ErrCode == "EFAULT.STORE.MISSING")
+    return "STORE.MISSING";
+  if (ErrCode == "EFAULT.STORE.MANIFEST" || ErrCode == "EFAULT.STORE.SEAL")
+    return "STORE.MANIFEST";
+  return "STORE.DIGEST";
+}
+
 class StorePass : public Pass {
 public:
   const char *name() const override { return "store"; }
@@ -86,16 +96,9 @@ public:
       // consumers it vouches for.
       auto Bytes = store::loadArtifact(*Pool, Name);
       if (!Bytes) {
-        const std::string &Msg = Bytes.message();
-        const char *Code = "STORE.DIGEST";
-        if (Msg.find("EFAULT.STORE.MISSING") != std::string::npos)
-          Code = "STORE.MISSING";
-        else if (Msg.find("EFAULT.STORE.MANIFEST") != std::string::npos ||
-                 Msg.find("EFAULT.STORE.SEAL") != std::string::npos)
-          Code = "STORE.MANIFEST";
-        Out.add(Severity::Error, Code, 0,
+        Out.add(Severity::Error, findingCodeFor(Bytes.error().code()), 0,
                 formatString("artifact '%s': %s", Name.c_str(),
-                             Msg.c_str()));
+                             Bytes.message().c_str()));
         ++Bad;
         continue;
       }

@@ -10,6 +10,7 @@
 
 #include "pinball/Pinball.h"
 #include "support/Format.h"
+#include "support/Json.h"
 #include "x86/JITEmitter.h"
 
 #include <algorithm>
@@ -408,73 +409,49 @@ std::string cfg::renderCodeText(const CodeAnalysis &A) {
 
 std::string cfg::renderCodeJSON(const CodeAnalysis &A) {
   const CodeReport &R = A.Report;
-  std::string Out =
-      formatString("{\"schema\":%u,\"tool\":\"ecfg\",", ReportSchemaVersion);
-  Out += formatString(
-      "\"seeds\":%llu,\"blocks\":%llu,\"insts\":%llu,"
-      "\"indirect_sites\":%llu,\"truncated\":%s,",
-      static_cast<unsigned long long>(R.Seeds),
-      static_cast<unsigned long long>(R.Blocks),
-      static_cast<unsigned long long>(R.Insts),
-      static_cast<unsigned long long>(R.IndirectSites),
-      R.Truncated ? "true" : "false");
-  Out += "\"syscalls\":{\"sites\":{";
-  {
-    bool First = true;
-    for (const auto &[Nr, N] : R.SyscallSites) {
-      if (!First)
-        Out += ',';
-      First = false;
-      Out += formatString("\"%llu\":%llu",
-                          static_cast<unsigned long long>(Nr),
-                          static_cast<unsigned long long>(N));
-    }
-  }
-  Out += formatString("},\"unknown_sites\":%llu,\"families\":[",
-                      static_cast<unsigned long long>(
-                          R.UnknownSyscallSites));
-  for (size_t I = 0; I < R.Families.size(); ++I) {
-    if (I)
-      Out += ',';
-    appendJSONString(Out, R.Families[I]);
-  }
-  Out += "],\"unprovisioned\":[";
-  for (size_t I = 0; I < R.Unprovisioned.size(); ++I) {
-    if (I)
-      Out += ',';
-    appendJSONString(Out, R.Unprovisioned[I]);
-  }
-  Out += formatString("],\"provisioning_known\":%s},",
-                      R.ProvisioningKnown ? "true" : "false");
-  Out += formatString("\"memory\":{\"resolved_loads\":%llu,"
-                      "\"unknown_loads\":%llu,\"resolved_stores\":%llu,"
-                      "\"unknown_stores\":%llu},",
-                      static_cast<unsigned long long>(R.ResolvedLoads),
-                      static_cast<unsigned long long>(R.UnknownLoads),
-                      static_cast<unsigned long long>(R.ResolvedStores),
-                      static_cast<unsigned long long>(R.UnknownStores));
-  Out += formatString("\"smc\":{\"known_sites\":%llu,"
-                      "\"writable_exec_pages\":%s},",
-                      static_cast<unsigned long long>(R.SmcSites),
-                      R.WritableExecPages ? "true" : "false");
-  Out += formatString("\"jit\":{\"translatable_insts\":%llu,"
-                      "\"translatable_pct\":%.1f,\"bailouts\":{",
-                      static_cast<unsigned long long>(R.TranslatableInsts),
-                      R.translatablePct());
-  {
-    bool First = true;
-    for (const auto &[Op, N] : R.BailoutOps) {
-      if (!First)
-        Out += ',';
-      First = false;
-      appendJSONString(Out, Op);
-      Out += formatString(":%llu", static_cast<unsigned long long>(N));
-    }
-  }
-  Out += "}},";
-  appendFindingsJSON(Out, A.Findings);
-  Out += "}\n";
-  return Out;
+  JsonWriter W;
+  W.beginObject();
+  W.key("schema").value(ReportSchemaVersion);
+  W.key("tool").value("ecfg");
+  W.key("seeds").value(R.Seeds);
+  W.key("blocks").value(R.Blocks);
+  W.key("insts").value(R.Insts);
+  W.key("indirect_sites").value(R.IndirectSites);
+  W.key("truncated").value(R.Truncated);
+  W.key("syscalls").beginObject().key("sites").beginObject();
+  for (const auto &[Nr, N] : R.SyscallSites)
+    W.key(std::to_string(Nr)).value(N);
+  W.endObject();
+  W.key("unknown_sites").value(R.UnknownSyscallSites);
+  W.key("families").beginArray();
+  for (const std::string &F : R.Families)
+    W.value(F);
+  W.endArray().key("unprovisioned").beginArray();
+  for (const std::string &F : R.Unprovisioned)
+    W.value(F);
+  W.endArray();
+  W.key("provisioning_known").value(R.ProvisioningKnown);
+  W.endObject();
+  W.key("memory").beginObject();
+  W.key("resolved_loads").value(R.ResolvedLoads);
+  W.key("unknown_loads").value(R.UnknownLoads);
+  W.key("resolved_stores").value(R.ResolvedStores);
+  W.key("unknown_stores").value(R.UnknownStores);
+  W.endObject();
+  W.key("smc").beginObject();
+  W.key("known_sites").value(R.SmcSites);
+  W.key("writable_exec_pages").value(R.WritableExecPages);
+  W.endObject();
+  W.key("jit").beginObject();
+  W.key("translatable_insts").value(R.TranslatableInsts);
+  W.key("translatable_pct").value(R.translatablePct(), 1);
+  W.key("bailouts").beginObject();
+  for (const auto &[Op, N] : R.BailoutOps)
+    W.key(Op).value(N);
+  W.endObject().endObject();
+  writeFindingsJSON(W, A.Findings);
+  W.endObject();
+  return W.str() + "\n";
 }
 
 std::string cfg::renderCodeDot(const CodeAnalysis &A) {

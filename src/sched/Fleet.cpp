@@ -14,13 +14,13 @@
 #include "store/Artifact.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
+#include "support/Json.h"
 #include "support/Subprocess.h"
 #include "support/Watchdog.h"
 
 #include <cstdarg>
 #include <cstdio>
 #include <signal.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace elfie;
@@ -31,11 +31,6 @@ static volatile sig_atomic_t DrainFlag = 0;
 void elfie::sched::requestDrain() { DrainFlag = 1; }
 bool elfie::sched::drainRequested() { return DrainFlag != 0; }
 void elfie::sched::resetDrain() { DrainFlag = 0; }
-
-static bool isDirectory(const std::string &Path) {
-  struct stat St;
-  return ::stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode);
-}
 
 /// Runtime state of one manifest job.
 struct FleetEngine::JobState {
@@ -571,20 +566,20 @@ std::string FleetSummary::renderText() const {
 }
 
 std::string FleetSummary::renderJSON() const {
-  return formatString(
-      "{\"jobs\":%llu,\"succeeded\":%llu,\"quarantined\":%llu,"
-      "\"incomplete\":%llu,\"attempts\":%llu,\"retries\":%llu,"
-      "\"skipped_complete\":%llu,\"resumed\":%s,\"drained\":%s,"
-      "\"wall_ms\":%llu}\n",
-      static_cast<unsigned long long>(Total),
-      static_cast<unsigned long long>(Succeeded),
-      static_cast<unsigned long long>(Quarantined),
-      static_cast<unsigned long long>(Incomplete),
-      static_cast<unsigned long long>(Attempts),
-      static_cast<unsigned long long>(Retries),
-      static_cast<unsigned long long>(SkippedComplete),
-      Resumed ? "true" : "false", Drained ? "true" : "false",
-      static_cast<unsigned long long>(WallMs));
+  JsonWriter W;
+  W.beginObject();
+  W.key("jobs").value(Total);
+  W.key("succeeded").value(Succeeded);
+  W.key("quarantined").value(Quarantined);
+  W.key("incomplete").value(Incomplete);
+  W.key("attempts").value(Attempts);
+  W.key("retries").value(Retries);
+  W.key("skipped_complete").value(SkippedComplete);
+  W.key("resumed").value(Resumed);
+  W.key("drained").value(Drained);
+  W.key("wall_ms").value(WallMs);
+  W.endObject();
+  return W.str() + "\n";
 }
 
 Expected<FleetSummary> elfie::sched::runFleet(const CampaignPlan &Plan,

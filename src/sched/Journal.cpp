@@ -8,6 +8,7 @@
 #include "sched/Journal.h"
 
 #include "support/Format.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cctype>
@@ -16,61 +17,17 @@
 using namespace elfie;
 using namespace elfie::sched;
 
-/// Journal strings are paths, ids, and enum words; escape the JSON
-/// metacharacters and control bytes so every record stays one line.
-static std::string escapeJSON(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
-static bool looksNumeric(const std::string &V) {
-  if (V.empty())
-    return false;
-  size_t I = V[0] == '-' ? 1 : 0;
-  if (I == V.size())
-    return false;
-  for (; I < V.size(); ++I)
-    if (!std::isdigit(static_cast<unsigned char>(V[I])))
-      return false;
-  return true;
-}
-
 std::string elfie::sched::renderJournalRecord(const JournalRecord &Rec) {
-  // "rec" leads for scannability; the rest in map (sorted) order.
-  std::string Out = "{";
+  // "rec" leads for scannability; the rest in map (sorted) order, with
+  // numeric-looking values bare so they read back as the same text.
+  JsonWriter W;
+  W.beginObject();
   auto Emit = [&](const std::string &K, const std::string &V) {
-    if (Out.size() > 1)
-      Out += ",";
-    Out += "\"" + escapeJSON(K) + "\":";
-    if (looksNumeric(V))
-      Out += V;
+    W.key(K);
+    if (isIntegerToken(V))
+      W.integerToken(V);
     else
-      Out += "\"" + escapeJSON(V) + "\"";
+      W.value(V);
   };
   auto RecIt = Rec.find("rec");
   if (RecIt != Rec.end())
@@ -78,140 +35,9 @@ std::string elfie::sched::renderJournalRecord(const JournalRecord &Rec) {
   for (const auto &[K, V] : Rec)
     if (K != "rec")
       Emit(K, V);
-  Out += "}";
-  return Out;
+  W.endObject();
+  return W.str();
 }
-
-namespace {
-
-/// Minimal parser for the flat-object subset the journal writes: one
-/// {"key":value,...} per line, values being strings, integers, or bools.
-/// Anything else (nesting, torn tails) fails the line as a whole.
-class FlatJSONParser {
-public:
-  explicit FlatJSONParser(const std::string &Text) : S(Text) {}
-
-  bool parse(JournalRecord &Out) {
-    skipWS();
-    if (!eat('{'))
-      return false;
-    skipWS();
-    if (eat('}'))
-      return trailingOK();
-    for (;;) {
-      std::string Key, Value;
-      if (!parseString(Key))
-        return false;
-      skipWS();
-      if (!eat(':'))
-        return false;
-      skipWS();
-      if (!parseValue(Value))
-        return false;
-      Out[Key] = Value;
-      skipWS();
-      if (eat(',')) {
-        skipWS();
-        continue;
-      }
-      if (eat('}'))
-        return trailingOK();
-      return false;
-    }
-  }
-
-private:
-  void skipWS() {
-    while (Pos < S.size() && (S[Pos] == ' ' || S[Pos] == '\t'))
-      ++Pos;
-  }
-  bool eat(char C) {
-    if (Pos < S.size() && S[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-  bool trailingOK() {
-    skipWS();
-    return Pos == S.size();
-  }
-  bool parseString(std::string &Out) {
-    if (!eat('"'))
-      return false;
-    while (Pos < S.size()) {
-      char C = S[Pos++];
-      if (C == '"')
-        return true;
-      if (C == '\\') {
-        if (Pos >= S.size())
-          return false;
-        char E = S[Pos++];
-        switch (E) {
-        case '"':
-          Out += '"';
-          break;
-        case '\\':
-          Out += '\\';
-          break;
-        case 'n':
-          Out += '\n';
-          break;
-        case 't':
-          Out += '\t';
-          break;
-        case 'r':
-          Out += '\r';
-          break;
-        case 'u': {
-          if (Pos + 4 > S.size())
-            return false;
-          uint64_t Code = 0;
-          if (!parseUInt64("0x" + S.substr(Pos, 4), Code))
-            return false;
-          Pos += 4;
-          // The writer only escapes control bytes this way.
-          Out += static_cast<char>(Code & 0xff);
-          break;
-        }
-        default:
-          return false;
-        }
-        continue;
-      }
-      Out += C;
-    }
-    return false;
-  }
-  bool parseValue(std::string &Out) {
-    if (Pos < S.size() && S[Pos] == '"')
-      return parseString(Out);
-    size_t Start = Pos;
-    while (Pos < S.size() && S[Pos] != ',' && S[Pos] != '}' &&
-           S[Pos] != ' ' && S[Pos] != '\t')
-      ++Pos;
-    Out = S.substr(Start, Pos - Start);
-    if (Out == "true" || Out == "false")
-      return true;
-    return looksNumericToken(Out);
-  }
-  static bool looksNumericToken(const std::string &V) {
-    if (V.empty())
-      return false;
-    size_t I = V[0] == '-' ? 1 : 0;
-    if (I == V.size())
-      return false;
-    for (; I < V.size(); ++I)
-      if (!std::isdigit(static_cast<unsigned char>(V[I])))
-        return false;
-    return true;
-  }
-
-  const std::string &S;
-  size_t Pos = 0;
-};
-
-} // namespace
 
 /// Case-insensitive substring search (strerror spellings vary in case
 /// across libcs; the injected-fault messages are lower-case).
@@ -259,8 +85,7 @@ bool elfie::sched::parseJournalRecord(const std::string &Line,
                                       JournalRecord &Out) {
   JournalRecord Tmp;
   std::string Trimmed = trimString(Line);
-  FlatJSONParser P(Trimmed);
-  if (!P.parse(Tmp) || !Tmp.count("rec"))
+  if (!parseFlatJsonObject(Trimmed, Tmp) || !Tmp.count("rec"))
     return false;
   Out = std::move(Tmp);
   return true;

@@ -243,6 +243,11 @@ bool elfie::fileExists(const std::string &Path) {
   return std::filesystem::exists(Path, EC);
 }
 
+bool elfie::isDirectory(const std::string &Path) {
+  struct stat St;
+  return ::stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode);
+}
+
 void elfie::removeFile(const std::string &Path) {
   std::error_code EC;
   std::filesystem::remove(Path, EC);

@@ -90,6 +90,9 @@ Error createDirectories(const std::string &Path);
 /// True when \p Path exists (any file type).
 bool fileExists(const std::string &Path);
 
+/// True when \p Path names a directory (following symlinks).
+bool isDirectory(const std::string &Path);
+
 /// Removes a file if present; ignores missing files.
 void removeFile(const std::string &Path);
 

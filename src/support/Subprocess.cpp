@@ -12,6 +12,8 @@
 #include <cstring>
 #include <ctime>
 #include <fcntl.h>
+#include <libgen.h>
+#include <limits.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -150,6 +152,19 @@ void elfie::killProcessTree(pid_t Pid, int Sig) {
     return;
   if (::kill(-Pid, Sig) != 0)
     ::kill(Pid, Sig);
+}
+
+std::string elfie::selfBinDir(const char *Argv0) {
+  char Buf[PATH_MAX];
+  ssize_t N = ::readlink("/proc/self/exe", Buf, sizeof(Buf) - 1);
+  if (N > 0) {
+    Buf[N] = '\0';
+    return ::dirname(Buf);
+  }
+  char Copy[PATH_MAX];
+  ::strncpy(Copy, Argv0, sizeof(Copy) - 1);
+  Copy[sizeof(Copy) - 1] = '\0';
+  return ::dirname(Copy);
 }
 
 uint64_t elfie::monotonicMillis() {

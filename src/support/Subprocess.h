@@ -77,6 +77,11 @@ Expected<WaitResult> waitProcess(pid_t Pid);
 /// process when it leads no group). Safe to call on already-dead children.
 void killProcessTree(pid_t Pid, int Sig);
 
+/// Directory of the running executable (/proc/self/exe), or of \p Argv0
+/// when that link cannot be read. Tools that drive their sibling tools
+/// look for them here.
+std::string selfBinDir(const char *Argv0);
+
 /// Monotonic milliseconds (CLOCK_MONOTONIC); the campaign runner's clock
 /// for timeouts and backoff deadlines.
 uint64_t monotonicMillis();

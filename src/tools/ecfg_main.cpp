@@ -21,17 +21,12 @@
 #include "analyze/cfg/CodePasses.h"
 #include "pinball/Pinball.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
-#include <sys/stat.h>
 
 using namespace elfie;
 using namespace elfie::analyze;
-
-static bool isDirectory(const std::string &Path) {
-  struct stat St;
-  return ::stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode);
-}
 
 int main(int Argc, char **Argv) {
   CommandLine CL("ecfg",

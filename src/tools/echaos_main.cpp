@@ -36,8 +36,6 @@
 #include "support/Subprocess.h"
 
 #include <cstdio>
-#include <libgen.h>
-#include <limits.h>
 #include <map>
 #include <signal.h>
 #include <string.h>
@@ -57,19 +55,6 @@ struct ChaosConfig {
   bool KillDaemon = true;
   bool Verbose = false;
 };
-
-std::string selfBinDir(const char *Argv0) {
-  char Buf[PATH_MAX];
-  ssize_t N = ::readlink("/proc/self/exe", Buf, sizeof(Buf) - 1);
-  if (N > 0) {
-    Buf[N] = '\0';
-    return ::dirname(Buf);
-  }
-  char Copy[PATH_MAX];
-  ::strncpy(Copy, Argv0, sizeof(Copy) - 1);
-  Copy[sizeof(Copy) - 1] = '\0';
-  return ::dirname(Copy);
-}
 
 class Chaos {
 public:

@@ -20,16 +20,15 @@
 #include "support/CommandLine.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
+#include "support/Json.h"
 #include "support/MappedFile.h"
+#include "support/Subprocess.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/wait.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -38,81 +37,41 @@ using namespace elfie;
 namespace {
 
 struct RunOutcome {
-  int ExitCode = -1;
-  bool Signaled = false;
-  int Sig = 0;
+  WaitResult Wait; // ExitCode -1 when the consumer could not be run
   bool TimedOut = false;
-  std::string Output; // stdout + stderr, interleaved
+  std::string Output; // stdout, then stderr
 };
 
-/// Runs \p Argv with a hard timeout, capturing combined output. The child
-/// is SIGKILLed on timeout — a hung consumer is itself the bug we are
-/// hunting, so there is no graceful grace period.
+/// Runs \p Argv with a hard timeout, its output captured in files under
+/// \p Scratch. The child is SIGKILLed on timeout — a hung consumer is
+/// itself the bug we are hunting, so there is no graceful grace period.
 RunOutcome runConsumer(const std::vector<std::string> &Argv,
-                       unsigned TimeoutMs) {
+                       const std::string &Scratch, unsigned TimeoutMs) {
   RunOutcome R;
-  int Pipe[2];
-  if (::pipe(Pipe) != 0)
+  SpawnSpec Spec;
+  Spec.Argv = Argv;
+  Spec.StdoutPath = Scratch + "/consumer.out";
+  Spec.StderrPath = Scratch + "/consumer.err";
+  auto Pid = spawnProcess(Spec);
+  if (!Pid)
     return R;
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    ::close(Pipe[0]);
-    ::close(Pipe[1]);
-    return R;
-  }
-  if (Pid == 0) {
-    ::close(Pipe[0]);
-    ::dup2(Pipe[1], 1);
-    ::dup2(Pipe[1], 2);
-    ::close(Pipe[1]);
-    std::vector<char *> Args;
-    for (const std::string &A : Argv)
-      Args.push_back(const_cast<char *>(A.c_str()));
-    Args.push_back(nullptr);
-    ::execv(Args[0], Args.data());
-    std::fprintf(stderr, "efault: exec %s: %s\n", Args[0],
-                 std::strerror(errno));
-    ::_exit(124);
-  }
-  ::close(Pipe[1]);
-  ::fcntl(Pipe[0], F_SETFL, O_NONBLOCK);
-  unsigned ElapsedMs = 0;
-  bool Exited = false;
-  int Status = 0;
-  for (;;) {
-    char Buf[4096];
-    ssize_t N;
-    while ((N = ::read(Pipe[0], Buf, sizeof(Buf))) > 0)
-      R.Output.append(Buf, static_cast<size_t>(N));
-    if (!Exited) {
-      pid_t W = ::waitpid(Pid, &Status, WNOHANG);
-      if (W == Pid) {
-        Exited = true;
-        continue; // drain whatever remains in the pipe once more
-      }
-      if (ElapsedMs >= TimeoutMs) {
-        R.TimedOut = true;
-        ::kill(Pid, SIGKILL);
-        ::waitpid(Pid, &Status, 0);
-        Exited = true;
-        continue;
-      }
-      ::usleep(10000);
-      ElapsedMs += 10;
-      continue;
-    }
-    if (N == 0 || (N < 0 && errno != EAGAIN && errno != EINTR))
+  const uint64_t Deadline = monotonicMillis() + TimeoutMs;
+  Expected<WaitResult> W = pollProcess(*Pid);
+  while (W && W->Running) {
+    if (monotonicMillis() >= Deadline) {
+      R.TimedOut = true;
+      killProcessTree(*Pid, SIGKILL);
+      W = waitProcess(*Pid);
       break;
-    if (N < 0)
-      ::usleep(1000);
+    }
+    ::usleep(10000);
+    W = pollProcess(*Pid);
   }
-  ::close(Pipe[0]);
-  if (WIFEXITED(Status))
-    R.ExitCode = WEXITSTATUS(Status);
-  else if (WIFSIGNALED(Status)) {
-    R.Signaled = true;
-    R.Sig = WTERMSIG(Status);
-  }
+  if (W)
+    R.Wait = *W;
+  for (const std::string *Path : {&Spec.StdoutPath, &Spec.StderrPath})
+    if (auto Text = readFileText(*Path))
+      R.Output += *Text;
   return R;
 }
 
@@ -142,23 +101,6 @@ bool hasStableDiagnostic(const std::string &Out) {
     Pos = Out.find("error ", Tok);
   }
   return false;
-}
-
-std::string selfBinDir() {
-  char Buf[4096];
-  ssize_t N = ::readlink("/proc/self/exe", Buf, sizeof(Buf) - 1);
-  if (N <= 0)
-    return ".";
-  Buf[N] = 0;
-  std::string Path(Buf);
-  size_t Slash = Path.rfind('/');
-  return Slash == std::string::npos ? std::string(".")
-                                    : Path.substr(0, Slash);
-}
-
-bool isDirectory(const std::string &Path) {
-  struct stat St;
-  return ::stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode);
 }
 
 } // namespace
@@ -208,7 +150,7 @@ int main(int Argc, char **Argv) {
           "EFAULT.IO.OPEN", "no ELFie '%s' next to the sidecar '%s'",
           SimStateElfie.c_str(), Artifact.c_str()));
   }
-  const std::string BinDir = selfBinDir();
+  const std::string BinDir = selfBinDir(Argv[0]);
   const unsigned TimeoutMs =
       static_cast<unsigned>(CL.getInt("timeout")) * 1000u;
   std::string Scratch = CL.getString("scratch");
@@ -321,20 +263,13 @@ int main(int Argc, char **Argv) {
 
     for (const auto &Cmd : Consumers) {
       ++Invocations;
-      RunOutcome O = runConsumer(Cmd, TimeoutMs);
+      RunOutcome O = runConsumer(Cmd, Scratch, TimeoutMs);
       std::string Name = Cmd[0].substr(Cmd[0].rfind('/') + 1);
       if (CL.getFlag("verbose"))
         std::fprintf(stderr, "efault: seed %llu [%s] %s -> exit %d\n",
                      static_cast<unsigned long long>(Seed), What.c_str(),
-                     Name.c_str(), O.ExitCode);
-      if (O.Signaled) {
-        ++Crashes;
-        std::fprintf(stderr,
-                     "efault: FAIL seed %llu: %s crashed with signal %d "
-                     "(mutation: %s)\n",
-                     static_cast<unsigned long long>(Seed), Name.c_str(),
-                     O.Sig, What.c_str());
-      } else if (O.TimedOut) {
+                     Name.c_str(), O.Wait.ExitCode);
+      if (O.TimedOut) {
         ++Hangs;
         std::fprintf(stderr,
                      "efault: FAIL seed %llu: %s hung past %us "
@@ -344,7 +279,14 @@ int main(int Argc, char **Argv) {
                          ? static_cast<unsigned>(CL.getInt("timeout"))
                          : 0u,
                      What.c_str());
-      } else if (O.ExitCode != 0) {
+      } else if (O.Wait.Signal) {
+        ++Crashes;
+        std::fprintf(stderr,
+                     "efault: FAIL seed %llu: %s crashed with signal %d "
+                     "(mutation: %s)\n",
+                     static_cast<unsigned long long>(Seed), Name.c_str(),
+                     O.Wait.Signal, What.c_str());
+      } else if (O.Wait.ExitCode != 0) {
         if (hasStableDiagnostic(O.Output)) {
           ++Rejections;
           if (O.Output.find("EFAULT.STORE.DIGEST") != std::string::npos)
@@ -365,7 +307,7 @@ int main(int Argc, char **Argv) {
                        "efault: FAIL seed %llu: %s exited %d without a "
                        "stable diagnostic (mutation: %s)\n%s",
                        static_cast<unsigned long long>(Seed), Name.c_str(),
-                       O.ExitCode, What.c_str(), O.Output.c_str());
+                       O.Wait.ExitCode, What.c_str(), O.Output.c_str());
         }
       } else {
         ++Benign; // the mutation did not reach anything this consumer checks
@@ -376,39 +318,34 @@ int main(int Argc, char **Argv) {
 
   uint64_t Failures = Crashes + Hangs + Uncoded;
   if (CL.getFlag("json")) {
-    std::string SimStateJSON;
+    JsonWriter W;
+    W.beginObject();
+    W.key("artifact").value(Artifact);
+    W.key("kind").value(IsStore     ? "store"
+                        : IsPinball ? "pinball"
+                        : IsSimState ? "simstate"
+                                     : "elfie");
+    W.key("runs").value(Runs);
+    W.key("invocations").value(Invocations);
+    W.key("crashes").value(Crashes);
+    W.key("hangs").value(Hangs);
+    W.key("uncoded").value(Uncoded);
+    W.key("rejections").value(Rejections);
+    W.key("benign").value(Benign);
+    W.key("store").beginObject();
+    W.key("digest").value(StoreDigest);
+    W.key("seal").value(StoreSeal);
+    W.key("missing").value(StoreMissing);
+    W.key("manifest").value(StoreManifest);
+    W.endObject().key("simstate").beginObject();
     for (size_t T = 0; T < NumSimStateTags; ++T) {
       std::string Key = SimStateTags[T];
       for (char &C : Key)
         C = static_cast<char>(std::tolower(C));
-      SimStateJSON += formatString(
-          "%s\"%s\":%llu", T ? "," : "", Key.c_str(),
-          static_cast<unsigned long long>(SimStateClass[T]));
+      W.key(Key).value(SimStateClass[T]);
     }
-    std::printf("{\"artifact\":\"%s\",\"kind\":\"%s\",\"runs\":%llu,"
-                "\"invocations\":%llu,\"crashes\":%llu,\"hangs\":%llu,"
-                "\"uncoded\":%llu,\"rejections\":%llu,\"benign\":%llu,"
-                "\"store\":{\"digest\":%llu,\"seal\":%llu,"
-                "\"missing\":%llu,\"manifest\":%llu},"
-                "\"simstate\":{%s},"
-                "\"failures\":%llu}\n",
-                Artifact.c_str(),
-                IsStore ? "store"
-                        : (IsPinball ? "pinball"
-                                     : (IsSimState ? "simstate" : "elfie")),
-                static_cast<unsigned long long>(Runs),
-                static_cast<unsigned long long>(Invocations),
-                static_cast<unsigned long long>(Crashes),
-                static_cast<unsigned long long>(Hangs),
-                static_cast<unsigned long long>(Uncoded),
-                static_cast<unsigned long long>(Rejections),
-                static_cast<unsigned long long>(Benign),
-                static_cast<unsigned long long>(StoreDigest),
-                static_cast<unsigned long long>(StoreSeal),
-                static_cast<unsigned long long>(StoreMissing),
-                static_cast<unsigned long long>(StoreManifest),
-                SimStateJSON.c_str(),
-                static_cast<unsigned long long>(Failures));
+    W.endObject().key("failures").value(Failures);
+    std::puts(W.endObject().str().c_str());
   } else {
     std::fprintf(stderr,
                  "efault: %llu runs, %llu invocations: %llu crashes, "

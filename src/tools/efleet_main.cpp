@@ -21,11 +21,10 @@
 #include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/SocketIO.h"
+#include "support/Subprocess.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <libgen.h>
-#include <limits.h>
 #include <signal.h>
 #include <string.h>
 #include <unistd.h>
@@ -39,22 +38,6 @@ using namespace elfie::sched;
 static constexpr int ExitBusy = 4;
 
 static void onDrainSignal(int) { requestDrain(); }
-
-/// Default -bindir to this binary's own directory so an efleet next to the
-/// tools it drives needs no flag.
-static std::string selfBinDir(const char *Argv0) {
-  char Buf[PATH_MAX];
-  ssize_t N = ::readlink("/proc/self/exe", Buf, sizeof(Buf) - 1);
-  if (N > 0) {
-    Buf[N] = '\0';
-    return ::dirname(Buf);
-  }
-  // Fallback: argv[0]'s directory, or "." when bare.
-  char Copy[PATH_MAX];
-  ::strncpy(Copy, Argv0, sizeof(Copy) - 1);
-  Copy[sizeof(Copy) - 1] = '\0';
-  return ::dirname(Copy);
-}
 
 namespace {
 

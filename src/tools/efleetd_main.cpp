@@ -17,11 +17,10 @@
 #include "fault/FaultPlan.h"
 #include "sched/Service.h"
 #include "support/CommandLine.h"
+#include "support/Subprocess.h"
 
 #include <cstdio>
 #include <cstring>
-#include <libgen.h>
-#include <limits.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -29,19 +28,6 @@ using namespace elfie;
 using namespace elfie::sched;
 
 static void onDrainSignal(int) { requestDrain(); }
-
-static std::string selfBinDir(const char *Argv0) {
-  char Buf[PATH_MAX];
-  ssize_t N = ::readlink("/proc/self/exe", Buf, sizeof(Buf) - 1);
-  if (N > 0) {
-    Buf[N] = '\0';
-    return ::dirname(Buf);
-  }
-  char Copy[PATH_MAX];
-  ::strncpy(Copy, Argv0, sizeof(Copy) - 1);
-  Copy[sizeof(Copy) - 1] = '\0';
-  return ::dirname(Copy);
-}
 
 int main(int Argc, char **Argv) {
   CommandLine CL("efleetd",

@@ -84,27 +84,11 @@ int main(int Argc, char **Argv) {
                  Tid, static_cast<unsigned long long>(N),
                  static_cast<unsigned long long>(T ? T->RegionIcount : 0));
   }
-  if (CL.getFlag("vm:stats")) {
-    std::fprintf(stderr,
-                 "ereplay: decode cache: %llu hits, %llu misses, "
-                 "%llu invalidations\n",
-                 static_cast<unsigned long long>(R.VMStats.Hits),
-                 static_cast<unsigned long long>(R.VMStats.Misses),
-                 static_cast<unsigned long long>(R.VMStats.Invalidations));
-    std::fprintf(stderr,
-                 "ereplay: memory: %llu image extents, %llu cow faults, "
-                 "%llu dirty bytes\n",
-                 static_cast<unsigned long long>(R.MemStats.ImageExtents),
-                 static_cast<unsigned long long>(R.MemStats.CowFaults),
-                 static_cast<unsigned long long>(R.MemStats.DirtyBytes));
-    std::fprintf(stderr,
-                 "ereplay: jit: %llu blocks, %llu hits, %llu flushes, "
-                 "%llu bailouts\n",
-                 static_cast<unsigned long long>(R.JitStats.Blocks),
-                 static_cast<unsigned long long>(R.JitStats.Hits),
-                 static_cast<unsigned long long>(R.JitStats.Flushes),
-                 static_cast<unsigned long long>(R.JitStats.Bailouts));
-  }
+  if (CL.getFlag("vm:stats"))
+    std::fputs(vm::renderVMStats("ereplay: ", R.VMStats, R.MemStats,
+                                 R.JitStats)
+                   .c_str(),
+               stderr);
   if (!R.Divergence.empty()) {
     std::fprintf(stderr, "ereplay: DIVERGENCE: %s\n", R.Divergence.c_str());
     const replay::DivergenceInfo &D = R.Diverge;

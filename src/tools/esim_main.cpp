@@ -101,21 +101,10 @@ int main(int Argc, char **Argv) {
   if (Result.StateLoaded)
     std::printf("warmup checkpoint loaded from %s\n", StatePath.c_str());
   std::fputs(Result.Stats.summary().c_str(), stdout);
-  if (CL.getFlag("vm:stats")) {
-    std::printf("decode cache: %llu hits, %llu misses, %llu invalidations\n",
-                static_cast<unsigned long long>(Result.VMStats.Hits),
-                static_cast<unsigned long long>(Result.VMStats.Misses),
-                static_cast<unsigned long long>(Result.VMStats.Invalidations));
-    std::printf("memory: %llu image extents, %llu cow faults, "
-                "%llu dirty bytes\n",
-                static_cast<unsigned long long>(Result.MemStats.ImageExtents),
-                static_cast<unsigned long long>(Result.MemStats.CowFaults),
-                static_cast<unsigned long long>(Result.MemStats.DirtyBytes));
-    std::printf("jit: %llu blocks, %llu hits, %llu flushes, %llu bailouts\n",
-                static_cast<unsigned long long>(Result.JitStats.Blocks),
-                static_cast<unsigned long long>(Result.JitStats.Hits),
-                static_cast<unsigned long long>(Result.JitStats.Flushes),
-                static_cast<unsigned long long>(Result.JitStats.Bailouts));
-  }
+  if (CL.getFlag("vm:stats"))
+    std::fputs(vm::renderVMStats("", Result.VMStats, Result.MemStats,
+                                 Result.JitStats)
+                   .c_str(),
+               stdout);
   return 0;
 }

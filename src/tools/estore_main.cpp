@@ -27,6 +27,7 @@
 #include "support/CommandLine.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
+#include "support/Json.h"
 #include "support/MappedFile.h"
 
 #include <cstdio>
@@ -47,12 +48,15 @@ static int cmdPut(ChunkStore &Pool, const CommandLine &CL) {
   auto After = exitOnError(Pool.stats());
   uint64_t NewBytes = After.ChunkBytes - Before.ChunkBytes;
   if (CL.getFlag("json")) {
-    std::printf("{\"artifact\":\"%s\",\"kind\":\"%s\",\"size\":%llu,"
-                "\"sha256\":\"%s\",\"chunks\":%zu,\"new_bytes\":%llu}\n",
-                Name.c_str(), M.Kind.c_str(),
-                static_cast<unsigned long long>(M.Size),
-                M.Total.hex().c_str(), M.Chunks.size(),
-                static_cast<unsigned long long>(NewBytes));
+    JsonWriter W;
+    W.beginObject();
+    W.key("artifact").value(Name);
+    W.key("kind").value(M.Kind);
+    W.key("size").value(M.Size);
+    W.key("sha256").value(M.Total.hex());
+    W.key("chunks").value(M.Chunks.size());
+    W.key("new_bytes").value(NewBytes);
+    std::puts(W.endObject().str().c_str());
   } else {
     std::printf("estore: put '%s' (%s, %llu bytes, %zu chunks, %llu new "
                 "pool bytes, sha256 %s)\n",
@@ -80,23 +84,21 @@ static int cmdGet(ChunkStore &Pool, const CommandLine &CL) {
 
 static int cmdLs(ChunkStore &Pool, const CommandLine &CL) {
   auto Names = exitOnError(Pool.listManifests());
-  if (CL.getFlag("json"))
-    std::printf("[");
-  bool First = true;
+  JsonWriter W;
+  W.beginArray();
   for (const std::string &Name : Names) {
     auto M = Pool.getManifest(Name);
     if (CL.getFlag("json")) {
+      W.beginObject().key("artifact").value(Name);
       if (!M) {
-        std::printf("%s{\"artifact\":\"%s\",\"error\":\"unreadable\"}",
-                    First ? "" : ",", Name.c_str());
+        W.key("error").value("unreadable");
       } else {
-        std::printf("%s{\"artifact\":\"%s\",\"kind\":\"%s\",\"size\":%llu,"
-                    "\"chunks\":%zu,\"sha256\":\"%s\"}",
-                    First ? "" : ",", Name.c_str(), M->Kind.c_str(),
-                    static_cast<unsigned long long>(M->Size),
-                    M->Chunks.size(), M->Total.hex().c_str());
+        W.key("kind").value(M->Kind);
+        W.key("size").value(M->Size);
+        W.key("chunks").value(M->Chunks.size());
+        W.key("sha256").value(M->Total.hex());
       }
-      First = false;
+      W.endObject();
       continue;
     }
     if (!M)
@@ -109,7 +111,7 @@ static int cmdLs(ChunkStore &Pool, const CommandLine &CL) {
                   M->Chunks.size(), M->Total.hex().c_str());
   }
   if (CL.getFlag("json"))
-    std::printf("]\n");
+    std::puts(W.endArray().str().c_str());
   return ExitSuccess;
 }
 
@@ -117,25 +119,25 @@ static int cmdScrub(ChunkStore &Pool, const CommandLine &CL) {
   bool Quarantine = !CL.getFlag("no-quarantine");
   ScrubResult R = exitOnError(Pool.scrub(Quarantine));
   if (CL.getFlag("json")) {
-    std::printf("{\"chunks_scanned\":%llu,\"bytes_scanned\":%llu,"
-                "\"corrupt\":[",
-                static_cast<unsigned long long>(R.ChunksScanned),
-                static_cast<unsigned long long>(R.BytesScanned));
-    for (size_t I = 0; I < R.Corrupt.size(); ++I) {
-      const ScrubFinding &F = R.Corrupt[I];
-      std::printf("%s{\"expected\":\"%s\",\"actual\":\"%s\","
-                  "\"quarantined\":%s,\"manifests\":[",
-                  I ? "," : "", F.Expected.hex().c_str(), F.Actual.c_str(),
-                  F.Quarantined ? "true" : "false");
-      for (size_t J = 0; J < F.ReferencingManifests.size(); ++J)
-        std::printf("%s\"%s\"", J ? "," : "",
-                    F.ReferencingManifests[J].c_str());
-      std::printf("]}");
+    JsonWriter W;
+    W.beginObject();
+    W.key("chunks_scanned").value(R.ChunksScanned);
+    W.key("bytes_scanned").value(R.BytesScanned);
+    W.key("corrupt").beginArray();
+    for (const ScrubFinding &F : R.Corrupt) {
+      W.beginObject();
+      W.key("expected").value(F.Expected.hex());
+      W.key("actual").value(F.Actual);
+      W.key("quarantined").value(F.Quarantined);
+      W.key("manifests").beginArray();
+      for (const std::string &Name : F.ReferencingManifests)
+        W.value(Name);
+      W.endArray().endObject();
     }
-    std::printf("],\"missing_refs\":[");
-    for (size_t I = 0; I < R.MissingRefs.size(); ++I)
-      std::printf("%s\"%s\"", I ? "," : "", R.MissingRefs[I].c_str());
-    std::printf("]}\n");
+    W.endArray().key("missing_refs").beginArray();
+    for (const std::string &Hex : R.MissingRefs)
+      W.value(Hex);
+    std::puts(W.endArray().endObject().str().c_str());
   } else {
     std::printf("estore: scrubbed %llu chunks (%llu bytes): %zu corrupt, "
                 "%zu missing references\n",
@@ -166,14 +168,14 @@ static int cmdRepair(ChunkStore &Pool, const CommandLine &CL) {
   }
   RepairResult R = exitOnError(Pool.repair(Replicas));
   if (CL.getFlag("json")) {
-    std::printf("{\"restored\":%llu,\"unrepairable\":%llu,"
-                "\"unrepairable_digests\":[",
-                static_cast<unsigned long long>(R.Restored),
-                static_cast<unsigned long long>(R.Unrepairable));
-    for (size_t I = 0; I < R.UnrepairableDigests.size(); ++I)
-      std::printf("%s\"%s\"", I ? "," : "",
-                  R.UnrepairableDigests[I].c_str());
-    std::printf("]}\n");
+    JsonWriter W;
+    W.beginObject();
+    W.key("restored").value(R.Restored);
+    W.key("unrepairable").value(R.Unrepairable);
+    W.key("unrepairable_digests").beginArray();
+    for (const std::string &Hex : R.UnrepairableDigests)
+      W.value(Hex);
+    std::puts(W.endArray().endObject().str().c_str());
   } else {
     std::printf("estore: repair restored %llu chunks, %llu unrepairable\n",
                 static_cast<unsigned long long>(R.Restored),
@@ -187,15 +189,16 @@ static int cmdRepair(ChunkStore &Pool, const CommandLine &CL) {
 
 static int cmdGc(ChunkStore &Pool, const CommandLine &CL) {
   GcResult R = exitOnError(Pool.gc());
-  if (CL.getFlag("json"))
-    std::printf("{\"live\":%llu,\"swept\":%llu,\"swept_bytes\":%llu,"
-                "\"restored\":%llu,\"recovered_torn_gc\":%s}\n",
-                static_cast<unsigned long long>(R.Live),
-                static_cast<unsigned long long>(R.Swept),
-                static_cast<unsigned long long>(R.SweptBytes),
-                static_cast<unsigned long long>(R.Restored),
-                R.RecoveredTornGc ? "true" : "false");
-  else
+  if (CL.getFlag("json")) {
+    JsonWriter W;
+    W.beginObject();
+    W.key("live").value(R.Live);
+    W.key("swept").value(R.Swept);
+    W.key("swept_bytes").value(R.SweptBytes);
+    W.key("restored").value(R.Restored);
+    W.key("recovered_torn_gc").value(R.RecoveredTornGc);
+    std::puts(W.endObject().str().c_str());
+  } else {
     std::printf("estore: gc kept %llu live chunks, swept %llu (%llu "
                 "bytes)%s\n",
                 static_cast<unsigned long long>(R.Live),
@@ -207,6 +210,7 @@ static int cmdGc(ChunkStore &Pool, const CommandLine &CL) {
                                        R.Restored))
                           .c_str()
                     : "");
+  }
   return ExitSuccess;
 }
 
@@ -216,17 +220,18 @@ static int cmdStats(ChunkStore &Pool, const CommandLine &CL) {
                      ? static_cast<double>(S.ArtifactBytes) /
                            static_cast<double>(S.ChunkBytes)
                      : 0.0;
-  if (CL.getFlag("json"))
-    std::printf("{\"chunks\":%llu,\"chunk_bytes\":%llu,\"manifests\":%llu,"
-                "\"artifact_bytes\":%llu,\"dedup_ratio\":%.3f,"
-                "\"quarantined\":%llu,\"active_pins\":%llu}\n",
-                static_cast<unsigned long long>(S.Chunks),
-                static_cast<unsigned long long>(S.ChunkBytes),
-                static_cast<unsigned long long>(S.Manifests),
-                static_cast<unsigned long long>(S.ArtifactBytes), Ratio,
-                static_cast<unsigned long long>(S.Quarantined),
-                static_cast<unsigned long long>(S.ActivePins));
-  else
+  if (CL.getFlag("json")) {
+    JsonWriter W;
+    W.beginObject();
+    W.key("chunks").value(S.Chunks);
+    W.key("chunk_bytes").value(S.ChunkBytes);
+    W.key("manifests").value(S.Manifests);
+    W.key("artifact_bytes").value(S.ArtifactBytes);
+    W.key("dedup_ratio").value(Ratio, 3);
+    W.key("quarantined").value(S.Quarantined);
+    W.key("active_pins").value(S.ActivePins);
+    std::puts(W.endObject().str().c_str());
+  } else {
     std::printf("estore: %llu chunks / %llu bytes serving %llu artifacts "
                 "/ %llu bytes (dedup ratio %.2fx), %llu quarantined, "
                 "%llu active pins\n",
@@ -236,6 +241,7 @@ static int cmdStats(ChunkStore &Pool, const CommandLine &CL) {
                 static_cast<unsigned long long>(S.ArtifactBytes), Ratio,
                 static_cast<unsigned long long>(S.Quarantined),
                 static_cast<unsigned long long>(S.ActivePins));
+  }
   return ExitSuccess;
 }
 

@@ -18,7 +18,6 @@
 #include <cstdarg>
 #include <cstddef>
 #include <cstring>
-#include <ctime>
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -248,13 +247,26 @@ std::vector<uint32_t> VM::liveThreadIds() const {
 
 unsigned VM::liveThreadCount() const { return LiveCount; }
 
+std::string vm::renderVMStats(const std::string &Prefix,
+                              const DecodeCacheStats &Cache,
+                              const MemStats &Mem, const JitStats &Jit) {
+  using ULL = unsigned long long;
+  const char *P = Prefix.c_str();
+  return formatString(
+      "%sdecode cache: %llu hits, %llu misses, %llu invalidations\n"
+      "%smemory: %llu image extents, %llu cow faults, %llu dirty bytes\n"
+      "%sjit: %llu blocks, %llu hits, %llu flushes, %llu bailouts\n",
+      P, ULL(Cache.Hits), ULL(Cache.Misses), ULL(Cache.Invalidations), P,
+      ULL(Mem.ImageExtents), ULL(Mem.CowFaults), ULL(Mem.DirtyBytes), P,
+      ULL(Jit.Blocks), ULL(Jit.Hits), ULL(Jit.Flushes), ULL(Jit.Bailouts));
+}
+
+/// The guest clock starts at 1 s and advances 1 ns per retired
+/// instruction, so every executor reads the same time at the same count.
+static constexpr uint64_t VirtualClockBaseNs = 1000000000ull;
+
 uint64_t VM::virtualTimeNs() const {
-  if (Config.RealTimeClock) {
-    struct timespec TS;
-    clock_gettime(CLOCK_MONOTONIC, &TS);
-    return uint64_t(TS.tv_sec) * 1000000000ull + uint64_t(TS.tv_nsec);
-  }
-  return Config.TimeBaseNs + GlobalRetired * Config.NsPerInst;
+  return VirtualClockBaseNs + GlobalRetired;
 }
 
 void VM::exitThread(ThreadState &T, int64_t Code) {

@@ -96,6 +96,12 @@ struct RunResult {
   JitStats Jit;
 };
 
+/// The `-vm:stats` report of ereplay and esim: one line each for the
+/// decode cache, memory and the JIT, every line led by \p Prefix.
+std::string renderVMStats(const std::string &Prefix,
+                          const DecodeCacheStats &Cache, const MemStats &Mem,
+                          const JitStats &Jit);
+
 /// Instrumentation interface (the Pin "analysis routine" analogue).
 /// Callbacks fire synchronously from the interpreter loop (and, for block
 /// observers, from the JIT dispatcher).
@@ -160,11 +166,6 @@ struct VMConfig {
   /// Nonzero: jitter each quantum in [Quantum/2, 3*Quantum/2] from this
   /// seed, modelling run-to-run thread-interleaving variation.
   uint64_t ScheduleSeed = 0;
-  /// Virtual clock: clock_gettime = TimeBaseNs + retired * NsPerInst.
-  uint64_t TimeBaseNs = 1000000000ull;
-  uint64_t NsPerInst = 1;
-  /// true: clock_gettime returns the real host clock (non-deterministic).
-  bool RealTimeClock = false;
   /// Dispatch from the decoded-block cache (default). Disable to force
   /// fetch + decode on every step (the pre-cache interpreter, kept for
   /// differential testing and the overhead benchmarks).

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Guest programs and driver helpers shared by the pinball, replay, core
-/// (pinball2elf), and simulator test suites.
+/// (pinball2elf), and simulator test suites, and the shell-command runner
+/// of the suites that drive the tools as subprocesses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +22,9 @@
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -297,6 +300,29 @@ capture(const std::string &Dir, const std::string &Src, uint64_t Start,
   Req.Opts = Opts;
   Req.Config = Config;
   return pinball::captureRegion(Req);
+}
+
+/// Exit status and combined output of a shell command.
+struct CmdResult {
+  int ExitCode = -1; ///< -1 when the shell did not exit normally
+  std::string Output; ///< stdout + stderr
+};
+
+/// Runs \p CmdLine through the shell, prefixed by \p Env (`VAR=value ...`
+/// assignments, or empty), capturing stdout and stderr together.
+inline CmdResult runCmd(const std::string &Env, const std::string &CmdLine) {
+  std::string Full = Env + (Env.empty() ? "" : " ") + CmdLine + " 2>&1";
+  FILE *P = popen(Full.c_str(), "r");
+  CmdResult R;
+  if (!P)
+    return R;
+  char Buf[4096];
+  size_t N;
+  while ((N = fread(Buf, 1, sizeof(Buf), P)) > 0)
+    R.Output.append(Buf, N);
+  int Status = pclose(P);
+  R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+  return R;
 }
 
 } // namespace test

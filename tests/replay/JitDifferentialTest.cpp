@@ -155,7 +155,7 @@ TEST(JitDifferential, MultiThreadedSeededScheduleLockstep) {
 }
 
 TEST(JitDifferential, ClockProgramLockstep) {
-  // The virtual clock reads TimeBaseNs + retired * NsPerInst: any drift in
+  // The virtual clock reads 1 s + 1 ns per retired instruction: any drift in
   // retirement accounting changes the guest-visible clock values.
   lockstep(test::clockProgram(), vm::VMConfig(), 499);
 }

@@ -20,13 +20,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../common/TestHelpers.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
-#include <cstdio>
 #include <string>
 #include <unistd.h>
 
@@ -44,25 +43,8 @@ static constexpr int ChaosSeeds = 3;
 
 namespace {
 
-struct CmdResult {
-  int ExitCode = -1;
-  std::string Output;
-};
-
-CmdResult runCmd(const std::string &CmdLine) {
-  std::string Full = CmdLine + " 2>&1";
-  FILE *P = popen(Full.c_str(), "r");
-  CmdResult R;
-  if (!P)
-    return R;
-  char Buf[4096];
-  size_t N;
-  while ((N = fread(Buf, 1, sizeof(Buf), P)) > 0)
-    R.Output.append(Buf, N);
-  int Status = pclose(P);
-  R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  return R;
-}
+using test::CmdResult;
+using test::runCmd;
 
 /// One episode. Roots are per-pid + per-seed + per-config so parallel
 /// ctest shards never collide (and short: the root carries a socket).
@@ -71,7 +53,7 @@ CmdResult runEpisode(int Seed, const std::string &ExtraFlags) {
                      formatString("/ec.%d.%d%s", getpid(), Seed,
                                   ExtraFlags.empty() ? "" : ".k");
   removeTree(Root);
-  CmdResult R = runCmd(formatString(
+  CmdResult R = runCmd("", formatString(
       "%s/echaos -root %s -bindir %s -seed %d %s", ELFIE_BIN_DIR,
       Root.c_str(), ELFIE_BIN_DIR, Seed, ExtraFlags.c_str()));
   if (R.ExitCode == 0)

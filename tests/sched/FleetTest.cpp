@@ -16,15 +16,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../common/TestHelpers.h"
 #include "sched/Journal.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/Subprocess.h"
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <signal.h>
@@ -45,25 +44,8 @@ static constexpr int SweepSeeds = 6;
 
 namespace {
 
-struct CmdResult {
-  int ExitCode = -1;
-  std::string Output; // stdout + stderr
-};
-
-CmdResult runCmd(const std::string &Env, const std::string &CmdLine) {
-  std::string Full = Env + (Env.empty() ? "" : " ") + CmdLine + " 2>&1";
-  FILE *P = popen(Full.c_str(), "r");
-  CmdResult R;
-  if (!P)
-    return R;
-  char Buf[4096];
-  size_t N;
-  while ((N = fread(Buf, 1, sizeof(Buf), P)) > 0)
-    R.Output.append(Buf, N);
-  int Status = pclose(P);
-  R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  return R;
-}
+using test::CmdResult;
+using test::runCmd;
 
 std::string binPath(const std::string &Tool) {
   return std::string(ELFIE_BIN_DIR) + "/" + Tool;

@@ -283,12 +283,27 @@ TEST(Journal, RecordRoundTrip) {
                        {"job", "weird \"id\"\twith\nescapes"},
                        {"attempt", "3"},
                        {"code", "-1"},
-                       {"detail", "timeout"}};
+                       {"detail", "timeout\rcarriage"}};
   std::string Line = renderJournalRecord(Rec);
   EXPECT_EQ(Line.find('\n'), std::string::npos);
+  EXPECT_EQ(Line.find('\r'), std::string::npos);
+  EXPECT_NE(Line.find("timeout\\u000dcarriage"), std::string::npos) << Line;
   JournalRecord Back;
   ASSERT_TRUE(parseJournalRecord(Line, Back)) << Line;
   EXPECT_EQ(Back, Rec);
+}
+
+/// Journals written before the writer moved to support/Json spell a
+/// carriage return `\r`; they must still resume.
+TEST(Journal, ParsesLegacyCarriageReturnEscape) {
+  JournalRecord Back;
+  ASSERT_TRUE(parseJournalRecord(
+      "{\"rec\":\"exit\",\"attempt\":1,\"detail\":\"a\\rb\",\"job\":\"j\"}",
+      Back));
+  EXPECT_EQ(Back, (JournalRecord{{"rec", "exit"},
+                                 {"attempt", "1"},
+                                 {"detail", "a\rb"},
+                                 {"job", "j"}}));
 }
 
 TEST(Journal, RejectsTornAndForeignLines) {

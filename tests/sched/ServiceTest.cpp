@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../common/TestHelpers.h"
 #include "sched/Journal.h"
 #include "sched/Protocol.h"
 #include "sched/Quota.h"
@@ -30,9 +31,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 
-#include <cstdio>
 #include <map>
 #include <signal.h>
 #include <string>
@@ -285,25 +284,8 @@ TEST(Session, PeerDisconnectMakesSessionDeadAndSendsAreSwallowed) {
 // Daemon end-to-end
 //===----------------------------------------------------------------------===//
 
-struct CmdResult {
-  int ExitCode = -1;
-  std::string Output; // stdout + stderr
-};
-
-CmdResult runCmd(const std::string &Env, const std::string &CmdLine) {
-  std::string Full = Env + (Env.empty() ? "" : " ") + CmdLine + " 2>&1";
-  FILE *P = popen(Full.c_str(), "r");
-  CmdResult R;
-  if (!P)
-    return R;
-  char Buf[4096];
-  size_t N;
-  while ((N = fread(Buf, 1, sizeof(Buf), P)) > 0)
-    R.Output.append(Buf, N);
-  int Status = pclose(P);
-  R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  return R;
-}
+using test::CmdResult;
+using test::runCmd;
 
 std::string binPath(const std::string &Tool) {
   return std::string(ELFIE_BIN_DIR) + "/" + Tool;

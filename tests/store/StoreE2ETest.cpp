@@ -19,16 +19,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../common/TestHelpers.h"
 #include "store/Artifact.h"
 #include "store/ChunkStore.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <set>
 #include <string>
 
@@ -47,25 +46,8 @@ static constexpr int FaultRuns = 20;
 
 namespace {
 
-struct CmdResult {
-  int ExitCode = -1;
-  std::string Output; // stdout + stderr
-};
-
-CmdResult runCmd(const std::string &Env, const std::string &CmdLine) {
-  std::string Full = Env + (Env.empty() ? "" : " ") + CmdLine + " 2>&1";
-  FILE *P = popen(Full.c_str(), "r");
-  CmdResult R;
-  if (!P)
-    return R;
-  char Buf[4096];
-  size_t N;
-  while ((N = fread(Buf, 1, sizeof(Buf), P)) > 0)
-    R.Output.append(Buf, N);
-  int Status = pclose(P);
-  R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  return R;
-}
+using test::CmdResult;
+using test::runCmd;
 
 std::string binPath(const std::string &Tool) {
   return std::string(ELFIE_BIN_DIR) + "/" + Tool;
@@ -328,23 +310,30 @@ TEST_F(StoreE2E, EverifyStorePassDetectsPoolCorruption) {
   EXPECT_NE(R.Output.find("STORE.SUMMARY"), std::string::npos) << R.Output;
 
   // Flip one byte of one chunk behind the pool's back.
-  {
-    auto S = ChunkStore::open(PoolDir, /*Create=*/false);
-    ASSERT_TRUE(S.hasValue());
-    auto Chunks = S->listChunks();
-    ASSERT_TRUE(Chunks.hasValue());
-    ASSERT_FALSE(Chunks->empty());
-    std::string Path = S->chunkPath((*Chunks)[Chunks->size() / 2]);
-    auto Bytes = readFileBytes(Path);
-    ASSERT_TRUE(Bytes.hasValue());
-    (*Bytes)[Bytes->size() / 2] ^= 0x10;
-    ASSERT_FALSE(writeFile(Path, Bytes->data(), Bytes->size()).isError());
-  }
+  auto S = ChunkStore::open(PoolDir, /*Create=*/false);
+  ASSERT_TRUE(S.hasValue());
+  auto Chunks = S->listChunks();
+  ASSERT_TRUE(Chunks.hasValue());
+  ASSERT_FALSE(Chunks->empty());
+  std::string Path = S->chunkPath((*Chunks)[Chunks->size() / 2]);
+  auto Bytes = readFileBytes(Path);
+  ASSERT_TRUE(Bytes.hasValue());
+  (*Bytes)[Bytes->size() / 2] ^= 0x10;
+  ASSERT_FALSE(writeFile(Path, Bytes->data(), Bytes->size()).isError());
 
-  R = runCmd("", formatString("%s -store %s -store-name r.elfie "
-                              "-pinball %s/ra.pb %s/r.elfie",
-                              binPath("everify").c_str(), PoolDir.c_str(),
-                              Root.c_str(), Dir.c_str()));
+  std::string Everify = formatString(
+      "%s -store %s -store-name r.elfie -pinball %s/ra.pb %s/r.elfie",
+      binPath("everify").c_str(), PoolDir.c_str(), Root.c_str(),
+      Dir.c_str());
+  R = runCmd("", Everify);
   EXPECT_EQ(R.ExitCode, 1) << R.Output;
   EXPECT_NE(R.Output.find("STORE.DIGEST"), std::string::npos) << R.Output;
+
+  // The same chunk deleted instead: a missing chunk, not a bad digest.
+  ASSERT_EQ(::unlink(Path.c_str()), 0);
+  R = runCmd("", Everify);
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("error STORE.MISSING"), std::string::npos)
+      << R.Output;
+  EXPECT_EQ(R.Output.find("STORE.DIGEST"), std::string::npos) << R.Output;
 }

@@ -13,13 +13,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../common/TestHelpers.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
-#include <cstdio>
 #include <cstring>
 
 using namespace elfie;
@@ -30,26 +29,10 @@ using namespace elfie;
 
 namespace {
 
-struct CmdResult {
-  int ExitCode = -1;
-  std::string Output; // stdout + stderr
-};
+using test::CmdResult;
 
 CmdResult runToolEnv(const std::string &Env, const std::string &CmdLine) {
-  std::string Full =
-      Env + (Env.empty() ? "" : " ") + std::string(ELFIE_BIN_DIR) + "/" +
-      CmdLine + " 2>&1";
-  FILE *P = popen(Full.c_str(), "r");
-  CmdResult R;
-  if (!P)
-    return R;
-  char Buf[4096];
-  size_t N;
-  while ((N = fread(Buf, 1, sizeof(Buf), P)) > 0)
-    R.Output.append(Buf, N);
-  int Status = pclose(P);
-  R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  return R;
+  return test::runCmd(Env, std::string(ELFIE_BIN_DIR) + "/" + CmdLine);
 }
 
 CmdResult runTool(const std::string &CmdLine) {
@@ -180,17 +163,10 @@ msg: .ascii "ok\n"
 
   // The native ELFie runs on the hardware and reports its budget.
   {
-    std::string Full = Dir + "/r.elfie 2>&1";
-    FILE *P = popen(Full.c_str(), "r");
-    ASSERT_NE(P, nullptr);
-    std::string Out;
-    char Buf[4096];
-    size_t N;
-    while ((N = fread(Buf, 1, sizeof(Buf), P)) > 0)
-      Out.append(Buf, N);
-    int Status = pclose(P);
-    EXPECT_EQ(WEXITSTATUS(Status), 0) << Out;
-    EXPECT_NE(Out.find("retired 100000"), std::string::npos) << Out;
+    CmdResult Native = test::runCmd("", Dir + "/r.elfie");
+    EXPECT_EQ(Native.ExitCode, 0) << Native.Output;
+    EXPECT_NE(Native.Output.find("retired 100000"), std::string::npos)
+        << Native.Output;
   }
 
   // evm consumes the guest ELFie (auto raw-entry), esim simulates it.
