@@ -13,8 +13,8 @@
 # then invokes the JIT lockstep acceptance suite standalone via its ctest
 # label (`ctest -L jit`), so a JIT regression is called out by name even
 # when the full suites already covered it, and finishes with a non-fatal
-# clang-tidy lane (scripts/lint.sh) over the default tree's compile
-# database.
+# size report (the line count of src/) and a non-fatal clang-tidy lane
+# (scripts/lint.sh) over the default tree's compile database.
 #
 # Usage: scripts/ci.sh [jobs]
 #   ELFIE_SANITIZE   sanitizer list for pass 2 (default: address,undefined)
@@ -116,6 +116,12 @@ ctest --test-dir "$ROOT/sanitize" -L simstate --timeout 900 \
 echo "==== [analyze label] CFG recovery + dataflow suite ===="
 ctest --test-dir "$ROOT/default" -L analyze --timeout 120 \
   --output-on-failure
+
+# Size lane: the line count of src/, tracked from run to run (the design
+# aim is the same behaviour from less code). Informational only.
+echo "==== [size] src/ line count (non-fatal) ===="
+find "$REPO/src" \( -name '*.cpp' -o -name '*.h' \) -print0 |
+  xargs -0 cat | wc -l || true
 
 # Lint lane: clang-tidy findings are reported but do not fail CI (and the
 # lane is skipped entirely when clang-tidy is not installed).

@@ -1018,37 +1018,7 @@ Expected<std::vector<uint8_t>> NativeEmitter::emit() {
 
   // Guest pages at their original addresses; runs of consecutive pages
   // with equal permissions become one section each (paper §II-B2, Fig. 3).
-  {
-    std::vector<const PageRecord *> Sorted = NormalPages;
-    std::sort(Sorted.begin(), Sorted.end(),
-              [](const PageRecord *A, const PageRecord *B) {
-                return A->Addr < B->Addr;
-              });
-    size_t I = 0;
-    while (I < Sorted.size()) {
-      size_t J = I + 1;
-      while (J < Sorted.size() &&
-             Sorted[J]->Addr == Sorted[J - 1]->Addr + vm::GuestPageSize &&
-             Sorted[J]->Perm == Sorted[I]->Perm)
-        ++J;
-      std::vector<std::span<const uint8_t>> Run;
-      Run.reserve(J - I);
-      for (size_t K = I; K < J; ++K)
-        Run.push_back({Sorted[K]->Bytes.data(), Sorted[K]->Bytes.size()});
-      uint64_t Flags = elf::SHF_ALLOC;
-      if (Sorted[I]->Perm & vm::PermWrite)
-        Flags |= elf::SHF_WRITE;
-      if (Sorted[I]->Perm & vm::PermExec)
-        Flags |= elf::SHF_EXECINSTR;
-      const char *Prefix =
-          (Sorted[I]->Perm & vm::PermExec) ? ".text" : ".data";
-      W.addSectionChunks(
-          formatString("%s.0x%llx", Prefix,
-                       static_cast<unsigned long long>(Sorted[I]->Addr)),
-          Flags, Sorted[I]->Addr, std::move(Run), vm::GuestPageSize);
-      I = J;
-    }
-  }
+  addPageRunSections(W, NormalPages);
   // Stashed stack pages, loaded at the stash address, never at the real
   // stack address (the loader must not map them there: §II-B3).
   if (!StackPages.empty()) {
@@ -1095,21 +1065,14 @@ Expected<std::vector<uint8_t>> NativeEmitter::emit() {
               CodeSec, elf::STB_GLOBAL, elf::STT_FUNC);
   W.addSymbol("elfie_fault_report", dataAddr(FaultReportOff), DataSec,
               elf::STB_GLOBAL, elf::STT_OBJECT, FltReportSize);
-  for (unsigned I = 0; I < NumStartThreads; ++I) {
+  addRegionSymbols(W, PB, Opts, [&](unsigned I) {
     W.addSymbol(formatString(".t%u.ctx", I), ctxAddr(I), DataSec,
                 elf::STB_LOCAL, elf::STT_OBJECT, CtxLayout::Size);
     for (unsigned R = 0; R < isa::NumGPRs; ++R)
       W.addSymbol(formatString(".t%u.r%u", I, R),
                   ctxAddr(I) + CtxLayout::gpr(R), DataSec, elf::STB_LOCAL,
                   elf::STT_OBJECT, 8);
-    W.addSymbol(formatString(".t%u.icount", I), PB.Threads[I].RegionIcount,
-                elf::SHN_ABS, elf::STB_LOCAL, elf::STT_NOTYPE);
-  }
-  W.addSymbol("elfie_region_length", PB.Meta.RegionLength, elf::SHN_ABS,
-              elf::STB_GLOBAL);
-  if (Opts.WarmupLength)
-    W.addSymbol("elfie_warmup_length", Opts.WarmupLength, elf::SHN_ABS,
-                elf::STB_GLOBAL);
+  });
   // Runtime tables, for everify and post-mortem inspection: the stash
   // table (8-byte guest address per stashed stack page) and the sysstate
   // preopen table ({fd, path address, open flags} triples, 24 bytes each).

@@ -36,38 +36,7 @@ core::emitElfieObject(const pinball::Pinball &PB,
   // packed per-thread contexts (initial register values, as in Fig. 3),
   // with the .t<N>.<reg> symbols; no startup code, no program headers.
   elf::ELFWriter W(elf::ET_REL, elf::EM_EG64);
-  auto Pages = PB.allPages();
-  std::sort(Pages.begin(), Pages.end(),
-            [](const pinball::PageRecord *A, const pinball::PageRecord *B) {
-              return A->Addr < B->Addr;
-            });
-  size_t I = 0;
-  while (I < Pages.size()) {
-    size_t J = I + 1;
-    while (J < Pages.size() &&
-           Pages[J]->Addr == Pages[J - 1]->Addr + vm::GuestPageSize &&
-           Pages[J]->Perm == Pages[I]->Perm)
-      ++J;
-    // Borrowed page views; the pinball stays alive through finalize(), so
-    // emission writes pages straight from the (typically mmap'd) image.
-    std::vector<std::span<const uint8_t>> Run;
-    Run.reserve(J - I);
-    for (size_t K = I; K < J; ++K)
-      Run.push_back({Pages[K]->Bytes.data(), Pages[K]->Bytes.size()});
-    uint64_t Flags = elf::SHF_ALLOC;
-    if (Pages[I]->Perm & vm::PermWrite)
-      Flags |= elf::SHF_WRITE;
-    if (Pages[I]->Perm & vm::PermExec)
-      Flags |= elf::SHF_EXECINSTR;
-    const char *Prefix =
-        (Pages[I]->Perm & vm::PermExec) ? ".text" : ".data";
-    W.addSectionChunks(formatString("%s.0x%llx", Prefix,
-                                    static_cast<unsigned long long>(
-                                        Pages[I]->Addr)),
-                       Flags, Pages[I]->Addr, std::move(Run),
-                       vm::GuestPageSize);
-    I = J;
-  }
+  addPageRunSections(W, PB.allPages());
 
   // Packed thread contexts: GPRs, FPR bit patterns, pc, budget per thread.
   std::vector<uint8_t> Ctx;
@@ -88,27 +57,79 @@ core::emitElfieObject(const pinball::Pinball &PB,
   }
   size_t PerThread = (isa::NumGPRs + isa::NumFPRs + 2) * 8;
   unsigned CtxSec = W.addSection(".data.contexts", 0, 0, std::move(Ctx));
-  for (size_t T = 0; T < PB.Threads.size(); ++T) {
+  addRegionSymbols(W, PB, Opts, [&](unsigned T) {
     uint64_t Base = T * PerThread;
     for (unsigned R = 0; R < isa::NumGPRs; ++R)
-      W.addSymbol(formatString(".t%zu.r%u", T, R), Base + 8 * R, CtxSec,
+      W.addSymbol(formatString(".t%u.r%u", T, R), Base + 8 * R, CtxSec,
                   elf::STB_LOCAL, elf::STT_OBJECT, 8);
     for (unsigned R = 0; R < isa::NumFPRs; ++R)
-      W.addSymbol(formatString(".t%zu.f%u", T, R),
+      W.addSymbol(formatString(".t%u.f%u", T, R),
                   Base + 8 * (isa::NumGPRs + R), CtxSec, elf::STB_LOCAL,
                   elf::STT_OBJECT, 8);
-    W.addSymbol(formatString(".t%zu.pc", T),
+    W.addSymbol(formatString(".t%u.pc", T),
                 Base + 8 * (isa::NumGPRs + isa::NumFPRs), CtxSec,
                 elf::STB_LOCAL, elf::STT_OBJECT, 8);
-    W.addSymbol(formatString(".t%zu.icount", T),
-                PB.Threads[T].RegionIcount, elf::SHN_ABS, elf::STB_LOCAL);
+  });
+  return W.finalize();
+}
+
+std::vector<PageRun>
+core::splitPageRuns(std::vector<const pinball::PageRecord *> &Pages) {
+  std::sort(Pages.begin(), Pages.end(),
+            [](const pinball::PageRecord *A, const pinball::PageRecord *B) {
+              return A->Addr < B->Addr;
+            });
+  std::vector<PageRun> Runs;
+  size_t I = 0;
+  while (I < Pages.size()) {
+    size_t J = I + 1;
+    while (J < Pages.size() &&
+           Pages[J]->Addr == Pages[J - 1]->Addr + vm::GuestPageSize &&
+           Pages[J]->Perm == Pages[I]->Perm)
+      ++J;
+    Runs.push_back(PageRun(Pages).subspan(I, J - I));
+    I = J;
+  }
+  return Runs;
+}
+
+void core::addPageRunSections(elf::ELFWriter &W,
+                              std::vector<const pinball::PageRecord *> Pages) {
+  for (PageRun Run : splitPageRuns(Pages)) {
+    const pinball::PageRecord *First = Run.front();
+    // Borrowed page views: emission writes pages straight from the
+    // (typically mmap'd) pinball image.
+    std::vector<std::span<const uint8_t>> Chunks;
+    Chunks.reserve(Run.size());
+    for (const pinball::PageRecord *P : Run)
+      Chunks.push_back({P->Bytes.data(), P->Bytes.size()});
+    uint64_t Flags = elf::SHF_ALLOC;
+    if (First->Perm & vm::PermWrite)
+      Flags |= elf::SHF_WRITE;
+    if (First->Perm & vm::PermExec)
+      Flags |= elf::SHF_EXECINSTR;
+    const char *Prefix = (First->Perm & vm::PermExec) ? ".text" : ".data";
+    W.addSectionChunks(
+        formatString("%s.0x%llx", Prefix,
+                     static_cast<unsigned long long>(First->Addr)),
+        Flags, First->Addr, std::move(Chunks), vm::GuestPageSize);
+  }
+}
+
+void core::addRegionSymbols(
+    elf::ELFWriter &W, const pinball::Pinball &PB,
+    const Pinball2ElfOptions &Opts,
+    const std::function<void(unsigned)> &ThreadSymbols) {
+  for (unsigned T = 0; T < PB.Threads.size(); ++T) {
+    ThreadSymbols(T);
+    W.addSymbol(formatString(".t%u.icount", T), PB.Threads[T].RegionIcount,
+                elf::SHN_ABS, elf::STB_LOCAL);
   }
   W.addSymbol("elfie_region_length", PB.Meta.RegionLength, elf::SHN_ABS,
               elf::STB_GLOBAL);
   if (Opts.WarmupLength)
     W.addSymbol("elfie_warmup_length", Opts.WarmupLength, elf::SHN_ABS,
                 elf::STB_GLOBAL);
-  return W.finalize();
 }
 
 Error core::pinballToElfFile(const pinball::Pinball &PB,
@@ -131,18 +152,8 @@ std::string core::describeLayout(const pinball::Pinball &PB,
   std::string Out = "/* ELFie memory layout (from parent pinball) */\n";
   Out += "SECTIONS\n{\n";
   auto Pages = PB.allPages();
-  std::sort(Pages.begin(), Pages.end(),
-            [](const pinball::PageRecord *A, const pinball::PageRecord *B) {
-              return A->Addr < B->Addr;
-            });
-  size_t I = 0;
-  while (I < Pages.size()) {
-    size_t J = I + 1;
-    while (J < Pages.size() &&
-           Pages[J]->Addr == Pages[J - 1]->Addr + vm::GuestPageSize &&
-           Pages[J]->Perm == Pages[I]->Perm)
-      ++J;
-    const pinball::PageRecord *P = Pages[I];
+  for (PageRun Run : splitPageRuns(Pages)) {
+    const pinball::PageRecord *P = Run.front();
     bool IsStack =
         P->Addr >= PB.Meta.StackBase && P->Addr < PB.Meta.StackTop;
     const char *Kind = IsStack                     ? "stack"
@@ -152,9 +163,8 @@ std::string core::describeLayout(const pinball::Pinball &PB,
     Out += formatString("  .%s.0x%llx 0x%llx : { /* %llu pages%s */ }\n",
                         Kind, static_cast<unsigned long long>(P->Addr),
                         static_cast<unsigned long long>(P->Addr),
-                        static_cast<unsigned long long>(J - I),
+                        static_cast<unsigned long long>(Run.size()),
                         IsStack ? ", stashed + remapped at startup" : "");
-    I = J;
   }
   if (Opts.TargetKind == Pinball2ElfOptions::Target::NativeX86) {
     Out += formatString("  .elfie.text  0x%llx : { /* startup + runtime + "

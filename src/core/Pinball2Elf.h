@@ -41,10 +41,15 @@
 #include "sysstate/SysState.h"
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace elfie {
+namespace elf {
+class ELFWriter;
+}
 namespace core {
 
 /// Conversion options (pinball2elf command-line surface).
@@ -130,13 +135,38 @@ Error pinballToElfFile(const pinball::Pinball &PB,
 std::string describeLayout(const pinball::Pinball &PB,
                            const Pinball2ElfOptions &Opts);
 
-// Implemented in NativeElfie.cpp / GuestElfie.cpp.
+// Implemented in NativeElfie.cpp / GuestElfie.cpp / Pinball2Elf.cpp.
 Expected<std::vector<uint8_t>>
 emitNativeElfie(const pinball::Pinball &PB, const Pinball2ElfOptions &Opts);
 Expected<std::vector<uint8_t>>
 emitGuestElfie(const pinball::Pinball &PB, const Pinball2ElfOptions &Opts);
 Expected<std::vector<uint8_t>>
 emitElfieObject(const pinball::Pinball &PB, const Pinball2ElfOptions &Opts);
+
+// Shared by the three targets and describeLayout.
+
+/// A run of address-contiguous pages with equal permissions.
+using PageRun = std::span<const pinball::PageRecord *const>;
+
+/// Sorts \p Pages by address and splits them into runs (paper §II-B2);
+/// the runs view \p Pages.
+std::vector<PageRun>
+splitPageRuns(std::vector<const pinball::PageRecord *> &Pages);
+
+/// Adds one section per run of \p Pages at the pages' own addresses,
+/// `.text.0x<addr>` when executable and `.data.0x<addr>` otherwise, with
+/// SHF flags from the permissions. The page bytes are borrowed: the
+/// pinball must outlive W.finalize().
+void addPageRunSections(elf::ELFWriter &W,
+                        std::vector<const pinball::PageRecord *> Pages);
+
+/// Adds the region symbols of every target (§II-B5): per thread N, the
+/// target's own symbols from \p ThreadSymbols(N) and then `.tN.icount`
+/// (the thread's retired-instruction budget); then `elfie_region_length`
+/// and, with a warm-up, `elfie_warmup_length`.
+void addRegionSymbols(elf::ELFWriter &W, const pinball::Pinball &PB,
+                      const Pinball2ElfOptions &Opts,
+                      const std::function<void(unsigned)> &ThreadSymbols);
 
 } // namespace core
 } // namespace elfie

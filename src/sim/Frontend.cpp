@@ -331,16 +331,14 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
   }
 
   // Pre-ROI fast-forward: until the first marker retires, nothing is
-  // measured, so a JIT-enabled VM may run that stretch natively under a
-  // marker watcher (Events granularity keeps the JIT active).
-  // A -warmup-load resume fast-forwards the same way even without the
-  // JIT: its warming stretch needs no callbacks either.
-  // Single-core only — the multicore path is timing-driven from the start.
+  // measured, so the VM runs that stretch under a marker watcher (Events
+  // granularity keeps the JIT active; interpreted, it retires the same
+  // instructions). Single-core only — the multicore path is timing-driven
+  // from the start.
   bool FastForwardedMarker = false;
   bool Finished = false;
   vm::RunResult R;
-  if (Controls.WaitForMarker && (VMConfig.EnableJit || LoadMode) &&
-      Machine.NumCores <= 1) {
+  if (Controls.WaitForMarker && Machine.NumCores <= 1) {
     class MarkerWatch : public vm::Observer {
     public:
       explicit MarkerWatch(vm::VM &M) : M(M) {}

@@ -25,9 +25,6 @@ int main(int Argc, char **Argv) {
              "pinball mode: enforce the recorded schedule + injection");
   CL.addInt("maxinsns", -1, "ROI instruction budget");
   CL.addString("fsroot", ".", "guest filesystem root");
-  CL.addFlag("jit", false,
-             "JIT the functional VM (x86-64 hosts); accelerates the "
-             "pre-ROI fast-forward of ELFie inputs");
   CL.addFlag("vm:stats", false,
              "print the functional VM's decoded-block cache statistics");
   CL.addInt("warmup", -1,
@@ -74,7 +71,6 @@ int main(int Argc, char **Argv) {
   Expected<sim::SimResult> R = makeError("unreachable");
   vm::VMConfig VMC;
   VMC.FsRoot = CL.getString("fsroot");
-  VMC.EnableJit = CL.getFlag("jit");
   if (CL.getFlag("pinball")) {
     pinball::Pinball PB =
         exitOnError(pinball::Pinball::load(CL.positional()[0]));

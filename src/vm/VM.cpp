@@ -69,6 +69,9 @@ struct VM::JitRuntime {
 };
 
 #if defined(__x86_64__)
+/// Size of the JIT's executable code buffer.
+static constexpr size_t JitBufferBytes = 16u << 20;
+
 static x86::JitLayout jitLayout() {
   x86::JitLayout L;
   L.CountdownOff = offsetof(JitExecContext, Countdown);
@@ -121,8 +124,7 @@ VM::VM(VMConfig Config)
   });
 #if defined(__x86_64__)
   if (this->Config.EnableJit && this->Config.EnableDecodeCache) {
-    auto J = std::make_unique<JitRuntime>(jitLayout(),
-                                          this->Config.JitBufferBytes);
+    auto J = std::make_unique<JitRuntime>(jitLayout(), JitBufferBytes);
     if (J->JC.ready()) {
       J->Ctx.Cookie = this;
       J->Ctx.LoadFn = &VM::jitLoad;
@@ -293,7 +295,8 @@ VM::StepStatus VM::fault(ThreadState &T, uint64_t Addr, const char *Fmt,
 }
 
 uint32_t VM::pickNextThread() {
-  // Round-robin over live threads starting after RRIndex.
+  // Round-robin over live threads starting after RRIndex (run() calls this
+  // only while LiveCount > 0).
   size_t N = CreationOrder.size();
   for (size_t Step = 1; Step <= N; ++Step) {
     size_t Idx = (RRIndex + Step) % N;
@@ -307,186 +310,122 @@ uint32_t VM::pickNextThread() {
       return Tid;
     }
   }
-  return UINT32_MAX;
+  elfieUnreachable("no live thread to schedule");
+}
+
+VM::Slice VM::runSlice(ThreadState &T, uint64_t Quota) {
+  Slice S;
+  const bool JitOn = jitActive();
+  const unsigned Live = LiveCount;
+  QuantumEnd = false;
+  while (S.Executed < Quota) {
+    // Native dispatch only from a block boundary; mid-block (the cursor
+    // fast path would hit) the interpreter finishes the block.
+    uint64_t Exec = 0;
+    if (JitOn &&
+        !(T.CurBlock && T.CurGen == DC.generation() &&
+          T.CurIdx + 1 < T.CurBlock->Insts.size() &&
+          T.PC == T.CurBlock->pcAt(T.CurIdx + 1)) &&
+        jitDispatch(T, Quota - S.Executed, Exec)) {
+      S.Executed += Exec;
+      if (StopRequested) {
+        S.Reason = StopReason::Stopped;
+        break;
+      }
+      if (Exec > 0)
+        continue;
+      // Exec == 0 (a memory-retry on the first instruction): interpret one
+      // step so the canonical fault fires.
+    }
+    StepStatus Status = stepOne(T);
+    if (Status == StepStatus::Faulted) {
+      S.Reason = StopReason::Faulted;
+      break;
+    }
+    ++S.Executed;
+    if (Status == StepStatus::Halted) {
+      S.Reason = StopReason::Halted;
+      break;
+    }
+    if (StopRequested) {
+      S.Reason = StopReason::Stopped;
+      break;
+    }
+    if (LiveCount != Live || QuantumEnd)
+      break;
+  }
+  S.QuantumEnded = QuantumEnd;
+  return S;
 }
 
 RunResult VM::run(uint64_t MaxInstructions) {
   RunResult R;
+  R.Reason = StopReason::BudgetReached;
   StopRequested = false;
   uint64_t Budget = MaxInstructions;
-  const bool JitOn = jitActive();
-  // Hot-loop state: the current thread is looked up only on reschedule
-  // (std::map nodes are stable across clone-driven insertions).
+  // The current thread is looked up only on reschedule (std::map nodes are
+  // stable across clone-driven insertions).
   ThreadState *Cur = nullptr;
-  auto Done = [&](StopReason Reason) {
-    R.Reason = Reason;
-    R.CacheStats = DC.stats();
-    R.MemoryStats = Mem.memStats();
-    R.Jit = jitStats();
-    return R;
-  };
-
   while (Budget > 0) {
     if (GroupExited || LiveCount == 0) {
-      R.ExitCode = GroupExitCode;
-      return Done(StopReason::AllExited);
-    }
-    if (!Cur || Cur->Exited || QuantumLeft == 0) {
-      uint32_t CurTid = pickNextThread();
-      if (CurTid == UINT32_MAX) {
-        R.ExitCode = GroupExitCode;
-        return Done(StopReason::AllExited);
-      }
-      Cur = &Threads.at(CurTid);
-    }
-    if (JitOn) {
-      // Native dispatch only from a block boundary; mid-block (the cursor
-      // fast path below would hit) the interpreter finishes the block.
-      bool MidBlock = Cur->CurBlock && Cur->CurGen == DC.generation() &&
-                      Cur->CurIdx + 1 < Cur->CurBlock->Insts.size() &&
-                      Cur->PC == Cur->CurBlock->pcAt(Cur->CurIdx + 1);
-      if (!MidBlock) {
-        // A single unseeded thread may ignore quantum boundaries (they
-        // are unobservable and draw no schedule randomness); otherwise
-        // the dispatch is capped at the quantum so the interleaving — and
-        // the seeded RNG draw sequence — matches interpretation exactly.
-        uint64_t Quota = (LiveCount == 1 && !Config.ScheduleSeed)
-                             ? Budget
-                             : std::min(Budget, QuantumLeft);
-        uint64_t Exec = 0;
-        if (jitDispatch(*Cur, Quota, Exec)) {
-          Budget -= Exec;
-          if (Exec <= QuantumLeft) {
-            QuantumLeft -= Exec;
-          } else {
-            // A lone thread ran past quantum boundaries: leave the phase
-            // interpretation would have left (it re-picks the same thread
-            // with a fresh quantum at each boundary), so the interleaving
-            // after a later clone matches.
-            uint64_t Q = std::max<uint64_t>(Config.Quantum, 1);
-            uint64_t Over = (Exec - QuantumLeft) % Q;
-            QuantumLeft = Over ? Q - Over : 0;
-          }
-          if (StopRequested)
-            return Done(StopReason::Stopped);
-          if (Exec > 0)
-            continue;
-          // Exec == 0 (a memory-retry on the first instruction): fall
-          // through and interpret one step so the canonical fault fires.
-        }
-      }
-    }
-    StepStatus S = stepOne(*Cur);
-    switch (S) {
-    case StepStatus::Ok:
+      R.Reason = StopReason::AllExited;
       break;
-    case StepStatus::Exited:
-      break; // next loop iteration reschedules
-    case StepStatus::Halted:
-      R.ExitCode = GroupExitCode;
-      return Done(StopReason::Halted);
-    case StepStatus::Faulted:
-      R.FaultInfo = LastFault;
-      return Done(StopReason::Faulted);
-    case StepStatus::Stopped:
-      return Done(StopReason::Stopped);
     }
-    --Budget;
-    if (QuantumLeft > 0)
-      --QuantumLeft;
-    if (StopRequested)
-      return Done(StopReason::Stopped);
+    if (!Cur || Cur->Exited || QuantumLeft == 0)
+      Cur = &Threads.at(pickNextThread());
+    // A single unseeded thread may ignore quantum boundaries (they are
+    // unobservable and draw no schedule randomness); otherwise the slice
+    // ends at the quantum so the interleaving — and the seeded RNG draw
+    // sequence — is the same whichever executor retires the instructions.
+    uint64_t Quota = (LiveCount == 1 && !Config.ScheduleSeed)
+                         ? Budget
+                         : std::min(Budget, QuantumLeft);
+    Slice S = runSlice(*Cur, Quota);
+    Budget -= S.Executed;
+    if (S.Executed <= QuantumLeft) {
+      QuantumLeft -= S.Executed;
+    } else {
+      // A lone thread ran past quantum boundaries: leave the phase a
+      // re-pick at each boundary would have left (the same thread with a
+      // fresh quantum), so the interleaving after a later clone matches.
+      uint64_t Q = std::max<uint64_t>(Config.Quantum, 1);
+      uint64_t Over = (S.Executed - QuantumLeft) % Q;
+      QuantumLeft = Over ? Q - Over : 0;
+    }
+    if (S.QuantumEnded)
+      QuantumLeft = 0;
+    if (S.Reason != StopReason::BudgetReached) {
+      R.Reason = S.Reason;
+      break;
+    }
   }
-  return Done(StopReason::BudgetReached);
-}
-
-StopReason VM::stepThread(uint32_t Tid) {
-  auto It = Threads.find(Tid);
-  assert(It != Threads.end() && "stepping unknown thread");
-  ThreadState &T = It->second;
-  assert(!T.Exited && "stepping an exited thread");
-  StopRequested = false;
-  StepStatus S = stepOne(T);
-  if (StopRequested && S == StepStatus::Ok)
-    return StopReason::Stopped;
-  switch (S) {
-  case StepStatus::Ok:
-    return StopReason::BudgetReached;
-  case StepStatus::Exited:
-    return (GroupExited || liveThreadCount() == 0) ? StopReason::AllExited
-                                                   : StopReason::BudgetReached;
-  case StepStatus::Halted:
-    return StopReason::Halted;
-  case StepStatus::Faulted:
-    return StopReason::Faulted;
-  case StepStatus::Stopped:
-    return StopReason::Stopped;
-  }
-  elfieUnreachable("bad step status");
+  if (R.Reason == StopReason::AllExited || R.Reason == StopReason::Halted)
+    R.ExitCode = GroupExitCode;
+  if (R.Reason == StopReason::Faulted)
+    R.FaultInfo = LastFault;
+  R.CacheStats = DC.stats();
+  R.MemoryStats = Mem.memStats();
+  R.Jit = jitStats();
+  return R;
 }
 
 VM::ThreadRunResult VM::runThread(uint32_t Tid, uint64_t MaxInstructions) {
-  ThreadRunResult R;
   auto It = Threads.find(Tid);
   assert(It != Threads.end() && "running unknown thread");
   ThreadState &T = It->second;
   StopRequested = false;
-  const bool JitOn = jitActive();
-  uint64_t Budget = MaxInstructions;
-  while (Budget > 0) {
-    if (T.Exited) {
-      R.Reason = (GroupExited || LiveCount == 0) ? StopReason::AllExited
-                                                 : StopReason::BudgetReached;
-      return R;
-    }
-    if (JitOn) {
-      bool MidBlock = T.CurBlock && T.CurGen == DC.generation() &&
-                      T.CurIdx + 1 < T.CurBlock->Insts.size() &&
-                      T.PC == T.CurBlock->pcAt(T.CurIdx + 1);
-      if (!MidBlock) {
-        // The caller owns the interleaving, so the whole remaining budget
-        // is the dispatch quota — no scheduler quantum applies here.
-        uint64_t Exec = 0;
-        if (jitDispatch(T, Budget, Exec)) {
-          Budget -= Exec;
-          R.Executed += Exec;
-          if (StopRequested) {
-            R.Reason = StopReason::Stopped;
-            return R;
-          }
-          if (Exec > 0)
-            continue;
-        }
-      }
-    }
-    StepStatus S = stepOne(T);
-    switch (S) {
-    case StepStatus::Ok:
-      ++R.Executed;
-      --Budget;
-      break;
-    case StepStatus::Exited:
-      ++R.Executed; // the exiting syscall retired
-      R.Reason = (GroupExited || LiveCount == 0) ? StopReason::AllExited
-                                                 : StopReason::BudgetReached;
-      return R;
-    case StepStatus::Halted:
-      ++R.Executed;
-      R.Reason = StopReason::Halted;
-      return R;
-    case StepStatus::Faulted:
-      R.Reason = StopReason::Faulted;
-      return R;
-    case StepStatus::Stopped:
-      R.Reason = StopReason::Stopped;
-      return R;
-    }
-    if (StopRequested) {
-      R.Reason = StopReason::Stopped;
+  ThreadRunResult R;
+  while (R.Executed < MaxInstructions && !T.Exited) {
+    Slice S = runSlice(T, MaxInstructions - R.Executed);
+    R.Executed += S.Executed;
+    // A thread exit ends the batch and outranks a stop request.
+    if (S.Reason != StopReason::BudgetReached && !T.Exited) {
+      R.Reason = S.Reason;
       return R;
     }
   }
-  R.Reason = StopReason::BudgetReached;
+  if (T.Exited && (GroupExited || LiveCount == 0))
+    R.Reason = StopReason::AllExited;
   return R;
 }
 
@@ -745,7 +684,7 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
     // Spin hint: retire and end the quantum so other threads can make
     // progress through the lock/barrier this thread is spinning on.
     Retire(NextPC);
-    QuantumLeft = 0;
+    QuantumEnd = true;
     return StepStatus::Ok;
   case Opcode::Halt:
     Retire(NextPC);
@@ -1145,7 +1084,7 @@ VM::StepStatus VM::doSyscall(ThreadState &T) {
     exitThread(T, static_cast<int64_t>(Args[0]));
     if (liveThreadCount() == 0)
       GroupExitCode = static_cast<int64_t>(Args[0]);
-    return StepStatus::Exited;
+    return StepStatus::Ok;
   }
   case isa::Sys::ExitGroup: {
     if (Obs)
@@ -1156,7 +1095,7 @@ VM::StepStatus VM::doSyscall(ThreadState &T) {
     GroupExited = true;
     GroupExitCode = static_cast<int64_t>(Args[0]);
     exitThread(T, GroupExitCode);
-    return StepStatus::Exited;
+    return StepStatus::Ok;
   }
   case isa::Sys::Write:
     Finish(sysWrite(T, Args[0], Args[1], Args[2]));
@@ -1194,7 +1133,7 @@ VM::StepStatus VM::doSyscall(ThreadState &T) {
     Finish(T.Tid);
     return StepStatus::Ok;
   case isa::Sys::Yield:
-    QuantumLeft = 0;
+    QuantumEnd = true;
     Finish(0);
     return StepStatus::Ok;
   case isa::Sys::MmapAnon:

@@ -19,7 +19,10 @@
 /// fixed instruction quantum (optionally jittered by a seed to model
 /// run-to-run variation of multi-threaded programs, cf. paper §I). Atomics
 /// and fences are sequentially consistent because execution is a global
-/// interleaving of single steps.
+/// interleaving of single steps. run(), runThread() and stepThread() are
+/// policies over one dispatch slice (DESIGN.md §12), so budgets, quanta and
+/// single steps land on the same instruction whichever executor retires
+/// it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -174,14 +177,12 @@ struct VMConfig {
   /// (0 = DecodeCache::DefaultMaxBlocks).
   size_t DecodeCacheMaxBlocks = 0;
   /// Translate hot blocks to host x86-64 and dispatch them natively (the
-  /// default; `ereplay -jit` / `esim -jit` set it explicitly). Requires
+  /// default; `ereplay -jit` sets it explicitly). Requires
   /// EnableDecodeCache; silently inert on non-x86-64 hosts and while an
   /// Instruction-granularity observer is attached.
   bool EnableJit = true;
   /// Decode-cache entries crossing this hit count get compiled.
   uint32_t JitThreshold = 32;
-  /// Size of the JIT's executable code buffer.
-  size_t JitBufferBytes = 16u << 20;
   /// Directory guest open() paths resolve against.
   std::string FsRoot = ".";
   /// Sinks for guest stdout/stderr; when unset, bytes go to host stdout /
@@ -216,25 +217,26 @@ public:
   /// replayer and by tests). Returns the tid.
   uint32_t spawnThread(const ThreadState &Initial);
 
-  /// Runs until all threads exit, a fault, a halt, a stop request, or until
-  /// \p MaxInstructions have retired (across all threads).
+  /// Round-robin scheduler: runs until all threads exit, a fault, a halt, a
+  /// stop request, or until \p MaxInstructions have retired (across all
+  /// threads). Every call re-picks the next thread with a fresh quantum.
   RunResult run(uint64_t MaxInstructions = UINT64_MAX);
 
-  /// Executes exactly one instruction on \p Tid (replayer schedule control).
-  /// Returns the observed stop condition; StopReason::BudgetReached means
-  /// "stepped fine, more to run".
-  StopReason stepThread(uint32_t Tid);
-
-  /// Batched stepThread: runs \p Tid alone for up to \p MaxInstructions
-  /// retired instructions (the caller owns the interleaving — the
-  /// scheduler quantum does not apply). Executed reports the instructions
-  /// actually retired; BudgetReached means "ran fine, more to run". With
-  /// EnableJit this is the replayer's native-dispatch fast path.
+  /// Runs \p Tid alone for up to \p MaxInstructions retired instructions
+  /// (the caller owns the interleaving — the scheduler quantum does not
+  /// apply). Executed reports the instructions actually retired;
+  /// BudgetReached means "ran fine, more to run", also when the thread
+  /// exited while others live on. With EnableJit this is the replayer's
+  /// native-dispatch fast path.
   struct ThreadRunResult {
     StopReason Reason = StopReason::BudgetReached;
     uint64_t Executed = 0;
   };
   ThreadRunResult runThread(uint32_t Tid, uint64_t MaxInstructions);
+
+  /// runThread(Tid, 1).Reason: exactly one instruction on \p Tid (esim's
+  /// multicore loop picks the thread to step by simulated cycles).
+  StopReason stepThread(uint32_t Tid) { return runThread(Tid, 1).Reason; }
 
   /// Observer management (one active observer; null to detach). The
   /// observer's granularity() is read here, once.
@@ -243,8 +245,8 @@ public:
     ObsGran = O ? O->granularity() : Observer::Granularity::Events;
   }
 
-  /// From an observer callback: makes run() return Stopped after the
-  /// current instruction.
+  /// From an observer callback: makes run() or runThread() return Stopped
+  /// after the current instruction (or compiled block).
   void requestStop() { StopRequested = true; }
 
   /// Syscall interception (replay injection). Return true to skip native
@@ -299,8 +301,22 @@ public:
   JitStats jitStats() const;
 
 private:
-  enum class StepStatus { Ok, Exited, Halted, Faulted, Stopped };
+  /// Outcome of one interpreted instruction. A thread exit is Ok: the
+  /// slice sees it as a change of LiveCount.
+  enum class StepStatus { Ok, Halted, Faulted };
   StepStatus stepOne(ThreadState &T);
+  /// A run of one thread: BudgetReached unless it ended on a halt, a fault
+  /// or a stop request; Executed counts the retired instructions;
+  /// QuantumEnded says a pause or yield gave the quantum away.
+  struct Slice {
+    StopReason Reason = StopReason::BudgetReached;
+    uint64_t Executed = 0;
+    bool QuantumEnded = false;
+  };
+  /// The one execution loop: the only caller of jitDispatch and stepOne.
+  /// Runs \p T until \p Quota instructions retired, a halt, a fault, a stop
+  /// request, a clone or exit (LiveCount changed), or a pause or yield.
+  Slice runSlice(ThreadState &T, uint64_t Quota);
   /// JIT plumbing (all defined in VM.cpp; JitRuntime bundles the code
   /// cache, the execution context, and the software TLBs).
   struct JitRuntime;
@@ -367,6 +383,8 @@ private:
   size_t RRIndex = 0;          // index into CreationOrder
   uint64_t QuantumLeft = 0;
   RNG SchedRNG;
+  /// Set by pause and yield; ends the current slice.
+  bool QuantumEnd = false;
 
   uint64_t GlobalRetired = 0;
   uint64_t BrkTop = 0;

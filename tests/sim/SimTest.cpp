@@ -275,11 +275,12 @@ TEST(Frontend, ElfieAutoDetection) {
 }
 
 TEST(Frontend, JitDoesNotPerturbSimulation) {
-  // `esim -jit`: the JIT may only run the pre-ROI fast-forward (the
-  // detailed phase needs per-instruction callbacks, so the VM gates
-  // compiled dispatch off under the timing observer). Every simulated
-  // statistic must be identical with the JIT on and off, and the
-  // SimResult must surface the JIT counters either way.
+  // VMConfig::EnableJit (esim runs with the library default, on): the JIT
+  // may only run the pre-ROI fast-forward (the detailed phase needs
+  // per-instruction callbacks, so the VM gates compiled dispatch off under
+  // the timing observer). Every simulated statistic must be identical with
+  // the JIT on and off, and the SimResult must surface the JIT counters
+  // either way.
   std::string Dir = tempDir("jitsim");
   auto PB = test::capture(Dir, test::computeProgram(), 5000, 8000,
                           pinball::LoggerOptions::fat());
