@@ -101,10 +101,11 @@ ctest --test-dir "$ROOT/default" -L store --timeout 600 \
 ctest --test-dir "$ROOT/sanitize" -L store --timeout 900 \
   --output-on-failure
 
-# Warmup-checkpoint suite standalone (label `simstate`): SimComponent
-# round trips, the EFAULT.SIMSTATE.* fail-closed taxonomy, the
-# cold-vs-save-vs-resume bit-identity matrix, and the checkpoint-index
-# regression pin, in the default and sanitized trees.
+# Simulator suite standalone (label `simstate`): the timing model and
+# front-end tests, SimComponent round trips, the EFAULT.SIMSTATE.*
+# fail-closed taxonomy, the cold-vs-save-vs-resume bit-identity matrix,
+# the warm-mirror pin, the checkpoint-index regression pin, and the esim
+# result goldens, in the default and sanitized trees.
 echo "==== [simstate label] warmup-checkpoint suite ===="
 ctest --test-dir "$ROOT/default" -L simstate --timeout 600 \
   --output-on-failure

@@ -16,15 +16,23 @@ using namespace elfie;
 using namespace elfie::replay;
 using pinball::Pinball;
 
-Expected<std::unique_ptr<vm::VM>>
-replay::makeReplayVM(const Pinball &PB, const vm::VMConfig &Config,
-                     bool LoadAllPages) {
-  auto M = std::make_unique<vm::VM>(Config);
+Replay::Replay(const Pinball &PB, const ReplayOptions &Opts)
+    : PB(PB), Opts(Opts) {}
+
+Error Replay::start() {
+  vm::VMConfig Config = Opts.Config;
+  Config.StdoutSink = [this, UserSink = Config.StdoutSink](const char *P,
+                                                           size_t N) {
+    Stdout.append(P, N);
+    if (UserSink)
+      UserSink(P, N);
+  };
+  M = std::make_unique<vm::VM>(Config);
   // Zero-copy page load: the pinball's (typically mmap-backed) image pages
   // attach as borrowed extents; the VM only allocates private copies for
-  // pages the replayed code actually writes. The returned VM borrows the
-  // pinball's bytes, so PB must outlive it.
-  M->mem().attachImage(PB.buildMemImage(/*IncludeInjects=*/LoadAllPages));
+  // pages the replayed code actually writes. Free replay (ELFie-mimicking)
+  // takes every page up front.
+  M->mem().attachImage(PB.buildMemImage(/*IncludeInjects=*/!Opts.Injection));
 
   // Restore the heap break so brk() growth behaves as in the logging run.
   if (PB.Meta.BrkAtStart)
@@ -46,195 +54,155 @@ replay::makeReplayVM(const Pinball &PB, const vm::VMConfig &Config,
                        "renumber the t*.reg files",
                        T.Tid, Got);
   }
-  return M;
-}
-
-Expected<ReplayResult> replay::replayPinball(const Pinball &PB,
-                                             const ReplayOptions &Opts) {
-  ReplayResult Result;
-  vm::VMConfig Config = Opts.Config;
-  auto Captured = std::make_shared<std::string>();
-  auto UserSink = Config.StdoutSink;
-  Config.StdoutSink = [Captured, UserSink](const char *P, size_t N) {
-    Captured->append(P, N);
-    if (UserSink)
-      UserSink(P, N);
-  };
-
-  uint64_t Budget =
-      Opts.MaxInstructions ? Opts.MaxInstructions : PB.Meta.RegionLength;
-
-  if (!Opts.Injection) {
-    // ELFie-mimicking mode: all pages up front, free scheduler, native
-    // syscalls.
-    auto MaybeVM = makeReplayVM(PB, Config, /*LoadAllPages=*/true);
-    if (!MaybeVM)
-      return MaybeVM.takeError();
-    auto M = MaybeVM.takeValue();
-    if (Opts.Obs)
-      M->setObserver(Opts.Obs);
-    vm::RunResult RR = M->run(Budget);
-    Result.Reason = RR.Reason;
-    Result.FaultInfo = RR.FaultInfo;
-    Result.Retired = M->globalRetired();
-    for (uint32_t Tid : M->threadIds()) {
-      Result.RetiredPerThread[Tid] = M->thread(Tid)->Retired;
-      Result.FinalThreads[Tid] = *M->thread(Tid);
-    }
-    Result.Stdout = *Captured;
-    Result.VMStats = RR.CacheStats;
-    Result.MemStats = RR.MemoryStats;
-    Result.JitStats = RR.Jit;
-    return Result;
-  }
-
-  // Constrained replay.
-  auto MaybeVM = makeReplayVM(PB, Config, /*LoadAllPages=*/false);
-  if (!MaybeVM)
-    return MaybeVM.takeError();
-  auto M = MaybeVM.takeValue();
-  if (Opts.Obs)
-    M->setObserver(Opts.Obs);
+  Budget = Opts.MaxInstructions ? Opts.MaxInstructions : PB.Meta.RegionLength;
+  if (!Opts.Injection)
+    return Error::success(); // free scheduler, native syscalls
 
   // Syscall injection from sel.log, consumed strictly in order.
-  size_t SyscallCursor = 0;
-  std::string Divergence;
-  DivergenceInfo Diverge;
-  M->setSyscallInterceptor([&](uint32_t Tid, uint64_t Nr,
-                               const uint64_t *Args,
-                               int64_t &InjectedResult) -> bool {
-    if (SyscallCursor >= PB.Syscalls.size()) {
-      Divergence = formatString(
-          "thread %u executed syscall %llu beyond the end of sel.log", Tid,
-          static_cast<unsigned long long>(Nr));
-      Diverge.K = DivergenceInfo::Kind::SyscallBeyondLog;
-      Diverge.RecordIndex = SyscallCursor;
-      Diverge.ObservedTid = Tid;
-      Diverge.ObservedNr = Nr;
-      M->requestStop();
-      return true;
-    }
-    const pinball::SyscallRecord &Rec = PB.Syscalls[SyscallCursor];
-    if (Rec.Tid != Tid || Rec.Nr != Nr) {
-      Divergence = formatString(
-          "syscall divergence at record %zu: log has (tid %u, nr %llu), "
-          "replay executed (tid %u, nr %llu)",
-          SyscallCursor, Rec.Tid, static_cast<unsigned long long>(Rec.Nr),
-          Tid, static_cast<unsigned long long>(Nr));
-      Diverge.K = DivergenceInfo::Kind::SyscallMismatch;
-      Diverge.RecordIndex = SyscallCursor;
-      Diverge.ExpectedTid = Rec.Tid;
-      Diverge.ExpectedNr = Rec.Nr;
-      Diverge.ObservedTid = Tid;
-      Diverge.ObservedNr = Nr;
-      M->requestStop();
-      return true;
-    }
-    ++SyscallCursor;
-    // Inject memory side effects, then the register result.
-    for (const auto &W : Rec.MemWrites)
-      M->mem().poke(W.Addr, W.Bytes.data(), W.Bytes.size());
-    InjectedResult = Rec.Result;
-    return true;
+  M->setSyscallInterceptor([this](uint32_t Tid, uint64_t Nr, const uint64_t *,
+                                  int64_t &Result) {
+    return injectSyscall(Tid, Nr, Result);
   });
-
   // Lazy page injection, ordered by first-use icount.
-  std::vector<const pinball::InjectRecord *> Pending;
   for (const pinball::InjectRecord &I : PB.Injects)
     Pending.push_back(&I);
   std::sort(Pending.begin(), Pending.end(),
             [](const auto *A, const auto *B) {
               return A->FirstUseIcount < B->FirstUseIcount;
             });
-  size_t InjectCursor = 0;
-  auto InjectDue = [&](uint64_t Retired) {
+  return Error::success();
+}
+
+bool Replay::injectSyscall(uint32_t Tid, uint64_t Nr, int64_t &Result) {
+  if (SyscallCursor >= PB.Syscalls.size()) {
+    Divergence = formatString(
+        "thread %u executed syscall %llu beyond the end of sel.log", Tid,
+        static_cast<unsigned long long>(Nr));
+    Diverge.K = DivergenceInfo::Kind::SyscallBeyondLog;
+    Diverge.RecordIndex = SyscallCursor;
+    Diverge.ObservedTid = Tid;
+    Diverge.ObservedNr = Nr;
+    M->requestStop();
+    return true;
+  }
+  const pinball::SyscallRecord &Rec = PB.Syscalls[SyscallCursor];
+  if (Rec.Tid != Tid || Rec.Nr != Nr) {
+    Divergence = formatString(
+        "syscall divergence at record %zu: log has (tid %u, nr %llu), "
+        "replay executed (tid %u, nr %llu)",
+        SyscallCursor, Rec.Tid, static_cast<unsigned long long>(Rec.Nr), Tid,
+        static_cast<unsigned long long>(Nr));
+    Diverge.K = DivergenceInfo::Kind::SyscallMismatch;
+    Diverge.RecordIndex = SyscallCursor;
+    Diverge.ExpectedTid = Rec.Tid;
+    Diverge.ExpectedNr = Rec.Nr;
+    Diverge.ObservedTid = Tid;
+    Diverge.ObservedNr = Nr;
+    M->requestStop();
+    return true;
+  }
+  ++SyscallCursor;
+  // Inject memory side effects, then the register result.
+  for (const auto &W : Rec.MemWrites)
+    M->mem().poke(W.Addr, W.Bytes.data(), W.Bytes.size());
+  Result = Rec.Result;
+  return true;
+}
+
+vm::StopReason Replay::run(uint64_t N, vm::Observer *Obs) {
+  if (Ended)
+    return Reason;
+  M->setObserver(Obs);
+  uint64_t Left = std::min(N, Budget - M->globalRetired());
+  Reason = Opts.Injection ? runConstrained(M->globalRetired() + Left)
+                          : M->run(Left).Reason;
+  M->setObserver(nullptr);
+  Ended = Reason != vm::StopReason::BudgetReached &&
+          (Reason != vm::StopReason::Stopped || !Divergence.empty());
+  return Reason;
+}
+
+vm::StopReason Replay::runConstrained(uint64_t Target) {
+  // Drive the recorded schedule. Each slice runs as few runThread batches
+  // as the pending injections allow: a batch never crosses the next
+  // injection record's first-use icount, so pages still land exactly
+  // before the instruction that first needs them, while compiled (JIT)
+  // dispatch stays eligible inside a batch. runThread has no quantum, so
+  // where a run() call splits a slice does not matter.
+  while (M->globalRetired() < Target && SliceIdx < PB.Schedule.size()) {
+    const pinball::ScheduleSlice &Slice = PB.Schedule[SliceIdx];
+    if (SliceDone == Slice.NumInsts) {
+      ++SliceIdx;
+      SliceDone = 0;
+      continue;
+    }
+    uint64_t Executed = M->globalRetired();
     while (InjectCursor < Pending.size() &&
-           Pending[InjectCursor]->FirstUseIcount <= Retired) {
+           Pending[InjectCursor]->FirstUseIcount <= Executed) {
       const pinball::PageRecord &P = Pending[InjectCursor]->Page;
       M->mem().map(P.Addr, vm::GuestPageSize, P.Perm);
       M->mem().poke(P.Addr, P.Bytes.data(), P.Bytes.size());
       ++InjectCursor;
     }
-  };
-
-  // Drive the recorded schedule. Each slice runs as few runThread batches
-  // as the pending injections allow: a batch never crosses the next
-  // injection record's first-use icount, so pages still land exactly
-  // before the instruction that first needs them — bit-identical to the
-  // old per-instruction stepThread loop, but eligible for the VM's native
-  // (JIT) dispatch inside a batch.
-  uint64_t Executed = 0;
-  Result.Reason = vm::StopReason::BudgetReached;
-  for (const pinball::ScheduleSlice &Slice : PB.Schedule) {
-    if (Executed >= Budget)
-      break;
-    uint64_t Steps = std::min(Slice.NumInsts, Budget - Executed);
-    uint64_t Done = 0;
-    while (Done < Steps) {
-      InjectDue(Executed);
-      const vm::ThreadState *T = M->thread(Slice.Tid);
-      if (!T) {
-        Divergence = formatString("schedule names unknown thread %u",
-                                  Slice.Tid);
-        Diverge.K = DivergenceInfo::Kind::UnknownThread;
-        Diverge.ExpectedTid = Slice.Tid;
-        break;
-      }
-      if (T->Exited) {
-        Divergence = formatString(
-            "schedule expects thread %u to run, but it has exited",
-            Slice.Tid);
-        Diverge.K = DivergenceInfo::Kind::ExitedThread;
-        Diverge.ExpectedTid = Slice.Tid;
-        break;
-      }
-      uint64_t Batch = Steps - Done;
-      if (InjectCursor < Pending.size())
-        Batch = std::min(Batch,
-                         Pending[InjectCursor]->FirstUseIcount - Executed);
-      vm::VM::ThreadRunResult TR = M->runThread(Slice.Tid, Batch);
-      Executed += TR.Executed;
-      Done += TR.Executed;
-      if (TR.Reason == vm::StopReason::Faulted) {
-        Result.Reason = vm::StopReason::Faulted;
-        Result.FaultInfo = M->lastFault();
-        Divergence = "replay faulted: " + Result.FaultInfo.Message;
-        Diverge.K = DivergenceInfo::Kind::ReplayFault;
-        Diverge.ObservedTid = Slice.Tid;
-        break;
-      }
-      if (TR.Reason == vm::StopReason::Halted ||
-          TR.Reason == vm::StopReason::AllExited) {
-        Result.Reason = TR.Reason;
-        break;
-      }
-      if (TR.Reason == vm::StopReason::Stopped)
-        break; // interceptor detected divergence
-      // BudgetReached: the batch ran fine (a thread that exited mid-batch
-      // is caught by the Exited check on the next pass).
+    const vm::ThreadState *T = M->thread(Slice.Tid);
+    if (!T || T->Exited) {
+      Divergence =
+          T ? formatString(
+                  "schedule expects thread %u to run, but it has exited",
+                  Slice.Tid)
+            : formatString("schedule names unknown thread %u", Slice.Tid);
+      Diverge.K = T ? DivergenceInfo::Kind::ExitedThread
+                    : DivergenceInfo::Kind::UnknownThread;
+      Diverge.ExpectedTid = Slice.Tid;
+      return vm::StopReason::Stopped;
     }
-    if (!Divergence.empty() || Result.Reason == vm::StopReason::Halted ||
-        Result.Reason == vm::StopReason::AllExited ||
-        Result.Reason == vm::StopReason::Faulted)
-      break;
+    uint64_t Batch = std::min(Slice.NumInsts - SliceDone, Target - Executed);
+    if (InjectCursor < Pending.size())
+      Batch =
+          std::min(Batch, Pending[InjectCursor]->FirstUseIcount - Executed);
+    vm::VM::ThreadRunResult TR = M->runThread(Slice.Tid, Batch);
+    SliceDone += TR.Executed;
+    if (TR.Reason == vm::StopReason::Faulted) {
+      Divergence = "replay faulted: " + M->lastFault().Message;
+      Diverge.K = DivergenceInfo::Kind::ReplayFault;
+      Diverge.ObservedTid = Slice.Tid;
+    }
+    // BudgetReached: the batch ran fine (a thread that exited mid-batch is
+    // caught by the Exited check on the next pass). Stopped: the observer
+    // asked, or the syscall interceptor found a divergence.
+    if (TR.Reason != vm::StopReason::BudgetReached)
+      return TR.Reason;
   }
+  return vm::StopReason::BudgetReached;
+}
 
-  if (Executed >= Budget && Result.Reason == vm::StopReason::BudgetReached) {
-    // Completed the whole region: expected outcome.
-  }
-
+ReplayResult Replay::result() const {
+  ReplayResult Result;
+  Result.Reason = Reason;
+  if (Reason == vm::StopReason::Faulted)
+    Result.FaultInfo = M->lastFault();
   Result.Retired = M->globalRetired();
   for (uint32_t Tid : M->threadIds()) {
     Result.RetiredPerThread[Tid] = M->thread(Tid)->Retired;
     Result.FinalThreads[Tid] = *M->thread(Tid);
   }
-  Result.Stdout = *Captured;
+  Result.Stdout = Stdout;
   Result.SyscallLogFullyConsumed =
-      Divergence.empty() && SyscallCursor == PB.Syscalls.size();
+      !Opts.Injection ||
+      (Divergence.empty() && SyscallCursor == PB.Syscalls.size());
   Result.Divergence = Divergence;
   Result.Diverge = Diverge;
   Result.VMStats = M->decodeCacheStats();
   Result.MemStats = M->mem().memStats();
   Result.JitStats = M->jitStats();
   return Result;
+}
+
+Expected<ReplayResult> replay::replayPinball(const Pinball &PB,
+                                             const ReplayOptions &Opts) {
+  Replay R(PB, Opts);
+  if (Error E = R.start())
+    return E;
+  R.run(UINT64_MAX, Opts.Obs);
+  return R.result();
 }

@@ -109,17 +109,64 @@ struct ReplayResult {
   vm::JitStats JitStats;
 };
 
-/// Builds a VM primed with the pinball's state: pages mapped (image only —
-/// lazy injection is the replayer's job), threads spawned with their
-/// recorded registers, brk restored. Exposed for pinball2elf's sysstate
-/// analysis and for the simulators' pinball front-end. Errors when the
-/// pinball's tids are not dense from 0 (the EVM hands out sequential tids,
-/// so sparse tids cannot be reproduced by spawning).
-Expected<std::unique_ptr<vm::VM>> makeReplayVM(const pinball::Pinball &PB,
-                                               const vm::VMConfig &Config,
-                                               bool LoadAllPages);
+/// A replay of a pinball region that advances in caller-sized steps, so a
+/// client can change observers between stretches of the region (esim's
+/// warm-up and detailed phases). start() primes the VM; each run() replays
+/// up to N more instructions exactly where the last one stopped; result()
+/// reports on everything replayed so far. The replay borrows \p PB's pages,
+/// so PB must outlive it.
+class Replay {
+public:
+  Replay(const pinball::Pinball &PB, const ReplayOptions &Opts);
+  // The VM's syscall interceptor and stdout sink point back at this object.
+  Replay(const Replay &) = delete;
+  Replay &operator=(const Replay &) = delete;
 
-/// Replays \p PB according to \p Opts.
+  /// Builds the VM: pages mapped (constrained replay maps the initial image
+  /// and injects the rest lazily; free replay maps every page up front),
+  /// threads spawned with their recorded registers, brk restored. Errors
+  /// when the pinball's tids are not dense from 0 (the EVM hands out
+  /// sequential tids, so sparse tids cannot be reproduced by spawning).
+  Error start();
+
+  /// Replays up to \p N more instructions with \p Obs attached (null:
+  /// none). Returns BudgetReached when N instructions retired or the
+  /// region's budget is spent; Stopped when \p Obs requested a stop or
+  /// constrained replay diverged from the log; otherwise how the region
+  /// ended (AllExited, Halted, Faulted). Once the region has ended or
+  /// diverged, further calls return the same reason at once.
+  vm::StopReason run(uint64_t N, vm::Observer *Obs);
+
+  ReplayResult result() const;
+  vm::VM &vm() { return *M; }
+  /// Why constrained replay stopped matching the log; empty while it
+  /// matches.
+  const std::string &divergence() const { return Divergence; }
+
+private:
+  vm::StopReason runConstrained(uint64_t Target);
+  bool injectSyscall(uint32_t Tid, uint64_t Nr, int64_t &Result);
+
+  const pinball::Pinball &PB;
+  ReplayOptions Opts;
+  std::unique_ptr<vm::VM> M;
+  uint64_t Budget = 0;
+  vm::StopReason Reason = vm::StopReason::BudgetReached;
+  bool Ended = false;
+  std::string Stdout;
+  std::string Divergence;
+  DivergenceInfo Diverge;
+  /// Constrained replay's cursors: the next sel.log record, the race.log
+  /// slice and how much of it has run, and the next lazy page (Pending is
+  /// ordered by first-use icount).
+  size_t SyscallCursor = 0;
+  size_t SliceIdx = 0;
+  uint64_t SliceDone = 0;
+  std::vector<const pinball::InjectRecord *> Pending;
+  size_t InjectCursor = 0;
+};
+
+/// Replays \p PB according to \p Opts: a Replay started and run once.
 Expected<ReplayResult> replayPinball(const pinball::Pinball &PB,
                                      const ReplayOptions &Opts = {});
 

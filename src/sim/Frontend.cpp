@@ -14,113 +14,81 @@
 #include "support/MappedFile.h"
 #include "support/Sha256.h"
 
-#include <functional>
-
 using namespace elfie;
 using namespace elfie::sim;
 
 namespace {
 
-/// esim's phase machine. Every simulation walks left to right:
-///
-///   FastForward --marker--> Warming/Skipping --W insts--> Detailed
-///                                             [boundary]
-///
-/// FastForward (pre-marker) trains nothing, exactly like the pre-existing
-/// marker gating. Warming feeds the model's warm entry points: structures
-/// get hot, no cycles/stats/footprint accrue. Skipping replaces Warming
-/// when resuming from a sidecar: events are ignored because the state
-/// comes from disk. The boundary sits at the start of the first
-/// post-warming instruction — before any of its events reach the model —
-/// and is where -warmup-save serializes and -warmup-load restores. With
-/// W == 0 and no sidecar the Warming phase collapses away and behaviour
-/// is bit-identical to the pre-checkpoint front-end.
-enum class Phase { FastForward, Warming, Skipping, Detailed };
-
-/// Feeds VM events into the TimingModel through the phase machine.
-class SimObserver : public vm::Observer {
+/// Records marker retirement and, given a VM, stops it at the first one
+/// (the pre-ROI fast-forward). Events granularity keeps the JIT on.
+class MarkerWatch : public vm::Observer {
 public:
-  SimObserver(TimingModel &Model, const RunControls &Controls,
-              unsigned NumCores, Phase Initial, Phase PostMarker,
-              uint64_t WarmupBudget)
-      : Model(Model), Controls(Controls), NumCores(NumCores), Ph(Initial),
-        PostMarker(PostMarker), WarmupBudget(WarmupBudget) {}
+  explicit MarkerWatch(vm::VM *StopAtMarker) : Stop(StopAtMarker) {}
+  Granularity granularity() const override { return Granularity::Events; }
+  void onMarker(uint32_t, isa::MarkerKind, int32_t) override {
+    Seen = true;
+    if (Stop)
+      Stop->requestStop();
+  }
+  bool Seen = false;
 
-  /// Runs once at the warming -> detailed boundary (save/load hook).
-  std::function<Error()> OnBoundary;
-  /// Stops the underlying engine; null when the replayer owns the budget.
-  std::function<void()> RequestStop;
-  /// Global retired-count provider (the VM's counter in binary mode);
-  /// replay mode falls back to the observer's own event count.
-  std::function<uint64_t()> GlobalRetired;
+private:
+  vm::VM *Stop;
+};
 
-  uint64_t roiRetired() const { return RoiRetired; }
-  uint64_t warmupSeen() const { return WarmupSeen; }
-  bool markerSeen() const { return MarkerSeen; }
-  bool boundaryCrossed() const { return BoundaryCrossed; }
-  uint64_t boundaryRetired() const { return BoundaryRetired; }
-  const Error &boundaryError() const { return BoundaryErr; }
+/// Feeds one phase's VM events into the TimingModel. A warming feed uses
+/// the warm entry points: structures get hot, no cycles, stats or
+/// footprint accrue, and the synthetic kernel is skipped (its handlers
+/// charge stats, and a checkpoint must hold exactly the state a cold
+/// warm-up produces). A detailed feed uses the detailed entry points and
+/// stops the engine at the ROI budget or the (PC, count) condition.
+class ModelFeed : public vm::Observer {
+public:
+  /// A warming feed; given \p Detailed, a detailed feed that stops \p M
+  /// after \p Budget instructions or at Detailed's (PC, count) condition.
+  explicit ModelFeed(TimingModel &Model, const RunControls *Detailed = nullptr,
+                     vm::VM *M = nullptr, uint64_t Budget = UINT64_MAX)
+      : Model(Model), NumCores(Model.numCores()), Detailed(Detailed), M(M),
+        Budget(Budget), LastOp(NumCores, isa::Opcode::Jmp) {}
+
+  uint64_t Retired = 0;
+  bool MarkerSeen = false;
 
   void onInstruction(const vm::ThreadState &T, uint64_t PC,
                      const isa::Inst &I) override {
-    if (BoundaryErr.isError())
-      return;
     unsigned Core = T.Tid % NumCores;
     LastOp[Core] = I.Op;
-    ++TotalSeen;
-    if (Ph == Phase::FastForward)
+    ++Retired;
+    if (!Detailed) {
+      Model.warmInstruction(Core, PC);
       return;
-    if (Ph == Phase::Warming || Ph == Phase::Skipping) {
-      if (WarmupSeen < WarmupBudget) {
-        ++WarmupSeen;
-        if (Ph == Phase::Warming)
-          Model.warmInstruction(Core, PC);
-        return;
-      }
-      // The boundary sits at the start of the first post-warming
-      // instruction: none of this instruction's events have reached the
-      // model yet, so the save and the resume land on the same state.
-      crossBoundary();
-      if (BoundaryErr.isError())
-        return;
     }
     Model.instruction(Core, PC, I);
-    ++RoiRetired;
-    if (Controls.StopPC && PC == Controls.StopPC &&
-        ++StopPCHits >= Controls.StopPCCount) {
-      if (RequestStop)
-        RequestStop();
-      return;
-    }
-    if (RoiRetired >= Controls.MaxInstructions && RequestStop)
-      RequestStop();
+    if ((Detailed->StopPC && PC == Detailed->StopPC &&
+         ++StopPCHits >= Detailed->StopPCCount) ||
+        Retired >= Budget)
+      M->requestStop();
   }
 
   void onMemoryAccess(uint32_t Tid, uint64_t Addr, uint32_t Size,
                       bool IsWrite) override {
-    if (BoundaryErr.isError())
-      return;
-    if (Ph == Phase::Detailed)
+    if (Detailed)
       Model.memoryAccess(Tid % NumCores, Addr, Size, IsWrite);
-    else if (Ph == Phase::Warming)
+    else
       Model.warmMemoryAccess(Tid % NumCores, Addr, Size, IsWrite);
   }
 
   void onControlTransfer(uint32_t Tid, uint64_t FromPC, uint64_t ToPC,
                          bool Taken) override {
-    if (BoundaryErr.isError())
-      return;
-    if (Ph != Phase::Detailed && Ph != Phase::Warming)
-      return;
     unsigned Core = Tid % NumCores;
-    isa::Opcode Op = LastOp.count(Core) ? LastOp[Core] : isa::Opcode::Jmp;
+    isa::Opcode Op = LastOp[Core];
     // Unconditional direct transfers are perfectly predictable; only
     // conditional branches train the direction predictor and only
     // register-indirect jumps consult the BTB.
     bool Indirect = Op == isa::Opcode::Jalr;
     if (!isa::isBranch(Op) && !Indirect)
       return;
-    if (Ph == Phase::Detailed)
+    if (Detailed)
       Model.controlTransfer(Core, FromPC, ToPC, Taken, Indirect);
     else
       Model.warmControlTransfer(Core, FromPC, ToPC, Taken, Indirect);
@@ -128,50 +96,61 @@ public:
 
   void onSyscall(uint32_t Tid, uint64_t Nr, const uint64_t *,
                  int64_t) override {
-    // Warming deliberately skips the synthetic kernel: handlers charge
-    // stats, and the checkpoint must hold exactly the state a cold
-    // warming phase produces.
-    if (BoundaryErr.isError() || Ph != Phase::Detailed)
-      return;
-    Model.syscall(Tid % NumCores, Nr);
+    if (Detailed)
+      Model.syscall(Tid % NumCores, Nr);
   }
 
   void onMarker(uint32_t, isa::MarkerKind, int32_t) override {
     MarkerSeen = true;
-    if (Ph == Phase::FastForward && Controls.WaitForMarker)
-      Ph = PostMarker;
   }
 
 private:
-  void crossBoundary() {
-    Ph = Phase::Detailed;
-    BoundaryCrossed = true;
-    // onInstruction fires before its instruction retires, so the global
-    // count here excludes the boundary instruction itself — the same
-    // index a resume lands on after fast-forwarding marker + W.
-    BoundaryRetired = GlobalRetired ? GlobalRetired() : TotalSeen - 1;
-    if (OnBoundary) {
-      BoundaryErr = OnBoundary();
-      if (BoundaryErr.isError() && RequestStop)
-        RequestStop();
-    }
+  TimingModel &Model;
+  unsigned NumCores;
+  const RunControls *Detailed;
+  vm::VM *M;
+  uint64_t Budget;
+  uint64_t StopPCHits = 0;
+  std::vector<isa::Opcode> LastOp;
+};
+
+/// The binary engine. On one core it is the VM's round-robin scheduler. On
+/// several it is timing-driven (Sniper-style execution-driven simulation):
+/// always advance the thread whose core has the fewest accumulated cycles,
+/// so slow (miss-heavy) threads fall behind and spin-waiting peers really
+/// spin. This is what makes unconstrained ELFie simulation diverge from
+/// constrained pinball replay (Fig. 11).
+struct BinaryEngine {
+  vm::VM &M;
+  const TimingModel &Model;
+
+  vm::VM &vm() { return M; }
+
+  vm::StopReason run(uint64_t N, vm::Observer *Obs) {
+    M.setObserver(Obs);
+    vm::StopReason SR = Model.numCores() <= 1 ? M.run(N).Reason
+                                              : stepByCycles(N);
+    M.setObserver(nullptr);
+    return SR;
   }
 
-  TimingModel &Model;
-  RunControls Controls;
-  unsigned NumCores;
-  Phase Ph;
-  Phase PostMarker;
-  uint64_t WarmupBudget;
-  bool MarkerSeen = false;
-  bool BoundaryCrossed = false;
-  uint64_t BoundaryRetired = 0;
-  uint64_t WarmupSeen = 0;
-  uint64_t TotalSeen = 0;
-  uint64_t RoiRetired = 0;
-  uint64_t StopPCHits = 0;
-  Error BoundaryErr;
-  std::map<unsigned, isa::Opcode> LastOp;
+  vm::StopReason stepByCycles(uint64_t N) {
+    const std::vector<CoreStats> &Cores = Model.stats().Cores;
+    for (uint64_t I = 0; I < N; ++I) {
+      std::vector<uint32_t> Live = M.liveThreadIds();
+      if (Live.empty())
+        return vm::StopReason::AllExited;
+      uint32_t Pick = Live[0];
+      for (uint32_t Tid : Live)
+        if (Cores[Tid % Cores.size()].Cycles <
+            Cores[Pick % Cores.size()].Cycles)
+          Pick = Tid;
+      vm::StopReason SR = M.stepThread(Pick);
+      if (SR != vm::StopReason::BudgetReached)
+        return SR;
+    }
+    return vm::StopReason::BudgetReached;
+  }
 };
 
 /// Cheap canonical identity for a checkpointed pinball: the region meta
@@ -199,58 +178,138 @@ Sha256Digest pinballInputDigest(const pinball::Pinball &PB) {
   return Sha256::digest(W.bytes().data(), W.size());
 }
 
-/// Builds the boundary hook shared by both front-ends: record the
-/// checkpoint index and, in save mode, serialize the sidecar. Loads are
-/// not boundary work — a resume applies the sidecar up front (the model is
-/// untouched until the boundary in load mode) so the recorded warming
-/// length is authoritative and validated before anything executes.
-std::function<Error()>
-makeBoundaryHook(SimResult &Out, SimObserver &Obs, const RunControls &Controls,
-                 const MachineConfig &Machine, const Sha256Digest &InputDigest,
-                 uint64_t Warmup, TimingModel &Model) {
-  return [&Out, &Obs, &Controls, &Machine, InputDigest, Warmup,
-          &Model]() -> Error {
-    Out.CheckpointRetired = Obs.boundaryRetired();
-    if (!Controls.SaveStatePath.empty()) {
-      SimStateMeta Meta;
-      Meta.ConfigName = Machine.Name;
-      Meta.ConfigFP = configFingerprint(Machine);
-      Meta.InputDigest = InputDigest;
-      Meta.WarmupInstructions = Warmup;
-      Meta.CheckpointRetired = Out.CheckpointRetired;
-      Meta.DetailedBudget = Controls.MaxInstructions == UINT64_MAX
-                                ? 0
-                                : Controls.MaxInstructions;
-      if (Error E = saveSimState(Controls.SaveStatePath, Meta, Model))
-        return E;
-      Out.StateSaved = true;
-    }
-    return Error::success();
-  };
-}
+/// esim's phase driver. One simulation is successive runs of one
+/// functional engine — BinaryEngine or replay::Replay, each offering
+/// run(N, Observer) and vm() — so a cold run, a -warmup-save run and a
+/// -warmup-load resume split the engine at the same instructions:
+///
+///   1. ELFies only: run to the first marker under a MarkerWatch; nothing
+///      before the ROI marker is measured.
+///   2. Run W instructions under a warming feed; resuming, run them with
+///      only a MarkerWatch attached (compiled), since the model state
+///      comes from the sidecar.
+///   3. The boundary, at the start of the first post-warm-up instruction:
+///      record CheckpointRetired; -warmup-save writes the sidecar here.
+///   4. Run the ROI under a detailed feed.
+///
+/// With W == 0 and no sidecar, steps 2 and 3 are skipped.
+class PhaseDriver {
+public:
+  PhaseDriver(const MachineConfig &Machine, const RunControls &Controls)
+      : Machine(Machine), Controls(Controls), Model(Machine) {}
 
-/// Resume setup shared by both front-ends: apply the sidecar to \p Model
-/// now and resolve the warming length from its metadata. An explicit
-/// -warmup that disagrees with the checkpoint fails closed — silently
-/// preferring either value would resume at the wrong boundary.
-Error resolveLoadedWarmup(const std::string &Path,
-                          const MachineConfig &Machine,
-                          const Sha256Digest &InputDigest,
-                          TimingModel &Model, uint64_t &Warmup,
-                          const RunControls &Controls) {
-  auto Meta = loadSimState(Path, Machine, InputDigest, Model);
-  if (!Meta)
-    return Meta.takeError();
-  if (Controls.WarmupInstructions != UINT64_MAX &&
-      Controls.WarmupInstructions != Meta->WarmupInstructions)
-    return makeCodedError(
-        "EFAULT.SIMSTATE.BUDGET",
-        "explicit warmup length %llu disagrees with the checkpoint's %llu",
-        static_cast<unsigned long long>(Controls.WarmupInstructions),
-        static_cast<unsigned long long>(Meta->WarmupInstructions));
-  Warmup = Meta->WarmupInstructions;
-  return Error::success();
-}
+  /// The prologue: resolves the warm-up length (explicit, else
+  /// \p DefaultWarmup; resuming, the sidecar's), restores the sidecar into
+  /// the model, and checks the warm-up against \p Region (0: no region).
+  /// \p InputDigest is called only when a sidecar is saved or loaded.
+  template <class DigestFn>
+  Error prepare(DigestFn InputDigest, uint64_t DefaultWarmup,
+                uint64_t Region) {
+    bool Save = !Controls.SaveStatePath.empty();
+    bool Load = !Controls.LoadStatePath.empty();
+    if (Save && Load)
+      return makeError("RunControls: SaveStatePath and LoadStatePath are "
+                       "mutually exclusive");
+    Warmup = Controls.WarmupInstructions == UINT64_MAX
+                 ? DefaultWarmup
+                 : Controls.WarmupInstructions;
+    if (Save || Load)
+      Digest = InputDigest();
+    if (Load) {
+      // An explicit warm-up that disagrees with the checkpoint fails
+      // closed: silently preferring either value would resume at the
+      // wrong boundary.
+      auto Meta = loadSimState(Controls.LoadStatePath, Machine, Digest, Model);
+      if (!Meta)
+        return Meta.takeError();
+      if (Controls.WarmupInstructions != UINT64_MAX &&
+          Controls.WarmupInstructions != Meta->WarmupInstructions)
+        return makeCodedError(
+            "EFAULT.SIMSTATE.BUDGET",
+            "explicit warmup length %llu disagrees with the checkpoint's "
+            "%llu",
+            static_cast<unsigned long long>(Controls.WarmupInstructions),
+            static_cast<unsigned long long>(Meta->WarmupInstructions));
+      Warmup = Meta->WarmupInstructions;
+      Out.StateLoaded = true;
+    }
+    if (Region && Warmup >= Region)
+      return makeCodedError(
+          "EFAULT.SIMSTATE.BUDGET",
+          "warmup length %llu must be smaller than the region length %llu",
+          static_cast<unsigned long long>(Warmup),
+          static_cast<unsigned long long>(Region));
+    return Error::success();
+  }
+
+  /// Steps 1-4 on \p E. The detailed feed stops the engine after
+  /// \p RoiBudget instructions.
+  template <class Engine>
+  Expected<SimResult> run(Engine &E, bool WaitForMarker, uint64_t RoiBudget) {
+    vm::VM &M = E.vm();
+    vm::StopReason SR = vm::StopReason::BudgetReached;
+    bool Live = true; // the engine can run on
+    if (WaitForMarker) {
+      MarkerWatch FF(&M);
+      SR = E.run(UINT64_MAX, &FF);
+      Out.MarkerSeen = FF.Seen;
+      // Otherwise the program exited, halted or faulted before the ROI.
+      Live = SR == vm::StopReason::Stopped && FF.Seen;
+    }
+    ModelFeed Warm(Model);
+    MarkerWatch Skip(nullptr);
+    if (Live && (Warmup > 0 || !Controls.SaveStatePath.empty() ||
+                 Out.StateLoaded)) {
+      uint64_t Start = M.globalRetired();
+      SR = E.run(Warmup, Out.StateLoaded
+                             ? static_cast<vm::Observer *>(&Skip)
+                             : &Warm);
+      Out.WarmupRetired = M.globalRetired() - Start;
+      Live = SR == vm::StopReason::BudgetReached;
+      if (Live)
+        if (Error Err = crossBoundary(M.globalRetired()))
+          return Err;
+    }
+    ModelFeed Detailed(Model, &Controls, &M, RoiBudget);
+    if (Live)
+      SR = E.run(UINT64_MAX, &Detailed);
+    Out.Stats = Model.stats();
+    Out.Reason = SR;
+    Out.RoiRetired = Detailed.Retired;
+    Out.MarkerSeen |= Warm.MarkerSeen || Skip.Seen || Detailed.MarkerSeen;
+    Out.VMStats = M.decodeCacheStats();
+    Out.MemStats = M.mem().memStats();
+    Out.JitStats = M.jitStats();
+    return std::move(Out);
+  }
+
+  const MachineConfig &Machine;
+  RunControls Controls;
+  TimingModel Model;
+  uint64_t Warmup = 0;
+
+private:
+  Error crossBoundary(uint64_t Retired) {
+    Out.CheckpointRetired = Retired;
+    if (Controls.SaveStatePath.empty())
+      return Error::success();
+    SimStateMeta Meta;
+    Meta.ConfigName = Machine.Name;
+    Meta.ConfigFP = configFingerprint(Machine);
+    Meta.InputDigest = Digest;
+    Meta.WarmupInstructions = Warmup;
+    Meta.CheckpointRetired = Retired;
+    Meta.DetailedBudget =
+        Controls.MaxInstructions == UINT64_MAX ? 0 : Controls.MaxInstructions;
+    if (Error E = saveSimState(Controls.SaveStatePath, Meta, Model))
+      return E;
+    Out.StateSaved = true;
+    return Error::success();
+  }
+
+  Sha256Digest Digest;
+  SimResult Out;
+};
 
 } // namespace
 
@@ -265,57 +324,25 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
   if (!Reader)
     return Reader.takeError();
 
-  bool SaveMode = !Controls.SaveStatePath.empty();
-  bool LoadMode = !Controls.LoadStatePath.empty();
-  if (SaveMode && LoadMode)
-    return makeError("RunControls: SaveStatePath and LoadStatePath are "
-                     "mutually exclusive");
-
   // ELFie auto-detection: no argv/stack setup, detailed model starts at
   // the ROI marker, budget and warming length from the embedded symbols.
   bool IsElfie = Reader->findSymbol("elfie_on_start") != nullptr;
-  uint64_t Region = 0;
-  uint64_t Warmup = Controls.WarmupInstructions == UINT64_MAX
-                        ? 0
-                        : Controls.WarmupInstructions;
+  uint64_t Region = 0, EmbeddedWarmup = 0;
   if (IsElfie) {
-    Controls.WaitForMarker = true;
     if (const auto *Len = Reader->findSymbol("elfie_region_length"))
       Region = Len->Value;
-    if (Controls.WarmupInstructions == UINT64_MAX)
-      if (const auto *WL = Reader->findSymbol("elfie_warmup_length"))
-        Warmup = WL->Value;
+    if (const auto *WL = Reader->findSymbol("elfie_warmup_length"))
+      EmbeddedWarmup = WL->Value;
   }
 
-  TimingModel Model(Machine);
-  Sha256Digest InputDigest;
-  if (SaveMode || LoadMode)
-    InputDigest = Sha256::digest(Image);
-
-  SimResult Out;
-  Out.WasElfie = IsElfie;
-
-  // Resume: apply the sidecar now (the model is untouched until the
-  // boundary in load mode) and take the warming length it records.
-  if (LoadMode) {
-    if (Error E = resolveLoadedWarmup(Controls.LoadStatePath, Machine,
-                                      InputDigest, Model, Warmup, Controls))
-      return E;
-    Out.StateLoaded = true;
-  }
-
-  if (Region) {
-    if (Warmup >= Region)
-      return makeCodedError(
-          "EFAULT.SIMSTATE.BUDGET",
-          "warmup length %llu must be smaller than the region length %llu",
-          static_cast<unsigned long long>(Warmup),
-          static_cast<unsigned long long>(Region));
-    // The embedded region length covers warming + ROI; the detailed
-    // budget is the remainder.
-    if (Controls.MaxInstructions == UINT64_MAX)
-      Controls.MaxInstructions = Region - Warmup;
-  }
+  PhaseDriver D(Machine, Controls);
+  if (Error E = D.prepare([&] { return Sha256::digest(Image); },
+                          EmbeddedWarmup, Region))
+    return E;
+  // The embedded region length covers warming + ROI; the detailed budget
+  // is the remainder.
+  if (Region && D.Controls.MaxInstructions == UINT64_MAX)
+    D.Controls.MaxInstructions = Region - D.Warmup;
 
   if (!VMConfig.StdoutSink)
     VMConfig.StdoutSink = [](const char *, size_t) {};
@@ -330,129 +357,14 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
     return E;
   }
 
-  // Pre-ROI fast-forward: until the first marker retires, nothing is
-  // measured, so the VM runs that stretch under a marker watcher (Events
-  // granularity keeps the JIT active; interpreted, it retires the same
-  // instructions). Single-core only — the multicore path is timing-driven
-  // from the start.
-  bool FastForwardedMarker = false;
-  bool Finished = false;
-  vm::RunResult R;
-  if (Controls.WaitForMarker && Machine.NumCores <= 1) {
-    class MarkerWatch : public vm::Observer {
-    public:
-      explicit MarkerWatch(vm::VM &M) : M(M) {}
-      Granularity granularity() const override {
-        return Granularity::Events;
-      }
-      void onMarker(uint32_t, isa::MarkerKind, int32_t) override {
-        Seen = true;
-        M.requestStop();
-      }
-      vm::VM &M;
-      bool Seen = false;
-    } FF(M);
-    M.setObserver(&FF);
-    R = M.run(UINT64_MAX);
-    M.setObserver(nullptr);
-    FastForwardedMarker = FF.Seen;
-    if (R.Reason == vm::StopReason::Stopped && FF.Seen) {
-      // The marker retired; start the detailed phase already active. The
-      // per-core LastOp tracking the fast-forward skipped is harmless:
-      // every ROI control transfer is preceded by its own onInstruction.
-      Controls.WaitForMarker = false;
-    } else {
-      Finished = true; // exited / halted / faulted before any ROI marker
-    }
-  }
-
-  // Single-core resume fast path: re-execute the warming stretch
-  // functionally — observer-free, so the JIT stays active — with the model
-  // already restored from the sidecar. The detailed phase below starts
-  // exactly at the boundary a cold -warmup-save run checkpoints.
-  if (LoadMode && !Finished && Machine.NumCores <= 1 &&
-      !Controls.WaitForMarker) {
-    if (Warmup > 0) {
-      R = M.run(Warmup);
-      if (R.Reason != vm::StopReason::BudgetReached)
-        Finished = true; // the program ended inside the warming stretch
-      else
-        Out.WarmupRetired = Warmup;
-    }
-    if (!Finished) {
-      Out.CheckpointRetired = M.globalRetired();
-      LoadMode = false; // consumed: the observer starts detailed
-      Warmup = 0;
-    }
-  }
-
-  Phase PostMarker = (Warmup > 0 || SaveMode || LoadMode)
-                         ? (LoadMode ? Phase::Skipping : Phase::Warming)
-                         : Phase::Detailed;
-  Phase Initial = Controls.WaitForMarker ? Phase::FastForward : PostMarker;
-  SimObserver Obs(Model, Controls, Machine.NumCores, Initial, PostMarker,
-                  Warmup);
-  Obs.RequestStop = [&M] { M.requestStop(); };
-  Obs.GlobalRetired = [&M] { return M.globalRetired(); };
-  Obs.OnBoundary = makeBoundaryHook(Out, Obs, Controls, Machine, InputDigest,
-                                    Warmup, Model);
-  M.setObserver(&Obs);
-
-  if (Finished) {
-    // Nothing left to simulate; R already holds the outcome.
-  } else if (Machine.NumCores <= 1) {
-    // The functional budget is unbounded; the observer stops the run when
-    // the ROI budget is consumed.
-    R = M.run(UINT64_MAX);
-  } else {
-    // Timing-driven multicore scheduling (Sniper-style execution-driven
-    // simulation): always advance the thread whose core has the fewest
-    // accumulated cycles, so slow (miss-heavy) threads fall behind and
-    // spin-waiting peers really spin. This is what makes unconstrained
-    // ELFie simulation diverge from constrained pinball replay (Fig. 11).
-    R.Reason = vm::StopReason::AllExited;
-    while (true) {
-      std::vector<uint32_t> Live = M.liveThreadIds();
-      if (Live.empty()) {
-        R.Reason = vm::StopReason::AllExited;
-        R.ExitCode = M.exitCode();
-        break;
-      }
-      uint32_t Pick = Live[0];
-      double Best = Model.stats().Cores[Pick % Machine.NumCores].Cycles;
-      for (uint32_t Tid : Live) {
-        double C = Model.stats().Cores[Tid % Machine.NumCores].Cycles;
-        if (C < Best) {
-          Best = C;
-          Pick = Tid;
-        }
-      }
-      vm::StopReason SR = M.stepThread(Pick);
-      if (SR == vm::StopReason::BudgetReached)
-        continue;
-      R.Reason = SR;
-      if (SR == vm::StopReason::Faulted)
-        R.FaultInfo = M.lastFault();
-      if (SR == vm::StopReason::AllExited)
-        R.ExitCode = M.exitCode();
-      break;
-    }
-  }
-  if (Obs.boundaryError().isError())
-    return Error(Obs.boundaryError());
-  if (R.Reason == vm::StopReason::Faulted)
+  BinaryEngine E{M, D.Model};
+  auto Out = D.run(E, IsElfie, D.Controls.MaxInstructions);
+  if (!Out)
+    return Out;
+  if (Out->Reason == vm::StopReason::Faulted)
     return makeError("simulated program faulted: %s",
-                     R.FaultInfo.Message.c_str());
-
-  Out.Stats = Model.stats();
-  Out.Reason = R.Reason;
-  Out.RoiRetired = Obs.roiRetired();
-  Out.MarkerSeen = Obs.markerSeen() || FastForwardedMarker;
-  if (Obs.warmupSeen())
-    Out.WarmupRetired = Obs.warmupSeen();
-  Out.VMStats = M.decodeCacheStats();
-  Out.MemStats = M.mem().memStats();
-  Out.JitStats = M.jitStats();
+                     M.lastFault().Message.c_str());
+  Out->WasElfie = IsElfie;
   return Out;
 }
 
@@ -475,65 +387,22 @@ Expected<SimResult> sim::simulatePinball(const pinball::Pinball &PB,
                                          bool Constrained,
                                          RunControls Controls,
                                          vm::VMConfig VMConfig) {
-  bool SaveMode = !Controls.SaveStatePath.empty();
-  bool LoadMode = !Controls.LoadStatePath.empty();
-  if (SaveMode && LoadMode)
-    return makeError("RunControls: SaveStatePath and LoadStatePath are "
-                     "mutually exclusive");
-  // Replay starts at the region entry; there is no marker to wait for.
-  Controls.WaitForMarker = false;
-  uint64_t Warmup = Controls.WarmupInstructions == UINT64_MAX
-                        ? 0
-                        : Controls.WarmupInstructions;
-
-  TimingModel Model(Machine);
-  Sha256Digest InputDigest;
-  if (SaveMode || LoadMode)
-    InputDigest = pinballInputDigest(PB);
-
-  SimResult Out;
-  if (LoadMode) {
-    if (Error E = resolveLoadedWarmup(Controls.LoadStatePath, Machine,
-                                      InputDigest, Model, Warmup, Controls))
-      return E;
-    Out.StateLoaded = true;
-  }
-  if (Warmup >= PB.Meta.RegionLength)
-    return makeCodedError(
-        "EFAULT.SIMSTATE.BUDGET",
-        "warmup length %llu must be smaller than the region length %llu",
-        static_cast<unsigned long long>(Warmup),
-        static_cast<unsigned long long>(PB.Meta.RegionLength));
-
-  Phase Initial = (Warmup > 0 || SaveMode || LoadMode)
-                      ? (LoadMode ? Phase::Skipping : Phase::Warming)
-                      : Phase::Detailed;
-  SimObserver Obs(Model, Controls, Machine.NumCores, Initial, Initial,
-                  Warmup);
-  Obs.OnBoundary = makeBoundaryHook(Out, Obs, Controls, Machine, InputDigest,
-                                    Warmup, Model);
-
+  PhaseDriver D(Machine, Controls);
+  if (Error E = D.prepare([&] { return pinballInputDigest(PB); },
+                          /*DefaultWarmup=*/0, PB.Meta.RegionLength))
+    return E;
   replay::ReplayOptions Opts;
   Opts.Injection = Constrained;
   Opts.Config = std::move(VMConfig);
-  Opts.Obs = &Obs;
-  // The replayer's budget covers warming + ROI; the observer partitions
-  // the stream at the boundary.
+  // The replay owns the budget (warming + ROI, else the region), so a
+  // budget-limited pinball run ends BudgetReached.
   if (Controls.MaxInstructions != UINT64_MAX)
-    Opts.MaxInstructions = Warmup + Controls.MaxInstructions;
-  auto R = replay::replayPinball(PB, Opts);
-  if (!R)
-    return R.takeError();
-  if (Obs.boundaryError().isError())
-    return Error(Obs.boundaryError());
-
-  Out.Stats = Model.stats();
-  Out.Reason = R->Reason;
-  Out.RoiRetired = Obs.roiRetired();
-  Out.MarkerSeen = Obs.markerSeen();
-  Out.WarmupRetired = Obs.warmupSeen();
-  Out.VMStats = R->VMStats;
-  Out.MemStats = R->MemStats;
-  Out.JitStats = R->JitStats;
+    Opts.MaxInstructions = D.Warmup + Controls.MaxInstructions;
+  replay::Replay R(PB, Opts);
+  if (Error E = R.start())
+    return E;
+  auto Out = D.run(R, /*WaitForMarker=*/false, /*RoiBudget=*/UINT64_MAX);
+  if (Out && !R.divergence().empty())
+    return makeError("DIVERGENCE: %s", R.divergence().c_str());
   return Out;
 }

@@ -20,6 +20,10 @@
 ///    of a pinball with the timing model attached; `Constrained = false`
 ///    gives the unconstrained (injection-less) comparison run.
 ///
+/// Both run the same phases (DESIGN.md §16.4) as successive runs of one
+/// functional engine: fast-forward to the ELFie's ROI marker, warm-up (or,
+/// resuming, a functional skip), the checkpoint boundary, then the ROI.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ELFIE_SIM_FRONTEND_H
@@ -43,15 +47,12 @@ struct RunControls {
   /// For ELFie inputs the auto-budget is elfie_region_length minus the
   /// warming length.
   uint64_t MaxInstructions = UINT64_MAX;
-  /// Start detailed simulation only after the first ROI marker retires
-  /// (set automatically for ELFie inputs).
-  bool WaitForMarker = false;
   /// Optional (PC, count) stop condition: end when the instruction at
   /// StopPC has executed StopPCCount times globally (paper §IV-B).
   uint64_t StopPC = 0;
   uint64_t StopPCCount = 0;
-  /// Functional-warming length: the first N post-marker (post-entry when
-  /// no marker is awaited) instructions train caches/TLBs/predictors
+  /// Functional-warming length: the first N post-marker (for inputs other
+  /// than ELFies, post-entry) instructions train caches/TLBs/predictors
   /// through the model's warm entry points — no cycles, stats, or
   /// footprint — before detailed simulation starts at the boundary.
   /// UINT64_MAX means auto: the ELFie's embedded elfie_warmup_length
@@ -82,9 +83,10 @@ struct SimResult {
   /// extents, copy-on-write faults, and private (dirty) bytes.
   vm::MemStats MemStats;
   /// JIT counters from the functional VM. Non-zero only with
-  /// VMConfig::EnableJit (the library default; `esim` sets it from -jit);
-  /// in binary mode the JIT accelerates the pre-ROI fast-forward (the
-  /// detailed phase needs per-instruction callbacks and runs interpreted).
+  /// VMConfig::EnableJit (the library default, which `esim` uses): the
+  /// pre-ROI fast-forward and a -warmup-load resume's warm-up skip run
+  /// compiled; warming and the detailed phase need per-instruction
+  /// callbacks and run interpreted.
   vm::JitStats JitStats;
   /// Instructions consumed by the warming phase (functionally skipped
   /// instructions when resuming from a checkpoint).

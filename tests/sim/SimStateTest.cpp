@@ -14,6 +14,10 @@
 ///  * cold-vs-save-vs-resume SimStats **bit-identity** on every example
 ///    pipeline (single-thread ELFie, interp + JIT, clock syscalls, MT
 ///    ELFie, constrained + unconstrained pinball replay)
+///  * a multi-threaded ELFie and free pinball on one core resume to the
+///    cold run's SimStats (every run splits the engine at the boundary)
+///  * the warm mirror: the model's warm entry points leave every structure
+///    exactly as the detailed ones do
 ///  * the checkpoint-index regression pin: the boundary lands on the same
 ///    global retired index across the interpreted save, JIT save, and
 ///    resume paths (the PR-6 fast-forward off-by-one class).
@@ -23,10 +27,12 @@
 #include "sim/SimState.h"
 
 #include "../common/TestHelpers.h"
+#include "WorkloadRegion.h"
 #include "core/Pinball2Elf.h"
 #include "sim/BranchPredictor.h"
 #include "sim/Cache.h"
 #include "sim/Frontend.h"
+#include "support/RNG.h"
 #include "support/Sha256.h"
 
 #include <gtest/gtest.h>
@@ -505,8 +511,7 @@ TEST(CheckpointIdentity, MultiThreadElfieOnGainestown) {
   auto Image = core::pinballToElf(*PB, Opts);
   ASSERT_TRUE(Image.hasValue()) << Image.message();
 
-  // Multicore: no single-core fast path; the resume flows through the
-  // observer's Skipping phase.
+  // Multicore: every phase runs on the cycle-ordered stepThread engine.
   RunControls Controls;
   Controls.WarmupInstructions = 2000;
   Controls.MaxInstructions = 20000;
@@ -559,6 +564,29 @@ TEST(CheckpointIdentity, PinballUnconstrainedMT) {
                         Controls, Dir + "/pb.esimstate");
 }
 
+// On one core the VM's round-robin scheduler picks a thread afresh
+// whenever a run starts, so a multi-threaded region only resumes to the
+// cold run's SimStats when cold, save and resume split the engine at the
+// same instructions: the marker, then the warm-up boundary.
+TEST(CheckpointIdentity, MultiThreadElfieOnOneCore) {
+  for (const char *Name : {"bwaves_s_like", "nab_s_like"}) {
+    std::string Dir = tempDir(std::string("mt1core_") + Name);
+    auto PB = test::captureWorkloadRegion(Dir, Name);
+    ASSERT_TRUE(PB.hasValue()) << PB.message();
+    auto Image = test::guestElfie(*PB);
+    ASSERT_TRUE(Image.hasValue()) << Image.message();
+    for (uint64_t W : {37, 1013}) {
+      SCOPED_TRACE(std::string(Name) + " W=" + std::to_string(W));
+      RunControls Controls;
+      Controls.WarmupInstructions = W;
+      expectColdSaveResumeIdentity(*Image, makeNehalemLike(), Controls,
+                                   Dir + "/region.esimstate");
+      expectPinballIdentity(*PB, makeNehalemLike(), /*Constrained=*/false,
+                            Controls, Dir + "/pb.esimstate");
+    }
+  }
+}
+
 TEST(CheckpointIdentity, ResumeRejectsDifferentInput) {
   ElfiePipeline P =
       makeElfie("crossinput", test::computeProgram(), 5000, 8000);
@@ -595,6 +623,46 @@ TEST(CheckpointIdentity, WarmupBudgetMustFitRegion) {
   auto R = simulateBinaryImage(P.Image, makeNehalemLike(), Controls);
   ASSERT_FALSE(R.hasValue());
   EXPECT_EQ(R.takeError().code(), "EFAULT.SIMSTATE.BUDGET");
+}
+
+// ---- The warm mirror ----
+//
+// A warm-up run feeds the model's warm entry points and the ROI run the
+// detailed ones, so the state at the boundary is only the one a detailed
+// run would have left if the warm entry points update every structure
+// exactly as the detailed ones do (the synthetic kernel is off).
+
+TEST(WarmMirror, WarmEntryPointsMirrorDetailedStructureUpdates) {
+  for (const MachineConfig &Machine : {makeNehalemLike(), makeGainestown8()}) {
+    SCOPED_TRACE(Machine.Name);
+    ASSERT_FALSE(Machine.Kernel.Enabled);
+    TimingModel Warm(Machine), Detailed(Machine);
+    RNG R(0x5EED);
+    isa::Inst I;
+    I.Op = isa::Opcode::Add;
+    for (int N = 0; N < 50000; ++N) {
+      unsigned Core = static_cast<unsigned>(R.nextBelow(Machine.NumCores));
+      // Code and data working sets a little larger than the L2, so fills,
+      // evictions and prefetches all happen.
+      uint64_t PC = isa::TextBase + 8 * R.nextBelow(1 << 16);
+      Warm.warmInstruction(Core, PC);
+      Detailed.instruction(Core, PC, I);
+      uint64_t Addr = 0x10000000 + 8 * R.nextBelow(1 << 17);
+      bool IsWrite = R.nextBelow(3) == 0;
+      Warm.warmMemoryAccess(Core, Addr, 8, IsWrite);
+      Detailed.memoryAccess(Core, Addr, 8, IsWrite);
+      uint64_t To = isa::TextBase + 8 * R.nextBelow(1 << 10);
+      bool Taken = R.nextBelow(2) == 0, Indirect = R.nextBelow(8) == 0;
+      Warm.warmControlTransfer(Core, PC, To, Taken, Indirect);
+      Detailed.controlTransfer(Core, PC, To, Taken, Indirect);
+    }
+    for (unsigned C = 0; C < Machine.NumCores; ++C)
+      EXPECT_EQ(componentBytes(Warm.core(C)), componentBytes(Detailed.core(C)))
+          << "core " << C;
+    EXPECT_EQ(componentBytes(Warm.l3()), componentBytes(Detailed.l3()));
+    EXPECT_EQ(Warm.stats().totalInstructions(), 0u)
+        << "warming must not count instructions";
+  }
 }
 
 // ---- The checkpoint-index regression pin (PR-6 interaction audit) ----

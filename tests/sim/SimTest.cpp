@@ -359,8 +359,7 @@ TEST(Frontend, PinballConstrainedVsUnconstrainedMT) {
   removeTree(Dir);
 }
 
-TEST(Frontend, StopPCCondition) {
-  std::string Src = R"(
+const char *const StopPCLoop = R"(
 _start:
   ldi r9, 1000
 loop:
@@ -368,13 +367,50 @@ loop:
   bnez r9, loop
   halt
 )";
+
+/// Stops at the tenth execution of the addi inside StopPCLoop.
+RunControls stopAtTenthAddi() {
   RunControls Controls;
-  Controls.StopPC = isa::TextBase + 16; // the addi inside the loop
+  Controls.StopPC = isa::TextBase + 16;
   Controls.StopPCCount = 10;
-  auto R = simulateSource(Src, makeNehalemLike(), Controls);
+  return Controls;
+}
+
+TEST(Frontend, StopPCCondition) {
+  auto R = simulateSource(StopPCLoop, makeNehalemLike(), stopAtTenthAddi());
   ASSERT_TRUE(R.hasValue()) << R.message();
   EXPECT_EQ(R->Reason, vm::StopReason::Stopped);
   EXPECT_LT(R->RoiRetired, 100u);
+}
+
+TEST(Frontend, StopPCConditionOnPinballs) {
+  std::string Dir = tempDir("stoppc_pb");
+  auto PB = test::capture(Dir, StopPCLoop, 1, 1900,
+                          pinball::LoggerOptions::fat());
+  ASSERT_TRUE(PB.hasValue()) << PB.message();
+  for (bool Constrained : {true, false}) {
+    SCOPED_TRACE(Constrained ? "constrained" : "free");
+    auto R = simulatePinball(*PB, makeNehalemLike(), Constrained,
+                             stopAtTenthAddi());
+    ASSERT_TRUE(R.hasValue()) << R.message();
+    EXPECT_EQ(R->Reason, vm::StopReason::Stopped);
+    EXPECT_LT(R->RoiRetired, 100u);
+  }
+  removeTree(Dir);
+}
+
+TEST(Frontend, ConstrainedDivergenceIsAnError) {
+  std::string Dir = tempDir("diverge");
+  auto PB = test::capture(Dir, test::clockProgram(), 2000, 8000,
+                          pinball::LoggerOptions::fat());
+  ASSERT_TRUE(PB.hasValue()) << PB.message();
+  ASSERT_FALSE(PB->Syscalls.empty());
+  PB->Syscalls[0].Nr ^= 1; // the log no longer matches the replayed call
+  auto R = simulatePinball(*PB, makeNehalemLike(), /*Constrained=*/true);
+  ASSERT_FALSE(R.hasValue()) << "diverged replay returned statistics";
+  EXPECT_NE(R.message().find("DIVERGENCE: "), std::string::npos)
+      << R.message();
+  removeTree(Dir);
 }
 
 TEST(Frontend, RegularProgramIsNotElfie) {
