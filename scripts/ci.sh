@@ -61,8 +61,10 @@ echo "==== [pipebench] selftest ===="
 (cd "$REPO" && CARGO_TARGET_DIR="$ROOT/pipebench" python3 pipebench/selftest.py)
 
 # Pass 2: tier-1 verify, sanitized. Separate tree so object files never
-# mix; sanitized tests run slower, hence the larger per-test timeout.
-run_pass "sanitize=$SAN" "$ROOT/sanitize" 240 "-DELFIE_SANITIZE=$SAN"
+# mix; sanitized tests run slower, hence the larger per-test timeout. A
+# UBSan report aborts the test instead of only printing.
+run_pass "sanitize=$SAN" "$ROOT/sanitize" 240 "-DELFIE_SANITIZE=$SAN" \
+  "-DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined"
 
 # Pass 3: data-race detection. TSan cannot combine with ASan, so it gets
 # its own tree; the race surface is the multi-threaded capture/replay/JIT

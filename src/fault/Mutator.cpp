@@ -137,17 +137,68 @@ elfie::fault::mutatePinballDir(const std::string &Dir, uint64_t Seed) {
   const std::string &Name = Files[Rand.nextBelow(Files.size())];
   std::string Path = Dir + "/" + Name;
 
-  // One extra kind beyond the byte mutations: delete the file outright.
-  uint64_t Kind = Rand.nextBelow(NumByteMuts + 1);
+  // Three extra kinds beyond the byte mutations: delete the file outright,
+  // or corrupt a zero page record either way.
+  uint64_t Kind = Rand.nextBelow(NumByteMuts + 3);
   if (Kind == NumByteMuts) {
     removeFile(Path);
     return "delete " + Name;
   }
+  if (Kind > NumByteMuts)
+    return mutateZeroPageRecord(Dir,
+                                Kind == NumByteMuts + 1
+                                    ? ZeroPageMut::ClaimPayload
+                                    : ZeroPageMut::BadLength,
+                                Rand.next());
 
   auto What = mutateFileInPlace(Path, static_cast<ByteMut>(Kind), Rand);
   if (!What)
     return What.takeError();
   return Name + ": " + *What;
+}
+
+Expected<std::string> elfie::fault::mutateZeroPageRecord(
+    const std::string &Dir, ZeroPageMut Kind, uint64_t Seed) {
+  // Walk the page record framing (12-byte header, u32 count, then per
+  // record [u64 first-use icount,] u64 addr, u8 perm, u32 length, payload)
+  // and note where each zero record's length field sits.
+  const char *Files[2] = {"image.text", "inject.pages"};
+  std::vector<uint8_t> Bytes[2];
+  std::vector<std::pair<int, size_t>> Sites; // (file, length offset)
+  for (int F = 0; F < 2; ++F) {
+    auto Read = readFileBytes(Dir + "/" + Files[F]);
+    if (!Read)
+      return Read.takeError();
+    Bytes[F] = Read.takeValue();
+    BinaryReader R(Bytes[F]);
+    R.skip(12);
+    uint32_t N = R.readU32();
+    for (uint32_t I = 0; I < N && !R.hadError(); ++I) {
+      R.skip(F == 1 ? 17 : 9);
+      size_t LengthOff = R.offset();
+      uint32_t Len = R.readU32();
+      if (!R.hadError() && Len == 0)
+        Sites.push_back({F, LengthOff});
+      R.skip(Len);
+    }
+  }
+  if (Sites.empty())
+    return std::string("no zero page record (noop)");
+
+  RNG Rand(Seed);
+  auto [F, LengthOff] = Sites[Rand.nextBelow(Sites.size())];
+  uint32_t Len = 4096;
+  if (Kind == ZeroPageMut::BadLength) {
+    Len = 1 + static_cast<uint32_t>(Rand.nextBelow(8190));
+    if (Len >= 4096)
+      ++Len; // skip the one valid payload length
+  }
+  std::memcpy(Bytes[F].data() + LengthOff, &Len, sizeof(Len));
+  if (Error E = writeFileAtomic(Dir + "/" + Files[F], Bytes[F].data(),
+                                Bytes[F].size()))
+    return E;
+  return formatString("%s: zero page record at offset %zu claims %u bytes",
+                      Files[F], LengthOff, Len);
 }
 
 Expected<std::string> elfie::fault::mutateElfFile(const std::string &Path,

@@ -30,9 +30,24 @@ Error copyTree(const std::string &From, const std::string &To);
 
 /// Applies the seed-determined mutation to the pinball directory \p Dir in
 /// place. Returns a human-readable description of what was done, e.g.
-/// "truncate sel.log 812 -> 113". The caller mutates a scratch copy.
+/// "truncate sel.log 812 -> 113". The caller mutates a scratch copy. Besides
+/// byte-level damage and file deletion, some seeds draw a ZeroPageMut.
 Expected<std::string> mutatePinballDir(const std::string &Dir,
                                        uint64_t Seed);
+
+/// Corruptions of a payload-free (zero) page record in image.text or
+/// inject.pages. Pinball::load must reject both with an EFAULT.PINBALL.*
+/// code.
+enum class ZeroPageMut {
+  ClaimPayload, ///< the record's length says 4,096 payload bytes follow
+  BadLength,    ///< the record's length is neither 0 nor 4,096
+};
+
+/// Applies \p Kind to one seed-chosen zero page record of the pinball
+/// directory \p Dir in place; a no-op (said so in the description) when
+/// the pinball has no zero page.
+Expected<std::string> mutateZeroPageRecord(const std::string &Dir,
+                                           ZeroPageMut Kind, uint64_t Seed);
 
 /// Applies the seed-determined mutation to the ELF file at \p Path in
 /// place. Returns a description of the mutation.

@@ -52,7 +52,7 @@ void RegionLogger::beginRegion() {
       PageRecord Rec;
       Rec.Addr = Addr;
       Rec.Perm = Perm;
-      Rec.Bytes.assign(Bytes, Bytes + vm::GuestPageSize);
+      Rec.Bytes.capturePage(Bytes);
       PB.Image.push_back(std::move(Rec));
       CapturedPages.insert(Addr);
     });
@@ -76,19 +76,19 @@ void RegionLogger::capturePage(uint64_t Addr, const uint8_t *Bytes) {
   Rec.FirstUseIcount = M.globalRetired() - RegionStartRetired;
   Rec.Page.Addr = Addr;
   Rec.Page.Perm = Perm < 0 ? vm::PermRW : static_cast<uint8_t>(Perm);
-  Rec.Page.Bytes.assign(Bytes, Bytes + vm::GuestPageSize);
+  Rec.Page.Bytes.capturePage(Bytes);
   PB.Injects.push_back(std::move(Rec));
 }
 
-void RegionLogger::onInstruction(const vm::ThreadState &T, uint64_t PC,
-                                 const isa::Inst &I) {
+void RegionLogger::onBlock(uint32_t Tid, uint64_t, uint64_t NumInsts,
+                           bool) {
   if (!Active)
     return;
-  if (T.Tid == LastTid && !PB.Schedule.empty()) {
-    ++PB.Schedule.back().NumInsts;
+  if (Tid == LastTid && !PB.Schedule.empty()) {
+    PB.Schedule.back().NumInsts += NumInsts;
   } else {
-    PB.Schedule.push_back({T.Tid, 1});
-    LastTid = T.Tid;
+    PB.Schedule.push_back({Tid, NumInsts});
+    LastTid = Tid;
   }
 }
 

@@ -17,6 +17,14 @@
 /// Without the switches, touched pages become lazy page-injection records,
 /// as in stock PinPlay.
 ///
+/// The logger is a Block observer, so the region runs compiled: the
+/// schedule is built from onBlock runs, syscalls arrive as events, and
+/// first-touch page capture stays exact because the JIT's memory helpers
+/// hand every first touch of a page back to the interpreter (see
+/// AddressSpace::wouldFireFirstTouch). A captured page whose bytes are all
+/// zero borrows PageBytes' shared zero page instead of a 4 KiB copy, and
+/// Pinball::save writes it as a payload-free record.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ELFIE_PINBALL_LOGGER_H
@@ -66,12 +74,10 @@ public:
   /// calls this from its stdout sink while the region is active.
   void recordOutput(const char *Data, size_t Len);
 
-  // Observer interface. Instruction granularity (the default) on purpose:
-  // lazily injected pages record globalRetired() at first touch, and
-  // compiled dispatch only advances that count at block exits. The
-  // fast-forward to the region start runs observer-free, so it JITs.
-  void onInstruction(const vm::ThreadState &T, uint64_t PC,
-                     const isa::Inst &I) override;
+  // Observer interface.
+  Granularity granularity() const override { return Granularity::Block; }
+  void onBlock(uint32_t Tid, uint64_t EntryPC, uint64_t NumInsts,
+               bool EndsInControlFlow) override;
   void onSyscall(uint32_t Tid, uint64_t Nr, const uint64_t *Args,
                  int64_t Result) override;
 

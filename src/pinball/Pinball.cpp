@@ -19,7 +19,8 @@ using namespace elfie::pinball;
 namespace {
 
 constexpr uint32_t FileMagic = 0x50424c45; // "ELBP"
-constexpr uint32_t FormatVersion = 1;
+/// Version 2 added payload-free zero page records (see Pinball.h).
+constexpr uint32_t FormatVersion = 2;
 
 void writeHeader(BinaryWriter &W, uint32_t Kind) {
   W.writeU32(FileMagic);
@@ -65,6 +66,16 @@ Error checkCount(uint64_t N, size_t MinRecordSize, const BinaryReader &R,
   return Error::success();
 }
 
+/// A page file must end with its last record: bytes left over mean the
+/// framing was misread (e.g. a payload-free record claiming a payload).
+Error checkEnd(const BinaryReader &R, const std::string &File) {
+  if (!R.atEnd())
+    return makeCodedError("EFAULT.PINBALL.TRAILING",
+                          "'%s' has %zu bytes after its last record",
+                          File.c_str(), R.remaining());
+  return Error::success();
+}
+
 enum FileKind : uint32_t {
   KindImage = 1,
   KindInject = 2,
@@ -74,15 +85,17 @@ enum FileKind : uint32_t {
   KindMeta = 6,
 };
 
+/// A zero page is written with an empty payload.
 void writePage(BinaryWriter &W, const PageRecord &P) {
   W.writeU64(P.Addr);
   W.writeU8(P.Perm);
-  W.writeBlob(P.Bytes.data(), P.Bytes.size());
+  W.writeBlob(P.Bytes.data(), P.Bytes.isZero() ? 0 : P.Bytes.size());
 }
 
 /// Parses one page record. The page bytes are *borrowed* from the reader's
 /// underlying buffer (zero-copy); the caller keeps that buffer alive — for
-/// Pinball::load, by retaining the mapped file in Pinball::Backing.
+/// Pinball::load, by retaining the mapped file in Pinball::Backing. A
+/// payload-free record borrows the shared zero page.
 Error readPage(BinaryReader &R, PageRecord &P, const std::string &File) {
   P.Addr = R.readU64();
   P.Perm = R.readU8();
@@ -91,10 +104,10 @@ Error readPage(BinaryReader &R, PageRecord &P, const std::string &File) {
     return makeCodedError("EFAULT.PINBALL.TRUNCATED",
                           "'%s' is truncated inside a page record",
                           File.c_str());
-  if (Blob.size() != vm::GuestPageSize)
+  if (!Blob.empty() && Blob.size() != vm::GuestPageSize)
     return makeCodedError(
         "EFAULT.PINBALL.PAGE",
-        "'%s': page record at %#llx has %zu bytes, expected %llu",
+        "'%s': page record at %#llx has %zu bytes, expected 0 or %llu",
         File.c_str(), static_cast<unsigned long long>(P.Addr), Blob.size(),
         static_cast<unsigned long long>(vm::GuestPageSize));
   if (P.Addr & vm::GuestPageMask)
@@ -102,11 +115,27 @@ Error readPage(BinaryReader &R, PageRecord &P, const std::string &File) {
         "EFAULT.PINBALL.PAGE",
         "'%s': page record address %#llx is not page aligned", File.c_str(),
         static_cast<unsigned long long>(P.Addr));
-  P.Bytes.borrow(Blob.data(), Blob.size());
+  if (Blob.empty())
+    P.Bytes.borrow(PageBytes::zeroPage(), vm::GuestPageSize);
+  else
+    P.Bytes.borrow(Blob.data(), Blob.size());
   return Error::success();
 }
 
 } // namespace
+
+const uint8_t *PageBytes::zeroPage() {
+  alignas(vm::GuestPageSize) static const uint8_t Zero[vm::GuestPageSize] =
+      {};
+  return Zero;
+}
+
+void PageBytes::capturePage(const uint8_t *Page) {
+  if (std::memcmp(Page, zeroPage(), vm::GuestPageSize) == 0)
+    borrow(zeroPage(), vm::GuestPageSize);
+  else
+    assign(Page, Page + vm::GuestPageSize);
+}
 
 std::vector<const PageRecord *> Pinball::allPages() const {
   std::vector<const PageRecord *> Out;
@@ -150,10 +179,10 @@ MemImage Pinball::buildMemImage(bool IncludeInjects) const {
 
 Error Pinball::save(const std::string &Dir) const {
   // Crash-safe emission: build the pinball in a staged sibling directory,
-  // fsync every file, then rename the whole tree into place. A process
-  // killed at any point leaves either the previous complete pinball or
-  // nothing at \p Dir — never a half-written checkpoint a later stage
-  // would half-trust.
+  // fsync every file in place, then let publishDirAtomic sync the stage
+  // and rename the whole tree into place. A process killed at any point
+  // leaves either the previous complete pinball or nothing at \p Dir —
+  // never a half-written checkpoint a later stage would half-trust.
   std::string Stage = Dir + ".stage." + std::to_string(::getpid());
   removeTree(Stage);
   if (Error E = createDirectories(Stage))
@@ -164,7 +193,7 @@ Error Pinball::save(const std::string &Dir) const {
   };
   auto WriteOut = [&](const std::string &Name,
                       const BinaryWriter &W) -> Error {
-    return writeFileAtomic(Stage + "/" + Name, W.bytes().data(), W.size());
+    return writeFileSynced(Stage + "/" + Name, W.bytes().data(), W.size());
   };
 
   {
@@ -246,7 +275,7 @@ Error Pinball::save(const std::string &Dir) const {
     if (Error E = WriteOut("meta", W))
       return Fail(std::move(E));
   }
-  if (Error E = writeFileAtomic(Stage + "/output.log", OutputLog.data(),
+  if (Error E = writeFileSynced(Stage + "/output.log", OutputLog.data(),
                                 OutputLog.size()))
     return Fail(std::move(E));
   if (Error E = publishDirAtomic(Stage, Dir))
@@ -332,6 +361,8 @@ Expected<Pinball> Pinball::load(const std::string &Dir) {
         return E;
       PB.Image.push_back(std::move(P));
     }
+    if (Error E = checkEnd(R, "image.text"))
+      return E;
   }
   {
     auto File = MapFile("inject.pages");
@@ -351,6 +382,8 @@ Expected<Pinball> Pinball::load(const std::string &Dir) {
         return E;
       PB.Injects.push_back(std::move(Rec));
     }
+    if (Error E = checkEnd(R, "inject.pages"))
+      return E;
   }
   // Thread register files are named by tid (t<Tid>.reg) and tids need not
   // be dense — e.g. a region captured after some threads already exited.

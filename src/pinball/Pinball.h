@@ -28,6 +28,15 @@
 ///                tests and by ELFie validation).
 ///   meta         region bounds, layout info (stack range, brk), flags.
 ///
+/// Every file but output.log starts with a 12-byte header: magic, format
+/// version, record kind. This is format version 2; any other version is
+/// rejected with EFAULT.PINBALL.VERSION. A page record is the page address
+/// (u64), its permissions (u8) and a u32-length payload: 4,096 bytes, or
+/// none for an all-zero page (new in version 2, which version 1 wrote in
+/// full). In memory such a page borrows PageBytes::zeroPage(), so every
+/// consumer still reads 4,096 bytes, and a mapped zero page stays distinct
+/// from an unmapped one.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ELFIE_PINBALL_PINBALL_H
@@ -51,12 +60,25 @@ namespace pinball {
 /// The bytes of one captured page: either an owned (shared) heap buffer or
 /// a zero-copy borrow into backing storage someone else keeps alive — for
 /// loaded pinballs, the mmap'd image.text/inject.pages retained in
-/// Pinball::Backing. Copies are cheap (they share the buffer); the mutating
-/// accessors materialize a private copy first (copy-on-write), so borrowed
-/// backing is never written through and copies never alias mutations.
+/// Pinball::Backing; for all-zero pages, the one static zeroPage(). Copies
+/// are cheap (they share the buffer); the mutating accessors materialize a
+/// private copy first (copy-on-write), so borrowed backing is never written
+/// through and copies never alias mutations.
 class PageBytes {
 public:
   PageBytes() = default;
+
+  /// The shared, immutable all-zero guest page every zero page borrows.
+  static const uint8_t *zeroPage();
+
+  /// Takes a captured guest page: borrows zeroPage() when all
+  /// GuestPageSize bytes at \p Page are zero, copies them otherwise.
+  void capturePage(const uint8_t *Page);
+
+  /// True when this is a borrow of zeroPage(). This pointer identity is the
+  /// one zero-page rule: Pinball::save writes such a page as a
+  /// payload-free record and Pinball::load borrows zeroPage() for one.
+  bool isZero() const { return Ptr == zeroPage(); }
 
   /// Owned copy of [First, Last).
   void assign(const uint8_t *First, const uint8_t *Last) {

@@ -110,11 +110,7 @@ static const char *errnoIOCode(int E) {
 /// "old or new, never partial" contract would degrade to "old, new, or
 /// silently gone". Best effort on open failure (e.g. a search-only parent);
 /// a failed fsync(2) itself is reported.
-static Error fsyncParentDir(const std::string &Path) {
-  size_t Slash = Path.rfind('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  if (Dir.empty())
-    Dir = "/";
+static Error fsyncDir(const std::string &Dir) {
   int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (Fd < 0)
     return Error::success();
@@ -126,6 +122,39 @@ static Error fsyncParentDir(const std::string &Path) {
     return makeCodedError(Code ? Code : "EFAULT.IO.FSYNC",
                           "fsync failed on directory '%s': %s", Dir.c_str(),
                           std::strerror(FsyncErrno));
+  }
+  return Error::success();
+}
+
+static Error fsyncParentDir(const std::string &Path) {
+  size_t Slash = Path.rfind('/');
+  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
+  return fsyncDir(Dir.empty() ? "/" : Dir);
+}
+
+/// Writes all \p Size bytes to \p Fd (opened on \p Path) and fsyncs it.
+static Error writeAllAndSync(int Fd, const std::string &Path,
+                             const void *Data, size_t Size) {
+  const uint8_t *P = static_cast<const uint8_t *>(Data);
+  size_t Left = Size;
+  while (Left > 0) {
+    ssize_t N = ::write(Fd, P, Left);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      const char *Code = errnoIOCode(errno);
+      return makeCodedError(Code ? Code : "EFAULT.IO.WRITE",
+                            "write error on '%s': %s", Path.c_str(),
+                            std::strerror(errno));
+    }
+    P += N;
+    Left -= static_cast<size_t>(N);
+  }
+  if (::fsync(Fd) != 0) {
+    const char *Code = errnoIOCode(errno);
+    return makeCodedError(Code ? Code : "EFAULT.IO.FSYNC",
+                          "fsync failed on '%s': %s", Path.c_str(),
+                          std::strerror(errno));
   }
   return Error::success();
 }
@@ -171,27 +200,8 @@ Error elfie::writeFileAtomic(const std::string &Path, const void *Data,
     return makeCodedError("EFAULT.IO.OPEN", "cannot create '%s': %s",
                           Tmp.c_str(), std::strerror(errno));
   TmpFileGuard Guard(Tmp, Fd);
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  size_t Left = Size;
-  while (Left > 0) {
-    ssize_t N = ::write(Guard.fd(), P, Left);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      const char *Code = errnoIOCode(errno);
-      return makeCodedError(Code ? Code : "EFAULT.IO.WRITE",
-                            "write error on '%s': %s", Tmp.c_str(),
-                            std::strerror(errno));
-    }
-    P += N;
-    Left -= static_cast<size_t>(N);
-  }
-  if (::fsync(Guard.fd()) != 0) {
-    const char *Code = errnoIOCode(errno);
-    return makeCodedError(Code ? Code : "EFAULT.IO.FSYNC",
-                          "fsync failed on '%s': %s", Tmp.c_str(),
-                          std::strerror(errno));
-  }
+  if (Error E = writeAllAndSync(Guard.fd(), Tmp, Data, Size))
+    return E;
   if (Guard.closeFd() != 0)
     return makeCodedError("EFAULT.IO.WRITE", "close failed on '%s': %s",
                           Tmp.c_str(), std::strerror(errno));
@@ -201,6 +211,22 @@ Error elfie::writeFileAtomic(const std::string &Path, const void *Data,
                           Path.c_str(), std::strerror(errno));
   Guard.release();
   return fsyncParentDir(Path);
+}
+
+Error elfie::writeFileSynced(const std::string &Path, const void *Data,
+                             size_t Size) {
+  std::vector<uint8_t> Hooked;
+  if (Error E = applyWriteHook(Path, Data, Size, Hooked))
+    return E;
+  int Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (Fd < 0)
+    return makeCodedError("EFAULT.IO.OPEN", "cannot create '%s': %s",
+                          Path.c_str(), std::strerror(errno));
+  Error E = writeAllAndSync(Fd, Path, Data, Size);
+  if (::close(Fd) != 0 && !E.isError())
+    return makeCodedError("EFAULT.IO.WRITE", "close failed on '%s': %s",
+                          Path.c_str(), std::strerror(errno));
+  return E;
 }
 
 Error elfie::renamePath(const std::string &From, const std::string &To) {
@@ -213,6 +239,17 @@ Error elfie::renamePath(const std::string &From, const std::string &To) {
 
 Error elfie::publishDirAtomic(const std::string &StageDir,
                               const std::string &FinalDir) {
+  // The staged files were fsync'd in place (writeFileSynced); their
+  // directory entries become durable with one fsync per staged directory.
+  std::vector<std::string> Dirs = {StageDir};
+  std::error_code EC;
+  for (const auto &Entry :
+       std::filesystem::recursive_directory_iterator(StageDir, EC))
+    if (Entry.is_directory(EC))
+      Dirs.push_back(Entry.path().string());
+  for (const std::string &D : Dirs)
+    if (Error E = fsyncDir(D))
+      return E.withContext("publishing '" + FinalDir + "'");
   std::string Old = FinalDir + ".old." + std::to_string(::getpid());
   bool HadOld = fileExists(FinalDir);
   if (HadOld) {

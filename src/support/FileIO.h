@@ -25,11 +25,11 @@
 namespace elfie {
 
 /// Fault-injection seam consulted by readFileBytes / writeFile /
-/// writeFileAtomic when installed. Normal operation has no hook and pays
-/// nothing; src/fault installs one (from ELFIE_FAULT_SPEC) to inject short
-/// reads/writes, I/O errors, byte flips, and mid-write kills at controlled
-/// points. Lives here (not in src/fault) because support cannot depend on
-/// higher layers.
+/// writeFileAtomic / writeFileSynced when installed. Normal operation has
+/// no hook and pays nothing; src/fault installs one (from ELFIE_FAULT_SPEC)
+/// to inject short reads/writes, I/O errors, byte flips, and mid-write
+/// kills at controlled points. Lives here (not in src/fault) because
+/// support cannot depend on higher layers.
 class IOFaultHook {
 public:
   virtual ~IOFaultHook() = default;
@@ -73,14 +73,21 @@ Error writeFileText(const std::string &Path, const std::string &Text);
 Error writeFileAtomic(const std::string &Path, const void *Data, size_t Size,
                       bool Executable = false);
 
+/// Writes \p Data to \p Path in place and fsyncs it (through the I/O fault
+/// hook, like writeFileAtomic). Not atomic by itself: it is for files
+/// inside a staged directory that publishDirAtomic swaps in as a whole,
+/// where a per-file temp, rename and directory sync add no durability.
+Error writeFileSynced(const std::string &Path, const void *Data, size_t Size);
+
 /// Atomically renames \p From over \p To (same filesystem).
 Error renamePath(const std::string &From, const std::string &To);
 
-/// Atomic directory publication: renames staged directory \p StageDir over
-/// \p FinalDir, then fsyncs the parent directory so the published entry
-/// survives a crash. A previous FinalDir is moved aside and removed only
-/// after the rename succeeds, so consumers see the old complete tree or the
-/// new one, never a mix.
+/// Atomic directory publication: fsyncs every directory of the staged
+/// tree \p StageDir once (its files are expected to be fsync'd already,
+/// e.g. by writeFileSynced), renames it over \p FinalDir, then fsyncs the
+/// parent directory so the published entry survives a crash. A previous
+/// FinalDir is moved aside and removed only after the rename succeeds, so
+/// consumers see the old complete tree or the new one, never a mix.
 Error publishDirAtomic(const std::string &StageDir,
                        const std::string &FinalDir);
 

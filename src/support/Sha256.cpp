@@ -316,6 +316,9 @@ void Sha256::compress(const uint8_t *Block) {
 }
 
 void Sha256::update(const void *Data, size_t Size) {
+  // Empty input may come with a null pointer, which memcpy must not see.
+  if (Size == 0)
+    return;
   const uint8_t *P = static_cast<const uint8_t *>(Data);
   TotalBytes += Size;
   if (BufLen) {

@@ -157,7 +157,8 @@ Error sysstate::writeSysstateDir(const SysState &State,
                                  const std::string &Dir) {
   // Staged emission: an interrupted pinball_sysstate must not leave a
   // half-populated workdir that a later ELFie run would half-trust. Build
-  // under a temp sibling, then rename the whole tree into place.
+  // under a temp sibling (files fsync'd in place), then publishDirAtomic
+  // syncs the stage's directories and renames the whole tree into place.
   std::string Stage = Dir + ".stage." + std::to_string(::getpid());
   removeTree(Stage);
   auto Fail = [&](Error E) {
@@ -176,7 +177,7 @@ Error sysstate::writeSysstateDir(const SysState &State,
               createDirectories(WorkDir + "/" + F.ProxyName.substr(0, Slash)))
         return Fail(std::move(E));
     if (Error E =
-            writeFileAtomic(Path, F.Contents.data(), F.Contents.size()))
+            writeFileSynced(Path, F.Contents.data(), F.Contents.size()))
       return Fail(std::move(E));
   }
   std::string BrkLog = formatString(
@@ -184,10 +185,10 @@ Error sysstate::writeSysstateDir(const SysState &State,
       static_cast<unsigned long long>(State.BrkStart),
       static_cast<unsigned long long>(State.BrkEnd));
   if (Error E =
-          writeFileAtomic(Stage + "/BRK.log", BrkLog.data(), BrkLog.size()))
+          writeFileSynced(Stage + "/BRK.log", BrkLog.data(), BrkLog.size()))
     return Fail(std::move(E));
   std::string Report = State.report();
-  if (Error E = writeFileAtomic(Stage + "/report.txt", Report.data(),
+  if (Error E = writeFileSynced(Stage + "/report.txt", Report.data(),
                                 Report.size()))
     return Fail(std::move(E));
   if (Error E = publishDirAtomic(Stage, Dir))

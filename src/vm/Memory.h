@@ -125,6 +125,25 @@ public:
     this->Hook = std::move(Hook);
   }
 
+  /// True when a first-touch hook is armed and an access to
+  /// [Addr, Addr+Size) would fire it, i.e. a mapped page in the range has
+  /// not been accessed since the last clearAccessTracking(). Touches
+  /// nothing. The JIT's memory helpers ask this on their slow path and
+  /// hand such an access to the interpreter, so the hook observes an
+  /// exact retired count.
+  bool wouldFireFirstTouch(uint64_t Addr, uint64_t Size) const {
+    if (!Hook || Size == 0)
+      return false;
+    uint64_t Last = pageBase(Addr + (Size - 1));
+    for (uint64_t P = pageBase(Addr);; P += GuestPageSize) {
+      auto It = Pages.find(P);
+      if (It != Pages.end() && !It->second.AccessedSinceMark)
+        return true;
+      if (P == Last)
+        return false;
+    }
+  }
+
   /// Sentinel page address meaning "every page" in the code-invalidate
   /// hook (used by clearAccessTracking, which re-arms first-touch capture
   /// and therefore requires cached code to be re-fetched).

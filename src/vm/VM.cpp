@@ -487,6 +487,11 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
   return true;
 }
 
+// On a TLB miss, an access that would fire the first-touch hook is handed
+// back like a fault (MemOk = 0, instruction not retired): the interpreter
+// re-runs it, so the hook reads the exact retired count. A TLB hit needs no
+// check — entries are filled only after a slow-path access touched the
+// page, and clearAccessTracking flushes the TLB.
 uint64_t VM::jitLoad(void *Cookie, uint64_t Addr, uint64_t Kind) {
   VM *V = static_cast<VM *>(Cookie);
   JitRuntime &J = *V->Jit;
@@ -501,7 +506,8 @@ uint64_t VM::jitLoad(void *Cookie, uint64_t Addr, uint64_t Kind) {
     if (P && J.RTag[S] == Page) {
       std::memcpy(&Raw, P + Off, Size);
     } else {
-      if (V->Mem.read(Addr, &Raw, Size) != MemFault::None) {
+      if (V->Mem.wouldFireFirstTouch(Addr, Size) ||
+          V->Mem.read(Addr, &Raw, Size) != MemFault::None) {
         J.Ctx.MemOk = 0;
         return 0;
       }
@@ -510,7 +516,8 @@ uint64_t VM::jitLoad(void *Cookie, uint64_t Addr, uint64_t Kind) {
         J.RPtr[S] = NP;
       }
     }
-  } else if (V->Mem.read(Addr, &Raw, Size) != MemFault::None) {
+  } else if (V->Mem.wouldFireFirstTouch(Addr, Size) ||
+             V->Mem.read(Addr, &Raw, Size) != MemFault::None) {
     J.Ctx.MemOk = 0;
     return 0;
   }
@@ -542,7 +549,8 @@ void VM::jitStore(void *Cookie, uint64_t Addr, uint64_t Value, uint64_t Size) {
       std::memcpy(P + Off, &Value, Size);
       return;
     }
-    if (V->Mem.write(Addr, &Value, Size) != MemFault::None) {
+    if (V->Mem.wouldFireFirstTouch(Addr, Size) ||
+        V->Mem.write(Addr, &Value, Size) != MemFault::None) {
       J.Ctx.MemOk = 0;
       return;
     }
@@ -552,7 +560,8 @@ void VM::jitStore(void *Cookie, uint64_t Addr, uint64_t Value, uint64_t Size) {
     }
     return;
   }
-  if (V->Mem.write(Addr, &Value, Size) != MemFault::None)
+  if (V->Mem.wouldFireFirstTouch(Addr, Size) ||
+      V->Mem.write(Addr, &Value, Size) != MemFault::None)
     J.Ctx.MemOk = 0;
 }
 

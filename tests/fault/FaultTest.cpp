@@ -176,6 +176,36 @@ TEST(FailClosed, TwoHundredSeededPinballCorruptions) {
   removeTree(Dir);
 }
 
+/// A payload-free (zero) page record that claims a payload, or a length
+/// that is neither 0 nor 4,096, must be rejected with a typed pinball
+/// code, never loaded with misread framing.
+TEST(FailClosed, ZeroPageRecordMutationsAreRejected) {
+  std::string Dir = tempDir("zeropage");
+  for (bool Fat : {true, false}) {
+    auto PB = capture(Dir + "/cap", computeProgram(), 3000, 20000,
+                      Fat ? LoggerOptions::fat() : LoggerOptions());
+    ASSERT_TRUE(PB.hasValue()) << PB.message();
+    ASSERT_FALSE(PB->save(Dir + "/base").isError());
+    for (ZeroPageMut Kind :
+         {ZeroPageMut::ClaimPayload, ZeroPageMut::BadLength}) {
+      for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+        std::string Mut = Dir + "/mut";
+        removeTree(Mut);
+        ASSERT_FALSE(copyTree(Dir + "/base", Mut).isError());
+        auto What = mutateZeroPageRecord(Mut, Kind, Seed);
+        ASSERT_TRUE(What.hasValue()) << What.message();
+        ASSERT_EQ(What->find("noop"), std::string::npos) << *What;
+        auto MPB = Pinball::load(Mut);
+        ASSERT_FALSE(MPB.hasValue()) << *What << " loaded";
+        EXPECT_EQ(MPB.error().code().rfind("EFAULT.PINBALL.", 0), 0u)
+            << *What << ": " << MPB.message();
+      }
+    }
+    removeTree(Dir + "/base");
+  }
+  removeTree(Dir);
+}
+
 /// Crash-safety for the staged save: kill the process at every write
 /// ordinal and require the destination to hold the complete old pinball
 /// (or, when the kill lands after publication, the complete new one) —

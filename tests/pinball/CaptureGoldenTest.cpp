@@ -10,13 +10,23 @@
 /// byte-identical. These tests (`ctest -L jit`) pin the SHA-256 of the
 /// files `Pinball::save` writes for every registry workload (test input):
 /// one fat and one lazy capture each, plus seeded-schedule captures of the
-/// multi-threaded workloads. Every case must reproduce its golden with the
-/// fast-forward compiled (eager JIT) and interpreted.
+/// multi-threaded workloads. Every case must reproduce its goldens with the
+/// JIT on (eager threshold, so the fast-forward and the region both run
+/// compiled) and with the JIT off.
+///
+/// Each case has two goldens. The first was recorded from version-1
+/// pinballs, before capture ran compiled and before zero pages were
+/// written as payload-free records; it is checked against the version-1
+/// rendering of the saved files (version word 1, each zero record expanded
+/// to 4,096 zero bytes), so it still pins every captured byte, schedule
+/// slice and first-use count. The second pins the version-2 files as
+/// written.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "pinball/Logger.h"
 
+#include "pinball/Pinball.h"
 #include "support/FileIO.h"
 #include "support/Sha256.h"
 #include "workloads/Workloads.h"
@@ -45,8 +55,9 @@ std::string caseName(const Case &C) {
 
 void PrintTo(const Case &C, std::ostream *OS) { *OS << caseName(C); }
 
-// Recorded with the per-instruction scheduler loops the VM had before
-// run(), runThread() and stepThread() shared one dispatch slice.
+// Version-1 digests, recorded with the per-instruction scheduler loops the
+// VM had before run(), runThread() and stepThread() shared one dispatch
+// slice, and with the region interpreted under an Instruction observer.
 const std::map<std::string, std::string> &goldens() {
   static const std::map<std::string, std::string> G = {
       {"perlbench_like_fat",
@@ -153,6 +164,114 @@ const std::map<std::string, std::string> &goldens() {
   return G;
 }
 
+// Version-2 digests of the files as saved (zero pages as payload-free
+// records).
+const std::map<std::string, std::string> &goldensV2() {
+  static const std::map<std::string, std::string> G = {
+      {"perlbench_like_fat",
+       "f7bd405508465d87fd8db2afd1002aeb87e89c08d8c401f1e3cedc7214f2b9f0"},
+      {"perlbench_like_lazy",
+       "26dc2d6fdde34024401ab430832e141cc2b4f1b5c811d06f6be10956e3b872b7"},
+      {"gcc_like_fat",
+       "e8bbcbb2f0c0ceee8168b8d36c852481067e37cfa25ccedc16a09ab02b71fd52"},
+      {"gcc_like_lazy",
+       "04f8da9380935ba08abd80d6511b64d5c3251244c1acc521e56acde46eb3748e"},
+      {"mcf_like_fat",
+       "db93e4e497b3fe8824129c6f05d5612b137afeb5b73b841f1896196dc49ab453"},
+      {"mcf_like_lazy",
+       "4b6977cd840a9a00c034e2446ee885a968cc19c09d53b8d866fc5de5b3b3c3ac"},
+      {"omnetpp_like_fat",
+       "f73f1897d4432b43990f79bf6f6c0d6fb3b6dbc5236a8ed56694e303f03f6f37"},
+      {"omnetpp_like_lazy",
+       "6a620ea1e1bd652affc8f97dd0d223e4f3c27696b00e6fd5cc87194c81af1f8e"},
+      {"xalancbmk_like_fat",
+       "6ad0d760d9a8251c37eeb8cbe87c79656e6d3fe1cf0b5c05ed8f067e4913a43f"},
+      {"xalancbmk_like_lazy",
+       "e1a3e1b706b5b6d488cf3a0cbd11253d71609e2164beb0f4907c0386b2dc5b13"},
+      {"x264_like_fat",
+       "9bde63ee9298baf9b0ec6a327eee0dd536138dad05292d96f67bd569945850f8"},
+      {"x264_like_lazy",
+       "9276a6164b43c6691c1024b49f4335620b20b7a911888fe4e4521a0eb0fe4e46"},
+      {"deepsjeng_like_fat",
+       "fa6709033df9d289397f029d2baa6b189ba51a242f47b252cd79dab6d03ab553"},
+      {"deepsjeng_like_lazy",
+       "5dd12a0939cf8ff0b269af924f45e49a66cd592e6a9cccef866c3cbce1a67534"},
+      {"leela_like_fat",
+       "e76287ef5d183ae81bf7d9ba76f45ef062bf31c661e1530136f7befce878c18e"},
+      {"leela_like_lazy",
+       "0114f3b46659fa55191c9150fd3c6525822ffb8de8f277e683253a9af53bf324"},
+      {"exchange2_like_fat",
+       "490fa63b29b81ac48d59c33fb6337556f58cfe13ca0ca81fa9f56c029273e540"},
+      {"exchange2_like_lazy",
+       "98bdb89e3fee60b731af91f2070e1ea042fd7f3f3f3c286e185c9ab98f02c96c"},
+      {"xz_like_fat",
+       "96a4d552847843a28b326140ee26c5610727361fcef1c88806c4fb4ce9791018"},
+      {"xz_like_lazy",
+       "29330d60246a13e6450251dae9cc9bfd79074d1fb375d81dd01eac7a623353a6"},
+      {"lbm_like_fat",
+       "145bc18633868900085b1399d951833555c89840da76700eb48877c2ec739b88"},
+      {"lbm_like_lazy",
+       "f5be4dab675fc07f145ac525ac8cb8adfda2ca9dff4ef19e4b3c5b039d8e43e0"},
+      {"namd_like_fat",
+       "1d470271286e423a9723a12aec22126b5f727ef4cc1cf4dc80e07201ff437a6b"},
+      {"namd_like_lazy",
+       "1706d79c2b75b58d017b527e0bf4b94c562a148db076ccac41a96818bbf98b65"},
+      {"povray_like_fat",
+       "9c2de74b92f19cfd1cb99fc0bef793a7f138e1c57f7b56b6594fa5b74cab051d"},
+      {"povray_like_lazy",
+       "e691664611808c4b7ab4d6844a3bc53e6c87ce5044434377d5835ad1d3ecb91d"},
+      {"roms_like_fat",
+       "bee601003b8b4417a6688b17c43bd172e14eec693d1ea841f05cd13642ab3226"},
+      {"roms_like_lazy",
+       "0f8728dec6704cb6b5701981853924c55709e30b01473fbaacb1b0038bbeb0e3"},
+      {"fotonik3d_like_fat",
+       "d3ffc59618e750155b18cb7e8a0546317b2d1d245655217a1eb973c30b5495b0"},
+      {"fotonik3d_like_lazy",
+       "a9c039abc459b25a1e82038c6894ff2337d5e061e1a7822f8c493c5717af6c29"},
+      {"cactus_like_fat",
+       "f7f68a4af6b40291c699693760e404b6278496ad6158f7e03e4042dfbbff263f"},
+      {"cactus_like_lazy",
+       "d01575ef70813b61001558c2affad456739251acd4924327a3b68d1130f059eb"},
+      {"xz_s_fat",
+       "15996ea4da06054cab379e9fcb904a814196e12c8058d1d40abfa42850cd3dc0"},
+      {"xz_s_lazy",
+       "29ed0e9d143a3a6d0fb6fbc13cdf14c4c6ac6b9d23b2b6b0ef9b5932d8802141"},
+      {"bwaves_s_like_fat",
+       "a60e962194a6da3e1fc85a4fc005a8666858a836805878b5816153398ce8f8c6"},
+      {"bwaves_s_like_lazy",
+       "dd0961d298f9851f25ddb7c3161b6784ddacd0b5460cc4f77952ab2609d9b0d0"},
+      {"bwaves_s_like_fat_seeded",
+       "cc17ef4b0b55c17df6f3d87a9915849a241a44a29b13acb7c725e9d1a6d4c033"},
+      {"bwaves_s_like_lazy_seeded",
+       "22c9d68b7dfdbfb124ea2a70d610649e6aa04ee078cd447cf1c5b0f9aa02b94b"},
+      {"lbm_s_like_fat",
+       "5c13dde0dce29a9f733cea2bf61376377fd5ce71e83647eca53754bfbed6f9d3"},
+      {"lbm_s_like_lazy",
+       "c2b064beafe00b8d11776a944deddf128a33675d808ec780929329564f3b6650"},
+      {"lbm_s_like_fat_seeded",
+       "6a9855219230b480888e15e9fe2d7eed514b90c6b67bec707b8b8be5d2fbb2eb"},
+      {"lbm_s_like_lazy_seeded",
+       "09d95ccb106ee1ddd0f0d2d09928741542e8fa58780d7b8371f018670911b027"},
+      {"imagick_s_like_fat",
+       "3b0873bb3ef7715a370237f373f95a029c018aa3b9f4d5de357e44696775994c"},
+      {"imagick_s_like_lazy",
+       "04cffb27614517c1b5d3644ff2a87de24b7913ac026eef1b1ae5b913ec87a1da"},
+      {"imagick_s_like_fat_seeded",
+       "bf3ddfe3870acd67797726fcaeadfe31f399785741e85657fd8fe9718be0177c"},
+      {"imagick_s_like_lazy_seeded",
+       "147702b5db7c273e754c193291f2e45146918f407f96263c15fa4d398f54c20d"},
+      {"nab_s_like_fat",
+       "f2cb6741230b923d46a8271304c633ad4ac8f8900c7607d29516c4c5d3c9e4e4"},
+      {"nab_s_like_lazy",
+       "99b89ee66a502c4f189bd2ac0a9a5b3be3c5dfd3f50143b5261f0b2b099d55bc"},
+      {"nab_s_like_fat_seeded",
+       "92b576c891181de49a77ec1add747e76c968aa684af890a4ef9cce04674702b6"},
+      {"nab_s_like_lazy_seeded",
+       "8d9eea8166237af89cf3f5aef2f2654c1dc6eac2042a23cb7187867c759cae7a"},
+  };
+  return G;
+}
+
 vm::VMConfig config(bool Jit, uint64_t ScheduleSeed) {
   vm::VMConfig C;
   C.EnableJit = Jit;
@@ -173,11 +292,75 @@ uint64_t totalRetired(const std::string &Path, const std::string &Name,
   return M.globalRetired();
 }
 
+/// The version-1 bytes of the saved version-2 pinball file \p Name: the
+/// header's version word becomes 1 and, in the page files, every
+/// payload-free (zero) page record gets its 4,096 zero bytes back.
+std::vector<uint8_t> denseV1(const std::string &Name,
+                             const std::vector<uint8_t> &Bytes) {
+  if (Name == "output.log" || Bytes.size() < 12)
+    return Bytes;
+  std::vector<uint8_t> Out = Bytes;
+  uint32_t V1 = 1;
+  std::memcpy(Out.data() + 4, &V1, sizeof(V1));
+  const bool Inject = Name == "inject.pages";
+  if (Name != "image.text" && !Inject)
+    return Out;
+  BinaryReader R(Bytes);
+  R.skip(12);
+  uint32_t N = R.readU32();
+  BinaryWriter W;
+  W.writeRaw(Out.data(), 16);
+  const std::vector<uint8_t> Zero(vm::GuestPageSize, 0);
+  for (uint32_t I = 0; I < N && !R.hadError(); ++I) {
+    if (Inject)
+      W.writeU64(R.readU64()); // FirstUseIcount
+    W.writeU64(R.readU64());   // page address
+    W.writeU8(R.readU8());     // permissions
+    std::span<const uint8_t> Blob = R.readBlobView();
+    if (Blob.empty())
+      W.writeBlob(Zero.data(), Zero.size());
+    else
+      W.writeBlob(Blob.data(), Blob.size());
+  }
+  EXPECT_FALSE(R.hadError()) << Name;
+  EXPECT_TRUE(R.atEnd()) << Name;
+  return W.bytes();
+}
+
+/// The pinball saved at \p Dir loads back with \p PB's pages, page for
+/// page: addresses, permissions, bytes, zero-page borrows, first-use counts.
+void expectLoadsPageForPage(const pinball::Pinball &PB,
+                            const std::string &Dir) {
+  auto Loaded = pinball::Pinball::load(Dir);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  auto Same = [](const pinball::PageRecord &A, const pinball::PageRecord &B) {
+    EXPECT_EQ(A.Addr, B.Addr);
+    EXPECT_EQ(A.Perm, B.Perm) << std::hex << A.Addr;
+    EXPECT_EQ(A.Bytes.isZero(), B.Bytes.isZero()) << std::hex << A.Addr;
+    EXPECT_TRUE(A.Bytes == B.Bytes) << std::hex << A.Addr;
+  };
+  ASSERT_EQ(Loaded->Image.size(), PB.Image.size());
+  for (size_t I = 0; I < PB.Image.size(); ++I)
+    Same(Loaded->Image[I], PB.Image[I]);
+  ASSERT_EQ(Loaded->Injects.size(), PB.Injects.size());
+  for (size_t I = 0; I < PB.Injects.size(); ++I) {
+    EXPECT_EQ(Loaded->Injects[I].FirstUseIcount, PB.Injects[I].FirstUseIcount);
+    Same(Loaded->Injects[I].Page, PB.Injects[I].Page);
+  }
+}
+
+struct Digests {
+  std::string DenseV1; ///< over the version-1 rendering of each file
+  std::string V2;      ///< over the files as saved
+};
+
 /// Captures the case's region from the program at \p Path, saves it under
-/// \p Dir and returns the SHA-256 over every saved file, in name order:
-/// each file contributes its name, a NUL, its size and its bytes.
-std::string captureDigest(const Case &C, const std::string &Path,
-                          const std::string &Dir, bool Jit, uint64_t Total) {
+/// \p Dir, checks that it loads back page for page, and returns two
+/// SHA-256 digests over every saved file, in name order: each file
+/// contributes its name, a NUL, its size and its bytes (version-1
+/// rendering, then as saved).
+Digests captureDigest(const Case &C, const std::string &Path,
+                      const std::string &Dir, bool Jit, uint64_t Total) {
   pinball::CaptureRequest Req;
   Req.ProgramPath = Path;
   Req.Args = {C.Workload};
@@ -189,26 +372,32 @@ std::string captureDigest(const Case &C, const std::string &Path,
   auto PB = pinball::captureRegion(Req);
   EXPECT_TRUE(PB.hasValue()) << PB.message();
   if (!PB)
-    return "";
+    return {};
   removeTree(Dir);
   Error E = PB->save(Dir);
   EXPECT_FALSE(E.isError()) << E.message();
+  expectLoadsPageForPage(*PB, Dir);
   auto Names = listDirectory(Dir);
   EXPECT_TRUE(Names.hasValue()) << Names.message();
   if (!Names)
-    return "";
-  Sha256 H;
+    return {};
+  Sha256 HDense, HV2;
+  auto Add = [](Sha256 &H, const std::string &N,
+                const std::vector<uint8_t> &Bytes) {
+    uint64_t Size = Bytes.size();
+    H.update(N.c_str(), N.size() + 1);
+    H.update(&Size, sizeof(Size));
+    H.update(Bytes);
+  };
   for (const std::string &N : *Names) {
     auto Bytes = readFileBytes(Dir + "/" + N);
     EXPECT_TRUE(Bytes.hasValue()) << Bytes.message();
     if (!Bytes)
-      return "";
-    uint64_t Size = Bytes->size();
-    H.update(N.c_str(), N.size() + 1);
-    H.update(&Size, sizeof(Size));
-    H.update(*Bytes);
+      return {};
+    Add(HDense, N, denseV1(N, *Bytes));
+    Add(HV2, N, *Bytes);
   }
-  return H.final().hex();
+  return {HDense.final().hex(), HV2.final().hex()};
 }
 
 class CaptureGolden : public testing::TestWithParam<Case> {};
@@ -224,12 +413,17 @@ TEST_P(CaptureGolden, JitAndInterpreterMatchGolden) {
   ASSERT_FALSE(E.isError()) << E.message();
   uint64_t Total = totalRetired(Path, C.Workload, C.ScheduleSeed);
   ASSERT_GT(Total, 1000u);
-  auto It = goldens().find(caseName(C));
-  std::string Golden = It == goldens().end() ? "" : It->second;
-  EXPECT_EQ(captureDigest(C, Path, Dir + "/jit", true, Total), Golden)
-      << "JIT fast-forward";
-  EXPECT_EQ(captureDigest(C, Path, Dir + "/interp", false, Total), Golden)
-      << "interpreted";
+  auto Golden = [&](const std::map<std::string, std::string> &G) {
+    auto It = G.find(caseName(C));
+    return It == G.end() ? std::string() : It->second;
+  };
+  for (bool Jit : {true, false}) {
+    Digests D = captureDigest(C, Path, Dir + (Jit ? "/jit" : "/interp"),
+                              Jit, Total);
+    const char *Mode = Jit ? "JIT" : "interpreted";
+    EXPECT_EQ(D.DenseV1, Golden(goldens())) << Mode << ", version-1 rendering";
+    EXPECT_EQ(D.V2, Golden(goldensV2())) << Mode << ", version-2 files";
+  }
   removeTree(Dir);
 }
 

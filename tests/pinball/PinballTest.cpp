@@ -9,6 +9,7 @@
 
 #include "../common/TestHelpers.h"
 #include "pinball/Logger.h"
+#include "replay/Replayer.h"
 #include "support/Sha256.h"
 
 #include <gtest/gtest.h>
@@ -178,6 +179,82 @@ TEST(Logger, FailsWhenRegionStartBeyondExit) {
   removeTree(Dir);
 }
 
+/// A loop whose body first touches a new data page in its middle, once
+/// per iteration: a load from `rd` and a store to `wr`, 16 pages each.
+std::string pageWalkProgram() {
+  return R"(
+_start:
+  la   r1, rd
+  la   r10, wr
+  ldi  r2, 0
+  ldi  r3, 16
+  ldi  r6, 0
+loop:
+  addi r6, r6, 3
+  xori r6, r6, 5
+  shli r5, r2, 12
+  add  r8, r5, r1
+  ld8  r4, 8(r8)
+  add  r6, r6, r4
+  add  r9, r5, r10
+  st8  r6, 24(r9)
+  addi r2, r2, 1
+  blt  r2, r3, loop
+  mov  r1, r6
+  ldi  r7, 1
+  syscall
+  .data
+  .align 4096
+rd:  .space 65536
+wr:  .space 65536
+)";
+}
+
+TEST(Logger, LazyFirstUseIcountExactInsideCompiledBlocks) {
+  // With an eager JIT the loop runs compiled inside the region, so most
+  // first touches of the `rd`/`wr` pages happen in the middle of a
+  // compiled block. The helpers hand those accesses to the interpreter,
+  // so each inject record must carry the interpreter's exact count.
+  struct Capture {
+    std::vector<InjectRecord> Injects;
+    uint64_t JitHits = 0;
+  };
+  auto Run = [](bool Jit) {
+    vm::VMConfig C;
+    C.EnableJit = Jit;
+    C.JitThreshold = 1;
+    auto M = test::makeVM(pageWalkProgram(), nullptr, C);
+    Capture Out;
+    EXPECT_NE(M, nullptr);
+    if (!M)
+      return Out;
+    EXPECT_EQ(M->run(12).Reason, vm::StopReason::BudgetReached);
+    RegionLogger L(*M, LoggerOptions());
+    L.beginRegion();
+    M->setObserver(&L);
+    uint64_t HitsBefore = M->jitStats().Hits;
+    vm::RunResult R = M->run(150);
+    M->setObserver(nullptr);
+    EXPECT_EQ(R.Reason, vm::StopReason::BudgetReached)
+        << R.FaultInfo.Message;
+    Out.JitHits = M->jitStats().Hits - HitsBefore;
+    Out.Injects = L.endRegion().Injects;
+    return Out;
+  };
+  Capture Jit = Run(true), Interp = Run(false);
+  EXPECT_GT(Jit.JitHits, 0u) << "the region must run compiled";
+  EXPECT_EQ(Interp.JitHits, 0u);
+  // Code page, plus most of the 2 x 16 data pages.
+  ASSERT_GT(Interp.Injects.size(), 16u);
+  ASSERT_EQ(Jit.Injects.size(), Interp.Injects.size());
+  for (size_t I = 0; I < Interp.Injects.size(); ++I) {
+    EXPECT_EQ(Jit.Injects[I].Page.Addr, Interp.Injects[I].Page.Addr) << I;
+    EXPECT_EQ(Jit.Injects[I].FirstUseIcount, Interp.Injects[I].FirstUseIcount)
+        << "page " << std::hex << Interp.Injects[I].Page.Addr;
+    EXPECT_EQ(Jit.Injects[I].Page.Bytes, Interp.Injects[I].Page.Bytes) << I;
+  }
+}
+
 TEST(Logger, MultiThreadedCapture) {
   std::string Dir = tempDir("mt");
   // Fast-forward past thread creation so all 8 threads exist at region
@@ -228,6 +305,135 @@ TEST(PinballFormat, SaveLoadRoundTrip) {
   ASSERT_EQ(Loaded->Syscalls.size(), PB->Syscalls.size());
   ASSERT_EQ(Loaded->Schedule.size(), PB->Schedule.size());
   EXPECT_EQ(Loaded->OutputLog, PB->OutputLog);
+  removeTree(Dir);
+}
+
+TEST(PinballFormat, VersionOneFileRejected) {
+  std::string Dir = tempDir("version1");
+  auto PB = capture(Dir, computeProgram(), 100, 1000, LoggerOptions::fat());
+  ASSERT_TRUE(PB.hasValue()) << PB.message();
+  std::string PBDir = Dir + "/r.pb";
+  ASSERT_FALSE(PB->save(PBDir).isError());
+  auto Bytes = readFileBytes(PBDir + "/image.text");
+  ASSERT_TRUE(Bytes.hasValue());
+  uint32_t V1 = 1; // the dense format, before zero page records
+  std::memcpy(Bytes->data() + 4, &V1, sizeof(V1));
+  ASSERT_FALSE(
+      writeFile(PBDir + "/image.text", Bytes->data(), Bytes->size())
+          .isError());
+  auto R = Pinball::load(PBDir);
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_EQ(R.error().code(), "EFAULT.PINBALL.VERSION") << R.message();
+  removeTree(Dir);
+}
+
+/// Reads every 8-byte word of the all-zero page `zeros` and of the
+/// non-zero page `ones`, round after round, and exits with the sum.
+std::string zeroPageProgram() {
+  return R"(
+_start:
+  ldi  r3, 0
+  ldi  r4, 3000
+  ldi  r6, 0
+loop:
+  la   r1, zeros
+  la   r2, ones
+  andi r5, r3, 511
+  shli r5, r5, 3
+  add  r8, r1, r5
+  ld8  r9, 0(r8)
+  add  r6, r6, r9
+  add  r8, r2, r5
+  ld8  r9, 0(r8)
+  add  r6, r6, r9
+  addi r3, r3, 1
+  blt  r3, r4, loop
+  mov  r1, r6
+  ldi  r7, 1
+  syscall
+  .data
+  .align 4096
+zeros: .space 4096
+ones:  .quad 1, 2, 3, 4, 5, 6, 7, 8
+       .space 4032
+)";
+}
+
+TEST(PinballFormat, ZeroPagesRoundTripAndReplay) {
+  // A zero page is saved as a payload-free record and loads as a borrow
+  // of the shared zero page, yet stays a mapped page: the region's reads
+  // of it succeed under the interpreter and the JIT, while the same reads
+  // fault once its record is gone.
+  std::string Dir = tempDir("zeropages");
+  for (bool Fat : {true, false}) {
+    auto PB = capture(Dir, zeroPageProgram(), 100, 20000,
+                      Fat ? LoggerOptions::fat() : LoggerOptions());
+    ASSERT_TRUE(PB.hasValue()) << PB.message();
+    std::string PBDir = Dir + "/r.pb";
+    ASSERT_FALSE(PB->save(PBDir).isError());
+    auto Loaded = Pinball::load(PBDir);
+    ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+
+    // Two data pages: `zeros` first, then `ones`. Both are read inside
+    // the region, so both are captured either way.
+    std::vector<const PageRecord *> Pages = Loaded->allPages();
+    size_t Zero = 0, Data = 0;
+    for (const PageRecord *P : Pages) {
+      ASSERT_EQ(P->Bytes.size(), vm::GuestPageSize);
+      bool AllZero = std::all_of(P->Bytes.begin(), P->Bytes.end(),
+                                 [](uint8_t B) { return B == 0; });
+      EXPECT_EQ(P->Bytes.isZero(), AllZero) << std::hex << P->Addr;
+      (P->Bytes.isZero() ? Zero : Data) += 1;
+    }
+    EXPECT_GT(Zero, 0u);
+    EXPECT_GT(Data, 0u);
+    // Each zero record costs its 13-byte framing, not 4 KiB.
+    auto Size = readFileBytes(PBDir + (Fat ? "/image.text" : "/inject.pages"));
+    ASSERT_TRUE(Size.hasValue());
+    EXPECT_LT(Size->size(), (Data + 1) * (vm::GuestPageSize + 32));
+
+    std::map<bool, uint64_t> Sum;
+    for (bool Jit : {false, true}) {
+      replay::ReplayOptions Opts;
+      Opts.Config.EnableJit = Jit;
+      Opts.Config.JitThreshold = 2;
+      auto R = replay::replayPinball(*Loaded, Opts);
+      ASSERT_TRUE(R.hasValue()) << R.message();
+      EXPECT_NE(R->Reason, vm::StopReason::Faulted) << R->FaultInfo.Message;
+      EXPECT_FALSE(R->Diverge.diverged()) << R->Divergence;
+      EXPECT_EQ(R->Retired, PB->Meta.RegionLength);
+      if (Jit)
+        EXPECT_GT(R->JitStats.Hits, 0u);
+      Sum[Jit] = R->FinalThreads.at(0).GPR[6];
+    }
+    EXPECT_EQ(Sum[true], Sum[false]);
+    EXPECT_GT(Sum[false], 0u);
+
+    // The lowest-addressed data zero page is `zeros`; without its record
+    // its address is unmapped and the first read faults.
+    uint64_t ZerosAddr = UINT64_MAX;
+    for (const PageRecord *P : Pages)
+      if (P->Bytes.isZero() && !(P->Perm & vm::PermExec) &&
+          P->Addr < Loaded->Meta.StackBase)
+        ZerosAddr = std::min(ZerosAddr, P->Addr);
+    ASSERT_NE(ZerosAddr, UINT64_MAX);
+    Pinball Unmapped = *Loaded;
+    auto IsZeros = [&](const PageRecord &P) { return P.Addr == ZerosAddr; };
+    std::erase_if(Unmapped.Image, IsZeros);
+    std::erase_if(Unmapped.Injects, [&](const InjectRecord &I) {
+      return IsZeros(I.Page);
+    });
+    for (bool Jit : {false, true}) {
+      replay::ReplayOptions Opts;
+      Opts.Config.EnableJit = Jit;
+      auto R = replay::replayPinball(Unmapped, Opts);
+      ASSERT_TRUE(R.hasValue()) << R.message();
+      EXPECT_EQ(R->Reason, vm::StopReason::Faulted);
+      EXPECT_EQ(vm::pageBase(R->FaultInfo.Addr), ZerosAddr)
+          << R->FaultInfo.Message;
+    }
+    removeTree(PBDir);
+  }
   removeTree(Dir);
 }
 

@@ -97,6 +97,19 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256, EmptyUpdatesAroundPartialBlock) {
+  // Empty inputs (a null pointer included, as an empty file's bytes are)
+  // must be no-ops, also while a partial block is buffered.
+  Sha256 H;
+  H.update(nullptr, 0);
+  H.update("abc", 3);
+  H.update(nullptr, 0);
+  H.update(std::span<const uint8_t>());
+  H.update("def", 3);
+  H.update(nullptr, 0);
+  EXPECT_EQ(H.final().hex(), Sha256::digest("abcdef", 6).hex());
+}
+
 TEST(Sha256, HexRoundTripAndErrors) {
   Sha256Digest D = Sha256::digest("abc", 3);
   auto Parsed = Sha256Digest::fromHex(D.hex());

@@ -37,6 +37,27 @@ TEST(AddressSpace, ReadRequiresPermRead) {
   EXPECT_EQ(AS2.read(Base, &V, 8), MemFault::None);
 }
 
+TEST(AddressSpace, WouldFireFirstTouchAsksWithoutTouching) {
+  AddressSpace AS;
+  AS.map(0x10000, 0x2000, PermRW);
+  // No hook armed: nothing would fire.
+  EXPECT_FALSE(AS.wouldFireFirstTouch(0x10000, 8));
+  int Fired = 0;
+  AS.setFirstTouchHook([&](uint64_t, const uint8_t *) { ++Fired; });
+  AS.clearAccessTracking();
+  EXPECT_TRUE(AS.wouldFireFirstTouch(0x10008, 8));
+  EXPECT_FALSE(AS.wouldFireFirstTouch(0x40000, 8)); // unmapped
+  EXPECT_EQ(Fired, 0) << "the query must not touch the page";
+  uint64_t V = 0;
+  ASSERT_EQ(AS.read(0x10000, &V, 8), MemFault::None);
+  EXPECT_EQ(Fired, 1);
+  EXPECT_FALSE(AS.wouldFireFirstTouch(0x10ff8, 8));
+  // An access straddling into the untouched second page would fire.
+  EXPECT_TRUE(AS.wouldFireFirstTouch(0x10ffc, 8));
+  AS.setFirstTouchHook(nullptr);
+  EXPECT_FALSE(AS.wouldFireFirstTouch(0x11000, 8));
+}
+
 TEST(AddressSpace, ReadOfUnmappedStillFaultsUnmapped) {
   AddressSpace AS;
   uint64_t V = 0;
