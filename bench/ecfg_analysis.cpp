@@ -42,7 +42,7 @@ void runOne(const char *Name, workloads::InputSet Input, uint64_t Start,
   pinball::Pinball &PB = Segs[0];
 
   auto T0 = std::chrono::steady_clock::now();
-  cfg::MemImageCodeSource CS(PB.buildMemImage(/*IncludeInjects=*/true));
+  cfg::PinballCodeSource CS(PB);
   std::vector<uint64_t> Seeds;
   for (const pinball::ThreadRegs &T : PB.Threads)
     Seeds.push_back(T.PC);

@@ -53,6 +53,18 @@ if grep -rnE '\\"[A-Za-z_%0-9]+\\":' "$REPO/src" --include=*.cpp \
   exit 1
 fi
 
+# One all-zero guest page, vm::zeroPage(): pinball zero records and the
+# address space recognise a zero page by that pointer, so a second
+# zero-initialised GuestPageSize array (initialiser possibly on the next
+# line) would split the rule.
+echo "==== [zero-page] no all-zero guest page outside vm/Memory.cpp ===="
+if grep -rlzP '(\[(vm::)?GuestPageSize\]|,\s*(vm::)?GuestPageSize>\s*\w+)\s*=?\s*\{\s*0?\s*\}' \
+    "$REPO/src" --include=*.cpp --include=*.h |
+    grep -v '/src/vm/Memory\.cpp$'; then
+  echo "ci.sh: a second all-zero guest page (use vm::zeroPage())"
+  exit 1
+fi
+
 # Pipeline benchmark self-test, once, on the default configuration: tiny
 # inputs through the driver's end-to-end correctness checks (exact capture
 # lengths, clean JIT replay, bit-identical cold/resumed SimStats) with the

@@ -62,22 +62,24 @@ bool ElfCodeSource::hasWritableExec() const {
 }
 
 //===----------------------------------------------------------------------===//
-// MemImageCodeSource
+// PinballCodeSource
 //===----------------------------------------------------------------------===//
 
-uint8_t MemImageCodeSource::perm(uint64_t Addr) const {
-  const MemImage::Run *Run = Img.findRun(Addr);
-  return Run ? Run->Perm : vm::PermNone;
+uint8_t PinballCodeSource::perm(uint64_t Addr) const {
+  int P = Mem.pagePerm(Addr);
+  return P < 0 ? uint8_t(vm::PermNone) : uint8_t(P);
 }
 
-bool MemImageCodeSource::read(uint64_t Addr, void *Out, uint64_t Size) const {
-  return Img.read(Addr, Out, Size);
+bool PinballCodeSource::read(uint64_t Addr, void *Out, uint64_t Size) const {
+  if (Size && Addr + (Size - 1) < Addr)
+    return false; // a wrapped range is never contiguously mapped
+  return Mem.peek(Addr, Out, Size) == vm::MemFault::None;
 }
 
-bool MemImageCodeSource::hasWritableExec() const {
+bool PinballCodeSource::hasWritableExec() const {
   bool Found = false;
-  Img.forEachRun([&](const MemImage::Run &Run) {
-    if ((Run.Perm & vm::PermWrite) && (Run.Perm & vm::PermExec))
+  Mem.forEachPage([&](uint64_t, uint8_t Perm, const uint8_t *) {
+    if ((Perm & vm::PermWrite) && (Perm & vm::PermExec))
       Found = true;
   });
   return Found;

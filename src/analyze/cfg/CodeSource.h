@@ -8,7 +8,8 @@
 /// \file
 /// The static CFG builder (DESIGN.md §13) walks EG64 code out of three
 /// different containers: a parsed ELFie (sections at their virtual
-/// addresses), a loaded pinball (its MemImage), or a single section (the
+/// addresses), a loaded pinball (its pages mapped into a vm::AddressSpace
+/// exactly as replay maps them), or a single section (the
 /// startup-reachability pass confines itself to `.elfie.text`). CodeSource
 /// is the one interface over all three: byte reads plus page permissions,
 /// both keyed by guest virtual address.
@@ -20,7 +21,7 @@
 
 #include "elf/ELFReader.h"
 #include "isa/ISA.h"
-#include "support/MemImage.h"
+#include "pinball/Pinball.h"
 #include "vm/Memory.h"
 
 #include <cstdint>
@@ -68,19 +69,21 @@ private:
   const elf::ELFReader &R;
 };
 
-/// MemImage-backed source (a pinball's captured pages, including injects).
-class MemImageCodeSource : public CodeSource {
+/// Pinball-backed source: the captured pages, injects included, attached
+/// to an address space the way free replay attaches them. The pinball's
+/// page backing is retained, so the source may outlive \p PB.
+class PinballCodeSource : public CodeSource {
 public:
-  explicit MemImageCodeSource(MemImage Image) : Img(std::move(Image)) {}
+  explicit PinballCodeSource(const pinball::Pinball &PB) {
+    Mem.attachImage(PB.buildMemImage(/*IncludeInjects=*/true));
+  }
 
   uint8_t perm(uint64_t Addr) const override;
   bool read(uint64_t Addr, void *Out, uint64_t Size) const override;
   bool hasWritableExec() const override;
 
-  const MemImage &image() const { return Img; }
-
 private:
-  MemImage Img;
+  vm::AddressSpace Mem;
 };
 
 /// A single contiguous byte run at \p Addr with uniform permissions. Used

@@ -309,8 +309,8 @@ Expected<std::vector<uint8_t>> ELFWriter::finalize() {
     }
   }
 
-  // Section bodies. Chunked sections (page runs borrowed from a pinball
-  // MemImage) are written view by view — no staging concatenation ever
+  // Section bodies. Chunked sections (page bytes borrowed from a loaded
+  // pinball) are written view by view — no staging concatenation ever
   // exists; the result is byte-identical to an owned-payload section.
   for (const OutSection &O : Out) {
     if (O.ShType == SHT_NOBITS || O.Size == 0)

@@ -46,8 +46,8 @@ public:
                       std::vector<uint8_t> Data, uint64_t Align = 8);
 
   /// Zero-copy variant of addSection: the payload is the concatenation of
-  /// \p Chunks, which are *borrowed* views (typically page runs of a
-  /// pinball MemImage). The caller must keep the viewed bytes alive until
+  /// \p Chunks, which are *borrowed* views (typically the page bytes
+  /// of a loaded pinball). The caller must keep the viewed bytes alive until
   /// finalize()/writeToFile(); emission writes them straight into the file
   /// image with no staging copy. Emitted bytes are identical to an
   /// addSection call with the concatenated payload.

@@ -116,7 +116,7 @@ Error readPage(BinaryReader &R, PageRecord &P, const std::string &File) {
         "'%s': page record address %#llx is not page aligned", File.c_str(),
         static_cast<unsigned long long>(P.Addr));
   if (Blob.empty())
-    P.Bytes.borrow(PageBytes::zeroPage(), vm::GuestPageSize);
+    P.Bytes.borrow(vm::zeroPage(), vm::GuestPageSize);
   else
     P.Bytes.borrow(Blob.data(), Blob.size());
   return Error::success();
@@ -124,15 +124,10 @@ Error readPage(BinaryReader &R, PageRecord &P, const std::string &File) {
 
 } // namespace
 
-const uint8_t *PageBytes::zeroPage() {
-  alignas(vm::GuestPageSize) static const uint8_t Zero[vm::GuestPageSize] =
-      {};
-  return Zero;
-}
-
 void PageBytes::capturePage(const uint8_t *Page) {
-  if (std::memcmp(Page, zeroPage(), vm::GuestPageSize) == 0)
-    borrow(zeroPage(), vm::GuestPageSize);
+  const uint8_t *Zero = vm::zeroPage();
+  if (Page == Zero || std::memcmp(Page, Zero, vm::GuestPageSize) == 0)
+    borrow(Zero, vm::GuestPageSize);
   else
     assign(Page, Page + vm::GuestPageSize);
 }
@@ -158,8 +153,8 @@ uint64_t Pinball::imageBytes() const {
   return (Image.size() + Injects.size()) * vm::GuestPageSize;
 }
 
-MemImage Pinball::buildMemImage(bool IncludeInjects) const {
-  MemImage Img;
+vm::MemImage Pinball::buildMemImage(bool IncludeInjects) const {
+  vm::MemImage Img;
   auto AddPage = [&](const PageRecord &P) {
     Img.addRun(P.Addr, P.Perm, P.Bytes.data(), P.Bytes.size());
     // Owned page buffers (captured or mutated pages) need their own
@@ -384,6 +379,21 @@ Expected<Pinball> Pinball::load(const std::string &Dir) {
     }
     if (Error E = checkEnd(R, "inject.pages"))
       return E;
+  }
+  // Replay maps image and inject pages into one address space, so a page
+  // recorded twice would make the checkpoint's content ambiguous.
+  {
+    std::vector<uint64_t> Addrs;
+    for (const PageRecord *P : PB.allPages())
+      Addrs.push_back(P->Addr);
+    std::sort(Addrs.begin(), Addrs.end());
+    auto Dup = std::adjacent_find(Addrs.begin(), Addrs.end());
+    if (Dup != Addrs.end())
+      return makeCodedError(
+          "EFAULT.PINBALL.PAGE",
+          "page %#llx has more than one record across 'image.text' and "
+          "'inject.pages'",
+          static_cast<unsigned long long>(*Dup));
   }
   // Thread register files are named by tid (t<Tid>.reg) and tids need not
   // be dense — e.g. a region captured after some threads already exited.

@@ -33,9 +33,12 @@
 /// rejected with EFAULT.PINBALL.VERSION. A page record is the page address
 /// (u64), its permissions (u8) and a u32-length payload: 4,096 bytes, or
 /// none for an all-zero page (new in version 2, which version 1 wrote in
-/// full). In memory such a page borrows PageBytes::zeroPage(), so every
-/// consumer still reads 4,096 bytes, and a mapped zero page stays distinct
-/// from an unmapped one.
+/// full). In memory such a page borrows vm::zeroPage(), so every consumer
+/// still reads 4,096 bytes, and a mapped zero page stays distinct from an
+/// unmapped one. A page address appears at most once across image.text and
+/// inject.pages; load() rejects a second record with EFAULT.PINBALL.PAGE.
+/// Consumers see the pages through buildMemImage(): a run list that
+/// vm::AddressSpace maps exactly as replay does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +47,6 @@
 
 #include "support/Error.h"
 #include "support/MappedFile.h"
-#include "support/MemImage.h"
 #include "vm/VM.h"
 
 #include <algorithm>
@@ -60,7 +62,7 @@ namespace pinball {
 /// The bytes of one captured page: either an owned (shared) heap buffer or
 /// a zero-copy borrow into backing storage someone else keeps alive — for
 /// loaded pinballs, the mmap'd image.text/inject.pages retained in
-/// Pinball::Backing; for all-zero pages, the one static zeroPage(). Copies
+/// Pinball::Backing; for all-zero pages, vm::zeroPage(). Copies
 /// are cheap (they share the buffer); the mutating accessors materialize a
 /// private copy first (copy-on-write), so borrowed backing is never written
 /// through and copies never alias mutations.
@@ -68,17 +70,15 @@ class PageBytes {
 public:
   PageBytes() = default;
 
-  /// The shared, immutable all-zero guest page every zero page borrows.
-  static const uint8_t *zeroPage();
-
-  /// Takes a captured guest page: borrows zeroPage() when all
-  /// GuestPageSize bytes at \p Page are zero, copies them otherwise.
+  /// Takes a captured guest page: borrows vm::zeroPage() when \p Page is
+  /// that page (never written) or all GuestPageSize bytes at it are zero,
+  /// copies them otherwise.
   void capturePage(const uint8_t *Page);
 
-  /// True when this is a borrow of zeroPage(). This pointer identity is the
-  /// one zero-page rule: Pinball::save writes such a page as a
-  /// payload-free record and Pinball::load borrows zeroPage() for one.
-  bool isZero() const { return Ptr == zeroPage(); }
+  /// True when this is a borrow of vm::zeroPage(). This pointer identity is
+  /// the one zero-page rule: Pinball::save writes such a page as a
+  /// payload-free record and Pinball::load borrows vm::zeroPage() for one.
+  bool isZero() const { return Ptr == vm::zeroPage(); }
 
   /// Owned copy of [First, Last).
   void assign(const uint8_t *First, const uint8_t *Last) {
@@ -117,7 +117,7 @@ public:
   /// True when the bytes are a borrow (no owned buffer).
   bool borrowed() const { return Ptr && !Owned; }
 
-  /// The shared owning buffer, if any (keepalive for MemImage borrows).
+  /// The shared owning buffer, if any (keepalive for vm::MemImage runs).
   std::shared_ptr<const uint8_t[]> owner() const { return Owned; }
 
   friend bool operator==(const PageBytes &A, const PageBytes &B) {
@@ -217,11 +217,11 @@ public:
   /// All pages the region can touch: Image plus Injects.
   std::vector<const PageRecord *> allPages() const;
 
-  /// Builds an extent index over the captured pages without copying them:
-  /// runs borrow the page bytes, and the image retains Backing plus any
-  /// owned page buffers, so the result may outlive this Pinball. Image
+  /// The captured pages as a run list, one run per page, without copying
+  /// them: runs borrow the page bytes, and the image retains Backing plus
+  /// any owned page buffers, so the result may outlive this Pinball. Image
   /// pages always; inject pages too when \p IncludeInjects (fat replay).
-  MemImage buildMemImage(bool IncludeInjects = false) const;
+  vm::MemImage buildMemImage(bool IncludeInjects = false) const;
 
   /// Finds the initial registers for \p Tid; null when absent.
   const ThreadRegs *threadRegs(uint32_t Tid) const;

@@ -54,7 +54,7 @@ int main(int Argc, char **Argv) {
   if (isDirectory(Target)) {
     // Pinball: walk the captured memory image from the thread PCs.
     pinball::Pinball PB = exitOnError(pinball::Pinball::load(Target));
-    cfg::MemImageCodeSource CS(PB.buildMemImage(/*IncludeInjects=*/true));
+    cfg::PinballCodeSource CS(PB);
     std::set<uint64_t> Seen;
     for (const pinball::ThreadRegs &T : PB.Threads)
       if (Seen.insert(T.PC).second)

@@ -24,10 +24,11 @@ uint64_t clampedLastPage(uint64_t Addr, uint64_t Size) {
   return pageBase(End);
 }
 
-/// Shared backing for every never-written, never-image-covered page.
 alignas(GuestPageSize) const uint8_t ZeroPage[GuestPageSize] = {};
 
 } // namespace
+
+const uint8_t *vm::zeroPage() { return ZeroPage; }
 
 const uint8_t *AddressSpace::readable(const PageMeta &M) {
   if (M.Dirty)
@@ -90,14 +91,21 @@ void AddressSpace::unmap(uint64_t Addr, uint64_t Size) {
 }
 
 void AddressSpace::attachImage(MemImage Img) {
-  Img.forEachRun([&](const MemImage::Run &R) {
+  ++AttachGen;
+  for (const MemImage::Run &R : Img.Runs) {
     uint64_t First = pageBase(R.VAddr);
-    uint64_t LastByte = R.VAddr + R.Size - 1; // MemImage clamps at 2^64-1
+    uint64_t LastByte = R.VAddr + R.Size - 1; // addRun clamps at 2^64-1
     uint64_t Last = pageBase(LastByte);
     for (uint64_t P = First;; P += GuestPageSize) {
       PageMeta &M = Pages[P];
-      M.Perm |= R.Perm;
+      if (M.AttachGen != AttachGen) {
+        M.AttachGen = AttachGen;
+        M.PermBeforeAttach = M.Perm;
+      }
+      // A run covering the whole page replaces the permissions earlier runs
+      // of this image gave it.
       bool FullPage = P >= R.VAddr && LastByte - P >= GuestPageSize - 1;
+      M.Perm = (FullPage ? M.PermBeforeAttach : M.Perm) | R.Perm;
       if (FullPage && !M.Dirty) {
         M.Image = R.Data + (P - R.VAddr);
       } else {
@@ -114,14 +122,14 @@ void AddressSpace::attachImage(MemImage Img) {
       if (P == Last)
         break;
     }
-  });
-  MStats.ImageExtents += Img.runCount();
+  }
+  MStats.ImageExtents += Img.Runs.size();
   // Image pointers changed under any cached host pointers.
   notifyPageMutation(AllPages);
-  // Keep the image (and its mmap keepalives) alive: PageMeta::Image
-  // pointers reference its extent bytes. Moving the image only moves its
-  // extent vector; the extent buffers themselves stay put.
-  Attached.push_back(std::move(Img));
+  // PageMeta::Image points into the image's backing (often an mmap the
+  // caller drops after this call): keep it alive with the address space.
+  for (auto &K : Img.Keepalives)
+    Keepalives.push_back(std::move(K));
 }
 
 AddressSpace::PageMeta *AddressSpace::touch(uint64_t PageAddr) {

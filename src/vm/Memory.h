@@ -12,13 +12,16 @@
 /// records") and `-log:pages_early`; the pinball memory image is produced
 /// by walking mapped pages.
 ///
-/// Pages are an overlay over an attached MemImage: a mapped page holds only
-/// metadata plus an *optional* private 4 KiB buffer. Reads resolve, in
-/// order, to the page's dirty buffer, the attached image bytes (typically
-/// an mmap'd pinball or ELF file), or a shared zero page; the dirty buffer
-/// is allocated copy-on-write at the first store. Loading a fat pinball
-/// therefore costs no per-page copies, and replay RSS grows only with the
-/// pages the region actually writes (see DESIGN.md "Memory substrate").
+/// AddressSpace is the one paged view of guest memory. Producers hand it a
+/// MemImage, a plain run list (ELF segments from VM::loadELF, pinball
+/// pages from Pinball::buildMemImage), and attachImage() is the only code
+/// that resolves overlapping runs. A mapped page holds only metadata plus
+/// an *optional* private 4 KiB buffer. Reads resolve, in order, to the
+/// page's dirty buffer, the attached run bytes (typically an mmap'd
+/// pinball or ELF file), or zeroPage(); the dirty buffer is allocated
+/// copy-on-write at the first store. Loading a fat pinball therefore costs
+/// no per-page copies, and replay RSS grows only with the pages the region
+/// actually writes (see DESIGN.md "Memory substrate").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +29,6 @@
 #define ELFIE_VM_MEMORY_H
 
 #include "support/Error.h"
-#include "support/MemImage.h"
 
 #include <cstdint>
 #include <cstring>
@@ -42,6 +44,11 @@ constexpr uint64_t GuestPageSize = 4096;
 constexpr uint64_t GuestPageMask = GuestPageSize - 1;
 
 inline uint64_t pageBase(uint64_t Addr) { return Addr & ~GuestPageMask; }
+
+/// The one all-zero guest page: every mapped page that was never written
+/// and is not image-backed reads from it, and pinball::PageBytes borrows it
+/// for captured zero pages, so a zero page is recognised by this pointer.
+const uint8_t *zeroPage();
 
 /// Page permissions.
 enum PagePerm : uint8_t {
@@ -61,10 +68,46 @@ enum class MemFault {
   NoPermission,  ///< read of non-R, write of non-W, execute of non-X page
 };
 
+/// A memory image as a plain run list: each run is \p Size bytes at guest
+/// address \p VAddr, borrowed from backing storage that retain() keeps
+/// alive. Runs stay in insertion order and may overlap; attachImage()
+/// decides what an overlap means. Copies are cheap (runs are views, and
+/// keepalives are shared).
+struct MemImage {
+  struct Run {
+    uint64_t VAddr = 0;
+    uint64_t Size = 0;
+    uint8_t Perm = 0;
+    const uint8_t *Data = nullptr;
+  };
+
+  std::vector<Run> Runs;
+  std::vector<std::shared_ptr<const void>> Keepalives;
+
+  /// Appends a borrowed run. Zero-length runs are ignored; a run that would
+  /// wrap past the top of the address space is clamped at 2^64 - 1.
+  void addRun(uint64_t VAddr, uint8_t Perm, const uint8_t *Data,
+              uint64_t Size) {
+    if (Size == 0)
+      return;
+    if (VAddr + (Size - 1) < VAddr)
+      Size = UINT64_MAX - VAddr + 1;
+    Runs.push_back({VAddr, Size, Perm, Data});
+  }
+
+  /// Keeps \p Backing alive as long as this image, a copy of it, or the
+  /// address space it is attached to lives.
+  void retain(std::shared_ptr<const void> Backing) {
+    // Consecutive runs usually share one backing (one mapping, many pages).
+    if (Backing && (Keepalives.empty() || Keepalives.back() != Backing))
+      Keepalives.push_back(std::move(Backing));
+  }
+};
+
 /// Memory-substrate counters (surfaced through RunResult/ReplayResult and
 /// `-vm:stats` in ereplay/esim).
 struct MemStats {
-  uint64_t ImageExtents = 0; ///< extents across all attached MemImages
+  uint64_t ImageExtents = 0; ///< runs across all attached MemImages
   uint64_t CowFaults = 0;    ///< private copies taken of image-backed pages
   uint64_t DirtyBytes = 0;   ///< bytes of privately allocated page buffers
 };
@@ -200,11 +243,14 @@ public:
   }
 
   /// Attaches a memory image: every page covered by one of its runs is
-  /// mapped (permissions widened) with its readable bytes pointing straight
-  /// into the run — no copy. Later runs/attaches win over earlier ones;
-  /// partially covered edge pages are materialized privately. The image
-  /// (with its keepalives) is retained for the address space's lifetime,
-  /// so the backing may be an mmap the caller drops after this call.
+  /// mapped with its readable bytes pointing straight into the run — no
+  /// copy. Runs apply in order, so a later run wins the bytes it overlaps;
+  /// a run covering a whole page also replaces the permissions earlier
+  /// runs of this image gave it (permissions the page had before the
+  /// attach are kept). Partially covered edge pages and pages already
+  /// written are materialized privately. The image's keepalives are
+  /// retained for the address space's lifetime, so the backing may be an
+  /// mmap the caller drops after this call.
   void attachImage(MemImage Img);
 
   /// Walks all mapped pages in address order, handing each page's base
@@ -237,8 +283,12 @@ private:
     /// Set once any byte of the page has been read/written/executed since
     /// the last clearAccessTracking(). Drives lazy pinball page capture.
     bool AccessedSinceMark = false;
+    /// The page's permissions before the attachImage() numbered AttachGen
+    /// first touched it.
+    uint8_t PermBeforeAttach = PermNone;
+    uint32_t AttachGen = 0;
     /// Borrowed image bytes backing this page (null when zero-filled or
-    /// superseded by Dirty). Owned by an entry of Attached.
+    /// superseded by Dirty). Kept alive by Keepalives.
     const uint8_t *Image = nullptr;
     /// Private copy, allocated on first store (copy-on-write).
     std::unique_ptr<uint8_t[]> Dirty;
@@ -246,8 +296,8 @@ private:
 
   PageMeta *touch(uint64_t PageAddr);
 
-  /// Current readable bytes of a page: dirty copy, image bytes, or the
-  /// shared zero page.
+  /// Current readable bytes of a page: dirty copy, image bytes, or
+  /// zeroPage().
   static const uint8_t *readable(const PageMeta &M);
 
   /// The page's private buffer, allocated (and seeded from its image bytes
@@ -268,8 +318,10 @@ private:
   // (std::map: node stability keeps pageData()/Image pointers valid across
   // unrelated map/unmap traffic.)
   std::map<uint64_t, PageMeta> Pages;
-  /// Attached images; extents referenced by PageMeta::Image live here.
-  std::vector<MemImage> Attached;
+  /// Keepalives of attached images: PageMeta::Image points into them.
+  std::vector<std::shared_ptr<const void>> Keepalives;
+  /// Number of attachImage() calls so far.
+  uint32_t AttachGen = 0;
   MemStats MStats;
   FirstTouchHook Hook;
   CodeInvalidateHook CodeHook;

@@ -365,7 +365,7 @@ TEST(CfgCode, CleanGuestElfieHasZeroErrors) {
 TEST(CfgCode, PinballImageMatchesEmittedElfie) {
   const Corpus &C = corpus();
   ASSERT_TRUE(C.OK);
-  cfg::MemImageCodeSource CS(C.PB.buildMemImage(/*IncludeInjects=*/true));
+  cfg::PinballCodeSource CS(C.PB);
   std::vector<uint64_t> Seeds;
   for (const pinball::ThreadRegs &T : C.PB.Threads)
     Seeds.push_back(T.PC);

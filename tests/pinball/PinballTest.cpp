@@ -528,6 +528,33 @@ TEST(PinballFormat, SparseTidsRoundTrip) {
   removeTree(Dir);
 }
 
+TEST(PinballFormat, DuplicatePageRecordRejected) {
+  // A page recorded twice, in image.text or across image.text and
+  // inject.pages, would have two contents: load rejects it as a page
+  // error.
+  std::string Dir = tempDir("duplicate_page");
+  std::vector<uint8_t> Bytes(vm::GuestPageSize, 0x5a);
+  for (bool AcrossFiles : {false, true}) {
+    Pinball PB = pinballWithTids({0});
+    PageRecord P;
+    P.Addr = 0x10000;
+    P.Perm = vm::PermRX;
+    P.Bytes.assign(Bytes.data(), Bytes.data() + Bytes.size());
+    PB.Image.push_back(P);
+    if (AcrossFiles)
+      PB.Injects.push_back(InjectRecord{5, P});
+    else
+      PB.Image.push_back(P);
+    std::string PBDir = Dir + (AcrossFiles ? "/across.pb" : "/image.pb");
+    ASSERT_FALSE(PB.save(PBDir).isError());
+    auto R = Pinball::load(PBDir);
+    ASSERT_FALSE(R.hasValue()) << "across files: " << AcrossFiles;
+    EXPECT_EQ(R.error().code(), "EFAULT.PINBALL.PAGE") << R.message();
+    EXPECT_NE(R.message().find("0x10000"), std::string::npos) << R.message();
+  }
+  removeTree(Dir);
+}
+
 TEST(PinballFormat, RegFileCountMismatchReported) {
   std::string Dir = tempDir("reg_count");
   Pinball PB = pinballWithTids({0, 1, 2});

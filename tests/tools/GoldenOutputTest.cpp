@@ -146,6 +146,14 @@ TEST_F(GoldenOutput, EcfgReport) {
                                 Dir.c_str())));
 }
 
+TEST_F(GoldenOutput, EcfgPinballReport) {
+  // The pinball directory itself: code read from the captured pages the
+  // way replay maps them, rather than from the emitted ELFie's sections.
+  expectGolden("ecfg_pinball.json",
+               run(formatString("%s -json %s/r.pb", bin("ecfg").c_str(),
+                                Dir.c_str())));
+}
+
 TEST_F(GoldenOutput, EstoreCommands) {
   std::string Pool = Dir + "/pool", Replica = Dir + "/replica";
   std::string Estore = bin("estore");

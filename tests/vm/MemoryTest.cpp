@@ -7,7 +7,9 @@
 ///
 /// Regressions for the address-space fixes: read must honour PermRead, and
 /// map/unmap must terminate for ranges ending at the very top of the
-/// 64-bit guest space instead of wrapping around forever.
+/// 64-bit guest space instead of wrapping around forever. Also the image
+/// rules attachImage() alone defines: overlap, copy-on-write, zero-length
+/// and top-of-space runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -225,6 +227,72 @@ TEST(AddressSpace, AttachImageUnalignedRunMaterializesEdgePages) {
   EXPECT_EQ(AS.read(Base, &Z, 1), MemFault::None);
   EXPECT_EQ(Z, 0);
   EXPECT_EQ(AS.memStats().DirtyBytes, GuestPageSize);
+}
+
+TEST(AddressSpace, AttachImageLaterRunWinsBytesAndPermission) {
+  std::vector<uint8_t> First(3 * GuestPageSize, 0xaa);
+  std::vector<uint8_t> Second(GuestPageSize, 0xbb);
+  std::vector<uint8_t> Mid(16, 0xcc);
+  const uint64_t Page1 = Base + GuestPageSize, Page2 = Page1 + GuestPageSize;
+  AddressSpace AS;
+  AS.map(Page2, GuestPageSize, PermExec);
+  MemImage Img;
+  Img.addRun(Base, PermRW, First.data(), First.size());
+  // Whole pages: the later run takes the bytes and the permissions.
+  Img.addRun(Base, PermRead, Second.data(), Second.size());
+  Img.addRun(Page2, PermRead, Second.data(), Second.size());
+  // Mid-page: the later run takes only the bytes it covers.
+  Img.addRun(Page1 + 0x40, PermRead, Mid.data(), Mid.size());
+  AS.attachImage(std::move(Img));
+  EXPECT_EQ(AS.memStats().ImageExtents, 4u);
+
+  EXPECT_EQ(AS.pagePerm(Base), PermRead);
+  EXPECT_EQ(AS.pageData(Base), Second.data());
+  // Permissions the page had before the attach stay.
+  EXPECT_EQ(AS.pagePerm(Page2), PermRead | PermExec);
+  EXPECT_EQ(AS.pageData(Page2), Second.data());
+
+  EXPECT_EQ(AS.pagePerm(Page1), PermRW);
+  uint8_t Out[0x60];
+  ASSERT_EQ(AS.peek(Page1 + 0x20, Out, sizeof(Out)), MemFault::None);
+  for (size_t I = 0; I < sizeof(Out); ++I)
+    EXPECT_EQ(Out[I], I >= 0x20 && I < 0x30 ? 0xcc : 0xaa) << I;
+  EXPECT_EQ(First[0x1040], 0xaa); // the earlier run's backing is untouched
+}
+
+TEST(AddressSpace, AttachImageIgnoresZeroLengthRuns) {
+  uint8_t B = 7;
+  MemImage Img;
+  Img.addRun(Base, PermRead, &B, 0);
+  EXPECT_TRUE(Img.Runs.empty());
+  AddressSpace AS;
+  AS.attachImage(std::move(Img));
+  EXPECT_EQ(AS.pageCount(), 0u);
+  EXPECT_EQ(AS.memStats().ImageExtents, 0u);
+  uint8_t Out;
+  EXPECT_EQ(AS.peek(Base, &Out, 1), MemFault::Unmapped);
+}
+
+TEST(AddressSpace, AttachImageClampsRunAtTopOfAddressSpace) {
+  std::vector<uint8_t> Bytes(0x20);
+  for (size_t I = 0; I < Bytes.size(); ++I)
+    Bytes[I] = static_cast<uint8_t>(I + 1);
+  // A run that would wrap past 2^64 ends at the top byte instead.
+  MemImage Img;
+  Img.addRun(UINT64_MAX - 0xf, PermRead, Bytes.data(), Bytes.size());
+  ASSERT_EQ(Img.Runs.size(), 1u);
+  EXPECT_EQ(Img.Runs[0].Size, 0x10u);
+
+  AddressSpace AS;
+  AS.attachImage(std::move(Img));
+  EXPECT_EQ(AS.pageCount(), 1u);
+  EXPECT_FALSE(AS.isMapped(0)); // nothing wrapped onto page 0
+  uint8_t Out[0x10];
+  ASSERT_EQ(AS.peek(UINT64_MAX - 0xf, Out, sizeof(Out)), MemFault::None);
+  EXPECT_EQ(0, std::memcmp(Out, Bytes.data(), sizeof(Out)));
+  uint8_t Below = 0xff;
+  ASSERT_EQ(AS.peek(UINT64_MAX - 0x10, &Below, 1), MemFault::None);
+  EXPECT_EQ(Below, 0); // the rest of the edge page reads as zero
 }
 
 TEST(AddressSpace, AttachedExecImageInvalidatesCode) {
