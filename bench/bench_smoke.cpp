@@ -44,8 +44,8 @@ int main() {
       buildWorkload(Dir, "xz_like", workloads::InputSet::Test);
 
   std::printf("bench_smoke: capture\n");
-  auto Segs = exitOnError(captureSegments(Prog, {{100000, 200000}}));
-  pinball::Pinball &Captured = Segs[0];
+  pinball::Pinball Captured = exitOnError(
+      pinball::captureRegion(pinball::fatRequest(Prog, 100000, 100000)));
 
   std::printf("bench_smoke: save + mmap load\n");
   std::string PbDir = Dir + "/pb";

@@ -38,8 +38,8 @@ void runOne(const char *Name, workloads::InputSet Input, uint64_t Start,
             uint64_t End) {
   std::string Dir = workDir(std::string("ecfg_") + Name);
   std::string Prog = buildWorkload(Dir, Name, Input);
-  auto Segs = exitOnError(captureSegments(Prog, {{Start, End}}));
-  pinball::Pinball &PB = Segs[0];
+  pinball::Pinball PB = exitOnError(
+      pinball::captureRegion(pinball::fatRequest(Prog, Start, End - Start)));
 
   auto T0 = std::chrono::steady_clock::now();
   cfg::PinballCodeSource CS(PB);

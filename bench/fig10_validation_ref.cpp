@@ -47,7 +47,13 @@ int main() {
         std::printf("%-18s %6s  selection failed\n", W.Name.c_str(), Label);
         continue;
       }
-      ValidationResult V = elfieBasedValidation(Prog, *Sel, Dir);
+      auto Set = points::captureRegionSet(Prog, *Sel);
+      if (!Set) {
+        std::printf("%-18s %6s  capture failed: %s\n", W.Name.c_str(), Label,
+                    Set.message().c_str());
+        continue;
+      }
+      auto V = points::validate(*Set, points::Method::NativeElfie, Dir);
       if (!V.OK) {
         std::printf("%-18s %6s  failed: %s\n", W.Name.c_str(), Label,
                     V.Error.c_str());

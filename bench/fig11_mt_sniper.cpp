@@ -133,13 +133,14 @@ int main() {
     // just before the first barrier so the region spans synchronization.
     uint64_t Anchor = firstSpinIndex(Prog);
     uint64_t Start = Anchor > 700000 ? Anchor - 500000 : 200000;
-    auto Seg = captureSegments(Prog, {{Start, Start + 1500000}});
-    if (!Seg || Seg->empty()) {
+    auto Seg =
+        pinball::captureRegion(pinball::fatRequest(Prog, Start, 1500000));
+    if (!Seg) {
       std::printf("%-16s  capture failed: %s\n", Name.c_str(),
-                  Seg ? "empty" : Seg.message().c_str());
+                  Seg.message().c_str());
       continue;
     }
-    const pinball::Pinball &PB = (*Seg)[0];
+    const pinball::Pinball &PB = *Seg;
 
     // Constrained pinball simulation.
     auto PBRes = sim::simulatePinball(PB, Machine, /*Constrained=*/true);

@@ -51,17 +51,22 @@ int main() {
       continue;
     }
 
+    auto Set = points::captureRegionSet(Prog, *Sel);
+    if (!Set) {
+      std::printf("%-18s  capture failed: %s\n", W.Name.c_str(),
+                  Set.message().c_str());
+      continue;
+    }
     auto T0 = std::chrono::steady_clock::now();
-    ValidationResult Sim =
-        simBasedValidation(Prog, *Sel, validationMachine());
+    auto Sim = points::validate(*Set, points::Method::Simulation);
     auto T1 = std::chrono::steady_clock::now();
-    ValidationResult E1 = elfieBasedValidation(Prog, *Sel, Dir);
-    ValidationResult E2 = elfieBasedValidation(Prog, *Sel, Dir);
+    auto E1 = points::validate(*Set, points::Method::NativeElfie, Dir);
+    auto E2 = points::validate(*Set, points::Method::NativeElfie, Dir);
     auto T2 = std::chrono::steady_clock::now();
     SimTime += std::chrono::duration<double>(T1 - T0).count();
     ElfieTime += std::chrono::duration<double>(T2 - T1).count() / 2;
 
-    auto Cell = [](const ValidationResult &V) {
+    auto Cell = [](const points::ValidationResult &V) {
       return V.OK ? formatString("%11.2f%%", V.ErrorPct)
                   : std::string("      failed");
     };

@@ -55,10 +55,11 @@ int main() {
   // Several disjoint regions of one execution: the deployment shape the
   // store targets (N checkpoints of one workload sharing code/data pages).
   std::printf("store_dedup: capture + emit 4 regions\n");
-  auto Segs = exitOnError(captureSegments(Prog, {{100000, 200000},
-                                                 {300000, 400000},
-                                                 {500000, 600000},
-                                                 {700000, 800000}}));
+  auto Segs = exitOnError(pinball::captureRegions(
+      pinball::fatRequest(Prog), {{100000, 100000},
+                                  {300000, 100000},
+                                  {500000, 100000},
+                                  {700000, 100000}}));
 
   auto Pool = exitOnError(store::ChunkStore::open(Dir + "/pool"));
   uint64_t NaiveBytes = 0;

@@ -18,6 +18,7 @@
 
 #include "../bench/BenchSupport.h"
 #include "replay/Replayer.h"
+#include "support/Subprocess.h"
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +26,8 @@
 #include <chrono>
 #include <cstdio>
 #include <malloc.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace elfie;
 using namespace elfie::bench;
@@ -44,21 +47,15 @@ void setup() {
   // Single-threaded region from xz_like.
   std::string ST =
       buildWorkload(G->Dir, "xz_like", workloads::InputSet::Test);
-  auto STSeg = captureSegments(ST, {{100000, 500000}});
-  if (!STSeg) {
-    std::fprintf(stderr, "setup failed: %s\n", STSeg.message().c_str());
-    std::exit(1);
-  }
-  G->ST = std::move((*STSeg)[0]);
+  G->ST = exitOnError(
+      pinball::captureRegion(pinball::fatRequest(ST, 100000, 400000)),
+      "setup failed");
   // Multi-threaded region from lbm_s_like (8 threads, parallel phase).
   std::string MT =
       buildWorkload(G->Dir, "lbm_s_like", workloads::InputSet::Test);
-  auto MTSeg = captureSegments(MT, {{400000, 900000}});
-  if (!MTSeg) {
-    std::fprintf(stderr, "setup failed: %s\n", MTSeg.message().c_str());
-    std::exit(1);
-  }
-  G->MT = std::move((*MTSeg)[0]);
+  G->MT = exitOnError(
+      pinball::captureRegion(pinball::fatRequest(MT, 400000, 500000)),
+      "setup failed");
 
   core::Pinball2ElfOptions Opts;
   G->STElfie = G->Dir + "/st.elfie";
@@ -76,10 +73,10 @@ replay::ReplayOptions interpreted() {
 }
 
 void runElfie(const std::string &Path) {
-  auto R = runNativeElfie(Path);
-  // perfle is off here; success == process exit 0, which runNativeElfie
-  // reports as !OK with empty stats — just ignore the parse result.
-  benchmark::DoNotOptimize(R.Cycles);
+  SpawnSpec Spec;
+  Spec.Argv = {Path};
+  Spec.StdoutPath = "/dev/null";
+  benchmark::DoNotOptimize(runCommand(Spec, 60000).hasValue());
 }
 
 void BM_NativeElfie_ST(benchmark::State &S) {
@@ -304,6 +301,12 @@ uint64_t currentRssBytes() {
   return Kb * 1024;
 }
 
+/// What the pre-substrate loader did to each page: a private heap copy.
+void privateCopy(const pinball::PageRecord &P) {
+  pinball::PageBytes &B = const_cast<pinball::PageRecord &>(P).Bytes;
+  B.assign(B.begin(), B.end());
+}
+
 /// Memory-substrate before/after: pinball load time and resident-set cost
 /// with the old copying loader (simulated by forcing every page private)
 /// vs. the zero-copy mmap substrate, plus the replay COW counters that
@@ -322,10 +325,8 @@ void printMemorySubstrateComparison() {
   auto LoadCopying = [&] {
     auto PB = pinball::Pinball::load(PbDir);
     if (PB)
-      // What the pre-substrate loader did: a private heap copy per page.
       for (const pinball::PageRecord *P : PB->allPages())
-        benchmark::DoNotOptimize(
-            const_cast<pinball::PageRecord *>(P)->Bytes.mutableData());
+        privateCopy(*P);
   };
 
   // RSS deltas while holding one loaded pinball. Each variant runs in a
@@ -348,8 +349,7 @@ void printMemorySubstrateComparison() {
       auto PB = pinball::Pinball::load(PbDir);
       if (PB && Copy)
         for (const pinball::PageRecord *P : PB->allPages())
-          benchmark::DoNotOptimize(
-              const_cast<pinball::PageRecord *>(P)->Bytes.mutableData());
+          privateCopy(*P);
       malloc_trim(0);
       uint64_t D = currentRssBytes() - std::min(currentRssBytes(), R0);
       ssize_t W = write(Pipe[1], &D, sizeof(D));

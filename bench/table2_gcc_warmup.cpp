@@ -49,9 +49,9 @@ int main() {
       std::printf("selection failed: %s\n", Sel.message().c_str());
       return 1;
     }
-    ValidationResult Sim =
-        simBasedValidation(Prog, *Sel, validationMachine());
-    ValidationResult Elfie = elfieBasedValidation(Prog, *Sel, Dir);
+    auto Set = exitOnError(points::captureRegionSet(Prog, *Sel));
+    auto Sim = points::validate(Set, points::Method::Simulation);
+    auto Elfie = points::validate(Set, points::Method::NativeElfie, Dir);
     std::printf("%-12llu %-14u %9.2f%% %9.2f%%\n",
                 static_cast<unsigned long long>(Warmup), Sel->K,
                 Sim.OK ? Sim.ErrorPct : -999.0,
@@ -69,7 +69,7 @@ int main() {
               "median of 3 runs each):\n");
   std::printf("%-10s %-12s %-10s %-10s\n", "cold(s)", "resumed(s)",
               "speedup", "ipc-err%");
-  sim::MachineConfig M = validationMachine();
+  sim::MachineConfig M = points::validationMachine();
   vm::VMConfig VMC;
   VMC.EnableJit = true;
   std::string Sidecar = Dir + "/gcc.esimstate";

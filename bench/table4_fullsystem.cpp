@@ -45,16 +45,15 @@ int main() {
     if (R.Weight > Top->Weight)
       Top = &R;
 
-  auto Seg = captureSegments(
-      Prog, {{Top->StartIcount, Top->StartIcount + Top->Length}});
-  if (!Seg || Seg->empty()) {
-    std::printf("capture failed: %s\n",
-                Seg ? "empty" : Seg.message().c_str());
+  auto PB = pinball::captureRegion(
+      pinball::fatRequest(Prog, Top->StartIcount, Top->Length));
+  if (!PB) {
+    std::printf("capture failed: %s\n", PB.message().c_str());
     return 1;
   }
   core::Pinball2ElfOptions EOpts;
   EOpts.TargetKind = core::Pinball2ElfOptions::Target::Guest;
-  auto Elfie = core::pinballToElf((*Seg)[0], EOpts);
+  auto Elfie = core::pinballToElf(*PB, EOpts);
   if (!Elfie) {
     std::printf("elfie emit failed: %s\n", Elfie.message().c_str());
     return 1;

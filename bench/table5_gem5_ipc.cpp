@@ -50,15 +50,15 @@ int main() {
       if (R.Weight > Top->Weight)
         Top = &R;
 
-    auto Seg = captureSegments(
-        Prog, {{Top->StartIcount, Top->StartIcount + Top->Length}});
-    if (!Seg || Seg->empty()) {
+    auto PB = pinball::captureRegion(
+        pinball::fatRequest(Prog, Top->StartIcount, Top->Length));
+    if (!PB) {
       std::printf("%-18s  capture failed\n", W.Name.c_str());
       continue;
     }
     core::Pinball2ElfOptions EOpts;
     EOpts.TargetKind = core::Pinball2ElfOptions::Target::Guest;
-    auto Elfie = core::pinballToElf((*Seg)[0], EOpts);
+    auto Elfie = core::pinballToElf(*PB, EOpts);
     if (!Elfie) {
       std::printf("%-18s  emit failed\n", W.Name.c_str());
       continue;

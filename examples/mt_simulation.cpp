@@ -43,13 +43,13 @@ int main(int Argc, char **Argv) {
   std::printf("[1] capturing an %s region of %s as a fat pinball...\n",
               Info->MultiThreaded ? "8-thread" : "single-thread",
               Name.c_str());
-  auto Seg = captureSegments(Prog, {{1200000, 2400000}});
-  if (!Seg || Seg->empty()) {
-    std::fprintf(stderr, "capture failed: %s\n",
-                 Seg ? "empty" : Seg.message().c_str());
+  auto Seg =
+      pinball::captureRegion(pinball::fatRequest(Prog, 1200000, 1200000));
+  if (!Seg) {
+    std::fprintf(stderr, "capture failed: %s\n", Seg.message().c_str());
     return 1;
   }
-  const pinball::Pinball &PB = (*Seg)[0];
+  const pinball::Pinball &PB = *Seg;
   std::printf("    -> %zu threads; per-thread budgets:", PB.Threads.size());
   for (const auto &T : PB.Threads)
     std::printf(" %llu", static_cast<unsigned long long>(T.RegionIcount));

@@ -25,11 +25,10 @@
 #include "pinball/Logger.h"
 #include "replay/Replayer.h"
 #include "support/FileIO.h"
+#include "support/Subprocess.h"
 #include "vm/VM.h"
 
 #include <cstdio>
-#include <sys/wait.h>
-#include <unistd.h>
 
 using namespace elfie;
 
@@ -157,39 +156,15 @@ int main() {
 
   // 6. Run it natively.
   std::printf("[6] executing the ELFie natively:\n");
-  int OutPipe[2], ErrPipe[2];
-  if (pipe(OutPipe) || pipe(ErrPipe))
-    return 1;
-  pid_t Pid = fork();
-  if (Pid == 0) {
-    dup2(OutPipe[1], 1);
-    dup2(ErrPipe[1], 2);
-    close(OutPipe[0]);
-    close(ErrPipe[0]);
-    execl(ElfiePath.c_str(), ElfiePath.c_str(), nullptr);
-    _exit(127);
-  }
-  close(OutPipe[1]);
-  close(ErrPipe[1]);
-  auto Drain = [](int Fd) {
-    std::string S;
-    char Buf[4096];
-    ssize_t N;
-    while ((N = read(Fd, Buf, sizeof(Buf))) > 0)
-      S.append(Buf, static_cast<size_t>(N));
-    close(Fd);
-    return S;
-  };
-  std::string NativeOut = Drain(OutPipe[0]);
-  std::string NativeErr = Drain(ErrPipe[0]);
-  int Status = 0;
-  waitpid(Pid, &Status, 0);
+  SpawnSpec Spec;
+  Spec.Argv = {ElfiePath};
+  CommandResult Native = exitOnError(runCommand(Spec, 60000));
   std::printf("    stdout: \"%s\" (recorded region output: \"%s\")\n",
-              NativeOut.c_str(), PB.OutputLog.c_str());
-  std::printf("    perfle: %s", NativeErr.c_str());
-  std::printf("    exit status: %d\n", WEXITSTATUS(Status));
+              Native.Stdout.c_str(), PB.OutputLog.c_str());
+  std::printf("    perfle: %s", Native.Stderr.c_str());
+  std::printf("    exit status: %d\n", Native.Wait.ExitCode);
 
-  bool OutputsMatch = NativeOut == PB.OutputLog;
+  bool OutputsMatch = Native.Stdout == PB.OutputLog;
   std::printf("\n%s: the native ELFie re-executed the captured region%s.\n",
               OutputsMatch ? "SUCCESS" : "MISMATCH",
               OutputsMatch ? " and reproduced its output byte-for-byte"

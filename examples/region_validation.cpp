@@ -63,8 +63,9 @@ int main(int Argc, char **Argv) {
   // 2. Traditional validation: whole-program detailed simulation.
   std::printf("[2] traditional approach: whole-program detailed "
               "simulation...\n");
+  auto Set = exitOnError(points::captureRegionSet(Prog, Sel));
   auto T0 = std::chrono::steady_clock::now();
-  ValidationResult Sim = simBasedValidation(Prog, Sel, validationMachine());
+  auto Sim = points::validate(Set, points::Method::Simulation);
   auto T1 = std::chrono::steady_clock::now();
   if (Sim.OK)
     std::printf("    -> true CPI %.3f, predicted %.3f, error %.2f%% "
@@ -78,7 +79,7 @@ int main(int Argc, char **Argv) {
   std::printf("[3] ELFie approach: native whole-program + per-region "
               "ELFie runs...\n");
   auto T2 = std::chrono::steady_clock::now();
-  ValidationResult Elfie = elfieBasedValidation(Prog, Sel, Dir);
+  auto Elfie = points::validate(Set, points::Method::NativeElfie, Dir);
   auto T3 = std::chrono::steady_clock::now();
   if (Elfie.OK)
     std::printf("    -> true CPI %.3f, predicted %.3f, error %.2f%%, "

@@ -21,11 +21,10 @@
 #include "easm/Assembler.h"
 #include "pinball/Logger.h"
 #include "support/FileIO.h"
+#include "support/Subprocess.h"
 #include "sysstate/SysState.h"
 
 #include <cstdio>
-#include <sys/wait.h>
-#include <unistd.h>
 
 using namespace elfie;
 
@@ -74,32 +73,17 @@ buf: .space 8
 out: .space 8
 )";
 
+/// Runs \p Exe in \p Cwd and returns its stdout (its stderr is passed on);
+/// \p ExitCode is -1 when it did not exit normally.
 std::string runAndCapture(const std::string &Exe, const std::string &Cwd,
                           int &ExitCode) {
-  int Pipe[2];
-  if (pipe(Pipe))
-    return "";
-  pid_t Pid = fork();
-  if (Pid == 0) {
-    dup2(Pipe[1], 1);
-    close(Pipe[0]);
-    close(Pipe[1]);
-    if (!Cwd.empty() && chdir(Cwd.c_str()) != 0)
-      _exit(126);
-    execl(Exe.c_str(), Exe.c_str(), nullptr);
-    _exit(127);
-  }
-  close(Pipe[1]);
-  std::string Out;
-  char Buf[512];
-  ssize_t N;
-  while ((N = read(Pipe[0], Buf, sizeof(Buf))) > 0)
-    Out.append(Buf, static_cast<size_t>(N));
-  close(Pipe[0]);
-  int Status = 0;
-  waitpid(Pid, &Status, 0);
-  ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  return Out;
+  SpawnSpec Spec;
+  Spec.Argv = {Exe};
+  Spec.WorkDir = Cwd;
+  CommandResult R = exitOnError(runCommand(Spec, 60000));
+  std::fputs(R.Stderr.c_str(), stderr);
+  ExitCode = R.Wait.Exited ? R.Wait.ExitCode : -1;
+  return R.Stdout;
 }
 
 } // namespace

@@ -53,6 +53,16 @@ if grep -rnE '\\"[A-Za-z_%0-9]+\\":' "$REPO/src" --include=*.cpp \
   exit 1
 fi
 
+# The perfle report line has one emitter and one parser, both in
+# src/core (core::parsePerfle): its literal prefix spelled out anywhere
+# else under src/ or bench/ means a second parser has come back.
+echo "==== [perfle] no perfle line format outside src/core ===="
+if grep -rn 'elfie-perf:' "$REPO/src" "$REPO/bench" |
+    grep -v '^[^:]*/src/core/'; then
+  echo "ci.sh: perfle line format outside src/core (use core::parsePerfle)"
+  exit 1
+fi
+
 # One all-zero guest page, vm::zeroPage(): pinball zero records and the
 # address space recognise a zero page by that pointer, so a second
 # zero-initialised GuestPageSize array (initialiser possibly on the next
@@ -124,6 +134,16 @@ echo "==== [simstate label] warmup-checkpoint suite ===="
 ctest --test-dir "$ROOT/default" -L simstate --timeout 600 \
   --output-on-failure
 ctest --test-dir "$ROOT/sanitize" -L simstate --timeout 900 \
+  --output-on-failure
+
+# Validation-loop suite standalone (label `points`): the src/points
+# region-set library (the pinned sim-based result, native retired counts,
+# coverage and the alternate fallback, one-pass capture), in the default
+# and sanitized trees.
+echo "==== [points label] region-set validation suite ===="
+ctest --test-dir "$ROOT/default" -L points --timeout 120 \
+  --output-on-failure
+ctest --test-dir "$ROOT/sanitize" -L points --timeout 120 \
   --output-on-failure
 
 # Analysis suite standalone, mirroring the jit lane: the CFG/dataflow

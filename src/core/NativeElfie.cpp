@@ -22,6 +22,7 @@
 #include "x86/Translator.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 using namespace elfie;
@@ -31,6 +32,13 @@ using pinball::PageRecord;
 using pinball::Pinball;
 
 namespace {
+
+// The perfle report line, "elfie-perf: thread <t> retired <n> cycles <c>",
+// in the pieces the runtime writes around its three decimal numbers;
+// parsePerfle reads the same pieces back.
+constexpr const char *PerfPieceA = "elfie-perf: thread ";
+constexpr const char *PerfPieceB = " retired ";
+constexpr const char *PerfPieceC = " cycles ";
 
 // Linux x86-64 syscall numbers used by the runtime.
 enum : uint32_t {
@@ -177,9 +185,6 @@ private:
 
   std::string Banner;
   std::string AbortMsg;
-  static constexpr const char *PerfPieceA = "elfie-perf: thread ";
-  static constexpr const char *PerfPieceB = " retired ";
-  static constexpr const char *PerfPieceC = " cycles ";
 
   unsigned NumStartThreads = 0;
   unsigned TotalSlots = 0;
@@ -1092,4 +1097,16 @@ Expected<std::vector<uint8_t>>
 core::emitNativeElfie(const Pinball &PB, const Pinball2ElfOptions &Opts) {
   NativeEmitter Emitter(PB, Opts);
   return Emitter.emit();
+}
+
+std::vector<PerfleLine> core::parsePerfle(const std::string &Stderr) {
+  const std::string Format = std::string(PerfPieceA) + "%llu" + PerfPieceB +
+                             "%llu" + PerfPieceC + "%llu";
+  std::vector<PerfleLine> Out;
+  for (const std::string &Line : splitString(Stderr, '\n')) {
+    unsigned long long T, N, C;
+    if (std::sscanf(Line.c_str(), Format.c_str(), &T, &N, &C) == 3)
+      Out.push_back({T, N, C});
+  }
+  return Out;
 }

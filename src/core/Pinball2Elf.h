@@ -129,6 +129,18 @@ Error pinballToElfFile(const pinball::Pinball &PB,
                        const Pinball2ElfOptions &Opts,
                        const std::string &OutPath);
 
+/// One perfle report line (Pinball2ElfOptions::Perfle): thread \c Thread
+/// retired \c Retired instructions in \c Cycles rdtsc cycles.
+struct PerfleLine {
+  uint64_t Thread = 0;
+  uint64_t Retired = 0;
+  uint64_t Cycles = 0;
+};
+
+/// The perfle lines of a native ELFie's stderr, in order; other lines are
+/// skipped.
+std::vector<PerfleLine> parsePerfle(const std::string &Stderr);
+
 /// Renders the memory layout of the would-be ELFie in linker-script style
 /// (paper §II-B5: pinball2elf writes a linker script exposing the parent
 /// pinball's layout).

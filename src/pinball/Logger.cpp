@@ -9,6 +9,7 @@
 
 #include "elf/ELFReader.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace elfie;
@@ -143,51 +144,88 @@ void RegionLogger::recordOutput(const char *Data, size_t Len) {
     PB.OutputLog.append(Data, Len);
 }
 
-Expected<Pinball> pinball::captureRegion(const CaptureRequest &Request) {
-  // Chain the stdout sink so region output lands in output.log while still
-  // reaching the caller's sink. The logger pointer is filled in right after
-  // the logger is constructed below.
-  auto LoggerPtr = std::make_shared<RegionLogger *>(nullptr);
+CaptureRequest pinball::fatRequest(const std::string &ProgramPath,
+                                  uint64_t RegionStart,
+                                  uint64_t RegionLength) {
+  CaptureRequest R;
+  R.ProgramPath = ProgramPath;
+  R.RegionStart = RegionStart;
+  R.RegionLength = RegionLength;
+  R.Opts = LoggerOptions::fat();
+  return R;
+}
+
+Expected<std::vector<Pinball>>
+pinball::captureRegions(const CaptureRequest &Request,
+                        const std::vector<RegionBounds> &Regions) {
+  // Checked up front: a region that starts before the previous one ends
+  // would otherwise be captured from the wrong instruction.
+  uint64_t PrevEnd = 0;
+  for (size_t I = 0; I < Regions.size(); ++I) {
+    const RegionBounds &R = Regions[I];
+    if (I > 0 && R.Start < PrevEnd)
+      return makeCodedError(
+          "EFAULT.CAPTURE.ORDER",
+          "region %zu starts at %llu, before region %zu ends at %llu "
+          "(regions must be sorted and must not overlap)",
+          I, static_cast<unsigned long long>(R.Start), I - 1,
+          static_cast<unsigned long long>(PrevEnd));
+    PrevEnd = R.Start + std::min(R.Length, UINT64_MAX - R.Start);
+  }
+
+  // Chain the stdout sink so region output lands in the active region's
+  // output.log while still reaching the caller's sink.
+  RegionLogger *Active = nullptr;
   auto UserSink = Request.Config.StdoutSink;
   vm::VMConfig Wired = Request.Config;
-  Wired.StdoutSink = [LoggerPtr, UserSink](const char *P, size_t N) {
-    if (*LoggerPtr)
-      (*LoggerPtr)->recordOutput(P, N);
+  Wired.StdoutSink = [&Active, UserSink](const char *P, size_t N) {
+    if (Active)
+      Active->recordOutput(P, N);
     if (UserSink)
       UserSink(P, N);
   };
   vm::VM Machine(Wired);
-  RegionLogger L(Machine, Request.Opts);
-  *LoggerPtr = &L;
-
   if (Error E = Machine.loadELFFile(Request.ProgramPath))
     return E;
   if (Error E = Machine.setupMainThread(Request.Args))
     return E;
 
-  // Fast-forward to the region start (uninstrumented, like Pin before the
-  // logger attaches).
-  if (Request.RegionStart > 0) {
-    vm::RunResult FF = Machine.run(Request.RegionStart);
-    if (FF.Reason == vm::StopReason::Faulted)
-      return makeError("program faulted before region start: %s",
-                       FF.FaultInfo.Message.c_str());
-    if (FF.Reason != vm::StopReason::BudgetReached)
-      return makeError("program ended at %llu instructions, before the "
-                       "region start at %llu",
-                       static_cast<unsigned long long>(
-                           Machine.globalRetired()),
-                       static_cast<unsigned long long>(Request.RegionStart));
+  std::vector<Pinball> Out;
+  for (const RegionBounds &R : Regions) {
+    // Fast-forward to the region start (uninstrumented, like Pin before
+    // the logger attaches).
+    if (R.Start > Machine.globalRetired()) {
+      vm::RunResult FF = Machine.run(R.Start - Machine.globalRetired());
+      if (FF.Reason == vm::StopReason::Faulted)
+        return makeError("program faulted before region start: %s",
+                         FF.FaultInfo.Message.c_str());
+      if (FF.Reason != vm::StopReason::BudgetReached)
+        return makeError("program ended at %llu instructions, before the "
+                         "region start at %llu",
+                         static_cast<unsigned long long>(
+                             Machine.globalRetired()),
+                         static_cast<unsigned long long>(R.Start));
+    }
+    RegionLogger L(Machine, Request.Opts);
+    Active = &L;
+    L.beginRegion();
+    Machine.setObserver(&L);
+    vm::RunResult RR = Machine.run(R.Length);
+    Machine.setObserver(nullptr);
+    Active = nullptr;
+    if (RR.Reason == vm::StopReason::Faulted)
+      return makeError("program faulted inside the logging region: %s",
+                       RR.FaultInfo.Message.c_str());
+    Out.push_back(L.endRegion());
+    Out.back().Meta.ProgramName = Request.ProgramName;
   }
+  return Out;
+}
 
-  L.beginRegion();
-  Machine.setObserver(&L);
-  vm::RunResult RR = Machine.run(Request.RegionLength);
-  Machine.setObserver(nullptr);
-  if (RR.Reason == vm::StopReason::Faulted)
-    return makeError("program faulted inside the logging region: %s",
-                     RR.FaultInfo.Message.c_str());
-  Pinball PB = L.endRegion();
-  PB.Meta.ProgramName = Request.ProgramName;
-  return PB;
+Expected<Pinball> pinball::captureRegion(const CaptureRequest &Request) {
+  auto PBs = captureRegions(Request,
+                            {{Request.RegionStart, Request.RegionLength}});
+  if (!PBs)
+    return PBs.takeError();
+  return std::move(PBs->front());
 }

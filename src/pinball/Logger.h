@@ -94,7 +94,8 @@ private:
   uint32_t LastTid = UINT32_MAX;
 };
 
-/// One-call capture driver used by the elogger tool, tests, and benches.
+/// One-call capture driver used by the elogger tool, tests, benches and
+/// src/points.
 struct CaptureRequest {
   std::string ProgramPath;
   std::vector<std::string> Args;
@@ -106,10 +107,31 @@ struct CaptureRequest {
   std::string ProgramName = "program";
 };
 
-/// Runs the program under the logger and returns the captured pinball.
-/// Fails if the program exits or faults before the region starts; a region
-/// that extends past program exit is truncated to the instructions that
-/// actually ran (RegionLength is updated accordingly).
+/// A request for fat pinballs (what pinball2elf needs) of \p ProgramPath,
+/// run without arguments under the default VM config.
+CaptureRequest fatRequest(const std::string &ProgramPath,
+                          uint64_t RegionStart = 0, uint64_t RegionLength = 0);
+
+/// A region in global retired instructions: [Start, Start + Length).
+struct RegionBounds {
+  uint64_t Start = 0;
+  uint64_t Length = 0;
+};
+
+/// Runs the program once under the logger and returns one pinball per
+/// entry of \p Regions, in order; Request.RegionStart and RegionLength are
+/// not read. Regions must be sorted and must not overlap (adjacent is
+/// fine), or the call fails with EFAULT.CAPTURE.ORDER before running
+/// anything. Fails if the program exits or faults before a region starts
+/// or faults inside one; a region that extends past program exit is
+/// truncated to the instructions that actually ran (RegionLength is
+/// updated accordingly).
+Expected<std::vector<Pinball>>
+captureRegions(const CaptureRequest &Request,
+               const std::vector<RegionBounds> &Regions);
+
+/// captureRegions of the one region [RegionStart, RegionStart +
+/// RegionLength).
 Expected<Pinball> captureRegion(const CaptureRequest &Request);
 
 } // namespace pinball

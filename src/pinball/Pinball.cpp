@@ -157,7 +157,7 @@ vm::MemImage Pinball::buildMemImage(bool IncludeInjects) const {
   vm::MemImage Img;
   auto AddPage = [&](const PageRecord &P) {
     Img.addRun(P.Addr, P.Perm, P.Bytes.data(), P.Bytes.size());
-    // Owned page buffers (captured or mutated pages) need their own
+    // Owned page buffers (captured or assigned pages) need their own
     // keepalive; borrowed pages are covered by the Backing files below.
     if (auto O = P.Bytes.owner())
       Img.retain(std::move(O));

@@ -104,18 +104,6 @@ public:
   const uint8_t *begin() const { return Ptr; }
   const uint8_t *end() const { return Ptr + Len; }
   uint8_t operator[](size_t I) const { return Ptr[I]; }
-  uint8_t &operator[](size_t I) { return mutableData()[I]; }
-
-  /// Writable access; materializes a private owned copy when the bytes are
-  /// borrowed or shared with another PageBytes.
-  uint8_t *mutableData() {
-    if (!Owned || Owned.use_count() > 1)
-      assign(Ptr, Ptr + Len);
-    return Owned.get();
-  }
-
-  /// True when the bytes are a borrow (no owned buffer).
-  bool borrowed() const { return Ptr && !Owned; }
 
   /// The shared owning buffer, if any (keepalive for vm::MemImage runs).
   std::shared_ptr<const uint8_t[]> owner() const { return Owned; }
@@ -128,7 +116,7 @@ public:
 private:
   const uint8_t *Ptr = nullptr;
   size_t Len = 0;
-  std::shared_ptr<uint8_t[]> Owned;
+  std::shared_ptr<const uint8_t[]> Owned;
 };
 
 /// One captured page.

@@ -7,6 +7,7 @@
 
 #include "support/Subprocess.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,9 @@
 #include <libgen.h>
 #include <limits.h>
 #include <signal.h>
+#include <poll.h>
+#include <sys/mman.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -31,57 +35,52 @@ static int openRetry(const char *Path, int Flags, mode_t Mode) {
   }
 }
 
-Expected<pid_t> elfie::spawnProcess(const SpawnSpec &Spec) {
+namespace {
+/// A descriptor closed on scope exit.
+struct OwnedFd {
+  int Fd;
+  explicit OwnedFd(int Fd = -1) : Fd(Fd) {}
+  OwnedFd(const OwnedFd &) = delete;
+  OwnedFd &operator=(const OwnedFd &) = delete;
+  ~OwnedFd() {
+    if (Fd >= 0)
+      ::close(Fd);
+  }
+};
+} // namespace
+
+/// Opens \p Path (created/truncated) into \p Out for a redirect; leaves Out
+/// unset when Path is empty. Opened in the parent so a bad path is an error
+/// rather than a dead child.
+static Error openRedirect(const std::string &Path, OwnedFd &Out) {
+  if (Path.empty())
+    return Error::success();
+  Out.Fd = openRetry(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                     0644);
+  if (Out.Fd < 0)
+    return makeCodedError("EFAULT.PROC.SPAWN", "cannot open '%s': %s",
+                          Path.c_str(), std::strerror(errno));
+  return Error::success();
+}
+
+/// Fork+exec per \p Spec with \p OutFd / \p ErrFd (-1 = inherit) as the
+/// child's stdout / stderr. The caller keeps ownership of both.
+static Expected<pid_t> forkExec(const SpawnSpec &Spec, int OutFd, int ErrFd) {
   if (Spec.Argv.empty())
     return makeCodedError("EFAULT.PROC.SPAWN", "empty argv");
-
-  // Open redirect targets in the parent so failures are reportable as
-  // errors rather than a dead child.
-  int OutFd = -1, ErrFd = -1;
-  auto CloseFds = [&] {
-    if (OutFd >= 0)
-      ::close(OutFd);
-    if (ErrFd >= 0)
-      ::close(ErrFd);
-  };
-  if (!Spec.StdoutPath.empty()) {
-    OutFd = openRetry(Spec.StdoutPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                      0644);
-    if (OutFd < 0)
-      return makeCodedError("EFAULT.PROC.SPAWN", "cannot open '%s': %s",
-                            Spec.StdoutPath.c_str(), std::strerror(errno));
-  }
-  if (!Spec.StderrPath.empty()) {
-    ErrFd = openRetry(Spec.StderrPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                      0644);
-    if (ErrFd < 0) {
-      int E = errno;
-      CloseFds();
-      return makeCodedError("EFAULT.PROC.SPAWN", "cannot open '%s': %s",
-                            Spec.StderrPath.c_str(), std::strerror(E));
-    }
-  }
-
   pid_t Pid = ::fork();
-  if (Pid < 0) {
-    int E = errno;
-    CloseFds();
+  if (Pid < 0)
     return makeCodedError("EFAULT.PROC.SPAWN", "fork failed: %s",
-                          std::strerror(E));
-  }
+                          std::strerror(errno));
   if (Pid == 0) {
     // Child. Only async-signal-safe calls plus setenv/unsetenv (we are
     // single-threaded between fork and exec).
     if (Spec.NewProcessGroup)
       ::setpgid(0, 0);
-    if (OutFd >= 0) {
+    if (OutFd >= 0)
       ::dup2(OutFd, 1);
-      ::close(OutFd);
-    }
-    if (ErrFd >= 0) {
+    if (ErrFd >= 0)
       ::dup2(ErrFd, 2);
-      ::close(ErrFd);
-    }
     if (!Spec.WorkDir.empty() && ::chdir(Spec.WorkDir.c_str()) != 0)
       ::_exit(ExitExecFailure);
     for (const std::string &Name : Spec.UnsetEnv)
@@ -102,8 +101,16 @@ Expected<pid_t> elfie::spawnProcess(const SpawnSpec &Spec) {
     (void)!::write(2, "\n", 1);
     ::_exit(ExitExecFailure);
   }
-  CloseFds();
   return Pid;
+}
+
+Expected<pid_t> elfie::spawnProcess(const SpawnSpec &Spec) {
+  OwnedFd Out, Err;
+  if (Error E = openRedirect(Spec.StdoutPath, Out))
+    return E;
+  if (Error E = openRedirect(Spec.StderrPath, Err))
+    return E;
+  return forkExec(Spec, Out.Fd, Err.Fd);
 }
 
 static WaitResult decodeStatus(int Status) {
@@ -152,6 +159,63 @@ void elfie::killProcessTree(pid_t Pid, int Sig) {
     return;
   if (::kill(-Pid, Sig) != 0)
     ::kill(Pid, Sig);
+}
+
+/// The whole of the capture file \p Fd.
+static std::string readCaptured(int Fd) {
+  std::string Out;
+  char Buf[4096];
+  ssize_t N;
+  for (off_t Off = 0; (N = ::pread(Fd, Buf, sizeof(Buf), Off)) > 0; Off += N)
+    Out.append(Buf, static_cast<size_t>(N));
+  return Out;
+}
+
+Expected<CommandResult> elfie::runCommand(const SpawnSpec &Spec,
+                                          uint64_t TimeoutMs) {
+  OwnedFd Fds[2];
+  for (int I = 0; I < 2; ++I) {
+    const std::string &Path = I ? Spec.StderrPath : Spec.StdoutPath;
+    if (Error E = openRedirect(Path, Fds[I]))
+      return E;
+    if (Path.empty() &&
+        (Fds[I].Fd = ::memfd_create("elfie-capture", MFD_CLOEXEC)) < 0)
+      return makeCodedError("EFAULT.PROC.SPAWN", "memfd_create failed: %s",
+                            std::strerror(errno));
+  }
+  auto Pid = forkExec(Spec, Fds[0].Fd, Fds[1].Fd);
+  if (!Pid)
+    return Pid.takeError();
+
+  CommandResult R;
+  const uint64_t Deadline = monotonicMillis() + TimeoutMs;
+  // Sleep on a pidfd, which turns readable when the child exits, so the
+  // wait ends with the child; without one, look every millisecond.
+  OwnedFd PidFd(static_cast<int>(::syscall(SYS_pidfd_open, *Pid, 0)));
+  Expected<WaitResult> W = pollProcess(*Pid);
+  while (W && W->Running) {
+    uint64_t Now = monotonicMillis();
+    if (Now >= Deadline) {
+      R.TimedOut = true;
+      killProcessTree(*Pid, SIGKILL);
+      W = waitProcess(*Pid);
+      break;
+    }
+    // poll(2) skips a negative fd and then only sleeps.
+    struct pollfd P = {PidFd.Fd, POLLIN, 0};
+    ::poll(&P, 1,
+           PidFd.Fd < 0 ? 1 : static_cast<int>(std::min<uint64_t>(
+                                  Deadline - Now, 1000)));
+    W = pollProcess(*Pid);
+  }
+  if (!W)
+    return W.takeError();
+  R.Wait = *W;
+  if (Spec.StdoutPath.empty())
+    R.Stdout = readCaptured(Fds[0].Fd);
+  if (Spec.StderrPath.empty())
+    R.Stderr = readCaptured(Fds[1].Fd);
+  return R;
 }
 
 std::string elfie::selfBinDir(const char *Argv0) {

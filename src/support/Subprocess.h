@@ -8,8 +8,9 @@
 /// \file
 /// Subprocess helpers for tools that drive other tools: spawn with
 /// stdout/stderr redirection and environment edits, non-blocking polling,
-/// and process-group kill. The campaign runner (src/sched) builds its
-/// bounded worker pool on these; they carry no scheduling policy themselves.
+/// process-group kill, and runCommand, the one blocking run with a deadline
+/// and captured output. The campaign runner (src/sched) builds its bounded
+/// worker pool on these; they carry no scheduling policy themselves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,7 @@
 
 namespace elfie {
 
-/// Exit code a spawned child reports when execv itself fails (tool binary
+/// Exit code a spawned child reports when the exec itself fails (tool binary
 /// missing or not executable). Chosen to stay clear of the tool taxonomy
 /// (0/1/2/3) and the native-ELFie fault codes (127/126/125); efault uses
 /// the same convention.
@@ -76,6 +77,21 @@ Expected<WaitResult> waitProcess(pid_t Pid);
 /// Sends \p Sig to the child's process group (falling back to the single
 /// process when it leads no group). Safe to call on already-dead children.
 void killProcessTree(pid_t Pid, int Sig);
+
+/// How a runCommand child ended, and what it wrote.
+struct CommandResult {
+  WaitResult Wait;       ///< the child's exit status or terminating signal
+  bool TimedOut = false; ///< killed (SIGKILL) at the deadline
+  std::string Stdout;    ///< empty when Spec redirects stdout to a file
+  std::string Stderr;    ///< empty when Spec redirects stderr to a file
+};
+
+/// Spawns \p Spec, waits for it, and returns its status and its stdout and
+/// stderr (those Spec leaves unredirected; they are captured in anonymous
+/// files, so a chatty child cannot block on a full pipe). When the child
+/// outlives \p TimeoutMs, its process tree is SIGKILLed and TimedOut is
+/// set.
+Expected<CommandResult> runCommand(const SpawnSpec &Spec, uint64_t TimeoutMs);
 
 /// Directory of the running executable (/proc/self/exe), or of \p Argv0
 /// when that link cannot be read. Tools that drive their sibling tools

@@ -24,7 +24,6 @@
 #include "support/MappedFile.h"
 #include "support/Subprocess.h"
 
-#include <signal.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -35,45 +34,6 @@
 using namespace elfie;
 
 namespace {
-
-struct RunOutcome {
-  WaitResult Wait; // ExitCode -1 when the consumer could not be run
-  bool TimedOut = false;
-  std::string Output; // stdout, then stderr
-};
-
-/// Runs \p Argv with a hard timeout, its output captured in files under
-/// \p Scratch. The child is SIGKILLed on timeout — a hung consumer is
-/// itself the bug we are hunting, so there is no graceful grace period.
-RunOutcome runConsumer(const std::vector<std::string> &Argv,
-                       const std::string &Scratch, unsigned TimeoutMs) {
-  RunOutcome R;
-  SpawnSpec Spec;
-  Spec.Argv = Argv;
-  Spec.StdoutPath = Scratch + "/consumer.out";
-  Spec.StderrPath = Scratch + "/consumer.err";
-  auto Pid = spawnProcess(Spec);
-  if (!Pid)
-    return R;
-  const uint64_t Deadline = monotonicMillis() + TimeoutMs;
-  Expected<WaitResult> W = pollProcess(*Pid);
-  while (W && W->Running) {
-    if (monotonicMillis() >= Deadline) {
-      R.TimedOut = true;
-      killProcessTree(*Pid, SIGKILL);
-      W = waitProcess(*Pid);
-      break;
-    }
-    ::usleep(10000);
-    W = pollProcess(*Pid);
-  }
-  if (W)
-    R.Wait = *W;
-  for (const std::string *Path : {&Spec.StdoutPath, &Spec.StderrPath})
-    if (auto Text = readFileText(*Path))
-      R.Output += *Text;
-  return R;
-}
 
 /// A nonzero-exit rejection must be attributable: either an EFAULT.* coded
 /// error, an everify-style dotted finding code, or a structured
@@ -263,7 +223,14 @@ int main(int Argc, char **Argv) {
 
     for (const auto &Cmd : Consumers) {
       ++Invocations;
-      RunOutcome O = runConsumer(Cmd, Scratch, TimeoutMs);
+      // A hung consumer is itself the bug hunted here, so the deadline
+      // SIGKILLs without a grace period.
+      SpawnSpec Spec;
+      Spec.Argv = Cmd;
+      CommandResult O; // ExitCode -1 when the consumer could not be run
+      if (auto R = runCommand(Spec, TimeoutMs))
+        O = std::move(*R);
+      const std::string Output = O.Stdout + O.Stderr;
       std::string Name = Cmd[0].substr(Cmd[0].rfind('/') + 1);
       if (CL.getFlag("verbose"))
         std::fprintf(stderr, "efault: seed %llu [%s] %s -> exit %d\n",
@@ -287,18 +254,18 @@ int main(int Argc, char **Argv) {
                      static_cast<unsigned long long>(Seed), Name.c_str(),
                      O.Wait.Signal, What.c_str());
       } else if (O.Wait.ExitCode != 0) {
-        if (hasStableDiagnostic(O.Output)) {
+        if (hasStableDiagnostic(Output)) {
           ++Rejections;
-          if (O.Output.find("EFAULT.STORE.DIGEST") != std::string::npos)
+          if (Output.find("EFAULT.STORE.DIGEST") != std::string::npos)
             ++StoreDigest;
-          if (O.Output.find("EFAULT.STORE.SEAL") != std::string::npos)
+          if (Output.find("EFAULT.STORE.SEAL") != std::string::npos)
             ++StoreSeal;
-          if (O.Output.find("EFAULT.STORE.MISSING") != std::string::npos)
+          if (Output.find("EFAULT.STORE.MISSING") != std::string::npos)
             ++StoreMissing;
-          if (O.Output.find("EFAULT.STORE.MANIFEST") != std::string::npos)
+          if (Output.find("EFAULT.STORE.MANIFEST") != std::string::npos)
             ++StoreManifest;
           for (size_t T = 0; T < NumSimStateTags; ++T)
-            if (O.Output.find(std::string("SIMSTATE.") + SimStateTags[T]) !=
+            if (Output.find(std::string("SIMSTATE.") + SimStateTags[T]) !=
                 std::string::npos)
               ++SimStateClass[T];
         } else {
@@ -307,7 +274,7 @@ int main(int Argc, char **Argv) {
                        "efault: FAIL seed %llu: %s exited %d without a "
                        "stable diagnostic (mutation: %s)\n%s",
                        static_cast<unsigned long long>(Seed), Name.c_str(),
-                       O.Wait.ExitCode, What.c_str(), O.Output.c_str());
+                       O.Wait.ExitCode, What.c_str(), Output.c_str());
         }
       } else {
         ++Benign; // the mutation did not reach anything this consumer checks

@@ -114,6 +114,13 @@ bool hasFinding(const analyze::Report &R, const std::string &Code,
   return false;
 }
 
+/// Replaces \p Bytes with a copy whose byte \p I is inverted.
+void flipByte(pinball::PageBytes &Bytes, size_t I) {
+  std::vector<uint8_t> Copy(Bytes.begin(), Bytes.end());
+  Copy[I] ^= 0xff;
+  Bytes.assign(Copy.data(), Copy.data() + Copy.size());
+}
+
 //===--------------------------------------------------------------------===//
 // Raw header patching (corrupting emitted images in place).
 //===--------------------------------------------------------------------===//
@@ -385,7 +392,7 @@ TEST(Analyze, DetectsPagePermAndContentDrift) {
   }
   ASSERT_NE(DataPage, SIZE_MAX);
   PB.Image[PermPage].Perm ^= vm::PermWrite;
-  PB.Image[DataPage].Bytes[0] ^= 0xff;
+  flipByte(PB.Image[DataPage].Bytes, 0);
 
   analyze::Report R = runOn(C.Native, &PB);
   EXPECT_TRUE(hasFinding(R, "PERM.MISMATCH")) << R.renderText();
@@ -399,7 +406,7 @@ TEST(Analyze, DetectsStashContentDrift) {
   bool Mutated = false;
   for (auto &P : PB.Image)
     if (P.Addr >= PB.Meta.StackBase && P.Addr < PB.Meta.StackTop) {
-      P.Bytes[P.Bytes.size() - 1] ^= 0xff;
+      flipByte(P.Bytes, P.Bytes.size() - 1);
       Mutated = true;
       break;
     }

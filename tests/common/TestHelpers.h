@@ -19,6 +19,7 @@
 #include "elf/ELFReader.h"
 #include "pinball/Logger.h"
 #include "support/FileIO.h"
+#include "support/Subprocess.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
@@ -300,6 +301,18 @@ capture(const std::string &Dir, const std::string &Src, uint64_t Start,
   Req.Opts = Opts;
   Req.Config = Config;
   return pinball::captureRegion(Req);
+}
+
+/// Runs the executable \p Path (argv[0] only) in \p WorkDir (empty =
+/// inherit), capturing its output; SIGKILLed after 30 s.
+inline CommandResult runProcess(const std::string &Path,
+                                const std::string &WorkDir = "") {
+  SpawnSpec Spec;
+  Spec.Argv = {Path};
+  Spec.WorkDir = WorkDir;
+  auto R = runCommand(Spec, 30000);
+  EXPECT_TRUE(R.hasValue()) << R.message();
+  return R ? *R : CommandResult();
 }
 
 /// Exit status and combined output of a shell command.

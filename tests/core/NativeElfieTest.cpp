@@ -14,7 +14,6 @@
 
 #include "core/Pinball2Elf.h"
 
-#include "../common/Subprocess.h"
 #include "../common/TestHelpers.h"
 #include "support/Format.h"
 
@@ -36,26 +35,6 @@ std::string tempDir(const std::string &Name) {
   return D;
 }
 
-/// Extracts "elfie-perf: thread T retired N cycles C" lines.
-struct PerfLine {
-  uint64_t Thread, Retired, Cycles;
-};
-std::vector<PerfLine> parsePerf(const std::string &Stderr) {
-  std::vector<PerfLine> Out;
-  for (const std::string &Line : splitString(Stderr, '\n')) {
-    if (!startsWith(Line, "elfie-perf: thread "))
-      continue;
-    PerfLine P{};
-    if (sscanf(Line.c_str(),
-               "elfie-perf: thread %llu retired %llu cycles %llu",
-               reinterpret_cast<unsigned long long *>(&P.Thread),
-               reinterpret_cast<unsigned long long *>(&P.Retired),
-               reinterpret_cast<unsigned long long *>(&P.Cycles)) == 3)
-      Out.push_back(P);
-  }
-  return Out;
-}
-
 TEST(NativeElfie, RunsRegionToCompletionAndMatchesOutput) {
   std::string Dir = tempDir("basic");
   // Region from mid-program through program exit: the ELFie re-executes
@@ -73,15 +52,14 @@ TEST(NativeElfie, RunsRegionToCompletionAndMatchesOutput) {
   ASSERT_FALSE(E.isError()) << E.message();
 
   auto R = runProcess(Exe);
-  ASSERT_TRUE(R.Started) << R.Error;
-  ASSERT_TRUE(R.Exited) << "killed by signal " << R.TermSignal
-                        << " stderr: " << R.Stderr;
-  EXPECT_EQ(R.ExitCode, 0) << R.Stderr;
+  ASSERT_TRUE(R.Wait.Exited) << "killed by signal " << R.Wait.Signal
+                             << " stderr: " << R.Stderr;
+  EXPECT_EQ(R.Wait.ExitCode, 0) << R.Stderr;
   EXPECT_EQ(R.Stdout, PB->OutputLog)
       << "native re-execution must reproduce the recorded region output";
 
   // perfle: thread 0 retired exactly the pinball's budget.
-  auto Perf = parsePerf(R.Stderr);
+  auto Perf = parsePerfle(R.Stderr);
   ASSERT_EQ(Perf.size(), 1u) << R.Stderr;
   EXPECT_EQ(Perf[0].Thread, 0u);
   EXPECT_EQ(Perf[0].Retired, PB->Threads[0].RegionIcount);
@@ -104,10 +82,9 @@ TEST(NativeElfie, GracefulExitAtInstructionBudget) {
   ASSERT_FALSE(pinballToElfFile(*PB, Opts, Exe).isError());
 
   auto R = runProcess(Exe);
-  ASSERT_TRUE(R.Started) << R.Error;
-  ASSERT_TRUE(R.Exited) << "signal " << R.TermSignal << " " << R.Stderr;
-  EXPECT_EQ(R.ExitCode, 0);
-  auto Perf = parsePerf(R.Stderr);
+  ASSERT_TRUE(R.Wait.Exited) << "signal " << R.Wait.Signal << " " << R.Stderr;
+  EXPECT_EQ(R.Wait.ExitCode, 0);
+  auto Perf = parsePerfle(R.Stderr);
   ASSERT_EQ(Perf.size(), 1u) << R.Stderr;
   EXPECT_EQ(Perf[0].Retired, Len)
       << "software retired-instruction counter must stop at the budget";
@@ -143,8 +120,7 @@ TEST(NativeElfie, VerboseBannerAndSymbols) {
   std::string Exe = Dir + "/region.elfie";
   ASSERT_FALSE(pinballToElfFile(*PB, Opts, Exe).isError());
   auto R = runProcess(Exe);
-  ASSERT_TRUE(R.Started);
-  ASSERT_TRUE(R.Exited) << "signal " << R.TermSignal;
+  ASSERT_TRUE(R.Wait.Exited) << "signal " << R.Wait.Signal;
   EXPECT_NE(R.Stderr.find("elfie: compute region @1000 len 2000"),
             std::string::npos)
       << R.Stderr;
@@ -213,9 +189,8 @@ out: .space 8
   std::string Exe = Dir + "/region.elfie";
   ASSERT_FALSE(pinballToElfFile(*PB, Opts, Exe).isError());
   auto R = runProcess(Exe);
-  ASSERT_TRUE(R.Started);
-  ASSERT_TRUE(R.Exited) << "signal " << R.TermSignal << " " << R.Stderr;
-  EXPECT_EQ(R.ExitCode, 0);
+  ASSERT_TRUE(R.Wait.Exited) << "signal " << R.Wait.Signal << " " << R.Stderr;
+  EXPECT_EQ(R.Wait.ExitCode, 0);
   EXPECT_EQ(R.Stdout, PB->OutputLog)
       << "stack contents must survive the stash+remap";
   removeTree(Dir);
@@ -246,7 +221,7 @@ msg: .ascii "hello, native\n"
   std::string Exe = Dir + "/region.elfie";
   ASSERT_FALSE(pinballToElfFile(*PB, Pinball2ElfOptions(), Exe).isError());
   auto R = runProcess(Exe);
-  ASSERT_TRUE(R.Exited) << "signal " << R.TermSignal << " " << R.Stderr;
+  ASSERT_TRUE(R.Wait.Exited) << "signal " << R.Wait.Signal << " " << R.Stderr;
   EXPECT_EQ(R.Stdout, "hello, native\n");
   removeTree(Dir);
 }
@@ -266,15 +241,14 @@ TEST(NativeElfie, MultiThreadedElfieRunsToCompletion) {
   std::string Exe = Dir + "/region.elfie";
   ASSERT_FALSE(pinballToElfFile(*PB, Opts, Exe).isError());
   auto R = runProcess(Exe);
-  ASSERT_TRUE(R.Started);
-  ASSERT_TRUE(R.Exited) << "signal " << R.TermSignal << " " << R.Stderr;
+  ASSERT_TRUE(R.Wait.Exited) << "signal " << R.Wait.Signal << " " << R.Stderr;
   // The program writes the final counter (8 threads * 4 rounds * 2000) as
   // 8 little-endian bytes before exiting.
   ASSERT_EQ(R.Stdout.size(), 8u) << R.Stderr;
   uint64_t Total;
   memcpy(&Total, R.Stdout.data(), 8);
   EXPECT_EQ(Total, 8u * 4 * 2000);
-  EXPECT_EQ(R.ExitCode, static_cast<int>((8 * 4 * 2000) & 0xff));
+  EXPECT_EQ(R.Wait.ExitCode, static_cast<int>((8 * 4 * 2000) & 0xff));
   removeTree(Dir);
 }
 
@@ -290,13 +264,12 @@ TEST(NativeElfie, MultiThreadedGracefulExitWithBudgets) {
   std::string Exe = Dir + "/region.elfie";
   ASSERT_FALSE(pinballToElfFile(*PB, Opts, Exe).isError());
   auto R = runProcess(Exe);
-  ASSERT_TRUE(R.Started);
-  ASSERT_TRUE(R.Exited) << "signal " << R.TermSignal << " " << R.Stderr;
-  EXPECT_EQ(R.ExitCode, 0);
+  ASSERT_TRUE(R.Wait.Exited) << "signal " << R.Wait.Signal << " " << R.Stderr;
+  EXPECT_EQ(R.Wait.ExitCode, 0);
   // Every thread reports; each retired exactly its budget (spin loops may
   // place the *cut* differently than the log, but the budget mechanism
   // stops each thread at its recorded count).
-  auto Perf = parsePerf(R.Stderr);
+  auto Perf = parsePerfle(R.Stderr);
   ASSERT_EQ(Perf.size(), 8u) << R.Stderr;
   uint64_t Sum = 0;
   for (const auto &P : Perf)
@@ -378,15 +351,14 @@ out:  .space 8
   // Run in the sysstate workdir: FD_3 must be preopened and dup()ed so
   // the re-executed reads return the recorded data (paper §II-C2).
   auto R = runProcess(Exe, SSDir + "/workdir");
-  ASSERT_TRUE(R.Started);
-  ASSERT_TRUE(R.Exited) << "signal " << R.TermSignal << " " << R.Stderr;
+  ASSERT_TRUE(R.Wait.Exited) << "signal " << R.Wait.Signal << " " << R.Stderr;
   EXPECT_EQ(R.Stdout, PB->OutputLog)
       << "reads through the preopened descriptor must reproduce the data";
 
   // Negative control: without the workdir the reads fail and the output
   // diverges.
   auto R2 = runProcess(Exe, Dir);
-  if (R2.Exited)
+  if (R2.Wait.Exited)
     EXPECT_NE(R2.Stdout, PB->OutputLog);
   removeTree(Dir);
 }
@@ -417,9 +389,8 @@ not_code: .quad 0
   std::string Exe = Dir + "/region.elfie";
   ASSERT_FALSE(pinballToElfFile(*PB, Opts, Exe).isError());
   auto R = runProcess(Exe);
-  ASSERT_TRUE(R.Started);
-  ASSERT_TRUE(R.Exited) << "signal " << R.TermSignal;
-  EXPECT_EQ(R.ExitCode, 127);
+  ASSERT_TRUE(R.Wait.Exited) << "signal " << R.Wait.Signal;
+  EXPECT_EQ(R.Wait.ExitCode, 127);
   EXPECT_NE(R.Stderr.find("diverged"), std::string::npos) << R.Stderr;
   removeTree(Dir);
 }
@@ -448,12 +419,11 @@ TEST(NativeElfie, MissingPageIsUngracefulExit) {
   ASSERT_FALSE(
       pinballToElfFile(*PB, Pinball2ElfOptions(), Exe).isError());
   auto R = runProcess(Exe);
-  ASSERT_TRUE(R.Started);
   // Accessing the missing page is an ungraceful exit — but a *contained*
   // one: the runtime's SIGSEGV handler turns the raw signal into the
   // documented exit code and a structured elfie-fault report on stderr.
-  EXPECT_TRUE(R.Exited);
-  EXPECT_EQ(R.ExitCode, 126);
+  EXPECT_TRUE(R.Wait.Exited);
+  EXPECT_EQ(R.Wait.ExitCode, 126);
   EXPECT_NE(R.Stderr.find("elfie-fault: signal 11"), std::string::npos)
       << R.Stderr;
   EXPECT_NE(R.Stderr.find(" addr "), std::string::npos) << R.Stderr;
@@ -481,9 +451,8 @@ spin:
   std::string Exe = Dir + "/region.elfie";
   ASSERT_FALSE(pinballToElfFile(*PB, Opts, Exe).isError());
   auto R = runProcess(Exe);
-  ASSERT_TRUE(R.Started);
-  ASSERT_TRUE(R.Exited) << "signal " << R.TermSignal;
-  EXPECT_EQ(R.ExitCode, 125);
+  ASSERT_TRUE(R.Wait.Exited) << "signal " << R.Wait.Signal;
+  EXPECT_EQ(R.Wait.ExitCode, 125);
   EXPECT_NE(R.Stderr.find("elfie-fault: signal 14"), std::string::npos)
       << R.Stderr;
   removeTree(Dir);

@@ -18,7 +18,6 @@
 
 #include "x86/Translator.h"
 
-#include "../common/Subprocess.h"
 #include "../common/TestHelpers.h"
 #include "core/Pinball2Elf.h"
 #include "support/Format.h"
@@ -182,10 +181,10 @@ bool runNativeWhole(const std::string &Dir, const std::string &Src,
   E = core::pinballToElfFile(*PB, core::Pinball2ElfOptions(), Exe);
   EXPECT_FALSE(E.isError()) << E.message();
   auto R = test::runProcess(Exe);
-  EXPECT_TRUE(R.Exited) << "signal " << R.TermSignal << " " << R.Stderr;
+  EXPECT_TRUE(R.Wait.Exited) << "signal " << R.Wait.Signal << " " << R.Stderr;
   Err = R.Stderr;
   Out = R.Stdout;
-  return R.Exited && R.ExitCode == 0;
+  return R.Wait.Exited && R.Wait.ExitCode == 0;
 }
 
 class TranslatorDifferential : public testing::TestWithParam<uint64_t> {};
