@@ -146,6 +146,15 @@ ctest --test-dir "$ROOT/default" -L points --timeout 120 \
 ctest --test-dir "$ROOT/sanitize" -L points --timeout 120 \
   --output-on-failure
 
+# Opcode-table suite standalone (label `isa`): the EG64 table rows, the
+# disassembly and assembler-diagnostic goldens, and the assemble-of-
+# disassemble round trip, in the default and sanitized trees.
+echo "==== [isa label] opcode table + assembler suite ===="
+ctest --test-dir "$ROOT/default" -L isa --timeout 120 \
+  --output-on-failure
+ctest --test-dir "$ROOT/sanitize" -L isa --timeout 120 \
+  --output-on-failure
+
 # Analysis suite standalone, mirroring the jit lane: the CFG/dataflow
 # subsystem carries the `analyze` label.
 echo "==== [analyze label] CFG recovery + dataflow suite ===="

@@ -129,16 +129,12 @@ CFG cfg::buildCFG(const CodeSource &CS, std::span<const uint64_t> Seeds,
     case isa::BlockEnd::Terminator: {
       const isa::Inst &T = B.Insts.back();
       uint64_t TPC = B.lastPC();
-      switch (T.Op) {
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-      case Opcode::Bltu:
-      case Opcode::Bgeu:
+      if (isa::isBranch(T.Op)) {
         Succ(TPC + T.Imm, EdgeKind::Direct);
         Succ(TPC + isa::InstSize, EdgeKind::Fall);
         break;
+      }
+      switch (T.Op) {
       case Opcode::Jmp:
         Succ(TPC + T.Imm, EdgeKind::Direct);
         break;

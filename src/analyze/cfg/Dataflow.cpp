@@ -33,40 +33,6 @@ void cfg::applyInst(const isa::Inst &I, uint64_t PC, RegState &S) {
   };
 
   switch (I.Op) {
-  // No GPR effect.
-  case Opcode::Nop:
-  case Opcode::Fence:
-  case Opcode::Pause:
-  case Opcode::Halt:
-  case Opcode::Marker:
-  case Opcode::St1:
-  case Opcode::St2:
-  case Opcode::St4:
-  case Opcode::St8:
-  case Opcode::Beq:
-  case Opcode::Bne:
-  case Opcode::Blt:
-  case Opcode::Bge:
-  case Opcode::Bltu:
-  case Opcode::Bgeu:
-  case Opcode::Jmp:
-  // FPR-only effects (FPRs are not tracked).
-  case Opcode::Fadd:
-  case Opcode::Fsub:
-  case Opcode::Fmul:
-  case Opcode::Fdiv:
-  case Opcode::Fmin:
-  case Opcode::Fmax:
-  case Opcode::Fsqrt:
-  case Opcode::Fneg:
-  case Opcode::Fabs:
-  case Opcode::Fmov:
-  case Opcode::Fld:
-  case Opcode::Fst:
-  case Opcode::Fcvtid:
-  case Opcode::FmvToF:
-    return;
-
   case Opcode::Syscall:
     S.kill(isa::SysRetReg);
     return;
@@ -116,77 +82,27 @@ void cfg::applyInst(const isa::Inst &I, uint64_t PC, RegState &S) {
     else
       S.kill(I.Rd);
     return;
-
-  // Loads and atomics produce memory-dependent values.
-  case Opcode::Ld1:
-  case Opcode::Ld2:
-  case Opcode::Ld4:
-  case Opcode::Ld8:
-  case Opcode::Ld1s:
-  case Opcode::Ld2s:
-  case Opcode::Ld4s:
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
-  // FP-to-GPR writes (FPRs are not tracked).
-  case Opcode::Feq:
-  case Opcode::Flt:
-  case Opcode::Fle:
-  case Opcode::Fcvtdi:
-  case Opcode::FmvToI:
-    S.kill(I.Rd);
-    return;
-
-  // Link writes: rd = PC + 8.
-  case Opcode::Jal:
-  case Opcode::Jalr:
-    S.set(I.Rd, PC + isa::InstSize);
-    return;
+  default:
+    break;
   }
+
+  // Everything else computes no tracked value: link writes set rd to the
+  // return address; loads, atomics and FP-to-GPR moves make rd unknown;
+  // the rest (stores, branches, FPR-only effects) leave the GPRs alone.
+  isa::Form F = isa::opInfo(I.Op).Operands;
+  if (F == isa::Form::Jal || F == isa::Form::Jalr)
+    S.set(I.Rd, PC + isa::InstSize);
+  else if (isa::writesGpr(F))
+    S.kill(I.Rd);
 }
 
 bool cfg::memRef(const isa::Inst &I, MemRef &Out) {
-  switch (I.Op) {
-  case Opcode::Ld1:
-  case Opcode::Ld1s:
-    Out = {true, false, I.Rs1, static_cast<int64_t>(I.Imm), 1};
-    return true;
-  case Opcode::Ld2:
-  case Opcode::Ld2s:
-    Out = {true, false, I.Rs1, static_cast<int64_t>(I.Imm), 2};
-    return true;
-  case Opcode::Ld4:
-  case Opcode::Ld4s:
-    Out = {true, false, I.Rs1, static_cast<int64_t>(I.Imm), 4};
-    return true;
-  case Opcode::Ld8:
-    Out = {true, false, I.Rs1, static_cast<int64_t>(I.Imm), 8};
-    return true;
-  case Opcode::St1:
-    Out = {false, true, I.Rs1, static_cast<int64_t>(I.Imm), 1};
-    return true;
-  case Opcode::St2:
-    Out = {false, true, I.Rs1, static_cast<int64_t>(I.Imm), 2};
-    return true;
-  case Opcode::St4:
-    Out = {false, true, I.Rs1, static_cast<int64_t>(I.Imm), 4};
-    return true;
-  case Opcode::St8:
-    Out = {false, true, I.Rs1, static_cast<int64_t>(I.Imm), 8};
-    return true;
-  case Opcode::Fld:
-    Out = {true, false, I.Rs1, static_cast<int64_t>(I.Imm), 8};
-    return true;
-  case Opcode::Fst:
-    Out = {false, true, I.Rs1, static_cast<int64_t>(I.Imm), 8};
-    return true;
-  // Atomics address mem[rs1] directly (no displacement), read + write.
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
-    Out = {true, true, I.Rs1, 0, 8};
-    return true;
-  default:
+  const isa::OpInfo &Row = isa::opInfo(I.Op);
+  if (Row.Mem == isa::Access::None)
     return false;
-  }
+  // Atomics address mem[rs1] directly (no displacement), read + write.
+  bool Atomic = Row.Mem == isa::Access::Atomic;
+  Out = {Row.Mem != isa::Access::Store, Row.Mem != isa::Access::Load, I.Rs1,
+         Atomic ? 0 : static_cast<int64_t>(I.Imm), Row.Width};
+  return true;
 }

@@ -540,65 +540,36 @@ Error Assembler::processInstruction(const std::string &Mnemonic,
   if (!isa::opcodeFromName(M, Op))
     return fail(formatString("unknown mnemonic '%s'", M.c_str()));
 
-  using isa::Opcode;
-  switch (Op) {
-  case Opcode::Nop:
-  case Opcode::Halt:
-  case Opcode::Syscall:
-  case Opcode::Fence:
-  case Opcode::Pause:
+  using isa::Form;
+  switch (isa::opInfo(Op).Operands) {
+  case Form::None:
     if (!Need(0))
       return fail(formatString("%s takes no operands", M.c_str()));
     emit(make(Op));
     return Error::success();
 
-  case Opcode::Marker: {
+  case Form::Marker: {
     if (!Need(2) || Ops[0].K != Operand::Imm || Ops[1].K != Operand::Imm)
-      return fail("marker expects: kind, tag");
+      return fail(formatString("%s expects: kind, tag", M.c_str()));
     PendingInst P = make(Op, static_cast<uint8_t>(Ops[0].Value));
     P.ImmLiteral = Ops[1].Value;
     emit(P);
     return Error::success();
   }
 
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Mulh:
-  case Opcode::Div:
-  case Opcode::Divu:
-  case Opcode::Rem:
-  case Opcode::Remu:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Sar:
-  case Opcode::Slt:
-  case Opcode::Sltu:
-  case Opcode::Seq:
+  case Form::RRR:
     if (!Need(3) || !IsIR(0) || !IsIR(1) || !IsIR(2))
       return fail(formatString("%s expects: rd, rs1, rs2", M.c_str()));
     emit(make(Op, Ops[0].Reg, Ops[1].Reg, Ops[2].Reg));
     return Error::success();
 
-  case Opcode::Mov:
+  case Form::RR:
     if (!Need(2) || !IsIR(0) || !IsIR(1))
-      return fail("mov expects: rd, rs");
+      return fail(formatString("%s expects: rd, rs", M.c_str()));
     emit(make(Op, Ops[0].Reg, Ops[1].Reg));
     return Error::success();
 
-  case Opcode::Addi:
-  case Opcode::Muli:
-  case Opcode::Andi:
-  case Opcode::Ori:
-  case Opcode::Xori:
-  case Opcode::Shli:
-  case Opcode::Shri:
-  case Opcode::Sari:
-  case Opcode::Slti:
-  case Opcode::Sltui: {
+  case Form::RRI: {
     if (!Need(3) || !IsIR(0) || !IsIR(1) || !IsImmOrSym(2))
       return fail(formatString("%s expects: rd, rs1, imm", M.c_str()));
     PendingInst P = make(Op, Ops[0].Reg, Ops[1].Reg);
@@ -607,40 +578,24 @@ Error Assembler::processInstruction(const std::string &Mnemonic,
     return Error::success();
   }
 
-  case Opcode::Ldi:
-  case Opcode::Ldih: {
+  case Form::RI: {
     if (!Need(2) || !IsIR(0) || !IsImmOrSym(1))
       return fail(formatString("%s expects: rd, imm", M.c_str()));
     PendingInst P = make(Op, Ops[0].Reg);
     SetImm(P, Ops[1]);
-    if (Op == Opcode::Ldih)
-      P.ImmIsHigh32 = true;
+    P.ImmIsHigh32 = Op == Opcode::Ldih;
     emit(P);
     return Error::success();
   }
 
-  case Opcode::Ld1:
-  case Opcode::Ld2:
-  case Opcode::Ld4:
-  case Opcode::Ld8:
-  case Opcode::Ld1s:
-  case Opcode::Ld2s:
-  case Opcode::Ld4s:
-  case Opcode::St1:
-  case Opcode::St2:
-  case Opcode::St4:
-  case Opcode::St8:
+  case Form::Load:
+  case Form::Store:
     if (!Need(2) || !IsIR(0) || !IsMem(1))
       return fail(formatString("%s expects: reg, disp(base)", M.c_str()));
     emit(make(Op, Ops[0].Reg, Ops[1].Reg, 0, Ops[1].Value));
     return Error::success();
 
-  case Opcode::Beq:
-  case Opcode::Bne:
-  case Opcode::Blt:
-  case Opcode::Bge:
-  case Opcode::Bltu:
-  case Opcode::Bgeu: {
+  case Form::Branch: {
     if (!Need(3) || !IsIR(0) || !IsIR(1) || !IsImmOrSym(2))
       return fail(formatString("%s expects: rs1, rs2, target", M.c_str()));
     PendingInst P = make(Op, 0, Ops[0].Reg, Ops[1].Reg);
@@ -649,40 +604,38 @@ Error Assembler::processInstruction(const std::string &Mnemonic,
     return Error::success();
   }
 
-  case Opcode::Jmp: {
+  case Form::Jmp: {
     if (!Need(1) || !IsImmOrSym(0))
-      return fail("jmp expects a target");
+      return fail(formatString("%s expects a target", M.c_str()));
     PendingInst P = make(Op);
     SetImm(P, Ops[0], true);
     emit(P);
     return Error::success();
   }
 
-  case Opcode::Jal: {
+  case Form::Jal: {
     if (!Need(2) || !IsIR(0) || !IsImmOrSym(1))
-      return fail("jal expects: rd, target");
+      return fail(formatString("%s expects: rd, target", M.c_str()));
     PendingInst P = make(Op, Ops[0].Reg);
     SetImm(P, Ops[1], true);
     emit(P);
     return Error::success();
   }
 
-  case Opcode::Jalr: {
+  case Form::Jalr: {
     if (Ops.size() == 2 && IsIR(0) && IsIR(1)) {
       emit(make(Op, Ops[0].Reg, Ops[1].Reg));
       return Error::success();
     }
     if (!Need(3) || !IsIR(0) || !IsIR(1) || !IsImmOrSym(2))
-      return fail("jalr expects: rd, rs1[, imm]");
+      return fail(formatString("%s expects: rd, rs1[, imm]", M.c_str()));
     PendingInst P = make(Op, Ops[0].Reg, Ops[1].Reg);
     SetImm(P, Ops[2]);
     emit(P);
     return Error::success();
   }
 
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
+  case Form::Atomic:
     if (!Need(3) || !IsIR(0) || !IsMem(1) || !IsIR(2))
       return fail(formatString("%s expects: rd, (addr), rs2", M.c_str()));
     if (Ops[1].Value != 0)
@@ -690,50 +643,38 @@ Error Assembler::processInstruction(const std::string &Mnemonic,
     emit(make(Op, Ops[0].Reg, Ops[1].Reg, Ops[2].Reg));
     return Error::success();
 
-  case Opcode::Fadd:
-  case Opcode::Fsub:
-  case Opcode::Fmul:
-  case Opcode::Fdiv:
-  case Opcode::Fmin:
-  case Opcode::Fmax:
+  case Form::FFF:
     if (!Need(3) || !IsFR(0) || !IsFR(1) || !IsFR(2))
       return fail(formatString("%s expects: fd, fs1, fs2", M.c_str()));
     emit(make(Op, Ops[0].Reg, Ops[1].Reg, Ops[2].Reg));
     return Error::success();
 
-  case Opcode::Fsqrt:
-  case Opcode::Fneg:
-  case Opcode::Fabs:
-  case Opcode::Fmov:
+  case Form::FF:
     if (!Need(2) || !IsFR(0) || !IsFR(1))
       return fail(formatString("%s expects: fd, fs", M.c_str()));
     emit(make(Op, Ops[0].Reg, Ops[1].Reg));
     return Error::success();
 
-  case Opcode::Feq:
-  case Opcode::Flt:
-  case Opcode::Fle:
+  case Form::RFF:
     if (!Need(3) || !IsIR(0) || !IsFR(1) || !IsFR(2))
       return fail(formatString("%s expects: rd, fs1, fs2", M.c_str()));
     emit(make(Op, Ops[0].Reg, Ops[1].Reg, Ops[2].Reg));
     return Error::success();
 
-  case Opcode::Fld:
-  case Opcode::Fst:
+  case Form::FLoad:
+  case Form::FStore:
     if (!Need(2) || !IsFR(0) || !IsMem(1))
       return fail(formatString("%s expects: freg, disp(base)", M.c_str()));
     emit(make(Op, Ops[0].Reg, Ops[1].Reg, 0, Ops[1].Value));
     return Error::success();
 
-  case Opcode::Fcvtid:
-  case Opcode::FmvToF:
+  case Form::FR:
     if (!Need(2) || !IsFR(0) || !IsIR(1))
       return fail(formatString("%s expects: fd, rs", M.c_str()));
     emit(make(Op, Ops[0].Reg, Ops[1].Reg));
     return Error::success();
 
-  case Opcode::Fcvtdi:
-  case Opcode::FmvToI:
+  case Form::RF:
     if (!Need(2) || !IsIR(0) || !IsFR(1))
       return fail(formatString("%s expects: rd, fs", M.c_str()));
     emit(make(Op, Ops[0].Reg, Ops[1].Reg));

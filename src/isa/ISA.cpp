@@ -9,82 +9,114 @@
 
 #include "support/Format.h"
 
+#include <array>
 #include <cstring>
-#include <map>
 
 using namespace elfie;
 using namespace elfie::isa;
 
 namespace {
 
-struct OpInfo {
-  Opcode Op;
-  const char *Name;
-};
+using F = Form;
+using enum Flow;
+using enum Access;
 
-// Every valid opcode, exactly once. The decoder and the assembler mnemonic
-// table are both driven from this list so they can never disagree.
+// Every valid opcode, exactly once, with all of its static facts:
+// {opcode, mnemonic, form[, flow[, access, width[, signed]]]}. The decoder,
+// the assembler and disassembler, the interpreter's memory paths, the
+// dataflow analysis and both x86 code generators read these rows.
 constexpr OpInfo OpTable[] = {
-    {Opcode::Nop, "nop"},         {Opcode::Halt, "halt"},
-    {Opcode::Marker, "marker"},   {Opcode::Syscall, "syscall"},
-    {Opcode::Fence, "fence"},     {Opcode::Pause, "pause"},
-    {Opcode::Add, "add"},         {Opcode::Sub, "sub"},
-    {Opcode::Mul, "mul"},         {Opcode::Mulh, "mulh"},
-    {Opcode::Div, "div"},         {Opcode::Divu, "divu"},
-    {Opcode::Rem, "rem"},         {Opcode::Remu, "remu"},
-    {Opcode::And, "and"},         {Opcode::Or, "or"},
-    {Opcode::Xor, "xor"},         {Opcode::Shl, "shl"},
-    {Opcode::Shr, "shr"},         {Opcode::Sar, "sar"},
-    {Opcode::Slt, "slt"},         {Opcode::Sltu, "sltu"},
-    {Opcode::Seq, "seq"},         {Opcode::Mov, "mov"},
-    {Opcode::Addi, "addi"},       {Opcode::Muli, "muli"},
-    {Opcode::Andi, "andi"},       {Opcode::Ori, "ori"},
-    {Opcode::Xori, "xori"},       {Opcode::Shli, "shli"},
-    {Opcode::Shri, "shri"},       {Opcode::Sari, "sari"},
-    {Opcode::Slti, "slti"},       {Opcode::Sltui, "sltui"},
-    {Opcode::Ldi, "ldi"},         {Opcode::Ldih, "ldih"},
-    {Opcode::Ld1, "ld1"},         {Opcode::Ld2, "ld2"},
-    {Opcode::Ld4, "ld4"},         {Opcode::Ld8, "ld8"},
-    {Opcode::Ld1s, "ld1s"},       {Opcode::Ld2s, "ld2s"},
-    {Opcode::Ld4s, "ld4s"},       {Opcode::St1, "st1"},
-    {Opcode::St2, "st2"},         {Opcode::St4, "st4"},
-    {Opcode::St8, "st8"},         {Opcode::Beq, "beq"},
-    {Opcode::Bne, "bne"},         {Opcode::Blt, "blt"},
-    {Opcode::Bge, "bge"},         {Opcode::Bltu, "bltu"},
-    {Opcode::Bgeu, "bgeu"},       {Opcode::Jmp, "jmp"},
-    {Opcode::Jal, "jal"},         {Opcode::Jalr, "jalr"},
-    {Opcode::AmoAdd, "amoadd"},   {Opcode::AmoSwap, "amoswap"},
-    {Opcode::Cas, "cas"},         {Opcode::Fadd, "fadd"},
-    {Opcode::Fsub, "fsub"},       {Opcode::Fmul, "fmul"},
-    {Opcode::Fdiv, "fdiv"},       {Opcode::Fmin, "fmin"},
-    {Opcode::Fmax, "fmax"},       {Opcode::Fsqrt, "fsqrt"},
-    {Opcode::Fneg, "fneg"},       {Opcode::Fabs, "fabs"},
-    {Opcode::Fmov, "fmov"},       {Opcode::Feq, "feq"},
-    {Opcode::Flt, "flt"},         {Opcode::Fle, "fle"},
-    {Opcode::Fld, "fld"},         {Opcode::Fst, "fst"},
-    {Opcode::Fcvtid, "fcvtid"},   {Opcode::Fcvtdi, "fcvtdi"},
-    {Opcode::FmvToF, "fmvtof"},   {Opcode::FmvToI, "fmvtoi"},
+    {Opcode::Nop, "nop", F::None},
+    {Opcode::Halt, "halt", F::None, ControlFlow},
+    {Opcode::Marker, "marker", F::Marker, Terminator},
+    {Opcode::Syscall, "syscall", F::None, Terminator},
+    {Opcode::Fence, "fence", F::None},
+    {Opcode::Pause, "pause", F::None},
+    {Opcode::Add, "add", F::RRR},
+    {Opcode::Sub, "sub", F::RRR},
+    {Opcode::Mul, "mul", F::RRR},
+    {Opcode::Mulh, "mulh", F::RRR},
+    {Opcode::Div, "div", F::RRR},
+    {Opcode::Divu, "divu", F::RRR},
+    {Opcode::Rem, "rem", F::RRR},
+    {Opcode::Remu, "remu", F::RRR},
+    {Opcode::And, "and", F::RRR},
+    {Opcode::Or, "or", F::RRR},
+    {Opcode::Xor, "xor", F::RRR},
+    {Opcode::Shl, "shl", F::RRR},
+    {Opcode::Shr, "shr", F::RRR},
+    {Opcode::Sar, "sar", F::RRR},
+    {Opcode::Slt, "slt", F::RRR},
+    {Opcode::Sltu, "sltu", F::RRR},
+    {Opcode::Seq, "seq", F::RRR},
+    {Opcode::Mov, "mov", F::RR},
+    {Opcode::Addi, "addi", F::RRI},
+    {Opcode::Muli, "muli", F::RRI},
+    {Opcode::Andi, "andi", F::RRI},
+    {Opcode::Ori, "ori", F::RRI},
+    {Opcode::Xori, "xori", F::RRI},
+    {Opcode::Shli, "shli", F::RRI},
+    {Opcode::Shri, "shri", F::RRI},
+    {Opcode::Sari, "sari", F::RRI},
+    {Opcode::Slti, "slti", F::RRI},
+    {Opcode::Sltui, "sltui", F::RRI},
+    {Opcode::Ldi, "ldi", F::RI},
+    {Opcode::Ldih, "ldih", F::RI},
+    {Opcode::Ld1, "ld1", F::Load, Straight, Load, 1},
+    {Opcode::Ld2, "ld2", F::Load, Straight, Load, 2},
+    {Opcode::Ld4, "ld4", F::Load, Straight, Load, 4},
+    {Opcode::Ld8, "ld8", F::Load, Straight, Load, 8},
+    {Opcode::Ld1s, "ld1s", F::Load, Straight, Load, 1, true},
+    {Opcode::Ld2s, "ld2s", F::Load, Straight, Load, 2, true},
+    {Opcode::Ld4s, "ld4s", F::Load, Straight, Load, 4, true},
+    {Opcode::St1, "st1", F::Store, Straight, Store, 1},
+    {Opcode::St2, "st2", F::Store, Straight, Store, 2},
+    {Opcode::St4, "st4", F::Store, Straight, Store, 4},
+    {Opcode::St8, "st8", F::Store, Straight, Store, 8},
+    {Opcode::Beq, "beq", F::Branch, Branch},
+    {Opcode::Bne, "bne", F::Branch, Branch},
+    {Opcode::Blt, "blt", F::Branch, Branch},
+    {Opcode::Bge, "bge", F::Branch, Branch},
+    {Opcode::Bltu, "bltu", F::Branch, Branch},
+    {Opcode::Bgeu, "bgeu", F::Branch, Branch},
+    {Opcode::Jmp, "jmp", F::Jmp, ControlFlow},
+    {Opcode::Jal, "jal", F::Jal, ControlFlow},
+    {Opcode::Jalr, "jalr", F::Jalr, ControlFlow},
+    {Opcode::AmoAdd, "amoadd", F::Atomic, Straight, Atomic, 8},
+    {Opcode::AmoSwap, "amoswap", F::Atomic, Straight, Atomic, 8},
+    {Opcode::Cas, "cas", F::Atomic, Straight, Atomic, 8},
+    {Opcode::Fadd, "fadd", F::FFF},
+    {Opcode::Fsub, "fsub", F::FFF},
+    {Opcode::Fmul, "fmul", F::FFF},
+    {Opcode::Fdiv, "fdiv", F::FFF},
+    {Opcode::Fmin, "fmin", F::FFF},
+    {Opcode::Fmax, "fmax", F::FFF},
+    {Opcode::Fsqrt, "fsqrt", F::FF},
+    {Opcode::Fneg, "fneg", F::FF},
+    {Opcode::Fabs, "fabs", F::FF},
+    {Opcode::Fmov, "fmov", F::FF},
+    {Opcode::Feq, "feq", F::RFF},
+    {Opcode::Flt, "flt", F::RFF},
+    {Opcode::Fle, "fle", F::RFF},
+    {Opcode::Fld, "fld", F::FLoad, Straight, Load, 8},
+    {Opcode::Fst, "fst", F::FStore, Straight, Store, 8},
+    {Opcode::Fcvtid, "fcvtid", F::FR},
+    {Opcode::Fcvtdi, "fcvtdi", F::RF},
+    {Opcode::FmvToF, "fmvtof", F::FR},
+    {Opcode::FmvToI, "fmvtoi", F::RF},
 };
 
-bool ValidOpcodes[256] = {};
-const char *OpcodeNames[256] = {};
-
-struct TableInit {
-  TableInit() {
-    for (const OpInfo &I : OpTable) {
-      ValidOpcodes[static_cast<uint8_t>(I.Op)] = true;
-      OpcodeNames[static_cast<uint8_t>(I.Op)] = I.Name;
-    }
-  }
-};
-// Function-local static avoids the static-constructor ban for globals with
-// nontrivial construction while keeping lookup O(1).
-const TableInit &tables() {
-  static TableInit T;
+constexpr std::array<OpInfo, 256> indexByCode() {
+  std::array<OpInfo, 256> T{};
+  for (const OpInfo &Row : OpTable)
+    T[static_cast<uint8_t>(Row.Op)] = Row;
   return T;
 }
 
 } // namespace
+
+// Constant-initialised: readable from any static constructor.
+constinit const std::array<OpInfo, 256> isa::OpInfoByCode = indexByCode();
 
 uint64_t isa::encode(const Inst &I) {
   uint64_t W = 0;
@@ -97,8 +129,7 @@ uint64_t isa::encode(const Inst &I) {
 }
 
 bool isa::isValidOpcode(uint8_t Op) {
-  tables();
-  return ValidOpcodes[Op];
+  return OpInfoByCode[Op].Name != nullptr;
 }
 
 bool isa::decode(uint64_t Word, Inst &Out) {
@@ -126,99 +157,15 @@ bool isa::decode(const uint8_t *Bytes, Inst &Out) {
   return decode(W, Out);
 }
 
-bool isa::isBranch(Opcode Op) {
-  switch (Op) {
-  case Opcode::Beq:
-  case Opcode::Bne:
-  case Opcode::Blt:
-  case Opcode::Bge:
-  case Opcode::Bltu:
-  case Opcode::Bgeu:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isa::isControlFlow(Opcode Op) {
-  if (isBranch(Op))
-    return true;
-  switch (Op) {
-  case Opcode::Jmp:
-  case Opcode::Jal:
-  case Opcode::Jalr:
-  case Opcode::Halt:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isa::isBlockTerminator(Opcode Op) {
-  return isControlFlow(Op) || Op == Opcode::Syscall || Op == Opcode::Marker;
-}
-
-bool isa::isLoad(Opcode Op) {
-  switch (Op) {
-  case Opcode::Ld1:
-  case Opcode::Ld2:
-  case Opcode::Ld4:
-  case Opcode::Ld8:
-  case Opcode::Ld1s:
-  case Opcode::Ld2s:
-  case Opcode::Ld4s:
-  case Opcode::Fld:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isa::isStore(Opcode Op) {
-  switch (Op) {
-  case Opcode::St1:
-  case Opcode::St2:
-  case Opcode::St4:
-  case Opcode::St8:
-  case Opcode::Fst:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isa::isAtomic(Opcode Op) {
-  switch (Op) {
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isa::isMemoryAccess(Opcode Op) {
-  return isLoad(Op) || isStore(Op) || isAtomic(Op);
-}
-
-bool isa::isFloatingPoint(Opcode Op) {
-  uint8_t V = static_cast<uint8_t>(Op);
-  return V >= static_cast<uint8_t>(Opcode::Fadd) &&
-         V <= static_cast<uint8_t>(Opcode::FmvToI);
-}
-
 const char *isa::opcodeName(Opcode Op) {
-  tables();
-  const char *Name = OpcodeNames[static_cast<uint8_t>(Op)];
+  const char *Name = opInfo(Op).Name;
   return Name ? Name : "<bad>";
 }
 
 bool isa::opcodeFromName(const std::string &Name, Opcode &Out) {
-  tables();
-  for (const OpInfo &I : OpTable) {
-    if (Name == I.Name) {
-      Out = I.Op;
+  for (const OpInfo &Row : OpTable) {
+    if (Name == Row.Name) {
+      Out = Row.Op;
       return true;
     }
   }
@@ -238,127 +185,72 @@ std::string isa::gprName(unsigned Reg) {
 std::string isa::fprName(unsigned Reg) { return formatString("f%u", Reg); }
 
 std::string isa::disassemble(const Inst &I, uint64_t PC) {
-  const char *Name = opcodeName(I.Op);
-  auto Rd = [&] { return gprName(I.Rd); };
-  auto Rs1 = [&] { return gprName(I.Rs1); };
-  auto Rs2 = [&] { return gprName(I.Rs2); };
-  auto Fd = [&] { return fprName(I.Rd); };
-  auto Fs1 = [&] { return fprName(I.Rs1); };
-  auto Fs2 = [&] { return fprName(I.Rs2); };
-  auto Target = [&] {
-    return toHex(PC + static_cast<int64_t>(I.Imm));
-  };
+  const OpInfo &Row = opInfo(I.Op);
+  if (!Row.Name)
+    return "<bad>";
+  const char *Name = Row.Name;
+  const std::string Rd = gprName(I.Rd), Rs1 = gprName(I.Rs1),
+                    Rs2 = gprName(I.Rs2), Fd = fprName(I.Rd),
+                    Fs1 = fprName(I.Rs1), Fs2 = fprName(I.Rs2);
+  const std::string Target = toHex(PC + static_cast<int64_t>(I.Imm));
 
-  switch (I.Op) {
-  case Opcode::Nop:
-  case Opcode::Halt:
-  case Opcode::Syscall:
-  case Opcode::Fence:
-  case Opcode::Pause:
+  switch (Row.Operands) {
+  case Form::None:
     return Name;
-  case Opcode::Marker:
-    return formatString("marker %u, %d", I.Rd, I.Imm);
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Mulh:
-  case Opcode::Div:
-  case Opcode::Divu:
-  case Opcode::Rem:
-  case Opcode::Remu:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Sar:
-  case Opcode::Slt:
-  case Opcode::Sltu:
-  case Opcode::Seq:
-    return formatString("%s %s, %s, %s", Name, Rd().c_str(), Rs1().c_str(),
-                        Rs2().c_str());
-  case Opcode::Mov:
-    return formatString("mov %s, %s", Rd().c_str(), Rs1().c_str());
-  case Opcode::Addi:
-  case Opcode::Muli:
-  case Opcode::Andi:
-  case Opcode::Ori:
-  case Opcode::Xori:
-  case Opcode::Shli:
-  case Opcode::Shri:
-  case Opcode::Sari:
-  case Opcode::Slti:
-  case Opcode::Sltui:
-    return formatString("%s %s, %s, %d", Name, Rd().c_str(), Rs1().c_str(),
+  case Form::Marker:
+    return formatString("%s %u, %d", Name, I.Rd, I.Imm);
+  case Form::RRR:
+    return formatString("%s %s, %s, %s", Name, Rd.c_str(), Rs1.c_str(),
+                        Rs2.c_str());
+  case Form::RR:
+    return formatString("%s %s, %s", Name, Rd.c_str(), Rs1.c_str());
+  case Form::RRI:
+  case Form::Jalr:
+    return formatString("%s %s, %s, %d", Name, Rd.c_str(), Rs1.c_str(),
                         I.Imm);
-  case Opcode::Ldi:
-  case Opcode::Ldih:
-    return formatString("%s %s, %d", Name, Rd().c_str(), I.Imm);
-  case Opcode::Ld1:
-  case Opcode::Ld2:
-  case Opcode::Ld4:
-  case Opcode::Ld8:
-  case Opcode::Ld1s:
-  case Opcode::Ld2s:
-  case Opcode::Ld4s:
-    return formatString("%s %s, %d(%s)", Name, Rd().c_str(), I.Imm,
-                        Rs1().c_str());
-  case Opcode::St1:
-  case Opcode::St2:
-  case Opcode::St4:
-  case Opcode::St8:
-    return formatString("%s %s, %d(%s)", Name, Rd().c_str(), I.Imm,
-                        Rs1().c_str());
-  case Opcode::Beq:
-  case Opcode::Bne:
-  case Opcode::Blt:
-  case Opcode::Bge:
-  case Opcode::Bltu:
-  case Opcode::Bgeu:
-    return formatString("%s %s, %s, %s", Name, Rs1().c_str(), Rs2().c_str(),
-                        Target().c_str());
-  case Opcode::Jmp:
-    return formatString("jmp %s", Target().c_str());
-  case Opcode::Jal:
-    return formatString("jal %s, %s", Rd().c_str(), Target().c_str());
-  case Opcode::Jalr:
-    return formatString("jalr %s, %s, %d", Rd().c_str(), Rs1().c_str(),
-                        I.Imm);
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
-    return formatString("%s %s, (%s), %s", Name, Rd().c_str(), Rs1().c_str(),
-                        Rs2().c_str());
-  case Opcode::Fadd:
-  case Opcode::Fsub:
-  case Opcode::Fmul:
-  case Opcode::Fdiv:
-  case Opcode::Fmin:
-  case Opcode::Fmax:
-    return formatString("%s %s, %s, %s", Name, Fd().c_str(), Fs1().c_str(),
-                        Fs2().c_str());
-  case Opcode::Fsqrt:
-  case Opcode::Fneg:
-  case Opcode::Fabs:
-  case Opcode::Fmov:
-    return formatString("%s %s, %s", Name, Fd().c_str(), Fs1().c_str());
-  case Opcode::Feq:
-  case Opcode::Flt:
-  case Opcode::Fle:
-    return formatString("%s %s, %s, %s", Name, Rd().c_str(), Fs1().c_str(),
-                        Fs2().c_str());
-  case Opcode::Fld:
-    return formatString("fld %s, %d(%s)", Fd().c_str(), I.Imm, Rs1().c_str());
-  case Opcode::Fst:
-    return formatString("fst %s, %d(%s)", Fd().c_str(), I.Imm, Rs1().c_str());
-  case Opcode::Fcvtid:
-    return formatString("fcvtid %s, %s", Fd().c_str(), Rs1().c_str());
-  case Opcode::Fcvtdi:
-    return formatString("fcvtdi %s, %s", Rd().c_str(), Fs1().c_str());
-  case Opcode::FmvToF:
-    return formatString("fmvtof %s, %s", Fd().c_str(), Rs1().c_str());
-  case Opcode::FmvToI:
-    return formatString("fmvtoi %s, %s", Rd().c_str(), Fs1().c_str());
+  case Form::RI:
+    if (I.Op == Opcode::Ldih) {
+      // The assembler keeps the high half of ldih's 64-bit operand, so
+      // print imm32 << 32. Negative values go in decimal: the assembler
+      // rejects hex above INT64_MAX.
+      int64_t V = static_cast<int64_t>(
+          static_cast<uint64_t>(static_cast<uint32_t>(I.Imm)) << 32);
+      std::string Value = V < 0
+                              ? formatString("%lld", static_cast<long long>(V))
+                              : toHex(static_cast<uint64_t>(V));
+      return formatString("%s %s, %s", Name, Rd.c_str(), Value.c_str());
+    }
+    return formatString("%s %s, %d", Name, Rd.c_str(), I.Imm);
+  case Form::Load:
+  case Form::Store:
+    return formatString("%s %s, %d(%s)", Name, Rd.c_str(), I.Imm,
+                        Rs1.c_str());
+  case Form::Branch:
+    return formatString("%s %s, %s, %s", Name, Rs1.c_str(), Rs2.c_str(),
+                        Target.c_str());
+  case Form::Jmp:
+    return formatString("%s %s", Name, Target.c_str());
+  case Form::Jal:
+    return formatString("%s %s, %s", Name, Rd.c_str(), Target.c_str());
+  case Form::Atomic:
+    return formatString("%s %s, (%s), %s", Name, Rd.c_str(), Rs1.c_str(),
+                        Rs2.c_str());
+  case Form::FFF:
+    return formatString("%s %s, %s, %s", Name, Fd.c_str(), Fs1.c_str(),
+                        Fs2.c_str());
+  case Form::FF:
+    return formatString("%s %s, %s", Name, Fd.c_str(), Fs1.c_str());
+  case Form::RFF:
+    return formatString("%s %s, %s, %s", Name, Rd.c_str(), Fs1.c_str(),
+                        Fs2.c_str());
+  case Form::FLoad:
+  case Form::FStore:
+    return formatString("%s %s, %d(%s)", Name, Fd.c_str(), I.Imm,
+                        Rs1.c_str());
+  case Form::FR:
+    return formatString("%s %s, %s", Name, Fd.c_str(), Rs1.c_str());
+  case Form::RF:
+    return formatString("%s %s, %s", Name, Rd.c_str(), Fs1.c_str());
   }
   return "<bad>";
 }

@@ -31,6 +31,7 @@
 #ifndef ELFIE_ISA_ISA_H
 #define ELFIE_ISA_ISA_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -227,18 +228,95 @@ bool decode(const uint8_t *Bytes, Inst &Out);
 /// True when \p Op is a valid EG64 opcode value.
 bool isValidOpcode(uint8_t Op);
 
-/// Instruction classification used by the logger, the simulators, and the
-/// translator.
-bool isBranch(Opcode Op);       ///< conditional branches only
-bool isControlFlow(Opcode Op);  ///< branches + jumps + jal/jalr + halt
+/// Operand form: which instruction fields an opcode uses and how. Each form
+/// is one assembler syntax and one disassembly layout.
+enum class Form : uint8_t {
+  None,   ///< no operands
+  Marker, ///< kind (the rd field), tag (imm)
+  RRR,    ///< rd, rs1, rs2
+  RR,     ///< rd, rs1
+  RRI,    ///< rd, rs1, imm
+  RI,     ///< rd, imm
+  Load,   ///< rd, imm(rs1)
+  Store,  ///< rd, imm(rs1); rd is the value stored
+  Branch, ///< rs1, rs2, target (pc + imm)
+  Jmp,    ///< target (pc + imm)
+  Jal,    ///< rd, target (pc + imm)
+  Jalr,   ///< rd, rs1, imm
+  Atomic, ///< rd, (rs1), rs2
+  FFF,    ///< fd, fs1, fs2
+  FF,     ///< fd, fs1
+  RFF,    ///< rd, fs1, fs2
+  FLoad,  ///< fd, imm(rs1)
+  FStore, ///< fd, imm(rs1); fd is the value stored
+  FR,     ///< fd, rs1
+  RF,     ///< rd, fs1
+};
+
+/// True when instructions of form \p F write GPR rd.
+constexpr bool writesGpr(Form F) {
+  switch (F) {
+  case Form::RRR:
+  case Form::RR:
+  case Form::RRI:
+  case Form::RI:
+  case Form::Load:
+  case Form::Jal:
+  case Form::Jalr:
+  case Form::Atomic:
+  case Form::RFF:
+  case Form::RF:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// Control-flow class. Each class includes the ones before it: a branch is
+/// control flow, and control flow ends a decoded block.
+enum class Flow : uint8_t {
+  Straight,    ///< falls through to pc + 8
+  Terminator,  ///< falls through but ends a decoded block: syscall, marker
+  ControlFlow, ///< jmp, jal, jalr, halt
+  Branch,      ///< conditional branches
+};
+
+/// The guest memory an instruction accesses. Loads and stores address
+/// r[rs1] + imm; atomics address r[rs1] (no displacement), read it and
+/// write it.
+enum class Access : uint8_t { None, Load, Store, Atomic };
+
+/// One opcode's static facts. isa/ISA.cpp holds exactly one row per
+/// opcode; every consumer reads the row instead of listing opcodes.
+struct OpInfo {
+  Opcode Op = Opcode::Nop;
+  const char *Name = nullptr; ///< nullptr: the byte is not an opcode
+  Form Operands = Form::None;
+  Flow Control = Flow::Straight;
+  Access Mem = Access::None;
+  uint8_t Width = 0;   ///< access width in bytes (Mem != None)
+  bool Signed = false; ///< the loaded value is sign-extended
+};
+
+/// The rows indexed by opcode byte; bytes that are no opcode hold a row
+/// with a null Name.
+extern const std::array<OpInfo, 256> OpInfoByCode;
+
+inline const OpInfo &opInfo(Opcode Op) {
+  return OpInfoByCode[static_cast<uint8_t>(Op)];
+}
+
+/// Conditional branches only.
+inline bool isBranch(Opcode Op) { return opInfo(Op).Control == Flow::Branch; }
+/// Branches, jumps, jal/jalr and halt.
+inline bool isControlFlow(Opcode Op) {
+  return opInfo(Op).Control >= Flow::ControlFlow;
+}
 /// True when \p Op must terminate a decoded straight-line block (the EVM's
 /// decode cache): control flow (incl. halt), syscalls, and markers.
-bool isBlockTerminator(Opcode Op);
-bool isMemoryAccess(Opcode Op); ///< loads/stores/atomics (incl. FP)
-bool isLoad(Opcode Op);
-bool isStore(Opcode Op);
-bool isAtomic(Opcode Op);
-bool isFloatingPoint(Opcode Op);
+inline bool isBlockTerminator(Opcode Op) {
+  return opInfo(Op).Control >= Flow::Terminator;
+}
 
 /// Mnemonic for \p Op ("add", "ld8", ...). Unknown opcodes yield "<bad>".
 const char *opcodeName(Opcode Op);

@@ -83,6 +83,15 @@ inline bool slt(uint64_t A, uint64_t B) {
 }
 inline bool sltu(uint64_t A, uint64_t B) { return A < B; }
 
+/// A loaded value of \p Width bytes (1, 2, 4 or 8, zero-extended in
+/// \p Raw), sign-extended to 64 bits when \p Signed.
+inline uint64_t extendLoad(uint64_t Raw, unsigned Width, bool Signed) {
+  if (!Signed || Width >= 8)
+    return Raw;
+  unsigned Shift = 64 - 8 * Width;
+  return static_cast<uint64_t>(static_cast<int64_t>(Raw << Shift) >> Shift);
+}
+
 /// Ldih: imm32 becomes the high half, the low half of rd is kept.
 inline uint64_t ldih(uint64_t Rd, int32_t Imm) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(Imm)) << 32) |

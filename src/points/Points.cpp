@@ -178,8 +178,11 @@ ValidationResult points::validate(const RegionSet &Set, Method How,
   for (size_t I = 0; I < Sel.Regions.size(); ++I) {
     const simpoint::Region &R = Sel.Regions[I];
     const Pinball &PB = Set.Pinballs[I];
-    uint64_t Warmup = PB.Meta.RegionLength > R.Length
-                          ? PB.Meta.RegionLength - R.Length
+    // The warm-up is the captured prefix before the slice. (The region's
+    // Length is the slice size even when the program's last slice is
+    // shorter, so it cannot be subtracted from the captured length.)
+    uint64_t Warmup = R.StartIcount > PB.Meta.RegionStart
+                          ? R.StartIcount - PB.Meta.RegionStart
                           : 0;
     RegionMeasurement M;
     std::string Stem = formatString("%s/r%zu", WorkDir.c_str(), I);

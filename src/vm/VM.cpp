@@ -495,8 +495,7 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
 uint64_t VM::jitLoad(void *Cookie, uint64_t Addr, uint64_t Kind) {
   VM *V = static_cast<VM *>(Cookie);
   JitRuntime &J = *V->Jit;
-  static const uint32_t Sizes[7] = {1, 2, 4, 8, 1, 2, 4};
-  uint32_t Size = Sizes[Kind];
+  uint32_t Size = x86::jitLoadWidth(Kind);
   uint64_t Off = Addr & GuestPageMask;
   uint64_t Raw = 0;
   if (Off + Size <= GuestPageSize) {
@@ -521,18 +520,7 @@ uint64_t VM::jitLoad(void *Cookie, uint64_t Addr, uint64_t Kind) {
     J.Ctx.MemOk = 0;
     return 0;
   }
-  switch (Kind) {
-  case x86::JitLoadS8:
-    return static_cast<uint64_t>(static_cast<int64_t>(static_cast<int8_t>(Raw)));
-  case x86::JitLoadS16:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int16_t>(Raw)));
-  case x86::JitLoadS32:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int32_t>(Raw)));
-  default:
-    return Raw;
-  }
+  return sem::extendLoad(Raw, Size, x86::jitLoadSigned(Kind));
 }
 
 void VM::jitStore(void *Cookie, uint64_t Addr, uint64_t Value, uint64_t Size) {
@@ -683,6 +671,12 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
     if (Obs)
       Obs->onControlTransfer(T.Tid, PC, To, Taken);
   };
+  auto Branch = [&](bool Taken) {
+    uint64_t To = Taken ? PC + static_cast<int64_t>(I.Imm) : NextPC;
+    Transfer(To, Taken);
+    Retire(To);
+    return StepStatus::Ok;
+  };
 
   switch (I.Op) {
   case Opcode::Nop:
@@ -748,37 +742,23 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   case Opcode::Ld1s:
   case Opcode::Ld2s:
   case Opcode::Ld4s: {
-    uint32_t Size = I.Op == Opcode::Ld1 || I.Op == Opcode::Ld1s   ? 1
-                    : I.Op == Opcode::Ld2 || I.Op == Opcode::Ld2s ? 2
-                    : I.Op == Opcode::Ld4 || I.Op == Opcode::Ld4s ? 4
-                                                                  : 8;
+    const isa::OpInfo &Row = isa::opInfo(I.Op);
     uint64_t Addr = R[I.Rs1] + static_cast<int64_t>(I.Imm);
-    MemAccess(Addr, Size, false);
+    MemAccess(Addr, Row.Width, false);
     uint64_t V = 0;
-    MemFault RF = Mem.read(Addr, &V, Size);
+    MemFault RF = Mem.read(Addr, &V, Row.Width);
     if (RF != MemFault::None)
       return fault(T, Addr, "load from %s address %#llx",
                    RF == MemFault::Unmapped ? "unmapped" : "unreadable",
                    static_cast<unsigned long long>(Addr));
-    if (I.Op == Opcode::Ld1s)
-      V = static_cast<uint64_t>(static_cast<int64_t>(static_cast<int8_t>(V)));
-    else if (I.Op == Opcode::Ld2s)
-      V = static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int16_t>(V)));
-    else if (I.Op == Opcode::Ld4s)
-      V = static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int32_t>(V)));
-    R[I.Rd] = V;
+    R[I.Rd] = sem::extendLoad(V, Row.Width, Row.Signed);
     break;
   }
   case Opcode::St1:
   case Opcode::St2:
   case Opcode::St4:
   case Opcode::St8: {
-    uint32_t Size = I.Op == Opcode::St1   ? 1
-                    : I.Op == Opcode::St2 ? 2
-                    : I.Op == Opcode::St4 ? 4
-                                          : 8;
+    uint32_t Size = isa::opInfo(I.Op).Width;
     uint64_t Addr = R[I.Rs1] + static_cast<int64_t>(I.Imm);
     MemAccess(Addr, Size, true);
     uint64_t V = R[I.Rd];
@@ -791,27 +771,12 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   }
 
   // ---- Control flow ----
-  case Opcode::Beq:
-  case Opcode::Bne:
-  case Opcode::Blt:
-  case Opcode::Bge:
-  case Opcode::Bltu:
-  case Opcode::Bgeu: {
-    bool Taken = false;
-    switch (I.Op) {
-    case Opcode::Beq: Taken = R[I.Rs1] == R[I.Rs2]; break;
-    case Opcode::Bne: Taken = R[I.Rs1] != R[I.Rs2]; break;
-    case Opcode::Blt: Taken = sem::slt(R[I.Rs1], R[I.Rs2]); break;
-    case Opcode::Bge: Taken = !sem::slt(R[I.Rs1], R[I.Rs2]); break;
-    case Opcode::Bltu: Taken = sem::sltu(R[I.Rs1], R[I.Rs2]); break;
-    case Opcode::Bgeu: Taken = !sem::sltu(R[I.Rs1], R[I.Rs2]); break;
-    default: break;
-    }
-    uint64_t To = Taken ? PC + static_cast<int64_t>(I.Imm) : NextPC;
-    Transfer(To, Taken);
-    Retire(To);
-    return StepStatus::Ok;
-  }
+  case Opcode::Beq: return Branch(R[I.Rs1] == R[I.Rs2]);
+  case Opcode::Bne: return Branch(R[I.Rs1] != R[I.Rs2]);
+  case Opcode::Blt: return Branch(sem::slt(R[I.Rs1], R[I.Rs2]));
+  case Opcode::Bge: return Branch(!sem::slt(R[I.Rs1], R[I.Rs2]));
+  case Opcode::Bltu: return Branch(sem::sltu(R[I.Rs1], R[I.Rs2]));
+  case Opcode::Bgeu: return Branch(!sem::sltu(R[I.Rs1], R[I.Rs2]));
   case Opcode::Jmp: {
     uint64_t To = PC + static_cast<int64_t>(I.Imm);
     Transfer(To, true);

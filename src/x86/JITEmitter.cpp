@@ -173,63 +173,52 @@ void BlockEmitter::emitInst(size_t Idx, const Inst &I, uint32_t Prefix) {
   uint64_t PC = StartPC + 8 * Idx;
   auto Imm64 = [&]() { return static_cast<int64_t>(I.Imm); };
 
-  // Branches are the block's last instruction: both outcomes leave through
-  // chain exits, each retiring the whole prefix.
-  auto Branch = [&](Cond C) {
+  const isa::OpInfo &Row = isa::opInfo(I.Op);
+  switch (Row.Operands) {
+  case isa::Form::Load:
+  case isa::Form::FLoad:
+    emitLoadCall(Idx, I, jitLoadKind(Row.Width, Row.Signed));
+    if (Row.Operands == isa::Form::FLoad)
+      storeFprBits(E, Thread, I.Rd, RAX);
+    else
+      storeGpr(E, Thread, I.Rd, RAX);
+    return;
+  case isa::Form::Store:
+  case isa::Form::FStore:
+    // Effective address into RSI (helper argument), value into RDX.
+    loadGpr(E, Thread, RSI, I.Rs1);
+    if (I.Imm != 0)
+      E.leaRegMem(RSI, RSI, I.Imm);
+    if (Row.Operands == isa::Form::FStore)
+      loadFprBits(E, Thread, RDX, I.Rd);
+    else
+      loadGpr(E, Thread, RDX, I.Rd);
+    emitStoreCall(Idx, I, Row.Width);
+    return;
+  case isa::Form::Branch: {
+    // Branches are the block's last instruction: both outcomes leave
+    // through chain exits, each retiring the whole prefix.
     loadGpr(E, Thread, RAX, I.Rs1);
     E.cmpRegMem(RAX, R14, Thread.gpr(I.Rs2));
     Label Taken;
-    E.jcc(C, Taken);
+    E.jcc(branchCond(I.Op), Taken);
     chainExit(Prefix, PC + 8);
     E.bind(Taken);
     chainExit(Prefix, PC + Imm64());
-  };
+    return;
+  }
+  default:
+    break;
+  }
+
   auto StoreLink = [&](unsigned Rd) {
     if (Rd == isa::RegZero)
       return;
     E.movRegImm64(RAX, PC + 8);
     storeGpr(E, Thread, Rd, RAX);
   };
-  // Effective address of a load/store into RSI (helper argument).
-  auto LoadEA = [&]() {
-    loadGpr(E, Thread, RSI, I.Rs1);
-    if (I.Imm != 0)
-      E.leaRegMem(RSI, RSI, I.Imm);
-  };
-  auto Load = [&](JitLoadKind Kind) {
-    emitLoadCall(Idx, I, Kind);
-    storeGpr(E, Thread, I.Rd, RAX);
-  };
-  auto Store = [&](uint32_t Size) {
-    LoadEA();
-    loadGpr(E, Thread, RDX, I.Rd);
-    emitStoreCall(Idx, I, Size);
-  };
 
   switch (I.Op) {
-  case Opcode::Fence:
-    // Fence: the EVM runs on one host thread, so like the interpreter the
-    // fence only retires.
-    break;
-
-  case Opcode::Ld1: Load(JitLoadU8); break;
-  case Opcode::Ld2: Load(JitLoadU16); break;
-  case Opcode::Ld4: Load(JitLoadU32); break;
-  case Opcode::Ld8: Load(JitLoadU64); break;
-  case Opcode::Ld1s: Load(JitLoadS8); break;
-  case Opcode::Ld2s: Load(JitLoadS16); break;
-  case Opcode::Ld4s: Load(JitLoadS32); break;
-  case Opcode::St1: Store(1); break;
-  case Opcode::St2: Store(2); break;
-  case Opcode::St4: Store(4); break;
-  case Opcode::St8: Store(8); break;
-
-  case Opcode::Beq: Branch(CondE); break;
-  case Opcode::Bne: Branch(CondNE); break;
-  case Opcode::Blt: Branch(CondL); break;
-  case Opcode::Bge: Branch(CondGE); break;
-  case Opcode::Bltu: Branch(CondB); break;
-  case Opcode::Bgeu: Branch(CondAE); break;
   case Opcode::Jmp:
     chainExit(Prefix, PC + Imm64());
     break;
@@ -251,19 +240,11 @@ void BlockEmitter::emitInst(size_t Idx, const Inst &I, uint32_t Prefix) {
     E.movRegImm32(RAX, JitExitIndirect);
     E.ret();
     break;
-
-  case Opcode::Fld:
-    emitLoadCall(Idx, I, JitLoadU64);
-    storeFprBits(E, Thread, I.Rd, RAX);
-    break;
-  case Opcode::Fst:
-    LoadEA();
-    loadFprBits(E, Thread, RDX, I.Rd);
-    emitStoreCall(Idx, I, 8);
-    break;
   default:
-    // Register-only instructions went through lowerDataOp above; the
-    // jitNeedsInterpreter() set never reaches here (it ends the prefix).
+    // Register-only instructions went through lowerDataOp above; fence
+    // only retires (the EVM runs on one host thread, as the interpreter
+    // does); the jitNeedsInterpreter() set never reaches here (it ends the
+    // prefix).
     break;
   }
 }

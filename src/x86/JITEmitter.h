@@ -52,6 +52,7 @@
 #include "isa/ISA.h"
 #include "x86/Encoder.h"
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -76,7 +77,8 @@ enum JitExitKind : uint32_t {
 /// predicate the emitter compiles with; the two cannot drift.
 bool jitNeedsInterpreter(isa::Opcode Op);
 
-/// Kind selector passed to the load helper (sign/zero extension + width).
+/// Kind selector passed to the load helper: bits 0-1 hold log2 of the
+/// width in bytes, bit 2 is set when the value is sign-extended.
 enum JitLoadKind : uint32_t {
   JitLoadU8 = 0,
   JitLoadU16 = 1,
@@ -86,6 +88,13 @@ enum JitLoadKind : uint32_t {
   JitLoadS16 = 5,
   JitLoadS32 = 6,
 };
+
+/// The load helper's kind for a load of \p Width bytes (1, 2, 4 or 8).
+inline JitLoadKind jitLoadKind(unsigned Width, bool Signed) {
+  return static_cast<JitLoadKind>(std::countr_zero(Width) | (Signed ? 4 : 0));
+}
+inline unsigned jitLoadWidth(uint64_t Kind) { return 1u << (Kind & 3); }
+inline bool jitLoadSigned(uint64_t Kind) { return Kind & 4; }
 
 /// Guest memory helpers the emitted code calls through the context. The
 /// cookie is the VM. On fault the helper clears ctx.MemOk and the load

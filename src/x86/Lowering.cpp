@@ -7,10 +7,26 @@
 
 #include "x86/Lowering.h"
 
+#include <cassert>
+
 using namespace elfie;
 using namespace elfie::x86;
 using isa::Inst;
 using isa::Opcode;
+
+Cond x86::branchCond(Opcode Op) {
+  switch (Op) {
+  case Opcode::Beq: return CondE;
+  case Opcode::Bne: return CondNE;
+  case Opcode::Blt: return CondL;
+  case Opcode::Bge: return CondGE;
+  case Opcode::Bltu: return CondB;
+  case Opcode::Bgeu: return CondAE;
+  default:
+    assert(false && "not a conditional branch");
+    return CondE;
+  }
+}
 
 bool x86::lowerDataOp(Encoder &E, const StateRef &S, const Inst &I) {
   auto Imm64 = [&]() { return static_cast<int64_t>(I.Imm); };

@@ -14,11 +14,12 @@
 /// register file lives, which StateRef describes (%r15 + CtxLayout for
 /// the AOT context block, %r14 + JitLayout for the VM's ThreadState).
 ///
-/// Memory access, control flow and atomics stay in each generator because
-/// they share no instruction sequences: the AOT code touches guest memory
-/// directly and branches to labels and an abort stub, while the JIT calls
-/// the VM's software-TLB helpers with MemOk/Pending checks and leaves
-/// through chain/indirect exits (DESIGN.md §12).
+/// Memory access, control flow and atomics stay in each generator, apart
+/// from the branch-to-condition map, because they share no instruction
+/// sequences: the AOT code touches guest memory directly and branches to
+/// labels and an abort stub, while the JIT calls the VM's software-TLB
+/// helpers with MemOk/Pending checks and leaves through chain/indirect
+/// exits (DESIGN.md §12).
 ///
 /// Register use: %rax, %rcx, %rdx, %xmm0 and %xmm1 are scratch.
 ///
@@ -65,6 +66,10 @@ inline void storeFprBits(Encoder &E, const StateRef &S, unsigned R,
                          Reg Src) {
   E.movMemReg(S.Base, S.fpr(R), Src);
 }
+
+/// The condition under which EG64 branch \p Op (isa::isBranch) is taken
+/// after `cmp rs1, rs2`.
+Cond branchCond(isa::Opcode Op);
 
 /// Emits \p I when it only reads and writes guest registers (including
 /// Nop, which emits nothing) and returns true; returns false, emitting

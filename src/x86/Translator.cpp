@@ -121,7 +121,49 @@ void Translator::translateInst(uint64_t PC, const Inst &I,
     E.jmp(labelFor(Target));
   };
 
-  auto Branch = [&](Cond C) {
+  const isa::OpInfo &Row = isa::opInfo(I.Op);
+  // Loads and stores: effective address into RAX, value through RDX.
+  auto LoadEA = [&]() {
+    loadGpr(E, Ctx, RAX, I.Rs1);
+    if (I.Imm != 0)
+      E.leaRegMem(RAX, RAX, I.Imm);
+  };
+  switch (Row.Operands) {
+  case isa::Form::Load:
+  case isa::Form::FLoad:
+    LoadEA();
+    if (Row.Width == 1)
+      Row.Signed ? E.movsxRegMem8(RDX, RAX, 0) : E.movzxRegMem8(RDX, RAX, 0);
+    else if (Row.Width == 2)
+      Row.Signed ? E.movsxRegMem16(RDX, RAX, 0)
+                 : E.movzxRegMem16(RDX, RAX, 0);
+    else if (Row.Width == 4)
+      Row.Signed ? E.movsxRegMem32(RDX, RAX, 0) : E.movRegMem32(RDX, RAX, 0);
+    else
+      E.movRegMem(RDX, RAX, 0);
+    if (Row.Operands == isa::Form::FLoad)
+      storeFprBits(E, Ctx, I.Rd, RDX);
+    else
+      storeGpr(E, Ctx, I.Rd, RDX);
+    return;
+  case isa::Form::Store:
+  case isa::Form::FStore:
+    LoadEA();
+    if (Row.Operands == isa::Form::FStore)
+      loadFprBits(E, Ctx, RDX, I.Rd);
+    else
+      loadGpr(E, Ctx, RDX, I.Rd);
+    if (Row.Width == 1)
+      E.movMemReg8(RAX, 0, RDX);
+    else if (Row.Width == 2)
+      E.movMemReg16(RAX, 0, RDX);
+    else if (Row.Width == 4)
+      E.movMemReg32(RAX, 0, RDX);
+    else
+      E.movMemReg(RAX, 0, RDX);
+    return;
+  case isa::Form::Branch: {
+    Cond C = branchCond(I.Op);
     uint64_t Target = PC + Imm64();
     loadGpr(E, Ctx, RAX, I.Rs1);
     E.cmpRegMem(RAX, R15, CtxLayout::gpr(I.Rs2));
@@ -131,13 +173,11 @@ void Translator::translateInst(uint64_t PC, const Inst &I,
     } else {
       E.jcc(C, labelFor(Target));
     }
-  };
-  // Effective address of a load/store into RAX.
-  auto LoadEA = [&]() {
-    loadGpr(E, Ctx, RAX, I.Rs1);
-    if (I.Imm != 0)
-      E.leaRegMem(RAX, RAX, I.Imm);
-  };
+    return;
+  }
+  default:
+    break;
+  }
 
   switch (I.Op) {
   case Opcode::Fence:
@@ -158,69 +198,6 @@ void Translator::translateInst(uint64_t PC, const Inst &I,
   case Opcode::Syscall:
     E.call(SyscallStub);
     break;
-
-  case Opcode::Ld1:
-    LoadEA();
-    E.movzxRegMem8(RDX, RAX, 0);
-    storeGpr(E, Ctx, I.Rd, RDX);
-    break;
-  case Opcode::Ld2:
-    LoadEA();
-    E.movzxRegMem16(RDX, RAX, 0);
-    storeGpr(E, Ctx, I.Rd, RDX);
-    break;
-  case Opcode::Ld4:
-    LoadEA();
-    E.movRegMem32(RDX, RAX, 0);
-    storeGpr(E, Ctx, I.Rd, RDX);
-    break;
-  case Opcode::Ld8:
-    LoadEA();
-    E.movRegMem(RDX, RAX, 0);
-    storeGpr(E, Ctx, I.Rd, RDX);
-    break;
-  case Opcode::Ld1s:
-    LoadEA();
-    E.movsxRegMem8(RDX, RAX, 0);
-    storeGpr(E, Ctx, I.Rd, RDX);
-    break;
-  case Opcode::Ld2s:
-    LoadEA();
-    E.movsxRegMem16(RDX, RAX, 0);
-    storeGpr(E, Ctx, I.Rd, RDX);
-    break;
-  case Opcode::Ld4s:
-    LoadEA();
-    E.movsxRegMem32(RDX, RAX, 0);
-    storeGpr(E, Ctx, I.Rd, RDX);
-    break;
-  case Opcode::St1:
-    LoadEA();
-    loadGpr(E, Ctx, RDX, I.Rd);
-    E.movMemReg8(RAX, 0, RDX);
-    break;
-  case Opcode::St2:
-    LoadEA();
-    loadGpr(E, Ctx, RDX, I.Rd);
-    E.movMemReg16(RAX, 0, RDX);
-    break;
-  case Opcode::St4:
-    LoadEA();
-    loadGpr(E, Ctx, RDX, I.Rd);
-    E.movMemReg32(RAX, 0, RDX);
-    break;
-  case Opcode::St8:
-    LoadEA();
-    loadGpr(E, Ctx, RDX, I.Rd);
-    E.movMemReg(RAX, 0, RDX);
-    break;
-
-  case Opcode::Beq: Branch(CondE); break;
-  case Opcode::Bne: Branch(CondNE); break;
-  case Opcode::Blt: Branch(CondL); break;
-  case Opcode::Bge: Branch(CondGE); break;
-  case Opcode::Bltu: Branch(CondB); break;
-  case Opcode::Bgeu: Branch(CondAE); break;
   case Opcode::Jmp:
     JumpTo(PC + Imm64());
     break;
@@ -274,16 +251,6 @@ void Translator::translateInst(uint64_t PC, const Inst &I,
     storeGpr(E, Ctx, I.Rd, RAX); // rax holds the old value either way
     break;
 
-  case Opcode::Fld:
-    LoadEA();
-    E.movRegMem(RDX, RAX, 0);
-    storeFprBits(E, Ctx, I.Rd, RDX);
-    break;
-  case Opcode::Fst:
-    LoadEA();
-    loadFprBits(E, Ctx, RDX, I.Rd);
-    E.movMemReg(RAX, 0, RDX);
-    break;
   default:
     break; // register-only: lowered by lowerDataOp above
   }

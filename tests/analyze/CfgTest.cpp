@@ -23,6 +23,7 @@
 #include "analyze/cfg/Dataflow.h"
 #include "core/Pinball2Elf.h"
 #include "isa/ISA.h"
+#include "isa/Semantics.h"
 #include "vm/VM.h"
 
 #include "../common/TestHelpers.h"
@@ -32,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <span>
+#include <tuple>
 #include <unistd.h>
 
 using namespace elfie;
@@ -270,6 +272,78 @@ TEST(CfgDataflow, KnownConstantsMatchInterpreterOnEdgeOperands) {
     EXPECT_EQ(S.get(3), M.thread(Tid)->GPR[3])
         << isa::disassemble(C.I, PC) << " with r1=" << C.A
         << " r2=" << C.B;
+  }
+}
+
+TEST(CfgDataflow, MemRefMatchesInterpreterAccesses) {
+  // Every load, store and atomic opcode (the opcode-table rows with a
+  // memory access), run once by the interpreter: the access it reports
+  // must be the one memRef predicts (address register + displacement,
+  // width, write), and memRef's read must show as the old memory value
+  // landing in rd. rs1 = r1, rs2 = r2, rd = r3 (or f3), imm = -24, which
+  // atomics ignore.
+  struct Recorder : vm::Observer {
+    std::vector<std::tuple<uint64_t, uint32_t, bool>> Seen;
+    void onMemoryAccess(uint32_t, uint64_t Addr, uint32_t Size,
+                        bool IsWrite) override {
+      Seen.emplace_back(Addr, Size, IsWrite);
+    }
+  };
+  std::vector<isa::Inst> Code;
+  for (unsigned Byte = 0; Byte < 256; ++Byte) {
+    Opcode Op = static_cast<Opcode>(Byte);
+    if (isa::isValidOpcode(static_cast<uint8_t>(Byte)) &&
+        isa::opInfo(Op).Mem != isa::Access::None)
+      Code.push_back(I4(Op, 3, 1, 2, -24));
+  }
+  ASSERT_EQ(Code.size(), 16u); // 7 loads, fld, 4 stores, fst, 3 atomics
+
+  constexpr uint64_t Data = 0x200000;
+  std::vector<uint8_t> Pattern(vm::GuestPageSize);
+  for (size_t B = 0; B < Pattern.size(); ++B)
+    Pattern[B] = static_cast<uint8_t>(0xc0 + B % 61); // sign bits set
+  std::vector<uint8_t> Bytes = encodeProgram(Code);
+  vm::VMConfig C;
+  C.EnableJit = false;
+  vm::VM M(C);
+  M.mem().map(Base, Bytes.size(), vm::PermRead | vm::PermExec);
+  ASSERT_EQ(M.mem().poke(Base, Bytes.data(), Bytes.size()),
+            vm::MemFault::None);
+  M.mem().map(Data, Pattern.size(), vm::PermRW);
+  ASSERT_EQ(M.mem().poke(Data, Pattern.data(), Pattern.size()),
+            vm::MemFault::None);
+  Recorder Obs;
+  M.setObserver(&Obs);
+
+  for (size_t K = 0; K < Code.size(); ++K) {
+    const isa::Inst &I = Code[K];
+    const isa::OpInfo &Row = isa::opInfo(I.Op);
+    uint64_t PC = Base + K * isa::InstSize;
+    std::string What = isa::disassemble(I, PC);
+    vm::ThreadState T;
+    T.PC = PC;
+    T.GPR[1] = Data + 256 + 64 * K; // each case has its own bytes
+    T.GPR[2] = 5;
+    T.GPR[3] = 0x1122334455667788;
+    Obs.Seen.clear();
+    uint32_t Tid = M.spawnThread(T);
+    ASSERT_EQ(M.stepThread(Tid), vm::StopReason::BudgetReached) << What;
+
+    cfg::MemRef Ref;
+    ASSERT_TRUE(cfg::memRef(I, Ref)) << What;
+    ASSERT_EQ(Obs.Seen.size(), 1u) << What;
+    auto [Addr, Size, IsWrite] = Obs.Seen[0];
+    EXPECT_EQ(T.GPR[Ref.AddrReg] + Ref.Disp, Addr) << What;
+    EXPECT_EQ(Ref.Size, Size) << What;
+    EXPECT_EQ(Ref.IsStore, IsWrite) << What;
+    uint64_t Old = 0;
+    std::memcpy(&Old, Pattern.data() + (Addr - Data), Size);
+    uint64_t Rd = M.thread(Tid)->GPR[3];
+    if (Row.Operands == isa::Form::FLoad)
+      std::memcpy(&Rd, &M.thread(Tid)->FPR[3], 8);
+    EXPECT_EQ(Ref.IsLoad,
+              Rd == isa::sem::extendLoad(Old, Size, Row.Signed))
+        << What;
   }
 }
 

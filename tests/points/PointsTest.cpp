@@ -17,6 +17,7 @@
 
 #include "pinball/Logger.h"
 #include "support/FileIO.h"
+#include "vm/VM.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -103,6 +104,44 @@ TEST(Points, NativeRetiredCountsAndCoverage) {
     EXPECT_EQ(V.Regions[I].Instructions, F.Sel.Regions[I].Length) << I;
     EXPECT_GT(V.Regions[I].CPI, 0.0) << I;
   }
+  removeTree(F.Dir);
+}
+
+/// The program's last slice is cut short at exit; as the representative
+/// of a region (built as simpoint::selectRegions builds one: Length =
+/// SliceSize), it is measured past its captured warm-up only, so exactly
+/// the instructions the slice really has are counted. (The simulation
+/// method checks it deterministically; the native method shares the
+/// warm-up computation but also depends on measured cycles.)
+TEST(Points, PartialLastSliceMeasuresOnlyItsOwnInstructions) {
+  Fixture F = setUp("lastslice");
+  vm::VMConfig C;
+  C.StdoutSink = [](const char *, size_t) {};
+  vm::VM M(C);
+  ASSERT_FALSE(M.loadELFFile(F.Prog).isError());
+  ASSERT_FALSE(M.setupMainThread({"xz_like"}).isError());
+  ASSERT_EQ(M.run().Reason, vm::StopReason::AllExited);
+  const uint64_t Total = M.globalRetired();
+  const uint64_t Slice = F.Sel.SliceSize;
+  ASSERT_EQ(F.Sel.TotalSlices, (Total + Slice - 1) / Slice);
+  ASSERT_NE(Total % Slice, 0u) << "the last slice must be partial";
+
+  simpoint::PinPointsResult Sel = F.Sel;
+  simpoint::Region Last;
+  Last.SliceIndex = Sel.TotalSlices - 1;
+  Last.StartIcount = Last.SliceIndex * Slice;
+  Last.Length = Slice;
+  Last.WarmupStart = Last.StartIcount - 40000;
+  Last.Weight = 1.0;
+  Sel.Regions = {Last};
+  auto Set = points::captureRegionSet(F.Prog, Sel);
+  ASSERT_TRUE(Set.hasValue()) << Set.message();
+  points::ValidationResult V =
+      points::validate(*Set, points::Method::Simulation);
+  ASSERT_TRUE(V.OK) << V.Error;
+  ASSERT_EQ(V.Regions.size(), 1u);
+  EXPECT_TRUE(V.Regions[0].OK);
+  EXPECT_EQ(V.Regions[0].Instructions, Total % Slice);
   removeTree(F.Dir);
 }
 
