@@ -9,7 +9,9 @@
 /// pinball2elf emission byte-identical with direct emission, cross-region
 /// dedup measured over two regions of one workload, a kill-mid-GC sweep
 /// (ELFIE_FAULT_SPEC=write:K:kill over `estore gc` — a live chunk is never
-/// lost, garbage never survives the follow-up sweep), the efault
+/// lost, garbage never survives the follow-up sweep), a kill-mid-put sweep
+/// (the same harness over `estore put`: every chunk keeps a GC root and a
+/// re-run converges), the efault
 /// chunk-corruption campaign (every consumer fails closed with a typed
 /// EFAULT.STORE.* code — zero crashes, hangs, or uncoded rejections), and
 /// the everify STORE.* pass.
@@ -259,6 +261,134 @@ TEST_F(StoreE2E, KillMidGcNeverLosesLiveNeverLeaksDead) {
     removeTree(Copy);
   }
   EXPECT_TRUE(SawKill) << "no kill point landed — sweep tested nothing";
+}
+
+/// SIGKILL `estore put` at every write it makes (pin journal record, chunk
+/// publication, manifest, seal) until one put completes. The artifact
+/// shares chunks with the pool, references the zero page six times and
+/// brings new chunks. Invariants after every kill point: reopening
+/// recovers; every chunk the killed put left behind is referenced by a
+/// manifest or covered by an active pin; every manifest published before
+/// the put still loads byte-identical; re-running the put converges to the
+/// manifest a clean put writes; one gc then keeps exactly the referenced
+/// chunks.
+TEST_F(StoreE2E, KillMidPutConvergesAndKeepsEveryChunkRooted) {
+  std::string PoolDir = Dir + "/pool";
+  auto Keep1 = readFileBytes(Root + "/p.elf");
+  auto Keep2 = readFileBytes(Root + "/ra.pb/image.text");
+  ASSERT_TRUE(Keep1.hasValue());
+  ASSERT_TRUE(Keep2.hasValue());
+  ASSERT_GE(Keep2->size(), 8192u);
+  {
+    auto S = ChunkStore::open(PoolDir);
+    ASSERT_TRUE(S.hasValue()) << S.message();
+    ASSERT_TRUE(putArtifact(*S, "keep1", *Keep1).hasValue());
+    ASSERT_TRUE(putArtifact(*S, "keep2", *Keep2).hasValue());
+  }
+
+  std::vector<uint8_t> New(Keep2->begin(), Keep2->begin() + 8192);
+  New.resize(New.size() + 6 * 4096, 0);
+  for (uint32_t I = 0; I < 3 * 4096 + 100; ++I)
+    New.push_back(static_cast<uint8_t>((I * 2654435761u) >> 13));
+  New.insert(New.end() - 100, Keep2->begin(), Keep2->begin() + 4096);
+  std::string NewPath = Dir + "/new.bin";
+  ASSERT_FALSE(writeFile(NewPath, New.data(), New.size()).isError());
+  std::string Put = formatString("%s put %%s %s -name new.bin",
+                                 binPath("estore").c_str(), NewPath.c_str());
+
+  // The manifest a clean put publishes.
+  std::string Want;
+  {
+    std::string Clean = Dir + "/pool.clean";
+    auto R = runCmd("", formatString("cp -r %s %s", PoolDir.c_str(),
+                                     Clean.c_str()));
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+    R = runCmd("", formatString(Put.c_str(), Clean.c_str()));
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+    auto Text = readFileText(Clean + "/manifests/new.bin");
+    ASSERT_TRUE(Text.hasValue());
+    Want = *Text;
+    removeTree(Clean);
+  }
+
+  bool SawKill = false, Completed = false;
+  for (int KillAt = 1; KillAt <= 200 && !Completed; ++KillAt) {
+    std::string Copy = Dir + formatString("/pool.k%d", KillAt);
+    auto R = runCmd("", formatString("cp -r %s %s", PoolDir.c_str(),
+                                     Copy.c_str()));
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+
+    R = runCmd(formatString("ELFIE_FAULT_SPEC=write:%d:kill", KillAt),
+               formatString(Put.c_str(), Copy.c_str()));
+    ASSERT_TRUE(R.ExitCode == 97 || R.ExitCode == 0)
+        << "kill point " << KillAt << ": " << R.Output;
+    SawKill |= R.ExitCode == 97;
+    Completed = R.ExitCode == 0;
+
+    auto S = ChunkStore::open(Copy, /*Create=*/false);
+    ASSERT_TRUE(S.hasValue()) << "kill " << KillAt << ": " << S.message();
+
+    // No chunk without a GC root, even mid-put.
+    std::set<std::string> Rooted;
+    auto Names = S->listManifests();
+    ASSERT_TRUE(Names.hasValue());
+    for (const std::string &Name : *Names) {
+      auto M = S->getManifest(Name);
+      ASSERT_TRUE(M.hasValue()) << "kill " << KillAt << ": " << M.message();
+      for (const ChunkRef &C : M->Chunks)
+        Rooted.insert(C.Digest.hex());
+    }
+    auto Pins = S->activePins();
+    ASSERT_TRUE(Pins.hasValue());
+    for (const auto &[Owner, Digests] : *Pins)
+      Rooted.insert(Digests.begin(), Digests.end());
+    auto Chunks = S->listChunks();
+    ASSERT_TRUE(Chunks.hasValue());
+    for (const Sha256Digest &D : *Chunks)
+      EXPECT_TRUE(Rooted.count(D.hex()))
+          << "kill " << KillAt << ": chunk " << D.hex() << " has no root";
+
+    auto L1 = loadArtifact(*S, "keep1");
+    auto L2 = loadArtifact(*S, "keep2");
+    ASSERT_TRUE(L1.hasValue()) << "kill " << KillAt << ": " << L1.message();
+    ASSERT_TRUE(L2.hasValue()) << "kill " << KillAt << ": " << L2.message();
+    EXPECT_EQ(*L1, *Keep1) << "kill " << KillAt;
+    EXPECT_EQ(*L2, *Keep2) << "kill " << KillAt;
+
+    R = runCmd("", formatString(Put.c_str(), Copy.c_str()));
+    ASSERT_EQ(R.ExitCode, 0) << "kill " << KillAt << ": " << R.Output;
+    auto Text = readFileText(Copy + "/manifests/new.bin");
+    ASSERT_TRUE(Text.hasValue());
+    EXPECT_EQ(*Text, Want) << "kill " << KillAt;
+    auto LN = loadArtifact(*S, "new.bin");
+    ASSERT_TRUE(LN.hasValue()) << "kill " << KillAt << ": " << LN.message();
+    EXPECT_EQ(*LN, New) << "kill " << KillAt;
+
+    // The re-run sealed its pins: one sweep keeps exactly the chunks the
+    // three manifests reference.
+    auto G = S->gc();
+    ASSERT_TRUE(G.hasValue()) << "kill " << KillAt << ": " << G.message();
+    std::set<std::string> Referenced;
+    for (const char *Name : {"keep1", "keep2", "new.bin"}) {
+      auto M = S->getManifest(Name);
+      ASSERT_TRUE(M.hasValue()) << M.message();
+      for (const ChunkRef &C : M->Chunks)
+        Referenced.insert(C.Digest.hex());
+    }
+    Chunks = S->listChunks();
+    ASSERT_TRUE(Chunks.hasValue());
+    std::set<std::string> AfterHex;
+    for (const Sha256Digest &D : *Chunks)
+      AfterHex.insert(D.hex());
+    EXPECT_EQ(AfterHex, Referenced) << "kill " << KillAt;
+    for (const char *Name : {"keep1", "keep2", "new.bin"})
+      EXPECT_TRUE(loadArtifact(*S, Name).hasValue())
+          << "kill " << KillAt << ": " << Name;
+
+    removeTree(Copy);
+  }
+  EXPECT_TRUE(SawKill) << "no kill point landed: sweep tested nothing";
+  EXPECT_TRUE(Completed) << "no put completed within 200 kill points";
 }
 
 /// The seeded chunk-corruption campaign: every mutation of the pool must be
