@@ -11,8 +11,9 @@
 ///
 ///   * pool bytes vs the artifacts stored naively (one full copy each) —
 ///     the cross-region dedup win the ELF-aware chunking is built for,
-///   * the cost of integrity: verified reassembly (every chunk re-hashed
-///     plus the whole-artifact digest check) vs a plain file read.
+///   * the cost of integrity: verified reassembly (every distinct chunk
+///     re-hashed plus the whole-artifact digest check) vs a plain file
+///     read.
 ///
 /// Runs as a labelled ctest (`ctest -L "bench|store"`) and fails if dedup
 /// or byte-identity regress, so the storage claim stays a tested claim.
@@ -91,8 +92,9 @@ int main() {
   check(Stats.ChunkBytes < NaiveBytes,
         "cross-region dedup: pool smaller than naive storage");
 
-  // Verified-load cost: reassemble each artifact (per-chunk digests + the
-  // whole-artifact hash) vs a plain read of the materialized file.
+  // Verified-load cost: reassemble each artifact (a digest per distinct
+  // chunk + the whole-artifact hash) vs a plain read of the materialized
+  // file.
   for (size_t I = 0; I < Images.size(); ++I)
     exitOnError(store::materializeArtifact(
         Pool, formatString("region%zu.elfie", I),

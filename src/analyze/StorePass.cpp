@@ -94,7 +94,7 @@ public:
       // digest; loadArtifact performs all of it with the runtime's own
       // verification path, so the pass cannot be more lenient than the
       // consumers it vouches for.
-      auto Bytes = store::loadArtifact(*Pool, Name);
+      auto Bytes = store::loadArtifact(*Pool, *M);
       if (!Bytes) {
         Out.add(Severity::Error, findingCodeFor(Bytes.error().code()), 0,
                 formatString("artifact '%s': %s", Name.c_str(),

@@ -11,6 +11,9 @@
 #include "support/FileIO.h"
 
 #include <algorithm>
+#include <cstring>
+#include <map>
+#include <set>
 
 using namespace elfie;
 using namespace elfie::elf;
@@ -97,18 +100,28 @@ Expected<Manifest> elfie::store::putArtifact(ChunkStore &S,
   M.Size = Bytes.size();
   M.Total = Sha256::digest(Bytes);
 
+  // Hash every chunk once; keep the first reference to each digest.
+  std::set<Sha256Digest> Seen;
+  std::vector<Sha256Digest> Distinct;
+  std::vector<std::span<const uint8_t>> Pieces;
   for (auto [Off, Len] : chunkBoundaries(Bytes, M.Kind)) {
     std::span<const uint8_t> Piece = Bytes.subspan(Off, Len);
     Sha256Digest D = Sha256::digest(Piece);
-    // Pin before put: from the instant the chunk exists it has a GC root,
-    // even if we die before the manifest publishes.
-    if (Error E = S.pin(Name, D))
-      return E;
-    auto Put = S.put(Piece);
-    if (!Put)
-      return Put.takeError();
     M.Chunks.push_back({Off, Len, D});
+    if (Seen.insert(D).second) {
+      Distinct.push_back(D);
+      Pieces.push_back(Piece);
+    }
   }
+
+  // Pin before put: every pin is durable before the first chunk byte
+  // lands, so each chunk has a GC root from the instant it exists, even if
+  // we die before the manifest publishes.
+  if (Error E = S.pin(Name, Distinct))
+    return E;
+  for (size_t I = 0; I < Distinct.size(); ++I)
+    if (Error E = S.put(Distinct[I], Pieces[I]))
+      return E;
 
   if (Error E = S.putManifest(M))
     return E;
@@ -119,37 +132,59 @@ Expected<Manifest> elfie::store::putArtifact(ChunkStore &S,
 }
 
 Expected<std::vector<uint8_t>>
+elfie::store::loadArtifact(const ChunkStore &S, const Manifest &M) {
+  std::vector<uint8_t> Out(M.Size);
+  // Digest -> the reference whose bytes were read and verified first.
+  std::map<Sha256Digest, const ChunkRef *> Verified;
+  std::vector<uint8_t> Spill;
+  for (const ChunkRef &C : M.Chunks) {
+    if (C.Offset > M.Size || C.Size > M.Size - C.Offset)
+      return makeCodedError("EFAULT.STORE.MANIFEST",
+                            "manifest '%s' chunk at %llu overruns its size",
+                            M.Name.c_str(),
+                            static_cast<unsigned long long>(C.Offset));
+    uint8_t *Dst = Out.data() + C.Offset;
+    uint64_t ChunkSize;
+    auto [It, First] = Verified.try_emplace(C.Digest, &C);
+    if (First) {
+      auto Read = S.readChunk(C.Digest, {Dst, C.Size}, Spill);
+      if (!Read)
+        return Read.takeError();
+      ChunkSize = *Read;
+    } else {
+      // A repeat: copy from the verified first copy, no syscall, no hash.
+      ChunkSize = It->second->Size;
+    }
+    if (ChunkSize != C.Size)
+      return makeCodedError("EFAULT.STORE.MANIFEST",
+                            "chunk %s is %llu bytes but manifest '%s' "
+                            "records %llu",
+                            C.Digest.hex().c_str(),
+                            static_cast<unsigned long long>(ChunkSize),
+                            M.Name.c_str(),
+                            static_cast<unsigned long long>(C.Size));
+    if (!First)
+      std::memcpy(Dst, Out.data() + It->second->Offset, C.Size);
+  }
+  // Belt and braces: per-chunk digests already matched, but the
+  // whole-artifact check also catches manifest chunk-list tampering that
+  // survived the seal (it cannot, in practice) and our own bugs.
+  Sha256Digest Total = Sha256::digest(Out);
+  if (Total != M.Total)
+    return makeCodedError("EFAULT.STORE.DIGEST",
+                          "artifact '%s' reassembles to %s but manifest "
+                          "records %s",
+                          M.Name.c_str(), Total.hex().c_str(),
+                          M.Total.hex().c_str());
+  return Out;
+}
+
+Expected<std::vector<uint8_t>>
 elfie::store::loadArtifact(const ChunkStore &S, const std::string &Name) {
   auto M = S.getManifest(Name);
   if (!M)
     return M.takeError();
-  std::vector<uint8_t> Out;
-  Out.reserve(M->Size);
-  for (const ChunkRef &C : M->Chunks) {
-    auto View = S.openChunk(C.Digest);
-    if (!View)
-      return View.takeError();
-    if (View->File.size() != C.Size)
-      return makeCodedError("EFAULT.STORE.MANIFEST",
-                            "chunk %s is %zu bytes but manifest '%s' "
-                            "records %llu",
-                            C.Digest.hex().c_str(), View->File.size(),
-                            Name.c_str(),
-                            static_cast<unsigned long long>(C.Size));
-    auto Span = View->File.span();
-    Out.insert(Out.end(), Span.begin(), Span.end());
-  }
-  // Belt and braces: per-chunk digests already matched, but the cheap
-  // whole-artifact check also catches manifest chunk-list tampering that
-  // survived the seal (it cannot, in practice) and our own bugs.
-  Sha256Digest Total = Sha256::digest(Out);
-  if (Total != M->Total)
-    return makeCodedError("EFAULT.STORE.DIGEST",
-                          "artifact '%s' reassembles to %s but manifest "
-                          "records %s",
-                          Name.c_str(), Total.hex().c_str(),
-                          M->Total.hex().c_str());
-  return Out;
+  return loadArtifact(S, *M);
 }
 
 Error elfie::store::materializeArtifact(const ChunkStore &S,
@@ -158,7 +193,7 @@ Error elfie::store::materializeArtifact(const ChunkStore &S,
   auto M = S.getManifest(Name);
   if (!M)
     return M.takeError();
-  auto Bytes = loadArtifact(S, Name);
+  auto Bytes = loadArtifact(S, *M);
   if (!Bytes)
     return Bytes.takeError();
   return writeFileAtomic(OutPath, Bytes->data(), Bytes->size(),

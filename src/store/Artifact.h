@@ -49,18 +49,26 @@ std::string classifyArtifact(std::span<const uint8_t> Bytes);
 std::vector<std::pair<uint64_t, uint64_t>>
 chunkBoundaries(std::span<const uint8_t> Bytes, const std::string &Kind);
 
-/// Ingests \p Bytes as artifact \p Name: pins each chunk (crash-safe GC
-/// root), puts it, publishes the sealed manifest, then retires the pins.
-/// A kill at any point leaves either no manifest (pins keep the chunks;
-/// re-running converges) or the complete published artifact.
+/// Ingests \p Bytes as artifact \p Name: hashes each chunk once, pins the
+/// artifact's distinct digests with one journal record (crash-safe GC
+/// roots), puts each distinct chunk once, publishes the sealed manifest,
+/// then retires the pins. A kill at any point leaves either no manifest
+/// (pins keep the chunks; re-running converges) or the complete published
+/// artifact.
 Expected<Manifest> putArtifact(ChunkStore &S, const std::string &Name,
                                std::span<const uint8_t> Bytes,
                                const std::string &Source = "");
 
-/// Reassembles artifact \p Name with end-to-end verification: every chunk
-/// is digest-checked on open and the concatenation is checked against the
-/// manifest's whole-artifact digest. Corruption anywhere is a typed
-/// EFAULT.STORE.* error, never silently wrong bytes.
+/// Reassembles the artifact \p M describes with end-to-end verification:
+/// each distinct chunk is read once straight into the output and
+/// digest-checked there, repeats are copied from that verified copy, and
+/// the result is checked against the manifest's whole-artifact digest.
+/// Corruption anywhere is a typed EFAULT.STORE.* error, never silently
+/// wrong bytes.
+Expected<std::vector<uint8_t>> loadArtifact(const ChunkStore &S,
+                                            const Manifest &M);
+
+/// loadArtifact of the manifest named \p Name.
 Expected<std::vector<uint8_t>> loadArtifact(const ChunkStore &S,
                                             const std::string &Name);
 

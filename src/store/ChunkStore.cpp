@@ -31,9 +31,10 @@
 //    because both recovery paths delete dead trash.
 //
 //  * Pins are journal records, replayed on demand, compacted at gc-end.
-//    An ingestion killed between pin and manifest publication leaves its
-//    pins active -- chunks are kept (safe) until the owner is sealed or
-//    re-run.
+//    An ingestion pins all its digests in one append, before its first
+//    chunk write. An ingestion killed between pin and manifest publication
+//    leaves its pins active -- chunks are kept (safe) until the owner is
+//    sealed or re-run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +43,12 @@
 #include "support/FileIO.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 using namespace elfie;
 using namespace elfie::store;
@@ -125,48 +129,120 @@ bool ChunkStore::hasChunk(const Sha256Digest &D) const {
 Expected<Sha256Digest> ChunkStore::put(std::span<const uint8_t> Bytes,
                                        bool *WasNew) {
   Sha256Digest D = Sha256::digest(Bytes);
-  std::string Path = chunkPath(D);
-  if (fileExists(Path)) {
-    if (WasNew)
-      *WasNew = false;
-    return D;
-  }
-  std::string Hex = D.hex();
-  if (Error E = createDirectories(Root + "/chunks/" + Hex.substr(0, 2)))
+  if (Error E = put(D, Bytes, WasNew))
     return E;
-  if (Error E = writeFileAtomic(Path, Bytes.data(), Bytes.size()))
-    return E;
-  if (WasNew)
-    *WasNew = true;
   return D;
 }
 
-Expected<ChunkView> ChunkStore::openChunk(const Sha256Digest &D) const {
+Error ChunkStore::put(const Sha256Digest &D, std::span<const uint8_t> Bytes,
+                      bool *WasNew) {
   std::string Path = chunkPath(D);
-  if (!fileExists(Path)) {
-    if (fileExists(quarantinePath(D)))
-      return makeCodedError("EFAULT.STORE.MISSING",
-                            "chunk %s is quarantined (corrupt; see "
-                            "%s.evidence.txt); run `estore repair`",
-                            D.hex().c_str(), quarantinePath(D).c_str());
-    return makeCodedError("EFAULT.STORE.MISSING", "chunk %s is not in the "
-                          "pool at '%s'",
-                          D.hex().c_str(), Root.c_str());
+  bool New = !fileExists(Path);
+  if (WasNew)
+    *WasNew = New;
+  if (!New)
+    return Error::success();
+  std::string Hex = D.hex();
+  if (Error E = createDirectories(Root + "/chunks/" + Hex.substr(0, 2)))
+    return E;
+  return writeFileAtomic(Path, Bytes.data(), Bytes.size());
+}
+
+/// Reads the whole regular file open on \p Fd into \p Dst when it is
+/// exactly Dst.size() bytes long, else into \p Spill; returns the bytes.
+static Expected<std::span<uint8_t>> preadWhole(int Fd, const std::string &Path,
+                                               std::span<uint8_t> Dst,
+                                               std::vector<uint8_t> &Spill) {
+  struct stat St;
+  if (::fstat(Fd, &St) != 0)
+    return makeCodedError("EFAULT.IO.READ", "cannot stat '%s': %s",
+                          Path.c_str(), std::strerror(errno));
+  if (!S_ISREG(St.st_mode))
+    return makeCodedError("EFAULT.IO.READ", "'%s' is not a regular file",
+                          Path.c_str());
+  size_t Size = static_cast<size_t>(St.st_size);
+  if (Size != Dst.size()) {
+    Spill.resize(Size);
+    Dst = Spill;
   }
-  auto File = MappedFile::open(Path);
-  if (!File)
-    return File.takeError();
-  Sha256Digest Actual = Sha256::digest(File->span());
+  size_t Done = 0;
+  while (Done < Size) {
+    ssize_t N = ::pread(Fd, Dst.data() + Done, Size - Done, Done);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0)
+      return makeCodedError("EFAULT.IO.READ", "read error on '%s': %s",
+                            Path.c_str(), std::strerror(errno));
+    if (N == 0)
+      break; // shrank under us: hash what is there, the digest decides
+    Done += static_cast<size_t>(N);
+  }
+  return Dst.first(Done);
+}
+
+Error ChunkStore::missingChunk(const Sha256Digest &D) const {
+  std::string Q = quarantinePath(D);
+  if (fileExists(Q))
+    return makeCodedError("EFAULT.STORE.MISSING",
+                          "chunk %s is quarantined (corrupt; see "
+                          "%s.evidence.txt); run `estore repair`",
+                          D.hex().c_str(), Q.c_str());
+  return makeCodedError("EFAULT.STORE.MISSING",
+                        "chunk %s is not in the pool at '%s'",
+                        D.hex().c_str(), Root.c_str());
+}
+
+Expected<uint64_t> ChunkStore::readChunk(const Sha256Digest &D,
+                                         std::span<uint8_t> Dst,
+                                         std::vector<uint8_t> &Spill) const {
+  // A failed open is the "is it missing?" test; only then ask about
+  // quarantine. Bytes of the wrong size go to Spill and are still hashed,
+  // so the caller can tell a corrupt chunk from a manifest that records
+  // the wrong size.
+  std::string Path = chunkPath(D);
+  std::span<uint8_t> Got;
+  if (ioFaultHook()) {
+    // Fault seam: the installed hook must see (and may corrupt or fail)
+    // every chunk read, so go through the hooked reader.
+    auto Bytes = readFileBytes(Path);
+    if (!Bytes)
+      return fileExists(Path) ? Bytes.takeError() : missingChunk(D);
+    Spill = Bytes.takeValue();
+    Got = Spill;
+    if (Spill.size() == Dst.size()) {
+      std::copy(Spill.begin(), Spill.end(), Dst.begin());
+      Got = Dst;
+    }
+  } else {
+    int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (Fd < 0) {
+      if (errno == ENOENT)
+        return missingChunk(D);
+      return makeCodedError("EFAULT.IO.OPEN", "cannot open '%s': %s",
+                            Path.c_str(), std::strerror(errno));
+    }
+    auto Read = preadWhole(Fd, Path, Dst, Spill);
+    ::close(Fd);
+    if (!Read)
+      return Read.takeError();
+    Got = *Read;
+  }
+  Sha256Digest Actual = Sha256::digest(Got);
   if (Actual != D)
     return makeCodedError("EFAULT.STORE.DIGEST",
                           "chunk %s fails verification: %zu bytes hash to "
                           "%s (pool corruption; run `estore scrub`)",
-                          D.hex().c_str(), File->size(),
-                          Actual.hex().c_str());
-  ChunkView V;
-  V.Digest = D;
-  V.File = std::move(*File);
-  return V;
+                          D.hex().c_str(), Got.size(), Actual.hex().c_str());
+  return static_cast<uint64_t>(Got.size());
+}
+
+Expected<std::vector<uint8_t>>
+ChunkStore::openChunk(const Sha256Digest &D) const {
+  std::vector<uint8_t> Bytes;
+  auto Size = readChunk(D, {}, Bytes);
+  if (!Size)
+    return Size.takeError();
+  return Bytes;
 }
 
 Error ChunkStore::quarantineChunk(const Sha256Digest &D,
@@ -214,8 +290,9 @@ Error ChunkStore::putManifest(const Manifest &M) {
   // Refuse to publish a root that dangles: every referenced chunk must
   // already be in the pool, or GC/open would see a reachable-but-absent
   // digest.
+  std::set<Sha256Digest> Checked;
   for (const ChunkRef &C : M.Chunks)
-    if (!hasChunk(C.Digest))
+    if (Checked.insert(C.Digest).second && !hasChunk(C.Digest))
       return makeCodedError("EFAULT.STORE.MISSING",
                             "manifest '%s' references chunk %s which is not "
                             "in the pool (put chunks before the manifest)",
@@ -277,11 +354,17 @@ Error ChunkStore::journalAppend(const std::string &Line) {
   return Log.append(Line);
 }
 
-Error ChunkStore::pin(const std::string &Owner, const Sha256Digest &D) {
+Error ChunkStore::pin(const std::string &Owner,
+                      std::span<const Sha256Digest> Digests) {
   if (!Manifest::validName(Owner))
     return makeCodedError("EFAULT.STORE.MANIFEST",
                           "invalid pin owner '%s'", Owner.c_str());
-  return journalAppend("pin " + Owner + " " + D.hex());
+  if (Digests.empty())
+    return Error::success();
+  std::string Lines;
+  for (const Sha256Digest &D : Digests)
+    Lines += "pin " + Owner + " " + D.hex() + "\n";
+  return journalAppend(Lines);
 }
 
 Error ChunkStore::sealPins(const std::string &Owner) {
@@ -576,9 +659,9 @@ ChunkStore::repair(const std::vector<std::string> &ReplicaRoots) {
         RS.takeError(); // not a store (or unreadable); try the next replica
         continue;
       }
-      auto View = RS->openChunk(*D); // digest-verified: corruption cannot
-      if (!View) {                   // propagate from a bad replica
-        View.takeError();
+      auto Good = RS->openChunk(*D); // digest-verified: corruption cannot
+      if (!Good) {                   // propagate from a bad replica
+        Good.takeError();
         continue;
       }
       // A corrupt in-place copy must move aside first so the verified
@@ -590,7 +673,7 @@ ChunkStore::repair(const std::vector<std::string> &ReplicaRoots) {
         if (Error E = quarantineChunk(*D, Evidence))
           return E;
       }
-      auto Put = put(View->File.span());
+      auto Put = put(*Good);
       if (!Put)
         return Put.takeError();
       if (*Put != *D) // cannot happen (put hashes the verified bytes)

@@ -20,11 +20,15 @@
 ///                                 before unlink (recoverable mid-sweep)
 ///
 /// Integrity invariants:
-///  * every byte handed out is digest-verified first (openChunk re-hashes
-///    on map; mismatch is a typed EFAULT.STORE.DIGEST error, never bytes),
+///  * every distinct chunk is re-hashed before any of its bytes are handed
+///    out (readChunk, under openChunk and loadArtifact; a mismatch is a
+///    typed EFAULT.STORE.DIGEST error, never bytes),
 ///  * chunk publication is atomic (writeFileAtomic: tmp + fsync + rename +
 ///    parent-dir fsync), so concurrent puts of the same digest from any
 ///    number of processes race benignly to an identical file,
+///  * no chunk of an in-flight ingestion exists without a GC root:
+///    putArtifact pins all the artifact's digests with one fsync'd journal
+///    record before it puts any chunk,
 ///  * GC is journaled mark-and-sweep: SIGKILL at any instruction leaves a
 ///    pool that open() recovers to a consistent state — a live chunk is
 ///    never lost, a dead chunk never resurrects permanently (it is swept
@@ -37,23 +41,17 @@
 
 #include "store/Manifest.h"
 #include "support/Error.h"
-#include "support/MappedFile.h"
 #include "support/Sha256.h"
 
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace elfie {
 namespace store {
-
-/// A digest-verified view of one chunk's bytes. Holds the mapping alive.
-struct ChunkView {
-  Sha256Digest Digest;
-  MappedFile File; ///< verified bytes: File.span()
-};
 
 /// Pool-wide accounting for `estore stats`.
 struct StoreStats {
@@ -124,11 +122,25 @@ public:
   Expected<Sha256Digest> put(std::span<const uint8_t> Bytes,
                              bool *WasNew = nullptr);
 
-  /// Opens the chunk and re-hashes it; bytes are handed out only when they
-  /// match \p D. A mismatch is EFAULT.STORE.DIGEST, an absent chunk
-  /// EFAULT.STORE.MISSING (the message notes when the chunk sits in
-  /// quarantine instead of the pool).
-  Expected<ChunkView> openChunk(const Sha256Digest &D) const;
+  /// put() for bytes the caller has already hashed: \p D must be the
+  /// digest of \p Bytes. Every read re-verifies it regardless.
+  Error put(const Sha256Digest &D, std::span<const uint8_t> Bytes,
+            bool *WasNew = nullptr);
+
+  /// Reads chunk \p D whole and checks its digest: the one verification
+  /// rule under openChunk and loadArtifact. The bytes land in \p Dst when
+  /// the chunk is exactly Dst.size() bytes long, else in \p Spill; either
+  /// way they are hashed in place and the call succeeds, returning the
+  /// chunk's size, only when they match \p D. A mismatch is
+  /// EFAULT.STORE.DIGEST, an absent chunk EFAULT.STORE.MISSING (the message
+  /// notes when the chunk sits in quarantine instead of the pool). With an
+  /// IOFaultHook installed the read goes through readFileBytes, so the hook
+  /// sees it.
+  Expected<uint64_t> readChunk(const Sha256Digest &D, std::span<uint8_t> Dst,
+                               std::vector<uint8_t> &Spill) const;
+
+  /// The verified bytes of chunk \p D (readChunk into a fresh buffer).
+  Expected<std::vector<uint8_t>> openChunk(const Sha256Digest &D) const;
 
   bool hasChunk(const Sha256Digest &D) const;
   std::string chunkPath(const Sha256Digest &D) const;
@@ -153,10 +165,12 @@ public:
 
   //===--- pins (journaled GC roots for in-flight ingestion) -------------===//
 
-  /// Pins \p D against GC before its manifest exists. \p Owner names the
-  /// in-flight operation (typically the manifest name); sealing the owner
-  /// retires all its pins at once. Durable before return (fsync'd append).
-  Error pin(const std::string &Owner, const Sha256Digest &D);
+  /// Pins \p Digests against GC before their manifest exists. \p Owner
+  /// names the in-flight operation (typically the manifest name); sealing
+  /// the owner retires all its pins at once. One `pin <owner> <hex>` line
+  /// per digest, written as one fsync'd append that is durable before
+  /// return; a torn append leaves a prefix of the pins.
+  Error pin(const std::string &Owner, std::span<const Sha256Digest> Digests);
 
   /// Retires every pin held by \p Owner (its manifest is published, or the
   /// ingestion was abandoned).
@@ -190,6 +204,8 @@ private:
 
   std::string manifestPath(const std::string &Name) const;
   std::string quarantinePath(const Sha256Digest &D) const;
+  /// The EFAULT.STORE.MISSING error for \p D, noting quarantine.
+  Error missingChunk(const Sha256Digest &D) const;
   Error journalAppend(const std::string &Line);
 
   /// Finishes a GC interrupted between gc-begin and gc-end: restores trash
