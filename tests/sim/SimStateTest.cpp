@@ -29,6 +29,7 @@
 #include "../common/TestHelpers.h"
 #include "WorkloadRegion.h"
 #include "core/Pinball2Elf.h"
+#include "easm/Assembler.h"
 #include "sim/BranchPredictor.h"
 #include "sim/Cache.h"
 #include "sim/Frontend.h"
@@ -719,6 +720,92 @@ TEST(CheckpointIndex, SameBoundaryAcrossAllPaths) {
   EXPECT_EQ(boundary(1000, /*Save=*/false, /*UseJit=*/false),
             Startup + 1000)
       << "interpreted resume is off by one at the ROI marker";
+}
+
+// ---- The sidecar's input digest ----
+//
+// A checkpointing run digests its input image for the sidecar's
+// InputDigest, and may do so while the engine runs. These cases pin what
+// that must not change: the bytes a save writes, a run that ends before
+// the boundary (or before any run), and the resume-side input check.
+
+TEST(SidecarDigest, ColdSaveWritesTheRecordedBytes) {
+  ElfiePipeline P = makeElfie("digestsave", test::computeProgram(), 5000,
+                              8000, /*WarmupSym=*/1000);
+  ASSERT_FALSE(P.Image.empty());
+  std::string StatePath = P.Dir + "/region.esimstate";
+  RunControls SaveCtl;
+  SaveCtl.SaveStatePath = StatePath;
+  for (int Run = 0; Run < 3; ++Run) {
+    removeFile(StatePath);
+    auto Save = simulateBinaryImage(P.Image, makeNehalemLike(), SaveCtl);
+    ASSERT_TRUE(Save.hasValue()) << Save.message();
+    EXPECT_TRUE(Save->StateSaved);
+    auto Bytes = readFileBytes(StatePath);
+    ASSERT_TRUE(Bytes.hasValue()) << Bytes.message();
+    // Recorded before the digest moved off the critical path.
+    EXPECT_EQ(sha256Hex(Bytes->data(), Bytes->size()),
+              "69a0a1e342ed3946228520152913bd1345ae2119abdf312afcc81886f08e46dd")
+        << "run " << Run;
+  }
+}
+
+TEST(SidecarDigest, RunEndingBeforeTheBoundaryWritesNoSidecar) {
+  auto Image = easm::assembleToELF(test::computeProgram(), "prog.s");
+  ASSERT_TRUE(Image.hasValue()) << Image.message();
+  std::string Dir = tempDir("digestexit");
+  std::string StatePath = Dir + "/prog.esimstate";
+
+  // The program exits 177,803 instructions in, inside the warm-up.
+  RunControls Ctl;
+  Ctl.WarmupInstructions = 1000000;
+  Ctl.SaveStatePath = StatePath;
+  auto R = simulateBinaryImage(*Image, makeNehalemLike(), Ctl);
+  ASSERT_TRUE(R.hasValue()) << R.message();
+  EXPECT_EQ(R->Reason, vm::StopReason::AllExited);
+  EXPECT_EQ(R->WarmupRetired, 177803u);
+  EXPECT_EQ(R->RoiRetired, 0u);
+  EXPECT_EQ(R->CheckpointRetired, 0u);
+  EXPECT_FALSE(R->StateSaved);
+  EXPECT_FALSE(fileExists(StatePath));
+
+  // A warm-up that does not fit the ELFie's region fails before any run.
+  ElfiePipeline P = makeElfie("digestbudget", test::computeProgram(), 5000,
+                              8000);
+  ASSERT_FALSE(P.Image.empty());
+  Ctl.WarmupInstructions = 8000;
+  auto B = simulateBinaryImage(P.Image, makeNehalemLike(), Ctl);
+  ASSERT_FALSE(B.hasValue());
+  EXPECT_EQ(B.takeError().code(), "EFAULT.SIMSTATE.BUDGET");
+  EXPECT_FALSE(fileExists(StatePath));
+  removeTree(Dir);
+}
+
+TEST(SidecarDigest, ResumeOnImageDifferingInOneByteIsInputError) {
+  ElfiePipeline P = makeElfie("digestinput", test::computeProgram(), 5000,
+                              8000, /*WarmupSym=*/1000);
+  ASSERT_FALSE(P.Image.empty());
+  std::string StatePath = P.Dir + "/region.esimstate";
+  RunControls SaveCtl;
+  SaveCtl.SaveStatePath = StatePath;
+  auto Save = simulateBinaryImage(P.Image, makeNehalemLike(), SaveCtl);
+  ASSERT_TRUE(Save.hasValue()) << Save.message();
+
+  // One byte past the ELF's last structure: the program is unchanged, the
+  // image is not.
+  std::vector<uint8_t> Other = P.Image;
+  Other.push_back(0);
+  RunControls LoadCtl;
+  LoadCtl.LoadStatePath = StatePath;
+  auto Cold = simulateBinaryImage(Other, makeNehalemLike());
+  ASSERT_TRUE(Cold.hasValue()) << Cold.message();
+  auto Load = simulateBinaryImage(Other, makeNehalemLike(), LoadCtl);
+  ASSERT_FALSE(Load.hasValue());
+  EXPECT_EQ(Load.takeError().code(), "EFAULT.SIMSTATE.INPUT");
+
+  auto Same = simulateBinaryImage(P.Image, makeNehalemLike(), LoadCtl);
+  ASSERT_TRUE(Same.hasValue()) << Same.message();
+  EXPECT_TRUE(Same->StateLoaded);
 }
 
 } // namespace
