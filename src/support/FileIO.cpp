@@ -318,7 +318,8 @@ Error elfie::makeExecutable(const std::string &Path) {
 
 Error AppendLog::open(const std::string &Path) {
   close();
-  Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  // Readable too: append() looks at the last byte before each record.
+  Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (Fd < 0)
     return makeCodedError("EFAULT.IO.OPEN", "cannot open log '%s': %s",
                           Path.c_str(), std::strerror(errno));
@@ -338,6 +339,14 @@ Error AppendLog::append(const std::string &Line) {
     if (Error E = TheIOFaultHook->onWrite(LogPath, Bytes))
       return E;
   }
+  // A torn earlier record (a kill or short write mid-append) leaves the
+  // file without its final newline: start this one on a fresh line, or
+  // replay would read the two as one malformed record.
+  struct stat St;
+  char Last = '\n';
+  if (::fstat(Fd, &St) == 0 && St.st_size > 0 &&
+      ::pread(Fd, &Last, 1, St.st_size - 1) == 1 && Last != '\n')
+    Bytes.insert(Bytes.begin(), '\n');
   const uint8_t *P = Bytes.data();
   size_t Left = Bytes.size();
   while (Left > 0) {

@@ -117,7 +117,9 @@ Error makeExecutable(const std::string &Path);
 /// runner. Each append() writes one newline-terminated record and fsyncs
 /// before returning, so a record the caller saw succeed survives SIGKILL.
 /// Appends consult the IOFaultHook (like writeFileAtomic does), which lets
-/// the fault harness kill or fail a process at an exact journal record.
+/// the fault harness kill or fail a process at an exact journal record. A
+/// record that follows a torn one (the file does not end in a newline)
+/// starts on a fresh line, so only the torn record is lost.
 class AppendLog {
 public:
   AppendLog() = default;

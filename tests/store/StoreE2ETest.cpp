@@ -467,3 +467,77 @@ TEST_F(StoreE2E, EverifyStorePassDetectsPoolCorruption) {
       << R.Output;
   EXPECT_EQ(R.Output.find("STORE.DIGEST"), std::string::npos) << R.Output;
 }
+
+/// A put whose pin record is torn by a short write (the append returns
+/// success with only a prefix on disk) must still retire its pins: the
+/// seal record starts on a fresh line, so journal replay sees it.
+TEST_F(StoreE2E, TornPinRecordDoesNotSwallowTheSeal) {
+  std::string PoolDir = Dir + "/pool";
+  {
+    auto S = ChunkStore::open(PoolDir);
+    ASSERT_TRUE(S.hasValue()) << S.message();
+    auto Keep = readFileBytes(Root + "/p.elf");
+    ASSERT_TRUE(Keep.hasValue());
+    ASSERT_TRUE(putArtifact(*S, "keep", *Keep).hasValue());
+  }
+  // 120 distinct pages: a pin record long enough that the short write
+  // keeps some whole pin lines.
+  std::vector<uint8_t> New;
+  for (uint32_t I = 0; I < 120 * 4096; ++I)
+    New.push_back(static_cast<uint8_t>((I * 2654435761u) >> 11));
+  std::string NewPath = Dir + "/new.bin";
+  ASSERT_FALSE(writeFile(NewPath, New.data(), New.size()).isError());
+
+  // In an existing pool the put's first write is its pin record.
+  auto R = runCmd("ELFIE_FAULT_SPEC=write:1:short",
+                  formatString("%s put %s %s -json",
+                               binPath("estore").c_str(), PoolDir.c_str(),
+                               NewPath.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  auto Journal = readFileText(PoolDir + "/gc.journal");
+  ASSERT_TRUE(Journal.hasValue());
+  std::vector<std::string> Lines = splitString(*Journal, '\n');
+  size_t WholePins = 0;
+  for (const std::string &L : Lines)
+    WholePins += L.starts_with("pin new.bin ") && L.size() == 12 + 64;
+  ASSERT_GT(WholePins, 0u) << *Journal;
+  ASSERT_LT(WholePins, 120u) << "the pin record was not torn";
+  ASSERT_GE(Lines.size(), 2u);
+  EXPECT_EQ(Lines[Lines.size() - 2], "seal new.bin") << *Journal;
+
+  R = runCmd("", formatString("%s stats %s -json", binPath("estore").c_str(),
+                              PoolDir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(jsonInt(R.Output, "active_pins"), 0u) << R.Output;
+  auto S = ChunkStore::open(PoolDir);
+  ASSERT_TRUE(S.hasValue()) << S.message();
+  auto L = loadArtifact(*S, "new.bin");
+  ASSERT_TRUE(L.hasValue()) << L.message();
+  EXPECT_EQ(*L, New);
+}
+
+/// `estore put` reports the chunk bytes the put added to the pool: all of
+/// a new artifact's distinct bytes, none for a re-put.
+TEST_F(StoreE2E, PutReportsNewBytesAndRePutReportsZero) {
+  std::string PoolDir = Dir + "/pool";
+  std::vector<uint8_t> A;
+  for (uint32_t I = 0; I < 5 * 4096 + 100; ++I)
+    A.push_back(static_cast<uint8_t>((I * 2654435761u) >> 9));
+  std::string APath = Dir + "/a.bin";
+  ASSERT_FALSE(writeFile(APath, A.data(), A.size()).isError());
+  std::string Put = binPath("estore") + " put " + PoolDir + " " + APath +
+                    " -json";
+  auto R = runCmd("", Put);
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(jsonInt(R.Output, "new_bytes"), A.size()) << R.Output;
+  R = runCmd("", Put);
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(jsonInt(R.Output, "new_bytes"), 0u) << R.Output;
+  R = runCmd("", Put + " -name again");
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(jsonInt(R.Output, "new_bytes"), 0u) << R.Output;
+  R = runCmd("", binPath("estore") + " put " + PoolDir + " " + APath);
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find(", 0 new pool bytes,"), std::string::npos)
+      << R.Output;
+}

@@ -105,6 +105,23 @@ TEST(AppendLog, AppendsAreDurableAcrossReopen) {
   removeFile(Path);
 }
 
+TEST(AppendLog, RecordAfterTornTailStartsOnFreshLine) {
+  // A torn earlier record (kill or short write mid-append) leaves the file
+  // without its final newline; the next record must not run into it.
+  std::string Path = tempPath("appendlog_torn");
+  ASSERT_FALSE(writeFileText(Path, "whole\ntor").isError());
+  {
+    AppendLog Log;
+    ASSERT_FALSE(Log.open(Path).isError());
+    ASSERT_FALSE(Log.append("next").isError());
+    ASSERT_FALSE(Log.append("last").isError());
+  }
+  auto Text = readFileText(Path);
+  ASSERT_TRUE(Text.hasValue());
+  EXPECT_EQ(*Text, "whole\ntor\nnext\nlast\n");
+  removeFile(Path);
+}
+
 TEST(AppendLog, AppendAfterCloseFails) {
   std::string Path = tempPath("appendlog_closed");
   AppendLog Log;
