@@ -8,7 +8,10 @@
 #   1. default build        -> full ctest suite, then the pipeline
 #                              benchmark self-test (pipebench/selftest.py)
 #   2. sanitized build      -> full ctest suite under ELFIE_SANITIZE
-#   3. TSan build           -> the multi-threaded replay/JIT suites under
+#   3. TSan build           -> the multi-threaded replay/JIT suites, the
+#                              store suite (helper-thread chunk reads) and
+#                              the warm-up checkpoint suite (the sidecar
+#                              digest's helper thread) under
 #                              -fsanitize=thread (data-race detection)
 # then invokes the JIT lockstep acceptance suite standalone via its ctest
 # label (`ctest -L jit`), so a JIT regression is called out by name even
@@ -90,7 +93,9 @@ run_pass "sanitize=$SAN" "$ROOT/sanitize" 240 "-DELFIE_SANITIZE=$SAN" \
 
 # Pass 3: data-race detection. TSan cannot combine with ASan, so it gets
 # its own tree; the race surface is the multi-threaded capture/replay/JIT
-# machinery, so run those suites rather than the full matrix.
+# machinery plus the two places src/ starts threads (loadArtifact's chunk
+# readers, esim's sidecar input digest), so run those suites rather than
+# the full matrix.
 echo "==== [tsan] configure + build ===="
 cmake -B "$ROOT/tsan" -S "$REPO" -DELFIE_SANITIZE=thread
 cmake --build "$ROOT/tsan" -j "$JOBS"
@@ -98,6 +103,9 @@ echo "==== [tsan] MT replay/JIT suites ===="
 ctest --test-dir "$ROOT/tsan" -j "$JOBS" --timeout 360 \
   -R 'Jit|Replay|DecodeCache|MultiThread|Thread|Clone|Atomic' \
   --output-on-failure
+echo "==== [tsan] store and warm-up checkpoint suites ===="
+"$ROOT/tsan/tests/store/store_tests"
+"$ROOT/tsan/tests/sim/simstate_tests"
 
 # JIT acceptance suite standalone (all trees carry the label).
 echo "==== [jit label] lockstep differential suite ===="

@@ -14,6 +14,9 @@
 #include "support/MappedFile.h"
 #include "support/Sha256.h"
 
+#include <future>
+#include <system_error>
+
 using namespace elfie;
 using namespace elfie::sim;
 
@@ -201,7 +204,11 @@ public:
   /// The prologue: resolves the warm-up length (explicit, else
   /// \p DefaultWarmup; resuming, the sidecar's), restores the sidecar into
   /// the model, and checks the warm-up against \p Region (0: no region).
-  /// \p InputDigest is called only when a sidecar is saved or loaded.
+  /// \p InputDigest is called only when a sidecar is saved or loaded. A
+  /// save needs it only at the boundary, so it runs on a helper thread
+  /// while the engine fast-forwards and warms (the engine only reads the
+  /// input, whose pages the VM attaches copy-on-write); a load needs it
+  /// before the sidecar is restored.
   template <class DigestFn>
   Error prepare(DigestFn InputDigest, uint64_t DefaultWarmup,
                 uint64_t Region) {
@@ -213,9 +220,15 @@ public:
     Warmup = Controls.WarmupInstructions == UINT64_MAX
                  ? DefaultWarmup
                  : Controls.WarmupInstructions;
-    if (Save || Load)
-      Digest = InputDigest();
+    if (Save) {
+      try {
+        PendingDigest = std::async(std::launch::async, InputDigest);
+      } catch (const std::system_error &) {
+        Digest = InputDigest(); // no thread to be had: digest inline
+      }
+    }
     if (Load) {
+      Digest = InputDigest();
       // An explicit warm-up that disagrees with the checkpoint fails
       // closed: silently preferring either value would resume at the
       // wrong boundary.
@@ -293,6 +306,8 @@ private:
     Out.CheckpointRetired = Retired;
     if (Controls.SaveStatePath.empty())
       return Error::success();
+    if (PendingDigest.valid())
+      Digest = PendingDigest.get();
     SimStateMeta Meta;
     Meta.ConfigName = Machine.Name;
     Meta.ConfigFP = configFingerprint(Machine);
@@ -308,6 +323,9 @@ private:
   }
 
   Sha256Digest Digest;
+  /// A save's input digest in flight; its destructor waits for it, so a
+  /// run that ends before the boundary still joins the helper.
+  std::future<Sha256Digest> PendingDigest;
   SimResult Out;
 };
 

@@ -43,10 +43,9 @@ static int cmdPut(ChunkStore &Pool, const CommandLine &CL) {
     Name = Slash == std::string::npos ? File : File.substr(Slash + 1);
   }
   MappedFile In = exitOnError(MappedFile::open(File));
-  auto Before = exitOnError(Pool.stats());
-  Manifest M = exitOnError(putArtifact(Pool, Name, In.span(), File));
-  auto After = exitOnError(Pool.stats());
-  uint64_t NewBytes = After.ChunkBytes - Before.ChunkBytes;
+  uint64_t NewBytes = 0;
+  Manifest M =
+      exitOnError(putArtifact(Pool, Name, In.span(), File, &NewBytes));
   if (CL.getFlag("json")) {
     JsonWriter W;
     W.beginObject();
