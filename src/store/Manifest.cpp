@@ -149,11 +149,15 @@ Expected<Manifest> Manifest::parse(const std::string &Text) {
     return makeCodedError("EFAULT.STORE.MANIFEST",
                           "manifest is missing required fields");
 
-  // Chunks must tile [0, Size) exactly in offset order: reassembly is a
-  // straight concatenation, so any gap, overlap, or reorder is corruption.
+  if (Error E = M.checkTiling())
+    return E;
+  return M;
+}
+
+Error Manifest::checkTiling() const {
   uint64_t Next = 0;
-  for (size_t I = 0; I < M.Chunks.size(); ++I) {
-    const ChunkRef &C = M.Chunks[I];
+  for (size_t I = 0; I < Chunks.size(); ++I) {
+    const ChunkRef &C = Chunks[I];
     if (C.Offset != Next)
       return makeCodedError("EFAULT.STORE.MANIFEST",
                             "chunk %zu starts at %llu, expected %llu "
@@ -163,15 +167,15 @@ Expected<Manifest> Manifest::parse(const std::string &Text) {
     if (C.Size == 0)
       return makeCodedError("EFAULT.STORE.MANIFEST",
                             "chunk %zu has zero size", I);
-    if (C.Size > M.Size - Next)
+    if (C.Size > Size - Next)
       return makeCodedError("EFAULT.STORE.MANIFEST",
                             "chunk %zu overruns the artifact size", I);
     Next += C.Size;
   }
-  if (Next != M.Size)
+  if (Next != Size)
     return makeCodedError("EFAULT.STORE.MANIFEST",
                           "chunks cover %llu bytes but size records %llu",
                           static_cast<unsigned long long>(Next),
-                          static_cast<unsigned long long>(M.Size));
-  return M;
+                          static_cast<unsigned long long>(Size));
+  return Error::success();
 }

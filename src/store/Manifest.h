@@ -66,6 +66,11 @@ struct Manifest {
   /// EFAULT.STORE.MANIFEST (structure) or EFAULT.STORE.SEAL (tampering).
   static Expected<Manifest> parse(const std::string &Text);
 
+  /// Checks that Chunks tile [0, Size) exactly in offset order, with no
+  /// empty chunk: reassembly is a straight concatenation, so any gap,
+  /// overlap or reorder is corruption (EFAULT.STORE.MANIFEST).
+  Error checkTiling() const;
+
   /// True when \p Name is directory-safe ([A-Za-z0-9._-], non-empty, no
   /// leading dot).
   static bool validName(const std::string &Name);
