@@ -528,6 +528,42 @@ TEST_P(SimGolden, ColdSaveLoadMatchGolden) {
   removeTree(Dir);
 }
 
+// The warming differential: a warm-up run with the JIT on, at the default
+// promotion threshold and at 1, gives the record an interpreted warm-up
+// gives, SimStats and sidecar bytes included.
+TEST_P(SimGolden, CompiledWarmupMatchesInterpretedWarmup) {
+  const Input &In = GetParam();
+  std::string Dir = testing::TempDir() + "/elfie_sim_warmdiff_" + In.Name;
+  removeTree(Dir);
+  ASSERT_FALSE(createDirectories(Dir).isError());
+  auto S = buildSubject(In.Name, Dir);
+  ASSERT_TRUE(S.hasValue()) << S.message();
+  std::string Sidecar = Dir + "/state.esimstate";
+  for (const Config &C : In.Configs) {
+    MachineConfig Machine;
+    ASSERT_TRUE(configByName(C.Machine, Machine));
+    auto Save = [&](bool Jit, uint32_t Threshold) {
+      vm::VMConfig VC;
+      VC.EnableJit = Jit;
+      VC.JitThreshold = Threshold;
+      RunControls Controls;
+      Controls.WarmupInstructions = C.Warmup;
+      Controls.MaxInstructions = C.MaxInstructions;
+      Controls.SaveStatePath = Sidecar;
+      removeFile(Sidecar);
+      auto R = S->PB ? simulatePinball(*S->PB, Machine, C.Constrained,
+                                       Controls, VC)
+                     : simulateBinaryImage(S->Image, Machine, Controls, VC);
+      EXPECT_TRUE(R.hasValue()) << configName(In, C) << ": " << R.message();
+      return R ? record(*R, Sidecar) : std::string();
+    };
+    std::string Interpreted = Save(false, 32);
+    EXPECT_EQ(Save(true, 32), Interpreted) << configName(In, C);
+    EXPECT_EQ(Save(true, 1), Interpreted) << configName(In, C) << " (hot)";
+  }
+  removeTree(Dir);
+}
+
 INSTANTIATE_TEST_SUITE_P(Matrix, SimGolden, testing::ValuesIn(allInputs()),
                          [](const testing::TestParamInfo<Input> &I) {
                            return I.param.Name;
