@@ -8,11 +8,13 @@
 /// \file
 /// The EG64 integer operations whose result is more than one C++ operator:
 /// RISC-V division edge cases, the signed high multiply, shift-amount
-/// masking, signed/unsigned compares, immediate sign extension, and Ldih's
-/// high-half merge. Every evaluator of EG64 on the host calls these — the
-/// interpreter (VM::execDecoded) and the constant-propagation evaluator
-/// (analyze/cfg/Dataflow) — so a value the static analysis calls known is
-/// the value the EVM computes. The x86 lowering (x86/Lowering) emits the
+/// masking, signed/unsigned compares and branch conditions, immediate sign
+/// extension, and Ldih's high-half merge. Every evaluator of EG64 on the
+/// host calls these — the interpreter (VM::execDecoded), the
+/// constant-propagation evaluator (analyze/cfg/Dataflow) and esim's warm
+/// feed, which reads a compiled block's branch outcome off the registers —
+/// so a value the static analysis calls known is the value the EVM
+/// computes. The x86 lowering (x86/Lowering) emits the
 /// same rules as host instructions and is checked against the interpreter
 /// by the translator and JIT differential tests.
 ///
@@ -23,6 +25,8 @@
 
 #ifndef ELFIE_ISA_SEMANTICS_H
 #define ELFIE_ISA_SEMANTICS_H
+
+#include "isa/ISA.h"
 
 #include <cstdint>
 
@@ -82,6 +86,20 @@ inline bool slt(uint64_t A, uint64_t B) {
   return static_cast<int64_t>(A) < static_cast<int64_t>(B);
 }
 inline bool sltu(uint64_t A, uint64_t B) { return A < B; }
+
+/// Whether the conditional branch \p Op (isa::isBranch) is taken on
+/// r[rs1] = \p A, r[rs2] = \p B.
+inline bool branchTaken(Opcode Op, uint64_t A, uint64_t B) {
+  switch (Op) {
+  case Opcode::Beq: return A == B;
+  case Opcode::Bne: return A != B;
+  case Opcode::Blt: return slt(A, B);
+  case Opcode::Bge: return !slt(A, B);
+  case Opcode::Bltu: return sltu(A, B);
+  case Opcode::Bgeu: return !sltu(A, B);
+  default: return false;
+  }
+}
 
 /// A loaded value of \p Width bytes (1, 2, 4 or 8, zero-extended in
 /// \p Raw), sign-extended to 64 bits when \p Signed.

@@ -8,6 +8,7 @@
 #include "sim/Frontend.h"
 
 #include "elf/ELFReader.h"
+#include "isa/Semantics.h"
 #include "replay/Replayer.h"
 #include "sim/SimState.h"
 #include "support/FileIO.h"
@@ -43,8 +44,12 @@ private:
 /// the warm entry points: structures get hot, no cycles, stats or
 /// footprint accrue, and the synthetic kernel is skipped (its handlers
 /// charge stats, and a checkpoint must hold exactly the state a cold
-/// warm-up produces). A detailed feed uses the detailed entry points and
-/// stops the engine at the ROI budget or the (PC, count) condition.
+/// warm-up produces). It is a BlockAccesses observer, so the warm-up runs
+/// compiled: each compiled block is replayed into the model in retirement
+/// order, and interpreted instructions arrive as per-instruction events.
+/// A detailed feed uses the detailed entry points, needs every
+/// instruction, and stops the engine at the ROI budget or the (PC, count)
+/// condition.
 class ModelFeed : public vm::Observer {
 public:
   /// A warming feed; given \p Detailed, a detailed feed that stops \p M
@@ -56,6 +61,10 @@ public:
 
   uint64_t Retired = 0;
   bool MarkerSeen = false;
+
+  Granularity granularity() const override {
+    return Detailed ? Granularity::Instruction : Granularity::BlockAccesses;
+  }
 
   void onInstruction(const vm::ThreadState &T, uint64_t PC,
                      const isa::Inst &I) override {
@@ -84,17 +93,36 @@ public:
   void onControlTransfer(uint32_t Tid, uint64_t FromPC, uint64_t ToPC,
                          bool Taken) override {
     unsigned Core = Tid % NumCores;
-    isa::Opcode Op = LastOp[Core];
-    // Unconditional direct transfers are perfectly predictable; only
-    // conditional branches train the direction predictor and only
-    // register-indirect jumps consult the BTB.
-    bool Indirect = Op == isa::Opcode::Jalr;
-    if (!isa::isBranch(Op) && !Indirect)
-      return;
-    if (Detailed)
-      Model.controlTransfer(Core, FromPC, ToPC, Taken, Indirect);
-    else
-      Model.warmControlTransfer(Core, FromPC, ToPC, Taken, Indirect);
+    transfer(Core, LastOp[Core], FromPC, ToPC, Taken);
+  }
+
+  /// Warming only: the events the interpreter would have sent for the
+  /// block, in its order: per instruction the fetch, then its access, then
+  /// the transfer that ends the block. L2 and L3 are shared by both sides,
+  /// so any other order leaves other LRU state.
+  void onCompiledBlock(const vm::ThreadState &T, uint64_t EntryPC,
+                       std::span<const isa::Inst> Insts,
+                       std::span<const vm::MemoryAccess> Accesses) override {
+    unsigned Core = T.Tid % NumCores;
+    Retired += Insts.size();
+    const vm::MemoryAccess *A = Accesses.data();
+    uint64_t PC = EntryPC;
+    for (const isa::Inst &I : Insts) {
+      Model.warmInstruction(Core, PC);
+      if (isa::opInfo(I.Op).Mem != isa::Access::None) {
+        Model.warmMemoryAccess(Core, A->Addr, A->Size, A->IsWrite);
+        ++A;
+      }
+      PC += isa::InstSize;
+    }
+    // A branch is the block's last instruction and writes no register, so
+    // the post-block registers give its outcome; the target may be the
+    // fall-through, so ToPC alone cannot.
+    const isa::Inst &Last = Insts.back();
+    bool Taken = !isa::isBranch(Last.Op) ||
+                 isa::sem::branchTaken(Last.Op, T.GPR[Last.Rs1],
+                                       T.GPR[Last.Rs2]);
+    transfer(Core, Last.Op, PC - isa::InstSize, T.PC, Taken);
   }
 
   void onSyscall(uint32_t Tid, uint64_t Nr, const uint64_t *,
@@ -108,6 +136,20 @@ public:
   }
 
 private:
+  /// A control transfer by \p Op. Unconditional direct transfers are
+  /// perfectly predictable; only conditional branches train the direction
+  /// predictor and only register-indirect jumps consult the BTB.
+  void transfer(unsigned Core, isa::Opcode Op, uint64_t FromPC, uint64_t ToPC,
+                bool Taken) {
+    bool Indirect = Op == isa::Opcode::Jalr;
+    if (!isa::isBranch(Op) && !Indirect)
+      return;
+    if (Detailed)
+      Model.controlTransfer(Core, FromPC, ToPC, Taken, Indirect);
+    else
+      Model.warmControlTransfer(Core, FromPC, ToPC, Taken, Indirect);
+  }
+
   TimingModel &Model;
   unsigned NumCores;
   const RunControls *Detailed;
@@ -188,14 +230,17 @@ Sha256Digest pinballInputDigest(const pinball::Pinball &PB) {
 ///
 ///   1. ELFies only: run to the first marker under a MarkerWatch; nothing
 ///      before the ROI marker is measured.
-///   2. Run W instructions under a warming feed; resuming, run them with
-///      only a MarkerWatch attached (compiled), since the model state
-///      comes from the sidecar.
+///   2. Run W instructions under a warming feed (compiled); resuming, run
+///      them with only a MarkerWatch attached (compiled), since the model
+///      state comes from the sidecar.
 ///   3. The boundary, at the start of the first post-warm-up instruction:
-///      record CheckpointRetired; -warmup-save writes the sidecar here.
+///      record CheckpointRetired; -warmup-save serialises the model here.
 ///   4. Run the ROI under a detailed feed.
 ///
-/// With W == 0 and no sidecar, steps 2 and 3 are skipped.
+/// With W == 0 and no sidecar, steps 2 and 3 are skipped. A save or load
+/// digests its input on a helper thread from prepare() on, and run()
+/// joins it at its end: there a save writes its sidecar and a resume
+/// checks it was taken on this input (DESIGN.md §16.4).
 class PhaseDriver {
 public:
   PhaseDriver(const MachineConfig &Machine, const RunControls &Controls)
@@ -204,11 +249,10 @@ public:
   /// The prologue: resolves the warm-up length (explicit, else
   /// \p DefaultWarmup; resuming, the sidecar's), restores the sidecar into
   /// the model, and checks the warm-up against \p Region (0: no region).
-  /// \p InputDigest is called only when a sidecar is saved or loaded. A
-  /// save needs it only at the boundary, so it runs on a helper thread
-  /// while the engine fast-forwards and warms (the engine only reads the
-  /// input, whose pages the VM attaches copy-on-write); a load needs it
-  /// before the sidecar is restored.
+  /// \p InputDigest is called only when a sidecar is saved or loaded, on a
+  /// helper thread while the engine runs (the engine only reads the input,
+  /// whose pages the VM attaches copy-on-write). A resume's INPUT check
+  /// waits for it, but a failing check ordered after INPUT joins it first.
   template <class DigestFn>
   Error prepare(DigestFn InputDigest, uint64_t DefaultWarmup,
                 uint64_t Region) {
@@ -220,7 +264,7 @@ public:
     Warmup = Controls.WarmupInstructions == UINT64_MAX
                  ? DefaultWarmup
                  : Controls.WarmupInstructions;
-    if (Save) {
+    if (Save || Load) {
       try {
         PendingDigest = std::async(std::launch::async, InputDigest);
       } catch (const std::system_error &) {
@@ -228,30 +272,33 @@ public:
       }
     }
     if (Load) {
-      Digest = InputDigest();
+      auto File = SimStateFile::open(Controls.LoadStatePath, Machine);
+      if (!File)
+        return File.takeError(); // the checks ordered before INPUT
+      Sidecar = File.takeValue();
+      if (Error E = Sidecar.apply(Model))
+        return inputFirst(std::move(E));
       // An explicit warm-up that disagrees with the checkpoint fails
       // closed: silently preferring either value would resume at the
       // wrong boundary.
-      auto Meta = loadSimState(Controls.LoadStatePath, Machine, Digest, Model);
-      if (!Meta)
-        return Meta.takeError();
+      uint64_t Saved = Sidecar.meta().WarmupInstructions;
       if (Controls.WarmupInstructions != UINT64_MAX &&
-          Controls.WarmupInstructions != Meta->WarmupInstructions)
-        return makeCodedError(
+          Controls.WarmupInstructions != Saved)
+        return inputFirst(makeCodedError(
             "EFAULT.SIMSTATE.BUDGET",
             "explicit warmup length %llu disagrees with the checkpoint's "
             "%llu",
             static_cast<unsigned long long>(Controls.WarmupInstructions),
-            static_cast<unsigned long long>(Meta->WarmupInstructions));
-      Warmup = Meta->WarmupInstructions;
+            static_cast<unsigned long long>(Saved)));
+      Warmup = Saved;
       Out.StateLoaded = true;
     }
     if (Region && Warmup >= Region)
-      return makeCodedError(
+      return inputFirst(makeCodedError(
           "EFAULT.SIMSTATE.BUDGET",
           "warmup length %llu must be smaller than the region length %llu",
           static_cast<unsigned long long>(Warmup),
-          static_cast<unsigned long long>(Region));
+          static_cast<unsigned long long>(Region)));
     return Error::success();
   }
 
@@ -280,8 +327,7 @@ public:
       Out.WarmupRetired = M.globalRetired() - Start;
       Live = SR == vm::StopReason::BudgetReached;
       if (Live)
-        if (Error Err = crossBoundary(M.globalRetired()))
-          return Err;
+        crossBoundary(M.globalRetired());
     }
     ModelFeed Detailed(Model, &Controls, &M, RoiBudget);
     if (Live)
@@ -293,6 +339,8 @@ public:
     Out.VMStats = M.decodeCacheStats();
     Out.MemStats = M.mem().memStats();
     Out.JitStats = M.jitStats();
+    if (Error Err = inputFirst(writeSidecar()))
+      return Err;
     return std::move(Out);
   }
 
@@ -302,30 +350,55 @@ public:
   uint64_t Warmup = 0;
 
 private:
-  Error crossBoundary(uint64_t Retired) {
+  void crossBoundary(uint64_t Retired) {
     Out.CheckpointRetired = Retired;
     if (Controls.SaveStatePath.empty())
-      return Error::success();
-    if (PendingDigest.valid())
-      Digest = PendingDigest.get();
-    SimStateMeta Meta;
-    Meta.ConfigName = Machine.Name;
-    Meta.ConfigFP = configFingerprint(Machine);
-    Meta.InputDigest = Digest;
-    Meta.WarmupInstructions = Warmup;
-    Meta.CheckpointRetired = Retired;
-    Meta.DetailedBudget =
+      return;
+    SaveMeta.ConfigName = Machine.Name;
+    SaveMeta.ConfigFP = configFingerprint(Machine);
+    SaveMeta.WarmupInstructions = Warmup;
+    SaveMeta.CheckpointRetired = Retired;
+    SaveMeta.DetailedBudget =
         Controls.MaxInstructions == UINT64_MAX ? 0 : Controls.MaxInstructions;
-    if (Error E = saveSimState(Controls.SaveStatePath, Meta, Model))
+    Components = encodeSimStateComponents(Model);
+  }
+
+  /// A save that crossed the boundary writes its sidecar, whatever the
+  /// detailed phase did after it.
+  Error writeSidecar() {
+    if (Components.empty())
+      return Error::success();
+    SaveMeta.InputDigest = inputDigest();
+    if (Error E = writeSimState(Controls.SaveStatePath, SaveMeta, Components))
       return E;
     Out.StateSaved = true;
     return Error::success();
   }
 
+  /// \p Later, the outcome of a check or run ordered after a resume's
+  /// INPUT check, unless that check fails (DESIGN.md §16.3).
+  Error inputFirst(Error Later) {
+    if (!Controls.LoadStatePath.empty())
+      if (Error E = Sidecar.checkInput(inputDigest()))
+        return E;
+    return Later;
+  }
+
+  const Sha256Digest &inputDigest() {
+    if (PendingDigest.valid())
+      Digest = PendingDigest.get();
+    return Digest;
+  }
+
   Sha256Digest Digest;
-  /// A save's input digest in flight; its destructor waits for it, so a
-  /// run that ends before the boundary still joins the helper.
+  /// The input digest in flight; its destructor waits for it, so a run
+  /// that returns early still joins the helper.
   std::future<Sha256Digest> PendingDigest;
+  /// A resume's sidecar, opened and applied in prepare().
+  SimStateFile Sidecar;
+  /// A save's header and component table, taken at the boundary.
+  SimStateMeta SaveMeta;
+  std::vector<uint8_t> Components;
   SimResult Out;
 };
 

@@ -73,8 +73,7 @@ void TimingModel::chargeStall(CoreState &C, unsigned Latency, bool IsStore) {
 
 unsigned TimingModel::dataAccess(CoreState &C, uint64_t Addr, bool IsWrite,
                                  bool Kernel) {
-  auto &Pages = Kernel ? Stats.KernelDataPages : Stats.UserDataPages;
-  Pages.insert(Addr >> 12);
+  Stats.addDataPage(Addr >> 12, Kernel);
 
   ++C.Stats->L1DAccesses;
   // TLB first.
@@ -99,7 +98,7 @@ unsigned TimingModel::dataAccess(CoreState &C, uint64_t Addr, bool IsWrite,
       C.L2.access(Next, false);
       L3->access(Next, false);
       ++C.Stats->Prefetches;
-      Pages.insert(Next >> 12);
+      Stats.addDataPage(Next >> 12, Kernel);
       (void)L3Hit;
     }
   }
@@ -354,6 +353,7 @@ Error SimStats::load(StateReader &R) {
   }
   UserDataPages.clear();
   KernelDataPages.clear();
+  LastUserPage = LastKernelPage = UINT64_MAX;
   uint64_t NumUser = R.readU64();
   if (NumUser > R.remaining() / 8)
     return makeCodedError("EFAULT.SIMSTATE.COMPONENT",

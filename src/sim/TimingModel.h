@@ -72,6 +72,16 @@ struct SimStats {
   std::set<uint64_t> KernelDataPages;
   double FreqGHz = 1.0;
 
+  /// Adds \p Page to the kernel or user page set. A repeat of the page
+  /// added last to that set costs a compare, not a tree walk.
+  void addDataPage(uint64_t Page, bool Kernel) {
+    uint64_t &Last = Kernel ? LastKernelPage : LastUserPage;
+    if (Page == Last)
+      return;
+    (Kernel ? KernelDataPages : UserDataPages).insert(Page);
+    Last = Page;
+  }
+
   uint64_t totalInstructions() const;
   uint64_t totalRing0Instructions() const;
   /// Machine cycles = the maximum over cores (cores run concurrently).
@@ -92,6 +102,13 @@ struct SimStats {
   /// and versions them like any SimComponent payload.
   void save(StateWriter &W) const;
   Error load(StateReader &R);
+
+private:
+  /// addDataPage's memo of the page it added last to each set, which is
+  /// in that set while the sets only grow; UINT64_MAX is no page (a page
+  /// number is at most 2^52 - 1). load() resets it with the sets.
+  uint64_t LastUserPage = UINT64_MAX;
+  uint64_t LastKernelPage = UINT64_MAX;
 };
 
 /// One core's complete microarchitectural state: predictors, private

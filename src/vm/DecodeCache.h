@@ -107,6 +107,16 @@ public:
     return It->second.get();
   }
 
+  /// The block starting exactly at \p PC, or null, without counting a hit
+  /// (the JIT dispatcher reads a compiled block's instructions here).
+  const DecodedBlock *find(uint64_t PC) const {
+    const DecodedBlock *B = Slots[slotOf(PC)];
+    if (B && B->StartPC == PC)
+      return B;
+    auto It = Blocks.find(PC);
+    return It == Blocks.end() ? nullptr : It->second.get();
+  }
+
   /// Inserts a freshly built block and counts the miss that caused it.
   /// Returns the cache-owned block.
   const DecodedBlock *insert(std::unique_ptr<DecodedBlock> B);

@@ -48,6 +48,16 @@ struct VM::JitRuntime {
   const uint8_t *RPtr[TlbEntries] = {};
   uint64_t WTag[TlbEntries] = {};
   uint8_t *WPtr[TlbEntries] = {};
+  // The access record of a dispatch under a BlockAccesses observer. One
+  // dispatch retires at most one block, so one access per instruction of
+  // the longest block bounds it. RecInsts points at the block's decoded
+  // instructions, or at RecInstsCopy once a store inside the block has
+  // invalidated its page (the invalidation frees the decoded block).
+  MemoryAccess Recorded[DecodeCache::MaxBlockInsts];
+  uint32_t NumRecorded = 0;
+  const Inst *RecInsts = nullptr;
+  uint32_t RecNumInsts = 0;
+  std::vector<Inst> RecInstsCopy;
 
   JitRuntime(const x86::JitLayout &L, size_t BufferBytes)
       : JC(L, BufferBytes) {}
@@ -98,6 +108,13 @@ VM::VM(VMConfig Config)
   // stores and pokes into executable pages (self-modifying code, replay
   // page injection), unmaps, and access-tracking resets all invalidate.
   Mem.setCodeInvalidateHook([this](uint64_t PageAddr) {
+    // A recording dispatch keeps its block's instructions across the free.
+    if (Jit && Jit->InJit && Jit->RecInsts &&
+        Jit->RecInsts != Jit->RecInstsCopy.data()) {
+      Jit->RecInstsCopy.assign(Jit->RecInsts,
+                               Jit->RecInsts + Jit->RecNumInsts);
+      Jit->RecInsts = Jit->RecInstsCopy.data();
+    }
     if (PageAddr == AddressSpace::AllPages)
       DC.flush();
     else
@@ -433,6 +450,16 @@ VM::ThreadRunResult VM::runThread(uint32_t Tid, uint64_t MaxInstructions) {
 // JIT dispatch (DESIGN.md §12)
 // ---------------------------------------------------------------------------
 
+void VM::setObserver(Observer *O) {
+  Obs = O;
+  ObsGran = O ? O->granularity() : Observer::Granularity::Events;
+  if (!Jit)
+    return;
+  bool Record = ObsGran == Observer::Granularity::BlockAccesses;
+  Jit->Ctx.LoadFn = Record ? &VM::jitLoadRecording : &VM::jitLoad;
+  Jit->Ctx.StoreFn = Record ? &VM::jitStoreRecording : &VM::jitStore;
+}
+
 bool VM::jitActive() const {
   return Jit != nullptr && ObsGran != Observer::Granularity::Instruction;
 }
@@ -452,12 +479,24 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
   // A block observer sees one compiled block per dispatch: with the quota
   // at the block's length the next chained entry check exits. Copy what
   // the report needs now — a store inside the block may free the entry.
-  const bool ReportBlock = ObsGran == Observer::Granularity::Block;
+  const bool Record = ObsGran == Observer::Granularity::BlockAccesses;
+  const bool ReportBlock = Record || ObsGran == Observer::Granularity::Block;
   const uint64_t StartPC = CB->StartPC;
   const uint32_t NumInsts = CB->NumInsts;
   const bool EndsInControlFlow = CB->EndsInControlFlow;
   if (ReportBlock)
     Quota = NumInsts;
+  if (Record) {
+    // The compiled prefix was translated from the decoded block at the
+    // same PC (both caches drop a page together). A cap flush can drop the
+    // decoded block alone; then interpret, which decodes it again.
+    const DecodedBlock *DB = DC.find(StartPC);
+    if (!DB || DB->Insts.size() < NumInsts)
+      return false;
+    J.RecInsts = DB->Insts.data();
+    J.RecNumInsts = NumInsts;
+    J.NumRecorded = 0;
+  }
   // Drain deferred chain un-patching before entering the buffer — after
   // this, every patched chain exit targets live code.
   J.JC.maintenance();
@@ -481,9 +520,18 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
   if (Kind == x86::JitExitBail || Kind == x86::JitExitMemRetry ||
       Kind == x86::JitExitInvalidate)
     ++J.JC.Stats.Bailouts;
-  if (ReportBlock && Exec > 0)
+  if (Record) {
+    // A MemRetry exit's last access is the faulting one, whose instruction
+    // did not retire; every other recorded access retired.
+    uint32_t Accesses = J.NumRecorded - (Kind == x86::JitExitMemRetry);
+    if (Exec > 0)
+      Obs->onCompiledBlock(T, StartPC, {J.RecInsts, Exec},
+                           {J.Recorded, Accesses});
+    J.RecInsts = nullptr;
+  } else if (ReportBlock && Exec > 0) {
     Obs->onBlock(T.Tid, StartPC, Exec,
                  Exec == NumInsts && EndsInControlFlow);
+  }
   return true;
 }
 
@@ -551,6 +599,19 @@ void VM::jitStore(void *Cookie, uint64_t Addr, uint64_t Value, uint64_t Size) {
   if (V->Mem.wouldFireFirstTouch(Addr, Size) ||
       V->Mem.write(Addr, &Value, Size) != MemFault::None)
     J.Ctx.MemOk = 0;
+}
+
+uint64_t VM::jitLoadRecording(void *Cookie, uint64_t Addr, uint64_t Kind) {
+  JitRuntime &J = *static_cast<VM *>(Cookie)->Jit;
+  J.Recorded[J.NumRecorded++] = {Addr, x86::jitLoadWidth(Kind), false};
+  return jitLoad(Cookie, Addr, Kind);
+}
+
+void VM::jitStoreRecording(void *Cookie, uint64_t Addr, uint64_t Value,
+                           uint64_t Size) {
+  JitRuntime &J = *static_cast<VM *>(Cookie)->Jit;
+  J.Recorded[J.NumRecorded++] = {Addr, static_cast<uint32_t>(Size), true};
+  jitStore(Cookie, Addr, Value, Size);
 }
 
 const Inst *VM::cachedInst(ThreadState &T) {
@@ -771,12 +832,13 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   }
 
   // ---- Control flow ----
-  case Opcode::Beq: return Branch(R[I.Rs1] == R[I.Rs2]);
-  case Opcode::Bne: return Branch(R[I.Rs1] != R[I.Rs2]);
-  case Opcode::Blt: return Branch(sem::slt(R[I.Rs1], R[I.Rs2]));
-  case Opcode::Bge: return Branch(!sem::slt(R[I.Rs1], R[I.Rs2]));
-  case Opcode::Bltu: return Branch(sem::sltu(R[I.Rs1], R[I.Rs2]));
-  case Opcode::Bgeu: return Branch(!sem::sltu(R[I.Rs1], R[I.Rs2]));
+  case Opcode::Beq:
+  case Opcode::Bne:
+  case Opcode::Blt:
+  case Opcode::Bge:
+  case Opcode::Bltu:
+  case Opcode::Bgeu:
+    return Branch(sem::branchTaken(I.Op, R[I.Rs1], R[I.Rs2]));
   case Opcode::Jmp: {
     uint64_t To = PC + static_cast<int64_t>(I.Imm);
     Transfer(To, true);

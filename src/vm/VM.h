@@ -40,6 +40,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,14 @@ std::string renderVMStats(const std::string &Prefix,
                           const DecodeCacheStats &Cache, const MemStats &Mem,
                           const JitStats &Jit);
 
+/// One memory access of a compiled load or store, as onMemoryAccess would
+/// report it.
+struct MemoryAccess {
+  uint64_t Addr = 0;
+  uint32_t Size = 0;
+  bool IsWrite = false;
+};
+
 /// Instrumentation interface (the Pin "analysis routine" analogue).
 /// Callbacks fire synchronously from the interpreter loop (and, for block
 /// observers, from the JIT dispatcher).
@@ -122,6 +131,12 @@ public:
     /// of onInstruction; the JIT stays on and reports one compiled block
     /// per dispatch.
     Block,
+    /// Events, plus onCompiledBlock for every compiled dispatch: the
+    /// block's instructions and its retired memory accesses, which the
+    /// JIT's load/store helpers record while such an observer is attached.
+    /// Enough to replay execution in retirement order at JIT speed (esim's
+    /// functional warming).
+    BlockAccesses,
     /// Only the events that bail to the interpreter are needed; the JIT
     /// stays on and the per-instruction hooks fire only for interpreted
     /// instructions.
@@ -129,8 +144,8 @@ public:
   };
   virtual ~Observer();
   virtual Granularity granularity() const { return Granularity::Instruction; }
-  /// Before executing the instruction at \p PC (Instruction and Events
-  /// observers; the latter only for interpreted instructions).
+  /// Before executing the instruction at \p PC (Instruction observers;
+  /// BlockAccesses and Events observers only for interpreted instructions).
   virtual void onInstruction(const ThreadState &T, uint64_t PC,
                              const isa::Inst &I) {}
   /// Block observers only: \p NumInsts instructions at \p EntryPC,
@@ -143,6 +158,16 @@ public:
   /// block's end (budget, quantum, faulting access).
   virtual void onBlock(uint32_t Tid, uint64_t EntryPC, uint64_t NumInsts,
                        bool EndsInControlFlow) {}
+  /// BlockAccesses observers only, after a compiled dispatch: \p Insts,
+  /// the instructions at EntryPC, EntryPC + 8, ..., retired on \p T,
+  /// which holds the post-block state (T.PC is the next PC). Only the last
+  /// can be control flow. \p Accesses are the memory accesses of the loads
+  /// and stores among \p Insts, one each, in order; compiled blocks hold
+  /// no atomics. Calls follow global retirement order across threads and
+  /// interleave with the interpreted instructions' callbacks.
+  virtual void onCompiledBlock(const ThreadState &T, uint64_t EntryPC,
+                               std::span<const isa::Inst> Insts,
+                               std::span<const MemoryAccess> Accesses) {}
   /// After computing the effective address of a load/store/atomic.
   virtual void onMemoryAccess(uint32_t Tid, uint64_t Addr, uint32_t Size,
                               bool IsWrite) {}
@@ -239,11 +264,10 @@ public:
   StopReason stepThread(uint32_t Tid) { return runThread(Tid, 1).Reason; }
 
   /// Observer management (one active observer; null to detach). The
-  /// observer's granularity() is read here, once.
-  void setObserver(Observer *O) {
-    Obs = O;
-    ObsGran = O ? O->granularity() : Observer::Granularity::Events;
-  }
+  /// observer's granularity() is read here, once; a BlockAccesses observer
+  /// switches the JIT to its recording load/store helpers until the next
+  /// call.
+  void setObserver(Observer *O);
 
   /// From an observer callback: makes run() or runThread() return Stopped
   /// after the current instruction (or compiled block).
@@ -327,14 +351,20 @@ private:
   /// \p Quota retired instructions. Returns false when no compiled block
   /// starts there or the quota is too small for its entry check; true when
   /// compiled code ran, with \p Exec set to the instructions retired. A
-  /// Block observer caps the quota at the block's length and receives one
-  /// onBlock per dispatch.
+  /// Block or BlockAccesses observer caps the quota at the block's length
+  /// and receives one onBlock or onCompiledBlock per dispatch.
   /// After a true return with Exec == 0 the caller must interpret at least
   /// one step before re-dispatching (memory-retry exits make no progress).
   bool jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec);
   static uint64_t jitLoad(void *Cookie, uint64_t Addr, uint64_t Kind);
   static void jitStore(void *Cookie, uint64_t Addr, uint64_t Value,
                        uint64_t Size);
+  /// jitLoad / jitStore that first append the access to the dispatch's
+  /// record (the helpers while a BlockAccesses observer is attached).
+  static uint64_t jitLoadRecording(void *Cookie, uint64_t Addr,
+                                   uint64_t Kind);
+  static void jitStoreRecording(void *Cookie, uint64_t Addr, uint64_t Value,
+                                uint64_t Size);
   /// Executes one already-decoded instruction at T.PC. Takes the
   /// instruction by value: executing a store into the current code page
   /// invalidates the block that owns the cached copy.

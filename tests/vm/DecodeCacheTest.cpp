@@ -15,50 +15,21 @@
 #include "vm/VM.h"
 
 #include "../common/TestHelpers.h"
+#include "RawVM.h"
 #include "isa/ISA.h"
 
 #include <gtest/gtest.h>
 
 using namespace elfie;
 using namespace elfie::vm;
+using test::CodeBase;
 using test::computeProgram;
+using test::I3;
 using test::makeVM;
 using test::multiThreadProgram;
+using test::rawVM;
 
 namespace {
-
-/// Assembles tiny programs directly from isa::Inst lists into an RWX page,
-/// bypassing the assembler/loader: the SMC tests need code in a *writable*
-/// page, which the ELF loader never produces.
-constexpr uint64_t CodeBase = 0x10000;
-
-isa::Inst I3(isa::Opcode Op, uint8_t Rd, uint8_t Rs1, uint8_t Rs2,
-             int32_t Imm) {
-  isa::Inst I;
-  I.Op = Op;
-  I.Rd = Rd;
-  I.Rs1 = Rs1;
-  I.Rs2 = Rs2;
-  I.Imm = Imm;
-  return I;
-}
-
-std::unique_ptr<VM> rawVM(const std::vector<isa::Inst> &Prog,
-                          VMConfig Config = VMConfig()) {
-  if (!Config.StdoutSink)
-    Config.StdoutSink = [](const char *, size_t) {};
-  auto M = std::make_unique<VM>(Config);
-  M->mem().map(CodeBase, GuestPageSize, PermRWX);
-  for (size_t K = 0; K < Prog.size(); ++K) {
-    uint64_t Word = isa::encode(Prog[K]);
-    EXPECT_EQ(M->mem().poke(CodeBase + K * isa::InstSize, &Word, 8),
-              MemFault::None);
-  }
-  ThreadState T;
-  T.PC = CodeBase;
-  M->spawnThread(T);
-  return M;
-}
 
 TEST(DecodeCache, HitMissAccountingCoversEveryInstruction) {
   auto Out = std::make_shared<std::string>();

@@ -20,6 +20,7 @@
 #include "vm/VM.h"
 
 #include "../common/TestHelpers.h"
+#include "RawVM.h"
 #include "isa/ISA.h"
 
 #include <gtest/gtest.h>
@@ -28,51 +29,15 @@
 
 using namespace elfie;
 using namespace elfie::vm;
+using test::CodeBase;
 using test::computeProgram;
+using test::I3;
+using test::jitConfig;
 using test::makeVM;
 using test::multiThreadProgram;
+using test::rawVM;
 
 namespace {
-
-constexpr uint64_t CodeBase = 0x10000;
-
-isa::Inst I3(isa::Opcode Op, uint8_t Rd, uint8_t Rs1, uint8_t Rs2,
-             int32_t Imm) {
-  isa::Inst I;
-  I.Op = Op;
-  I.Rd = Rd;
-  I.Rs1 = Rs1;
-  I.Rs2 = Rs2;
-  I.Imm = Imm;
-  return I;
-}
-
-/// Hot configuration: promote after a handful of entries so short test
-/// programs exercise compiled dispatch.
-VMConfig jitConfig(bool Enable) {
-  VMConfig C;
-  C.EnableJit = Enable;
-  C.JitThreshold = 4;
-  return C;
-}
-
-std::unique_ptr<VM> rawVM(const std::vector<isa::Inst> &Prog,
-                          VMConfig Config = VMConfig(),
-                          uint64_t Base = CodeBase) {
-  if (!Config.StdoutSink)
-    Config.StdoutSink = [](const char *, size_t) {};
-  auto M = std::make_unique<VM>(Config);
-  M->mem().map(Base, GuestPageSize, PermRWX);
-  for (size_t K = 0; K < Prog.size(); ++K) {
-    uint64_t Word = isa::encode(Prog[K]);
-    EXPECT_EQ(M->mem().poke(Base + K * isa::InstSize, &Word, 8),
-              MemFault::None);
-  }
-  ThreadState T;
-  T.PC = Base;
-  M->spawnThread(T);
-  return M;
-}
 
 TEST(Jit, HotLoopMatchesInterpreterAndPopulatesStats) {
   auto Run = [](bool EnableJit) {
