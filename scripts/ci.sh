@@ -10,8 +10,8 @@
 #   2. sanitized build      -> full ctest suite under ELFIE_SANITIZE
 #   3. TSan build           -> the multi-threaded replay/JIT suites, the
 #                              store suite (helper-thread chunk reads) and
-#                              the warm-up checkpoint suite (the sidecar
-#                              digest's helper thread) under
+#                              the simulator suites (the input digest's
+#                              helper thread on saves and resumes) under
 #                              -fsanitize=thread (data-race detection)
 # then invokes the JIT lockstep acceptance suite standalone via its ctest
 # label (`ctest -L jit`), so a JIT regression is called out by name even
@@ -103,9 +103,11 @@ echo "==== [tsan] MT replay/JIT suites ===="
 ctest --test-dir "$ROOT/tsan" -j "$JOBS" --timeout 360 \
   -R 'Jit|Replay|DecodeCache|MultiThread|Thread|Clone|Atomic' \
   --output-on-failure
-echo "==== [tsan] store and warm-up checkpoint suites ===="
+echo "==== [tsan] store and simulator suites ===="
 "$ROOT/tsan/tests/store/store_tests"
 "$ROOT/tsan/tests/sim/simstate_tests"
+"$ROOT/tsan/tests/sim/sim_golden_tests"
+"$ROOT/tsan/tests/sim/sim_tests"
 
 # JIT acceptance suite standalone (all trees carry the label).
 echo "==== [jit label] lockstep differential suite ===="
