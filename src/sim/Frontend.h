@@ -84,9 +84,9 @@ struct SimResult {
   vm::MemStats MemStats;
   /// JIT counters from the functional VM. Non-zero only with
   /// VMConfig::EnableJit (the library default, which `esim` uses): the
-  /// pre-ROI fast-forward and a -warmup-load resume's warm-up skip run
-  /// compiled; warming and the detailed phase need per-instruction
-  /// callbacks and run interpreted.
+  /// pre-ROI fast-forward, warming and a -warmup-load resume's warm-up
+  /// skip run compiled; the detailed phase needs per-instruction
+  /// callbacks and runs interpreted.
   vm::JitStats JitStats;
   /// Instructions consumed by the warming phase (functionally skipped
   /// instructions when resuming from a checkpoint).
