@@ -78,6 +78,17 @@ if grep -rlzP '(\[(vm::)?GuestPageSize\]|,\s*(vm::)?GuestPageSize>\s*\w+)\s*=?\s
   exit 1
 fi
 
+# The sidecar's component table has one spelling,
+# sim::simStateComponentTable: the per-core id format spelled out
+# anywhere else under src/ means a second table has come back.
+echo "==== [simstate-ids] no component-id format outside sim/SimState.cpp ===="
+if grep -rn '"core%u"' "$REPO/src" |
+    grep -v '^[^:]*/src/sim/SimState\.cpp:'; then
+  echo "ci.sh: sidecar component ids outside sim/SimState.cpp (use" \
+    "sim::simStateComponentTable)"
+  exit 1
+fi
+
 # Pipeline benchmark self-test, once, on the default configuration: tiny
 # inputs through the driver's end-to-end correctness checks (exact capture
 # lengths, clean JIT replay, bit-identical cold/resumed SimStats) with the

@@ -70,7 +70,7 @@ public:
     // identically: a resume against a drifted machine model would warm
     // the wrong structures.
     sim::MachineConfig Machine;
-    unsigned Cores = 0;
+    bool Known = false;
     if (!sim::configByName(Info->Meta.ConfigName, Machine)) {
       Out.add(Severity::Error, "SIMSTATE.CONFIG", 0,
               formatString("unknown machine config '%s'",
@@ -82,16 +82,14 @@ public:
                            "set",
                            Info->Meta.ConfigName.c_str()));
     } else {
-      Cores = Machine.NumCores;
+      Known = true;
     }
 
-    // Component table: exactly stats, core0..coreN-1, l3 — nothing
-    // missing, nothing extra, in canonical order.
-    if (Cores) {
-      std::vector<std::string> Want = {"stats"};
-      for (unsigned I = 0; I < Cores; ++I)
-        Want.push_back(formatString("core%u", I));
-      Want.push_back("l3");
+    // Component table: exactly the config's, as the simulator writes it —
+    // nothing missing, nothing extra, in canonical order.
+    if (Known) {
+      std::vector<sim::SimStateComponentId> Want =
+          sim::simStateComponentTable(Machine);
       if (Info->Components.size() != Want.size()) {
         Out.add(Severity::Error, "SIMSTATE.COMPONENT", 0,
                 formatString("component table has %zu entries, config "
@@ -100,11 +98,11 @@ public:
                              Info->Meta.ConfigName.c_str(), Want.size()));
       } else {
         for (size_t I = 0; I < Want.size(); ++I)
-          if (Info->Components[I].Id != Want[I])
+          if (Info->Components[I].Id != Want[I].Id)
             Out.add(Severity::Error, "SIMSTATE.COMPONENT", 0,
                     formatString("component %zu is '%s', expected '%s'",
                                  I, Info->Components[I].Id.c_str(),
-                                 Want[I].c_str()));
+                                 Want[I].Id.c_str()));
       }
     }
 

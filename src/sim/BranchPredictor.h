@@ -35,7 +35,6 @@ public:
   uint64_t mispredicts() const { return Mispredicts; }
   uint64_t history() const { return History; }
 
-  const char *stateId() const override { return "gshare"; }
   uint32_t stateVersion() const override { return 1; }
   void saveState(StateWriter &W) const override;
   Error loadState(StateReader &R) override;
@@ -58,7 +57,6 @@ public:
   uint64_t lookups() const { return Lookups; }
   uint64_t mispredicts() const { return Mispredicts; }
 
-  const char *stateId() const override { return "btb"; }
   uint32_t stateVersion() const override { return 1; }
   void saveState(StateWriter &W) const override;
   Error loadState(StateReader &R) override;

@@ -53,8 +53,8 @@ public:
   uint32_t assoc() const { return Assoc; }
   uint32_t numSets() const { return NumSets; }
 
-  const char *stateId() const override { return "cache"; }
-  uint32_t stateVersion() const override { return 1; }
+  static constexpr uint32_t StateVersion = 1;
+  uint32_t stateVersion() const override { return StateVersion; }
   void saveState(StateWriter &W) const override;
   Error loadState(StateReader &R) override;
 
@@ -85,7 +85,6 @@ public:
   uint64_t hits() const { return Impl.hits(); }
   uint64_t misses() const { return Impl.misses(); }
 
-  const char *stateId() const override { return "tlb"; }
   uint32_t stateVersion() const override { return 1; }
   void saveState(StateWriter &W) const override;
   Error loadState(StateReader &R) override;

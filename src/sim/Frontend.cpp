@@ -40,30 +40,30 @@ private:
   vm::VM *Stop;
 };
 
-/// Feeds one phase's VM events into the TimingModel. A warming feed uses
-/// the warm entry points: structures get hot, no cycles, stats or
-/// footprint accrue, and the synthetic kernel is skipped (its handlers
-/// charge stats, and a checkpoint must hold exactly the state a cold
-/// warm-up produces). It is a BlockAccesses observer, so the warm-up runs
-/// compiled: each compiled block is replayed into the model in retirement
-/// order, and interpreted instructions arrive as per-instruction events.
-/// A detailed feed uses the detailed entry points, needs every
-/// instruction, and stops the engine at the ROI budget or the (PC, count)
-/// condition.
+/// Feeds one phase's VM events into the TimingModel through the same
+/// entry points in both phases; the model's phase decides what they
+/// charge (a warming model charges nothing and skips the synthetic
+/// kernel, so a checkpoint holds exactly the state a cold warm-up
+/// produces). A feed without stop conditions is a BlockAccesses observer,
+/// so the warm-up runs compiled: each compiled block is replayed into the
+/// model in retirement order, and interpreted instructions arrive as
+/// per-instruction events. A feed that stops the engine at the ROI budget
+/// or the (PC, count) condition needs every instruction.
 class ModelFeed : public vm::Observer {
 public:
-  /// A warming feed; given \p Detailed, a detailed feed that stops \p M
-  /// after \p Budget instructions or at Detailed's (PC, count) condition.
-  explicit ModelFeed(TimingModel &Model, const RunControls *Detailed = nullptr,
+  /// A feed that runs as long as the engine does; given \p Stop, one that
+  /// stops \p M after \p Budget instructions or at Stop's (PC, count)
+  /// condition.
+  explicit ModelFeed(TimingModel &Model, const RunControls *Stop = nullptr,
                      vm::VM *M = nullptr, uint64_t Budget = UINT64_MAX)
-      : Model(Model), NumCores(Model.numCores()), Detailed(Detailed), M(M),
+      : Model(Model), NumCores(Model.numCores()), Stop(Stop), M(M),
         Budget(Budget), LastOp(NumCores, isa::Opcode::Jmp) {}
 
   uint64_t Retired = 0;
   bool MarkerSeen = false;
 
   Granularity granularity() const override {
-    return Detailed ? Granularity::Instruction : Granularity::BlockAccesses;
+    return Stop ? Granularity::Instruction : Granularity::BlockAccesses;
   }
 
   void onInstruction(const vm::ThreadState &T, uint64_t PC,
@@ -71,23 +71,16 @@ public:
     unsigned Core = T.Tid % NumCores;
     LastOp[Core] = I.Op;
     ++Retired;
-    if (!Detailed) {
-      Model.warmInstruction(Core, PC);
-      return;
-    }
-    Model.instruction(Core, PC, I);
-    if ((Detailed->StopPC && PC == Detailed->StopPC &&
-         ++StopPCHits >= Detailed->StopPCCount) ||
-        Retired >= Budget)
+    Model.instruction(Core, PC);
+    if (Stop && ((Stop->StopPC && PC == Stop->StopPC &&
+                  ++StopPCHits >= Stop->StopPCCount) ||
+                 Retired >= Budget))
       M->requestStop();
   }
 
   void onMemoryAccess(uint32_t Tid, uint64_t Addr, uint32_t Size,
                       bool IsWrite) override {
-    if (Detailed)
-      Model.memoryAccess(Tid % NumCores, Addr, Size, IsWrite);
-    else
-      Model.warmMemoryAccess(Tid % NumCores, Addr, Size, IsWrite);
+    Model.memoryAccess(Tid % NumCores, Addr, Size, IsWrite);
   }
 
   void onControlTransfer(uint32_t Tid, uint64_t FromPC, uint64_t ToPC,
@@ -96,10 +89,10 @@ public:
     transfer(Core, LastOp[Core], FromPC, ToPC, Taken);
   }
 
-  /// Warming only: the events the interpreter would have sent for the
-  /// block, in its order: per instruction the fetch, then its access, then
-  /// the transfer that ends the block. L2 and L3 are shared by both sides,
-  /// so any other order leaves other LRU state.
+  /// The events the interpreter would have sent for the block, in its
+  /// order: per instruction the fetch, then its access, then the transfer
+  /// that ends the block. L2 and L3 are shared by both sides, so any other
+  /// order leaves other LRU state.
   void onCompiledBlock(const vm::ThreadState &T, uint64_t EntryPC,
                        std::span<const isa::Inst> Insts,
                        std::span<const vm::MemoryAccess> Accesses) override {
@@ -108,9 +101,9 @@ public:
     const vm::MemoryAccess *A = Accesses.data();
     uint64_t PC = EntryPC;
     for (const isa::Inst &I : Insts) {
-      Model.warmInstruction(Core, PC);
+      Model.instruction(Core, PC);
       if (isa::opInfo(I.Op).Mem != isa::Access::None) {
-        Model.warmMemoryAccess(Core, A->Addr, A->Size, A->IsWrite);
+        Model.memoryAccess(Core, A->Addr, A->Size, A->IsWrite);
         ++A;
       }
       PC += isa::InstSize;
@@ -127,8 +120,7 @@ public:
 
   void onSyscall(uint32_t Tid, uint64_t Nr, const uint64_t *,
                  int64_t) override {
-    if (Detailed)
-      Model.syscall(Tid % NumCores, Nr);
+    Model.syscall(Tid % NumCores, Nr);
   }
 
   void onMarker(uint32_t, isa::MarkerKind, int32_t) override {
@@ -142,17 +134,13 @@ private:
   void transfer(unsigned Core, isa::Opcode Op, uint64_t FromPC, uint64_t ToPC,
                 bool Taken) {
     bool Indirect = Op == isa::Opcode::Jalr;
-    if (!isa::isBranch(Op) && !Indirect)
-      return;
-    if (Detailed)
+    if (isa::isBranch(Op) || Indirect)
       Model.controlTransfer(Core, FromPC, ToPC, Taken, Indirect);
-    else
-      Model.warmControlTransfer(Core, FromPC, ToPC, Taken, Indirect);
   }
 
   TimingModel &Model;
   unsigned NumCores;
-  const RunControls *Detailed;
+  const RunControls *Stop;
   vm::VM *M;
   uint64_t Budget;
   uint64_t StopPCHits = 0;
@@ -230,12 +218,13 @@ Sha256Digest pinballInputDigest(const pinball::Pinball &PB) {
 ///
 ///   1. ELFies only: run to the first marker under a MarkerWatch; nothing
 ///      before the ROI marker is measured.
-///   2. Run W instructions under a warming feed (compiled); resuming, run
-///      them with only a MarkerWatch attached (compiled), since the model
-///      state comes from the sidecar.
+///   2. Run W instructions under a model feed with the model warming
+///      (compiled); resuming, run them with only a MarkerWatch attached
+///      (compiled), since the model state comes from the sidecar.
 ///   3. The boundary, at the start of the first post-warm-up instruction:
 ///      record CheckpointRetired; -warmup-save serialises the model here.
-///   4. Run the ROI under a detailed feed.
+///   4. Run the ROI under a model feed that stops the engine, with the
+///      model measuring.
 ///
 /// With W == 0 and no sidecar, steps 2 and 3 are skipped. A save or load
 /// digests its input on a helper thread from prepare() on, and run()
@@ -321,9 +310,11 @@ public:
     if (Live && (Warmup > 0 || !Controls.SaveStatePath.empty() ||
                  Out.StateLoaded)) {
       uint64_t Start = M.globalRetired();
+      Model.setWarming(true);
       SR = E.run(Warmup, Out.StateLoaded
                              ? static_cast<vm::Observer *>(&Skip)
                              : &Warm);
+      Model.setWarming(false);
       Out.WarmupRetired = M.globalRetired() - Start;
       Live = SR == vm::StopReason::BudgetReached;
       if (Live)

@@ -53,8 +53,9 @@ struct RunControls {
   uint64_t StopPCCount = 0;
   /// Functional-warming length: the first N post-marker (for inputs other
   /// than ELFies, post-entry) instructions train caches/TLBs/predictors
-  /// through the model's warm entry points — no cycles, stats, or
-  /// footprint — before detailed simulation starts at the boundary.
+  /// through the model's entry points while it is warming — no cycles,
+  /// stats, or footprint — before detailed simulation starts at the
+  /// boundary.
   /// UINT64_MAX means auto: the ELFie's embedded elfie_warmup_length
   /// symbol when present, else 0.
   uint64_t WarmupInstructions = UINT64_MAX;

@@ -8,10 +8,11 @@
 /// \file
 /// The common serialization interface every stateful simulator structure
 /// implements (Cache, TLB, GSharePredictor, BTB, CoreState): a component
-/// names itself (stateId), versions its payload layout (stateVersion), and
-/// enumerates its complete state through saveState/loadState. SimState.cpp
-/// packs the components into the versioned, SHA-256-sealed `.esimstate`
-/// sidecar behind `esim -warmup-save` / `-warmup-load` (DESIGN.md §16).
+/// versions its payload layout (stateVersion) and enumerates its complete
+/// state through saveState/loadState. SimState.cpp names the components
+/// (sim::simStateComponentTable) and packs them into the versioned,
+/// SHA-256-sealed `.esimstate` sidecar behind `esim -warmup-save` /
+/// `-warmup-load` (DESIGN.md §16).
 ///
 /// StateWriter/StateReader are thin facades over the little-endian
 /// BinaryWriter/BinaryReader pair so components cannot reach for framing
@@ -73,10 +74,6 @@ private:
 class SimComponent {
 public:
   virtual ~SimComponent() = default;
-
-  /// Stable component kind name recorded in the sidecar ("cache", "tlb",
-  /// "gshare", "btb", "core").
-  virtual const char *stateId() const = 0;
 
   /// Payload layout version; bumped whenever saveState's field sequence
   /// changes. Loads reject mismatches (EFAULT.SIMSTATE.VERSION).

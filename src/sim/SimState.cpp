@@ -81,6 +81,24 @@ Expected<ParsedSidecar> parseSidecar(const std::vector<uint8_t> &Bytes) {
   return P;
 }
 
+/// Entry \p I of the component table: the stats, core I-1, or the L3.
+void saveComponent(const TimingModel &Model, size_t I, StateWriter &W) {
+  if (I == 0)
+    Model.stats().save(W);
+  else if (I <= Model.numCores())
+    Model.core(I - 1).saveState(W);
+  else
+    Model.l3().saveState(W);
+}
+
+Error loadComponent(TimingModel &Model, size_t I, StateReader &R) {
+  if (I == 0)
+    return Model.stats().load(R);
+  if (I <= Model.numCores())
+    return Model.core(I - 1).loadState(R);
+  return Model.l3().loadState(R);
+}
+
 } // namespace
 
 std::string sim::simStatePathFor(std::string InputPath) {
@@ -89,33 +107,28 @@ std::string sim::simStatePathFor(std::string InputPath) {
   return InputPath + ".esimstate";
 }
 
-Error sim::saveSimState(const std::string &Path, const SimStateMeta &Meta,
-                        const TimingModel &Model) {
-  return writeSimState(Path, Meta, encodeSimStateComponents(Model));
+std::vector<SimStateComponentId>
+sim::simStateComponentTable(const MachineConfig &Machine) {
+  std::vector<SimStateComponentId> Table = {{"stats", SimStatsPayloadVersion}};
+  for (unsigned I = 0; I < Machine.NumCores; ++I)
+    Table.push_back({formatString("core%u", I), CoreState::StateVersion});
+  Table.push_back({"l3", Cache::StateVersion});
+  return Table;
 }
 
 std::vector<uint8_t> sim::encodeSimStateComponents(const TimingModel &Model) {
+  std::vector<SimStateComponentId> Table =
+      simStateComponentTable(Model.config());
   BinaryWriter W;
-  auto WriteComponent = [&W](const std::string &Id, uint32_t Version,
-                             auto &&Save) {
+  W.writeU32(static_cast<uint32_t>(Table.size()));
+  for (size_t I = 0; I < Table.size(); ++I) {
     BinaryWriter Payload;
     StateWriter SW(Payload);
-    Save(SW);
-    W.writeString(Id);
-    W.writeU32(Version);
+    saveComponent(Model, I, SW);
+    W.writeString(Table[I].Id);
+    W.writeU32(Table[I].Version);
     W.writeBlob(Payload.bytes().data(), Payload.size());
-  };
-
-  W.writeU32(Model.numCores() + 2);
-  WriteComponent("stats", SimStatsPayloadVersion,
-                 [&](StateWriter &SW) { Model.stats().save(SW); });
-  for (unsigned I = 0; I < Model.numCores(); ++I) {
-    const CoreState &C = Model.core(I);
-    WriteComponent(formatString("core%u", I), C.stateVersion(),
-                   [&](StateWriter &SW) { C.saveState(SW); });
   }
-  WriteComponent("l3", Model.l3().stateVersion(),
-                 [&](StateWriter &SW) { Model.l3().saveState(SW); });
   return W.bytes();
 }
 
@@ -145,20 +158,6 @@ Expected<SimStateInfo> sim::inspectSimState(const std::string &Path) {
   if (!P)
     return P.takeError().withContext("inspecting '" + Path + "'");
   return std::move(P->Info);
-}
-
-Expected<SimStateMeta> sim::loadSimState(const std::string &Path,
-                                         const MachineConfig &Machine,
-                                         const Sha256Digest &InputDigest,
-                                         TimingModel &Model) {
-  auto File = SimStateFile::open(Path, Machine);
-  if (!File)
-    return File.takeError();
-  if (Error E = File->checkInput(InputDigest))
-    return E;
-  if (Error E = File->apply(Model))
-    return E;
-  return File->meta();
 }
 
 Error SimStateFile::fail(Error E) const {
@@ -202,14 +201,9 @@ Error SimStateFile::checkInput(const Sha256Digest &InputDigest) const {
 }
 
 Error SimStateFile::apply(TimingModel &Model) const {
-  // The component table must be exactly what this machine enumerates, in
-  // order: "stats", one "core<i>" per core, "l3".
-  std::vector<std::pair<std::string, uint32_t>> Want;
-  Want.emplace_back("stats", SimStatsPayloadVersion);
-  for (unsigned I = 0; I < Model.numCores(); ++I)
-    Want.emplace_back(formatString("core%u", I),
-                      Model.core(I).stateVersion());
-  Want.emplace_back("l3", Model.l3().stateVersion());
+  // The component table must be exactly what this machine enumerates.
+  std::vector<SimStateComponentId> Want =
+      simStateComponentTable(Model.config());
   if (Info.Components.size() != Want.size())
     return fail(makeCodedError(
         "EFAULT.SIMSTATE.COMPONENT",
@@ -217,41 +211,27 @@ Error SimStateFile::apply(TimingModel &Model) const {
         Info.Components.size(), Want.size()));
   for (size_t I = 0; I < Want.size(); ++I) {
     const SimStateComponentInfo &CI = Info.Components[I];
-    if (CI.Id != Want[I].first)
+    if (CI.Id != Want[I].Id)
       return fail(makeCodedError("EFAULT.SIMSTATE.COMPONENT",
                                  "component %zu is '%s', expected '%s'", I,
-                                 CI.Id.c_str(), Want[I].first.c_str()));
-    if (CI.Version != Want[I].second)
+                                 CI.Id.c_str(), Want[I].Id.c_str()));
+    if (CI.Version != Want[I].Version)
       return fail(makeCodedError(
           "EFAULT.SIMSTATE.VERSION",
           "component '%s' has payload version %u, this build reads %u",
-          CI.Id.c_str(), CI.Version, Want[I].second));
+          CI.Id.c_str(), CI.Version, Want[I].Version));
   }
 
-  auto Apply = [&](size_t Index, auto &&Load) -> Error {
-    BinaryReader PR(Bytes.data() + PayloadOffsets[Index],
-                    Info.Components[Index].PayloadBytes);
+  for (size_t I = 0; I < Want.size(); ++I) {
+    const SimStateComponentInfo &CI = Info.Components[I];
+    BinaryReader PR(Bytes.data() + PayloadOffsets[I], CI.PayloadBytes);
     StateReader SR(PR);
-    if (Error E = Load(SR))
-      return E;
-    if (PR.hadError() || !PR.atEnd())
-      return makeCodedError("EFAULT.SIMSTATE.COMPONENT",
-                            "component '%s' payload size mismatch",
-                            Info.Components[Index].Id.c_str());
-    return Error::success();
-  };
-  if (Error E = Apply(0, [&](StateReader &SR) {
-        return Model.stats().load(SR);
-      }))
-    return fail(std::move(E));
-  for (unsigned I = 0; I < Model.numCores(); ++I)
-    if (Error E = Apply(1 + I, [&](StateReader &SR) {
-          return Model.core(I).loadState(SR);
-        }))
+    if (Error E = loadComponent(Model, I, SR))
       return fail(std::move(E));
-  if (Error E = Apply(Want.size() - 1, [&](StateReader &SR) {
-        return Model.l3().loadState(SR);
-      }))
-    return fail(std::move(E));
+    if (PR.hadError() || !PR.atEnd())
+      return fail(makeCodedError("EFAULT.SIMSTATE.COMPONENT",
+                                 "component '%s' payload size mismatch",
+                                 CI.Id.c_str()));
+  }
   return Error::success();
 }

@@ -23,8 +23,9 @@
 ///   u64   detailed budget       ROI budget recorded at save (0 = none)
 ///   u32   component count
 ///   per component:
-///     str  component id         "stats", "core0".."coreN", "l3"
-///     u32  component version    SimComponent::stateVersion()
+///     str  component id         simStateComponentTable: "stats",
+///                               "core0".."coreN-1", "l3"
+///     u32  component version    the table's payload version
 ///     blob payload              length-prefixed saveState() bytes
 ///   32B   seal                  SHA-256 over every preceding byte
 ///
@@ -71,11 +72,18 @@ struct SimStateMeta {
 /// trailing '/' (pinball directories) stripped first.
 std::string simStatePathFor(std::string InputPath);
 
-/// Serializes \p Model's components under \p Meta and atomically writes
-/// the sealed sidecar to \p Path: writeSimState of
-/// encodeSimStateComponents.
-Error saveSimState(const std::string &Path, const SimStateMeta &Meta,
-                   const TimingModel &Model);
+/// One entry of a machine's component table: the id the sidecar records
+/// and the payload version this build writes and reads.
+struct SimStateComponentId {
+  std::string Id;
+  uint32_t Version = 0;
+};
+
+/// The component table of \p Machine, in sidecar order: "stats", one
+/// "core<i>" per core, then "l3". Saves write it, and loads and everify
+/// require exactly it.
+std::vector<SimStateComponentId>
+simStateComponentTable(const MachineConfig &Machine);
 
 /// A save in two steps, for a caller that learns the input digest after
 /// the boundary: the component table of \p Model as the sidecar holds it
@@ -101,20 +109,10 @@ struct SimStateInfo {
   std::vector<SimStateComponentInfo> Components;
 };
 
-/// Validates \p Path against \p Machine and \p InputDigest and applies the
-/// component states to \p Model. Fails closed (EFAULT.SIMSTATE.*) without
-/// partially trusting the file: the seal and header are verified before
-/// any component is applied. SimStateFile's open, checkInput and apply in
-/// that order.
-Expected<SimStateMeta> loadSimState(const std::string &Path,
-                                    const MachineConfig &Machine,
-                                    const Sha256Digest &InputDigest,
-                                    TimingModel &Model);
-
 /// A load in steps, for a caller that computes the input digest while the
-/// sidecar is applied. The checks run in loadSimState's order when called
-/// as open, checkInput, apply; a caller that defers checkInput must report
-/// its INPUT failure ahead of any failure of apply (DESIGN.md §16.3).
+/// sidecar is applied. Called as open, checkInput, apply, it makes the
+/// checks in DESIGN.md §16.3's order; a caller that defers checkInput must
+/// report its INPUT failure ahead of any failure of apply.
 class SimStateFile {
 public:
   /// Reads \p Path and makes the checks before INPUT: MAGIC, VERSION,
@@ -142,8 +140,8 @@ private:
 };
 
 /// Parses and integrity-checks a sidecar (magic, version, structure, seal)
-/// without a TimingModel: the static half of loadSimState, shared with the
-/// everify SIMSTATE pass.
+/// without a TimingModel: the checks SimStateFile::open makes before
+/// CONFIG, shared with the everify SIMSTATE pass.
 Expected<SimStateInfo> inspectSimState(const std::string &Path);
 
 } // namespace sim

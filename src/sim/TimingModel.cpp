@@ -7,6 +7,7 @@
 
 #include "sim/TimingModel.h"
 
+#include "isa/ISA.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -71,43 +72,50 @@ void TimingModel::chargeStall(CoreState &C, unsigned Latency, bool IsStore) {
   C.Stats->Cycles += Stall;
 }
 
+template <bool Measure>
 unsigned TimingModel::dataAccess(CoreState &C, uint64_t Addr, bool IsWrite,
                                  bool Kernel) {
-  Stats.addDataPage(Addr >> 12, Kernel);
-
-  ++C.Stats->L1DAccesses;
+  if constexpr (Measure) {
+    Stats.addDataPage(Addr >> 12, Kernel);
+    ++C.Stats->L1DAccesses;
+  }
   // TLB first.
   unsigned Latency = 0;
   if (!C.Dtlb.access(Addr)) {
-    ++C.Stats->DTLBMisses;
+    if constexpr (Measure)
+      ++C.Stats->DTLBMisses;
     Latency += Config.Core.PageWalkCycles;
   }
   if (C.L1D.access(Addr, IsWrite))
     return Latency;
-  ++C.Stats->L1DMisses;
+  if constexpr (Measure)
+    ++C.Stats->L1DMisses;
   if (C.L2.access(Addr, IsWrite)) {
     C.L1D.access(Addr, IsWrite); // fill (already done by access miss path)
     return Latency + Config.Core.L2.LatencyCycles;
   }
-  ++C.Stats->L2Misses;
+  if constexpr (Measure)
+    ++C.Stats->L2Misses;
   // Next-line prefetch into L2 on a demand L2 miss.
   if (Config.Core.NextLinePrefetcher) {
     uint64_t Next = Addr + CacheLineSize;
     if (!C.L2.contains(Next)) {
-      bool L3Hit = L3->contains(Next);
       C.L2.access(Next, false);
       L3->access(Next, false);
-      ++C.Stats->Prefetches;
-      Stats.addDataPage(Next >> 12, Kernel);
-      (void)L3Hit;
+      if constexpr (Measure) {
+        ++C.Stats->Prefetches;
+        Stats.addDataPage(Next >> 12, Kernel);
+      }
     }
   }
   if (L3->access(Addr, IsWrite))
     return Latency + Config.L3.LatencyCycles;
-  ++C.Stats->L3Misses;
+  if constexpr (Measure)
+    ++C.Stats->L3Misses;
   return Latency + Config.L3.LatencyCycles + Config.MemLatencyCycles;
 }
 
+template <bool Measure>
 unsigned TimingModel::fetchAccess(CoreState &C, uint64_t PC) {
   uint64_t Line = PC / CacheLineSize;
   if (Line == C.LastFetchLine)
@@ -115,7 +123,8 @@ unsigned TimingModel::fetchAccess(CoreState &C, uint64_t PC) {
   C.LastFetchLine = Line;
   unsigned Latency = 0;
   if (!C.Itlb.access(PC)) {
-    ++C.Stats->ITLBMisses;
+    if constexpr (Measure)
+      ++C.Stats->ITLBMisses;
     Latency += Config.Core.PageWalkCycles;
   }
   if (C.L1I.access(PC, false))
@@ -127,12 +136,15 @@ unsigned TimingModel::fetchAccess(CoreState &C, uint64_t PC) {
   return Latency + Config.L3.LatencyCycles + Config.MemLatencyCycles;
 }
 
-void TimingModel::instruction(unsigned Core, uint64_t PC,
-                              const isa::Inst &I) {
+void TimingModel::instruction(unsigned Core, uint64_t PC) {
   CoreState &C = *Cores[Core];
+  if (Warming) {
+    fetchAccess<false>(C, PC);
+    return;
+  }
   C.Stats->Cycles += 1.0 / Config.Core.DispatchWidth;
   ++C.Stats->Instructions;
-  unsigned FetchLat = fetchAccess(C, PC);
+  unsigned FetchLat = fetchAccess<true>(C, PC);
   if (FetchLat)
     C.Stats->Cycles += FetchLat * 0.5; // fetch-ahead hides half
 
@@ -147,6 +159,7 @@ void TimingModel::instruction(unsigned Core, uint64_t PC,
 
 void TimingModel::memoryAccess(unsigned Core, uint64_t Addr, uint32_t Size,
                                bool IsWrite) {
+  (void)Size;
   CoreState &C = *Cores[Core];
   // Write-invalidate coherence: a store snoops the other cores.
   if (IsWrite && Config.NumCores > 1) {
@@ -156,12 +169,18 @@ void TimingModel::memoryAccess(unsigned Core, uint64_t Addr, uint32_t Size,
       if (Other->L1D.contains(Addr) || Other->L2.contains(Addr)) {
         Other->L1D.invalidate(Addr);
         Other->L2.invalidate(Addr);
-        ++C.Stats->CoherenceInvalidations;
-        C.Stats->Cycles += Config.CoherencePenaltyCycles;
+        if (!Warming) {
+          ++C.Stats->CoherenceInvalidations;
+          C.Stats->Cycles += Config.CoherencePenaltyCycles;
+        }
       }
     }
   }
-  unsigned Latency = dataAccess(C, Addr, IsWrite, C.InKernel);
+  if (Warming) {
+    dataAccess<false>(C, Addr, IsWrite, /*Kernel=*/false);
+    return;
+  }
+  unsigned Latency = dataAccess<true>(C, Addr, IsWrite, C.InKernel);
   chargeStall(C, Latency, IsWrite);
 }
 
@@ -169,78 +188,20 @@ void TimingModel::controlTransfer(unsigned Core, uint64_t FromPC,
                                   uint64_t ToPC, bool Taken,
                                   bool IsIndirect) {
   CoreState &C = *Cores[Core];
-  ++C.Stats->Branches;
   bool Correct;
   if (IsIndirect)
     Correct = C.Btb.predictAndUpdate(FromPC, ToPC);
   else
     Correct = C.BP.predictAndUpdate(FromPC, Taken);
+  if (Warming)
+    return;
+  ++C.Stats->Branches;
   if (!Correct) {
     ++C.Stats->BranchMispredicts;
     C.Stats->Cycles += Config.Core.MispredictPenalty;
     if (C.InKernel)
       C.Stats->Ring0Cycles += Config.Core.MispredictPenalty;
   }
-}
-
-void TimingModel::warmInstruction(unsigned Core, uint64_t PC) {
-  // fetchAccess minus the ITLB-miss counter; latencies are discarded.
-  CoreState &C = *Cores[Core];
-  uint64_t Line = PC / CacheLineSize;
-  if (Line == C.LastFetchLine)
-    return;
-  C.LastFetchLine = Line;
-  C.Itlb.access(PC);
-  if (C.L1I.access(PC, false))
-    return;
-  if (C.L2.access(PC, false))
-    return;
-  L3->access(PC, false);
-}
-
-void TimingModel::warmMemoryAccess(unsigned Core, uint64_t Addr,
-                                   uint32_t Size, bool IsWrite) {
-  (void)Size;
-  CoreState &C = *Cores[Core];
-  // Coherence invalidations change cache contents, so they must happen
-  // while warming too — without the cycle penalty.
-  if (IsWrite && Config.NumCores > 1) {
-    for (auto &Other : Cores) {
-      if (Other->Index == Core)
-        continue;
-      if (Other->L1D.contains(Addr) || Other->L2.contains(Addr)) {
-        Other->L1D.invalidate(Addr);
-        Other->L2.invalidate(Addr);
-      }
-    }
-  }
-  // dataAccess minus stats/footprint, same access and prefetch order so
-  // LRU stamps evolve identically to a detailed-phase access.
-  C.Dtlb.access(Addr);
-  if (C.L1D.access(Addr, IsWrite))
-    return;
-  if (C.L2.access(Addr, IsWrite)) {
-    C.L1D.access(Addr, IsWrite);
-    return;
-  }
-  if (Config.Core.NextLinePrefetcher) {
-    uint64_t Next = Addr + CacheLineSize;
-    if (!C.L2.contains(Next)) {
-      C.L2.access(Next, false);
-      L3->access(Next, false);
-    }
-  }
-  L3->access(Addr, IsWrite);
-}
-
-void TimingModel::warmControlTransfer(unsigned Core, uint64_t FromPC,
-                                      uint64_t ToPC, bool Taken,
-                                      bool IsIndirect) {
-  CoreState &C = *Cores[Core];
-  if (IsIndirect)
-    C.Btb.predictAndUpdate(FromPC, ToPC);
-  else
-    C.BP.predictAndUpdate(FromPC, Taken);
 }
 
 void TimingModel::runKernelHandler(CoreState &C, unsigned NumInsts,
@@ -255,9 +216,8 @@ void TimingModel::runKernelHandler(CoreState &C, unsigned NumInsts,
     C.Stats->Cycles += 1.0 / Config.Core.DispatchWidth;
     ++C.Stats->Ring0Instructions;
     if ((I & 7) == 0) {
-      unsigned FetchLat =
-          fetchAccess(C, K.KernelTextBase + (TextCursor + I * 8) %
-                                                K.KernelTextBytes);
+      unsigned FetchLat = fetchAccess<true>(
+          C, K.KernelTextBase + (TextCursor + I * 8) % K.KernelTextBytes);
       C.Stats->Cycles += FetchLat * 0.5;
     }
     if ((I & 3) == 0) {
@@ -272,7 +232,8 @@ void TimingModel::runKernelHandler(CoreState &C, unsigned NumInsts,
       } else {
         Addr = K.KernelDataBase + K.KernelDataBytes + (I * 64) % 4096;
       }
-      unsigned Lat = dataAccess(C, Addr, (I & 15) == 0, /*Kernel=*/true);
+      unsigned Lat =
+          dataAccess<true>(C, Addr, (I & 15) == 0, /*Kernel=*/true);
       chargeStall(C, Lat, false);
     }
   }
@@ -285,6 +246,8 @@ void TimingModel::runKernelHandler(CoreState &C, unsigned NumInsts,
 }
 
 void TimingModel::syscall(unsigned Core, uint64_t Nr) {
+  if (Warming)
+    return;
   CoreState &C = *Cores[Core];
   ++C.Stats->Syscalls;
   if (!Config.Kernel.Enabled)

@@ -24,7 +24,6 @@
 #ifndef ELFIE_SIM_TIMINGMODEL_H
 #define ELFIE_SIM_TIMINGMODEL_H
 
-#include "isa/ISA.h"
 #include "sim/BranchPredictor.h"
 #include "sim/Cache.h"
 #include "sim/Config.h"
@@ -136,8 +135,8 @@ struct CoreState : public SimComponent {
         L1D(C.L1D.SizeBytes, C.L1D.Assoc), L2(C.L2.SizeBytes, C.L2.Assoc),
         Dtlb(C.DTLBEntries), Itlb(C.ITLBEntries) {}
 
-  const char *stateId() const override { return "core"; }
-  uint32_t stateVersion() const override { return 1; }
+  static constexpr uint32_t StateVersion = 1;
+  uint32_t stateVersion() const override { return StateVersion; }
   void saveState(StateWriter &W) const override;
   Error loadState(StateReader &R) override;
 };
@@ -145,29 +144,28 @@ struct CoreState : public SimComponent {
 /// The timing model. Event-driven from a functional front-end: call
 /// instruction()/memoryAccess()/controlTransfer()/syscall() in retirement
 /// order per core.
+///
+/// The same entry points serve both phases of a simulation. A measuring
+/// model (the default) charges cycles, SimStats counters and footprint
+/// pages and runs the synthetic kernel. A warming model (setWarming)
+/// makes the very same structure updates (fills, LRU movement, prefetches,
+/// coherence invalidations, predictor training) but charges nothing,
+/// advances no timer and runs no kernel handler, so a warm-up leaves the
+/// machine hot without perturbing the measured ROI. The phase is not
+/// serialized: a checkpoint is taken where warming ends.
 class TimingModel {
 public:
   explicit TimingModel(const MachineConfig &Config);
   ~TimingModel();
 
-  void instruction(unsigned Core, uint64_t PC, const isa::Inst &I);
+  void instruction(unsigned Core, uint64_t PC);
   void memoryAccess(unsigned Core, uint64_t Addr, uint32_t Size,
                     bool IsWrite);
   void controlTransfer(unsigned Core, uint64_t FromPC, uint64_t ToPC,
                        bool Taken, bool IsIndirect);
   void syscall(unsigned Core, uint64_t Nr);
 
-  /// Warming entry points: mirror the detailed entry points' structure
-  /// updates (fills, LRU movement, prefetches, coherence invalidations,
-  /// predictor training) exactly, but charge no cycles and record no
-  /// SimStats counters or footprint pages. A warming phase leaves the
-  /// machine hot without perturbing the measured ROI; the synthetic
-  /// kernel is not modelled while warming (no timer/syscall handlers).
-  void warmInstruction(unsigned Core, uint64_t PC);
-  void warmMemoryAccess(unsigned Core, uint64_t Addr, uint32_t Size,
-                        bool IsWrite);
-  void warmControlTransfer(unsigned Core, uint64_t FromPC, uint64_t ToPC,
-                           bool Taken, bool IsIndirect);
+  void setWarming(bool W) { Warming = W; }
 
   const MachineConfig &config() const { return Config; }
   SimStats &stats() { return Stats; }
@@ -181,11 +179,15 @@ public:
   const Cache &l3() const { return *L3; }
 
 private:
-  /// Data-side hierarchy lookup: returns the miss latency beyond L1 and
-  /// updates all levels. \p Kernel routes footprint accounting.
+  /// The hierarchy lookups both phases share, instantiated once per phase
+  /// so that warming does none of the charging work: with \p Measure they
+  /// count SimStats misses and footprint pages. Each updates all levels
+  /// and returns the miss latency beyond L1, which only a measuring
+  /// caller charges. \p Kernel routes footprint accounting.
+  template <bool Measure>
   unsigned dataAccess(CoreState &C, uint64_t Addr, bool IsWrite,
                       bool Kernel);
-  unsigned fetchAccess(CoreState &C, uint64_t PC);
+  template <bool Measure> unsigned fetchAccess(CoreState &C, uint64_t PC);
   void runKernelHandler(CoreState &C, unsigned NumInsts, uint64_t Seed);
   void chargeStall(CoreState &C, unsigned Latency, bool IsStore);
 
@@ -193,6 +195,8 @@ private:
   SimStats Stats;
   std::vector<std::unique_ptr<CoreState>> Cores;
   std::unique_ptr<Cache> L3;
+  /// The phase: the front-end warms the model around the warm-up run.
+  bool Warming = false;
 };
 
 } // namespace sim

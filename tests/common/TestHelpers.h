@@ -19,15 +19,18 @@
 #include "elf/ELFReader.h"
 #include "pinball/Logger.h"
 #include "support/FileIO.h"
+#include "support/Sha256.h"
 #include "support/Subprocess.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace elfie {
 namespace test {
@@ -336,6 +339,22 @@ inline CmdResult runCmd(const std::string &Env, const std::string &CmdLine) {
   int Status = pclose(P);
   R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
   return R;
+}
+
+/// Replaces the first length-prefixed occurrence of \p From in a sidecar
+/// with \p To (same length) and recomputes the seal, so the file passes
+/// every structural check and fails only where the rename matters.
+inline void renameAndReseal(std::vector<uint8_t> &Bytes,
+                            const std::string &From, const std::string &To) {
+  ASSERT_EQ(From.size(), To.size());
+  BinaryWriter Needle;
+  Needle.writeString(From);
+  auto It = std::search(Bytes.begin(), Bytes.end() - 32,
+                        Needle.bytes().begin(), Needle.bytes().end());
+  ASSERT_NE(It, Bytes.end() - 32) << "no '" << From << "' in the sidecar";
+  std::copy(To.begin(), To.end(), It + 4);
+  Sha256Digest Seal = Sha256::digest(Bytes.data(), Bytes.size() - 32);
+  std::copy(Seal.Bytes.begin(), Seal.Bytes.end(), Bytes.end() - 32);
 }
 
 } // namespace test

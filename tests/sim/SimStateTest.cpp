@@ -16,8 +16,9 @@
 ///    ELFie, constrained + unconstrained pinball replay)
 ///  * a multi-threaded ELFie and free pinball on one core resume to the
 ///    cold run's SimStats (every run splits the engine at the boundary)
-///  * the warm mirror: the model's warm entry points leave every structure
-///    exactly as the detailed ones do
+///  * the warm mirror: a warming model leaves every structure exactly as
+///    a measuring one fed the same events does, charges nothing and runs
+///    no synthetic kernel
 ///  * the checkpoint-index regression pin: the boundary lands on the same
 ///    global retired index across the interpreted save, JIT save, and
 ///    resume paths (the PR-6 fast-forward off-by-one class).
@@ -45,6 +46,8 @@ using namespace elfie;
 using namespace elfie::sim;
 
 namespace {
+
+using test::renameAndReseal;
 
 std::string tempDir(const std::string &Name) {
   std::string D = testing::TempDir() + "/elfie_simstate_" + Name;
@@ -257,10 +260,8 @@ TEST(SimComponentRoundTrip, LoadResetsTheFootprintMemo) {
 /// Puts a little state into every component, for container tests.
 /// (TimingModel is non-movable, so the caller owns the instance.)
 void trainModel(TimingModel &Model) {
-  isa::Inst Add;
-  Add.Op = isa::Opcode::Add;
   for (uint64_t I = 0; I < 64; ++I) {
-    Model.instruction(0, 0x1000 + 8 * I, Add);
+    Model.instruction(0, 0x1000 + 8 * I);
     Model.memoryAccess(0, 0x8000 + 64 * I, 8, (I & 1) != 0);
     Model.controlTransfer(0, 0x1000 + 8 * I, 0x1000, (I & 3) != 0, false);
   }
@@ -295,6 +296,8 @@ void reseal(std::vector<uint8_t> &Bytes) {
   std::copy(Seal.Bytes.begin(), Seal.Bytes.end(), Bytes.end() - 32);
 }
 
+/// A sidecar of a trained model, written and read the way esim writes and
+/// resumes one.
 struct SidecarFixture {
   std::string Dir, Path;
   MachineConfig Machine = makeNehalemLike();
@@ -306,32 +309,44 @@ struct SidecarFixture {
     Meta = testMeta(Machine);
     TimingModel Model(Machine);
     trainModel(Model);
-    Error E = saveSimState(Path, Meta, Model);
+    Error E = writeSimState(Path, Meta, encodeSimStateComponents(Model));
     EXPECT_FALSE(E.isError()) << E.str();
   }
 
+  /// The code of the first check that fails when the sidecar is opened,
+  /// checked against \p Digest and applied; "" when none does.
   std::string loadCode(const MachineConfig &M, const Sha256Digest &Digest) {
+    auto File = SimStateFile::open(Path, M);
+    if (!File)
+      return File.takeError().code();
+    if (Error E = File->checkInput(Digest))
+      return E.code();
     TimingModel Fresh(M);
-    auto R = loadSimState(Path, M, Digest, Fresh);
-    return R.hasValue() ? std::string() : R.takeError().code();
+    Error E = File->apply(Fresh);
+    return E ? E.code() : std::string();
   }
   std::string loadCode() { return loadCode(Machine, Meta.InputDigest); }
 };
 
 TEST(SimStateFile, RoundTripRestoresEveryComponent) {
   SidecarFixture F("roundtrip");
+  auto File = SimStateFile::open(F.Path, F.Machine);
+  ASSERT_TRUE(File.hasValue()) << File.message();
+  ASSERT_FALSE(File->checkInput(F.Meta.InputDigest).isError());
   TimingModel Restored(F.Machine);
-  auto Meta =
-      loadSimState(F.Path, F.Machine, F.Meta.InputDigest, Restored);
-  ASSERT_TRUE(Meta.hasValue()) << Meta.message();
-  EXPECT_EQ(Meta->WarmupInstructions, 64u);
-  EXPECT_EQ(Meta->CheckpointRetired, 164u);
-  EXPECT_EQ(Meta->DetailedBudget, 1000u);
+  Error E = File->apply(Restored);
+  ASSERT_FALSE(E.isError()) << E.str();
+  const SimStateMeta &Meta = File->meta();
+  EXPECT_EQ(Meta.WarmupInstructions, 64u);
+  EXPECT_EQ(Meta.CheckpointRetired, 164u);
+  EXPECT_EQ(Meta.DetailedBudget, 1000u);
 
   // Re-serializing the restored model under the same meta must reproduce
   // the sidecar byte for byte.
   std::string Path2 = F.Dir + "/resaved.esimstate";
-  ASSERT_FALSE(saveSimState(Path2, *Meta, Restored).isError());
+  ASSERT_FALSE(
+      writeSimState(Path2, Meta, encodeSimStateComponents(Restored))
+          .isError());
   auto A = readFileBytes(F.Path);
   auto B = readFileBytes(Path2);
   ASSERT_TRUE(A.hasValue() && B.hasValue());
@@ -655,42 +670,76 @@ TEST(CheckpointIdentity, WarmupBudgetMustFitRegion) {
 
 // ---- The warm mirror ----
 //
-// A warm-up run feeds the model's warm entry points and the ROI run the
-// detailed ones, so the state at the boundary is only the one a detailed
-// run would have left if the warm entry points update every structure
-// exactly as the detailed ones do (the synthetic kernel is off).
+// A warm-up and the ROI feed the model the same entry points, and the
+// model's phase decides what they charge. The state at the boundary is
+// the one a measuring run would have left only if a warming model changes
+// every structure exactly as a measuring one does, while it charges
+// nothing and runs no synthetic kernel.
 
-TEST(WarmMirror, WarmEntryPointsMirrorDetailedStructureUpdates) {
+/// Feeds each of \p Models the same \p Count random events on
+/// \p NumCores cores: per step an instruction, a data access, a control
+/// transfer and now and then a syscall. The code and data working sets are
+/// a little larger than the L2, so fills, evictions, prefetches and, on
+/// several cores, coherence invalidations all happen.
+void feedRandomEvents(std::initializer_list<TimingModel *> Models,
+                      unsigned NumCores, int Count) {
+  RNG R(0x5EED);
+  for (int N = 0; N < Count; ++N) {
+    unsigned Core = static_cast<unsigned>(R.nextBelow(NumCores));
+    uint64_t PC = isa::TextBase + 8 * R.nextBelow(1 << 16);
+    uint64_t Addr = 0x10000000 + 8 * R.nextBelow(1 << 17);
+    bool IsWrite = R.nextBelow(3) == 0;
+    uint64_t To = isa::TextBase + 8 * R.nextBelow(1 << 10);
+    bool Taken = R.nextBelow(2) == 0, Indirect = R.nextBelow(8) == 0;
+    bool Syscall = R.nextBelow(4096) == 0;
+    for (TimingModel *M : Models) {
+      M->instruction(Core, PC);
+      M->memoryAccess(Core, Addr, 8, IsWrite);
+      M->controlTransfer(Core, PC, To, Taken, Indirect);
+      if (Syscall)
+        M->syscall(Core, static_cast<uint64_t>(isa::Sys::Write));
+    }
+  }
+}
+
+TEST(WarmMirror, WarmingUpdatesStructuresAsMeasuringDoes) {
   for (const MachineConfig &Machine : {makeNehalemLike(), makeGainestown8()}) {
     SCOPED_TRACE(Machine.Name);
     ASSERT_FALSE(Machine.Kernel.Enabled);
-    TimingModel Warm(Machine), Detailed(Machine);
-    RNG R(0x5EED);
-    isa::Inst I;
-    I.Op = isa::Opcode::Add;
-    for (int N = 0; N < 50000; ++N) {
-      unsigned Core = static_cast<unsigned>(R.nextBelow(Machine.NumCores));
-      // Code and data working sets a little larger than the L2, so fills,
-      // evictions and prefetches all happen.
-      uint64_t PC = isa::TextBase + 8 * R.nextBelow(1 << 16);
-      Warm.warmInstruction(Core, PC);
-      Detailed.instruction(Core, PC, I);
-      uint64_t Addr = 0x10000000 + 8 * R.nextBelow(1 << 17);
-      bool IsWrite = R.nextBelow(3) == 0;
-      Warm.warmMemoryAccess(Core, Addr, 8, IsWrite);
-      Detailed.memoryAccess(Core, Addr, 8, IsWrite);
-      uint64_t To = isa::TextBase + 8 * R.nextBelow(1 << 10);
-      bool Taken = R.nextBelow(2) == 0, Indirect = R.nextBelow(8) == 0;
-      Warm.warmControlTransfer(Core, PC, To, Taken, Indirect);
-      Detailed.controlTransfer(Core, PC, To, Taken, Indirect);
-    }
+    TimingModel Warm(Machine), Measured(Machine), Fresh(Machine);
+    Warm.setWarming(true);
+    feedRandomEvents({&Warm, &Measured}, Machine.NumCores, 50000);
     for (unsigned C = 0; C < Machine.NumCores; ++C)
-      EXPECT_EQ(componentBytes(Warm.core(C)), componentBytes(Detailed.core(C)))
+      EXPECT_EQ(componentBytes(Warm.core(C)), componentBytes(Measured.core(C)))
           << "core " << C;
-    EXPECT_EQ(componentBytes(Warm.l3()), componentBytes(Detailed.l3()));
-    EXPECT_EQ(Warm.stats().totalInstructions(), 0u)
-        << "warming must not count instructions";
+    EXPECT_EQ(componentBytes(Warm.l3()), componentBytes(Measured.l3()));
+    EXPECT_EQ(statsBytes(Warm.stats()), statsBytes(Fresh.stats()))
+        << "warming must charge no SimStats counter, cycle or page";
+    EXPECT_EQ(Measured.stats().totalInstructions(), 50000u);
   }
+}
+
+TEST(WarmMirror, WarmingRunsNoKernelHandler) {
+  // A stream past the timer interval with syscalls in it: a measuring
+  // full-system model runs timer and syscall handlers on it.
+  const int Count = 300000;
+  MachineConfig FS = makeSkylakeLike(/*FullSystem=*/true);
+  ASSERT_LT(FS.Kernel.TimerIntervalInsts, static_cast<uint64_t>(Count));
+  TimingModel Warm(FS), MeasuredFS(FS), MeasuredUser(makeSkylakeLike());
+  Warm.setWarming(true);
+  feedRandomEvents({&Warm, &MeasuredFS, &MeasuredUser}, 1, Count);
+  ASSERT_GT(MeasuredFS.stats().totalRing0Instructions(), 0u);
+  ASSERT_NE(MeasuredFS.core(0).KernelCursor, 0u);
+
+  // The same geometry without the kernel: any handler would have filled
+  // kernel lines and moved the fetch line, so the bytes would differ.
+  EXPECT_EQ(componentBytes(Warm.core(0)),
+            componentBytes(MeasuredUser.core(0)));
+  EXPECT_EQ(componentBytes(Warm.l3()), componentBytes(MeasuredUser.l3()));
+  EXPECT_EQ(Warm.core(0).SinceTimer, 0u);
+  EXPECT_EQ(Warm.core(0).KernelCursor, 0u);
+  TimingModel Fresh(FS);
+  EXPECT_EQ(statsBytes(Warm.stats()), statsBytes(Fresh.stats()));
 }
 
 // ---- The checkpoint-index regression pin (PR-6 interaction audit) ----
@@ -848,22 +897,6 @@ std::vector<uint8_t> faultingProgram(int Loop) {
   auto Image = easm::assembleToELF(Src, "fault.s");
   EXPECT_TRUE(Image.hasValue()) << Image.message();
   return Image ? *Image : std::vector<uint8_t>();
-}
-
-/// Replaces the first length-prefixed occurrence of \p From in a sidecar
-/// with \p To (same length) and recomputes the seal, so the file passes
-/// every structural check and fails only where the rename matters.
-void renameAndReseal(std::vector<uint8_t> &Bytes, const std::string &From,
-                     const std::string &To) {
-  ASSERT_EQ(From.size(), To.size());
-  BinaryWriter Needle;
-  Needle.writeString(From);
-  auto It = std::search(Bytes.begin(), Bytes.end() - 32,
-                        Needle.bytes().begin(), Needle.bytes().end());
-  ASSERT_NE(It, Bytes.end() - 32) << "no '" << From << "' in the sidecar";
-  std::copy(To.begin(), To.end(), It + 4);
-  Sha256Digest Seal = Sha256::digest(Bytes.data(), Bytes.size() - 32);
-  std::copy(Seal.Bytes.begin(), Seal.Bytes.end(), Bytes.end() - 32);
 }
 
 // A resume may check its input late, but never later than its result: a

@@ -50,6 +50,39 @@ protected:
     createDirectories(Dir);
   }
   void TearDown() override { removeTree(Dir); }
+
+  /// Stages Dir/g.elfie, a guest ELFie of a 180 K-instruction loop's
+  /// region, and its warm-up sidecar Dir/g.elfie.esimstate.
+  void stageSidecar() {
+    std::string Src = R"(
+_start:
+  ldi r9, 0
+loop:
+  addi r9, r9, 1
+  slti r3, r9, 60000
+  bnez r3, loop
+  ldi r7, 1
+  ldi r1, 0
+  syscall
+)";
+    ASSERT_FALSE(writeFileText(Dir + "/p.s", Src).isError());
+    auto R = runTool(formatString("easm -o %s/p.elf %s/p.s", Dir.c_str(),
+                                  Dir.c_str()));
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+    R = runTool(formatString("elogger -region:start 30000 -region:length "
+                             "60000 -log:fat 1 -o %s/r.pb %s/p.elf",
+                             Dir.c_str(), Dir.c_str()));
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+    R = runTool(formatString(
+        "pinball2elf -target guest -o %s/g.elfie %s/r.pb", Dir.c_str(),
+        Dir.c_str()));
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+    R = runTool(formatString(
+        "esim -config nehalem -warmup 15000 -warmup-save %s/g.elfie",
+        Dir.c_str()));
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  }
+
   std::string Dir;
 };
 
@@ -400,33 +433,7 @@ loop:
 TEST_F(ToolPipeline, SimStateFaultSweep) {
   // Stage an ELFie + saved warmup sidecar, then let efault mutate the
   // sidecar under both consumers (esim -warmup-load, everify -simstate).
-  std::string Src = R"(
-_start:
-  ldi r9, 0
-loop:
-  addi r9, r9, 1
-  slti r3, r9, 60000
-  bnez r3, loop
-  ldi r7, 1
-  ldi r1, 0
-  syscall
-)";
-  ASSERT_FALSE(writeFileText(Dir + "/p.s", Src).isError());
-  auto R = runTool(formatString("easm -o %s/p.elf %s/p.s", Dir.c_str(),
-                                Dir.c_str()));
-  ASSERT_EQ(R.ExitCode, 0) << R.Output;
-  R = runTool(formatString("elogger -region:start 30000 -region:length "
-                           "60000 -log:fat 1 -o %s/r.pb %s/p.elf",
-                           Dir.c_str(), Dir.c_str()));
-  ASSERT_EQ(R.ExitCode, 0) << R.Output;
-  R = runTool(formatString(
-      "pinball2elf -target guest -o %s/g.elfie %s/r.pb", Dir.c_str(),
-      Dir.c_str()));
-  ASSERT_EQ(R.ExitCode, 0) << R.Output;
-  R = runTool(formatString(
-      "esim -config nehalem -warmup 15000 -warmup-save %s/g.elfie",
-      Dir.c_str()));
-  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  ASSERT_NO_FATAL_FAILURE(stageSidecar());
   ASSERT_TRUE(fileExists(Dir + "/g.elfie.esimstate"));
 
 #ifdef ELFIE_SLOW_TESTS
@@ -438,9 +445,9 @@ loop:
   // zero benign acceptances (a corrupt checkpoint silently resuming would
   // poison downstream stats), zero crashes/hangs, and the rejection
   // taxonomy populated across more than one class.
-  R = runTool(formatString("efault -runs %d -seed 7 -json -scratch "
-                           "%s/scratch %s/g.elfie.esimstate",
-                           Runs, Dir.c_str(), Dir.c_str()));
+  auto R = runTool(formatString("efault -runs %d -seed 7 -json -scratch "
+                                "%s/scratch %s/g.elfie.esimstate",
+                                Runs, Dir.c_str(), Dir.c_str()));
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_NE(R.Output.find("\"kind\":\"simstate\""), std::string::npos)
       << R.Output;
@@ -466,6 +473,36 @@ loop:
       ++Classes;
   }
   EXPECT_GE(Classes, 2) << R.Output;
+}
+
+TEST_F(ToolPipeline, SimStateComponentTableCheckedByBothConsumers) {
+  // A sealed sidecar whose component table names "l4" where the machine
+  // has "l3": everify's static pass and esim's resume both refuse it, on
+  // the same entry and with the same text.
+  ASSERT_NO_FATAL_FAILURE(stageSidecar());
+  auto Bytes = readFileBytes(Dir + "/g.elfie.esimstate");
+  ASSERT_TRUE(Bytes.hasValue()) << Bytes.message();
+  test::renameAndReseal(*Bytes, "l3", "l4");
+  ASSERT_FALSE(writeFileAtomic(Dir + "/g.elfie.esimstate", Bytes->data(),
+                               Bytes->size())
+                   .isError());
+
+  auto R = runTool(formatString("everify -simstate %s/g.elfie.esimstate "
+                                "%s/g.elfie",
+                                Dir.c_str(), Dir.c_str()));
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("error SIMSTATE.COMPONENT: component 2 is 'l4', "
+                          "expected 'l3'"),
+            std::string::npos)
+      << R.Output;
+  R = runTool(formatString(
+      "esim -config nehalem -warmup-load %s/g.elfie", Dir.c_str()));
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("EFAULT.SIMSTATE.COMPONENT"), std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("component 2 is 'l4', expected 'l3'"),
+            std::string::npos)
+      << R.Output;
 }
 
 } // namespace
