@@ -89,6 +89,17 @@ if grep -rn '"core%u"' "$REPO/src" |
   exit 1
 fi
 
+# The sidecar verdicts are the simulator's: an EFAULT.SIMSTATE.* code
+# spelled anywhere under src/ but sim/ means a second checker of the
+# sidecar or the warm-up budget has come back.
+echo "==== [simstate-verdicts] no EFAULT.SIMSTATE code outside sim/ ===="
+if grep -rnE '"EFAULT\.SIMSTATE\.[A-Z]+"' "$REPO/src" |
+    grep -v '^[^:]*/src/sim/'; then
+  echo "ci.sh: sidecar verdicts outside src/sim (use sim::SimStateFile" \
+    "and sim::checkWarmupBudget)"
+  exit 1
+fi
+
 # Pipeline benchmark self-test, once, on the default configuration: tiny
 # inputs through the driver's end-to-end correctness checks (exact capture
 # lengths, clean JIT replay, bit-identical cold/resumed SimStats) with the

@@ -54,9 +54,10 @@ std::unique_ptr<Pass> makeCodePass();
 /// file is byte-identical with its pool artifact (DESIGN.md §15).
 std::unique_ptr<Pass> makeStorePass();
 
-/// SIMSTATE.*: warmup-checkpoint sidecar verification — container seal,
-/// config fingerprint, warming budget vs the region symbol, component
-/// table, input digest binding to the verified ELFie (DESIGN.md §16).
+/// SIMSTATE.*: warmup-checkpoint sidecar verification through the
+/// simulator's own reader — container seal, config fingerprint, component
+/// table and payloads, warming budget vs the region symbol, input digest
+/// binding to the verified ELFie (DESIGN.md §16).
 std::unique_ptr<Pass> makeSimStatePass();
 
 /// Registers all nine passes in the canonical order.

@@ -6,16 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// SIMSTATE.*: static verification of a `.esimstate` warmup-checkpoint
-/// sidecar (DESIGN.md §16) without running the simulator. Checks the
-/// container structure and seal (via the same parser `esim -warmup-load`
-/// rejects with), that the recorded machine config exists and its
-/// fingerprint matches, that the warming budget fits inside the ELFie's
-/// region, that the component table is exactly what the config implies
-/// (stats + one core per configured core + l3), and — when the sidecar
-/// sits next to the ELFie being verified — that the input digest binds to
-/// those exact bytes. A sidecar this pass accepts is one the simulator
-/// will resume from; one it rejects carries the same EFAULT.SIMSTATE.*
-/// reason the runtime would fail closed with.
+/// sidecar (DESIGN.md §16) through the simulator's own reader,
+/// sim::SimStateFile: the container structure and seal, the recorded
+/// machine config, the component table and every payload (applied to a
+/// scratch timing model of that config, as a resume applies them), the
+/// warming budget against the ELFie's region, and, for the ELFie being
+/// verified, the input digest. A sidecar this pass accepts is one the
+/// simulator will resume from under the config it records; one it rejects
+/// carries the same EFAULT.SIMSTATE.* reason and text the runtime fails
+/// closed with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,12 +38,17 @@ std::string findingCodeFor(const std::string &ErrCode) {
   return "SIMSTATE.TRUNCATED";
 }
 
+/// A rejection by the simulator's reader as a finding, with its text.
+void report(Report &Out, const Error &E) {
+  Out.add(Severity::Error, findingCodeFor(E.code()), 0, E.message());
+}
+
 class SimStatePass : public Pass {
 public:
   const char *name() const override { return "simstate"; }
   const char *description() const override {
-    return "warmup-checkpoint sidecar: seal, config fingerprint, warming "
-           "budget, component table, input digest";
+    return "warmup-checkpoint sidecar: seal, config fingerprint, component "
+           "table and payloads, warming budget, input digest";
   }
 
   bool applicable(const AnalysisInput &In, std::string &WhyNot) const override {
@@ -56,54 +60,28 @@ public:
   }
 
   void run(const AnalysisInput &In, Report &Out) const override {
-    // Structure + seal, through the exact parser the simulator loads with:
-    // magic, format version, length-prefixed component table, trailing
-    // SHA-256 seal over every preceding byte.
-    auto Info = sim::inspectSimState(In.SimStatePath);
-    if (!Info) {
-      Error E = Info.takeError();
-      Out.add(Severity::Error, findingCodeFor(E.code()), 0, E.str());
+    // Magic, format version, structure and seal.
+    auto File = sim::SimStateFile::open(In.SimStatePath);
+    if (!File) {
+      report(Out, File.takeError());
       return;
     }
+    const sim::SimStateMeta &Meta = File->meta();
 
-    // The recorded config must exist in this build and fingerprint
-    // identically: a resume against a drifted machine model would warm
-    // the wrong structures.
+    // The config and the component table. esim resumes under the config it
+    // is given; here the sidecar names it, so an unknown name is this
+    // pass's own finding.
     sim::MachineConfig Machine;
-    bool Known = false;
-    if (!sim::configByName(Info->Meta.ConfigName, Machine)) {
+    if (!sim::configByName(Meta.ConfigName, Machine)) {
       Out.add(Severity::Error, "SIMSTATE.CONFIG", 0,
               formatString("unknown machine config '%s'",
-                           Info->Meta.ConfigName.c_str()));
-    } else if (sim::configFingerprint(Machine) != Info->Meta.ConfigFP) {
-      Out.add(Severity::Error, "SIMSTATE.CONFIG", 0,
-              formatString("config fingerprint mismatch for '%s': the "
-                           "sidecar was written by a different parameter "
-                           "set",
-                           Info->Meta.ConfigName.c_str()));
+                           Meta.ConfigName.c_str()));
+    } else if (Error E = File->checkConfig(Machine)) {
+      report(Out, E);
     } else {
-      Known = true;
-    }
-
-    // Component table: exactly the config's, as the simulator writes it —
-    // nothing missing, nothing extra, in canonical order.
-    if (Known) {
-      std::vector<sim::SimStateComponentId> Want =
-          sim::simStateComponentTable(Machine);
-      if (Info->Components.size() != Want.size()) {
-        Out.add(Severity::Error, "SIMSTATE.COMPONENT", 0,
-                formatString("component table has %zu entries, config "
-                             "'%s' implies %zu",
-                             Info->Components.size(),
-                             Info->Meta.ConfigName.c_str(), Want.size()));
-      } else {
-        for (size_t I = 0; I < Want.size(); ++I)
-          if (Info->Components[I].Id != Want[I].Id)
-            Out.add(Severity::Error, "SIMSTATE.COMPONENT", 0,
-                    formatString("component %zu is '%s', expected '%s'",
-                                 I, Info->Components[I].Id.c_str(),
-                                 Want[I].Id.c_str()));
-      }
+      sim::TimingModel Scratch(Machine);
+      if (Error E = File->apply(Scratch))
+        report(Out, E);
     }
 
     // Warming budget vs the ELFie's region symbol: warmup must leave a
@@ -111,60 +89,46 @@ public:
     // in what remains.
     const auto *Region =
         In.Elf ? In.Elf->findSymbol("elfie_region_length") : nullptr;
-    if (Region) {
-      if (Info->Meta.WarmupInstructions >= Region->Value)
-        Out.add(Severity::Error, "SIMSTATE.BUDGET", 0,
-                formatString("warmup %llu must be smaller than the region "
-                             "length %llu",
-                             static_cast<unsigned long long>(
-                                 Info->Meta.WarmupInstructions),
-                             static_cast<unsigned long long>(
-                                 Region->Value)));
-      else if (Info->Meta.DetailedBudget &&
-               Info->Meta.DetailedBudget >
-                   Region->Value - Info->Meta.WarmupInstructions)
-        Out.add(Severity::Error, "SIMSTATE.BUDGET", 0,
-                formatString("detailed budget %llu exceeds the %llu "
-                             "instructions left after warming",
-                             static_cast<unsigned long long>(
-                                 Info->Meta.DetailedBudget),
-                             static_cast<unsigned long long>(
-                                 Region->Value -
-                                 Info->Meta.WarmupInstructions)));
-    } else {
+    if (!Region)
       Out.add(Severity::Warning, "SIMSTATE.BUDGET", 0,
               "no elfie_region_length symbol to bound the warming budget "
               "against");
-    }
+    else if (Error E =
+                 sim::checkWarmupBudget(Meta.WarmupInstructions, Region->Value))
+      report(Out, E);
+    else if (Meta.DetailedBudget &&
+             Meta.DetailedBudget > Region->Value - Meta.WarmupInstructions)
+      Out.add(Severity::Error, "SIMSTATE.BUDGET", 0,
+              formatString("detailed budget %llu exceeds the %llu "
+                           "instructions left after warming",
+                           static_cast<unsigned long long>(
+                               Meta.DetailedBudget),
+                           static_cast<unsigned long long>(
+                               Region->Value - Meta.WarmupInstructions)));
 
     // Input binding: the digest must cover the ELFie bytes being
     // verified, or the simulator will reject the resume outright.
     if (!In.ArtifactPath.empty()) {
       auto Bytes = readFileBytes(In.ArtifactPath);
-      if (!Bytes) {
+      if (!Bytes)
         Out.add(Severity::Warning, "SIMSTATE.INPUT", 0,
                 formatString("cannot read '%s' to check the input "
                              "digest: %s",
                              In.ArtifactPath.c_str(),
                              Bytes.message().c_str()));
-      } else if (Sha256::digest(*Bytes) != Info->Meta.InputDigest) {
-        Out.add(Severity::Error, "SIMSTATE.INPUT", 0,
-                formatString("input digest does not match '%s': the "
-                             "checkpoint belongs to a different ELFie",
-                             In.ArtifactPath.c_str()));
-      }
+      else if (Error E = File->checkInput(Sha256::digest(*Bytes)))
+        report(Out, E);
     }
 
     Out.add(Severity::Note, "SIMSTATE.SUMMARY", 0,
             formatString("checkpoint '%s': config %s, warmup %llu, "
                          "boundary at %llu, %zu components",
-                         In.SimStatePath.c_str(),
-                         Info->Meta.ConfigName.c_str(),
+                         In.SimStatePath.c_str(), Meta.ConfigName.c_str(),
                          static_cast<unsigned long long>(
-                             Info->Meta.WarmupInstructions),
+                             Meta.WarmupInstructions),
                          static_cast<unsigned long long>(
-                             Info->Meta.CheckpointRetired),
-                         Info->Components.size()));
+                             Meta.CheckpointRetired),
+                         File->numComponents()));
   }
 };
 

@@ -59,22 +59,6 @@ static bool validJobId(const std::string &Id) {
   return true;
 }
 
-/// Splits a line on spaces/tabs, dropping empty tokens.
-static std::vector<std::string> tokenize(const std::string &Line) {
-  std::vector<std::string> Toks;
-  size_t I = 0;
-  while (I < Line.size()) {
-    while (I < Line.size() && (Line[I] == ' ' || Line[I] == '\t'))
-      ++I;
-    size_t Start = I;
-    while (I < Line.size() && Line[I] != ' ' && Line[I] != '\t')
-      ++I;
-    if (I > Start)
-      Toks.push_back(Line.substr(Start, I - Start));
-  }
-  return Toks;
-}
-
 Expected<CampaignPlan> CampaignPlan::parse(const std::string &Text) {
   CampaignPlan Plan;
   std::set<std::string> Seen;
@@ -83,7 +67,7 @@ Expected<CampaignPlan> CampaignPlan::parse(const std::string &Text) {
     std::string Line = trimString(Lines[LineNo - 1]);
     if (Line.empty() || Line[0] == '#')
       continue;
-    std::vector<std::string> Toks = tokenize(Line);
+    std::vector<std::string> Toks = splitWords(Line);
     if (Toks.size() < 3)
       return makeCodedError("EFAULT.FLEET.MANIFEST",
                             "line %zu: want '<id> <action> <target> ...', "

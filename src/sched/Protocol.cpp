@@ -27,22 +27,6 @@ bool elfie::sched::proto::isValidName(const std::string &S) {
   return true;
 }
 
-/// Splits on runs of spaces/tabs (the grammar never carries empty fields).
-static std::vector<std::string> tokenize(const std::string &Line) {
-  std::vector<std::string> Toks;
-  size_t I = 0;
-  while (I < Line.size()) {
-    while (I < Line.size() && (Line[I] == ' ' || Line[I] == '\t'))
-      ++I;
-    size_t Start = I;
-    while (I < Line.size() && Line[I] != ' ' && Line[I] != '\t')
-      ++I;
-    if (I > Start)
-      Toks.push_back(Line.substr(Start, I - Start));
-  }
-  return Toks;
-}
-
 static Error badArgs(const char *Form) {
   return makeCodedError(CodeProtoArgs, "expected: %s", Form);
 }
@@ -63,7 +47,8 @@ Expected<Request> elfie::sched::proto::parseRequest(const std::string &Line) {
   if (Line.size() > MaxLineBytes)
     return makeCodedError(CodeProtoLine, "request line over %zu bytes",
                           MaxLineBytes);
-  std::vector<std::string> T = tokenize(Line);
+  // The grammar never carries empty fields.
+  std::vector<std::string> T = splitWords(Line);
   if (T.empty())
     return makeCodedError(CodeProtoCmd, "empty request");
   Request R;

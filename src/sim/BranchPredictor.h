@@ -24,7 +24,7 @@ namespace elfie {
 namespace sim {
 
 /// gshare direction predictor.
-class GSharePredictor : public SimComponent {
+class GSharePredictor {
 public:
   explicit GSharePredictor(unsigned TableBits = 12);
 
@@ -35,9 +35,8 @@ public:
   uint64_t mispredicts() const { return Mispredicts; }
   uint64_t history() const { return History; }
 
-  uint32_t stateVersion() const override { return 1; }
-  void saveState(StateWriter &W) const override;
-  Error loadState(StateReader &R) override;
+  void saveState(StateWriter &W) const;
+  Error loadState(StateReader &R);
 
 private:
   unsigned TableBits;
@@ -47,7 +46,7 @@ private:
 };
 
 /// Direct-mapped branch target buffer for indirect jumps.
-class BTB : public SimComponent {
+class BTB {
 public:
   explicit BTB(unsigned TableBits = 10);
 
@@ -57,9 +56,8 @@ public:
   uint64_t lookups() const { return Lookups; }
   uint64_t mispredicts() const { return Mispredicts; }
 
-  uint32_t stateVersion() const override { return 1; }
-  void saveState(StateWriter &W) const override;
-  Error loadState(StateReader &R) override;
+  void saveState(StateWriter &W) const;
+  Error loadState(StateReader &R);
 
 private:
   struct Entry {

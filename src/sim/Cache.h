@@ -10,8 +10,8 @@
 /// every level of the esim hierarchy (L1I/L1D/L2 private, L3 shared), plus
 /// a small TLB built on the same structure. Timing is handled by the
 /// TimingModel; these classes only answer hit/miss and track contents.
-/// Both are SimComponents: the tag/LRU arrays and hit/miss counters
-/// serialize into warmup-checkpoint sidecars (DESIGN.md §16).
+/// The tag/LRU arrays and hit/miss counters of both serialize into
+/// warmup-checkpoint sidecars (DESIGN.md §16).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +31,7 @@ namespace sim {
 constexpr uint32_t CacheLineSize = 64;
 
 /// Set-associative LRU cache. Tags only (no data).
-class Cache : public SimComponent {
+class Cache {
 public:
   /// \p SizeBytes and \p Assoc must give a power-of-two set count.
   Cache(uint64_t SizeBytes, uint32_t Assoc, uint32_t LineSize = CacheLineSize);
@@ -53,10 +53,11 @@ public:
   uint32_t assoc() const { return Assoc; }
   uint32_t numSets() const { return NumSets; }
 
+  /// The "l3" payload version in the sidecar's component table (the
+  /// private caches ride on CoreState::StateVersion).
   static constexpr uint32_t StateVersion = 1;
-  uint32_t stateVersion() const override { return StateVersion; }
-  void saveState(StateWriter &W) const override;
-  Error loadState(StateReader &R) override;
+  void saveState(StateWriter &W) const;
+  Error loadState(StateReader &R);
 
 private:
   struct Way {
@@ -75,7 +76,7 @@ private:
 };
 
 /// A TLB is a cache of page translations: same structure, page granularity.
-class TLB : public SimComponent {
+class TLB {
 public:
   TLB(uint32_t Entries, uint32_t Assoc = 4, uint64_t PageSize = 4096);
 
@@ -85,9 +86,8 @@ public:
   uint64_t hits() const { return Impl.hits(); }
   uint64_t misses() const { return Impl.misses(); }
 
-  uint32_t stateVersion() const override { return 1; }
-  void saveState(StateWriter &W) const override;
-  Error loadState(StateReader &R) override;
+  void saveState(StateWriter &W) const;
+  Error loadState(StateReader &R);
 
 private:
   uint64_t PageSize;

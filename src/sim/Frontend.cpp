@@ -261,10 +261,12 @@ public:
       }
     }
     if (Load) {
-      auto File = SimStateFile::open(Controls.LoadStatePath, Machine);
+      auto File = SimStateFile::open(Controls.LoadStatePath);
       if (!File)
         return File.takeError(); // the checks ordered before INPUT
       Sidecar = File.takeValue();
+      if (Error E = Sidecar.checkConfig(Machine))
+        return E; // CONFIG, also ordered before INPUT
       if (Error E = Sidecar.apply(Model))
         return inputFirst(std::move(E));
       // An explicit warm-up that disagrees with the checkpoint fails
@@ -282,12 +284,9 @@ public:
       Warmup = Saved;
       Out.StateLoaded = true;
     }
-    if (Region && Warmup >= Region)
-      return inputFirst(makeCodedError(
-          "EFAULT.SIMSTATE.BUDGET",
-          "warmup length %llu must be smaller than the region length %llu",
-          static_cast<unsigned long long>(Warmup),
-          static_cast<unsigned long long>(Region)));
+    if (Region)
+      if (Error E = checkWarmupBudget(Warmup, Region))
+        return inputFirst(std::move(E));
     return Error::success();
   }
 

@@ -6,13 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The common serialization interface every stateful simulator structure
-/// implements (Cache, TLB, GSharePredictor, BTB, CoreState): a component
-/// versions its payload layout (stateVersion) and enumerates its complete
-/// state through saveState/loadState. SimState.cpp names the components
-/// (sim::simStateComponentTable) and packs them into the versioned,
-/// SHA-256-sealed `.esimstate` sidecar behind `esim -warmup-save` /
-/// `-warmup-load` (DESIGN.md §16).
+/// The field-level writer and reader every stateful simulator structure
+/// (Cache, TLB, GSharePredictor, BTB, CoreState, SimStats) serializes its
+/// complete state through, in plain saveState/loadState (save/load)
+/// members. A save writes the complete state (contents, LRU/history/clock
+/// state and counters) so a restore is bit-exact; a load fails closed
+/// (EFAULT.SIMSTATE.COMPONENT) when the payload's recorded geometry does
+/// not match the instance. SimState.cpp names the components and their
+/// payload versions (sim::simStateComponentTable) and packs them into the
+/// versioned, SHA-256-sealed `.esimstate` sidecar behind `esim
+/// -warmup-save` / `-warmup-load` (DESIGN.md §16).
 ///
 /// StateWriter/StateReader are thin facades over the little-endian
 /// BinaryWriter/BinaryReader pair so components cannot reach for framing
@@ -32,7 +35,7 @@
 namespace elfie {
 namespace sim {
 
-/// Field-level writer handed to SimComponent::saveState.
+/// Field-level writer handed to a structure's saveState.
 class StateWriter {
 public:
   explicit StateWriter(BinaryWriter &W) : W(W) {}
@@ -48,7 +51,7 @@ private:
   BinaryWriter &W;
 };
 
-/// Field-level reader handed to SimComponent::loadState. Overruns are
+/// Field-level reader handed to a structure's loadState. Overruns are
 /// sticky (reads after an overrun return zeros); the container checks
 /// hadError() and full consumption after each component.
 class StateReader {
@@ -67,26 +70,6 @@ public:
 
 private:
   BinaryReader &R;
-};
-
-/// A simulator structure whose complete state can be serialized into (and
-/// restored from) a warmup-checkpoint sidecar.
-class SimComponent {
-public:
-  virtual ~SimComponent() = default;
-
-  /// Payload layout version; bumped whenever saveState's field sequence
-  /// changes. Loads reject mismatches (EFAULT.SIMSTATE.VERSION).
-  virtual uint32_t stateVersion() const = 0;
-
-  /// Serializes the complete state (contents, LRU/history/clock state, and
-  /// internal counters) so a restore is bit-exact.
-  virtual void saveState(StateWriter &W) const = 0;
-
-  /// Restores state written by saveState at the same stateVersion.
-  /// Fails closed (EFAULT.SIMSTATE.COMPONENT) when the payload's recorded
-  /// geometry does not match this instance's configuration.
-  virtual Error loadState(StateReader &R) = 0;
 };
 
 } // namespace sim

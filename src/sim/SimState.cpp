@@ -20,67 +20,6 @@ namespace {
 constexpr char SimStateMagic[8] = {'E', 'S', 'I', 'M', 'S', 'T', '0', '1'};
 constexpr uint32_t SimStatsPayloadVersion = 1;
 
-/// The parsed-but-not-applied form: header info plus the file offset of
-/// each component payload (its size is the component's PayloadBytes).
-struct ParsedSidecar {
-  SimStateInfo Info;
-  std::vector<size_t> PayloadOffsets;
-};
-
-/// Structural parse + seal verification. The reader is bounds-checked, so
-/// parsing untrusted bytes before the seal check is safe; checking the
-/// structure first yields a more precise taxonomy (TRUNCATED vs SEAL).
-Expected<ParsedSidecar> parseSidecar(const std::vector<uint8_t> &Bytes) {
-  if (Bytes.size() < sizeof(SimStateMagic) ||
-      std::memcmp(Bytes.data(), SimStateMagic, sizeof(SimStateMagic)) != 0)
-    return makeCodedError("EFAULT.SIMSTATE.MAGIC",
-                          "not a warmup-checkpoint sidecar (bad magic)");
-  BinaryReader R(Bytes.data(), Bytes.size());
-  R.skip(sizeof(SimStateMagic));
-
-  ParsedSidecar P;
-  P.Info.FormatVersion = R.readU32();
-  if (P.Info.FormatVersion != SimStateFormatVersion)
-    return makeCodedError("EFAULT.SIMSTATE.VERSION",
-                          "unsupported sidecar format version %u "
-                          "(this build reads version %u)",
-                          P.Info.FormatVersion, SimStateFormatVersion);
-
-  SimStateMeta &Meta = P.Info.Meta;
-  Meta.ConfigName = R.readString();
-  R.readRaw(Meta.ConfigFP.Bytes.data(), Meta.ConfigFP.Bytes.size());
-  R.readRaw(Meta.InputDigest.Bytes.data(), Meta.InputDigest.Bytes.size());
-  Meta.WarmupInstructions = R.readU64();
-  Meta.CheckpointRetired = R.readU64();
-  Meta.DetailedBudget = R.readU64();
-
-  uint32_t NumComponents = R.readU32();
-  for (uint32_t I = 0; !R.hadError() && I < NumComponents; ++I) {
-    SimStateComponentInfo CI;
-    CI.Id = R.readString();
-    CI.Version = R.readU32();
-    std::span<const uint8_t> Payload = R.readBlobView();
-    CI.PayloadBytes = Payload.size();
-    P.Info.Components.push_back(std::move(CI));
-    P.PayloadOffsets.push_back(Payload.data() - Bytes.data());
-  }
-  if (R.hadError() || R.remaining() != 32)
-    return makeCodedError("EFAULT.SIMSTATE.TRUNCATED",
-                          "sidecar structure is truncated or carries "
-                          "trailing bytes (%zu bytes after the component "
-                          "table, expected the 32-byte seal)",
-                          R.hadError() ? static_cast<size_t>(0)
-                                       : R.remaining());
-
-  Sha256Digest Seal = Sha256::digest(Bytes.data(), Bytes.size() - 32);
-  if (std::memcmp(Seal.Bytes.data(), Bytes.data() + Bytes.size() - 32, 32) !=
-      0)
-    return makeCodedError("EFAULT.SIMSTATE.SEAL",
-                          "sidecar seal mismatch (content digest %s)",
-                          Seal.hex().c_str());
-  return P;
-}
-
 /// Entry \p I of the component table: the stats, core I-1, or the L3.
 void saveComponent(const TimingModel &Model, size_t I, StateWriter &W) {
   if (I == 0)
@@ -150,88 +89,135 @@ Error sim::writeSimState(const std::string &Path, const SimStateMeta &Meta,
       .withContext("writing warmup checkpoint '" + Path + "'");
 }
 
-Expected<SimStateInfo> sim::inspectSimState(const std::string &Path) {
-  auto Bytes = readFileBytes(Path);
-  if (!Bytes)
-    return Bytes.takeError();
-  auto P = parseSidecar(*Bytes);
-  if (!P)
-    return P.takeError().withContext("inspecting '" + Path + "'");
-  return std::move(P->Info);
+Error sim::checkWarmupBudget(uint64_t Warmup, uint64_t Region) {
+  if (Warmup < Region)
+    return Error::success();
+  return makeCodedError(
+      "EFAULT.SIMSTATE.BUDGET",
+      "warmup length %llu must be smaller than the region length %llu",
+      static_cast<unsigned long long>(Warmup),
+      static_cast<unsigned long long>(Region));
 }
 
 Error SimStateFile::fail(Error E) const {
   return E.withContext("loading warmup checkpoint '" + Path + "'");
 }
 
-Expected<SimStateFile> SimStateFile::open(const std::string &Path,
-                                          const MachineConfig &Machine) {
+Expected<SimStateFile> SimStateFile::open(const std::string &Path) {
   SimStateFile F;
   F.Path = Path;
   auto Bytes = readFileBytes(Path);
   if (!Bytes)
     return Bytes.takeError();
   F.Bytes = std::move(*Bytes);
-  auto P = parseSidecar(F.Bytes);
-  if (!P)
-    return F.fail(P.takeError());
-  F.Info = std::move(P->Info);
-  F.PayloadOffsets = std::move(P->PayloadOffsets);
+  const std::vector<uint8_t> &B = F.Bytes;
 
-  const SimStateMeta &Meta = F.Info.Meta;
-  Sha256Digest WantFP = configFingerprint(Machine);
-  if (Meta.ConfigName != Machine.Name || Meta.ConfigFP != WantFP)
+  // The reader is bounds-checked, so parsing untrusted bytes before the
+  // seal check is safe; checking the structure first yields a more
+  // precise taxonomy (TRUNCATED vs SEAL).
+  if (B.size() < sizeof(SimStateMagic) ||
+      std::memcmp(B.data(), SimStateMagic, sizeof(SimStateMagic)) != 0)
+    return F.fail(
+        makeCodedError("EFAULT.SIMSTATE.MAGIC",
+                       "not a warmup-checkpoint sidecar (bad magic)"));
+  BinaryReader R(B.data(), B.size());
+  R.skip(sizeof(SimStateMagic));
+  uint32_t FormatVersion = R.readU32();
+  if (FormatVersion != SimStateFormatVersion)
+    return F.fail(makeCodedError("EFAULT.SIMSTATE.VERSION",
+                                 "unsupported sidecar format version %u "
+                                 "(this build reads version %u)",
+                                 FormatVersion, SimStateFormatVersion));
+
+  SimStateMeta &Meta = F.Meta;
+  Meta.ConfigName = R.readString();
+  R.readRaw(Meta.ConfigFP.Bytes.data(), Meta.ConfigFP.Bytes.size());
+  R.readRaw(Meta.InputDigest.Bytes.data(), Meta.InputDigest.Bytes.size());
+  Meta.WarmupInstructions = R.readU64();
+  Meta.CheckpointRetired = R.readU64();
+  Meta.DetailedBudget = R.readU64();
+
+  uint32_t NumComponents = R.readU32();
+  for (uint32_t I = 0; I < NumComponents; ++I) {
+    Component C;
+    C.Id = R.readString();
+    C.Version = R.readU32();
+    std::span<const uint8_t> Payload = R.readBlobView();
+    if (R.hadError())
+      break;
+    C.Offset = Payload.data() - B.data();
+    C.Size = Payload.size();
+    F.Components.push_back(std::move(C));
+  }
+  if (R.hadError() || R.remaining() != 32)
     return F.fail(makeCodedError(
-        "EFAULT.SIMSTATE.CONFIG",
-        "checkpoint was taken under config '%s' (fingerprint %.16s...), "
-        "refusing to resume under '%s' (%.16s...)",
-        Meta.ConfigName.c_str(), Meta.ConfigFP.hex().c_str(),
-        Machine.Name.c_str(), WantFP.hex().c_str()));
+        "EFAULT.SIMSTATE.TRUNCATED",
+        "sidecar structure is truncated or carries trailing bytes (%zu "
+        "bytes after the component table, expected the 32-byte seal)",
+        R.hadError() ? static_cast<size_t>(0) : R.remaining()));
+
+  Sha256Digest Seal = Sha256::digest(B.data(), B.size() - 32);
+  if (std::memcmp(Seal.Bytes.data(), B.data() + B.size() - 32, 32) != 0)
+    return F.fail(makeCodedError("EFAULT.SIMSTATE.SEAL",
+                                 "sidecar seal mismatch (content digest %s)",
+                                 Seal.hex().c_str()));
   return F;
 }
 
+Error SimStateFile::checkConfig(const MachineConfig &Machine) const {
+  Sha256Digest WantFP = configFingerprint(Machine);
+  if (Meta.ConfigName == Machine.Name && Meta.ConfigFP == WantFP)
+    return Error::success();
+  return fail(makeCodedError(
+      "EFAULT.SIMSTATE.CONFIG",
+      "checkpoint was taken under config '%s' (fingerprint %.16s...), "
+      "refusing to resume under '%s' (%.16s...)",
+      Meta.ConfigName.c_str(), Meta.ConfigFP.hex().c_str(),
+      Machine.Name.c_str(), WantFP.hex().c_str()));
+}
+
 Error SimStateFile::checkInput(const Sha256Digest &InputDigest) const {
-  if (Info.Meta.InputDigest == InputDigest)
+  if (Meta.InputDigest == InputDigest)
     return Error::success();
   return fail(makeCodedError(
       "EFAULT.SIMSTATE.INPUT",
       "checkpoint belongs to a different input (sidecar digest %.16s..., "
       "input digest %.16s...)",
-      Info.Meta.InputDigest.hex().c_str(), InputDigest.hex().c_str()));
+      Meta.InputDigest.hex().c_str(), InputDigest.hex().c_str()));
 }
 
 Error SimStateFile::apply(TimingModel &Model) const {
   // The component table must be exactly what this machine enumerates.
   std::vector<SimStateComponentId> Want =
       simStateComponentTable(Model.config());
-  if (Info.Components.size() != Want.size())
+  if (Components.size() != Want.size())
     return fail(makeCodedError(
         "EFAULT.SIMSTATE.COMPONENT",
         "component count mismatch: sidecar has %zu, machine expects %zu",
-        Info.Components.size(), Want.size()));
+        Components.size(), Want.size()));
   for (size_t I = 0; I < Want.size(); ++I) {
-    const SimStateComponentInfo &CI = Info.Components[I];
-    if (CI.Id != Want[I].Id)
+    const Component &C = Components[I];
+    if (C.Id != Want[I].Id)
       return fail(makeCodedError("EFAULT.SIMSTATE.COMPONENT",
                                  "component %zu is '%s', expected '%s'", I,
-                                 CI.Id.c_str(), Want[I].Id.c_str()));
-    if (CI.Version != Want[I].Version)
+                                 C.Id.c_str(), Want[I].Id.c_str()));
+    if (C.Version != Want[I].Version)
       return fail(makeCodedError(
           "EFAULT.SIMSTATE.VERSION",
           "component '%s' has payload version %u, this build reads %u",
-          CI.Id.c_str(), CI.Version, Want[I].Version));
+          C.Id.c_str(), C.Version, Want[I].Version));
   }
 
   for (size_t I = 0; I < Want.size(); ++I) {
-    const SimStateComponentInfo &CI = Info.Components[I];
-    BinaryReader PR(Bytes.data() + PayloadOffsets[I], CI.PayloadBytes);
+    const Component &C = Components[I];
+    BinaryReader PR(Bytes.data() + C.Offset, C.Size);
     StateReader SR(PR);
     if (Error E = loadComponent(Model, I, SR))
       return fail(std::move(E));
     if (PR.hadError() || !PR.atEnd())
       return fail(makeCodedError("EFAULT.SIMSTATE.COMPONENT",
                                  "component '%s' payload size mismatch",
-                                 CI.Id.c_str()));
+                                 C.Id.c_str()));
   }
   return Error::success();
 }

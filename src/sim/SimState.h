@@ -7,9 +7,10 @@
 ///
 /// \file
 /// The `.esimstate` warmup-checkpoint sidecar: a versioned, length-
-/// prefixed, SHA-256-sealed container for the simulator's SimComponent
-/// states, written by `esim -warmup-save` at the warming -> detailed phase
-/// boundary and consumed by `esim -warmup-load` (DESIGN.md §16).
+/// prefixed, SHA-256-sealed container for the timing model's state,
+/// written by `esim -warmup-save` at the warming -> detailed phase
+/// boundary, resumed from by `esim -warmup-load` and checked by
+/// `everify -simstate` (DESIGN.md §16).
 ///
 /// Layout (little-endian):
 ///
@@ -32,6 +33,8 @@
 /// Loads fail closed with the EFAULT.SIMSTATE.* taxonomy: MAGIC, VERSION,
 /// TRUNCATED (structure overruns / trailing garbage), SEAL, CONFIG,
 /// INPUT, COMPONENT (geometry/id mismatches), BUDGET (warmup >= region).
+/// SimStateFile makes every one of those checks but BUDGET, which is
+/// checkWarmupBudget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,32 +98,30 @@ std::vector<uint8_t> encodeSimStateComponents(const TimingModel &Model);
 Error writeSimState(const std::string &Path, const SimStateMeta &Meta,
                     std::span<const uint8_t> Components);
 
-/// One component-table entry as recorded on disk.
-struct SimStateComponentInfo {
-  std::string Id;
-  uint32_t Version = 0;
-  uint64_t PayloadBytes = 0;
-};
+/// BUDGET: a warm-up of \p Warmup instructions must leave part of a
+/// region of \p Region instructions to measure. The one spelling of the
+/// rule, for esim, pinball2elf and everify.
+Error checkWarmupBudget(uint64_t Warmup, uint64_t Region);
 
-/// Structural view of a sidecar for static verification (everify).
-struct SimStateInfo {
-  uint32_t FormatVersion = 0;
-  SimStateMeta Meta;
-  std::vector<SimStateComponentInfo> Components;
-};
-
-/// A load in steps, for a caller that computes the input digest while the
-/// sidecar is applied. Called as open, checkInput, apply, it makes the
+/// The one reader of a sidecar, for esim's resume and everify's SIMSTATE
+/// pass. Called as open, checkConfig, checkInput, apply, it makes the
 /// checks in DESIGN.md §16.3's order; a caller that defers checkInput must
 /// report its INPUT failure ahead of any failure of apply.
 class SimStateFile {
 public:
-  /// Reads \p Path and makes the checks before INPUT: MAGIC, VERSION,
-  /// TRUNCATED, SEAL, then CONFIG against \p Machine.
-  static Expected<SimStateFile> open(const std::string &Path,
-                                     const MachineConfig &Machine);
+  /// Reads \p Path and makes the checks on the file alone: MAGIC,
+  /// VERSION, TRUNCATED, then SEAL.
+  static Expected<SimStateFile> open(const std::string &Path);
 
-  const SimStateMeta &meta() const { return Info.Meta; }
+  const SimStateMeta &meta() const { return Meta; }
+
+  /// The component table as recorded: entry \p I's id and payload size.
+  size_t numComponents() const { return Components.size(); }
+  const std::string &componentId(size_t I) const { return Components[I].Id; }
+  size_t payloadBytes(size_t I) const { return Components[I].Size; }
+
+  /// CONFIG: the sidecar was taken under \p Machine.
+  Error checkConfig(const MachineConfig &Machine) const;
 
   /// INPUT: the sidecar was taken on the input whose digest is
   /// \p InputDigest.
@@ -131,18 +132,21 @@ public:
   Error apply(TimingModel &Model) const;
 
 private:
+  /// One component-table entry: its payload is Bytes[Offset, +Size).
+  struct Component {
+    std::string Id;
+    uint32_t Version = 0;
+    size_t Offset = 0;
+    size_t Size = 0;
+  };
+
   Error fail(Error E) const;
 
   std::string Path;
   std::vector<uint8_t> Bytes;
-  SimStateInfo Info;
-  std::vector<size_t> PayloadOffsets;
+  SimStateMeta Meta;
+  std::vector<Component> Components;
 };
-
-/// Parses and integrity-checks a sidecar (magic, version, structure, seal)
-/// without a TimingModel: the checks SimStateFile::open makes before
-/// CONFIG, shared with the everify SIMSTATE pass.
-Expected<SimStateInfo> inspectSimState(const std::string &Path);
 
 } // namespace sim
 } // namespace elfie

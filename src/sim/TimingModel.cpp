@@ -30,9 +30,15 @@ void CoreState::saveState(StateWriter &W) const {
 }
 
 Error CoreState::loadState(StateReader &R) {
-  SimComponent *Parts[] = {&BP, &Btb, &L1I, &L1D, &L2, &Dtlb, &Itlb};
-  for (SimComponent *P : Parts)
-    if (Error E = P->loadState(R))
+  if (Error E = BP.loadState(R))
+    return E;
+  if (Error E = Btb.loadState(R))
+    return E;
+  for (Cache *C : {&L1I, &L1D, &L2})
+    if (Error E = C->loadState(R))
+      return E;
+  for (TLB *T : {&Dtlb, &Itlb})
+    if (Error E = T->loadState(R))
       return E;
   LastFetchLine = R.readU64();
   SinceTimer = R.readU64();

@@ -97,8 +97,7 @@ struct SimStats {
   std::string summary() const;
 
   /// Sidecar serialization (the "stats" component of an .esimstate file).
-  /// A plain value type, so these are non-virtual; the container frames
-  /// and versions them like any SimComponent payload.
+  /// The container frames and versions them like every other payload.
   void save(StateWriter &W) const;
   Error load(StateReader &R);
 
@@ -113,9 +112,9 @@ private:
 /// One core's complete microarchitectural state: predictors, private
 /// caches, TLBs, and the fetch/kernel bookkeeping the timing model keeps
 /// per core. Exposed at namespace scope (rather than hidden inside
-/// TimingModel) so checkpoint code and tests can enumerate it through the
-/// SimComponent interface without friend hacks.
-struct CoreState : public SimComponent {
+/// TimingModel) so checkpoint code and tests can save and load it without
+/// friend hacks.
+struct CoreState {
   unsigned Index = 0;
   GSharePredictor BP;
   BTB Btb;
@@ -135,10 +134,11 @@ struct CoreState : public SimComponent {
         L1D(C.L1D.SizeBytes, C.L1D.Assoc), L2(C.L2.SizeBytes, C.L2.Assoc),
         Dtlb(C.DTLBEntries), Itlb(C.ITLBEntries) {}
 
+  /// The "core<i>" payload version in the sidecar's component table. It
+  /// covers the nested predictor, BTB, cache and TLB layouts too.
   static constexpr uint32_t StateVersion = 1;
-  uint32_t stateVersion() const override { return StateVersion; }
-  void saveState(StateWriter &W) const override;
-  Error loadState(StateReader &R) override;
+  void saveState(StateWriter &W) const;
+  Error loadState(StateReader &R);
 };
 
 /// The timing model. Event-driven from a functional front-end: call
@@ -171,7 +171,7 @@ public:
   SimStats &stats() { return Stats; }
   const SimStats &stats() const { return Stats; }
 
-  /// Checkpoint enumeration: per-core SimComponents plus the shared L3.
+  /// Checkpoint enumeration: the per-core states plus the shared L3.
   unsigned numCores() const { return Config.NumCores; }
   CoreState &core(unsigned I) { return *Cores[I]; }
   const CoreState &core(unsigned I) const { return *Cores[I]; }

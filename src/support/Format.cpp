@@ -51,6 +51,21 @@ std::vector<std::string> elfie::splitString(const std::string &Text,
   }
 }
 
+std::vector<std::string> elfie::splitWords(const std::string &Text) {
+  std::vector<std::string> Words;
+  size_t I = 0;
+  while (I < Text.size()) {
+    while (I < Text.size() && (Text[I] == ' ' || Text[I] == '\t'))
+      ++I;
+    size_t Start = I;
+    while (I < Text.size() && Text[I] != ' ' && Text[I] != '\t')
+      ++I;
+    if (I > Start)
+      Words.push_back(Text.substr(Start, I - Start));
+  }
+  return Words;
+}
+
 std::string elfie::trimString(const std::string &Text) {
   size_t Begin = 0, End = Text.size();
   while (Begin < End && std::isspace(static_cast<unsigned char>(Text[Begin])))

@@ -30,6 +30,9 @@ std::string toHex(uint64_t Value);
 /// Splits \p Text on \p Sep, keeping empty fields.
 std::vector<std::string> splitString(const std::string &Text, char Sep);
 
+/// Splits \p Text on runs of spaces and tabs, dropping empty fields.
+std::vector<std::string> splitWords(const std::string &Text);
+
 /// Strips leading and trailing whitespace.
 std::string trimString(const std::string &Text);
 

@@ -38,8 +38,9 @@ int main(int Argc, char **Argv) {
                "with the elfie argument); default: every manifest");
   CL.addString("simstate", "",
                ".esimstate warmup-checkpoint sidecar; enables the "
-               "SIMSTATE.* pass (seal, config fingerprint, warming "
-               "budget, input digest vs the elfie argument)");
+               "SIMSTATE.* pass: esim's own checks (seal, config, "
+               "component table, warming budget, input digest vs the "
+               "elfie argument)");
   exitOnError(CL.parse(Argc, Argv));
   if (CL.positional().size() != 1) {
     std::fprintf(stderr, "usage: everify [options] elfie\n");

@@ -9,6 +9,7 @@
 #include "core/Pinball2Elf.h"
 #include "elf/ELFReader.h"
 #include "fault/FaultPlan.h"
+#include "sim/SimState.h"
 #include "store/Artifact.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
@@ -78,12 +79,8 @@ int main(int Argc, char **Argv) {
     Opts.WatchdogSecs = static_cast<uint64_t>(CL.getInt("watchdog"));
   if (CL.getInt("warmup") > 0) {
     Opts.WarmupLength = static_cast<uint64_t>(CL.getInt("warmup"));
-    if (Opts.WarmupLength >= PB.Meta.RegionLength)
-      exitOnError(makeCodedError(
-          "EFAULT.SIMSTATE.BUDGET",
-          "-warmup %llu must be smaller than the region length %llu",
-          static_cast<unsigned long long>(Opts.WarmupLength),
-          static_cast<unsigned long long>(PB.Meta.RegionLength)));
+    exitOnError(
+        sim::checkWarmupBudget(Opts.WarmupLength, PB.Meta.RegionLength));
   }
 
   std::string Roi = CL.getString("roi-start");

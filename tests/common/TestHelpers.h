@@ -341,20 +341,50 @@ inline CmdResult runCmd(const std::string &Env, const std::string &CmdLine) {
   return R;
 }
 
+/// The offset just past the first length-prefixed occurrence of \p Str
+/// in a sidecar's sealed bytes, or 0 when there is none.
+inline size_t sidecarStringEnd(const std::vector<uint8_t> &Bytes,
+                               const std::string &Str) {
+  BinaryWriter Needle;
+  Needle.writeString(Str);
+  auto It = std::search(Bytes.begin(), Bytes.end() - 32,
+                        Needle.bytes().begin(), Needle.bytes().end());
+  if (It == Bytes.end() - 32)
+    return 0;
+  return (It - Bytes.begin()) + Needle.size();
+}
+
+/// Recomputes a sidecar's seal over its edited bytes.
+inline void resealSidecar(std::vector<uint8_t> &Bytes) {
+  Sha256Digest Seal = Sha256::digest(Bytes.data(), Bytes.size() - 32);
+  std::copy(Seal.Bytes.begin(), Seal.Bytes.end(), Bytes.end() - 32);
+}
+
 /// Replaces the first length-prefixed occurrence of \p From in a sidecar
 /// with \p To (same length) and recomputes the seal, so the file passes
 /// every structural check and fails only where the rename matters.
 inline void renameAndReseal(std::vector<uint8_t> &Bytes,
                             const std::string &From, const std::string &To) {
   ASSERT_EQ(From.size(), To.size());
-  BinaryWriter Needle;
-  Needle.writeString(From);
-  auto It = std::search(Bytes.begin(), Bytes.end() - 32,
-                        Needle.bytes().begin(), Needle.bytes().end());
-  ASSERT_NE(It, Bytes.end() - 32) << "no '" << From << "' in the sidecar";
-  std::copy(To.begin(), To.end(), It + 4);
-  Sha256Digest Seal = Sha256::digest(Bytes.data(), Bytes.size() - 32);
-  std::copy(Seal.Bytes.begin(), Seal.Bytes.end(), Bytes.end() - 32);
+  size_t End = sidecarStringEnd(Bytes, From);
+  ASSERT_NE(End, 0u) << "no '" << From << "' in the sidecar";
+  std::copy(To.begin(), To.end(), Bytes.begin() + (End - From.size()));
+  resealSidecar(Bytes);
+}
+
+/// Overwrites the u32 at \p Offset bytes past the first length-prefixed
+/// occurrence of \p Id in a sidecar with \p Value and recomputes the
+/// seal. Past a component id, offset 0 is the component's payload version
+/// and offset 4 its payload length, so offset 8 is the payload's first
+/// field.
+inline void resealU32After(std::vector<uint8_t> &Bytes, const std::string &Id,
+                           size_t Offset, uint32_t Value) {
+  size_t End = sidecarStringEnd(Bytes, Id);
+  ASSERT_NE(End, 0u) << "no '" << Id << "' in the sidecar";
+  ASSERT_LE(End + Offset + 4, Bytes.size() - 32);
+  for (size_t I = 0; I < 4; ++I)
+    Bytes[End + Offset + I] = static_cast<uint8_t>(Value >> (8 * I));
+  resealSidecar(Bytes);
 }
 
 } // namespace test

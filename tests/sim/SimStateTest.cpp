@@ -8,8 +8,8 @@
 /// \file
 /// The warmup-checkpoint acceptance suite (ctest label `simstate`):
 ///
-///  * per-component save/load round trips through the SimComponent
-///    interface (LRU order, gshare history, BTB entries, nested CoreState)
+///  * per-component saveState/loadState round trips (LRU order, gshare
+///    history, BTB entries, nested CoreState)
 ///  * the EFAULT.SIMSTATE.* fail-closed taxonomy on corrupted sidecars
 ///  * cold-vs-save-vs-resume SimStats **bit-identity** on every example
 ///    pipeline (single-thread ELFie, interp + JIT, clock syscalls, MT
@@ -56,14 +56,16 @@ std::string tempDir(const std::string &Name) {
   return D;
 }
 
-std::vector<uint8_t> componentBytes(const SimComponent &C) {
+template <class Component>
+std::vector<uint8_t> componentBytes(const Component &C) {
   BinaryWriter W;
   StateWriter SW(W);
   C.saveState(SW);
   return W.bytes();
 }
 
-Error componentLoad(SimComponent &C, const std::vector<uint8_t> &Bytes) {
+template <class Component>
+Error componentLoad(Component &C, const std::vector<uint8_t> &Bytes) {
   BinaryReader R(Bytes.data(), Bytes.size());
   StateReader SR(R);
   if (Error E = C.loadState(SR))
@@ -314,11 +316,13 @@ struct SidecarFixture {
   }
 
   /// The code of the first check that fails when the sidecar is opened,
-  /// checked against \p Digest and applied; "" when none does.
+  /// checked against \p M and \p Digest and applied; "" when none does.
   std::string loadCode(const MachineConfig &M, const Sha256Digest &Digest) {
-    auto File = SimStateFile::open(Path, M);
+    auto File = SimStateFile::open(Path);
     if (!File)
       return File.takeError().code();
+    if (Error E = File->checkConfig(M))
+      return E.code();
     if (Error E = File->checkInput(Digest))
       return E.code();
     TimingModel Fresh(M);
@@ -330,8 +334,9 @@ struct SidecarFixture {
 
 TEST(SimStateFile, RoundTripRestoresEveryComponent) {
   SidecarFixture F("roundtrip");
-  auto File = SimStateFile::open(F.Path, F.Machine);
+  auto File = SimStateFile::open(F.Path);
   ASSERT_TRUE(File.hasValue()) << File.message();
+  ASSERT_FALSE(File->checkConfig(F.Machine).isError());
   ASSERT_FALSE(File->checkInput(F.Meta.InputDigest).isError());
   TimingModel Restored(F.Machine);
   Error E = File->apply(Restored);
@@ -355,16 +360,16 @@ TEST(SimStateFile, RoundTripRestoresEveryComponent) {
 
 TEST(SimStateFile, InspectReportsComponentTable) {
   SidecarFixture F("inspect");
-  auto Info = inspectSimState(F.Path);
-  ASSERT_TRUE(Info.hasValue()) << Info.message();
-  EXPECT_EQ(Info->FormatVersion, SimStateFormatVersion);
-  EXPECT_EQ(Info->Meta.ConfigName, "nehalem");
-  ASSERT_EQ(Info->Components.size(), 3u) << "stats + core0 + l3";
-  EXPECT_EQ(Info->Components[0].Id, "stats");
-  EXPECT_EQ(Info->Components[1].Id, "core0");
-  EXPECT_EQ(Info->Components[2].Id, "l3");
-  for (const auto &C : Info->Components)
-    EXPECT_GT(C.PayloadBytes, 0u);
+  auto File = SimStateFile::open(F.Path);
+  // open() succeeds only at this build's format version.
+  ASSERT_TRUE(File.hasValue()) << File.message();
+  EXPECT_EQ(File->meta().ConfigName, "nehalem");
+  ASSERT_EQ(File->numComponents(), 3u) << "stats + core0 + l3";
+  EXPECT_EQ(File->componentId(0), "stats");
+  EXPECT_EQ(File->componentId(1), "core0");
+  EXPECT_EQ(File->componentId(2), "l3");
+  for (size_t I = 0; I < File->numComponents(); ++I)
+    EXPECT_GT(File->payloadBytes(I), 0u);
 }
 
 TEST(SimStateFile, BadMagicRejected) {
@@ -1013,11 +1018,11 @@ TEST(SidecarDigest, SaveWhoseDetailedPhaseFaultsWritesItsSidecar) {
   ASSERT_FALSE(Save.hasValue());
   EXPECT_NE(Save.message().find("faulted"), std::string::npos)
       << Save.message();
-  auto Info = inspectSimState(StatePath);
-  ASSERT_TRUE(Info.hasValue()) << Info.message();
-  EXPECT_EQ(Info->Meta.WarmupInstructions, 500u);
-  EXPECT_EQ(Info->Meta.CheckpointRetired, 500u);
-  EXPECT_EQ(Info->Meta.DetailedBudget, 0u);
+  auto File = SimStateFile::open(StatePath);
+  ASSERT_TRUE(File.hasValue()) << File.message();
+  EXPECT_EQ(File->meta().WarmupInstructions, 500u);
+  EXPECT_EQ(File->meta().CheckpointRetired, 500u);
+  EXPECT_EQ(File->meta().DetailedBudget, 0u);
 
   RunControls ColdCtl;
   ColdCtl.WarmupInstructions = 500;

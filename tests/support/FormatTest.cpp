@@ -31,6 +31,15 @@ TEST(Format, SplitString) {
   EXPECT_EQ(splitString("", ',').size(), 1u);
 }
 
+TEST(Format, SplitWords) {
+  auto Words = splitWords(" a\t\tbc  d ");
+  ASSERT_EQ(Words.size(), 3u);
+  EXPECT_EQ(Words[0], "a");
+  EXPECT_EQ(Words[1], "bc");
+  EXPECT_EQ(Words[2], "d");
+  EXPECT_TRUE(splitWords(" \t ").empty());
+}
+
 TEST(Format, TrimString) {
   EXPECT_EQ(trimString("  hi \t"), "hi");
   EXPECT_EQ(trimString(""), "");

@@ -51,9 +51,9 @@ protected:
   }
   void TearDown() override { removeTree(Dir); }
 
-  /// Stages Dir/g.elfie, a guest ELFie of a 180 K-instruction loop's
-  /// region, and its warm-up sidecar Dir/g.elfie.esimstate.
-  void stageSidecar() {
+  /// Stages Dir/r.pb, a 60 K-instruction region of a 180 K-instruction
+  /// loop.
+  void stagePinball() {
     std::string Src = R"(
 _start:
   ldi r9, 0
@@ -73,7 +73,13 @@ loop:
                              "60000 -log:fat 1 -o %s/r.pb %s/p.elf",
                              Dir.c_str(), Dir.c_str()));
     ASSERT_EQ(R.ExitCode, 0) << R.Output;
-    R = runTool(formatString(
+  }
+
+  /// Stages Dir/g.elfie, a guest ELFie of stagePinball's region, and its
+  /// warm-up sidecar Dir/g.elfie.esimstate.
+  void stageSidecar() {
+    ASSERT_NO_FATAL_FAILURE(stagePinball());
+    auto R = runTool(formatString(
         "pinball2elf -target guest -o %s/g.elfie %s/r.pb", Dir.c_str(),
         Dir.c_str()));
     ASSERT_EQ(R.ExitCode, 0) << R.Output;
@@ -476,33 +482,91 @@ TEST_F(ToolPipeline, SimStateFaultSweep) {
 }
 
 TEST_F(ToolPipeline, SimStateComponentTableCheckedByBothConsumers) {
-  // A sealed sidecar whose component table names "l4" where the machine
-  // has "l3": everify's static pass and esim's resume both refuse it, on
-  // the same entry and with the same text.
+  // Sealed sidecars that pass every check on the file alone: everify's
+  // static pass and esim's resume both refuse each one, with the same
+  // code and, where both judge the same fact, the same text.
   ASSERT_NO_FATAL_FAILURE(stageSidecar());
-  auto Bytes = readFileBytes(Dir + "/g.elfie.esimstate");
-  ASSERT_TRUE(Bytes.hasValue()) << Bytes.message();
-  test::renameAndReseal(*Bytes, "l3", "l4");
-  ASSERT_FALSE(writeFileAtomic(Dir + "/g.elfie.esimstate", Bytes->data(),
-                               Bytes->size())
-                   .isError());
+  const std::string Sidecar = Dir + "/g.elfie.esimstate";
+  auto Saved = readFileBytes(Sidecar);
+  ASSERT_TRUE(Saved.hasValue()) << Saved.message();
 
-  auto R = runTool(formatString("everify -simstate %s/g.elfie.esimstate "
-                                "%s/g.elfie",
-                                Dir.c_str(), Dir.c_str()));
+  using Corruption = void (*)(std::vector<uint8_t> &);
+  struct Row {
+    const char *What;
+    Corruption Corrupt;
+    const char *Code;     ///< esim's code without the "EFAULT." prefix
+    const char *Fragment; ///< in both consumers' output
+    bool SameText;        ///< false: everify's finding is its own
+  };
+  const Row Rows[] = {
+      {"l3 renamed l4",
+       [](std::vector<uint8_t> &B) { test::renameAndReseal(B, "l3", "l4"); },
+       "SIMSTATE.COMPONENT", "component 2 is 'l4', expected 'l3'", true},
+      {"l3 payload version 2",
+       [](std::vector<uint8_t> &B) { test::resealU32After(B, "l3", 0, 2); },
+       "SIMSTATE.VERSION",
+       "component 'l3' has payload version 2, this build reads 1", true},
+      {"l3 line size 128",
+       [](std::vector<uint8_t> &B) { test::resealU32After(B, "l3", 8, 128); },
+       "SIMSTATE.COMPONENT", "(128-byte lines)", true},
+      // esim resumes under the -config it is given; everify has only the
+      // recorded name, which names no config.
+      {"config nehalex",
+       [](std::vector<uint8_t> &B) {
+         test::renameAndReseal(B, "nehalem", "nehalex");
+       },
+       "SIMSTATE.CONFIG", "'nehalex'", false},
+  };
+  for (const Row &Rw : Rows) {
+    SCOPED_TRACE(Rw.What);
+    std::vector<uint8_t> Bytes = *Saved;
+    ASSERT_NO_FATAL_FAILURE(Rw.Corrupt(Bytes));
+    ASSERT_FALSE(
+        writeFileAtomic(Sidecar, Bytes.data(), Bytes.size()).isError());
+
+    auto V = runTool(formatString("everify -simstate %s %s/g.elfie",
+                                  Sidecar.c_str(), Dir.c_str()));
+    EXPECT_EQ(V.ExitCode, 1) << V.Output;
+    std::string Finding = lineWith(V.Output, std::string("error ") + Rw.Code);
+    ASSERT_FALSE(Finding.empty()) << V.Output;
+    EXPECT_NE(Finding.find(Rw.Fragment), std::string::npos) << Finding;
+
+    auto E = runTool(formatString(
+        "esim -config nehalem -warmup-load %s/g.elfie", Dir.c_str()));
+    EXPECT_EQ(E.ExitCode, 1) << E.Output;
+    std::string Rejection = lineWith(E.Output, std::string("EFAULT.") +
+                                                   Rw.Code + ":");
+    ASSERT_FALSE(Rejection.empty()) << E.Output;
+    EXPECT_NE(Rejection.find(Rw.Fragment), std::string::npos) << Rejection;
+    if (Rw.SameText) {
+      // "error SIMSTATE.X: <text>" and "... EFAULT.SIMSTATE.X: <text>".
+      std::string Text = Finding.substr(Finding.find(": ") + 2);
+      EXPECT_NE(Rejection.find(std::string("EFAULT.") + Rw.Code + ": " +
+                               Text),
+                std::string::npos)
+          << Finding << "\n" << Rejection;
+    }
+  }
+}
+
+TEST_F(ToolPipeline, PinballToElfRefusesWarmupCoveringTheRegion) {
+  // A warm-up as long as the region would leave nothing to measure:
+  // pinball2elf refuses it with the simulator's BUDGET rejection, and
+  // takes one instruction less.
+  ASSERT_NO_FATAL_FAILURE(stagePinball());
+  auto R = runTool(formatString(
+      "pinball2elf -target guest -warmup 60000 -o %s/g.elfie %s/r.pb",
+      Dir.c_str(), Dir.c_str()));
   EXPECT_EQ(R.ExitCode, 1) << R.Output;
-  EXPECT_NE(R.Output.find("error SIMSTATE.COMPONENT: component 2 is 'l4', "
-                          "expected 'l3'"),
+  EXPECT_NE(R.Output.find("EFAULT.SIMSTATE.BUDGET: warmup length 60000 "
+                          "must be smaller than the region length 60000"),
             std::string::npos)
       << R.Output;
+  EXPECT_FALSE(fileExists(Dir + "/g.elfie"));
   R = runTool(formatString(
-      "esim -config nehalem -warmup-load %s/g.elfie", Dir.c_str()));
-  EXPECT_EQ(R.ExitCode, 1) << R.Output;
-  EXPECT_NE(R.Output.find("EFAULT.SIMSTATE.COMPONENT"), std::string::npos)
-      << R.Output;
-  EXPECT_NE(R.Output.find("component 2 is 'l4', expected 'l3'"),
-            std::string::npos)
-      << R.Output;
+      "pinball2elf -target guest -warmup 59999 -o %s/g.elfie %s/r.pb",
+      Dir.c_str(), Dir.c_str()));
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
 }
 
 } // namespace
