@@ -100,6 +100,24 @@ if grep -rnE '"EFAULT\.SIMSTATE\.[A-Z]+"' "$REPO/src" |
   exit 1
 fi
 
+# A Block observer's onBlock calls arrive from the block log after a whole
+# compiled chain ran (DESIGN.md §12), so a stop it requested could not
+# land where it asked: a file under src/ outside the VM that declares
+# Block granularity, or its .h/.cpp twin, must not call requestStop.
+echo "==== [block-observers] no requestStop in a Block observer ===="
+BLOCK_STOPS=0
+for F in $(grep -rlE 'Granularity::Block\b' "$REPO/src" --include=*.cpp \
+    --include=*.h | grep -v '/src/vm/'); do
+  if grep -nH 'requestStop' "${F%.*}.h" "${F%.*}.cpp" 2>/dev/null; then
+    BLOCK_STOPS=1
+  fi
+done
+if [ "$BLOCK_STOPS" -ne 0 ]; then
+  echo "ci.sh: a Block observer calls requestStop (use Events or" \
+    "Instruction granularity to stop the VM)"
+  exit 1
+fi
+
 # Pipeline benchmark self-test, once, on the default configuration: tiny
 # inputs through the driver's end-to-end correctness checks (exact capture
 # lengths, clean JIT replay, bit-identical cold/resumed SimStats) with the

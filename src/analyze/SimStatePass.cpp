@@ -29,12 +29,14 @@ using namespace elfie::analyze;
 
 namespace {
 
-/// Maps a runtime EFAULT.SIMSTATE.<X> error code onto the pass's
-/// SIMSTATE.<X> finding code, defaulting to the structural bucket.
+/// The pass's finding code for a rejection by the simulator's reader:
+/// esim's code without the "EFAULT." prefix (EFAULT.IO.OPEN for a missing
+/// sidecar is IO.OPEN), so both consumers name it alike. An uncoded error
+/// falls in the structural bucket.
 std::string findingCodeFor(const std::string &ErrCode) {
-  const std::string Prefix = "EFAULT.SIMSTATE.";
+  const std::string Prefix = "EFAULT.";
   if (ErrCode.compare(0, Prefix.size(), Prefix) == 0)
-    return "SIMSTATE." + ErrCode.substr(Prefix.size());
+    return ErrCode.substr(Prefix.size());
   return "SIMSTATE.TRUNCATED";
 }
 

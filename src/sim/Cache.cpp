@@ -10,16 +10,26 @@
 using namespace elfie;
 using namespace elfie::sim;
 
-namespace {
-bool isPowerOfTwo(uint64_t V) { return V && (V & (V - 1)) == 0; }
-} // namespace
+const char *Cache::geometryError(uint64_t SizeBytes, uint32_t Assoc,
+                                 uint32_t LineSize) {
+  if (Assoc == 0 || LineSize == 0)
+    return "ways and line size must be nonzero";
+  uint64_t Lines = SizeBytes / LineSize;
+  if (Lines < Assoc)
+    return "cache smaller than one set";
+  uint64_t Sets = Lines / Assoc;
+  if ((Sets & (Sets - 1)) != 0 || Sets > UINT32_MAX)
+    return "set count must be a power of two";
+  return nullptr;
+}
 
 Cache::Cache(uint64_t SizeBytes, uint32_t Assoc, uint32_t LineSize)
     : LineSize(LineSize), Assoc(Assoc) {
-  uint64_t Lines = SizeBytes / LineSize;
-  assert(Lines >= Assoc && "cache smaller than one set");
-  NumSets = static_cast<uint32_t>(Lines / Assoc);
-  assert(isPowerOfTwo(NumSets) && "set count must be a power of two");
+  if (const char *Why = geometryError(SizeBytes, Assoc, LineSize))
+    reportFatalError("cache of %llu bytes, %u ways, %u-byte lines: %s",
+                     static_cast<unsigned long long>(SizeBytes), Assoc,
+                     LineSize, Why);
+  NumSets = static_cast<uint32_t>(SizeBytes / LineSize / Assoc);
   Ways.resize(static_cast<size_t>(NumSets) * Assoc);
 }
 

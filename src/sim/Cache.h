@@ -33,8 +33,16 @@ constexpr uint32_t CacheLineSize = 64;
 /// Set-associative LRU cache. Tags only (no data).
 class Cache {
 public:
-  /// \p SizeBytes and \p Assoc must give a power-of-two set count.
+  /// \p SizeBytes and \p Assoc must give a power-of-two set count
+  /// (geometryError); anything else aborts.
   Cache(uint64_t SizeBytes, uint32_t Assoc, uint32_t LineSize = CacheLineSize);
+
+  /// Null when the geometry builds a cache: nonzero ways and line size, at
+  /// least one set, and a power-of-two set count (access() picks the set
+  /// by masking, so any other count would alias sets). Otherwise what is
+  /// wrong with it.
+  static const char *geometryError(uint64_t SizeBytes, uint32_t Assoc,
+                                   uint32_t LineSize = CacheLineSize);
 
   /// Looks up \p Addr; on miss, fills the line (returns false). \p Evicted
   /// receives the victim line address when an eviction happened.
@@ -79,6 +87,11 @@ private:
 class TLB {
 public:
   TLB(uint32_t Entries, uint32_t Assoc = 4, uint64_t PageSize = 4096);
+
+  /// Cache::geometryError of the cache a TLB of \p Entries builds.
+  static const char *geometryError(uint32_t Entries, uint32_t Assoc = 4) {
+    return Cache::geometryError(uint64_t(Entries) * CacheLineSize, Assoc);
+  }
 
   /// True on hit; fills on miss.
   bool access(uint64_t Addr);

@@ -7,6 +7,7 @@
 
 #include "sim/Config.h"
 
+#include "sim/Cache.h"
 #include "support/FileIO.h"
 
 using namespace elfie;
@@ -54,7 +55,9 @@ MachineConfig sim::makeHaswellLike() {
   M.Core.L2 = {256 * 1024, 8, 11};
   M.Core.DTLBEntries = 128;
   M.Core.FreqGHz = 3.4;
-  M.L3 = {20 * 1024 * 1024, 16, 34};
+  // 20-way, as Haswell-EP's 2.5 MB L3 slices are, which makes the set
+  // count a power of two (16384).
+  M.L3 = {20 * 1024 * 1024, 20, 34};
   M.MemLatencyCycles = 190;
   return M;
 }
@@ -76,6 +79,32 @@ MachineConfig sim::makeSkylakeLike(bool FullSystem) {
   M.MemLatencyCycles = 180;
   M.Kernel.Enabled = FullSystem;
   return M;
+}
+
+Error sim::checkMachineConfig(const MachineConfig &M) {
+  const CoreConfig &C = M.Core;
+  struct Level {
+    const char *Name;
+    const CacheConfig &Geometry;
+  };
+  for (const Level &L : {Level{"l1i", C.L1I}, Level{"l1d", C.L1D},
+                         Level{"l2", C.L2}, Level{"l3", M.L3}})
+    if (const char *Why =
+            Cache::geometryError(L.Geometry.SizeBytes, L.Geometry.Assoc))
+      return makeCodedError("EFAULT.CONFIG.GEOMETRY",
+                            "machine '%s': %s of %llu bytes, %u ways: %s",
+                            M.Name.c_str(), L.Name,
+                            static_cast<unsigned long long>(
+                                L.Geometry.SizeBytes),
+                            L.Geometry.Assoc, Why);
+  for (auto [Name, Entries] : {std::pair<const char *, uint32_t>{
+                                   "dtlb", C.DTLBEntries},
+                               {"itlb", C.ITLBEntries}})
+    if (const char *Why = TLB::geometryError(Entries))
+      return makeCodedError("EFAULT.CONFIG.GEOMETRY",
+                            "machine '%s': %s of %u entries: %s",
+                            M.Name.c_str(), Name, Entries, Why);
+  return Error::success();
 }
 
 Sha256Digest sim::configFingerprint(const MachineConfig &M) {

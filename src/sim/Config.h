@@ -17,6 +17,7 @@
 #ifndef ELFIE_SIM_CONFIG_H
 #define ELFIE_SIM_CONFIG_H
 
+#include "support/Error.h"
 #include "support/Sha256.h"
 
 #include <cstdint>
@@ -89,6 +90,12 @@ MachineConfig makeSkylakeLike(bool FullSystem = false);
 /// Looks up a config by name ("gainestown8", "nehalem", "haswell",
 /// "skylake", "skylake-fs"); returns false when unknown.
 bool configByName(const std::string &Name, MachineConfig &Out);
+
+/// Refuses a machine whose caches or TLBs the model cannot build (see
+/// Cache::geometryError) with EFAULT.CONFIG.GEOMETRY, naming the
+/// structure. Every built-in config passes; the simulators check their
+/// machine before building the model.
+Error checkMachineConfig(const MachineConfig &M);
 
 /// SHA-256 over a canonical serialization of every MachineConfig field.
 /// Recorded in warmup-checkpoint sidecars so a checkpoint can never

@@ -161,15 +161,21 @@ struct BinaryEngine {
 
   vm::StopReason run(uint64_t N, vm::Observer *Obs) {
     M.setObserver(Obs);
+    // Only the detailed feed, an Instruction observer, charges cycles.
+    // Under the marker watch, the warm feed and a resume's skip no core's
+    // cycles change, so the thread picked stays picked until a clone or an
+    // exit changes the live-thread set, and it runs as one batch.
+    bool Batch =
+        !Obs || Obs->granularity() != vm::Observer::Granularity::Instruction;
     vm::StopReason SR = Model.numCores() <= 1 ? M.run(N).Reason
-                                              : stepByCycles(N);
+                                              : stepByCycles(N, Batch);
     M.setObserver(nullptr);
     return SR;
   }
 
-  vm::StopReason stepByCycles(uint64_t N) {
+  vm::StopReason stepByCycles(uint64_t N, bool Batch) {
     const std::vector<CoreStats> &Cores = Model.stats().Cores;
-    for (uint64_t I = 0; I < N; ++I) {
+    for (uint64_t I = 0; I < N;) {
       std::vector<uint32_t> Live = M.liveThreadIds();
       if (Live.empty())
         return vm::StopReason::AllExited;
@@ -178,9 +184,12 @@ struct BinaryEngine {
         if (Cores[Tid % Cores.size()].Cycles <
             Cores[Pick % Cores.size()].Cycles)
           Pick = Tid;
-      vm::StopReason SR = M.stepThread(Pick);
-      if (SR != vm::StopReason::BudgetReached)
-        return SR;
+      vm::VM::ThreadRunResult R =
+          Batch ? M.runThread(Pick, N - I, /*EndAtClone=*/true)
+                : M.runThread(Pick, 1);
+      I += R.Executed;
+      if (R.Reason != vm::StopReason::BudgetReached)
+        return R.Reason;
     }
     return vm::StopReason::BudgetReached;
   }
@@ -416,6 +425,8 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
       EmbeddedWarmup = WL->Value;
   }
 
+  if (Error E = checkMachineConfig(Machine))
+    return E;
   PhaseDriver D(Machine, Controls);
   if (Error E = D.prepare([&] { return Sha256::digest(Image); },
                           EmbeddedWarmup, Region))
@@ -468,6 +479,8 @@ Expected<SimResult> sim::simulatePinball(const pinball::Pinball &PB,
                                          bool Constrained,
                                          RunControls Controls,
                                          vm::VMConfig VMConfig) {
+  if (Error E = checkMachineConfig(Machine))
+    return E;
   PhaseDriver D(Machine, Controls);
   if (Error E = D.prepare([&] { return pinballInputDigest(PB); },
                           /*DefaultWarmup=*/0, PB.Meta.RegionLength))

@@ -15,15 +15,34 @@ using namespace elfie::simpoint;
 BBVCollector::BBVCollector(uint64_t SliceSize, unsigned Dims,
                            uint64_t ProjectionSeed)
     : SliceSize(SliceSize), Dims(Dims), ProjectionSeed(ProjectionSeed),
-      Acc(Dims, 0.0) {
+      Acc(Dims, 0.0), Table(256) {
   assert(SliceSize > 0 && "slice size must be positive");
 }
 
+size_t BBVCollector::findSlot(uint64_t BlockEntry) const {
+  const size_t Mask = Table.size() - 1;
+  size_t I = static_cast<size_t>((BlockEntry * 0x9E3779B97F4A7C15ull) >> 32);
+  for (;; ++I) {
+    const Slot &S = Table[I & Mask];
+    if (!S.Used || S.Entry == BlockEntry)
+      return I & Mask;
+  }
+}
+
 const double *BBVCollector::weights(uint64_t BlockEntry) {
-  auto [It, Inserted] = Weights.try_emplace(BlockEntry);
-  std::vector<double> &Ws = It->second;
-  if (!Inserted)
-    return Ws.data();
+  size_t I = findSlot(BlockEntry);
+  if (Table[I].Used)
+    return &Weights[Table[I].Offset];
+  if (2 * (NumBlocks + 1) > Table.size()) {
+    std::vector<Slot> Old(2 * Table.size());
+    Old.swap(Table);
+    for (const Slot &S : Old)
+      if (S.Used)
+        Table[findSlot(S.Entry)] = S;
+    I = findSlot(BlockEntry);
+  }
+  Table[I] = {BlockEntry, static_cast<uint32_t>(Weights.size()), true};
+  ++NumBlocks;
   // Random projection: hash the block address into `Dims` signed unit
   // weights. Deterministic across runs.
   //
@@ -41,17 +60,33 @@ const double *BBVCollector::weights(uint64_t BlockEntry) {
     // A second bit scales some weights down to decorrelate dimensions.
     if (Z & 2)
       W *= 0.5;
-    Ws.push_back(W);
+    Weights.push_back(W);
   }
-  return Ws.data();
+  return &Weights[Table[I].Offset];
 }
+
+namespace {
+/// A[D] += C * W[D] for D < N: element-wise, so vector code adds in the
+/// same order as scalar code, and the slices stay bit-identical.
+template <unsigned N>
+void addScaled(double *__restrict A, const double *__restrict W, double C) {
+  for (unsigned D = 0; D < N; ++D)
+    A[D] += C * W[D];
+}
+} // namespace
 
 void BBVCollector::accountBlock(uint64_t BlockEntry, uint64_t Count) {
   if (Count == 0)
     return;
   const double *W = weights(BlockEntry);
+  const double C = static_cast<double>(Count);
+  // The default width gets a fixed trip count the compiler vectorizes.
+  if (Dims == 16) {
+    addScaled<16>(Acc.data(), W, C);
+    return;
+  }
   for (unsigned D = 0; D < Dims; ++D)
-    Acc[D] += static_cast<double>(Count) * W[D];
+    Acc[D] += C * W[D];
 }
 
 void BBVCollector::closeSlice() {

@@ -21,7 +21,6 @@
 #include "vm/VM.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace elfie {
@@ -41,12 +40,16 @@ struct SliceVector {
 /// `Dims` pseudo-random unit weights (deterministic), so no global block
 /// table is needed (standard SimPoint practice).
 ///
-/// The collector is a Block-granularity observer, so profiling keeps the
-/// JIT on: it sees straight-line runs (onBlock), not single instructions,
+/// The collector is a Block-granularity observer, so profiling runs at
+/// chained JIT speed: it sees straight-line runs (onBlock), delivered from
+/// the VM's block log after each compiled chain, not single instructions,
 /// and the slices are bit-identical whichever executor retired the run.
 /// Blocks follow global retirement order across threads: a run that
 /// starts while another thread's block is still open (no control transfer
 /// yet) extends that block, exactly as a per-instruction stream would.
+/// Each block's weights live in a flat open-addressed table keyed by
+/// entry PC, so the per-block cost is a multiplicative hash, usually one
+/// compare, and the `Dims` multiply-adds, summed in the same order.
 class BBVCollector : public vm::Observer {
 public:
   BBVCollector(uint64_t SliceSize, unsigned Dims = 16,
@@ -68,7 +71,10 @@ public:
 private:
   void accountBlock(uint64_t BlockEntry, uint64_t Count);
   /// The `Dims` projection weights of a block entry, hashed on first use.
+  /// Valid until the next call.
   const double *weights(uint64_t BlockEntry);
+  /// The slot of \p BlockEntry in Table, or the empty slot it would take.
+  size_t findSlot(uint64_t BlockEntry) const;
   void closeSlice();
 
   uint64_t SliceSize;
@@ -79,8 +85,16 @@ private:
   uint64_t CurBlockLen = 0;
   uint64_t InstrInSlice = 0;
   std::vector<double> Acc;
-  /// Block entry -> its `Dims` projection weights.
-  std::unordered_map<uint64_t, std::vector<double>> Weights;
+  /// Block entry -> offset of its `Dims` weights in Weights. Linear
+  /// probing over a power-of-two table kept at most half full.
+  struct Slot {
+    uint64_t Entry = 0;
+    uint32_t Offset = 0;
+    bool Used = false;
+  };
+  std::vector<Slot> Table;
+  size_t NumBlocks = 0;
+  std::vector<double> Weights;
   std::vector<SliceVector> Slices;
   uint64_t NextSliceIndex = 0;
 };

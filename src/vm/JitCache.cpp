@@ -7,8 +7,20 @@
 
 #include "vm/JitCache.h"
 
+#include <cstring>
+
 using namespace elfie;
 using namespace elfie::vm;
+
+namespace {
+/// What the code buffer holds just before each block's entry.
+struct BlockHeader {
+  uint64_t StartPC;
+  uint32_t NumInsts;
+  uint32_t EndsInControlFlow;
+};
+static_assert(sizeof(BlockHeader) == 16, "keeps block entries 16-aligned");
+} // namespace
 
 JitCache::JitCache(const x86::JitLayout &Layout, size_t BufferBytes)
     : Layout(Layout) {
@@ -41,25 +53,33 @@ void JitCache::compile(const DecodedBlock &B) {
   // Fold any deferred un-patching into the same W^X flip.
   maintenance();
 
+  CompiledBlock CB;
+  CB.StartPC = PC;
+  CB.NumInsts = Code.NumInsts;
+  CB.EndsInControlFlow = isa::isControlFlow(B.Insts[Code.NumInsts - 1].Op);
+  // The block log's view of the block goes in front of its code.
+  BlockHeader H{PC, CB.NumInsts, CB.EndsInControlFlow};
+  std::vector<uint8_t> Bytes(sizeof(H));
+  std::memcpy(Bytes.data(), &H, sizeof(H));
+  Bytes.insert(Bytes.end(), Code.Code.begin(), Code.Code.end());
+
   Buf.beginWrite();
-  size_t Off = Buf.append(Code.Code.data(), Code.Code.size());
+  size_t Off = Buf.append(Bytes.data(), Bytes.size());
   if (Off == SIZE_MAX) {
     // Exhausted: flush everything (counts a Flush) and retry once. Safe —
     // compilation only ever runs from interpreter context, never from
     // inside the buffer.
     invalidateAll();
-    Off = Buf.append(Code.Code.data(), Code.Code.size());
+    Off = Buf.append(Bytes.data(), Bytes.size());
     if (Off == SIZE_MAX) {
       Buf.endWrite();
       return; // single block larger than the whole buffer
     }
   }
-
-  CompiledBlock CB;
-  CB.StartPC = PC;
+  Off += sizeof(H);
   CB.Entry = Off;
-  CB.NumInsts = Code.NumInsts;
-  CB.EndsInControlFlow = isa::isControlFlow(B.Insts[Code.NumInsts - 1].Op);
+  // The id the block logs on entry.
+  Buf.patch32(Off + Code.LogIdOff, static_cast<uint32_t>(Off));
 
   // Resolve this block's chain exits: self-loops and already-compiled
   // targets are patched now, the rest wait in PendingSites.
@@ -163,6 +183,17 @@ void JitCache::maintenance() {
   }
   UnpatchQueue.clear();
   Buf.endWrite();
+}
+
+JitCache::CompiledBlock JitCache::logged(uint32_t Id) const {
+  BlockHeader H;
+  std::memcpy(&H, Buf.data() + Id - sizeof(H), sizeof(H));
+  CompiledBlock B;
+  B.StartPC = H.StartPC;
+  B.Entry = Id;
+  B.NumInsts = H.NumInsts;
+  B.EndsInControlFlow = H.EndsInControlFlow != 0;
+  return B;
 }
 
 uint32_t JitCache::run(JitExecContext &Ctx, const CompiledBlock &B) const {

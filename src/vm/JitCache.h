@@ -69,6 +69,11 @@ struct JitExecContext {
   x86::JitLoadFn LoadFn = nullptr;
   x86::JitStoreFn StoreFn = nullptr;
   void *Thread = nullptr; ///< ThreadState of the dispatched thread
+  /// The block log: every block that passes its entry check stores its
+  /// block id (JitCache::logged) here and advances the cursor by
+  /// LogStride bytes (0: the log is not read and one slot is reused).
+  uint32_t *LogPos = nullptr;
+  uint64_t LogStride = 0;
 };
 
 /// Compiled-block cache + executable buffer.
@@ -92,6 +97,13 @@ public:
     auto It = ByPC.find(PC);
     return It == ByPC.end() ? nullptr : &It->second;
   }
+
+  /// The block a block-log entry names. A block's id is its entry's
+  /// buffer offset, and its StartPC, NumInsts and EndsInControlFlow sit
+  /// in the buffer just before the entry, so an id logged since the last
+  /// flush resolves also after the block was invalidated (invalidation
+  /// frees no buffer space; only a flush reuses it).
+  CompiledBlock logged(uint32_t Id) const;
 
   /// Compiles \p B unless already compiled or known uncompilable. Chains
   /// existing blocks whose exits target it, and its exits to existing

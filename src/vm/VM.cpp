@@ -58,6 +58,13 @@ struct VM::JitRuntime {
   const Inst *RecInsts = nullptr;
   uint32_t RecNumInsts = 0;
   std::vector<Inst> RecInstsCopy;
+  /// The block log of a dispatch under a Block observer (DESIGN.md §12):
+  /// compiled code appends one block id (JitCache::logged) per entered
+  /// block. Every logged block but the last retired at least one
+  /// instruction, so a dispatch of at most BlockLogEntries - 1
+  /// instructions fits.
+  static constexpr size_t BlockLogEntries = 4096;
+  uint32_t BlockLog[BlockLogEntries];
 
   JitRuntime(const x86::JitLayout &L, size_t BufferBytes)
       : JC(L, BufferBytes) {}
@@ -81,6 +88,8 @@ struct VM::JitRuntime {
 #if defined(__x86_64__)
 /// Size of the JIT's executable code buffer.
 static constexpr size_t JitBufferBytes = 16u << 20;
+static_assert(JitBufferBytes <= UINT32_MAX,
+              "block-log ids are 32-bit buffer offsets");
 
 static x86::JitLayout jitLayout() {
   x86::JitLayout L;
@@ -92,6 +101,8 @@ static x86::JitLayout jitLayout() {
   L.LoadFnOff = offsetof(JitExecContext, LoadFn);
   L.StoreFnOff = offsetof(JitExecContext, StoreFn);
   L.ThreadOff = offsetof(JitExecContext, Thread);
+  L.LogPosOff = offsetof(JitExecContext, LogPos);
+  L.LogStrideOff = offsetof(JitExecContext, LogStride);
   L.GprOff = offsetof(ThreadState, GPR);
   L.FprOff = offsetof(ThreadState, FPR);
   return L;
@@ -146,6 +157,7 @@ VM::VM(VMConfig Config)
       J->Ctx.Cookie = this;
       J->Ctx.LoadFn = &VM::jitLoad;
       J->Ctx.StoreFn = &VM::jitStore;
+      J->Ctx.LogPos = J->BlockLog;
       Jit = std::move(J);
     }
   }
@@ -426,12 +438,14 @@ RunResult VM::run(uint64_t MaxInstructions) {
   return R;
 }
 
-VM::ThreadRunResult VM::runThread(uint32_t Tid, uint64_t MaxInstructions) {
+VM::ThreadRunResult VM::runThread(uint32_t Tid, uint64_t MaxInstructions,
+                                  bool EndAtClone) {
   auto It = Threads.find(Tid);
   assert(It != Threads.end() && "running unknown thread");
   ThreadState &T = It->second;
   StopRequested = false;
   ThreadRunResult R;
+  const unsigned Live = LiveCount;
   while (R.Executed < MaxInstructions && !T.Exited) {
     Slice S = runSlice(T, MaxInstructions - R.Executed);
     R.Executed += S.Executed;
@@ -440,6 +454,8 @@ VM::ThreadRunResult VM::runThread(uint32_t Tid, uint64_t MaxInstructions) {
       R.Reason = S.Reason;
       return R;
     }
+    if (EndAtClone && LiveCount > Live)
+      return R;
   }
   if (T.Exited && (GroupExited || LiveCount == 0))
     R.Reason = StopReason::AllExited;
@@ -458,6 +474,10 @@ void VM::setObserver(Observer *O) {
   bool Record = ObsGran == Observer::Granularity::BlockAccesses;
   Jit->Ctx.LoadFn = Record ? &VM::jitLoadRecording : &VM::jitLoad;
   Jit->Ctx.StoreFn = Record ? &VM::jitStoreRecording : &VM::jitStore;
+  // Only a Block observer reads the block log; otherwise every block
+  // overwrites the first slot.
+  Jit->Ctx.LogStride =
+      ObsGran == Observer::Granularity::Block ? sizeof(uint32_t) : 0;
 }
 
 bool VM::jitActive() const {
@@ -472,29 +492,31 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
   const JitCache::CompiledBlock *CB = J.JC.find(T.PC);
   if (!CB)
     return false;
-  if (Quota > uint64_t(INT64_MAX))
+  // A BlockAccesses observer sees one compiled block per dispatch: with the
+  // quota at the block's length the next chained entry check exits. A
+  // Block observer lets the chain run and reads the block log, which the
+  // quota keeps from overflowing.
+  const bool Record = ObsGran == Observer::Granularity::BlockAccesses;
+  if (Record)
+    Quota = std::min<uint64_t>(Quota, CB->NumInsts);
+  else if (ObsGran == Observer::Granularity::Block)
+    Quota = std::min<uint64_t>(Quota, JitRuntime::BlockLogEntries - 1);
+  else if (Quota > uint64_t(INT64_MAX))
     Quota = INT64_MAX; // the emitted entry check compares signed
   if (Quota < CB->NumInsts)
     return false; // entry check would fail; interpret the quantum tail
-  // A block observer sees one compiled block per dispatch: with the quota
-  // at the block's length the next chained entry check exits. Copy what
-  // the report needs now — a store inside the block may free the entry.
-  const bool Record = ObsGran == Observer::Granularity::BlockAccesses;
-  const bool ReportBlock = Record || ObsGran == Observer::Granularity::Block;
+  // Copy what the record needs now: a store inside the block may free the
+  // entry.
   const uint64_t StartPC = CB->StartPC;
-  const uint32_t NumInsts = CB->NumInsts;
-  const bool EndsInControlFlow = CB->EndsInControlFlow;
-  if (ReportBlock)
-    Quota = NumInsts;
   if (Record) {
     // The compiled prefix was translated from the decoded block at the
     // same PC (both caches drop a page together). A cap flush can drop the
     // decoded block alone; then interpret, which decodes it again.
     const DecodedBlock *DB = DC.find(StartPC);
-    if (!DB || DB->Insts.size() < NumInsts)
+    if (!DB || DB->Insts.size() < CB->NumInsts)
       return false;
     J.RecInsts = DB->Insts.data();
-    J.RecNumInsts = NumInsts;
+    J.RecNumInsts = CB->NumInsts;
     J.NumRecorded = 0;
   }
   // Drain deferred chain un-patching before entering the buffer — after
@@ -505,6 +527,7 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
   J.Ctx.MemOk = 1;
   J.Ctx.Pending = 0;
   J.Ctx.Thread = &T;
+  J.Ctx.LogPos = J.BlockLog;
   J.InJit = true;
   uint32_t Kind = J.JC.run(J.Ctx, *CB);
   J.InJit = false;
@@ -528,11 +551,31 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
       Obs->onCompiledBlock(T, StartPC, {J.RecInsts, Exec},
                            {J.Recorded, Accesses});
     J.RecInsts = nullptr;
-  } else if (ReportBlock && Exec > 0) {
-    Obs->onBlock(T.Tid, StartPC, Exec,
-                 Exec == NumInsts && EndsInControlFlow);
+  } else if (ObsGran == Observer::Granularity::Block) {
+    deliverBlockLog(T.Tid, Exec);
   }
   return true;
+}
+
+void VM::deliverBlockLog(uint32_t Tid, uint64_t Exec) {
+  JitRuntime &J = *Jit;
+  const size_t N = static_cast<size_t>(J.Ctx.LogPos - J.BlockLog);
+  assert(N <= JitRuntime::BlockLogEntries && "block log overran");
+  for (size_t K = 0; K < N && Exec > 0; ++K) {
+    const JitCache::CompiledBlock B = J.JC.logged(J.BlockLog[K]);
+    // Every entry but the last left through a chain exit, so it retired
+    // its whole block; the last retired what is left (a MemRetry exit may
+    // leave nothing), and ends in control flow only if it completed.
+    uint64_t Len = K + 1 < N ? B.NumInsts : Exec;
+    assert(Len <= Exec && "block log disagrees with the retired count");
+    Exec -= Len;
+    Obs->onBlock(Tid, B.StartPC, Len,
+                 Len == B.NumInsts && B.EndsInControlFlow);
+    // The log is delivered after the chain already ran past the block, so
+    // a stop request could not land where the observer asked for it.
+    assert(!StopRequested && "a Block observer called requestStop");
+  }
+  assert(Exec == 0 && "block log disagrees with the retired count");
 }
 
 // On a TLB miss, an access that would fire the first-touch hook is handed

@@ -128,8 +128,9 @@ public:
     /// down while the observer is attached.
     Instruction,
     /// onBlock for every straight-line run of retired instructions instead
-    /// of onInstruction; the JIT stays on and reports one compiled block
-    /// per dispatch.
+    /// of onInstruction; the JIT stays on and chains blocks, and each
+    /// compiled block is reported from the dispatch's block log after the
+    /// chain returns. Such an observer must not call VM::requestStop.
     Block,
     /// Events, plus onCompiledBlock for every compiled dispatch: the
     /// block's instructions and its retired memory accesses, which the
@@ -153,9 +154,10 @@ public:
   /// them; \p EndsInControlFlow says the last one is a control-flow
   /// instruction (isa::isControlFlow). The interpreter reports each
   /// instruction as a one-instruction block where onInstruction would fire;
-  /// compiled dispatch reports after the block ran. Calls follow global
-  /// retirement order across threads, and a run may stop short of the
-  /// block's end (budget, quantum, faulting access).
+  /// compiled dispatch reports each block of a chain, in order, after the
+  /// whole chain ran. Calls follow global retirement order across threads,
+  /// and a run may stop short of the block's end (budget, quantum,
+  /// faulting access).
   virtual void onBlock(uint32_t Tid, uint64_t EntryPC, uint64_t NumInsts,
                        bool EndsInControlFlow) {}
   /// BlockAccesses observers only, after a compiled dispatch: \p Insts,
@@ -251,16 +253,18 @@ public:
   /// (the caller owns the interleaving — the scheduler quantum does not
   /// apply). Executed reports the instructions actually retired;
   /// BudgetReached means "ran fine, more to run", also when the thread
-  /// exited while others live on. With EnableJit this is the replayer's
+  /// exited while others live on. With \p EndAtClone, a clone also ends
+  /// the run (BudgetReached, the clone retired), so the caller sees every
+  /// change of the live-thread set. With EnableJit this is the replayer's
   /// native-dispatch fast path.
   struct ThreadRunResult {
     StopReason Reason = StopReason::BudgetReached;
     uint64_t Executed = 0;
   };
-  ThreadRunResult runThread(uint32_t Tid, uint64_t MaxInstructions);
+  ThreadRunResult runThread(uint32_t Tid, uint64_t MaxInstructions,
+                            bool EndAtClone = false);
 
-  /// runThread(Tid, 1).Reason: exactly one instruction on \p Tid (esim's
-  /// multicore loop picks the thread to step by simulated cycles).
+  /// runThread(Tid, 1).Reason: exactly one instruction on \p Tid.
   StopReason stepThread(uint32_t Tid) { return runThread(Tid, 1).Reason; }
 
   /// Observer management (one active observer; null to detach). The
@@ -270,7 +274,8 @@ public:
   void setObserver(Observer *O);
 
   /// From an observer callback: makes run() or runThread() return Stopped
-  /// after the current instruction (or compiled block).
+  /// after the current instruction (or compiled block). Not from a Block
+  /// observer: its onBlock calls arrive after a whole chain ran.
   void requestStop() { StopRequested = true; }
 
   /// Syscall interception (replay injection). Return true to skip native
@@ -347,15 +352,21 @@ private:
   /// True when compiled dispatch may run right now (JIT configured, host
   /// supported, and no Instruction-granularity observer attached).
   bool jitActive() const;
-  /// One native dispatch of the compiled block at T.PC, bounded by
-  /// \p Quota retired instructions. Returns false when no compiled block
-  /// starts there or the quota is too small for its entry check; true when
-  /// compiled code ran, with \p Exec set to the instructions retired. A
-  /// Block or BlockAccesses observer caps the quota at the block's length
-  /// and receives one onBlock or onCompiledBlock per dispatch.
+  /// One native dispatch of the compiled block at T.PC (and the blocks
+  /// chained after it), bounded by \p Quota retired instructions. Returns
+  /// false when no compiled block starts there or the quota is too small
+  /// for its entry check; true when compiled code ran, with \p Exec set to
+  /// the instructions retired. A BlockAccesses observer caps the quota at
+  /// the block's length and receives one onCompiledBlock per dispatch. A
+  /// Block observer caps it at the block log's capacity less one and
+  /// receives the chain's blocks from the log (deliverBlockLog).
   /// After a true return with Exec == 0 the caller must interpret at least
   /// one step before re-dispatching (memory-retry exits make no progress).
   bool jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec);
+  /// Replays the block log of the dispatch that just retired \p Exec
+  /// instructions on \p Tid into onBlock: every entry but the last is a
+  /// whole block, the last gets the remainder.
+  void deliverBlockLog(uint32_t Tid, uint64_t Exec);
   static uint64_t jitLoad(void *Cookie, uint64_t Addr, uint64_t Kind);
   static void jitStore(void *Cookie, uint64_t Addr, uint64_t Value,
                        uint64_t Size);

@@ -144,6 +144,13 @@ void Encoder::movMemImm32(Reg Base, int32_t Disp, int32_t Imm) {
   dword(static_cast<uint32_t>(Imm));
 }
 
+void Encoder::movMem32Imm32(Reg Base, int32_t Disp, uint32_t Imm) {
+  rex(false, 0, Base);
+  byte(0xC7);
+  modrmMem(0, Base, Disp);
+  dword(Imm);
+}
+
 void Encoder::movMemReg8(Reg Base, int32_t Disp, Reg Src) {
   // A REX prefix is always emitted so SPL/BPL/SIL/DIL encode correctly.
   rex(false, Src, Base);

@@ -115,6 +115,8 @@ public:
   void movMemReg(Reg Base, int32_t Disp, Reg Src);
   /// mov qword [Base + Disp], imm32 (sign-extended)
   void movMemImm32(Reg Base, int32_t Disp, int32_t Imm);
+  /// mov dword [Base + Disp], imm32 (the immediate is the last 4 bytes)
+  void movMem32Imm32(Reg Base, int32_t Disp, uint32_t Imm);
   /// Narrow stores: mov [Base+Disp], Src (8/16/32 bits of Src)
   void movMemReg8(Reg Base, int32_t Disp, Reg Src);
   void movMemReg16(Reg Base, int32_t Disp, Reg Src);

@@ -23,6 +23,7 @@ namespace {
 
 /// Per-block emission state. Register conventions inside a block:
 ///   %r14 ThreadState base   %r15 JitExecContext base (both callee-saved)
+///   %r13 block-log cursor   %r12 block-log stride (both callee-saved)
 ///   %rax/%rcx/%rdx          scratch (never live across a helper call)
 ///   %rsi/%rdi               helper arguments
 class BlockEmitter {
@@ -130,6 +131,10 @@ bool BlockEmitter::emit(const Inst *Insts, size_t N) {
   // translator's per-instruction dec/js pair.
   E.cmpMemImm32(R15, L.CountdownOff, static_cast<int32_t>(Prefix));
   E.jcc(CondL, stub(0, StartPC, JitExitCountdown));
+  // The block runs: log its id (patched in by the block cache).
+  E.movMem32Imm32(R13, 0, 0);
+  Out.LogIdOff = E.here() - 4;
+  E.addRegReg(R13, R12);
 
   bool Terminated = false;
   for (size_t Idx = 0; Idx < Prefix; ++Idx) {
@@ -287,7 +292,10 @@ void x86::emitJitTrampoline(Encoder &E, const JitLayout &L) {
   E.pushReg(R15);
   E.movRegReg(R15, RDI);
   E.movRegMem(R14, R15, L.ThreadOff);
+  E.movRegMem(R13, R15, L.LogPosOff);
+  E.movRegMem(R12, R15, L.LogStrideOff);
   E.callReg(RSI); // blocks chain among themselves and ret here when done
+  E.movMemReg(R15, L.LogPosOff, R13);
   E.popReg(R15);
   E.popReg(R14);
   E.popReg(R13);
@@ -341,10 +349,13 @@ size_t ExecBuffer::append(const uint8_t *Bytes, size_t N) {
   return Off;
 }
 
+void ExecBuffer::patch32(size_t Off, uint32_t V) {
+  std::memcpy(Base + Off, &V, 4);
+}
+
 void ExecBuffer::patchJmp(size_t JmpOff, size_t Target) {
   // rel32 of `E9 rel32` is relative to the end of the 5-byte jmp.
   int64_t Rel = static_cast<int64_t>(Target) -
                 (static_cast<int64_t>(JmpOff) + 5);
-  uint32_t V = static_cast<uint32_t>(static_cast<int32_t>(Rel));
-  std::memcpy(Base + JmpOff + 1, &V, 4);
+  patch32(JmpOff + 1, static_cast<uint32_t>(static_cast<int32_t>(Rel)));
 }

@@ -13,9 +13,10 @@
 /// exactly:
 ///
 ///  * Guest registers live directly in the VM's ThreadState (no copy in or
-///    out). %r14 holds the ThreadState base, %r15 the JitExecContext base;
-///    both are callee-saved so helper calls preserve them. GPR slot 0 is
-///    never written (r0 stays zero).
+///    out). %r14 holds the ThreadState base, %r15 the JitExecContext base,
+///    %r13 the block-log cursor and %r12 its stride; all are callee-saved
+///    so helper calls preserve them. GPR slot 0 is never written (r0 stays
+///    zero).
 ///  * Instead of the Translator's per-instruction countdown, each block
 ///    entry performs one check: `cmp qword [ctx+Countdown], NumInsts; jl
 ///    out`. Every exit path subtracts exactly the instructions retired on
@@ -43,6 +44,13 @@
 ///    falling through to a return stub). The block cache patches it to the
 ///    target's entry once that target is compiled — direct-threaded
 ///    superblock chaining without re-entering the dispatcher.
+///  * A block that passes its entry check appends its block-cache id (a
+///    patchable imm32) to the dispatch's block log: `mov dword [r13], id;
+///    add r13, r12`. The trampoline loads the log cursor into %r13 and the
+///    stride into %r12 and stores the cursor back on return, so a chain
+///    needs no extra exit; a zero stride (nobody reads the log) keeps every
+///    block on one slot. Every logged block but the last retired its whole
+///    prefix, which is how the dispatcher replays the chain block by block.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,6 +127,8 @@ struct JitLayout {
   int32_t LoadFnOff = 0;    ///< JitLoadFn
   int32_t StoreFnOff = 0;   ///< JitStoreFn
   int32_t ThreadOff = 0;    ///< ThreadState* of the dispatched thread
+  int32_t LogPosOff = 0;    ///< uint32_t* next block-log slot
+  int32_t LogStrideOff = 0; ///< u64 bytes the cursor advances per block
   // Offsets into the thread state (%r14 base).
   int32_t GprOff = 0; ///< 16 x u64
   int32_t FprOff = 0; ///< 16 x f64
@@ -139,6 +149,9 @@ struct JitBlockCode {
   /// Instructions in the compiled prefix — the entry check constant and the
   /// maximum any path through the block retires.
   uint32_t NumInsts = 0;
+  /// Offset (within Code) of the imm32 the block logs on entry; the block
+  /// cache patches its id there.
+  size_t LogIdOff = 0;
 };
 
 /// Compiles the longest translatable prefix of the decoded block starting
@@ -148,8 +161,9 @@ bool emitJitBlock(uint64_t StartPC, const isa::Inst *Insts, size_t N,
                   const JitLayout &L, JitBlockCode &Out);
 
 /// Emits the dispatch trampoline `uint64_t(void *Ctx, const void *Entry)`:
-/// saves callee-saved registers, loads %r15/%r14, calls the block, and
-/// returns its exit kind. Emit once at the start of the executable buffer.
+/// saves callee-saved registers, loads %r15/%r14 and the block-log
+/// cursor and stride, calls the block, stores the cursor back, and returns
+/// its exit kind. Emit once at the start of the executable buffer.
 void emitJitTrampoline(Encoder &E, const JitLayout &L);
 
 /// A W^X mmap'd code buffer. Writable only inside beginWrite()/endWrite()
@@ -179,6 +193,10 @@ public:
   /// Patches the rel32 of the `E9` jmp at \p JmpOff to land on \p Target
   /// (both buffer offsets). Must be inside a write window.
   void patchJmp(size_t JmpOff, size_t Target);
+
+  /// Overwrites the 4 bytes at \p Off with \p V. Must be inside a write
+  /// window.
+  void patch32(size_t Off, uint32_t V);
 
   const uint8_t *data() const { return Base; }
   size_t used() const { return Used; }

@@ -255,6 +255,54 @@ inner:
             User->Stats.dataFootprintBytes());
 }
 
+// ---- Machine configs ----
+
+TEST(MachineConfig, BuiltInConfigsPassTheGeometryCheck) {
+  for (const char *Name :
+       {"gainestown8", "nehalem", "haswell", "skylake", "skylake-fs"}) {
+    MachineConfig M;
+    ASSERT_TRUE(configByName(Name, M)) << Name;
+    Error E = checkMachineConfig(M);
+    EXPECT_FALSE(E.isError()) << Name << ": " << E.message();
+  }
+}
+
+TEST(MachineConfig, UnbuildableGeometryIsRefused) {
+  // 192 KiB of 8-way 64-byte lines is 384 sets: masking would alias them.
+  MachineConfig M = makeNehalemLike();
+  M.Core.L2.SizeBytes = 192 * 1024;
+  Error E = checkMachineConfig(M);
+  ASSERT_TRUE(E.isError());
+  EXPECT_EQ(E.code(), "EFAULT.CONFIG.GEOMETRY");
+  EXPECT_NE(E.message().find("l2 of 196608 bytes, 8 ways: set count must be "
+                             "a power of two"),
+            std::string::npos)
+      << E.message();
+
+  // The simulator refuses the machine before it runs anything.
+  auto Image = easm::assembleToELF("_start:\n  halt\n", "p.s");
+  ASSERT_TRUE(Image.hasValue()) << Image.message();
+  auto R = simulateBinaryImage(*Image, M);
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_EQ(R.takeError().code(), "EFAULT.CONFIG.GEOMETRY");
+
+  MachineConfig Tiny = makeNehalemLike();
+  Tiny.L3.SizeBytes = 512; // 8 lines for 16 ways
+  E = checkMachineConfig(Tiny);
+  ASSERT_TRUE(E.isError());
+  EXPECT_NE(E.message().find("l3 of 512 bytes, 16 ways: cache smaller than "
+                             "one set"),
+            std::string::npos)
+      << E.message();
+
+  MachineConfig OddTlb = makeNehalemLike();
+  OddTlb.Core.DTLBEntries = 48; // 12 sets of 4 ways
+  E = checkMachineConfig(OddTlb);
+  ASSERT_TRUE(E.isError());
+  EXPECT_NE(E.message().find("dtlb of 48 entries"), std::string::npos)
+      << E.message();
+}
+
 // ---- Front-ends ----
 
 TEST(Frontend, ElfieAutoDetection) {
@@ -313,6 +361,35 @@ TEST(Frontend, JitDoesNotPerturbSimulation) {
             RJit->RoiRetired + 200u)
       << "JIT hits must come only from the short pre-ROI startup stub";
   removeTree(Dir);
+}
+
+TEST(Frontend, MultiCoreWarmupRunsCompiled) {
+  // A one-thread loop on the 8-core machine. The warm-up charges no
+  // cycles, so the thread the engine picks stays picked and runs as one
+  // batch, compiled; only the detailed phase steps per instruction.
+  auto Image = easm::assembleToELF(R"(
+_start:
+  ldi  r1, 0
+loop:
+  addi r1, r1, 1
+  slti r2, r1, 500000
+  bnez r2, loop
+  ldi  r7, 1
+  ldi  r1, 0
+  syscall
+)",
+                                   "loop.s");
+  ASSERT_TRUE(Image.hasValue()) << Image.message();
+  RunControls Controls;
+  Controls.WarmupInstructions = 900000;
+  Controls.MaxInstructions = 1000;
+  auto R = simulateBinaryImage(*Image, makeGainestown8(), Controls);
+  ASSERT_TRUE(R.hasValue()) << R.message();
+  EXPECT_EQ(R->WarmupRetired, 900000u);
+  EXPECT_EQ(R->RoiRetired, 1000u);
+#if defined(__x86_64__)
+  EXPECT_GT(R->JitStats.Hits, 800000u);
+#endif
 }
 
 TEST(Frontend, ElfieSimulationSkipsStartupCode) {

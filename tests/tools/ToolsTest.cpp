@@ -493,7 +493,7 @@ TEST_F(ToolPipeline, SimStateComponentTableCheckedByBothConsumers) {
   using Corruption = void (*)(std::vector<uint8_t> &);
   struct Row {
     const char *What;
-    Corruption Corrupt;
+    Corruption Corrupt; ///< null: no sidecar at all
     const char *Code;     ///< esim's code without the "EFAULT." prefix
     const char *Fragment; ///< in both consumers' output
     bool SameText;        ///< false: everify's finding is its own
@@ -516,13 +516,21 @@ TEST_F(ToolPipeline, SimStateComponentTableCheckedByBothConsumers) {
          test::renameAndReseal(B, "nehalem", "nehalex");
        },
        "SIMSTATE.CONFIG", "'nehalex'", false},
+      // Unreadable rather than corrupt: both report the reader's I/O code.
+      {"sidecar missing", nullptr, "IO.OPEN",
+       "No such file or directory", true},
   };
   for (const Row &Rw : Rows) {
     SCOPED_TRACE(Rw.What);
-    std::vector<uint8_t> Bytes = *Saved;
-    ASSERT_NO_FATAL_FAILURE(Rw.Corrupt(Bytes));
-    ASSERT_FALSE(
-        writeFileAtomic(Sidecar, Bytes.data(), Bytes.size()).isError());
+    if (Rw.Corrupt) {
+      std::vector<uint8_t> Bytes = *Saved;
+      ASSERT_NO_FATAL_FAILURE(Rw.Corrupt(Bytes));
+      ASSERT_FALSE(
+          writeFileAtomic(Sidecar, Bytes.data(), Bytes.size()).isError());
+    } else {
+      removeFile(Sidecar);
+      ASSERT_FALSE(fileExists(Sidecar));
+    }
 
     auto V = runTool(formatString("everify -simstate %s %s/g.elfie",
                                   Sidecar.c_str(), Dir.c_str()));

@@ -561,6 +561,47 @@ TEST(VM, StepThreadGivesExactControl) {
   EXPECT_EQ(M.stepThread(0), StopReason::Halted);
 }
 
+TEST(VM, RunThreadCanEndAtAClone) {
+  // clone(entry=child, stack, arg) is the eighth instruction (each `la`
+  // is two); the child exits at once. With EndAtClone the batch ends
+  // right after the clone.
+  auto Image = easm::assembleToELF("_start:\n"
+                                   "  ldi  r7, 9\n"
+                                   "  la   r1, child\n"
+                                   "  la   r2, cstack\n"
+                                   "  addi r2, r2, 4096\n"
+                                   "  ldi  r3, 0\n"
+                                   "  syscall\n"
+                                   "  addi r9, r9, 1\n"
+                                   "  addi r9, r9, 1\n"
+                                   "  halt\n"
+                                   "child:\n"
+                                   "  ldi  r7, 0\n"
+                                   "  ldi  r1, 0\n"
+                                   "  syscall\n"
+                                   "  .bss\n"
+                                   "cstack: .space 4096\n",
+                                   "c.s");
+  ASSERT_TRUE(Image.hasValue()) << Image.message();
+  for (bool EndAtClone : {true, false}) {
+    SCOPED_TRACE(EndAtClone);
+    auto Reader = elf::ELFReader::parse(*Image);
+    VM M;
+    ASSERT_FALSE(M.loadELF(*Reader).isError());
+    ASSERT_FALSE(M.setupMainThread().isError());
+    VM::ThreadRunResult R = M.runThread(0, 100, EndAtClone);
+    EXPECT_EQ(M.liveThreadCount(), 2u);
+    if (EndAtClone) {
+      EXPECT_EQ(R.Reason, StopReason::BudgetReached);
+      EXPECT_EQ(R.Executed, 8u);
+      EXPECT_EQ(M.thread(0)->GPR[9], 0u);
+    } else {
+      EXPECT_EQ(R.Reason, StopReason::Halted);
+      EXPECT_EQ(M.thread(0)->GPR[9], 2u);
+    }
+  }
+}
+
 // ---- Memory subsystem unit tests ----
 
 TEST(AddressSpace, MapReadWrite) {

@@ -77,12 +77,14 @@ TEST(Encoder, RegRegMoves) {
 
 TEST(Encoder, HighRegisters) {
   Encoder E;
+  E.pushReg(R15); // callee-saved: the caller's value must survive
   E.movRegImm64(R10, 7);
   E.movRegImm64(R15, 5);
   E.pushReg(R15);
   E.movRegReg(RAX, R10);
   E.popReg(R15);
   E.addRegReg(RAX, R15);
+  E.popReg(R15);
   E.ret();
   JitBuffer J(E);
   EXPECT_EQ(J.as<Fn0>()(), 12u);
@@ -160,6 +162,30 @@ TEST(Encoder, NarrowStores) {
   EXPECT_EQ(Buf[4], 0xff); // 4-byte store at 4 covers 4..7
   EXPECT_EQ(Buf[7], 0xff);
   EXPECT_EQ(Buf[8], 0x00); // ...and not beyond
+}
+
+TEST(Encoder, DwordImmediateStoreThroughR13) {
+  // The JIT's block-log write: R13 as the base needs the disp form, and
+  // the immediate is the instruction's last 4 bytes (the block cache
+  // patches it there).
+  Encoder E;
+  E.pushReg(R13);
+  E.movRegReg(R13, RDI);
+  E.movMem32Imm32(R13, 4, 0x11223344);
+  size_t End = E.size();
+  E.popReg(R13);
+  E.movRegImm64(RAX, 0);
+  E.ret();
+  uint32_t Imm;
+  std::memcpy(&Imm, E.code().data() + End - 4, 4);
+  EXPECT_EQ(Imm, 0x11223344u);
+  JitBuffer J(E);
+  uint8_t Buf[12] = {};
+  J.as<FnP>()(Buf);
+  EXPECT_EQ(Buf[3], 0x00);
+  EXPECT_EQ(Buf[4], 0x44);
+  EXPECT_EQ(Buf[7], 0x11);
+  EXPECT_EQ(Buf[8], 0x00); // a dword, not a qword
 }
 
 TEST(Encoder, MulDiv) {

@@ -60,6 +60,8 @@ struct FakeCtx {
   JitLoadFn LoadFn = nullptr;
   JitStoreFn StoreFn = nullptr;
   void *Thread = nullptr;
+  uint32_t *LogPos = nullptr;
+  uint64_t LogStride = 0;
 };
 
 struct FakeThread {
@@ -77,6 +79,8 @@ JitLayout testLayout() {
   L.LoadFnOff = offsetof(FakeCtx, LoadFn);
   L.StoreFnOff = offsetof(FakeCtx, StoreFn);
   L.ThreadOff = offsetof(FakeCtx, Thread);
+  L.LogPosOff = offsetof(FakeCtx, LogPos);
+  L.LogStrideOff = offsetof(FakeCtx, LogStride);
   L.GprOff = offsetof(FakeThread, GPR);
   L.FprOff = offsetof(FakeThread, FPR);
   return L;
@@ -95,6 +99,10 @@ struct Harness {
   FakeThread T;
   std::vector<uint8_t> Mem = std::vector<uint8_t>(1 << 16);
   uint64_t PoisonAddr = 0;
+  /// The block log; addBlock numbers blocks 0, 1, ... in add order.
+  uint32_t Log[16] = {};
+  uint32_t NextId = 0;
+  size_t logged() const { return static_cast<size_t>(Ctx.LogPos - Log); }
 
   bool init() {
     if (!Buf.init(1 << 20))
@@ -120,6 +128,7 @@ struct Harness {
     Buf.beginWrite();
     size_t Off = Buf.append(BC.Code.data(), BC.Code.size());
     EXPECT_NE(Off, SIZE_MAX);
+    Buf.patch32(Off + BC.LogIdOff, NextId++);
     if (Out) {
       for (JitChainExit &X : BC.Exits)
         X.JmpOff += Off;
@@ -133,6 +142,7 @@ struct Harness {
     Ctx.NextPC = 0;
     Ctx.MemOk = 1;
     Ctx.Pending = 0;
+    Ctx.LogPos = Log;
     Buf.endWrite();
     using Fn = uint64_t (*)(void *, const void *);
     auto F = reinterpret_cast<Fn>(
@@ -270,18 +280,31 @@ TEST(JITEmitter, ChainPatchingThreadsBlocksWithoutReturning) {
   EXPECT_EQ(H.Ctx.Countdown, 98);
 
   // Patch A's chain exit to B's entry: one dispatch now runs both blocks.
+  // With a zero stride every block logs into the first slot.
   H.Buf.beginWrite();
   H.Buf.patchJmp(CA.Exits[0].JmpOff, EB);
   EXPECT_EQ(H.run(EA, 100), JitExitChain);
   EXPECT_EQ(H.T.GPR[1], 105u);
   EXPECT_EQ(H.Ctx.NextPC, PCB + 8 + 0x400);
   EXPECT_EQ(H.Ctx.Countdown, 96); // 2 + 2 instructions across the chain
+  EXPECT_EQ(H.logged(), 0u);
+  EXPECT_EQ(H.Log[0], 1u);
+
+  // With a 4-byte stride the log holds the chain's blocks in order.
+  H.Ctx.LogStride = sizeof(uint32_t);
+  EXPECT_EQ(H.run(EA, 100), JitExitChain);
+  ASSERT_EQ(H.logged(), 2u);
+  EXPECT_EQ(H.Log[0], 0u);
+  EXPECT_EQ(H.Log[1], 1u);
 
   // A short countdown mid-chain stops at B's entry check with B's start
-  // as the resume PC — the partial chain still retired exactly A.
+  // as the resume PC — the partial chain still retired exactly A, and B,
+  // which failed its check, is not logged.
   EXPECT_EQ(H.run(EA, 3), JitExitCountdown);
   EXPECT_EQ(H.Ctx.NextPC, PCB);
   EXPECT_EQ(H.Ctx.Countdown, 1);
+  EXPECT_EQ(H.logged(), 1u);
+  H.Ctx.LogStride = 0;
 
   // Un-patch (rel32 back to 0): the Chain return stub is live again.
   H.Buf.beginWrite();

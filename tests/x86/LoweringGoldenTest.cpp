@@ -39,7 +39,7 @@ namespace {
 constexpr const char *AotDigest =
     "75aef06c2de4bb9d05aa71d39a35430518f1f64e5a8fcadd6cd8c99832385419";
 constexpr const char *JitDigest =
-    "8f61bb4fc2b83379c900a80a2d4c90723e14eb7dfb958b9a9469fec59037c166";
+    "41cea3d5d4cbc37d966da415543372f49d1a6f88d90f0660be9a9cfd652258cc";
 
 /// Operand variants each opcode is lowered with: r0 as destination and as
 /// source, zero and non-zero displacements, in-page, misaligned and
