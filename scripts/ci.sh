@@ -118,6 +118,59 @@ if [ "$BLOCK_STOPS" -ne 0 ]; then
   exit 1
 fi
 
+# The default granularity, Instruction, turns the JIT off while the
+# observer is attached (DESIGN.md §12), so an observer that forgets to
+# state its granularity runs interpreted without a word: every
+# vm::Observer subclass under src/ must override granularity(), and only
+# the VM and esim's front end may name Instruction granularity.
+echo "==== [observer-granularity] every observer states its granularity ===="
+if ! find "$REPO/src" \( -name '*.cpp' -o -name '*.h' \) -print0 |
+    xargs -0 awk '
+      # A class head runs from "class|struct Name" to its "{" or ";".
+      FNR == 1 { Head = ""; Depth = 0 }
+      function check() {
+        if (Depth <= 0 && !Seen) {
+          printf "%s:%d: %s does not override granularity()\n", FILENAME,
+            Line, Name
+          Bad = 1
+        }
+      }
+      Depth > 0 {
+        Seen = Seen || /granularity\(\)/
+        Depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+        check()
+        next
+      }
+      Head == "" && /^[[:space:]]*(class|struct)[[:space:]]+[A-Za-z_]/ {
+        Line = FNR
+      }
+      Head != "" || /^[[:space:]]*(class|struct)[[:space:]]+[A-Za-z_]/ {
+        Head = Head " " $0
+        if (Head !~ /[{;]/)
+          next
+        if (Head ~ /:[^{;]*(vm::)?Observer([^A-Za-z_0-9]|$)/ &&
+            Head ~ /\{/) {
+          Name = Head
+          sub(/^[[:space:]]*(class|struct)[[:space:]]+/, "", Name)
+          sub(/[^A-Za-z_0-9].*/, "", Name)
+          Seen = Head ~ /granularity\(\)/
+          Depth = gsub(/\{/, "{", Head) - gsub(/\}/, "}", Head)
+          check()
+        }
+        Head = ""
+      }
+      END { exit Bad }'; then
+  echo "ci.sh: an observer without granularity() (state it; Instruction" \
+    "turns the JIT off)"
+  exit 1
+fi
+if grep -rn 'Granularity::Instruction' "$REPO/src" |
+    grep -v -e '^[^:]*/src/vm/' -e '^[^:]*/src/sim/Frontend\.cpp:'; then
+  echo "ci.sh: Instruction granularity outside src/vm and" \
+    "src/sim/Frontend.cpp (use Block, BlockAccesses or Events)"
+  exit 1
+fi
+
 # Pipeline benchmark self-test, once, on the default configuration: tiny
 # inputs through the driver's end-to-end correctness checks (exact capture
 # lengths, clean JIT replay, bit-identical cold/resumed SimStats) with the

@@ -44,26 +44,36 @@ private:
 /// entry points in both phases; the model's phase decides what they
 /// charge (a warming model charges nothing and skips the synthetic
 /// kernel, so a checkpoint holds exactly the state a cold warm-up
-/// produces). A feed without stop conditions is a BlockAccesses observer,
-/// so the warm-up runs compiled: each compiled block is replayed into the
-/// model in retirement order, and interpreted instructions arrive as
-/// per-instruction events. A feed that stops the engine at the ROI budget
-/// or the (PC, count) condition needs every instruction.
+/// produces). Both feeds are BlockAccesses observers, so both phases run
+/// compiled: each compiled block is replayed into the model in retirement
+/// order, and interpreted instructions arrive as per-instruction events.
+/// The engine's quota ends each phase; only a detailed feed that stops the
+/// engine at the (PC, count) condition needs every instruction.
 class ModelFeed : public vm::Observer {
 public:
-  /// A feed that runs as long as the engine does; given \p Stop, one that
-  /// stops \p M after \p Budget instructions or at Stop's (PC, count)
-  /// condition.
-  explicit ModelFeed(TimingModel &Model, const RunControls *Stop = nullptr,
-                     vm::VM *M = nullptr, uint64_t Budget = UINT64_MAX)
-      : Model(Model), NumCores(Model.numCores()), Stop(Stop), M(M),
-        Budget(Budget), LastOp(NumCores, isa::Opcode::Jmp) {}
+  /// The warm feed.
+  explicit ModelFeed(TimingModel &Model)
+      : Model(Model), NumCores(Model.numCores()),
+        LastOp(NumCores, isa::Opcode::Jmp) {}
+
+  /// The detailed feed, which charges cycles. With \p Controls' StopPC set
+  /// it stops \p M at the (PC, count) condition.
+  ModelFeed(TimingModel &Model, const RunControls &Controls, vm::VM &M)
+      : ModelFeed(Model) {
+    Detailed = true;
+    StopPC = Controls.StopPC;
+    StopPCCount = Controls.StopPCCount;
+    Stop = &M;
+  }
 
   uint64_t Retired = 0;
   bool MarkerSeen = false;
 
+  /// Whether what this feed delivers charges cycles.
+  bool chargesCycles() const { return Detailed; }
+
   Granularity granularity() const override {
-    return Stop ? Granularity::Instruction : Granularity::BlockAccesses;
+    return StopPC ? Granularity::Instruction : Granularity::BlockAccesses;
   }
 
   void onInstruction(const vm::ThreadState &T, uint64_t PC,
@@ -72,10 +82,8 @@ public:
     LastOp[Core] = I.Op;
     ++Retired;
     Model.instruction(Core, PC);
-    if (Stop && ((Stop->StopPC && PC == Stop->StopPC &&
-                  ++StopPCHits >= Stop->StopPCCount) ||
-                 Retired >= Budget))
-      M->requestStop();
+    if (StopPC && PC == StopPC && ++StopPCHits >= StopPCCount)
+      Stop->requestStop();
   }
 
   void onMemoryAccess(uint32_t Tid, uint64_t Addr, uint32_t Size,
@@ -140,11 +148,10 @@ private:
 
   TimingModel &Model;
   unsigned NumCores;
-  const RunControls *Stop;
-  vm::VM *M;
-  uint64_t Budget;
-  uint64_t StopPCHits = 0;
   std::vector<isa::Opcode> LastOp;
+  bool Detailed = false;
+  uint64_t StopPC = 0, StopPCCount = 0, StopPCHits = 0;
+  vm::VM *Stop = nullptr;
 };
 
 /// The binary engine. On one core it is the VM's round-robin scheduler. On
@@ -161,12 +168,12 @@ struct BinaryEngine {
 
   vm::StopReason run(uint64_t N, vm::Observer *Obs) {
     M.setObserver(Obs);
-    // Only the detailed feed, an Instruction observer, charges cycles.
-    // Under the marker watch, the warm feed and a resume's skip no core's
-    // cycles change, so the thread picked stays picked until a clone or an
-    // exit changes the live-thread set, and it runs as one batch.
-    bool Batch =
-        !Obs || Obs->granularity() != vm::Observer::Granularity::Instruction;
+    // Only the detailed feed charges cycles. Under the marker watch, the
+    // warm feed and a resume's skip no core's cycles change, so the thread
+    // picked stays picked until a clone or an exit changes the live-thread
+    // set, and it runs as one batch.
+    const auto *Feed = dynamic_cast<const ModelFeed *>(Obs);
+    bool Batch = !Feed || !Feed->chargesCycles();
     vm::StopReason SR = Model.numCores() <= 1 ? M.run(N).Reason
                                               : stepByCycles(N, Batch);
     M.setObserver(nullptr);
@@ -232,8 +239,9 @@ Sha256Digest pinballInputDigest(const pinball::Pinball &PB) {
 ///      (compiled), since the model state comes from the sidecar.
 ///   3. The boundary, at the start of the first post-warm-up instruction:
 ///      record CheckpointRetired; -warmup-save serialises the model here.
-///   4. Run the ROI under a model feed that stops the engine, with the
-///      model measuring.
+///   4. Run the ROI, the engine's quota, under a model feed with the
+///      model measuring (compiled, unless a StopPC condition needs every
+///      instruction).
 ///
 /// With W == 0 and no sidecar, steps 2 and 3 are skipped. A save or load
 /// digests its input on a helper thread from prepare() on, and run()
@@ -299,8 +307,7 @@ public:
     return Error::success();
   }
 
-  /// Steps 1-4 on \p E. The detailed feed stops the engine after
-  /// \p RoiBudget instructions.
+  /// Steps 1-4 on \p E. The ROI ends after \p RoiBudget instructions.
   template <class Engine>
   Expected<SimResult> run(Engine &E, bool WaitForMarker, uint64_t RoiBudget) {
     vm::VM &M = E.vm();
@@ -328,9 +335,14 @@ public:
       if (Live)
         crossBoundary(M.globalRetired());
     }
-    ModelFeed Detailed(Model, &Controls, &M, RoiBudget);
-    if (Live)
-      SR = E.run(UINT64_MAX, &Detailed);
+    ModelFeed Detailed(Model, Controls, M);
+    if (Live) {
+      SR = E.run(RoiBudget, &Detailed);
+      // A ROI that used up its budget stopped where it was asked to. (A
+      // pinball's budget is the replay's, whose end is BudgetReached.)
+      if (SR == vm::StopReason::BudgetReached && Detailed.Retired == RoiBudget)
+        SR = vm::StopReason::Stopped;
+    }
     Out.Stats = Model.stats();
     Out.Reason = SR;
     Out.RoiRetired = Detailed.Retired;

@@ -85,9 +85,10 @@ struct SimResult {
   vm::MemStats MemStats;
   /// JIT counters from the functional VM. Non-zero only with
   /// VMConfig::EnableJit (the library default, which `esim` uses): the
-  /// pre-ROI fast-forward, warming and a -warmup-load resume's warm-up
-  /// skip run compiled; the detailed phase needs per-instruction
-  /// callbacks and runs interpreted.
+  /// pre-ROI fast-forward, warming, a -warmup-load resume's warm-up skip
+  /// and the detailed phase run compiled. The detailed phase interprets
+  /// under a StopPC condition, and on a multi-core binary, whose engine
+  /// picks a thread before every instruction.
   vm::JitStats JitStats;
   /// Instructions consumed by the warming phase (functionally skipped
   /// instructions when resuming from a checkpoint).

@@ -27,7 +27,7 @@ int main(int Argc, char **Argv) {
              "compile hot blocks to host code and dispatch them natively "
              "(x86-64 hosts; implies -vm:cache)");
   CL.addFlag("vm:stats", false,
-             "print decoded-block cache statistics after replay");
+             "print decode-cache, memory and JIT statistics after replay");
   CL.addFlag("watchdog", true,
              "arm a budget-scaled SIGALRM guard around the replay (fires "
              "as exit 125, like the native ELFie watchdog)");

@@ -26,7 +26,8 @@ int main(int Argc, char **Argv) {
   CL.addInt("maxinsns", -1, "ROI instruction budget");
   CL.addString("fsroot", ".", "guest filesystem root");
   CL.addFlag("vm:stats", false,
-             "print the functional VM's decoded-block cache statistics");
+             "print the functional VM's decode-cache, memory and JIT "
+             "statistics");
   CL.addInt("warmup", -1,
             "functional-warming length before detailed simulation "
             "(default: the ELFie's embedded elfie_warmup_length, else 0)");

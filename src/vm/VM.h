@@ -125,7 +125,10 @@ public:
   /// (those instructions bail to the interpreter).
   enum class Granularity {
     /// onInstruction before every instruction: compiled dispatch stands
-    /// down while the observer is attached.
+    /// down while the observer is attached. The default, so an observer
+    /// that needs less must say so (scripts/ci.sh checks every observer
+    /// under src/ does); an observer that stops the VM at an exact PC
+    /// needs it.
     Instruction,
     /// onBlock for every straight-line run of retired instructions instead
     /// of onInstruction; the JIT stays on and chains blocks, and each
@@ -136,7 +139,7 @@ public:
     /// block's instructions and its retired memory accesses, which the
     /// JIT's load/store helpers record while such an observer is attached.
     /// Enough to replay execution in retirement order at JIT speed (esim's
-    /// functional warming).
+    /// functional warming and detailed simulation).
     BlockAccesses,
     /// Only the events that bail to the interpreter are needed; the JIT
     /// stays on and the per-instruction hooks fire only for interpreted

@@ -26,6 +26,10 @@
 /// when that change made their cold and save runs split the engine where
 /// the resume does (see the comments at those entries).
 ///
+/// The same matrix runs two differentials that need no golden: a warm-up
+/// and a whole run with the JIT on give the record of the run with
+/// EnableJit = false.
+///
 //===----------------------------------------------------------------------===//
 
 #include "sim/Frontend.h"
@@ -493,6 +497,32 @@ std::vector<Input> allInputs() {
   return In;
 }
 
+/// Simulates \p S on \p Machine under \p C in \p Mode: "cold", "save"
+/// (to a fresh \p Sidecar) or "load" (from \p Sidecar).
+Expected<SimResult> simulate(const Subject &S, const MachineConfig &Machine,
+                             const Config &C, const char *Mode,
+                             const std::string &Sidecar,
+                             vm::VMConfig VC = {}) {
+  RunControls Controls;
+  Controls.WarmupInstructions = C.Warmup;
+  Controls.MaxInstructions = C.MaxInstructions;
+  if (Mode[0] == 's') {
+    Controls.SaveStatePath = Sidecar;
+    removeFile(Sidecar);
+  } else if (Mode[0] == 'l') {
+    Controls.LoadStatePath = Sidecar;
+  }
+  return S.PB ? simulatePinball(*S.PB, Machine, C.Constrained, Controls, VC)
+              : simulateBinaryImage(S.Image, Machine, Controls, VC);
+}
+
+vm::VMConfig jitConfig(bool Jit, uint32_t Threshold) {
+  vm::VMConfig VC;
+  VC.EnableJit = Jit;
+  VC.JitThreshold = Threshold;
+  return VC;
+}
+
 class SimGolden : public testing::TestWithParam<Input> {};
 
 TEST_P(SimGolden, ColdSaveLoadMatchGolden) {
@@ -507,16 +537,7 @@ TEST_P(SimGolden, ColdSaveLoadMatchGolden) {
     MachineConfig Machine;
     ASSERT_TRUE(configByName(C.Machine, Machine));
     for (const char *Mode : {"cold", "save", "load"}) {
-      RunControls Controls;
-      Controls.WarmupInstructions = C.Warmup;
-      Controls.MaxInstructions = C.MaxInstructions;
-      if (Mode[0] == 's')
-        Controls.SaveStatePath = Sidecar;
-      else if (Mode[0] == 'l')
-        Controls.LoadStatePath = Sidecar;
-      auto R = S->PB ? simulatePinball(*S->PB, Machine, C.Constrained,
-                                       Controls)
-                     : simulateBinaryImage(S->Image, Machine, Controls);
+      auto R = simulate(*S, Machine, C, Mode, Sidecar);
       std::string Key = configName(In, C) + "/" + Mode;
       ASSERT_TRUE(R.hasValue()) << Key << ": " << R.message();
       std::string Got = record(*R, Sidecar);
@@ -543,23 +564,45 @@ TEST_P(SimGolden, CompiledWarmupMatchesInterpretedWarmup) {
     MachineConfig Machine;
     ASSERT_TRUE(configByName(C.Machine, Machine));
     auto Save = [&](bool Jit, uint32_t Threshold) {
-      vm::VMConfig VC;
-      VC.EnableJit = Jit;
-      VC.JitThreshold = Threshold;
-      RunControls Controls;
-      Controls.WarmupInstructions = C.Warmup;
-      Controls.MaxInstructions = C.MaxInstructions;
-      Controls.SaveStatePath = Sidecar;
-      removeFile(Sidecar);
-      auto R = S->PB ? simulatePinball(*S->PB, Machine, C.Constrained,
-                                       Controls, VC)
-                     : simulateBinaryImage(S->Image, Machine, Controls, VC);
+      auto R = simulate(*S, Machine, C, "save", Sidecar,
+                        jitConfig(Jit, Threshold));
       EXPECT_TRUE(R.hasValue()) << configName(In, C) << ": " << R.message();
       return R ? record(*R, Sidecar) : std::string();
     };
     std::string Interpreted = Save(false, 32);
     EXPECT_EQ(Save(true, 32), Interpreted) << configName(In, C);
     EXPECT_EQ(Save(true, 1), Interpreted) << configName(In, C) << " (hot)";
+  }
+  removeTree(Dir);
+}
+
+// The whole-run differential: a cold, save or load run with the JIT on, at
+// the default promotion threshold and at 1, gives the record an
+// interpreted run gives: SimStats, reason, counts and sidecar bytes. Each
+// load reads the sidecar the save before it wrote.
+TEST_P(SimGolden, CompiledRunMatchesInterpretedRun) {
+  const Input &In = GetParam();
+  std::string Dir = testing::TempDir() + "/elfie_sim_rundiff_" + In.Name;
+  removeTree(Dir);
+  ASSERT_FALSE(createDirectories(Dir).isError());
+  auto S = buildSubject(In.Name, Dir);
+  ASSERT_TRUE(S.hasValue()) << S.message();
+  std::string Sidecar = Dir + "/state.esimstate";
+  for (const Config &C : In.Configs) {
+    MachineConfig Machine;
+    ASSERT_TRUE(configByName(C.Machine, Machine));
+    for (const char *Mode : {"cold", "save", "load"}) {
+      std::string Key = configName(In, C) + "/" + Mode;
+      auto Run = [&](bool Jit, uint32_t Threshold) {
+        auto R = simulate(*S, Machine, C, Mode, Sidecar,
+                          jitConfig(Jit, Threshold));
+        EXPECT_TRUE(R.hasValue()) << Key << ": " << R.message();
+        return R ? record(*R, Sidecar) : std::string();
+      };
+      std::string Interpreted = Run(false, 32);
+      EXPECT_EQ(Run(true, 32), Interpreted) << Key;
+      EXPECT_EQ(Run(true, 1), Interpreted) << Key << " (hot)";
+    }
   }
   removeTree(Dir);
 }
