@@ -93,8 +93,8 @@ int main() {
         "cross-region dedup: pool smaller than naive storage");
 
   // Verified-load cost: reassemble each artifact (a digest per distinct
-  // chunk + the whole-artifact hash) vs a plain read of the materialized
-  // file.
+  // chunk, then the root over the chunk list) vs a plain read of the
+  // materialized file.
   for (size_t I = 0; I < Images.size(); ++I)
     exitOnError(store::materializeArtifact(
         Pool, formatString("region%zu.elfie", I),

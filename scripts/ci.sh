@@ -100,6 +100,19 @@ if grep -rnE '"EFAULT\.SIMSTATE\.[A-Z]+"' "$REPO/src" |
   exit 1
 fi
 
+# An artifact has one identity, store::artifactRoot (the root over its
+# chunk list, DESIGN.md §15.2): a whole-image SHA-256 under src/, or any
+# hashing spelled out in everify's STORE or SIMSTATE pass, means a second
+# identity (and a second pass over every byte) has come back.
+echo "==== [artifact-identity] one identity per artifact: store::artifactRoot ===="
+if grep -rn 'Sha256::digest(Image' "$REPO/src" ||
+    grep -n 'Sha256' "$REPO/src/analyze/StorePass.cpp" \
+      "$REPO/src/analyze/SimStatePass.cpp"; then
+  echo "ci.sh: an artifact identity other than store::artifactRoot" \
+    "(use store::artifactRoot, or the manifest's root)"
+  exit 1
+fi
+
 # A Block observer's onBlock calls arrive from the block log after a whole
 # compiled chain ran (DESIGN.md §12), so a stop it requested could not
 # land where it asked: a file under src/ outside the VM that declares

@@ -49,9 +49,9 @@ std::unique_ptr<Pass> makeSysstatePass();
 std::unique_ptr<Pass> makeCodePass();
 
 /// STORE.*: artifact-pool integrity — manifests parse and their seals
-/// hold, every referenced chunk re-hashes to its digest, artifacts
-/// reassemble to the recorded whole-artifact digest, and the verified
-/// file is byte-identical with its pool artifact (DESIGN.md §15).
+/// hold, every referenced chunk re-hashes to its digest, each verified
+/// chunk list roots to the recorded root, and the verified file has its
+/// pool artifact's root (DESIGN.md §15).
 std::unique_ptr<Pass> makeStorePass();
 
 /// SIMSTATE.*: warmup-checkpoint sidecar verification through the

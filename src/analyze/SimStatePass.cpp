@@ -21,6 +21,7 @@
 #include "analyze/Passes.h"
 
 #include "sim/SimState.h"
+#include "store/Artifact.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
 
@@ -108,8 +109,9 @@ public:
                            static_cast<unsigned long long>(
                                Region->Value - Meta.WarmupInstructions)));
 
-    // Input binding: the digest must cover the ELFie bytes being
-    // verified, or the simulator will reject the resume outright.
+    // Input binding: the digest must be the identity (the artifact root)
+    // of the ELFie bytes being verified, or the simulator will reject the
+    // resume outright.
     if (!In.ArtifactPath.empty()) {
       auto Bytes = readFileBytes(In.ArtifactPath);
       if (!Bytes)
@@ -118,7 +120,7 @@ public:
                              "digest: %s",
                              In.ArtifactPath.c_str(),
                              Bytes.message().c_str()));
-      else if (Error E = File->checkInput(Sha256::digest(*Bytes)))
+      else if (Error E = File->checkInput(store::artifactRoot(*Bytes)))
         report(Out, E);
     }
 

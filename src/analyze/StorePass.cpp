@@ -8,9 +8,9 @@
 /// STORE.*: integrity of the content-addressed artifact pool backing an
 /// ELFie (DESIGN.md §15). Checks, per artifact: the manifest parses with a
 /// valid seal, every referenced chunk is present and re-hashes to its
-/// digest, the chunks reassemble to the manifest's whole-artifact digest,
-/// and — when everify was pointed at a concrete file — that file is
-/// byte-identical with the pool's view of it. Corruption shows up as
+/// digest, the verified chunk list roots to the manifest's root, and —
+/// when everify was pointed at a concrete file — that file has the pool
+/// artifact's identity (store::artifactRoot). Corruption shows up as
 /// error findings carrying the same EFAULT.STORE.* taxonomy the runtime
 /// tools reject with, so a pool that everify passes is a pool every
 /// consumer will accept.
@@ -43,7 +43,7 @@ public:
   const char *name() const override { return "store"; }
   const char *description() const override {
     return "artifact pool manifests parse, chunks verify, artifacts "
-           "reassemble to their recorded digests";
+           "reassemble to their recorded roots";
   }
 
   bool applicable(const AnalysisInput &In, std::string &WhyNot) const override {
@@ -90,8 +90,8 @@ public:
         continue;
       }
       ++Checked;
-      // Per-chunk presence and digest, then the end-to-end reassembly
-      // digest; loadArtifact performs all of it with the runtime's own
+      // Per-chunk presence and digest, then the root over the verified
+      // chunk list; loadArtifact performs all of it with the runtime's own
       // verification path, so the pass cannot be more lenient than the
       // consumers it vouches for.
       auto Bytes = store::loadArtifact(*Pool, *M);
@@ -110,14 +110,13 @@ public:
                   formatString("cannot read '%s' to cross-check: %s",
                                In.ArtifactPath.c_str(),
                                OnDisk.message().c_str()));
-        } else if (Sha256::digest(*OnDisk) != M->Total) {
+        } else if (auto Root = store::artifactRoot(*OnDisk);
+                   Root != M->Root) {
           Out.add(Severity::Error, "STORE.MISMATCH", 0,
                   formatString("'%s' is not byte-identical with pool "
-                               "artifact '%s' (file %s, pool %s)",
+                               "artifact '%s' (file root %s, pool root %s)",
                                In.ArtifactPath.c_str(), Name.c_str(),
-                               sha256Hex(OnDisk->data(), OnDisk->size())
-                                   .c_str(),
-                               M->Total.hex().c_str()));
+                               Root.hex().c_str(), M->Root.hex().c_str()));
           ++Bad;
         }
       }

@@ -15,10 +15,12 @@
 /// Layout (little-endian):
 ///
 ///   magic "ESIMST01" (8)        format marker
-///   u32   format version        container layout version (currently 1)
+///   u32   format version        container layout version (currently 2)
 ///   str   config name           sim::MachineConfig::Name
 ///   32B   config fingerprint    sim::configFingerprint of that config
-///   32B   input digest          SHA-256 binding the sidecar to its input
+///   32B   input digest          the input's identity: store::artifactRoot
+///                               of a binary image, pinballInputDigest of a
+///                               pinball
 ///   u64   warmup instructions   warming length the boundary sits after
 ///   u64   checkpoint retired    global retired count at the boundary
 ///   u64   detailed budget       ROI budget recorded at save (0 = none)
@@ -54,8 +56,10 @@
 namespace elfie {
 namespace sim {
 
-/// Current container layout version.
-constexpr uint32_t SimStateFormatVersion = 1;
+/// Current container layout version. Version 2 made a binary input's
+/// digest its artifact root; version-1 sidecars (a whole-image SHA-256)
+/// are EFAULT.SIMSTATE.VERSION.
+constexpr uint32_t SimStateFormatVersion = 2;
 
 /// Header metadata binding a sidecar to its input, config, and boundary.
 struct SimStateMeta {

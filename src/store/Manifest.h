@@ -12,20 +12,22 @@
 /// the campaign journal, and sealed by a SHA-256 of its own body so a
 /// flipped manifest byte is as detectable as a flipped chunk byte:
 ///
-///   estore-manifest 1
+///   estore-manifest 2
 ///   name <artifact name>
 ///   kind <elf|raw>
 ///   source <path the artifact was ingested from>      (optional)
 ///   size <total bytes>
-///   sha256 <digest of the whole reassembled artifact>
+///   root <the artifact's identity: chunkListRoot of the chunk lines>
 ///   chunk <offset> <size> <digest>                     (one per chunk)
 ///   ...
 ///   seal <sha256 of every preceding byte of this file>
 ///
 /// Chunks tile [0, size) exactly, in offset order. Reassembly concatenates
 /// the chunk bytes; byte-identity with the original artifact is guaranteed
-/// by construction and *checked* end to end (per-chunk digests plus the
-/// whole-artifact sha256).
+/// by construction and *checked* end to end (per-chunk digests, and the
+/// root over the verified chunk list). A version-1 manifest (a whole-image
+/// `sha256` line instead of `root`) is EFAULT.STORE.MANIFEST: re-put the
+/// artifact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +38,7 @@
 #include "support/Sha256.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,7 +58,7 @@ struct Manifest {
   std::string Kind;   ///< "elf" (section-aware chunking) or "raw"
   std::string Source; ///< ingestion path, for repair provenance (may be "")
   uint64_t Size = 0;  ///< total artifact bytes
-  Sha256Digest Total; ///< digest of the reassembled artifact
+  Sha256Digest Root;  ///< chunkListRoot(Chunks) when ingested
   std::vector<ChunkRef> Chunks; ///< offset-ordered, tiling [0, Size)
 
   /// Serializes to the sealed text form above.
@@ -75,6 +78,15 @@ struct Manifest {
   /// leading dot).
   static bool validName(const std::string &Name);
 };
+
+/// The root of a chunk list: SHA-256 over one fixed-width record per
+/// chunk, in list order -- the offset and the size as little-endian u64,
+/// then the 32-byte digest. store::artifactRoot gives the root of a byte
+/// string's own chunking, which is the artifact's identity.
+Sha256Digest chunkListRoot(std::span<const ChunkRef> Chunks);
+
+/// Feeds \p C's record to \p Root, for a root computed chunk by chunk.
+void addRootRecord(Sha256 &Root, const ChunkRef &C);
 
 } // namespace store
 } // namespace elfie

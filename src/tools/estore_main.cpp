@@ -52,17 +52,17 @@ static int cmdPut(ChunkStore &Pool, const CommandLine &CL) {
     W.key("artifact").value(Name);
     W.key("kind").value(M.Kind);
     W.key("size").value(M.Size);
-    W.key("sha256").value(M.Total.hex());
+    W.key("root").value(M.Root.hex());
     W.key("chunks").value(M.Chunks.size());
     W.key("new_bytes").value(NewBytes);
     std::puts(W.endObject().str().c_str());
   } else {
     std::printf("estore: put '%s' (%s, %llu bytes, %zu chunks, %llu new "
-                "pool bytes, sha256 %s)\n",
+                "pool bytes, root %s)\n",
                 Name.c_str(), M.Kind.c_str(),
                 static_cast<unsigned long long>(M.Size), M.Chunks.size(),
                 static_cast<unsigned long long>(NewBytes),
-                M.Total.hex().c_str());
+                M.Root.hex().c_str());
   }
   return ExitSuccess;
 }
@@ -74,10 +74,11 @@ static int cmdGet(ChunkStore &Pool, const CommandLine &CL) {
     Out = Name;
   exitOnError(materializeArtifact(Pool, Name, Out));
   Manifest M = exitOnError(Pool.getManifest(Name));
-  std::fprintf(stderr, "estore: get '%s' -> %s (%llu bytes, verified %s)\n",
+  std::fprintf(stderr,
+               "estore: get '%s' -> %s (%llu bytes, verified root %s)\n",
                Name.c_str(), Out.c_str(),
                static_cast<unsigned long long>(M.Size),
-               M.Total.hex().c_str());
+               M.Root.hex().c_str());
   return ExitSuccess;
 }
 
@@ -95,7 +96,7 @@ static int cmdLs(ChunkStore &Pool, const CommandLine &CL) {
         W.key("kind").value(M->Kind);
         W.key("size").value(M->Size);
         W.key("chunks").value(M->Chunks.size());
-        W.key("sha256").value(M->Total.hex());
+        W.key("root").value(M->Root.hex());
       }
       W.endObject();
       continue;
@@ -107,7 +108,7 @@ static int cmdLs(ChunkStore &Pool, const CommandLine &CL) {
       std::printf("%-32s  %-4s %10llu bytes  %4zu chunks  %s\n",
                   Name.c_str(), M->Kind.c_str(),
                   static_cast<unsigned long long>(M->Size),
-                  M->Chunks.size(), M->Total.hex().c_str());
+                  M->Chunks.size(), M->Root.hex().c_str());
   }
   if (CL.getFlag("json"))
     std::puts(W.endArray().str().c_str());

@@ -129,10 +129,10 @@ int main(int Argc, char **Argv) {
     std::fprintf(
         stderr,
         "pinball2elf: %s -> %s via estore %s (artifact '%s', %zu chunks, "
-        "sha256 %s)\n",
+        "root %s)\n",
         CL.positional()[0].c_str(), CL.getString("o").c_str(),
         CL.getString("store").c_str(), Name.c_str(), M.Chunks.size(),
-        M.Total.hex().c_str());
+        M.Root.hex().c_str());
   } else {
     exitOnError(core::pinballToElfFile(PB, Opts, CL.getString("o")));
   }

@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -358,6 +359,38 @@ inline size_t sidecarStringEnd(const std::vector<uint8_t> &Bytes,
 inline void resealSidecar(std::vector<uint8_t> &Bytes) {
   Sha256Digest Seal = Sha256::digest(Bytes.data(), Bytes.size() - 32);
   std::copy(Seal.Bytes.begin(), Seal.Bytes.end(), Bytes.end() - 32);
+}
+
+/// The version-1 rendering of a version-2 sidecar: the format word set
+/// to 1 and, given \p Root and \p Whole, the input digest \p Root (a
+/// binary input's artifact root) replaced by \p Whole (the SHA-256 of
+/// the whole image, version 1's input digest), then resealed. Empty when
+/// \p Bytes is not a version-2 sidecar or does not record \p Root.
+inline std::vector<uint8_t>
+versionOneSidecar(std::vector<uint8_t> Bytes,
+                  const Sha256Digest *Root = nullptr,
+                  const Sha256Digest *Whole = nullptr) {
+  // Magic (8), format word (4), config name (u32 length + bytes), config
+  // fingerprint (32), input digest (32).
+  uint32_t Version = 0, NameLen = 0;
+  if (Bytes.size() < 16)
+    return {};
+  std::memcpy(&Version, &Bytes[8], 4);
+  std::memcpy(&NameLen, &Bytes[12], 4);
+  size_t InputAt = 16 + size_t(NameLen) + 32;
+  if (Version != 2 || Bytes.size() < InputAt + 32 + 32)
+    return {};
+  Version = 1;
+  std::memcpy(&Bytes[8], &Version, 4);
+  if (Root) {
+    if (!std::equal(Root->Bytes.begin(), Root->Bytes.end(),
+                    Bytes.begin() + InputAt))
+      return {};
+    std::copy(Whole->Bytes.begin(), Whole->Bytes.end(),
+              Bytes.begin() + InputAt);
+  }
+  resealSidecar(Bytes);
+  return Bytes;
 }
 
 /// Replaces the first length-prefixed occurrence of \p From in a sidecar

@@ -17,7 +17,11 @@
 /// where <stats> and <sidecar> are the first 16 hex digits of the SHA-256
 /// of the SimStats bytes and of the saved .esimstate file, and <flags>
 /// spells MarkerSeen, WasElfie, StateSaved and StateLoaded as M, E, S, L
-/// (or '-').
+/// (or '-'). The sidecar is hashed in its version-1 rendering: sidecar
+/// format 2 changed only the version word and, for a binary input, the
+/// input digest (the artifact root, where version 1 recorded the SHA-256
+/// of the whole image), so the record checks both against the input and
+/// hashes the file with version 1's values in their place, resealed.
 ///
 /// The goldens were recorded before the simulator's phases became
 /// successive engine runs, and must not be re-recorded to make a change
@@ -37,6 +41,7 @@
 #include "../common/TestHelpers.h"
 #include "WorkloadRegion.h"
 #include "sim/SimState.h"
+#include "store/Artifact.h"
 #include "support/Sha256.h"
 
 #include <gtest/gtest.h>
@@ -392,7 +397,14 @@ std::string digest16(const uint8_t *Data, size_t Size) {
   return Sha256::digest(Data, Size).hex().substr(0, 16);
 }
 
-std::string record(const SimResult &R, const std::string &SidecarPath) {
+/// The simulator input: a binary image or a pinball.
+struct Subject {
+  std::vector<uint8_t> Image;
+  std::optional<pinball::Pinball> PB;
+};
+
+std::string record(const SimResult &R, const std::string &SidecarPath,
+                   const Subject &S) {
   BinaryWriter W;
   StateWriter SW(W);
   R.Stats.save(SW);
@@ -404,8 +416,18 @@ std::string record(const SimResult &R, const std::string &SidecarPath) {
   if (R.StateSaved) {
     auto Bytes = readFileBytes(SidecarPath);
     EXPECT_TRUE(Bytes.hasValue()) << Bytes.message();
-    if (Bytes)
-      Sidecar = digest16(Bytes->data(), Bytes->size());
+    if (Bytes) {
+      std::vector<uint8_t> V1;
+      if (S.PB) {
+        V1 = test::versionOneSidecar(std::move(*Bytes));
+      } else {
+        Sha256Digest Root = store::artifactRoot(S.Image);
+        Sha256Digest Whole = Sha256::digest(S.Image);
+        V1 = test::versionOneSidecar(std::move(*Bytes), &Root, &Whole);
+      }
+      Sidecar = V1.empty() ? "not-a-v2-sidecar-of-this-input"
+                           : digest16(V1.data(), V1.size());
+    }
   }
   return digest16(W.bytes().data(), W.size()) + " " +
          Reasons[static_cast<int>(R.Reason)] +
@@ -414,12 +436,6 @@ std::string record(const SimResult &R, const std::string &SidecarPath) {
          " ckpt=" + std::to_string(R.CheckpointRetired) + " " + Flags + " " +
          Sidecar;
 }
-
-/// The simulator input: a binary image or a pinball.
-struct Subject {
-  std::vector<uint8_t> Image;
-  std::optional<pinball::Pinball> PB;
-};
 
 Expected<Subject> buildSubject(const std::string &Name,
                                const std::string &Dir) {
@@ -540,7 +556,7 @@ TEST_P(SimGolden, ColdSaveLoadMatchGolden) {
       auto R = simulate(*S, Machine, C, Mode, Sidecar);
       std::string Key = configName(In, C) + "/" + Mode;
       ASSERT_TRUE(R.hasValue()) << Key << ": " << R.message();
-      std::string Got = record(*R, Sidecar);
+      std::string Got = record(*R, Sidecar, *S);
       auto It = goldens().find(Key);
       EXPECT_EQ(Got, It == goldens().end() ? "" : It->second)
           << "      {\"" << Key << "\",\n       \"" << Got << "\"},";
@@ -567,7 +583,7 @@ TEST_P(SimGolden, CompiledWarmupMatchesInterpretedWarmup) {
       auto R = simulate(*S, Machine, C, "save", Sidecar,
                         jitConfig(Jit, Threshold));
       EXPECT_TRUE(R.hasValue()) << configName(In, C) << ": " << R.message();
-      return R ? record(*R, Sidecar) : std::string();
+      return R ? record(*R, Sidecar, *S) : std::string();
     };
     std::string Interpreted = Save(false, 32);
     EXPECT_EQ(Save(true, 32), Interpreted) << configName(In, C);
@@ -597,7 +613,7 @@ TEST_P(SimGolden, CompiledRunMatchesInterpretedRun) {
         auto R = simulate(*S, Machine, C, Mode, Sidecar,
                           jitConfig(Jit, Threshold));
         EXPECT_TRUE(R.hasValue()) << Key << ": " << R.message();
-        return R ? record(*R, Sidecar) : std::string();
+        return R ? record(*R, Sidecar, *S) : std::string();
       };
       std::string Interpreted = Run(false, 32);
       EXPECT_EQ(Run(true, 32), Interpreted) << Key;

@@ -34,6 +34,7 @@
 #include "sim/BranchPredictor.h"
 #include "sim/Cache.h"
 #include "sim/Frontend.h"
+#include "store/Artifact.h"
 #include "support/RNG.h"
 #include "support/Sha256.h"
 
@@ -810,6 +811,17 @@ TEST(CheckpointIndex, SameBoundaryAcrossAllPaths) {
 // that must not change: the bytes a save writes, a run that ends before
 // the boundary (or before any run), and the resume-side input check.
 
+/// The SHA-256 of the version-1 rendering of a sidecar saved on
+/// \p Image, which must record the image's artifact root.
+std::string versionOneHex(const std::vector<uint8_t> &Bytes,
+                          const std::vector<uint8_t> &Image) {
+  Sha256Digest Root = store::artifactRoot(Image);
+  Sha256Digest Whole = Sha256::digest(Image);
+  std::vector<uint8_t> V1 = test::versionOneSidecar(Bytes, &Root, &Whole);
+  return V1.empty() ? "not a version-2 sidecar recording the image's root"
+                    : sha256Hex(V1.data(), V1.size());
+}
+
 TEST(SidecarDigest, ColdSaveWritesTheRecordedBytes) {
   ElfiePipeline P = makeElfie("digestsave", test::computeProgram(), 5000,
                               8000, /*WarmupSym=*/1000);
@@ -824,8 +836,13 @@ TEST(SidecarDigest, ColdSaveWritesTheRecordedBytes) {
     EXPECT_TRUE(Save->StateSaved);
     auto Bytes = readFileBytes(StatePath);
     ASSERT_TRUE(Bytes.hasValue()) << Bytes.message();
-    // Recorded before the digest moved off the critical path.
+    // Recorded at format version 2, whose input digest is the root.
     EXPECT_EQ(sha256Hex(Bytes->data(), Bytes->size()),
+              "3fcd868e86dc49422d17f97988d5bb3e9d7ce343401bcd939de471c48b57ebe2")
+        << "run " << Run;
+    // Recorded before the digest moved off the critical path, at format
+    // version 1 with the whole-image input digest.
+    EXPECT_EQ(versionOneHex(*Bytes, P.Image),
               "69a0a1e342ed3946228520152913bd1345ae2119abdf312afcc81886f08e46dd")
         << "run " << Run;
   }
@@ -996,8 +1013,13 @@ TEST(SidecarDigest, ZeroWarmupSaveWritesTheRecordedBytes) {
     EXPECT_EQ(Save->WarmupRetired, 0u);
     auto Bytes = readFileBytes(StatePath);
     ASSERT_TRUE(Bytes.hasValue()) << Bytes.message();
-    // Recorded while the digest was still joined at the boundary.
+    // Recorded at format version 2, whose input digest is the root.
     EXPECT_EQ(sha256Hex(Bytes->data(), Bytes->size()),
+              "efe6d3a2d79f4ac165d08a4dba56c38999836cb58868b6b64933b2f83c5fe9a2")
+        << "run " << Run;
+    // Recorded while the digest was still joined at the boundary, at
+    // format version 1 with the whole-image input digest.
+    EXPECT_EQ(versionOneHex(*Bytes, P.Image),
               "f664fe70dbb2ac6a247480c2b26118384f8859556274380095fa2027a7892cca")
         << "run " << Run;
   }
@@ -1037,6 +1059,92 @@ TEST(SidecarDigest, SaveWhoseDetailedPhaseFaultsWritesItsSidecar) {
   EXPECT_TRUE(Load->StateLoaded);
   EXPECT_EQ(statsBytes(Load->Stats), statsBytes(Cold->Stats));
   removeTree(Dir);
+}
+
+
+// ---- One identity for an ELFie ----
+//
+// The store's root, the sidecar's input digest and store::artifactRoot are
+// one function of the image bytes, so a pool read and a resume check the
+// same identity.
+
+TEST(ArtifactIdentity, StoreRootAndSidecarInputDigestAreTheArtifactRoot) {
+  std::string Dir = tempDir("identity");
+  auto Pool = store::ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(Pool.hasValue()) << Pool.message();
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> Elfies;
+  ElfiePipeline P = makeElfie("identity_compute", test::computeProgram(),
+                              5000, 8000, /*WarmupSym=*/1000);
+  Elfies.emplace_back("compute.elfie", P.Image);
+  auto MT = test::capture(Dir + "/mt", test::multiThreadProgram(8, 4, 2000),
+                          40000, 24000, pinball::LoggerOptions::fat());
+  ASSERT_TRUE(MT.hasValue()) << MT.message();
+  auto MTImage = test::guestElfie(*MT);
+  ASSERT_TRUE(MTImage.hasValue()) << MTImage.message();
+  Elfies.emplace_back("mt.elfie", std::move(*MTImage));
+  auto W = test::captureWorkloadRegion(Dir + "/w", "imagick_s_like");
+  ASSERT_TRUE(W.hasValue()) << W.message();
+  auto WImage = test::guestElfie(*W);
+  ASSERT_TRUE(WImage.hasValue()) << WImage.message();
+  Elfies.emplace_back("imagick.elfie", std::move(*WImage));
+
+  for (const auto &[Name, Image] : Elfies) {
+    SCOPED_TRACE(Name);
+    ASSERT_FALSE(Image.empty());
+    Sha256Digest Root = store::artifactRoot(Image);
+    auto M = store::putArtifact(*Pool, Name, Image);
+    ASSERT_TRUE(M.hasValue()) << M.message();
+    EXPECT_EQ(M->Root, Root);
+    auto Back = store::loadArtifact(*Pool, Name);
+    ASSERT_TRUE(Back.hasValue()) << Back.message();
+    EXPECT_EQ(*Back, Image);
+
+    std::string StatePath = Dir + "/" + Name + ".esimstate";
+    RunControls SaveCtl;
+    SaveCtl.SaveStatePath = StatePath;
+    SaveCtl.MaxInstructions = 1000;
+    auto Save = simulateBinaryImage(*Back, makeNehalemLike(), SaveCtl);
+    ASSERT_TRUE(Save.hasValue()) << Save.message();
+    ASSERT_TRUE(Save->StateSaved);
+    auto File = SimStateFile::open(StatePath);
+    ASSERT_TRUE(File.hasValue()) << File.message();
+    EXPECT_EQ(File->meta().InputDigest, Root);
+  }
+  removeTree(Dir);
+  removeTree(P.Dir);
+}
+
+// A sidecar of format version 1 (whose input digest was the SHA-256 of the
+// whole image) is refused with its typed code, not read another way.
+TEST(SidecarDigest, VersionOneSidecarIsVersionError) {
+  ElfiePipeline P = makeElfie("digestv1", test::computeProgram(), 5000, 8000,
+                              /*WarmupSym=*/1000);
+  ASSERT_FALSE(P.Image.empty());
+  std::string StatePath = P.Dir + "/region.esimstate";
+  RunControls SaveCtl;
+  SaveCtl.SaveStatePath = StatePath;
+  auto Save = simulateBinaryImage(P.Image, makeNehalemLike(), SaveCtl);
+  ASSERT_TRUE(Save.hasValue()) << Save.message();
+  auto Bytes = readFileBytes(StatePath);
+  ASSERT_TRUE(Bytes.hasValue()) << Bytes.message();
+  Sha256Digest Root = store::artifactRoot(P.Image);
+  Sha256Digest Whole = Sha256::digest(P.Image);
+  std::vector<uint8_t> V1 = test::versionOneSidecar(*Bytes, &Root, &Whole);
+  ASSERT_FALSE(V1.empty());
+  std::string V1Path = P.Dir + "/v1.esimstate";
+  ASSERT_FALSE(writeFileAtomic(V1Path, V1.data(), V1.size()).isError());
+
+  auto File = SimStateFile::open(V1Path);
+  ASSERT_FALSE(File.hasValue());
+  Error E = File.takeError();
+  EXPECT_EQ(E.code(), "EFAULT.SIMSTATE.VERSION");
+  EXPECT_NE(E.message().find("version 1"), std::string::npos) << E.message();
+  RunControls LoadCtl;
+  LoadCtl.LoadStatePath = V1Path;
+  auto Load = simulateBinaryImage(P.Image, makeNehalemLike(), LoadCtl);
+  ASSERT_FALSE(Load.hasValue());
+  EXPECT_EQ(Load.takeError().code(), "EFAULT.SIMSTATE.VERSION");
+  removeTree(P.Dir);
 }
 
 } // namespace

@@ -14,6 +14,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "../common/TestHelpers.h"
+#include "sim/SimState.h"
+#include "store/Artifact.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
 
@@ -555,6 +557,64 @@ TEST_F(ToolPipeline, SimStateComponentTableCheckedByBothConsumers) {
           << Finding << "\n" << Rejection;
     }
   }
+}
+
+/// The string value of "\"Key\":" in a one-line JSON object.
+static std::string jsonString(const std::string &JSON, const std::string &Key) {
+  std::string Want = "\"" + Key + "\":\"";
+  size_t At = JSON.find(Want);
+  if (At == std::string::npos)
+    return "";
+  At += Want.size();
+  return JSON.substr(At, JSON.find('"', At) - At);
+}
+
+TEST_F(ToolPipeline, ArtifactRootIsOneIdentityAcrossTools) {
+  // estore, pinball2elf -store, esim's sidecar and everify's SIMSTATE and
+  // STORE passes all name an ELFie by store::artifactRoot of its bytes.
+  ASSERT_NO_FATAL_FAILURE(stageSidecar());
+  std::string Pool = Dir + "/pool";
+  auto Bytes = readFileBytes(Dir + "/g.elfie");
+  ASSERT_TRUE(Bytes.hasValue()) << Bytes.message();
+  std::string Root = store::artifactRoot(*Bytes).hex();
+
+  auto R = runTool(formatString("estore put -json %s %s/g.elfie", Pool.c_str(),
+                                Dir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(jsonString(lineWith(R.Output, "\"root\""), "root"), Root)
+      << R.Output;
+  R = runTool(formatString("pinball2elf -target guest -store %s "
+                           "-store-name p.elfie -o %s/p.elfie %s/r.pb",
+                           Pool.c_str(), Dir.c_str(), Dir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("root " + Root + ")"), std::string::npos)
+      << R.Output;
+  auto Sidecar = sim::SimStateFile::open(Dir + "/g.elfie.esimstate");
+  ASSERT_TRUE(Sidecar.hasValue()) << Sidecar.message();
+  EXPECT_EQ(Sidecar->meta().InputDigest.hex(), Root);
+
+  std::string Everify = formatString(
+      "everify -simstate %s/g.elfie.esimstate -store %s -store-name g.elfie",
+      Dir.c_str(), Pool.c_str());
+  R = runTool(Everify + " " + Dir + "/g.elfie");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+
+  // One byte more: another artifact to both passes.
+  Bytes->push_back(0);
+  ASSERT_FALSE(writeFileAtomic(Dir + "/longer.elfie", Bytes->data(),
+                               Bytes->size())
+                   .isError());
+  std::string Longer = store::artifactRoot(*Bytes).hex();
+  R = runTool(Everify + " " + Dir + "/longer.elfie");
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(lineWith(R.Output, "error SIMSTATE.INPUT")
+                .find("input digest " + Longer.substr(0, 16)),
+            std::string::npos)
+      << R.Output;
+  EXPECT_NE(lineWith(R.Output, "error STORE.MISMATCH")
+                .find("(file root " + Longer + ", pool root " + Root + ")"),
+            std::string::npos)
+      << R.Output;
 }
 
 TEST_F(ToolPipeline, PinballToElfRefusesWarmupCoveringTheRegion) {
