@@ -134,6 +134,15 @@ const std::map<std::string, std::string> &goldens() {
        "2d25ceb03c65bbc8 AllExited roi=177803 warm=0 ckpt=0 --S- 7206fca8be6aa6c8"},
       {"compute_plain/gainestown8-w0/load",
        "2d25ceb03c65bbc8 AllExited roi=177803 warm=0 ckpt=0 ---L -"},
+      // Recorded before the per-instruction observer hooks were removed:
+      // the kernel-enabled machine charges the write and exit_group
+      // syscalls of the measured run.
+      {"compute_plain/skylake-fs-w0/cold",
+       "60f2dd3806601b67 AllExited roi=177803 warm=0 ckpt=0 ---- -"},
+      {"compute_plain/skylake-fs-w0/save",
+       "60f2dd3806601b67 AllExited roi=177803 warm=0 ckpt=0 --S- d8c215b8a9f5d829"},
+      {"compute_plain/skylake-fs-w0/load",
+       "60f2dd3806601b67 AllExited roi=177803 warm=0 ckpt=0 ---L -"},
       {"mt_plain/nehalem-w0/cold",
        "97712c33cff62bc4 AllExited roi=448786 warm=0 ckpt=0 ---- -"},
       {"mt_plain/nehalem-w0/save",
@@ -488,7 +497,8 @@ std::vector<Input> allInputs() {
        {{"nehalem", 0}, {"nehalem", 1000}, {"nehalem", 3001},
         {"nehalem"}, {"skylake-fs"}}},
       {"compute_plain",
-       {{"nehalem", 500, 5000}, {"nehalem", 0}, {"gainestown8", 0}}},
+       {{"nehalem", 500, 5000}, {"nehalem", 0}, {"gainestown8", 0},
+        {"skylake-fs", 0}}},
       {"mt_plain", {{"nehalem", 0}, {"nehalem", 2000}, {"gainestown8", 2000}}},
       {"mt_elfie",
        {{"nehalem", 0}, {"nehalem", 2000}, {"gainestown8", 0},

@@ -11,6 +11,7 @@
 #include "core/Pinball2Elf.h"
 #include "sim/BranchPredictor.h"
 #include "sim/Cache.h"
+#include "support/Sha256.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -123,6 +124,15 @@ Expected<SimResult> simulateSource(const std::string &Src,
   if (!Image)
     return Image.takeError();
   return simulateBinaryImage(*Image, M, Controls);
+}
+
+/// The first 16 hex digits of the SHA-256 of \p R's SimStats bytes, as
+/// SimGoldenTest records them.
+std::string statsDigest(const SimResult &R) {
+  BinaryWriter W;
+  StateWriter SW(W);
+  R.Stats.save(SW);
+  return Sha256::digest(W.bytes().data(), W.size()).hex().substr(0, 16);
 }
 
 TEST(TimingModel, CacheFriendlyBeatsPointerChasing) {
@@ -515,6 +525,29 @@ TEST(Frontend, StopPCCondition) {
   EXPECT_EQ(R->Reason, vm::StopReason::Stopped);
   // The ldi, nine addi-bnez pairs, and the tenth addi.
   EXPECT_EQ(R->RoiRetired, 20u);
+  EXPECT_EQ(statsDigest(*R), "8a0c951c2b2e44b4");
+}
+
+TEST(Frontend, StopPCConditionOnEightCores) {
+  // Eight threads on eight cores: the detailed phase picks a thread
+  // before every instruction, and the count is global. Stop at the
+  // 20,000th entry into the shared work loop.
+  std::string Src = test::multiThreadProgram(8, 4, 2000);
+  auto Image = easm::assembleToELF(Src, "sim.s");
+  ASSERT_TRUE(Image.hasValue()) << Image.message();
+  auto Reader = elf::ELFReader::parseView(*Image);
+  ASSERT_TRUE(Reader.hasValue()) << Reader.message();
+  const auto *Work = Reader->findSymbol("work");
+  ASSERT_NE(Work, nullptr);
+  RunControls Controls;
+  Controls.StopPC = Work->Value;
+  Controls.StopPCCount = 20000;
+  auto R = simulateBinaryImage(*Image, makeGainestown8(), Controls);
+  ASSERT_TRUE(R.hasValue()) << R.message();
+  EXPECT_EQ(R->Reason, vm::StopReason::Stopped);
+  EXPECT_EQ(R->RoiRetired, 556625u);
+  EXPECT_EQ(statsDigest(*R), "2cf15ebeb19a892d");
+  EXPECT_EQ(R->JitStats.Hits, 0u);
 }
 
 TEST(Frontend, StopPCConditionOnPinballs) {
@@ -531,6 +564,7 @@ TEST(Frontend, StopPCConditionOnPinballs) {
     // The region starts after the ldi: nine addi-bnez pairs and the tenth
     // addi.
     EXPECT_EQ(R->RoiRetired, 19u);
+    EXPECT_EQ(statsDigest(*R), "93d075e648d8943f");
   }
   removeTree(Dir);
 }
