@@ -45,13 +45,19 @@ bool findStopPair(const pinball::Pinball &PB, uint64_t &PC,
     };
     std::map<uint64_t, Info> Counts;
     uint64_t Index = 0;
-    void onInstruction(const vm::ThreadState &, uint64_t PC,
-                       const isa::Inst &I) override {
-      ++Index;
-      if (I.Op == isa::Opcode::Addi) {
-        Info &E = Counts[PC];
-        ++E.Count;
-        E.LastIndex = Index;
+    Granularity granularity() const override {
+      return Granularity::BlockAccesses;
+    }
+    void onRetiredBlock(const vm::ThreadState &, uint64_t EntryPC,
+                        std::span<const isa::Inst> Insts,
+                        std::span<const vm::MemoryAccess>) override {
+      for (size_t K = 0; K < Insts.size(); ++K) {
+        ++Index;
+        if (Insts[K].Op == isa::Opcode::Addi) {
+          Info &E = Counts[EntryPC + K * isa::InstSize];
+          ++E.Count;
+          E.LastIndex = Index;
+        }
       }
     }
   } Obs;
@@ -84,12 +90,18 @@ uint64_t firstSpinIndex(const std::string &ProgramPath) {
     vm::VM *M = nullptr;
     uint64_t Index = 0;
     uint64_t FirstPauseAt = 0;
-    void onInstruction(const vm::ThreadState &, uint64_t,
-                       const isa::Inst &I) override {
-      ++Index;
-      if (I.Op == isa::Opcode::Pause && !FirstPauseAt) {
-        FirstPauseAt = Index;
-        M->requestStop();
+    Granularity granularity() const override {
+      return Granularity::BlockAccesses;
+    }
+    void onRetiredBlock(const vm::ThreadState &, uint64_t,
+                        std::span<const isa::Inst> Insts,
+                        std::span<const vm::MemoryAccess>) override {
+      for (const isa::Inst &I : Insts) {
+        ++Index;
+        if (I.Op == isa::Opcode::Pause && !FirstPauseAt) {
+          FirstPauseAt = Index;
+          M->requestStop();
+        }
       }
     }
   } Obs;
@@ -119,9 +131,9 @@ int main() {
   std::string Dir = workDir("fig11");
   sim::MachineConfig Machine = sim::makeGainestown8();
 
-  std::printf("%-16s %12s %12s %12s %9s %11s %11s\n", "workload",
+  std::printf("%-16s %12s %12s %12s %9s %11s %11s %10s %9s\n", "workload",
               "recorded", "PB-sim", "ELFie-sim", "ratio", "PB-ms",
-              "ELFie-ms");
+              "ELFie-ms", "stop-pc", "stop-cnt");
 
   std::vector<std::string> Names;
   for (const auto &W : workloads::suite(workloads::Suite::OmpSpeed))
@@ -182,13 +194,16 @@ int main() {
 
     double Ratio = static_cast<double>(ElfieRes->RoiRetired) /
                    static_cast<double>(PBRes->RoiRetired);
-    std::printf("%-16s %12llu %12llu %12llu %8.2fx %11.2f %11.2f\n",
+    std::printf("%-16s %12llu %12llu %12llu %8.2fx %11.2f %11.2f %#10llx "
+                "%9llu\n",
                 Name.c_str(),
                 static_cast<unsigned long long>(PB.Meta.RegionLength),
                 static_cast<unsigned long long>(PBRes->RoiRetired),
                 static_cast<unsigned long long>(ElfieRes->RoiRetired),
                 Ratio, PBRes->Stats.runtimeSeconds() * 1e3,
-                ElfieRes->Stats.runtimeSeconds() * 1e3);
+                ElfieRes->Stats.runtimeSeconds() * 1e3,
+                static_cast<unsigned long long>(StopPC),
+                static_cast<unsigned long long>(StopCount));
   }
   std::printf("\nShape check: ELFie-sim icount >= PB-sim icount for the "
               "8-thread workloads (free-running spin loops); equal for "

@@ -126,61 +126,20 @@ for F in $(grep -rlE 'Granularity::Block\b' "$REPO/src" --include=*.cpp \
   fi
 done
 if [ "$BLOCK_STOPS" -ne 0 ]; then
-  echo "ci.sh: a Block observer calls requestStop (use Events or" \
-    "Instruction granularity to stop the VM)"
+  echo "ci.sh: a Block observer calls requestStop (stop the VM from an" \
+    "Events or BlockAccesses observer, or with VM::stopAt)"
   exit 1
 fi
 
-# The default granularity, Instruction, turns the JIT off while the
-# observer is attached (DESIGN.md §12), so an observer that forgets to
-# state its granularity runs interpreted without a word: every
-# vm::Observer subclass under src/ must override granularity(), and only
-# the VM and esim's front end may name Instruction granularity.
-echo "==== [observer-granularity] every observer states its granularity ===="
-if ! find "$REPO/src" \( -name '*.cpp' -o -name '*.h' \) -print0 |
-    xargs -0 awk '
-      # A class head runs from "class|struct Name" to its "{" or ";".
-      FNR == 1 { Head = ""; Depth = 0 }
-      function check() {
-        if (Depth <= 0 && !Seen) {
-          printf "%s:%d: %s does not override granularity()\n", FILENAME,
-            Line, Name
-          Bad = 1
-        }
-      }
-      Depth > 0 {
-        Seen = Seen || /granularity\(\)/
-        Depth += gsub(/\{/, "{") - gsub(/\}/, "}")
-        check()
-        next
-      }
-      Head == "" && /^[[:space:]]*(class|struct)[[:space:]]+[A-Za-z_]/ {
-        Line = FNR
-      }
-      Head != "" || /^[[:space:]]*(class|struct)[[:space:]]+[A-Za-z_]/ {
-        Head = Head " " $0
-        if (Head !~ /[{;]/)
-          next
-        if (Head ~ /:[^{;]*(vm::)?Observer([^A-Za-z_0-9]|$)/ &&
-            Head ~ /\{/) {
-          Name = Head
-          sub(/^[[:space:]]*(class|struct)[[:space:]]+/, "", Name)
-          sub(/[^A-Za-z_0-9].*/, "", Name)
-          Seen = Head ~ /granularity\(\)/
-          Depth = gsub(/\{/, "{", Head) - gsub(/\}/, "}", Head)
-          check()
-        }
-        Head = ""
-      }
-      END { exit Bad }'; then
-  echo "ci.sh: an observer without granularity() (state it; Instruction" \
-    "turns the JIT off)"
-  exit 1
-fi
-if grep -rn 'Granularity::Instruction' "$REPO/src" |
-    grep -v -e '^[^:]*/src/vm/' -e '^[^:]*/src/sim/Frontend\.cpp:'; then
-  echo "ci.sh: Instruction granularity outside src/vm and" \
-    "src/sim/Frontend.cpp (use Block, BlockAccesses or Events)"
+# An observer sees execution as blocks or events (DESIGN.md §12), and
+# granularity() is pure virtual, so the compiler makes every observer
+# state it. A per-instruction hook written without `override` would still
+# compile and never fire: none may be named under src/, tests/ or bench/.
+echo "==== [observer-granularity] no per-instruction observer hooks ===="
+if grep -rnE 'Granularity::Instruction|onInstruction|onMemoryAccess|onControlTransfer' \
+    "$REPO/src" "$REPO/tests" "$REPO/bench"; then
+  echo "ci.sh: a per-instruction observer hook (use onBlock," \
+    "onRetiredBlock or the events)"
   exit 1
 fi
 

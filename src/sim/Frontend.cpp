@@ -16,6 +16,7 @@
 #include "support/MappedFile.h"
 #include "support/Sha256.h"
 
+#include <algorithm>
 #include <functional>
 #include <future>
 #include <optional>
@@ -27,7 +28,7 @@ using namespace elfie::sim;
 namespace {
 
 /// Records marker retirement and, given a VM, stops it at the first one
-/// (the pre-ROI fast-forward). Events granularity keeps the JIT on.
+/// (the pre-ROI fast-forward).
 class MarkerWatch : public vm::Observer {
 public:
   explicit MarkerWatch(vm::VM *StopAtMarker) : Stop(StopAtMarker) {}
@@ -43,31 +44,18 @@ private:
   vm::VM *Stop;
 };
 
-/// Feeds one phase's VM events into the TimingModel through the same
+/// Feeds one phase's retired blocks into the TimingModel through the same
 /// entry points in both phases; the model's phase decides what they
 /// charge (a warming model charges nothing and skips the synthetic
 /// kernel, so a checkpoint holds exactly the state a cold warm-up
-/// produces). Both feeds are BlockAccesses observers, so both phases run
-/// compiled: each compiled block is replayed into the model in retirement
-/// order, and interpreted instructions arrive as per-instruction events.
-/// The engine's quota ends each phase; only a detailed feed that stops the
-/// engine at the (PC, count) condition needs every instruction.
+/// produces). A BlockAccesses observer, so both phases run compiled; an
+/// interpreted instruction arrives as a one-instruction block. The
+/// engine's quota, or the VM's (PC, count) condition, ends each phase.
 class ModelFeed : public vm::Observer {
 public:
-  /// The warm feed.
-  explicit ModelFeed(TimingModel &Model)
-      : Model(Model), NumCores(Model.numCores()),
-        LastOp(NumCores, isa::Opcode::Jmp) {}
-
-  /// The detailed feed, which charges cycles. With \p Controls' StopPC set
-  /// it stops \p M at the (PC, count) condition.
-  ModelFeed(TimingModel &Model, const RunControls &Controls, vm::VM &M)
-      : ModelFeed(Model) {
-    Detailed = true;
-    StopPC = Controls.StopPC;
-    StopPCCount = Controls.StopPCCount;
-    Stop = &M;
-  }
+  /// \p Detailed: the feed of the detailed phase, which charges cycles.
+  ModelFeed(TimingModel &Model, bool Detailed)
+      : Model(Model), NumCores(Model.numCores()), Detailed(Detailed) {}
 
   uint64_t Retired = 0;
   bool MarkerSeen = false;
@@ -76,37 +64,16 @@ public:
   bool chargesCycles() const { return Detailed; }
 
   Granularity granularity() const override {
-    return StopPC ? Granularity::Instruction : Granularity::BlockAccesses;
+    return Granularity::BlockAccesses;
   }
 
-  void onInstruction(const vm::ThreadState &T, uint64_t PC,
-                     const isa::Inst &I) override {
-    unsigned Core = T.Tid % NumCores;
-    LastOp[Core] = I.Op;
-    ++Retired;
-    Model.instruction(Core, PC);
-    if (StopPC && PC == StopPC && ++StopPCHits >= StopPCCount)
-      Stop->requestStop();
-  }
-
-  void onMemoryAccess(uint32_t Tid, uint64_t Addr, uint32_t Size,
-                      bool IsWrite) override {
-    Model.memoryAccess(Tid % NumCores, Addr, Size, IsWrite);
-  }
-
-  void onControlTransfer(uint32_t Tid, uint64_t FromPC, uint64_t ToPC,
-                         bool Taken) override {
-    unsigned Core = Tid % NumCores;
-    transfer(Core, LastOp[Core], FromPC, ToPC, Taken);
-  }
-
-  /// The events the interpreter would have sent for the block, in its
-  /// order: per instruction the fetch, then its access, then the transfer
-  /// that ends the block. L2 and L3 are shared by both sides, so any other
-  /// order leaves other LRU state.
-  void onCompiledBlock(const vm::ThreadState &T, uint64_t EntryPC,
-                       std::span<const isa::Inst> Insts,
-                       std::span<const vm::MemoryAccess> Accesses) override {
+  /// The block's events in the interpreter's order: per instruction the
+  /// fetch, then its access or system call, then the transfer that ends
+  /// the block. L2 and L3 are shared by both sides, so any other order
+  /// leaves other LRU state.
+  void onRetiredBlock(const vm::ThreadState &T, uint64_t EntryPC,
+                      std::span<const isa::Inst> Insts,
+                      std::span<const vm::MemoryAccess> Accesses) override {
     unsigned Core = T.Tid % NumCores;
     Retired += Insts.size();
     const vm::MemoryAccess *A = Accesses.data();
@@ -119,19 +86,19 @@ public:
       }
       PC += isa::InstSize;
     }
+    // A syscall retires alone, and its number is still in r7: charged
+    // here, after its instruction, rather than from onSyscall, which fires
+    // before the instruction's block arrives.
+    const isa::Inst &Last = Insts.back();
+    if (Last.Op == isa::Opcode::Syscall)
+      Model.syscall(Core, T.GPR[isa::SysNrReg]);
     // A branch is the block's last instruction and writes no register, so
     // the post-block registers give its outcome; the target may be the
     // fall-through, so ToPC alone cannot.
-    const isa::Inst &Last = Insts.back();
     bool Taken = !isa::isBranch(Last.Op) ||
                  isa::sem::branchTaken(Last.Op, T.GPR[Last.Rs1],
                                        T.GPR[Last.Rs2]);
     transfer(Core, Last.Op, PC - isa::InstSize, T.PC, Taken);
-  }
-
-  void onSyscall(uint32_t Tid, uint64_t Nr, const uint64_t *,
-                 int64_t) override {
-    Model.syscall(Tid % NumCores, Nr);
   }
 
   void onMarker(uint32_t, isa::MarkerKind, int32_t) override {
@@ -151,10 +118,7 @@ private:
 
   TimingModel &Model;
   unsigned NumCores;
-  std::vector<isa::Opcode> LastOp;
-  bool Detailed = false;
-  uint64_t StopPC = 0, StopPCCount = 0, StopPCHits = 0;
-  vm::VM *Stop = nullptr;
+  bool Detailed;
 };
 
 /// The binary engine. On one core it is the VM's round-robin scheduler. On
@@ -243,8 +207,8 @@ Sha256Digest pinballInputDigest(const pinball::Pinball &PB) {
 ///   3. The boundary, at the start of the first post-warm-up instruction:
 ///      record CheckpointRetired; -warmup-save serialises the model here.
 ///   4. Run the ROI, the engine's quota, under a model feed with the
-///      model measuring (compiled, unless a StopPC condition needs every
-///      instruction).
+///      model measuring (compiled, unless the VM's StopPC condition is
+///      armed, which interprets).
 ///
 /// With W == 0 and no sidecar, steps 2 and 3 are skipped. A save or load
 /// digests its input on a helper thread from prepare() on, and run()
@@ -327,7 +291,7 @@ public:
       // Otherwise the program exited, halted or faulted before the ROI.
       Live = SR == vm::StopReason::Stopped && FF.Seen;
     }
-    ModelFeed Warm(Model);
+    ModelFeed Warm(Model, /*Detailed=*/false);
     MarkerWatch Skip(nullptr);
     if (Live && (Warmup > 0 || !Controls.SaveStatePath.empty() ||
                  Out.StateLoaded)) {
@@ -342,9 +306,13 @@ public:
       if (Live)
         crossBoundary(M.globalRetired());
     }
-    ModelFeed Detailed(Model, Controls, M);
+    ModelFeed Detailed(Model, /*Detailed=*/true);
     if (Live) {
+      // A StopPCCount of 0 stops at the first hit, as 1 does.
+      if (Controls.StopPC)
+        M.stopAt(Controls.StopPC, std::max<uint64_t>(Controls.StopPCCount, 1));
       SR = E.run(RoiBudget, &Detailed);
+      M.stopAt(0, 0);
       // A ROI that used up its budget stopped where it was asked to. (A
       // pinball's budget is the replay's, whose end is BudgetReached.)
       if (SR == vm::StopReason::BudgetReached && Detailed.Retired == RoiBudget)

@@ -48,7 +48,8 @@ struct RunControls {
   /// warming length.
   uint64_t MaxInstructions = UINT64_MAX;
   /// Optional (PC, count) stop condition: end when the instruction at
-  /// StopPC has executed StopPCCount times globally (paper §IV-B).
+  /// StopPC has executed StopPCCount times globally (paper §IV-B). It is
+  /// armed in the VM (VM::stopAt) for the detailed phase only.
   uint64_t StopPC = 0;
   uint64_t StopPCCount = 0;
   /// Functional-warming length: the first N post-marker (for inputs other
@@ -87,8 +88,9 @@ struct SimResult {
   /// VMConfig::EnableJit (the library default, which `esim` uses): the
   /// pre-ROI fast-forward, warming, a -warmup-load resume's warm-up skip
   /// and the detailed phase run compiled. The detailed phase interprets
-  /// under a StopPC condition, and on a multi-core binary, whose engine
-  /// picks a thread before every instruction.
+  /// while a StopPC condition is armed in the VM; on a multi-core binary,
+  /// whose engine picks a thread before every instruction, only
+  /// one-instruction blocks run compiled there.
   vm::JitStats JitStats;
   /// Instructions consumed by the warming phase (functionally skipped
   /// instructions when resuming from a checkpoint).

@@ -366,12 +366,17 @@ VM::Slice VM::runSlice(ThreadState &T, uint64_t Quota) {
       // Exec == 0 (a memory-retry on the first instruction): interpret one
       // step so the canonical fault fires.
     }
+    const uint64_t PC = T.PC;
     StepStatus Status = stepOne(T);
     if (Status == StepStatus::Faulted) {
       S.Reason = StopReason::Faulted;
       break;
     }
     ++S.Executed;
+    // The stopAt() condition: armed, it keeps JitOn false, so every
+    // retirement passes here.
+    if (StopCount && PC == StopPC && ++StopHits == StopCount)
+      StopRequested = true;
     if (Status == StepStatus::Halted) {
       S.Reason = StopReason::Halted;
       break;
@@ -480,10 +485,6 @@ void VM::setObserver(Observer *O) {
       ObsGran == Observer::Granularity::Block ? sizeof(uint32_t) : 0;
 }
 
-bool VM::jitActive() const {
-  return Jit != nullptr && ObsGran != Observer::Granularity::Instruction;
-}
-
 JitStats VM::jitStats() const { return Jit ? Jit->JC.Stats : JitStats(); }
 
 bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
@@ -548,8 +549,8 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
     // did not retire; every other recorded access retired.
     uint32_t Accesses = J.NumRecorded - (Kind == x86::JitExitMemRetry);
     if (Exec > 0)
-      Obs->onCompiledBlock(T, StartPC, {J.RecInsts, Exec},
-                           {J.Recorded, Accesses});
+      Obs->onRetiredBlock(T, StartPC, {J.RecInsts, Exec},
+                          {J.Recorded, Accesses});
     J.RecInsts = nullptr;
   } else if (ObsGran == Observer::Granularity::Block) {
     deliverBlockLog(T.Tid, Exec);
@@ -674,7 +675,7 @@ const Inst *VM::cachedInst(ThreadState &T) {
     return nullptr;
   // JIT promotion: a block entered often enough gets compiled (compile()
   // dedups, so re-crossing the threshold after a flush re-promotes).
-  if (Jit && B->HitCount >= Config.JitThreshold && jitActive())
+  if (jitActive() && B->HitCount >= Config.JitThreshold)
     Jit->JC.compile(*B);
   T.CurBlock = B;
   T.CurIdx = 0;
@@ -751,34 +752,31 @@ VM::StepStatus VM::stepOne(ThreadState &T) {
 
 VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   uint64_t PC = T.PC;
-  if (Obs) {
-    if (ObsGran == Observer::Granularity::Block)
-      Obs->onBlock(T.Tid, PC, 1, isa::isControlFlow(I.Op));
-    else
-      Obs->onInstruction(T, PC, I);
-  }
+  if (ObsGran == Observer::Granularity::Block)
+    Obs->onBlock(T.Tid, PC, 1, isa::isControlFlow(I.Op));
 
   uint64_t *R = T.GPR;
   double *F = T.FPR;
   uint64_t NextPC = PC + isa::InstSize;
+  // The access of a load, store or atomic (Size 0: none), reported with
+  // the instruction once it retires.
+  MemoryAccess Access;
+  auto MemAccess = [&](uint64_t Addr, uint32_t Size, bool IsWrite) {
+    Access = {Addr, Size, IsWrite};
+  };
+  auto Report = [&] {
+    if (ObsGran == Observer::Granularity::BlockAccesses)
+      Obs->onRetiredBlock(T, PC, {&I, 1}, {&Access, Access.Size ? 1u : 0u});
+  };
   auto Retire = [&](uint64_t To) {
     T.GPR[isa::RegZero] = 0;
     T.PC = To;
     ++T.Retired;
     ++GlobalRetired;
-  };
-  auto MemAccess = [&](uint64_t Addr, uint32_t Size, bool IsWrite) {
-    if (Obs)
-      Obs->onMemoryAccess(T.Tid, Addr, Size, IsWrite);
-  };
-  auto Transfer = [&](uint64_t To, bool Taken) {
-    if (Obs)
-      Obs->onControlTransfer(T.Tid, PC, To, Taken);
+    Report();
   };
   auto Branch = [&](bool Taken) {
-    uint64_t To = Taken ? PC + static_cast<int64_t>(I.Imm) : NextPC;
-    Transfer(To, Taken);
-    Retire(To);
+    Retire(Taken ? PC + static_cast<int64_t>(I.Imm) : NextPC);
     return StepStatus::Ok;
   };
 
@@ -795,15 +793,19 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
     return StepStatus::Ok;
   case Opcode::Halt:
     Retire(NextPC);
-    Transfer(NextPC, false);
     return StepStatus::Halted;
   case Opcode::Marker:
     if (Obs)
       Obs->onMarker(T.Tid, static_cast<isa::MarkerKind>(I.Rd), I.Imm);
     Retire(NextPC);
     return StepStatus::Ok;
-  case Opcode::Syscall:
-    return doSyscall(T);
+  case Opcode::Syscall: {
+    // doSyscall retires the instruction itself, after onSyscall.
+    StepStatus Status = doSyscall(T);
+    if (Status != StepStatus::Faulted)
+      Report();
+    return Status;
+  }
 
   // ---- Integer ALU ----
   case Opcode::Add: R[I.Rd] = R[I.Rs1] + R[I.Rs2]; break;
@@ -882,26 +884,19 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   case Opcode::Bltu:
   case Opcode::Bgeu:
     return Branch(sem::branchTaken(I.Op, R[I.Rs1], R[I.Rs2]));
-  case Opcode::Jmp: {
-    uint64_t To = PC + static_cast<int64_t>(I.Imm);
-    Transfer(To, true);
-    Retire(To);
+  case Opcode::Jmp:
+    Retire(PC + static_cast<int64_t>(I.Imm));
     return StepStatus::Ok;
-  }
-  case Opcode::Jal: {
-    uint64_t To = PC + static_cast<int64_t>(I.Imm);
+  case Opcode::Jal:
     R[I.Rd] = NextPC;
-    Transfer(To, true);
-    Retire(To);
+    Retire(PC + static_cast<int64_t>(I.Imm));
     return StepStatus::Ok;
-  }
   case Opcode::Jalr: {
     uint64_t To = R[I.Rs1] + static_cast<int64_t>(I.Imm);
     if (To & 7)
       return fault(T, To, "jalr to misaligned address %#llx",
                    static_cast<unsigned long long>(To));
     R[I.Rd] = NextPC;
-    Transfer(To, true);
     Retire(To);
     return StepStatus::Ok;
   }

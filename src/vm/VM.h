@@ -8,12 +8,12 @@
 /// \file
 /// EVM: a deterministic, multi-threaded functional simulator for EG64 guest
 /// programs. It plays the role Pin plays in the paper's tool-chain: it runs
-/// unmodified guest binaries, exposes instrumentation hooks (instructions,
-/// memory accesses, control transfers, system calls, markers, thread
-/// events), and gives external controllers — the PinPlay-style logger, the
-/// constrained replayer, and the timing simulators — precise execution
-/// control (per-thread single stepping, instruction budgets, syscall
-/// interception).
+/// unmodified guest binaries, exposes instrumentation hooks (retired
+/// blocks, with their memory accesses on request; system calls, markers,
+/// thread events), and gives external controllers — the PinPlay-style
+/// logger, the constrained replayer, and the timing simulators — precise
+/// execution control (per-thread single stepping, instruction budgets, a
+/// (PC, count) stop condition, syscall interception).
 ///
 /// Determinism: threads are interleaved by a round-robin scheduler with a
 /// fixed instruction quantum (optionally jittered by a seed to model
@@ -75,7 +75,7 @@ enum class StopReason {
   Halted,        ///< a halt instruction executed
   Faulted,       ///< unmapped access / bad opcode / misaligned target
   BudgetReached, ///< the instruction budget was consumed
-  Stopped,       ///< an observer called requestStop()
+  Stopped,       ///< requestStop() was called, or the stopAt() condition met
 };
 
 /// Details of a guest fault (the EVM analogue of an ELFie's "ungraceful
@@ -106,8 +106,7 @@ std::string renderVMStats(const std::string &Prefix,
                           const DecodeCacheStats &Cache, const MemStats &Mem,
                           const JitStats &Jit);
 
-/// One memory access of a compiled load or store, as onMemoryAccess would
-/// report it.
+/// One memory access of a retired load, store or atomic.
 struct MemoryAccess {
   uint64_t Addr = 0;
   uint32_t Size = 0;
@@ -115,71 +114,54 @@ struct MemoryAccess {
 };
 
 /// Instrumentation interface (the Pin "analysis routine" analogue).
-/// Callbacks fire synchronously from the interpreter loop (and, for block
-/// observers, from the JIT dispatcher).
+/// Callbacks fire synchronously from the interpreter loop and from the JIT
+/// dispatcher. Execution is seen as blocks or as events only: system
+/// calls, markers and thread events fire for every observer (those
+/// instructions bail to the interpreter), and the JIT stays on whatever
+/// is attached.
 class Observer {
 public:
-  /// How finely an observer needs to see execution. The JIT retires whole
-  /// compiled blocks without firing onInstruction / onMemoryAccess /
-  /// onControlTransfer; syscalls, markers, and thread events always fire
-  /// (those instructions bail to the interpreter).
+  /// How an observer sees execution; every observer states it.
   enum class Granularity {
-    /// onInstruction before every instruction: compiled dispatch stands
-    /// down while the observer is attached. The default, so an observer
-    /// that needs less must say so (scripts/ci.sh checks every observer
-    /// under src/ does); an observer that stops the VM at an exact PC
-    /// needs it.
-    Instruction,
-    /// onBlock for every straight-line run of retired instructions instead
-    /// of onInstruction; the JIT stays on and chains blocks, and each
-    /// compiled block is reported from the dispatch's block log after the
-    /// chain returns. Such an observer must not call VM::requestStop.
+    /// onBlock for every straight-line run of retired instructions; the
+    /// JIT chains blocks, and each compiled block is reported from the
+    /// dispatch's block log after the chain returns. Such an observer
+    /// must not call VM::requestStop.
     Block,
-    /// Events, plus onCompiledBlock for every compiled dispatch: the
-    /// block's instructions and its retired memory accesses, which the
-    /// JIT's load/store helpers record while such an observer is attached.
-    /// Enough to replay execution in retirement order at JIT speed (esim's
-    /// functional warming and detailed simulation).
+    /// Events, plus onRetiredBlock for every retired block with its
+    /// memory accesses, which the JIT's load/store helpers record while
+    /// such an observer is attached. Enough to replay execution in
+    /// retirement order at JIT speed (esim's functional warming and
+    /// detailed simulation).
     BlockAccesses,
-    /// Only the events that bail to the interpreter are needed; the JIT
-    /// stays on and the per-instruction hooks fire only for interpreted
-    /// instructions.
+    /// Only the events.
     Events,
   };
   virtual ~Observer();
-  virtual Granularity granularity() const { return Granularity::Instruction; }
-  /// Before executing the instruction at \p PC (Instruction observers;
-  /// BlockAccesses and Events observers only for interpreted instructions).
-  virtual void onInstruction(const ThreadState &T, uint64_t PC,
-                             const isa::Inst &I) {}
+  virtual Granularity granularity() const = 0;
   /// Block observers only: \p NumInsts instructions at \p EntryPC,
   /// EntryPC + 8, ... retire on \p Tid with no control transfer between
   /// them; \p EndsInControlFlow says the last one is a control-flow
   /// instruction (isa::isControlFlow). The interpreter reports each
-  /// instruction as a one-instruction block where onInstruction would fire;
-  /// compiled dispatch reports each block of a chain, in order, after the
-  /// whole chain ran. Calls follow global retirement order across threads,
-  /// and a run may stop short of the block's end (budget, quantum,
-  /// faulting access).
+  /// instruction as a one-instruction block before executing it; compiled
+  /// dispatch reports each block of a chain, in order, after the whole
+  /// chain ran. Calls follow global retirement order across threads, and
+  /// a run may stop short of the block's end (budget, quantum, faulting
+  /// access).
   virtual void onBlock(uint32_t Tid, uint64_t EntryPC, uint64_t NumInsts,
                        bool EndsInControlFlow) {}
-  /// BlockAccesses observers only, after a compiled dispatch: \p Insts,
-  /// the instructions at EntryPC, EntryPC + 8, ..., retired on \p T,
-  /// which holds the post-block state (T.PC is the next PC). Only the last
-  /// can be control flow. \p Accesses are the memory accesses of the loads
-  /// and stores among \p Insts, one each, in order; compiled blocks hold
-  /// no atomics. Calls follow global retirement order across threads and
-  /// interleave with the interpreted instructions' callbacks.
-  virtual void onCompiledBlock(const ThreadState &T, uint64_t EntryPC,
-                               std::span<const isa::Inst> Insts,
-                               std::span<const MemoryAccess> Accesses) {}
-  /// After computing the effective address of a load/store/atomic.
-  virtual void onMemoryAccess(uint32_t Tid, uint64_t Addr, uint32_t Size,
-                              bool IsWrite) {}
-  /// After a taken or not-taken control transfer; \p ToPC is the next PC.
-  /// Fires only for control-flow instructions.
-  virtual void onControlTransfer(uint32_t Tid, uint64_t FromPC, uint64_t ToPC,
-                                 bool Taken) {}
+  /// BlockAccesses observers only, after a block retired: \p Insts, the
+  /// instructions at EntryPC, EntryPC + 8, ..., retired on \p T, which
+  /// holds the post-block state (T.PC is the next PC). Only the last can
+  /// be control flow. \p Accesses are the memory accesses of the loads,
+  /// stores and atomics among \p Insts, one each, in order. A compiled
+  /// dispatch reports its block; the interpreter reports each instruction
+  /// it retires as a one-instruction block, after the instruction's
+  /// events (a syscall's onSyscall, a marker's onMarker). Calls follow
+  /// global retirement order across threads.
+  virtual void onRetiredBlock(const ThreadState &T, uint64_t EntryPC,
+                              std::span<const isa::Inst> Insts,
+                              std::span<const MemoryAccess> Accesses) {}
   /// After a system call completed (or was injected). Args are the values
   /// of r1..r6 at entry; \p Result the value placed in r1.
   virtual void onSyscall(uint32_t Tid, uint64_t Nr, const uint64_t *Args,
@@ -208,8 +190,8 @@ struct VMConfig {
   size_t DecodeCacheMaxBlocks = 0;
   /// Translate hot blocks to host x86-64 and dispatch them natively (the
   /// default; `ereplay -jit` sets it explicitly). Requires
-  /// EnableDecodeCache; silently inert on non-x86-64 hosts and while an
-  /// Instruction-granularity observer is attached.
+  /// EnableDecodeCache; silently inert on non-x86-64 hosts and while a
+  /// stopAt() condition is armed.
   bool EnableJit = true;
   /// Decode-cache entries crossing this hit count get compiled.
   uint32_t JitThreshold = 32;
@@ -280,6 +262,16 @@ public:
   /// after the current instruction (or compiled block). Not from a Block
   /// observer: its onBlock calls arrive after a whole chain ran.
   void requestStop() { StopRequested = true; }
+
+  /// Arms the (PC, count) stop condition: run() or runThread() returns
+  /// Stopped right after the \p Count-th retirement of the instruction at
+  /// \p PC, counted across threads and calls from here on. While it is
+  /// armed every instruction is interpreted. \p Count == 0 disarms it.
+  void stopAt(uint64_t PC, uint64_t Count) {
+    StopPC = PC;
+    StopCount = Count;
+    StopHits = 0;
+  }
 
   /// Syscall interception (replay injection). Return true to skip native
   /// emulation; the interceptor is responsible for memory side effects and
@@ -353,14 +345,14 @@ private:
   /// cache, the execution context, and the software TLBs).
   struct JitRuntime;
   /// True when compiled dispatch may run right now (JIT configured, host
-  /// supported, and no Instruction-granularity observer attached).
-  bool jitActive() const;
+  /// supported, and no stopAt() condition armed).
+  bool jitActive() const { return Jit && StopCount == 0; }
   /// One native dispatch of the compiled block at T.PC (and the blocks
   /// chained after it), bounded by \p Quota retired instructions. Returns
   /// false when no compiled block starts there or the quota is too small
   /// for its entry check; true when compiled code ran, with \p Exec set to
   /// the instructions retired. A BlockAccesses observer caps the quota at
-  /// the block's length and receives one onCompiledBlock per dispatch. A
+  /// the block's length and receives one onRetiredBlock per dispatch. A
   /// Block observer caps it at the block log's capacity less one and
   /// receives the chain's blocks from the log (deliverBlockLog).
   /// After a true return with Exec == 0 the caller must interpret at least
@@ -379,7 +371,8 @@ private:
                                    uint64_t Kind);
   static void jitStoreRecording(void *Cookie, uint64_t Addr, uint64_t Value,
                                 uint64_t Size);
-  /// Executes one already-decoded instruction at T.PC. Takes the
+  /// Executes one already-decoded instruction at T.PC and reports it to a
+  /// Block or BlockAccesses observer as a one-instruction block. Takes the
   /// instruction by value: executing a store into the current code page
   /// invalidates the block that owns the cached copy.
   StepStatus execDecoded(ThreadState &T, isa::Inst I);
@@ -436,6 +429,8 @@ private:
   bool GroupExited = false;
   int64_t GroupExitCode = 0;
   bool StopRequested = false;
+  /// The stopAt() condition; armed while StopCount != 0.
+  uint64_t StopPC = 0, StopCount = 0, StopHits = 0;
   Fault LastFault;
 
   Observer *Obs = nullptr;

@@ -284,9 +284,14 @@ TEST(CfgDataflow, MemRefMatchesInterpreterAccesses) {
   // atomics ignore.
   struct Recorder : vm::Observer {
     std::vector<std::tuple<uint64_t, uint32_t, bool>> Seen;
-    void onMemoryAccess(uint32_t, uint64_t Addr, uint32_t Size,
-                        bool IsWrite) override {
-      Seen.emplace_back(Addr, Size, IsWrite);
+    Granularity granularity() const override {
+      return Granularity::BlockAccesses;
+    }
+    void onRetiredBlock(const vm::ThreadState &, uint64_t,
+                        std::span<const isa::Inst>,
+                        std::span<const vm::MemoryAccess> Accesses) override {
+      for (const vm::MemoryAccess &A : Accesses)
+        Seen.emplace_back(A.Addr, A.Size, A.IsWrite);
     }
   };
   std::vector<isa::Inst> Code;

@@ -114,16 +114,21 @@ loop:
   // register file against the pinball.
   auto M = loadElfie(*Image, nullptr);
   // Snapshot the register file the moment control first reaches the
-  // captured pc (onInstruction fires before execution).
+  // captured pc: the startup code jumps there, so a block ends with it as
+  // the next pc.
   class StopAtPC : public vm::Observer {
   public:
     vm::VM *M = nullptr;
     uint64_t Target = 0;
     bool Hit = false;
     vm::ThreadState Snapshot;
-    void onInstruction(const vm::ThreadState &T, uint64_t PC,
-                       const isa::Inst &) override {
-      if (PC == Target && !Hit) {
+    Granularity granularity() const override {
+      return Granularity::BlockAccesses;
+    }
+    void onRetiredBlock(const vm::ThreadState &T, uint64_t,
+                        std::span<const isa::Inst>,
+                        std::span<const vm::MemoryAccess>) override {
+      if (T.PC == Target && !Hit) {
         Hit = true;
         Snapshot = T;
         M->requestStop();
@@ -159,6 +164,7 @@ TEST(GuestElfie, MarkerVisibleToTools) {
   class MarkerWatch : public vm::Observer {
   public:
     std::vector<std::pair<isa::MarkerKind, int32_t>> Seen;
+    Granularity granularity() const override { return Granularity::Events; }
     void onMarker(uint32_t, isa::MarkerKind K, int32_t Tag) override {
       Seen.push_back({K, Tag});
     }

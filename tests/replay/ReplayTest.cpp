@@ -247,9 +247,9 @@ TEST(Replay, ObserverSeesReplayedInstructions) {
   class Counter : public vm::Observer {
   public:
     uint64_t N = 0;
-    void onInstruction(const vm::ThreadState &, uint64_t,
-                       const isa::Inst &) override {
-      ++N;
+    Granularity granularity() const override { return Granularity::Block; }
+    void onBlock(uint32_t, uint64_t, uint64_t NumInsts, bool) override {
+      N += NumInsts;
     }
   };
   std::string Dir = tempDir("observer");

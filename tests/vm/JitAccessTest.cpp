@@ -8,9 +8,9 @@
 /// A BlockAccesses observer keeps the JIT on and receives each compiled
 /// dispatch as its instructions, its retired memory accesses (recorded by
 /// the load/store helpers) and the post-block registers. From those it
-/// must be able to rebuild exactly the event stream the interpreter gives
-/// an Instruction observer, through self-modifying stores and faulting
-/// accesses. Carries the ctest label `jit`.
+/// must be able to rebuild exactly the per-instruction event stream the
+/// interpreter gives it as one-instruction blocks, through self-modifying
+/// stores and faulting accesses. Carries the ctest label `jit`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -39,87 +40,77 @@ using test::rawVM;
 namespace {
 
 /// Rebuilds the per-instruction event stream from what a BlockAccesses
-/// observer sees: interpreted instructions as they come, compiled blocks
-/// expanded from their instructions, recorded accesses and post-block
-/// registers. One entry per event: "i <tid> <pc>", "m <addr> <size> <w>",
-/// "t <from> <to> <taken>".
+/// observer sees: each block expanded from its instructions, recorded
+/// accesses and post-block registers. One entry per event:
+/// "i <tid> <pc>", "m <addr> <size> <w>", "t <from> <to> <taken>".
 struct StreamRecorder : Observer {
-  Granularity G;
   std::vector<std::string> Events;
-  uint64_t CompiledBlocks = 0;
-  explicit StreamRecorder(Granularity G) : G(G) {}
-  Granularity granularity() const override { return G; }
+  uint64_t LongestBlock = 0;
+  Granularity granularity() const override {
+    return Granularity::BlockAccesses;
+  }
 
-  void inst(uint32_t Tid, uint64_t PC) {
-    Events.push_back("i " + std::to_string(Tid) + " " + std::to_string(PC));
-  }
-  void onInstruction(const ThreadState &T, uint64_t PC,
-                     const isa::Inst &) override {
-    inst(T.Tid, PC);
-  }
-  void onMemoryAccess(uint32_t, uint64_t Addr, uint32_t Size,
-                      bool IsWrite) override {
-    Events.push_back("m " + std::to_string(Addr) + " " +
-                     std::to_string(Size) + " " + std::to_string(IsWrite));
-  }
-  void onControlTransfer(uint32_t, uint64_t From, uint64_t To,
-                         bool Taken) override {
-    Events.push_back("t " + std::to_string(From) + " " + std::to_string(To) +
-                     " " + std::to_string(Taken));
-  }
-  void onCompiledBlock(const ThreadState &T, uint64_t EntryPC,
-                       std::span<const isa::Inst> Insts,
-                       std::span<const MemoryAccess> Accesses) override {
-    ++CompiledBlocks;
+  void onRetiredBlock(const ThreadState &T, uint64_t EntryPC,
+                      std::span<const isa::Inst> Insts,
+                      std::span<const MemoryAccess> Accesses) override {
+    LongestBlock = std::max<uint64_t>(LongestBlock, Insts.size());
     size_t A = 0;
     for (size_t K = 0; K < Insts.size(); ++K) {
-      inst(T.Tid, EntryPC + 8 * K);
+      Events.push_back("i " + std::to_string(T.Tid) + " " +
+                       std::to_string(EntryPC + 8 * K));
       if (isa::opInfo(Insts[K].Op).Mem != isa::Access::None) {
         EXPECT_LT(A, Accesses.size());
         if (A < Accesses.size())
-          onMemoryAccess(T.Tid, Accesses[A].Addr, Accesses[A].Size,
-                         Accesses[A].IsWrite);
+          Events.push_back("m " + std::to_string(Accesses[A].Addr) + " " +
+                           std::to_string(Accesses[A].Size) + " " +
+                           std::to_string(Accesses[A].IsWrite));
         ++A;
       }
     }
     EXPECT_EQ(A, Accesses.size()) << "an access of no retired instruction";
     const isa::Inst &Last = Insts.back();
     if (isa::isControlFlow(Last.Op))
-      onControlTransfer(T.Tid, EntryPC + 8 * (Insts.size() - 1), T.PC,
-                        !isa::isBranch(Last.Op) ||
-                            isa::sem::branchTaken(Last.Op, T.GPR[Last.Rs1],
-                                                  T.GPR[Last.Rs2]));
+      Events.push_back(
+          "t " + std::to_string(EntryPC + 8 * (Insts.size() - 1)) + " " +
+          std::to_string(T.PC) + " " +
+          std::to_string(!isa::isBranch(Last.Op) ||
+                         isa::sem::branchTaken(Last.Op, T.GPR[Last.Rs1],
+                                               T.GPR[Last.Rs2])));
   }
 };
 
-/// Runs \p Make()'s VM under a StreamRecorder of granularity \p G.
-template <class MakeVM>
-std::pair<std::vector<std::string>, uint64_t>
-recordStream(MakeVM Make, Observer::Granularity G, StopReason Want) {
-  StreamRecorder Rec(G);
+struct Stream {
+  std::vector<std::string> Events;
+  uint64_t LongestBlock = 0;
+  uint64_t JitHits = 0;
+};
+
+/// Runs \p Make()'s VM under a StreamRecorder.
+template <class MakeVM> Stream recordStream(MakeVM Make, StopReason Want) {
+  StreamRecorder Rec;
   auto M = Make();
   M->setObserver(&Rec);
   RunResult R = M->run();
   EXPECT_EQ(R.Reason, Want);
-  return {std::move(Rec.Events), Rec.CompiledBlocks};
+  return {std::move(Rec.Events), Rec.LongestBlock, R.Jit.Hits};
 }
 
 TEST(JitAccesses, CompiledBlocksRebuildTheInterpretedStream) {
-  // The interpreter under an Instruction observer is the reference. With
-  // the JIT on, a BlockAccesses observer must be able to rebuild exactly
-  // that stream: every instruction, every access, every transfer.
+  // The JIT-off run is the reference: every block it reports is one
+  // interpreted instruction. With the JIT on, the compiled blocks must
+  // rebuild exactly that stream: every instruction, every access, every
+  // transfer.
   auto Check = [](auto Make, StopReason Want, const char *Name) {
-    auto Ref = recordStream([&] { return Make(false); },
-                            Observer::Granularity::Instruction, Want);
-    auto Got = recordStream([&] { return Make(true); },
-                            Observer::Granularity::BlockAccesses, Want);
-    EXPECT_EQ(Ref.second, 0u);
+    Stream Ref = recordStream([&] { return Make(false); }, Want);
+    Stream Got = recordStream([&] { return Make(true); }, Want);
+    EXPECT_EQ(Ref.LongestBlock, 1u) << Name;
 #if defined(__x86_64__)
-    EXPECT_GT(Got.second, 0u) << Name << ": nothing ran compiled";
+    EXPECT_GT(Got.JitHits, 0u) << Name << ": nothing ran compiled";
+    EXPECT_GT(Got.LongestBlock, 1u) << Name;
 #endif
-    ASSERT_EQ(Got.first.size(), Ref.first.size()) << Name;
-    for (size_t K = 0; K < Ref.first.size(); ++K)
-      ASSERT_EQ(Got.first[K], Ref.first[K]) << Name << " event " << K;
+    ASSERT_EQ(Got.Events.size(), Ref.Events.size()) << Name;
+    for (size_t K = 0; K < Ref.Events.size(); ++K)
+      ASSERT_EQ(Got.Events[K], Ref.Events[K]) << Name << " event " << K;
   };
   Check(
       [](bool Jit) {

@@ -9,8 +9,9 @@
 /// EVM must retire the identical instruction stream, fire the same faults,
 /// and count the same budgets. These tests pin that equivalence (the full
 /// lockstep differential lives in tests/replay/JitDifferentialTest.cpp),
-/// the promotion/invalidation machinery, the observer gating contract, and
-/// multi-threaded self-modifying-code coherence.
+/// the promotion/invalidation machinery, compiled dispatch under an Events
+/// observer, the (PC, count) stop condition (which interprets while
+/// armed), and multi-threaded self-modifying-code coherence.
 ///
 /// On non-x86-64 hosts EnableJit is silently inert, so the equivalence
 /// tests still run (trivially); only the stats assertions are gated.
@@ -25,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
 
 using namespace elfie;
@@ -306,50 +308,159 @@ TEST(Jit, MultiThreadedSelfModifyingCodeCoherent) {
   EXPECT_EQ(Run(true), Run(false));
 }
 
-TEST(Jit, ObserverGatingFollowsWantsPerInstruction) {
-  // Default observers demand per-instruction callbacks: the JIT must stand
-  // down entirely. An observer that opts out re-enables compiled dispatch
-  // but still sees syscalls (they bail to the interpreter).
+TEST(Jit, EventsObserverKeepsCompiledDispatch) {
+  // An Events observer leaves compiled dispatch on and still sees
+  // syscalls (they bail to the interpreter).
   struct Counting : Observer {
-    bool PerInst;
-    uint64_t Insts = 0, Syscalls = 0;
-    explicit Counting(bool PerInst) : PerInst(PerInst) {}
-    Granularity granularity() const override {
-      return PerInst ? Granularity::Instruction : Granularity::Events;
-    }
-    void onInstruction(const ThreadState &, uint64_t,
-                       const isa::Inst &) override {
-      ++Insts;
-    }
+    uint64_t Syscalls = 0;
+    Granularity granularity() const override { return Granularity::Events; }
     void onSyscall(uint32_t, uint64_t, const uint64_t *, int64_t) override {
       ++Syscalls;
     }
-  };
-
-  {
-    Counting Obs(/*PerInst=*/true);
-    auto M = makeVM(computeProgram(), std::make_shared<std::string>(),
-                    jitConfig(true));
-    M->setObserver(&Obs);
-    RunResult R = M->run();
-    EXPECT_EQ(R.Reason, StopReason::AllExited);
-    EXPECT_EQ(R.Jit.Dispatches, 0u); // JIT stood down
-    EXPECT_EQ(Obs.Insts, M->globalRetired());
-    EXPECT_EQ(Obs.Syscalls, 2u); // write + exit_group
-  }
-  {
-    Counting Obs(/*PerInst=*/false);
-    auto M = makeVM(computeProgram(), std::make_shared<std::string>(),
-                    jitConfig(true));
-    M->setObserver(&Obs);
-    RunResult R = M->run();
-    EXPECT_EQ(R.Reason, StopReason::AllExited);
-    EXPECT_EQ(Obs.Syscalls, 2u); // syscalls still observed under JIT
+  } Obs;
+  auto M = makeVM(computeProgram(), std::make_shared<std::string>(),
+                  jitConfig(true));
+  M->setObserver(&Obs);
+  RunResult R = M->run();
+  EXPECT_EQ(R.Reason, StopReason::AllExited);
+  EXPECT_EQ(Obs.Syscalls, 2u); // write + exit_group
 #if defined(__x86_64__)
-    EXPECT_GT(R.Jit.Dispatches, 0u);
-    EXPECT_LT(Obs.Insts, M->globalRetired()); // blocks retired silently
+  EXPECT_GT(R.Jit.Dispatches, 0u);
+  EXPECT_GT(R.Jit.Hits, M->globalRetired() / 2);
 #endif
+}
+
+// ---- The (PC, count) stop condition ----
+
+/// A counting loop: the loop body is one four-instruction block, and
+/// StopLoopPC sits in its middle.
+std::vector<isa::Inst> stopLoop() {
+  return {
+      I3(isa::Opcode::Ldi, 1, 0, 0, 1000),
+      I3(isa::Opcode::Addi, 2, 2, 0, 1), // loop
+      I3(isa::Opcode::Addi, 3, 3, 0, 2), // StopLoopPC
+      I3(isa::Opcode::Addi, 1, 1, 0, -1),
+      I3(isa::Opcode::Bne, 0, 1, 0, -3 * 8),
+      I3(isa::Opcode::Halt, 0, 0, 0, 0),
+  };
+}
+constexpr uint64_t StopLoopPC = CodeBase + 2 * isa::InstSize;
+
+/// stopLoop() with the JIT at threshold 1, run 50 instructions: the loop
+/// block has compiled and dispatched, and after 12 passes and the next
+/// pass's first addi the thread waits at StopLoopPC.
+std::unique_ptr<VM> hotStopLoop(bool Jit) {
+  VMConfig C;
+  C.EnableJit = Jit;
+  C.JitThreshold = 1;
+  auto M = rawVM(stopLoop(), C);
+  EXPECT_EQ(M->run(50).Reason, StopReason::BudgetReached);
+  EXPECT_EQ(M->thread(0)->PC, StopLoopPC);
+#if defined(__x86_64__)
+  if (Jit) {
+    EXPECT_GT(M->jitStats().Hits, 0u);
   }
+#endif
+  return M;
+}
+
+TEST(StopAt, StopsMidCompiledBlock) {
+  for (bool Jit : {true, false}) {
+    SCOPED_TRACE(Jit ? "jit" : "interpreted");
+    auto M = hotStopLoop(Jit);
+    uint64_t Hits = M->jitStats().Hits;
+    M->stopAt(StopLoopPC, 10);
+    RunResult R = M->run();
+    EXPECT_EQ(R.Reason, StopReason::Stopped);
+    // The tenth addi retired: it, then nine passes of four.
+    EXPECT_EQ(M->globalRetired(), 50u + 1 + 9 * 4);
+    EXPECT_EQ(M->thread(0)->PC, StopLoopPC + isa::InstSize);
+    EXPECT_EQ(M->thread(0)->GPR[3], 2u * (12 + 10));
+    EXPECT_EQ(R.Jit.Hits, Hits) << "an armed run dispatched compiled code";
+  }
+}
+
+TEST(StopAt, CountIsGlobalAcrossThreads) {
+  // Four threads under a seeded schedule share the work loop; the count
+  // runs across them. The JIT-off run is the reference.
+  const std::string Src = multiThreadProgram(4, 2, 300);
+  auto Image = easm::assembleToELF(Src, "test.s");
+  ASSERT_TRUE(Image.hasValue()) << Image.message();
+  auto Reader = elf::ELFReader::parse(*Image);
+  ASSERT_TRUE(Reader.hasValue()) << Reader.message();
+  const auto *Work = Reader->findSymbol("work");
+  ASSERT_NE(Work, nullptr);
+  const uint64_t PC = Work->Value;
+
+  struct HitCounter : Observer {
+    uint64_t PC = 0;
+    std::map<uint32_t, uint64_t> Hits;
+    uint64_t LastNextPC = 0;
+    Granularity granularity() const override {
+      return Granularity::BlockAccesses;
+    }
+    void onRetiredBlock(const ThreadState &T, uint64_t EntryPC,
+                        std::span<const isa::Inst> Insts,
+                        std::span<const MemoryAccess>) override {
+      if (PC >= EntryPC && PC < EntryPC + Insts.size() * isa::InstSize)
+        ++Hits[T.Tid];
+      LastNextPC = T.PC;
+    }
+  };
+  auto Run = [&](bool Jit) {
+    VMConfig C;
+    C.EnableJit = Jit;
+    C.JitThreshold = 1;
+    C.ScheduleSeed = 7;
+    auto M = makeVM(Src, std::make_shared<std::string>(), C);
+    EXPECT_EQ(M->run(3000).Reason, StopReason::BudgetReached);
+#if defined(__x86_64__)
+    if (Jit) {
+      EXPECT_GT(M->jitStats().Hits, 0u);
+    }
+#endif
+    HitCounter Obs;
+    Obs.PC = PC;
+    M->setObserver(&Obs);
+    M->stopAt(PC, 1000);
+    EXPECT_EQ(M->run().Reason, StopReason::Stopped);
+    uint64_t Total = 0;
+    for (const auto &[Tid, N] : Obs.Hits)
+      Total += N;
+    EXPECT_EQ(Total, 1000u);
+    EXPECT_GT(Obs.Hits.size(), 1u) << "one thread made every hit";
+    EXPECT_EQ(Obs.LastNextPC, PC + isa::InstSize);
+    std::vector<std::tuple<uint32_t, uint64_t, uint64_t>> State;
+    for (uint32_t Tid : M->threadIds())
+      State.emplace_back(Tid, M->thread(Tid)->PC, M->thread(Tid)->Retired);
+    return std::make_pair(M->globalRetired(), State);
+  };
+  EXPECT_EQ(Run(true), Run(false));
+}
+
+TEST(StopAt, BudgetFirstGivesBudgetReached) {
+  // The budget runs out before the count; the hits carry over into the
+  // next run, which stops where one uninterrupted run stops.
+  auto M = hotStopLoop(true);
+  M->stopAt(StopLoopPC, 10);
+  EXPECT_EQ(M->run(20).Reason, StopReason::BudgetReached);
+  EXPECT_EQ(M->globalRetired(), 50u + 20);
+  EXPECT_EQ(M->run().Reason, StopReason::Stopped);
+  EXPECT_EQ(M->globalRetired(), 50u + 1 + 9 * 4);
+}
+
+TEST(StopAt, DisarmedRunDispatchesCompiledAgain) {
+  auto M = hotStopLoop(true);
+  M->stopAt(StopLoopPC, 10);
+  ASSERT_EQ(M->run().Reason, StopReason::Stopped);
+  uint64_t Hits = M->jitStats().Hits;
+  M->stopAt(0, 0);
+  RunResult R = M->run();
+  EXPECT_EQ(R.Reason, StopReason::Halted);
+  EXPECT_EQ(M->thread(0)->GPR[1], 0u);
+#if defined(__x86_64__)
+  EXPECT_GT(R.Jit.Hits, Hits);
+#endif
 }
 
 TEST(Jit, StatsZeroWhenDisabled) {

@@ -417,15 +417,15 @@ public:
   uint64_t Insts = 0, MemOps = 0, Transfers = 0, Syscalls = 0, Markers = 0;
   uint64_t Creates = 0, Exits = 0;
   int32_t LastMarkerTag = 0;
-  void onInstruction(const ThreadState &, uint64_t, const isa::Inst &)
-      override {
-    ++Insts;
+  Granularity granularity() const override {
+    return Granularity::BlockAccesses;
   }
-  void onMemoryAccess(uint32_t, uint64_t, uint32_t, bool) override {
-    ++MemOps;
-  }
-  void onControlTransfer(uint32_t, uint64_t, uint64_t, bool) override {
-    ++Transfers;
+  void onRetiredBlock(const ThreadState &, uint64_t,
+                      std::span<const isa::Inst> Block,
+                      std::span<const MemoryAccess> Accesses) override {
+    Insts += Block.size();
+    MemOps += Accesses.size();
+    Transfers += isa::isControlFlow(Block.back().Op);
   }
   void onSyscall(uint32_t, uint64_t, const uint64_t *, int64_t) override {
     ++Syscalls;
@@ -476,9 +476,14 @@ TEST(VM, ObserverStopRequestHonored) {
   public:
     VM *M = nullptr;
     uint64_t Seen = 0;
-    void onInstruction(const ThreadState &, uint64_t,
-                       const isa::Inst &) override {
-      if (++Seen == 5)
+    Granularity granularity() const override {
+      return Granularity::BlockAccesses;
+    }
+    void onRetiredBlock(const ThreadState &, uint64_t,
+                        std::span<const isa::Inst> Block,
+                        std::span<const MemoryAccess>) override {
+      Seen += Block.size();
+      if (Seen >= 5)
         M->requestStop();
     }
   };
