@@ -89,6 +89,18 @@ if grep -rn '"core%u"' "$REPO/src" |
   exit 1
 fi
 
+# A guest block has one record, its DecodedBlock, which carries the
+# JIT's compiled entry: a PC-keyed block map, a page index, an
+# uncompilable set or a find(PC) lookup in the JIT means a second record
+# of which blocks exist has come back (DESIGN.md §12, "One block map").
+echo "==== [block-map] no second block map in vm/JitCache ===="
+if grep -nE '\b(ByPC|PageIndex|Uncompilable)\b|\bfind\(uint64_t' \
+    "$REPO/src/vm/JitCache.h" "$REPO/src/vm/JitCache.cpp"; then
+  echo "ci.sh: a block map in vm/JitCache (record compiled code on the" \
+    "DecodedBlock and look blocks up in the DecodeCache)"
+  exit 1
+fi
+
 # The sidecar verdicts are the simulator's: an EFAULT.SIMSTATE.* code
 # spelled anywhere under src/ but sim/ means a second checker of the
 # sidecar or the warm-up budget has come back.

@@ -7,6 +7,7 @@
 
 #include "vm/DecodeCache.h"
 
+#include "vm/JitCache.h"
 #include "vm/Memory.h"
 
 #include <algorithm>
@@ -33,6 +34,7 @@ const DecodedBlock *DecodeCache::insert(std::unique_ptr<DecodedBlock> B) {
     size_t Slot = slotOf(PC);
     if (Slots[Slot] == It->second.get())
       Slots[Slot] = nullptr;
+    retire(std::move(It->second));
     It->second = std::move(B);
     ++Generation;
   } else {
@@ -54,6 +56,7 @@ void DecodeCache::invalidatePage(uint64_t PageAddr) {
     size_t Slot = slotOf(PC);
     if (Slots[Slot] == BIt->second.get())
       Slots[Slot] = nullptr;
+    retire(std::move(BIt->second));
     Blocks.erase(BIt);
     ++Stats.Invalidations;
   }
@@ -62,12 +65,33 @@ void DecodeCache::invalidatePage(uint64_t PageAddr) {
 }
 
 void DecodeCache::flush() {
+  // Even when empty here: the JIT may still hold chain sites.
+  if (Jit)
+    Jit->invalidateAll();
   if (Blocks.empty())
     return;
   Stats.Invalidations += Blocks.size();
   ++Stats.Flushes;
+  if (Parking)
+    for (auto &Entry : Blocks)
+      Parked.push_back(std::move(Entry.second));
   Blocks.clear();
   PageIndex.clear();
   std::fill(Slots.begin(), Slots.end(), nullptr);
   ++Generation;
+}
+
+void DecodeCache::forgetCompiled() {
+  for (auto &Entry : Blocks) {
+    Entry.second->JitEntry = 0;
+    Entry.second->JitInsts = 0;
+    Entry.second->JitRefused = false;
+  }
+}
+
+void DecodeCache::retire(std::unique_ptr<DecodedBlock> B) {
+  if (Jit)
+    Jit->drop(*B);
+  if (Parking)
+    Parked.push_back(std::move(B));
 }

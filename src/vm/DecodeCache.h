@@ -15,6 +15,9 @@
 /// markers, and page boundaries — and the interpreter dispatches from the
 /// cached form.
 ///
+/// It is the one record of which guest blocks exist (DESIGN.md §12, "One
+/// block map"): a block also carries the JIT's compiled entry for it.
+///
 /// Lookup is two-level: a direct-mapped slot array indexed by start PC
 /// absorbs the common case in O(1), backed by a hash map holding every
 /// block (so conflict evictions never lose decode work).
@@ -24,8 +27,9 @@
 /// write or poke to an executable page, any unmap, and any
 /// clearAccessTracking() (the logger re-arms lazy page capture; cached
 /// blocks must not skip the fetch that triggers first-touch) drops the
-/// affected blocks. A generation counter lets per-thread block cursors
-/// validate cheaply without dangling-pointer risk.
+/// affected blocks, and with them their compiled code. A generation
+/// counter lets per-thread block cursors validate cheaply without
+/// dangling-pointer risk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +45,8 @@
 
 namespace elfie {
 namespace vm {
+
+class JitCache;
 
 /// Decode-cache counters, exposed through RunResult/ReplayResult and the
 /// tools' -vm:stats switch (ereplay/esim).
@@ -68,6 +74,12 @@ struct DecodedBlock {
   /// Entries through lookup() — the JIT's promotion counter. Mutable so the
   /// read path can count on the const block the cache hands out.
   mutable uint32_t HitCount = 0;
+  /// Set by JitCache::compile, mutable for the same reason: the compiled
+  /// prefix's entry (buffer offset, 0: none) and length, or the mark that
+  /// its first instruction needs the interpreter.
+  mutable uint32_t JitEntry = 0;
+  mutable uint32_t JitInsts = 0;
+  mutable bool JitRefused = false;
 
   uint64_t pcAt(size_t Idx) const { return StartPC + Idx * isa::InstSize; }
 };
@@ -88,33 +100,25 @@ public:
     Slots.assign(NumSlots, nullptr);
   }
 
-  /// Finds the block starting exactly at \p PC; null on miss. Counts a hit
-  /// (and bumps the block's promotion counter) when found.
-  const DecodedBlock *lookup(uint64_t PC) {
-    size_t Slot = slotOf(PC);
-    DecodedBlock *B = Slots[Slot];
-    if (B && B->StartPC == PC) {
-      ++Stats.Hits;
-      ++B->HitCount;
-      return B;
-    }
+  /// The block starting exactly at \p PC, or null, without counting a hit
+  /// (the JIT dispatcher and chain resolution find compiled entries here).
+  const DecodedBlock *find(uint64_t PC) {
+    DecodedBlock *&Slot = Slots[slotOf(PC)];
+    if (Slot && Slot->StartPC == PC)
+      return Slot;
     auto It = Blocks.find(PC);
-    if (It == Blocks.end())
-      return nullptr;
-    Slots[Slot] = It->second.get();
-    ++Stats.Hits;
-    ++It->second->HitCount;
-    return It->second.get();
+    return It == Blocks.end() ? nullptr : (Slot = It->second.get());
   }
 
-  /// The block starting exactly at \p PC, or null, without counting a hit
-  /// (the JIT dispatcher reads a compiled block's instructions here).
-  const DecodedBlock *find(uint64_t PC) const {
-    const DecodedBlock *B = Slots[slotOf(PC)];
-    if (B && B->StartPC == PC)
-      return B;
-    auto It = Blocks.find(PC);
-    return It == Blocks.end() ? nullptr : It->second.get();
+  /// find(), counting a hit (and bumping the block's promotion counter)
+  /// when found.
+  const DecodedBlock *lookup(uint64_t PC) {
+    const DecodedBlock *B = find(PC);
+    if (B) {
+      ++Stats.Hits;
+      ++B->HitCount;
+    }
+    return B;
   }
 
   /// Inserts a freshly built block and counts the miss that caused it.
@@ -127,8 +131,25 @@ public:
   /// Drops every block living on the page at \p PageAddr (page-aligned).
   void invalidatePage(uint64_t PageAddr);
 
-  /// Drops everything.
+  /// Drops everything, and flushes the attached JIT.
   void flush();
+
+  /// Hands every block that dies from now on to \p J, which drops its
+  /// compiled code; \p J must outlive every later invalidation.
+  void attachJit(JitCache *J) { Jit = J; }
+
+  /// Clears every resident block's compiled entry and mark (the JIT reset
+  /// its code buffer).
+  void forgetCompiled();
+
+  /// While a compiled dispatch is in flight, erased blocks are parked, not
+  /// freed: lookups and cursors miss them, but they stay readable until
+  /// releaseParked().
+  void parkFrees() { Parking = true; }
+  void releaseParked() {
+    Parking = false;
+    Parked.clear();
+  }
 
   /// Monotonic counter bumped by every invalidation; cursors holding block
   /// pointers compare generations before dereferencing.
@@ -141,6 +162,8 @@ private:
   static size_t slotOf(uint64_t PC) {
     return (PC / isa::InstSize) & (NumSlots - 1);
   }
+  /// Drops a block leaving the map: its compiled code, then the block.
+  void retire(std::unique_ptr<DecodedBlock> B);
 
   std::vector<DecodedBlock *> Slots;
   std::unordered_map<uint64_t, std::unique_ptr<DecodedBlock>> Blocks;
@@ -149,6 +172,9 @@ private:
   size_t MaxBlocks;
   uint64_t Generation = 0;
   DecodeCacheStats Stats;
+  JitCache *Jit = nullptr;
+  bool Parking = false;
+  std::vector<std::unique_ptr<DecodedBlock>> Parked;
 };
 
 } // namespace vm

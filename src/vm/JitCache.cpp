@@ -12,18 +12,12 @@
 using namespace elfie;
 using namespace elfie::vm;
 
-namespace {
-/// What the code buffer holds just before each block's entry.
-struct BlockHeader {
-  uint64_t StartPC;
-  uint32_t NumInsts;
-  uint32_t EndsInControlFlow;
-};
-static_assert(sizeof(BlockHeader) == 16, "keeps block entries 16-aligned");
-} // namespace
+static_assert(sizeof(JitCache::CompiledBlock) == 16,
+              "keeps block entries 16-aligned");
 
-JitCache::JitCache(const x86::JitLayout &Layout, size_t BufferBytes)
-    : Layout(Layout) {
+JitCache::JitCache(DecodeCache &DC, const x86::JitLayout &Layout,
+                   size_t BufferBytes)
+    : DC(DC), Layout(Layout) {
   if (!Buf.init(BufferBytes))
     return;
   x86::Encoder E;
@@ -39,26 +33,22 @@ JitCache::JitCache(const x86::JitLayout &Layout, size_t BufferBytes)
 }
 
 void JitCache::compile(const DecodedBlock &B) {
-  if (!ready())
+  if (B.JitEntry || B.JitRefused)
     return;
   uint64_t PC = B.StartPC;
-  if (ByPC.count(PC) || Uncompilable.count(PC))
-    return;
   x86::JitBlockCode Code;
   if (!x86::emitJitBlock(PC, B.Insts.data(), B.Insts.size(), Layout, Code)) {
-    Uncompilable.insert(PC);
+    B.JitRefused = true;
+    ++NumRefused;
     return;
   }
 
   // Fold any deferred un-patching into the same W^X flip.
   maintenance();
 
-  CompiledBlock CB;
-  CB.StartPC = PC;
-  CB.NumInsts = Code.NumInsts;
-  CB.EndsInControlFlow = isa::isControlFlow(B.Insts[Code.NumInsts - 1].Op);
   // The block log's view of the block goes in front of its code.
-  BlockHeader H{PC, CB.NumInsts, CB.EndsInControlFlow};
+  CompiledBlock H{PC, Code.NumInsts,
+                  isa::isControlFlow(B.Insts[Code.NumInsts - 1].Op)};
   std::vector<uint8_t> Bytes(sizeof(H));
   std::memcpy(Bytes.data(), &H, sizeof(H));
   Bytes.insert(Bytes.end(), Code.Code.begin(), Code.Code.end());
@@ -70,6 +60,7 @@ void JitCache::compile(const DecodedBlock &B) {
     // compilation only ever runs from interpreter context, never from
     // inside the buffer.
     invalidateAll();
+    DC.forgetCompiled();
     Off = Buf.append(Bytes.data(), Bytes.size());
     if (Off == SIZE_MAX) {
       Buf.endWrite();
@@ -77,7 +68,6 @@ void JitCache::compile(const DecodedBlock &B) {
     }
   }
   Off += sizeof(H);
-  CB.Entry = Off;
   // The id the block logs on entry.
   Buf.patch32(Off + Code.LogIdOff, static_cast<uint32_t>(Off));
 
@@ -85,14 +75,14 @@ void JitCache::compile(const DecodedBlock &B) {
   // targets are patched now, the rest wait in PendingSites.
   for (const x86::JitChainExit &X : Code.Exits) {
     size_t Site = Off + X.JmpOff; // globalize the block-relative offset
-    size_t TargetEntry;
-    if (X.TargetPC == PC)
-      TargetEntry = Off;
-    else if (const CompiledBlock *T = find(X.TargetPC))
-      TargetEntry = T->Entry;
-    else {
-      PendingSites[X.TargetPC].push_back(Site);
-      continue;
+    size_t TargetEntry = Off;
+    if (X.TargetPC != PC) {
+      const DecodedBlock *T = DC.find(X.TargetPC);
+      if (!T || !T->JitEntry) {
+        PendingSites[X.TargetPC].push_back(Site);
+        continue;
+      }
+      TargetEntry = T->JitEntry;
     }
     Buf.patchJmp(Site, TargetEntry);
     PatchedSites[X.TargetPC].push_back(Site);
@@ -109,59 +99,42 @@ void JitCache::compile(const DecodedBlock &B) {
   }
   Buf.endWrite();
 
-  PageIndex[pageBase(PC)].push_back(PC);
-  ByPC.emplace(PC, CB);
+  B.JitEntry = static_cast<uint32_t>(Off);
+  B.JitInsts = Code.NumInsts;
+  ++NumCompiled;
   ++Stats.Blocks;
 }
 
-void JitCache::invalidatePage(uint64_t PageAddr) {
-  if (!ready())
+void JitCache::drop(const DecodedBlock &B) {
+  if (B.JitRefused)
+    --NumRefused;
+  if (!B.JitEntry)
     return;
-  // The rewrite may have made previously uncompilable PCs compilable.
-  for (auto It = Uncompilable.begin(); It != Uncompilable.end();) {
-    if (pageBase(*It) == PageAddr)
-      It = Uncompilable.erase(It);
-    else
-      ++It;
+  // Chain exits patched into the dying block must stop jumping there.
+  // The buffer may be live on the host stack right now (a store inside
+  // compiled code fired the hook), so queue the rewrite; the emitted
+  // Pending check stops execution before any stale chain can be taken.
+  auto SIt = PatchedSites.find(B.StartPC);
+  if (SIt != PatchedSites.end()) {
+    for (size_t Site : SIt->second)
+      UnpatchQueue.emplace_back(Site, B.StartPC);
+    PatchedSites.erase(SIt);
   }
-  auto It = PageIndex.find(PageAddr);
-  if (It == PageIndex.end())
-    return;
-  for (uint64_t PC : It->second) {
-    auto BIt = ByPC.find(PC);
-    if (BIt == ByPC.end())
-      continue;
-    // Chain exits patched into the dying block must stop jumping there.
-    // The buffer may be live on the host stack right now (a store inside
-    // compiled code fired the hook), so queue the rewrite; the emitted
-    // Pending check stops execution before any stale chain can be taken.
-    auto SIt = PatchedSites.find(PC);
-    if (SIt != PatchedSites.end()) {
-      for (size_t Site : SIt->second)
-        UnpatchQueue.emplace_back(Site, PC);
-      PatchedSites.erase(SIt);
-    }
-    // PendingSites entries targeting PC stay: they bind by guest PC and
-    // will chain to whatever compiles there next.
-    ByPC.erase(BIt);
-    ++Stats.Invalidations;
-  }
-  PageIndex.erase(It);
+  // PendingSites entries targeting the PC stay: they bind by guest PC and
+  // will chain to whatever compiles there next.
+  --NumCompiled;
+  ++Stats.Invalidations;
 }
 
 void JitCache::invalidateAll() {
-  if (!ready())
-    return;
-  if (ByPC.empty() && Uncompilable.empty() && PendingSites.empty() &&
+  if (!NumCompiled && !NumRefused && PendingSites.empty() &&
       UnpatchQueue.empty())
     return;
-  Stats.Invalidations += ByPC.size();
+  Stats.Invalidations += NumCompiled;
   ++Stats.Flushes;
-  ByPC.clear();
-  PageIndex.clear();
+  NumCompiled = NumRefused = 0;
   PendingSites.clear();
   PatchedSites.clear();
-  Uncompilable.clear();
   UnpatchQueue.clear();
   // Bookkeeping only — no byte changes needed (dropped code is simply
   // never entered again), so this is safe outside a write window and even
@@ -170,7 +143,7 @@ void JitCache::invalidateAll() {
 }
 
 void JitCache::maintenance() {
-  if (!ready() || UnpatchQueue.empty())
+  if (UnpatchQueue.empty())
     return;
   Buf.beginWrite();
   for (const auto &Entry : UnpatchQueue) {
@@ -186,19 +159,14 @@ void JitCache::maintenance() {
 }
 
 JitCache::CompiledBlock JitCache::logged(uint32_t Id) const {
-  BlockHeader H;
-  std::memcpy(&H, Buf.data() + Id - sizeof(H), sizeof(H));
   CompiledBlock B;
-  B.StartPC = H.StartPC;
-  B.Entry = Id;
-  B.NumInsts = H.NumInsts;
-  B.EndsInControlFlow = H.EndsInControlFlow != 0;
+  std::memcpy(&B, Buf.data() + Id - sizeof(B), sizeof(B));
   return B;
 }
 
-uint32_t JitCache::run(JitExecContext &Ctx, const CompiledBlock &B) const {
+uint32_t JitCache::run(JitExecContext &Ctx, uint32_t Entry) const {
   using TrampolineFn = uint64_t (*)(void *, const void *);
   auto Fn = reinterpret_cast<TrampolineFn>(
       reinterpret_cast<uintptr_t>(Buf.data()));
-  return static_cast<uint32_t>(Fn(&Ctx, Buf.data() + B.Entry));
+  return static_cast<uint32_t>(Fn(&Ctx, Buf.data() + Entry));
 }

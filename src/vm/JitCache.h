@@ -7,12 +7,14 @@
 ///
 /// \file
 /// The EVM side of the template JIT (on by default, DESIGN.md §12): owns
-/// the W^X executable buffer, maps guest block-start PCs to compiled code,
-/// chains blocks into superblocks by patching their chain exits, and
-/// mirrors the DecodeCache's invalidation contract — the
-/// VM wires the same AddressSpace code-invalidate hook into both, so
-/// self-modifying code, page injection, unmaps, and access-tracking resets
-/// drop compiled code exactly where they drop decoded blocks.
+/// the W^X executable buffer, compiles decoded blocks into it, and chains
+/// blocks into superblocks by patching their chain exits. It keeps no map
+/// of blocks of its own: a block's compiled entry lives on its
+/// DecodedBlock, and chain targets resolve through the DecodeCache. The
+/// cache hands every dying block to drop() and every flush to
+/// invalidateAll(), so self-modifying code, page injection, unmaps,
+/// access-tracking resets and cap flushes drop compiled code together
+/// with the decoded block it was translated from.
 ///
 /// Un-patching chain exits rewrites the buffer, which needs a W^X flip; a
 /// store executed *inside* compiled code can trigger invalidation while the
@@ -32,7 +34,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace elfie {
@@ -45,13 +46,13 @@ struct JitStats {
   uint64_t Blocks = 0;
   /// Instructions retired inside compiled code.
   uint64_t Hits = 0;
-  /// Whole-cache flushes (access-tracking resets, image attaches, buffer
-  /// exhaustion).
+  /// Whole-cache flushes (access-tracking resets, image attaches, decode
+  /// cache cap flushes, buffer exhaustion).
   uint64_t Flushes = 0;
   /// Exits that handed an instruction back to the interpreter (syscalls,
   /// markers, halt, pause, atomics, faulting accesses, invalidations).
   uint64_t Bailouts = 0;
-  /// Blocks dropped by page-granular invalidation.
+  /// Compiled blocks dropped, one at a time or by a flush.
   uint64_t Invalidations = 0;
   /// Entries through the dispatch trampoline.
   uint64_t Dispatches = 0;
@@ -76,27 +77,24 @@ struct JitExecContext {
   uint64_t LogStride = 0;
 };
 
-/// Compiled-block cache + executable buffer.
+/// The executable buffer and the chain bookkeeping over it.
 class JitCache {
 public:
+  /// A compiled block as the block log names it; the code buffer holds
+  /// this record just before each block's entry.
   struct CompiledBlock {
-    uint64_t StartPC = 0;
-    size_t Entry = 0;      ///< buffer offset of the block's entry check
-    uint32_t NumInsts = 0; ///< compiled prefix length (max retired/entry)
+    uint64_t StartPC;
+    uint32_t NumInsts; ///< compiled prefix length (max retired/entry)
     /// The prefix's last instruction is control flow (isa::isControlFlow).
-    bool EndsInControlFlow = false;
+    uint32_t EndsInControlFlow;
   };
 
-  JitCache(const x86::JitLayout &Layout, size_t BufferBytes);
+  /// Compiles blocks of \p DC, which must hand it its dying blocks
+  /// (DecodeCache::attachJit).
+  JitCache(DecodeCache &DC, const x86::JitLayout &Layout, size_t BufferBytes);
 
   /// False when the executable buffer could not be set up (JIT disabled).
   bool ready() const { return Ok; }
-
-  /// The compiled block entered at exactly \p PC, or null.
-  const CompiledBlock *find(uint64_t PC) const {
-    auto It = ByPC.find(PC);
-    return It == ByPC.end() ? nullptr : &It->second;
-  }
 
   /// The block a block-log entry names. A block's id is its entry's
   /// buffer offset, and its StartPC, NumInsts and EndsInControlFlow sit
@@ -105,38 +103,39 @@ public:
   /// frees no buffer space; only a flush reuses it).
   CompiledBlock logged(uint32_t Id) const;
 
-  /// Compiles \p B unless already compiled or known uncompilable. Chains
-  /// existing blocks whose exits target it, and its exits to existing
-  /// blocks. Flushes everything on buffer exhaustion.
+  /// Compiles \p B (a block of the attached DecodeCache) unless it has an
+  /// entry or a mark already, and records either on it. Chains existing
+  /// blocks whose exits target it, and its exits to existing blocks.
+  /// Flushes everything on buffer exhaustion.
   void compile(const DecodedBlock &B);
 
-  /// Drops every block on the page; queues un-patching of chain exits in
-  /// still-live blocks that jump into the dropped ones.
-  void invalidatePage(uint64_t PageAddr);
+  /// \p B is leaving the DecodeCache: queues un-patching of the chain
+  /// exits that jump into its compiled code.
+  void drop(const DecodedBlock &B);
 
-  /// Drops everything and resets the buffer.
+  /// Drops all compiled code and resets the buffer (the DecodeCache
+  /// flushes, or the buffer is exhausted).
   void invalidateAll();
 
   /// Drains deferred un-patching. Must run before any dispatch that
   /// follows an invalidation; cheap no-op otherwise.
   void maintenance();
 
-  /// Runs \p B through the trampoline. Caller fills/reads \p Ctx and is
-  /// responsible for maintenance() beforehand. Returns the JitExitKind.
-  uint32_t run(JitExecContext &Ctx, const CompiledBlock &B) const;
+  /// Runs the compiled code entered at buffer offset \p Entry through the
+  /// trampoline. Caller fills/reads \p Ctx and is responsible for
+  /// maintenance() beforehand. Returns the JitExitKind.
+  uint32_t run(JitExecContext &Ctx, uint32_t Entry) const;
 
   JitStats Stats;
 
 private:
+  DecodeCache &DC;
   x86::JitLayout Layout;
   x86::ExecBuffer Buf;
   bool Ok = false;      ///< buffer mapped and trampoline emitted
   size_t CodeStart = 0; ///< first byte after the trampoline
-  // unordered_map: node stability keeps find() results valid across
-  // unrelated compiles.
-  std::unordered_map<uint64_t, CompiledBlock> ByPC;
-  /// Page base -> start PCs of compiled blocks on that page.
-  std::unordered_map<uint64_t, std::vector<uint64_t>> PageIndex;
+  /// Resident blocks with a compiled entry, and with a refusal mark.
+  size_t NumCompiled = 0, NumRefused = 0;
   /// Target guest PC -> chain-exit jmp sites (buffer offsets) waiting for
   /// that PC to compile. Sites survive invalidation of the *target* (they
   /// chain by guest PC, so they bind to whatever compiles there next).
@@ -144,9 +143,6 @@ private:
   /// Target guest PC -> sites currently patched to its entry (what must be
   /// un-patched when the target dies).
   std::unordered_map<uint64_t, std::vector<size_t>> PatchedSites;
-  /// Blocks whose first instruction needs the interpreter; cleared per
-  /// page on invalidation (the rewrite may have made them compilable).
-  std::unordered_set<uint64_t> Uncompilable;
   /// Deferred un-patch work: (site, target PC to re-pend).
   std::vector<std::pair<size_t, uint64_t>> UnpatchQueue;
 };

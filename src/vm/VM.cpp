@@ -36,10 +36,6 @@ struct VM::JitRuntime {
   static constexpr size_t TlbEntries = 64;
   JitCache JC;
   JitExecContext Ctx;
-  /// True while the host call stack is inside the code buffer; the
-  /// code-invalidate hook then sets Ctx.Pending so the emitted post-store
-  /// check stops the current block before any stale code can run.
-  bool InJit = false;
   // TLB slots: page base + host pointer, valid while the pointer is
   // non-null. Filled only after a slow-path access to the page succeeded
   // (so access tracking / first-touch has fired) and flushed by the
@@ -50,14 +46,9 @@ struct VM::JitRuntime {
   uint8_t *WPtr[TlbEntries] = {};
   // The access record of a dispatch under a BlockAccesses observer. One
   // dispatch retires at most one block, so one access per instruction of
-  // the longest block bounds it. RecInsts points at the block's decoded
-  // instructions, or at RecInstsCopy once a store inside the block has
-  // invalidated its page (the invalidation frees the decoded block).
+  // the longest block bounds it.
   MemoryAccess Recorded[DecodeCache::MaxBlockInsts];
   uint32_t NumRecorded = 0;
-  const Inst *RecInsts = nullptr;
-  uint32_t RecNumInsts = 0;
-  std::vector<Inst> RecInstsCopy;
   /// The block log of a dispatch under a Block observer (DESIGN.md §12):
   /// compiled code appends one block id (JitCache::logged) per entered
   /// block. Every logged block but the last retired at least one
@@ -66,8 +57,8 @@ struct VM::JitRuntime {
   static constexpr size_t BlockLogEntries = 4096;
   uint32_t BlockLog[BlockLogEntries];
 
-  JitRuntime(const x86::JitLayout &L, size_t BufferBytes)
-      : JC(L, BufferBytes) {}
+  JitRuntime(DecodeCache &DC, const x86::JitLayout &L, size_t BufferBytes)
+      : JC(DC, L, BufferBytes) {}
 
   static unsigned slot(uint64_t Addr) {
     return (Addr >> 12) & (TlbEntries - 1);
@@ -114,30 +105,19 @@ VM::VM(VMConfig Config)
   BrkTop = isa::HeapBase;
   SchedRNG.reseed(this->Config.ScheduleSeed ? this->Config.ScheduleSeed
                                             : 0x5eed);
-  // Keep the decoded-block cache — and the JIT's compiled blocks, which
-  // share the invalidation contract — coherent with the address space:
-  // stores and pokes into executable pages (self-modifying code, replay
-  // page injection), unmaps, and access-tracking resets all invalidate.
+  // Keep the decoded-block cache — and with it the compiled code on its
+  // blocks — coherent with the address space: stores and pokes into
+  // executable pages (self-modifying code, replay page injection), unmaps,
+  // and access-tracking resets all invalidate.
   Mem.setCodeInvalidateHook([this](uint64_t PageAddr) {
-    // A recording dispatch keeps its block's instructions across the free.
-    if (Jit && Jit->InJit && Jit->RecInsts &&
-        Jit->RecInsts != Jit->RecInstsCopy.data()) {
-      Jit->RecInstsCopy.assign(Jit->RecInsts,
-                               Jit->RecInsts + Jit->RecNumInsts);
-      Jit->RecInsts = Jit->RecInstsCopy.data();
-    }
     if (PageAddr == AddressSpace::AllPages)
       DC.flush();
     else
       DC.invalidatePage(PageAddr);
-    if (Jit) {
-      if (PageAddr == AddressSpace::AllPages)
-        Jit->JC.invalidateAll();
-      else
-        Jit->JC.invalidatePage(PageAddr);
-      if (Jit->InJit)
-        Jit->Ctx.Pending = 1;
-    }
+    // Inside a dispatch the emitted post-store check then stops the block
+    // before any stale code runs; every dispatch clears it on entry.
+    if (Jit)
+      Jit->Ctx.Pending = 1;
   });
   // The JIT's TLBs cache per-page host pointers; drop them whenever a
   // page's backing store may move (COW materialization, unmap, attach) or
@@ -152,12 +132,13 @@ VM::VM(VMConfig Config)
   });
 #if defined(__x86_64__)
   if (this->Config.EnableJit && this->Config.EnableDecodeCache) {
-    auto J = std::make_unique<JitRuntime>(jitLayout(), JitBufferBytes);
+    auto J = std::make_unique<JitRuntime>(DC, jitLayout(), JitBufferBytes);
     if (J->JC.ready()) {
       J->Ctx.Cookie = this;
       J->Ctx.LoadFn = &VM::jitLoad;
       J->Ctx.StoreFn = &VM::jitStore;
       J->Ctx.LogPos = J->BlockLog;
+      DC.attachJit(&J->JC);
       Jit = std::move(J);
     }
   }
@@ -490,8 +471,8 @@ JitStats VM::jitStats() const { return Jit ? Jit->JC.Stats : JitStats(); }
 bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
   Exec = 0;
   JitRuntime &J = *Jit;
-  const JitCache::CompiledBlock *CB = J.JC.find(T.PC);
-  if (!CB)
+  const DecodedBlock *B = DC.find(T.PC);
+  if (!B || !B->JitEntry)
     return false;
   // A BlockAccesses observer sees one compiled block per dispatch: with the
   // quota at the block's length the next chained entry check exits. A
@@ -499,27 +480,14 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
   // quota keeps from overflowing.
   const bool Record = ObsGran == Observer::Granularity::BlockAccesses;
   if (Record)
-    Quota = std::min<uint64_t>(Quota, CB->NumInsts);
+    Quota = std::min<uint64_t>(Quota, B->JitInsts);
   else if (ObsGran == Observer::Granularity::Block)
     Quota = std::min<uint64_t>(Quota, JitRuntime::BlockLogEntries - 1);
   else if (Quota > uint64_t(INT64_MAX))
     Quota = INT64_MAX; // the emitted entry check compares signed
-  if (Quota < CB->NumInsts)
+  if (Quota < B->JitInsts)
     return false; // entry check would fail; interpret the quantum tail
-  // Copy what the record needs now: a store inside the block may free the
-  // entry.
-  const uint64_t StartPC = CB->StartPC;
-  if (Record) {
-    // The compiled prefix was translated from the decoded block at the
-    // same PC (both caches drop a page together). A cap flush can drop the
-    // decoded block alone; then interpret, which decodes it again.
-    const DecodedBlock *DB = DC.find(StartPC);
-    if (!DB || DB->Insts.size() < CB->NumInsts)
-      return false;
-    J.RecInsts = DB->Insts.data();
-    J.RecNumInsts = CB->NumInsts;
-    J.NumRecorded = 0;
-  }
+  J.NumRecorded = 0;
   // Drain deferred chain un-patching before entering the buffer — after
   // this, every patched chain exit targets live code.
   J.JC.maintenance();
@@ -529,9 +497,10 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
   J.Ctx.Pending = 0;
   J.Ctx.Thread = &T;
   J.Ctx.LogPos = J.BlockLog;
-  J.InJit = true;
-  uint32_t Kind = J.JC.run(J.Ctx, *CB);
-  J.InJit = false;
+  // A store inside the chain may erase B (or any block); it stays readable
+  // until the dispatch is delivered.
+  DC.parkFrees();
+  uint32_t Kind = J.JC.run(J.Ctx, B->JitEntry);
   Exec = Quota - static_cast<uint64_t>(J.Ctx.Countdown);
   T.PC = J.Ctx.NextPC;
   T.Retired += Exec;
@@ -549,12 +518,12 @@ bool VM::jitDispatch(ThreadState &T, uint64_t Quota, uint64_t &Exec) {
     // did not retire; every other recorded access retired.
     uint32_t Accesses = J.NumRecorded - (Kind == x86::JitExitMemRetry);
     if (Exec > 0)
-      Obs->onRetiredBlock(T, StartPC, {J.RecInsts, Exec},
+      Obs->onRetiredBlock(T, B->StartPC, {B->Insts.data(), Exec},
                           {J.Recorded, Accesses});
-    J.RecInsts = nullptr;
   } else if (ObsGran == Observer::Granularity::Block) {
     deliverBlockLog(T.Tid, Exec);
   }
+  DC.releaseParked();
   return true;
 }
 
@@ -752,9 +721,6 @@ VM::StepStatus VM::stepOne(ThreadState &T) {
 
 VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   uint64_t PC = T.PC;
-  if (ObsGran == Observer::Granularity::Block)
-    Obs->onBlock(T.Tid, PC, 1, isa::isControlFlow(I.Op));
-
   uint64_t *R = T.GPR;
   double *F = T.FPR;
   uint64_t NextPC = PC + isa::InstSize;
@@ -767,6 +733,8 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   auto Report = [&] {
     if (ObsGran == Observer::Granularity::BlockAccesses)
       Obs->onRetiredBlock(T, PC, {&I, 1}, {&Access, Access.Size ? 1u : 0u});
+    else if (ObsGran == Observer::Granularity::Block)
+      Obs->onBlock(T.Tid, PC, 1, isa::isControlFlow(I.Op));
   };
   auto Retire = [&](uint64_t To) {
     T.GPR[isa::RegZero] = 0;

@@ -24,6 +24,9 @@
 /// single steps land on the same instruction whichever executor retires
 /// it.
 ///
+/// Both executors find a guest block in one map, the DecodeCache: compiled
+/// code is recorded on the decoded block it was translated from.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ELFIE_VM_VM_H
@@ -143,11 +146,12 @@ public:
   /// EntryPC + 8, ... retire on \p Tid with no control transfer between
   /// them; \p EndsInControlFlow says the last one is a control-flow
   /// instruction (isa::isControlFlow). The interpreter reports each
-  /// instruction as a one-instruction block before executing it; compiled
-  /// dispatch reports each block of a chain, in order, after the whole
-  /// chain ran. Calls follow global retirement order across threads, and
-  /// a run may stop short of the block's end (budget, quantum, faulting
-  /// access).
+  /// instruction it retires as a one-instruction block, after the
+  /// instruction's events, so a faulting instruction is not reported;
+  /// compiled dispatch reports each block of a chain, in order, after the
+  /// whole chain ran. Calls follow global retirement order across
+  /// threads, and a run may stop short of the block's end (budget,
+  /// quantum, faulting access).
   virtual void onBlock(uint32_t Tid, uint64_t EntryPC, uint64_t NumInsts,
                        bool EndsInControlFlow) {}
   /// BlockAccesses observers only, after a block retired: \p Insts, the
@@ -190,7 +194,8 @@ struct VMConfig {
   size_t DecodeCacheMaxBlocks = 0;
   /// Translate hot blocks to host x86-64 and dispatch them natively (the
   /// default; `ereplay -jit` sets it explicitly). Requires
-  /// EnableDecodeCache; silently inert on non-x86-64 hosts and while a
+  /// EnableDecodeCache, whose blocks carry the compiled code (a cap flush
+  /// flushes it too); silently inert on non-x86-64 hosts and while a
   /// stopAt() condition is armed.
   bool EnableJit = true;
   /// Decode-cache entries crossing this hit count get compiled.
@@ -347,12 +352,13 @@ private:
   /// True when compiled dispatch may run right now (JIT configured, host
   /// supported, and no stopAt() condition armed).
   bool jitActive() const { return Jit && StopCount == 0; }
-  /// One native dispatch of the compiled block at T.PC (and the blocks
-  /// chained after it), bounded by \p Quota retired instructions. Returns
-  /// false when no compiled block starts there or the quota is too small
-  /// for its entry check; true when compiled code ran, with \p Exec set to
-  /// the instructions retired. A BlockAccesses observer caps the quota at
-  /// the block's length and receives one onRetiredBlock per dispatch. A
+  /// One native dispatch of the compiled code on the decoded block at T.PC
+  /// (and the blocks chained after it), bounded by \p Quota retired
+  /// instructions. Returns false when no compiled block starts there or
+  /// the quota is too small for its entry check; true when compiled code
+  /// ran, with \p Exec set to the instructions retired. A BlockAccesses
+  /// observer caps the quota at the block's length and receives one
+  /// onRetiredBlock per dispatch, read from the (maybe parked) block. A
   /// Block observer caps it at the block log's capacity less one and
   /// receives the chain's blocks from the log (deliverBlockLog).
   /// After a true return with Exec == 0 the caller must interpret at least
@@ -371,10 +377,10 @@ private:
                                    uint64_t Kind);
   static void jitStoreRecording(void *Cookie, uint64_t Addr, uint64_t Value,
                                 uint64_t Size);
-  /// Executes one already-decoded instruction at T.PC and reports it to a
-  /// Block or BlockAccesses observer as a one-instruction block. Takes the
-  /// instruction by value: executing a store into the current code page
-  /// invalidates the block that owns the cached copy.
+  /// Executes one already-decoded instruction at T.PC and reports it, once
+  /// retired, to a Block or BlockAccesses observer as a one-instruction
+  /// block. Takes the instruction by value: executing a store into the
+  /// current code page invalidates the block that owns the cached copy.
   StepStatus execDecoded(ThreadState &T, isa::Inst I);
   /// Cursor / direct-mapped lookup for the instruction at T.PC; null on a
   /// cache miss.

@@ -221,23 +221,68 @@ TEST(DecodeCache, BlockCapForcesFullFlush) {
 
 TEST(DecodeCache, CappedCacheBehaviourIdentical) {
   // VM level: an absurdly small cap thrashes the cache constantly but must
-  // not change the executed stream.
-  auto Run = [](size_t Cap) {
+  // not change the executed stream, interpreted or compiled. A cap flush
+  // drops the compiled code on the flushed blocks too.
+  auto Run = [](size_t Cap, bool Jit) {
     VMConfig C;
     C.DecodeCacheMaxBlocks = Cap;
-    C.EnableJit = false;
+    C.EnableJit = Jit;
+    C.JitThreshold = 1;
     auto Out = std::make_shared<std::string>();
     auto M = makeVM(computeProgram(), Out, C);
     RunResult R = M->run();
     if (Cap && Cap < 8) {
       EXPECT_GE(R.CacheStats.CapFlushes, 1u) << "cap " << Cap;
+#if defined(__x86_64__)
+      if (Jit) {
+        EXPECT_GE(R.Jit.Flushes, 1u) << "cap " << Cap;
+        EXPECT_GT(R.Jit.Hits, 0u) << "cap " << Cap;
+      }
+#endif
     }
     return std::tuple(R.Reason, R.ExitCode, M->globalRetired(), *Out,
                       M->thread(0)->GPR[6]);
   };
-  auto Reference = Run(0); // 0 = default (effectively unbounded here)
-  EXPECT_EQ(Run(2), Reference);
-  EXPECT_EQ(Run(7), Reference);
+  auto Reference = Run(0, false); // 0 = default (effectively unbounded)
+  for (bool Jit : {false, true}) {
+    EXPECT_EQ(Run(2, Jit), Reference) << "jit " << Jit;
+    EXPECT_EQ(Run(7, Jit), Reference) << "jit " << Jit;
+  }
+}
+
+TEST(DecodeCache, BlockErasedDuringADispatchStaysReadableUntilReleased) {
+  // A store inside compiled code can erase the block being dispatched; the
+  // dispatcher still reads its instructions afterwards. Parked, the block
+  // leaves the map and the generation moves (cursors miss it), but its
+  // memory lives until releaseParked(). ASan checks the read.
+  DecodeCache DC;
+  auto B = std::make_unique<DecodedBlock>();
+  B->StartPC = 0x1008;
+  B->Insts = {I3(isa::Opcode::Addi, 1, 1, 0, 7),
+              I3(isa::Opcode::Halt, 0, 0, 0, 0)};
+  const DecodedBlock *Running = DC.insert(std::move(B));
+  uint64_t Gen = DC.generation();
+
+  DC.parkFrees();
+  DC.invalidatePage(0x1000);
+  EXPECT_NE(DC.generation(), Gen);
+  EXPECT_EQ(DC.find(0x1008), nullptr);
+  EXPECT_EQ(DC.blockCount(), 0u);
+  ASSERT_EQ(Running->Insts.size(), 2u);
+  EXPECT_EQ(Running->Insts[0].Imm, 7);
+  EXPECT_EQ(Running->pcAt(1), 0x1010u);
+  DC.releaseParked();
+
+  // A flush during a dispatch parks every block.
+  auto B2 = std::make_unique<DecodedBlock>();
+  B2->StartPC = 0x2000;
+  B2->Insts = {I3(isa::Opcode::Halt, 0, 0, 0, 0)};
+  const DecodedBlock *Flushed = DC.insert(std::move(B2));
+  DC.parkFrees();
+  DC.flush();
+  EXPECT_EQ(DC.lookup(0x2000), nullptr);
+  EXPECT_EQ(Flushed->StartPC, 0x2000u);
+  DC.releaseParked();
 }
 
 TEST(DecodeCache, UnmapOfExecutablePageInvalidates) {

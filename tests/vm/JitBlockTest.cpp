@@ -69,8 +69,7 @@ struct BlockRecorder : Observer {
 /// The calls one-block dispatch gave a Block observer, rebuilt from a
 /// BlockAccesses observer (which still dispatches one block at a time): a
 /// compiled block retired \p Insts, an interpreted instruction is a
-/// one-instruction block. Only retired instructions arrive, where a Block
-/// observer also sees a faulting instruction, before it executes.
+/// one-instruction block.
 struct OneBlockRecorder : Observer {
   std::vector<BlockCall> Calls;
   Granularity granularity() const override {
@@ -128,10 +127,7 @@ Streams checkStreams(const MakeVM &Make, StopReason Want, const char *Name,
   auto MO = Make(true);
   MO->setObserver(&OneBlock);
   EXPECT_EQ(MO->run(Budget).Reason, Want) << Name;
-  std::vector<BlockCall> Retired = S.Chained;
-  if (Want == StopReason::Faulted && !Retired.empty())
-    Retired.pop_back(); // the faulting instruction
-  expectSameCalls(Retired, OneBlock.Calls, Name);
+  expectSameCalls(S.Chained, OneBlock.Calls, Name);
 
   BlockRecorder Interp;
   auto MI = Make(false);
@@ -271,9 +267,39 @@ TEST(JitBlocks, MemRetryOnAnUnmappedPageEndsTheChain) {
       },
       StopReason::Faulted, "memory retry");
   ASSERT_FALSE(S.Chained.empty());
-  // The faulting load is reported once, by the interpreter that re-ran it.
-  EXPECT_EQ(show(S.Chained.back()),
-            show({0, CodeBase + 7 * 8, 1, false}));
+  // The faulting load is not reported, neither by the chain that handed it
+  // back nor by the interpreter that re-ran it: the last block is A.
+  EXPECT_EQ(show(S.Chained.back()), show({0, CodeBase + 2 * 8, 5, true}));
+  EXPECT_EQ(expand(S.Chained).size(), S.Retired);
+}
+
+/// A Block observer that counts the instructions it is told of.
+struct BlockCounter : Observer {
+  uint64_t Insts = 0;
+  Granularity granularity() const override { return Granularity::Block; }
+  void onBlock(uint32_t, uint64_t, uint64_t NumInsts, bool) override {
+    Insts += NumInsts;
+  }
+};
+
+TEST(JitBlocks, FaultingRunReportsOnlyRetiredInstructions) {
+  // A hot loop whose last pass stores to an unmapped page: the faulting
+  // store retires nothing, so a Block observer must count exactly the
+  // retired instructions, interpreted or compiled.
+  std::vector<isa::Inst> Prog = {
+      I3(Opcode::Ldi, 3, 0, 0, 100),
+      I3(Opcode::Addi, 3, 3, 0, -1), // loop
+      I3(Opcode::Bne, 0, 3, 0, -8),
+      I3(Opcode::St8, 3, 0, 0, 0x40), // page 0 is unmapped
+      I3(Opcode::Halt, 0, 0, 0, 0),
+  };
+  for (bool Jit : {false, true}) {
+    BlockCounter Counter;
+    auto M = test::rawVM(Prog, jitConfig(Jit));
+    M->setObserver(&Counter);
+    EXPECT_EQ(M->run().Reason, StopReason::Faulted);
+    EXPECT_EQ(Counter.Insts, M->globalRetired()) << "jit " << Jit;
+  }
 }
 
 /// A RegionLogger that also records the onBlock calls it gets.
