@@ -89,6 +89,19 @@ if grep -rn '"core%u"' "$REPO/src" |
   exit 1
 fi
 
+# A cache keeps each set's tags in recency order, a TLB is a Cache whose
+# lines are pages, and SimStats counts hits, misses and mispredicts: an
+# LRU stamp or clock, a TLB class or a structure's own event counter
+# means state the sidecar would carry for nothing has come back
+# (DESIGN.md §16.1).
+echo "==== [sim-structures] no LRU clock, TLB class or shadow counters in sim/ ===="
+if grep -rnE '\bLRUStamp\b|\bclass TLB\b|\bClock\b|\b(hits|misses|evictions|lookups|mispredicts)\(\)' \
+    "$REPO/src/sim"; then
+  echo "ci.sh: an LRU clock, TLB class or shadow counter in src/sim (keep" \
+    "sets in recency order, build TLBs as Caches, count in SimStats)"
+  exit 1
+fi
+
 # A guest block has one record, its DecodedBlock, which carries the
 # JIT's compiled entry: a PC-keyed block map, a page index, an
 # uncompilable set or a find(PC) lookup in the JIT means a second record

@@ -248,7 +248,9 @@ elfie::fault::mutateSimStateFile(const std::string &Path, uint64_t Seed) {
     break;
   }
   case 4: { // hostile producer: future format version, valid seal
-    uint32_t V = 2 + static_cast<uint32_t>(Rand.nextBelow(1000));
+    uint32_t Cur;
+    std::memcpy(&Cur, B.data() + 8, 4);
+    uint32_t V = Cur + 1 + static_cast<uint32_t>(Rand.nextBelow(1000));
     std::memcpy(B.data() + 8, &V, 4);
     Sha256Digest Seal = Sha256::digest(B.data(), B.size() - 32);
     std::memcpy(B.data() + B.size() - 32, Seal.Bytes.data(), 32);

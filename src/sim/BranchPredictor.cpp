@@ -18,9 +18,6 @@ bool GSharePredictor::predictAndUpdate(uint64_t PC, bool Taken) {
   uint64_t Index = ((PC >> 3) ^ History) & Mask;
   uint8_t &C = Counters[Index];
   bool Prediction = C >= 2;
-  ++Lookups;
-  if (Prediction != Taken)
-    ++Mispredicts;
   if (Taken && C < 3)
     ++C;
   else if (!Taken && C > 0)
@@ -32,8 +29,6 @@ bool GSharePredictor::predictAndUpdate(uint64_t PC, bool Taken) {
 void GSharePredictor::saveState(StateWriter &W) const {
   W.writeU32(TableBits);
   W.writeU64(History);
-  W.writeU64(Lookups);
-  W.writeU64(Mispredicts);
   W.writeBytes(Counters.data(), Counters.size());
 }
 
@@ -45,8 +40,6 @@ Error GSharePredictor::loadState(StateReader &R) {
                           "this predictor has %u",
                           SavedBits, TableBits);
   History = R.readU64();
-  Lookups = R.readU64();
-  Mispredicts = R.readU64();
   R.readBytes(Counters.data(), Counters.size());
   return Error::success();
 }
@@ -56,10 +49,7 @@ BTB::BTB(unsigned TableBits) : Entries(1u << TableBits) {}
 bool BTB::predictAndUpdate(uint64_t PC, uint64_t Target) {
   uint64_t Index = (PC >> 3) & (Entries.size() - 1);
   Entry &E = Entries[Index];
-  ++Lookups;
   bool Correct = E.Valid && E.PC == PC && E.Target == Target;
-  if (!Correct)
-    ++Mispredicts;
   E.PC = PC;
   E.Target = Target;
   E.Valid = true;
@@ -68,8 +58,6 @@ bool BTB::predictAndUpdate(uint64_t PC, uint64_t Target) {
 
 void BTB::saveState(StateWriter &W) const {
   W.writeU32(static_cast<uint32_t>(Entries.size()));
-  W.writeU64(Lookups);
-  W.writeU64(Mispredicts);
   for (const Entry &E : Entries) {
     W.writeU64(E.PC);
     W.writeU64(E.Target);
@@ -84,8 +72,6 @@ Error BTB::loadState(StateReader &R) {
                           "btb size mismatch: checkpoint has %u entries, "
                           "this btb has %zu",
                           SavedEntries, Entries.size());
-  Lookups = R.readU64();
-  Mispredicts = R.readU64();
   for (Entry &E : Entries) {
     E.PC = R.readU64();
     E.Target = R.readU64();

@@ -31,8 +31,6 @@ public:
   /// Predicts, updates, and reports whether the prediction was correct.
   bool predictAndUpdate(uint64_t PC, bool Taken);
 
-  uint64_t lookups() const { return Lookups; }
-  uint64_t mispredicts() const { return Mispredicts; }
   uint64_t history() const { return History; }
 
   void saveState(StateWriter &W) const;
@@ -42,7 +40,6 @@ private:
   unsigned TableBits;
   std::vector<uint8_t> Counters; // 2-bit saturating
   uint64_t History = 0;
-  uint64_t Lookups = 0, Mispredicts = 0;
 };
 
 /// Direct-mapped branch target buffer for indirect jumps.
@@ -52,9 +49,6 @@ public:
 
   /// Returns true when the stored target matched; records \p Target.
   bool predictAndUpdate(uint64_t PC, uint64_t Target);
-
-  uint64_t lookups() const { return Lookups; }
-  uint64_t mispredicts() const { return Mispredicts; }
 
   void saveState(StateWriter &W) const;
   Error loadState(StateReader &R);
@@ -66,7 +60,6 @@ private:
     bool Valid = false;
   };
   std::vector<Entry> Entries;
-  uint64_t Lookups = 0, Mispredicts = 0;
 };
 
 } // namespace sim

@@ -30,79 +30,64 @@ Cache::Cache(uint64_t SizeBytes, uint32_t Assoc, uint32_t LineSize)
                      static_cast<unsigned long long>(SizeBytes), Assoc,
                      LineSize, Why);
   NumSets = static_cast<uint32_t>(SizeBytes / LineSize / Assoc);
-  Ways.resize(static_cast<size_t>(NumSets) * Assoc);
+  Valid.resize(NumSets);
+  Tags.resize(static_cast<size_t>(NumSets) * Assoc);
 }
 
-bool Cache::access(uint64_t Addr, bool IsWrite, uint64_t *EvictedLine) {
-  uint64_t Line = lineAddr(Addr);
+bool Cache::access(uint64_t Addr, bool IsWrite) {
+  uint64_t Line = Addr / LineSize;
   uint32_t Set = static_cast<uint32_t>(Line & (NumSets - 1));
-  Way *Base = &Ways[static_cast<size_t>(Set) * Assoc];
-  ++Clock;
-  for (uint32_t W = 0; W < Assoc; ++W) {
-    if (Base[W].Valid && Base[W].Tag == Line) {
-      Base[W].LRUStamp = Clock;
-      ++Hits;
-      return true;
-    }
+  uint64_t *Base = &Tags[static_cast<size_t>(Set) * Assoc];
+  uint32_t &N = Valid[Set];
+  uint32_t W = 0;
+  while (W < N && Base[W] != Line)
+    ++W;
+  bool Hit = W < N;
+  if (!Hit) {
+    // The first empty slot, or the least recent line of a full set.
+    if (N < Assoc)
+      ++N;
+    W = N - 1;
   }
-  ++Misses;
-  // Fill: pick an invalid way, else LRU victim.
-  uint32_t Victim = 0;
-  uint64_t Oldest = UINT64_MAX;
-  for (uint32_t W = 0; W < Assoc; ++W) {
-    if (!Base[W].Valid) {
-      Victim = W;
-      Oldest = 0;
-      break;
-    }
-    if (Base[W].LRUStamp < Oldest) {
-      Oldest = Base[W].LRUStamp;
-      Victim = W;
-    }
-  }
-  if (Base[Victim].Valid) {
-    ++Evictions;
-    if (EvictedLine)
-      *EvictedLine = Base[Victim].Tag * LineSize;
-  }
-  Base[Victim].Valid = true;
-  Base[Victim].Tag = Line;
-  Base[Victim].LRUStamp = Clock;
-  return false;
+  // The more recent lines move one back and this one goes to the front.
+  for (; W > 0; --W)
+    Base[W] = Base[W - 1];
+  Base[0] = Line;
+  return Hit;
 }
 
 bool Cache::contains(uint64_t Addr) const {
-  uint64_t Line = lineAddr(Addr);
+  uint64_t Line = Addr / LineSize;
   uint32_t Set = static_cast<uint32_t>(Line & (NumSets - 1));
-  const Way *Base = &Ways[static_cast<size_t>(Set) * Assoc];
-  for (uint32_t W = 0; W < Assoc; ++W)
-    if (Base[W].Valid && Base[W].Tag == Line)
+  const uint64_t *Base = &Tags[static_cast<size_t>(Set) * Assoc];
+  for (uint32_t W = 0; W < Valid[Set]; ++W)
+    if (Base[W] == Line)
       return true;
   return false;
 }
 
 void Cache::invalidate(uint64_t Addr) {
-  uint64_t Line = lineAddr(Addr);
+  uint64_t Line = Addr / LineSize;
   uint32_t Set = static_cast<uint32_t>(Line & (NumSets - 1));
-  Way *Base = &Ways[static_cast<size_t>(Set) * Assoc];
-  for (uint32_t W = 0; W < Assoc; ++W)
-    if (Base[W].Valid && Base[W].Tag == Line)
-      Base[W].Valid = false;
+  uint64_t *Base = &Tags[static_cast<size_t>(Set) * Assoc];
+  uint32_t &N = Valid[Set];
+  for (uint32_t W = 0; W < N; ++W) {
+    if (Base[W] != Line)
+      continue;
+    // The less recent lines move one forward to close the gap.
+    for (; W + 1 < N; ++W)
+      Base[W] = Base[W + 1];
+    Base[--N] = 0;
+    return;
+  }
 }
 
 void Cache::saveState(StateWriter &W) const {
   W.writeU32(LineSize);
   W.writeU32(Assoc);
   W.writeU32(NumSets);
-  W.writeU64(Clock);
-  W.writeU64(Hits);
-  W.writeU64(Misses);
-  W.writeU64(Evictions);
-  for (const Way &Wy : Ways) {
-    W.writeU64(Wy.Tag);
-    W.writeBool(Wy.Valid);
-    W.writeU64(Wy.LRUStamp);
-  }
+  W.writeBytes(Valid.data(), Valid.size() * sizeof(uint32_t));
+  W.writeBytes(Tags.data(), Tags.size() * sizeof(uint64_t));
 }
 
 Error Cache::loadState(StateReader &R) {
@@ -117,39 +102,13 @@ Error Cache::loadState(StateReader &R) {
                           "has %u x %u (%u)",
                           SavedSets, SavedAssoc, SavedLine, NumSets, Assoc,
                           LineSize);
-  Clock = R.readU64();
-  Hits = R.readU64();
-  Misses = R.readU64();
-  Evictions = R.readU64();
-  for (Way &Wy : Ways) {
-    Wy.Tag = R.readU64();
-    Wy.Valid = R.readBool();
-    Wy.LRUStamp = R.readU64();
-  }
+  R.readBytes(Valid.data(), Valid.size() * sizeof(uint32_t));
+  for (uint32_t S = 0; S < NumSets; ++S)
+    if (Valid[S] > Assoc)
+      return makeCodedError("EFAULT.SIMSTATE.COMPONENT",
+                            "cache set %u holds %u lines, more than its %u "
+                            "ways",
+                            S, Valid[S], Assoc);
+  R.readBytes(Tags.data(), Tags.size() * sizeof(uint64_t));
   return Error::success();
-}
-
-TLB::TLB(uint32_t Entries, uint32_t Assoc, uint64_t PageSize)
-    : PageSize(PageSize),
-      Impl(static_cast<uint64_t>(Entries) * CacheLineSize, Assoc) {}
-
-bool TLB::access(uint64_t Addr) {
-  // Map page numbers onto the cache's line space.
-  return Impl.access((Addr / PageSize) * CacheLineSize, false);
-}
-
-void TLB::saveState(StateWriter &W) const {
-  W.writeU64(PageSize);
-  Impl.saveState(W);
-}
-
-Error TLB::loadState(StateReader &R) {
-  uint64_t SavedPage = R.readU64();
-  if (R.hadError() || SavedPage != PageSize)
-    return makeCodedError("EFAULT.SIMSTATE.COMPONENT",
-                          "tlb page size mismatch: checkpoint has %llu, "
-                          "this tlb has %llu",
-                          static_cast<unsigned long long>(SavedPage),
-                          static_cast<unsigned long long>(PageSize));
-  return Impl.loadState(R);
 }

@@ -7,11 +7,12 @@
 ///
 /// \file
 /// A classic set-associative, LRU, write-allocate cache model used for
-/// every level of the esim hierarchy (L1I/L1D/L2 private, L3 shared), plus
-/// a small TLB built on the same structure. Timing is handled by the
-/// TimingModel; these classes only answer hit/miss and track contents.
-/// The tag/LRU arrays and hit/miss counters of both serialize into
-/// warmup-checkpoint sidecars (DESIGN.md §16).
+/// every level of the esim hierarchy (L1I/L1D/L2 private, L3 shared) and
+/// for the TLBs, which are caches whose lines are pages. Timing is handled
+/// by the TimingModel; this class only answers hit/miss and tracks
+/// contents. Each set keeps its valid tags in recency order plus a valid
+/// count, and those two arrays are what a warmup-checkpoint sidecar holds
+/// (DESIGN.md §16).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +21,6 @@
 
 #include "sim/SimComponent.h"
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -29,6 +29,11 @@ namespace elfie {
 namespace sim {
 
 constexpr uint32_t CacheLineSize = 64;
+
+/// A TLB is Cache(Entries * TLBPageSize, TLBAssoc, TLBPageSize): its sets
+/// hold page numbers.
+constexpr uint32_t TLBPageSize = 4096;
+constexpr uint32_t TLBAssoc = 4;
 
 /// Set-associative LRU cache. Tags only (no data).
 class Cache {
@@ -44,9 +49,10 @@ public:
   static const char *geometryError(uint64_t SizeBytes, uint32_t Assoc,
                                    uint32_t LineSize = CacheLineSize);
 
-  /// Looks up \p Addr; on miss, fills the line (returns false). \p Evicted
-  /// receives the victim line address when an eviction happened.
-  bool access(uint64_t Addr, bool IsWrite, uint64_t *EvictedLine = nullptr);
+  /// Looks up \p Addr and makes its line the most recent of its set; on a
+  /// miss, fills the line, evicting the least recent one of a full set
+  /// (returns false).
+  bool access(uint64_t Addr, bool IsWrite);
 
   /// True when the line holding \p Addr is present (no LRU update).
   bool contains(uint64_t Addr) const;
@@ -54,57 +60,25 @@ public:
   /// Invalidates the line holding \p Addr if present.
   void invalidate(uint64_t Addr);
 
-  uint64_t hits() const { return Hits; }
-  uint64_t misses() const { return Misses; }
-  uint64_t evictions() const { return Evictions; }
   uint32_t lineSize() const { return LineSize; }
   uint32_t assoc() const { return Assoc; }
   uint32_t numSets() const { return NumSets; }
 
   /// The "l3" payload version in the sidecar's component table (the
-  /// private caches ride on CoreState::StateVersion).
-  static constexpr uint32_t StateVersion = 1;
+  /// private caches and TLBs ride on CoreState::StateVersion).
+  static constexpr uint32_t StateVersion = 2;
   void saveState(StateWriter &W) const;
   Error loadState(StateReader &R);
 
 private:
-  struct Way {
-    uint64_t Tag = 0;
-    bool Valid = false;
-    uint64_t LRUStamp = 0;
-  };
-  uint64_t lineAddr(uint64_t Addr) const { return Addr / LineSize; }
-
   uint32_t LineSize;
   uint32_t Assoc;
   uint32_t NumSets;
-  std::vector<Way> Ways; // NumSets * Assoc
-  uint64_t Clock = 0;
-  uint64_t Hits = 0, Misses = 0, Evictions = 0;
-};
-
-/// A TLB is a cache of page translations: same structure, page granularity.
-class TLB {
-public:
-  TLB(uint32_t Entries, uint32_t Assoc = 4, uint64_t PageSize = 4096);
-
-  /// Cache::geometryError of the cache a TLB of \p Entries builds.
-  static const char *geometryError(uint32_t Entries, uint32_t Assoc = 4) {
-    return Cache::geometryError(uint64_t(Entries) * CacheLineSize, Assoc);
-  }
-
-  /// True on hit; fills on miss.
-  bool access(uint64_t Addr);
-
-  uint64_t hits() const { return Impl.hits(); }
-  uint64_t misses() const { return Impl.misses(); }
-
-  void saveState(StateWriter &W) const;
-  Error loadState(StateReader &R);
-
-private:
-  uint64_t PageSize;
-  Cache Impl;
+  /// Per set, how many of its ways hold a line.
+  std::vector<uint32_t> Valid;
+  /// NumSets * Assoc line addresses. Set S holds its lines in
+  /// Tags[S * Assoc, + Valid[S]), most recent first; its other slots are 0.
+  std::vector<uint64_t> Tags;
 };
 
 } // namespace sim

@@ -100,7 +100,8 @@ Error sim::checkMachineConfig(const MachineConfig &M) {
   for (auto [Name, Entries] : {std::pair<const char *, uint32_t>{
                                    "dtlb", C.DTLBEntries},
                                {"itlb", C.ITLBEntries}})
-    if (const char *Why = TLB::geometryError(Entries))
+    if (const char *Why = Cache::geometryError(
+            uint64_t(Entries) * TLBPageSize, TLBAssoc, TLBPageSize))
       return makeCodedError("EFAULT.CONFIG.GEOMETRY",
                             "machine '%s': %s of %u entries: %s",
                             M.Name.c_str(), Name, Entries, Why);

@@ -360,7 +360,8 @@ private:
     if (Components.empty())
       return Error::success();
     SaveMeta.InputDigest = inputDigest();
-    if (Error E = writeSimState(Controls.SaveStatePath, SaveMeta, Components))
+    if (Error E = writeSimState(Controls.SaveStatePath, SaveMeta,
+                                std::move(Components)))
       return E;
     Out.StateSaved = true;
     return Error::success();
@@ -390,7 +391,8 @@ private:
   std::future<Sha256Digest> PendingDigest;
   /// A resume's sidecar, opened and applied in prepare().
   SimStateFile Sidecar;
-  /// A save's header and component table, taken at the boundary.
+  /// A save's header, and its sidecar with the component table encoded,
+  /// taken at the boundary.
   SimStateMeta SaveMeta;
   std::vector<uint8_t> Components;
   SimResult Out;

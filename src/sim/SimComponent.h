@@ -7,10 +7,11 @@
 ///
 /// \file
 /// The field-level writer and reader every stateful simulator structure
-/// (Cache, TLB, GSharePredictor, BTB, CoreState, SimStats) serializes its
+/// (Cache, GSharePredictor, BTB, CoreState, SimStats) serializes its
 /// complete state through, in plain saveState/loadState (save/load)
-/// members. A save writes the complete state (contents, LRU/history/clock
-/// state and counters) so a restore is bit-exact; a load fails closed
+/// members. A save writes the contents (cache tags in recency order with
+/// their valid counts, predictor tables and history, BTB entries, the
+/// stats) so a restore is bit-exact; a load fails closed
 /// (EFAULT.SIMSTATE.COMPONENT) when the payload's recorded geometry does
 /// not match the instance. SimState.cpp names the components and their
 /// payload versions (sim::simStateComponentTable) and packs them into the
@@ -19,8 +20,10 @@
 ///
 /// StateWriter/StateReader are thin facades over the little-endian
 /// BinaryWriter/BinaryReader pair so components cannot reach for framing
-/// primitives (blobs, raw spans) that would make payload sizes ambiguous;
-/// the container owns all framing and sealing.
+/// primitives (blobs, length prefixes) that would make payload sizes
+/// ambiguous; the container owns all framing and sealing. A StateWriter
+/// made without a BinaryWriter only counts, so the container can size its
+/// buffer before it encodes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,25 +33,42 @@
 #include "support/Error.h"
 #include "support/FileIO.h"
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace elfie {
 namespace sim {
 
+// Fields and arrays (a cache's tags, say) are copied in host byte order,
+// and the sidecar format is little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "sim state is written and read in host byte order");
+
 /// Field-level writer handed to a structure's saveState.
 class StateWriter {
 public:
-  explicit StateWriter(BinaryWriter &W) : W(W) {}
+  /// A writer that only counts the bytes a save would write.
+  StateWriter() = default;
+  explicit StateWriter(BinaryWriter &W) : W(&W) {}
 
-  void writeU8(uint8_t V) { W.writeU8(V); }
-  void writeU32(uint32_t V) { W.writeU32(V); }
-  void writeU64(uint64_t V) { W.writeU64(V); }
-  void writeDouble(double V) { W.writeDouble(V); }
-  void writeBool(bool V) { W.writeU8(V ? 1 : 0); }
-  void writeBytes(const void *Data, size_t Size) { W.writeRaw(Data, Size); }
+  void writeU8(uint8_t V) { writeBytes(&V, 1); }
+  void writeU32(uint32_t V) { writeBytes(&V, 4); }
+  void writeU64(uint64_t V) { writeBytes(&V, 8); }
+  void writeDouble(double V) { writeBytes(&V, 8); }
+  void writeBool(bool V) { writeU8(V ? 1 : 0); }
+  void writeBytes(const void *Data, size_t Size) {
+    Written += Size;
+    if (W)
+      W->writeRaw(Data, Size);
+  }
+
+  /// The bytes written so far.
+  size_t size() const { return Written; }
 
 private:
-  BinaryWriter &W;
+  BinaryWriter *W = nullptr;
+  size_t Written = 0;
 };
 
 /// Field-level reader handed to a structure's loadState. Overruns are

@@ -10,6 +10,8 @@
 #include "support/FileIO.h"
 #include "support/Format.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstring>
 
 using namespace elfie;
@@ -28,6 +30,18 @@ void saveComponent(const TimingModel &Model, size_t I, StateWriter &W) {
     Model.core(I - 1).saveState(W);
   else
     Model.l3().saveState(W);
+}
+
+/// The header of \p Meta: everything before the component table.
+void writeHeader(BinaryWriter &W, const SimStateMeta &Meta) {
+  W.writeRaw(SimStateMagic, sizeof(SimStateMagic));
+  W.writeU32(SimStateFormatVersion);
+  W.writeString(Meta.ConfigName);
+  W.writeRaw(Meta.ConfigFP.Bytes.data(), Meta.ConfigFP.Bytes.size());
+  W.writeRaw(Meta.InputDigest.Bytes.data(), Meta.InputDigest.Bytes.size());
+  W.writeU64(Meta.WarmupInstructions);
+  W.writeU64(Meta.CheckpointRetired);
+  W.writeU64(Meta.DetailedBudget);
 }
 
 Error loadComponent(TimingModel &Model, size_t I, StateReader &R) {
@@ -58,34 +72,48 @@ sim::simStateComponentTable(const MachineConfig &Machine) {
 std::vector<uint8_t> sim::encodeSimStateComponents(const TimingModel &Model) {
   std::vector<SimStateComponentId> Table =
       simStateComponentTable(Model.config());
+  // A sizing pass, so the table is encoded once, into the final buffer,
+  // behind a blank header of the same size and ahead of the seal.
+  SimStateMeta Blank;
+  Blank.ConfigName = Model.config().Name;
   BinaryWriter W;
+  writeHeader(W, Blank);
+  std::vector<uint32_t> Sizes;
+  size_t Bytes = W.size() + 4 + 32;
+  for (size_t I = 0; I < Table.size(); ++I) {
+    StateWriter Count;
+    saveComponent(Model, I, Count);
+    Sizes.push_back(static_cast<uint32_t>(Count.size()));
+    Bytes += 4 + Table[I].Id.size() + 4 + 4 + Count.size();
+  }
+  W.reserve(Bytes);
   W.writeU32(static_cast<uint32_t>(Table.size()));
   for (size_t I = 0; I < Table.size(); ++I) {
-    BinaryWriter Payload;
-    StateWriter SW(Payload);
-    saveComponent(Model, I, SW);
     W.writeString(Table[I].Id);
     W.writeU32(Table[I].Version);
-    W.writeBlob(Payload.bytes().data(), Payload.size());
+    W.writeU32(Sizes[I]); // the payload's blob length
+    StateWriter SW(W);
+    saveComponent(Model, I, SW);
   }
-  return W.bytes();
+  W.writeRaw(Sha256Digest().Bytes.data(), 32);
+  return W.take();
 }
 
 Error sim::writeSimState(const std::string &Path, const SimStateMeta &Meta,
-                         std::span<const uint8_t> Components) {
-  BinaryWriter W;
-  W.writeRaw(SimStateMagic, sizeof(SimStateMagic));
-  W.writeU32(SimStateFormatVersion);
-  W.writeString(Meta.ConfigName);
-  W.writeRaw(Meta.ConfigFP.Bytes.data(), Meta.ConfigFP.Bytes.size());
-  W.writeRaw(Meta.InputDigest.Bytes.data(), Meta.InputDigest.Bytes.size());
-  W.writeU64(Meta.WarmupInstructions);
-  W.writeU64(Meta.CheckpointRetired);
-  W.writeU64(Meta.DetailedBudget);
-  W.writeRaw(Components.data(), Components.size());
-  Sha256Digest Seal = Sha256::digest(W.bytes().data(), W.size());
-  W.writeRaw(Seal.Bytes.data(), Seal.Bytes.size());
-  return writeFileAtomic(Path, W.bytes().data(), W.size())
+                         std::vector<uint8_t> Sidecar) {
+  BinaryWriter Header;
+  writeHeader(Header, Meta);
+  // The blank header in front is as long as this one when their first 16
+  // bytes (magic, version, config name length) agree.
+  assert(Sidecar.size() >= Header.size() + 4 + 32 &&
+         std::equal(Sidecar.begin(), Sidecar.begin() + 16,
+                    Header.bytes().begin()) &&
+         "the sidecar was encoded for a config name of another length");
+  std::memcpy(Sidecar.data(), Header.bytes().data(), Header.size());
+  size_t Sealed = Sidecar.size() - 32;
+  Sha256Digest Seal = Sha256::digest(Sidecar.data(), Sealed);
+  std::memcpy(Sidecar.data() + Sealed, Seal.Bytes.data(), 32);
+  return writeFileAtomic(Path, Sidecar.data(), Sidecar.size())
       .withContext("writing warmup checkpoint '" + Path + "'");
 }
 

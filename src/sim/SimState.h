@@ -49,7 +49,6 @@
 #include "support/Sha256.h"
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -93,14 +92,14 @@ std::vector<SimStateComponentId>
 simStateComponentTable(const MachineConfig &Machine);
 
 /// A save in two steps, for a caller that learns the input digest after
-/// the boundary: the component table of \p Model as the sidecar holds it
-/// (the bytes between the header and the seal), taken at the boundary...
+/// the boundary: the sidecar of \p Model with its component table encoded
+/// and its header and seal left blank, taken at the boundary...
 std::vector<uint8_t> encodeSimStateComponents(const TimingModel &Model);
 
-/// ... and the sealed sidecar of \p Meta and that table, written
-/// atomically to \p Path.
+/// ... and that sidecar with the header of \p Meta (whose ConfigName is
+/// the model's) and the seal filled in, written atomically to \p Path.
 Error writeSimState(const std::string &Path, const SimStateMeta &Meta,
-                    std::span<const uint8_t> Components);
+                    std::vector<uint8_t> Sidecar);
 
 /// BUDGET: a warm-up of \p Warmup instructions must leave part of a
 /// region of \p Region instructions to measure. The one spelling of the

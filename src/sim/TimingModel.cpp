@@ -34,11 +34,8 @@ Error CoreState::loadState(StateReader &R) {
     return E;
   if (Error E = Btb.loadState(R))
     return E;
-  for (Cache *C : {&L1I, &L1D, &L2})
+  for (Cache *C : {&L1I, &L1D, &L2, &Dtlb, &Itlb})
     if (Error E = C->loadState(R))
-      return E;
-  for (TLB *T : {&Dtlb, &Itlb})
-    if (Error E = T->loadState(R))
       return E;
   LastFetchLine = R.readU64();
   SinceTimer = R.readU64();
@@ -87,7 +84,7 @@ unsigned TimingModel::dataAccess(CoreState &C, uint64_t Addr, bool IsWrite,
   }
   // TLB first.
   unsigned Latency = 0;
-  if (!C.Dtlb.access(Addr)) {
+  if (!C.Dtlb.access(Addr, false)) {
     if constexpr (Measure)
       ++C.Stats->DTLBMisses;
     Latency += Config.Core.PageWalkCycles;
@@ -96,10 +93,8 @@ unsigned TimingModel::dataAccess(CoreState &C, uint64_t Addr, bool IsWrite,
     return Latency;
   if constexpr (Measure)
     ++C.Stats->L1DMisses;
-  if (C.L2.access(Addr, IsWrite)) {
-    C.L1D.access(Addr, IsWrite); // fill (already done by access miss path)
+  if (C.L2.access(Addr, IsWrite))
     return Latency + Config.Core.L2.LatencyCycles;
-  }
   if constexpr (Measure)
     ++C.Stats->L2Misses;
   // Next-line prefetch into L2 on a demand L2 miss.
@@ -128,7 +123,7 @@ unsigned TimingModel::fetchAccess(CoreState &C, uint64_t PC) {
     return 0;
   C.LastFetchLine = Line;
   unsigned Latency = 0;
-  if (!C.Itlb.access(PC)) {
+  if (!C.Itlb.access(PC, false)) {
     if constexpr (Measure)
       ++C.Stats->ITLBMisses;
     Latency += Config.Core.PageWalkCycles;

@@ -119,7 +119,7 @@ struct CoreState {
   GSharePredictor BP;
   BTB Btb;
   Cache L1I, L1D, L2;
-  TLB Dtlb, Itlb;
+  Cache Dtlb, Itlb;
   /// Borrowed from SimStats (not serialized; re-wired on construction).
   CoreStats *Stats = nullptr;
   uint64_t LastFetchLine = UINT64_MAX;
@@ -132,11 +132,12 @@ struct CoreState {
   explicit CoreState(const CoreConfig &C)
       : BP(C.BPBits), Btb(C.BTBBits), L1I(C.L1I.SizeBytes, C.L1I.Assoc),
         L1D(C.L1D.SizeBytes, C.L1D.Assoc), L2(C.L2.SizeBytes, C.L2.Assoc),
-        Dtlb(C.DTLBEntries), Itlb(C.ITLBEntries) {}
+        Dtlb(uint64_t(C.DTLBEntries) * TLBPageSize, TLBAssoc, TLBPageSize),
+        Itlb(uint64_t(C.ITLBEntries) * TLBPageSize, TLBAssoc, TLBPageSize) {}
 
   /// The "core<i>" payload version in the sidecar's component table. It
   /// covers the nested predictor, BTB, cache and TLB layouts too.
-  static constexpr uint32_t StateVersion = 1;
+  static constexpr uint32_t StateVersion = 2;
   void saveState(StateWriter &W) const;
   Error loadState(StateReader &R);
 };

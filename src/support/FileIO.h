@@ -163,8 +163,14 @@ public:
   /// Appends raw bytes with no length prefix.
   void writeRaw(const void *Data, size_t Size);
 
+  /// Makes room for \p N bytes in all, so writes up to that size do not
+  /// reallocate.
+  void reserve(size_t N) { Bytes.reserve(N); }
+
   const std::vector<uint8_t> &bytes() const { return Bytes; }
   size_t size() const { return Bytes.size(); }
+  /// Moves the bytes out, leaving the writer empty.
+  std::vector<uint8_t> take() { return std::move(Bytes); }
 
 private:
   void writeLE(const void *P, size_t N);

@@ -17,6 +17,7 @@
 
 #include "../common/TestHelpers.h"
 #include "replay/Replayer.h"
+#include "sim/SimState.h"
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -136,6 +137,34 @@ TEST(Mutator, PinballMutationIsSeedDeterministic) {
 /// replayer. Fail-closed means: never crash (the test process would die),
 /// never hang (the replay is budget-bounded), and every rejection carries
 /// a stable EFAULT.* code.
+// Every kind changes a sidecar. At these seeds the hostile producer once
+// wrote the format version the file already had.
+TEST(Mutator, SidecarMutationChangesTheFile) {
+  std::string Dir = tempDir("mutsidecar");
+  std::string Path = Dir + "/s.esimstate";
+  sim::MachineConfig Machine = sim::makeNehalemLike();
+  sim::TimingModel Model(Machine);
+  sim::SimStateMeta Meta;
+  Meta.ConfigName = Machine.Name;
+  Meta.ConfigFP = sim::configFingerprint(Machine);
+  ASSERT_FALSE(
+      sim::writeSimState(Path, Meta, sim::encodeSimStateComponents(Model))
+          .isError());
+  auto Saved = readFileBytes(Path);
+  ASSERT_TRUE(Saved.hasValue()) << Saved.message();
+  for (uint64_t Seed : {9459, 19438}) {
+    ASSERT_FALSE(
+        writeFileAtomic(Path, Saved->data(), Saved->size()).isError());
+    auto What = mutateSimStateFile(Path, Seed);
+    ASSERT_TRUE(What.hasValue()) << What.message();
+    EXPECT_NE(What->find("format version"), std::string::npos) << *What;
+    auto Mutated = readFileBytes(Path);
+    ASSERT_TRUE(Mutated.hasValue()) << Mutated.message();
+    EXPECT_NE(*Mutated, *Saved) << "seed " << Seed << ": " << *What;
+  }
+  removeTree(Dir);
+}
+
 TEST(FailClosed, TwoHundredSeededPinballCorruptions) {
   std::string Dir = tempDir("sweep");
   auto PB = capture(Dir + "/cap", computeProgram(), 3000, 20000,

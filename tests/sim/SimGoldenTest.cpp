@@ -28,7 +28,12 @@
 /// pass. The values for a multi-threaded binary on one core and for a free
 /// multi-threaded pinball that cross a warm-up boundary were re-recorded
 /// when that change made their cold and save runs split the engine where
-/// the resume does (see the comments at those entries).
+/// the resume does (see the comments at those entries). The <sidecar>
+/// column of every save was re-recorded when the core and l3 payloads
+/// became a cache's recency-ordered tag array (payload version 2): each
+/// value is the digest of the sidecar recorded before, converted to that
+/// layout (each set's valid ways by descending LRU stamp, the LRU clock
+/// and the hit, miss and lookup counters dropped). No other column moved.
 ///
 /// The same matrix runs two differentials that need no golden: a warm-up
 /// and a whole run with the JIT on give the record of the run with
@@ -89,49 +94,49 @@ const std::map<std::string, std::string> &goldens() {
       {"compute_elfie/nehalem-w0/cold",
        "9d96d69ec8af257d Stopped roi=8000 warm=0 ckpt=0 ME-- -"},
       {"compute_elfie/nehalem-w0/save",
-       "9d96d69ec8af257d Stopped roi=8000 warm=0 ckpt=78 MES- 094f866742a8f4c0"},
+       "9d96d69ec8af257d Stopped roi=8000 warm=0 ckpt=78 MES- d266e23db048b35f"},
       {"compute_elfie/nehalem-w0/load",
        "9d96d69ec8af257d Stopped roi=8000 warm=0 ckpt=78 ME-L -"},
       {"compute_elfie/nehalem-w1000/cold",
        "0e92f24beee47fbe Stopped roi=7000 warm=1000 ckpt=1078 ME-- -"},
       {"compute_elfie/nehalem-w1000/save",
-       "0e92f24beee47fbe Stopped roi=7000 warm=1000 ckpt=1078 MES- 69a0a1e342ed3946"},
+       "0e92f24beee47fbe Stopped roi=7000 warm=1000 ckpt=1078 MES- 8ce029c6b39ede85"},
       {"compute_elfie/nehalem-w1000/load",
        "0e92f24beee47fbe Stopped roi=7000 warm=1000 ckpt=1078 ME-L -"},
       {"compute_elfie/nehalem-w3001/cold",
        "a63c97ece94b7aa8 Stopped roi=4999 warm=3001 ckpt=3079 ME-- -"},
       {"compute_elfie/nehalem-w3001/save",
-       "a63c97ece94b7aa8 Stopped roi=4999 warm=3001 ckpt=3079 MES- 03d531d4a2442172"},
+       "a63c97ece94b7aa8 Stopped roi=4999 warm=3001 ckpt=3079 MES- 5b0b9d8240f86c52"},
       {"compute_elfie/nehalem-w3001/load",
        "a63c97ece94b7aa8 Stopped roi=4999 warm=3001 ckpt=3079 ME-L -"},
       {"compute_elfie/nehalem-wauto/cold",
        "0e92f24beee47fbe Stopped roi=7000 warm=1000 ckpt=1078 ME-- -"},
       {"compute_elfie/nehalem-wauto/save",
-       "0e92f24beee47fbe Stopped roi=7000 warm=1000 ckpt=1078 MES- 69a0a1e342ed3946"},
+       "0e92f24beee47fbe Stopped roi=7000 warm=1000 ckpt=1078 MES- 8ce029c6b39ede85"},
       {"compute_elfie/nehalem-wauto/load",
        "0e92f24beee47fbe Stopped roi=7000 warm=1000 ckpt=1078 ME-L -"},
       {"compute_elfie/skylake-fs-wauto/cold",
        "276463fa7dae6d85 Stopped roi=7000 warm=1000 ckpt=1078 ME-- -"},
       {"compute_elfie/skylake-fs-wauto/save",
-       "276463fa7dae6d85 Stopped roi=7000 warm=1000 ckpt=1078 MES- 5fbc17a681da2bee"},
+       "276463fa7dae6d85 Stopped roi=7000 warm=1000 ckpt=1078 MES- c1bd36c425906cb3"},
       {"compute_elfie/skylake-fs-wauto/load",
        "276463fa7dae6d85 Stopped roi=7000 warm=1000 ckpt=1078 ME-L -"},
       {"compute_plain/nehalem-w500-max5000/cold",
        "c97fb27e661b66f8 Stopped roi=5000 warm=500 ckpt=500 ---- -"},
       {"compute_plain/nehalem-w500-max5000/save",
-       "c97fb27e661b66f8 Stopped roi=5000 warm=500 ckpt=500 --S- 62c55eb09a58c703"},
+       "c97fb27e661b66f8 Stopped roi=5000 warm=500 ckpt=500 --S- 11b8fc73363d5b5f"},
       {"compute_plain/nehalem-w500-max5000/load",
        "c97fb27e661b66f8 Stopped roi=5000 warm=500 ckpt=500 ---L -"},
       {"compute_plain/nehalem-w0/cold",
        "946047812eb2d774 AllExited roi=177803 warm=0 ckpt=0 ---- -"},
       {"compute_plain/nehalem-w0/save",
-       "946047812eb2d774 AllExited roi=177803 warm=0 ckpt=0 --S- b66be0cfe8f72bd9"},
+       "946047812eb2d774 AllExited roi=177803 warm=0 ckpt=0 --S- 6e0f977f49698917"},
       {"compute_plain/nehalem-w0/load",
        "946047812eb2d774 AllExited roi=177803 warm=0 ckpt=0 ---L -"},
       {"compute_plain/gainestown8-w0/cold",
        "2d25ceb03c65bbc8 AllExited roi=177803 warm=0 ckpt=0 ---- -"},
       {"compute_plain/gainestown8-w0/save",
-       "2d25ceb03c65bbc8 AllExited roi=177803 warm=0 ckpt=0 --S- 7206fca8be6aa6c8"},
+       "2d25ceb03c65bbc8 AllExited roi=177803 warm=0 ckpt=0 --S- 6a092a6d0a933ed1"},
       {"compute_plain/gainestown8-w0/load",
        "2d25ceb03c65bbc8 AllExited roi=177803 warm=0 ckpt=0 ---L -"},
       // Recorded before the per-instruction observer hooks were removed:
@@ -140,97 +145,97 @@ const std::map<std::string, std::string> &goldens() {
       {"compute_plain/skylake-fs-w0/cold",
        "60f2dd3806601b67 AllExited roi=177803 warm=0 ckpt=0 ---- -"},
       {"compute_plain/skylake-fs-w0/save",
-       "60f2dd3806601b67 AllExited roi=177803 warm=0 ckpt=0 --S- d8c215b8a9f5d829"},
+       "60f2dd3806601b67 AllExited roi=177803 warm=0 ckpt=0 --S- 95c6b485bf919143"},
       {"compute_plain/skylake-fs-w0/load",
        "60f2dd3806601b67 AllExited roi=177803 warm=0 ckpt=0 ---L -"},
       {"mt_plain/nehalem-w0/cold",
        "97712c33cff62bc4 AllExited roi=448786 warm=0 ckpt=0 ---- -"},
       {"mt_plain/nehalem-w0/save",
-       "97712c33cff62bc4 AllExited roi=448786 warm=0 ckpt=0 --S- be5583be55ab62da"},
+       "97712c33cff62bc4 AllExited roi=448786 warm=0 ckpt=0 --S- 48a3bda980e169aa"},
       {"mt_plain/nehalem-w0/load",
        "97712c33cff62bc4 AllExited roi=448786 warm=0 ckpt=0 ---L -"},
       {"mt_plain/nehalem-w2000/cold",
        "299e745554ecf533 AllExited roi=446786 warm=2000 ckpt=2000 ---- -"},
       {"mt_plain/nehalem-w2000/save",
-       "299e745554ecf533 AllExited roi=446786 warm=2000 ckpt=2000 --S- e6aea14db503a4ba"},
+       "299e745554ecf533 AllExited roi=446786 warm=2000 ckpt=2000 --S- 4e35dadd71f08390"},
       {"mt_plain/nehalem-w2000/load",
        "299e745554ecf533 AllExited roi=446786 warm=2000 ckpt=2000 ---L -"},
       {"mt_plain/gainestown8-w2000/cold",
        "3e376d8373169016 AllExited roi=603825 warm=2000 ckpt=2000 ---- -"},
       {"mt_plain/gainestown8-w2000/save",
-       "3e376d8373169016 AllExited roi=603825 warm=2000 ckpt=2000 --S- ddff01e525483959"},
+       "3e376d8373169016 AllExited roi=603825 warm=2000 ckpt=2000 --S- 8b800e7d3580bd5a"},
       {"mt_plain/gainestown8-w2000/load",
        "3e376d8373169016 AllExited roi=603825 warm=2000 ckpt=2000 ---L -"},
       {"mt_elfie/nehalem-w0/cold",
        "a6b8e17045a02984 Stopped roi=24000 warm=0 ckpt=0 ME-- -"},
       {"mt_elfie/nehalem-w0/save",
-       "a6b8e17045a02984 Stopped roi=24000 warm=0 ckpt=177 MES- 6fbe90ed061de929"},
+       "a6b8e17045a02984 Stopped roi=24000 warm=0 ckpt=177 MES- 4c08d48cb21d306f"},
       {"mt_elfie/nehalem-w0/load",
        "a6b8e17045a02984 Stopped roi=24000 warm=0 ckpt=177 ME-L -"},
       {"mt_elfie/nehalem-w2000/cold",
        "6fc1b447e3acdb90 Stopped roi=22000 warm=2000 ckpt=2177 ME-- -"},
       {"mt_elfie/nehalem-w2000/save",
-       "6fc1b447e3acdb90 Stopped roi=22000 warm=2000 ckpt=2177 MES- e0f926b1fceb3cc2"},
+       "6fc1b447e3acdb90 Stopped roi=22000 warm=2000 ckpt=2177 MES- c7be4d2d47a54114"},
       {"mt_elfie/nehalem-w2000/load",
        "6fc1b447e3acdb90 Stopped roi=22000 warm=2000 ckpt=2177 ME-L -"},
       {"mt_elfie/gainestown8-w0/cold",
        "eec2adeab90f5469 Stopped roi=24000 warm=0 ckpt=0 ME-- -"},
       {"mt_elfie/gainestown8-w0/save",
-       "eec2adeab90f5469 Stopped roi=24000 warm=0 ckpt=127 MES- bf02b23be0479f93"},
+       "eec2adeab90f5469 Stopped roi=24000 warm=0 ckpt=127 MES- 1fd05902ea01e054"},
       {"mt_elfie/gainestown8-w0/load",
        "eec2adeab90f5469 Stopped roi=24000 warm=0 ckpt=127 ME-L -"},
       {"mt_elfie/gainestown8-w2000/cold",
        "075791c9320905fc Stopped roi=22000 warm=2000 ckpt=2127 ME-- -"},
       {"mt_elfie/gainestown8-w2000/save",
-       "075791c9320905fc Stopped roi=22000 warm=2000 ckpt=2127 MES- 7aed58188246298e"},
+       "075791c9320905fc Stopped roi=22000 warm=2000 ckpt=2127 MES- 312ddbb9789d12f9"},
       {"mt_elfie/gainestown8-w2000/load",
        "075791c9320905fc Stopped roi=22000 warm=2000 ckpt=2127 ME-L -"},
       {"mt_pinball/nehalem-constrained-w0/cold",
        "59f3e7354bf4fabf BudgetReached roi=24000 warm=0 ckpt=0 ---- -"},
       {"mt_pinball/nehalem-constrained-w0/save",
-       "59f3e7354bf4fabf BudgetReached roi=24000 warm=0 ckpt=0 --S- 43f7558c47d764cc"},
+       "59f3e7354bf4fabf BudgetReached roi=24000 warm=0 ckpt=0 --S- 4570446c3485e4b4"},
       {"mt_pinball/nehalem-constrained-w0/load",
        "59f3e7354bf4fabf BudgetReached roi=24000 warm=0 ckpt=0 ---L -"},
       {"mt_pinball/nehalem-free-w0/cold",
        "59f3e7354bf4fabf BudgetReached roi=24000 warm=0 ckpt=0 ---- -"},
       {"mt_pinball/nehalem-free-w0/save",
-       "59f3e7354bf4fabf BudgetReached roi=24000 warm=0 ckpt=0 --S- 43f7558c47d764cc"},
+       "59f3e7354bf4fabf BudgetReached roi=24000 warm=0 ckpt=0 --S- 4570446c3485e4b4"},
       {"mt_pinball/nehalem-free-w0/load",
        "59f3e7354bf4fabf BudgetReached roi=24000 warm=0 ckpt=0 ---L -"},
       {"mt_pinball/nehalem-constrained-w4000/cold",
        "9ac6f68cd9df5a46 BudgetReached roi=20000 warm=4000 ckpt=4000 ---- -"},
       {"mt_pinball/nehalem-constrained-w4000/save",
-       "9ac6f68cd9df5a46 BudgetReached roi=20000 warm=4000 ckpt=4000 --S- 4d8098137f56018c"},
+       "9ac6f68cd9df5a46 BudgetReached roi=20000 warm=4000 ckpt=4000 --S- 76e6ca5554853a67"},
       {"mt_pinball/nehalem-constrained-w4000/load",
        "9ac6f68cd9df5a46 BudgetReached roi=20000 warm=4000 ckpt=4000 ---L -"},
       {"mt_pinball/nehalem-free-w4000/cold",
        "9ac6f68cd9df5a46 BudgetReached roi=20000 warm=4000 ckpt=4000 ---- -"},
       {"mt_pinball/nehalem-free-w4000/save",
-       "9ac6f68cd9df5a46 BudgetReached roi=20000 warm=4000 ckpt=4000 --S- a269361b81b46827"},
+       "9ac6f68cd9df5a46 BudgetReached roi=20000 warm=4000 ckpt=4000 --S- d9f4e26f742b6557"},
       {"mt_pinball/nehalem-free-w4000/load",
        "9ac6f68cd9df5a46 BudgetReached roi=20000 warm=4000 ckpt=4000 ---L -"},
       {"mt_pinball/gainestown8-constrained-w0/cold",
        "5a09e916fd264af5 BudgetReached roi=24000 warm=0 ckpt=0 ---- -"},
       {"mt_pinball/gainestown8-constrained-w0/save",
-       "5a09e916fd264af5 BudgetReached roi=24000 warm=0 ckpt=0 --S- 7ac2c38c569ffde0"},
+       "5a09e916fd264af5 BudgetReached roi=24000 warm=0 ckpt=0 --S- 61f1434b36f54204"},
       {"mt_pinball/gainestown8-constrained-w0/load",
        "5a09e916fd264af5 BudgetReached roi=24000 warm=0 ckpt=0 ---L -"},
       {"mt_pinball/gainestown8-free-w0/cold",
        "ef96a01cec5fc3ad BudgetReached roi=24000 warm=0 ckpt=0 ---- -"},
       {"mt_pinball/gainestown8-free-w0/save",
-       "ef96a01cec5fc3ad BudgetReached roi=24000 warm=0 ckpt=0 --S- 7ac2c38c569ffde0"},
+       "ef96a01cec5fc3ad BudgetReached roi=24000 warm=0 ckpt=0 --S- 61f1434b36f54204"},
       {"mt_pinball/gainestown8-free-w0/load",
        "ef96a01cec5fc3ad BudgetReached roi=24000 warm=0 ckpt=0 ---L -"},
       {"mt_pinball/gainestown8-constrained-w4000/cold",
        "6161eff354bb8156 BudgetReached roi=20000 warm=4000 ckpt=4000 ---- -"},
       {"mt_pinball/gainestown8-constrained-w4000/save",
-       "6161eff354bb8156 BudgetReached roi=20000 warm=4000 ckpt=4000 --S- 9a61278992484099"},
+       "6161eff354bb8156 BudgetReached roi=20000 warm=4000 ckpt=4000 --S- 2799f399c95759e5"},
       {"mt_pinball/gainestown8-constrained-w4000/load",
        "6161eff354bb8156 BudgetReached roi=20000 warm=4000 ckpt=4000 ---L -"},
       {"mt_pinball/gainestown8-free-w4000/cold",
        "6161eff354bb8156 BudgetReached roi=20000 warm=4000 ckpt=4000 ---- -"},
       {"mt_pinball/gainestown8-free-w4000/save",
-       "6161eff354bb8156 BudgetReached roi=20000 warm=4000 ckpt=4000 --S- dbc0106069d97a24"},
+       "6161eff354bb8156 BudgetReached roi=20000 warm=4000 ckpt=4000 --S- 1ab072bac6530619"},
       {"mt_pinball/gainestown8-free-w4000/load",
        "6161eff354bb8156 BudgetReached roi=20000 warm=4000 ckpt=4000 ---L -"},
       // Cold and save re-recorded to the resume's value: on one core they
@@ -239,13 +244,13 @@ const std::map<std::string, std::string> &goldens() {
       {"bwaves_s_like_elfie/nehalem-w37/cold",
        "a1749778e40779b4 Stopped roi=59963 warm=37 ckpt=214 ME-- -"},
       {"bwaves_s_like_elfie/nehalem-w37/save",
-       "a1749778e40779b4 Stopped roi=59963 warm=37 ckpt=214 MES- d36f2e1a8f374130"},
+       "a1749778e40779b4 Stopped roi=59963 warm=37 ckpt=214 MES- 3a040963a3196c3a"},
       {"bwaves_s_like_elfie/nehalem-w37/load",
        "a1749778e40779b4 Stopped roi=59963 warm=37 ckpt=214 ME-L -"},
       {"bwaves_s_like_elfie/gainestown8-w37/cold",
        "8539a5f80e374557 Stopped roi=59963 warm=37 ckpt=164 ME-- -"},
       {"bwaves_s_like_elfie/gainestown8-w37/save",
-       "8539a5f80e374557 Stopped roi=59963 warm=37 ckpt=164 MES- ddd8e101e45a34db"},
+       "8539a5f80e374557 Stopped roi=59963 warm=37 ckpt=164 MES- 2468ce01c942d009"},
       {"bwaves_s_like_elfie/gainestown8-w37/load",
        "8539a5f80e374557 Stopped roi=59963 warm=37 ckpt=164 ME-L -"},
       // Cold and save re-recorded to the resume's value: on one core they
@@ -254,19 +259,19 @@ const std::map<std::string, std::string> &goldens() {
       {"bwaves_s_like_elfie/nehalem-w1013/cold",
        "ad2d6946f9317ae4 Stopped roi=58987 warm=1013 ckpt=1190 ME-- -"},
       {"bwaves_s_like_elfie/nehalem-w1013/save",
-       "ad2d6946f9317ae4 Stopped roi=58987 warm=1013 ckpt=1190 MES- 0636218b3e67d9dc"},
+       "ad2d6946f9317ae4 Stopped roi=58987 warm=1013 ckpt=1190 MES- 358b1fa16b8570ba"},
       {"bwaves_s_like_elfie/nehalem-w1013/load",
        "ad2d6946f9317ae4 Stopped roi=58987 warm=1013 ckpt=1190 ME-L -"},
       {"bwaves_s_like_elfie/gainestown8-w1013/cold",
        "2c92f2edeb2d9896 Stopped roi=58987 warm=1013 ckpt=1140 ME-- -"},
       {"bwaves_s_like_elfie/gainestown8-w1013/save",
-       "2c92f2edeb2d9896 Stopped roi=58987 warm=1013 ckpt=1140 MES- 43caf979faba1b40"},
+       "2c92f2edeb2d9896 Stopped roi=58987 warm=1013 ckpt=1140 MES- 78d72e80af0338ba"},
       {"bwaves_s_like_elfie/gainestown8-w1013/load",
        "2c92f2edeb2d9896 Stopped roi=58987 warm=1013 ckpt=1140 ME-L -"},
       {"bwaves_s_like_pinball/nehalem-constrained-w37/cold",
        "64937f8021fd3f72 BudgetReached roi=59963 warm=37 ckpt=37 ---- -"},
       {"bwaves_s_like_pinball/nehalem-constrained-w37/save",
-       "64937f8021fd3f72 BudgetReached roi=59963 warm=37 ckpt=37 --S- c1cab828a45b9692"},
+       "64937f8021fd3f72 BudgetReached roi=59963 warm=37 ckpt=37 --S- c1e514072c305fc8"},
       {"bwaves_s_like_pinball/nehalem-constrained-w37/load",
        "64937f8021fd3f72 BudgetReached roi=59963 warm=37 ckpt=37 ---L -"},
       // Re-recorded: free replay now splits the engine at the warm-up
@@ -274,13 +279,13 @@ const std::map<std::string, std::string> &goldens() {
       {"bwaves_s_like_pinball/nehalem-free-w37/cold",
        "e26c473402310f12 BudgetReached roi=59963 warm=37 ckpt=37 ---- -"},
       {"bwaves_s_like_pinball/nehalem-free-w37/save",
-       "e26c473402310f12 BudgetReached roi=59963 warm=37 ckpt=37 --S- cd5c7de178958660"},
+       "e26c473402310f12 BudgetReached roi=59963 warm=37 ckpt=37 --S- b7fb26388739fcc6"},
       {"bwaves_s_like_pinball/nehalem-free-w37/load",
        "e26c473402310f12 BudgetReached roi=59963 warm=37 ckpt=37 ---L -"},
       {"bwaves_s_like_pinball/nehalem-constrained-w1013/cold",
        "185c2fbea1febaac BudgetReached roi=58987 warm=1013 ckpt=1013 ---- -"},
       {"bwaves_s_like_pinball/nehalem-constrained-w1013/save",
-       "185c2fbea1febaac BudgetReached roi=58987 warm=1013 ckpt=1013 --S- f59a927a1199880f"},
+       "185c2fbea1febaac BudgetReached roi=58987 warm=1013 ckpt=1013 --S- bfc75bf3eb51ab56"},
       {"bwaves_s_like_pinball/nehalem-constrained-w1013/load",
        "185c2fbea1febaac BudgetReached roi=58987 warm=1013 ckpt=1013 ---L -"},
       // Re-recorded: free replay now splits the engine at the warm-up
@@ -288,7 +293,7 @@ const std::map<std::string, std::string> &goldens() {
       {"bwaves_s_like_pinball/nehalem-free-w1013/cold",
        "d3650dd0779844d1 BudgetReached roi=58987 warm=1013 ckpt=1013 ---- -"},
       {"bwaves_s_like_pinball/nehalem-free-w1013/save",
-       "d3650dd0779844d1 BudgetReached roi=58987 warm=1013 ckpt=1013 --S- c9d04507ea9bd152"},
+       "d3650dd0779844d1 BudgetReached roi=58987 warm=1013 ckpt=1013 --S- a4499c3f050d250f"},
       {"bwaves_s_like_pinball/nehalem-free-w1013/load",
        "d3650dd0779844d1 BudgetReached roi=58987 warm=1013 ckpt=1013 ---L -"},
       // Cold and save re-recorded to the resume's value: on one core they
@@ -297,13 +302,13 @@ const std::map<std::string, std::string> &goldens() {
       {"nab_s_like_elfie/nehalem-w37/cold",
        "5964d8f402134ddb Stopped roi=59963 warm=37 ckpt=214 ME-- -"},
       {"nab_s_like_elfie/nehalem-w37/save",
-       "5964d8f402134ddb Stopped roi=59963 warm=37 ckpt=214 MES- f89b93f66f2d276f"},
+       "5964d8f402134ddb Stopped roi=59963 warm=37 ckpt=214 MES- 97ee0dbcdac6e53c"},
       {"nab_s_like_elfie/nehalem-w37/load",
        "5964d8f402134ddb Stopped roi=59963 warm=37 ckpt=214 ME-L -"},
       {"nab_s_like_elfie/gainestown8-w37/cold",
        "b5ca7ea02f2a68eb Stopped roi=59963 warm=37 ckpt=164 ME-- -"},
       {"nab_s_like_elfie/gainestown8-w37/save",
-       "b5ca7ea02f2a68eb Stopped roi=59963 warm=37 ckpt=164 MES- 8483d751efdf839d"},
+       "b5ca7ea02f2a68eb Stopped roi=59963 warm=37 ckpt=164 MES- 39bfd89ec1dd0c3c"},
       {"nab_s_like_elfie/gainestown8-w37/load",
        "b5ca7ea02f2a68eb Stopped roi=59963 warm=37 ckpt=164 ME-L -"},
       // Cold and save re-recorded to the resume's value: on one core they
@@ -312,19 +317,19 @@ const std::map<std::string, std::string> &goldens() {
       {"nab_s_like_elfie/nehalem-w1013/cold",
        "bf86fc41983d3da9 Stopped roi=58987 warm=1013 ckpt=1190 ME-- -"},
       {"nab_s_like_elfie/nehalem-w1013/save",
-       "bf86fc41983d3da9 Stopped roi=58987 warm=1013 ckpt=1190 MES- a5b16b6b6668b290"},
+       "bf86fc41983d3da9 Stopped roi=58987 warm=1013 ckpt=1190 MES- 8c9a2a6714742c21"},
       {"nab_s_like_elfie/nehalem-w1013/load",
        "bf86fc41983d3da9 Stopped roi=58987 warm=1013 ckpt=1190 ME-L -"},
       {"nab_s_like_elfie/gainestown8-w1013/cold",
        "cd75955a988e3279 Stopped roi=58987 warm=1013 ckpt=1140 ME-- -"},
       {"nab_s_like_elfie/gainestown8-w1013/save",
-       "cd75955a988e3279 Stopped roi=58987 warm=1013 ckpt=1140 MES- a42b2a10b635d9ca"},
+       "cd75955a988e3279 Stopped roi=58987 warm=1013 ckpt=1140 MES- 5aadfb955e9e0110"},
       {"nab_s_like_elfie/gainestown8-w1013/load",
        "cd75955a988e3279 Stopped roi=58987 warm=1013 ckpt=1140 ME-L -"},
       {"nab_s_like_pinball/nehalem-constrained-w37/cold",
        "620f311d35337624 BudgetReached roi=59963 warm=37 ckpt=37 ---- -"},
       {"nab_s_like_pinball/nehalem-constrained-w37/save",
-       "620f311d35337624 BudgetReached roi=59963 warm=37 ckpt=37 --S- d392dd848581036f"},
+       "620f311d35337624 BudgetReached roi=59963 warm=37 ckpt=37 --S- c8737c6546ddd301"},
       {"nab_s_like_pinball/nehalem-constrained-w37/load",
        "620f311d35337624 BudgetReached roi=59963 warm=37 ckpt=37 ---L -"},
       // Re-recorded: free replay now splits the engine at the warm-up
@@ -332,13 +337,13 @@ const std::map<std::string, std::string> &goldens() {
       {"nab_s_like_pinball/nehalem-free-w37/cold",
        "ec1fc8ac948fbd19 BudgetReached roi=59963 warm=37 ckpt=37 ---- -"},
       {"nab_s_like_pinball/nehalem-free-w37/save",
-       "ec1fc8ac948fbd19 BudgetReached roi=59963 warm=37 ckpt=37 --S- 0623e47f6ed88c15"},
+       "ec1fc8ac948fbd19 BudgetReached roi=59963 warm=37 ckpt=37 --S- 9c0f1e7f1e920ab4"},
       {"nab_s_like_pinball/nehalem-free-w37/load",
        "ec1fc8ac948fbd19 BudgetReached roi=59963 warm=37 ckpt=37 ---L -"},
       {"nab_s_like_pinball/nehalem-constrained-w1013/cold",
        "36946c82e9baa89f BudgetReached roi=58987 warm=1013 ckpt=1013 ---- -"},
       {"nab_s_like_pinball/nehalem-constrained-w1013/save",
-       "36946c82e9baa89f BudgetReached roi=58987 warm=1013 ckpt=1013 --S- 7f08a1d62387653f"},
+       "36946c82e9baa89f BudgetReached roi=58987 warm=1013 ckpt=1013 --S- 2a563d0b47b4f713"},
       {"nab_s_like_pinball/nehalem-constrained-w1013/load",
        "36946c82e9baa89f BudgetReached roi=58987 warm=1013 ckpt=1013 ---L -"},
       // Re-recorded: free replay now splits the engine at the warm-up
@@ -346,55 +351,55 @@ const std::map<std::string, std::string> &goldens() {
       {"nab_s_like_pinball/nehalem-free-w1013/cold",
        "d9fb89594ad6f356 BudgetReached roi=58987 warm=1013 ckpt=1013 ---- -"},
       {"nab_s_like_pinball/nehalem-free-w1013/save",
-       "d9fb89594ad6f356 BudgetReached roi=58987 warm=1013 ckpt=1013 --S- 591c854926916b23"},
+       "d9fb89594ad6f356 BudgetReached roi=58987 warm=1013 ckpt=1013 --S- 814d88076ca06af1"},
       {"nab_s_like_pinball/nehalem-free-w1013/load",
        "d9fb89594ad6f356 BudgetReached roi=58987 warm=1013 ckpt=1013 ---L -"},
       {"imagick_s_like_elfie/nehalem-w37/cold",
        "f765cb08e2a01126 Stopped roi=59963 warm=37 ckpt=115 ME-- -"},
       {"imagick_s_like_elfie/nehalem-w37/save",
-       "f765cb08e2a01126 Stopped roi=59963 warm=37 ckpt=115 MES- 87e93f59e24fc7af"},
+       "f765cb08e2a01126 Stopped roi=59963 warm=37 ckpt=115 MES- 9189e453c0297dfe"},
       {"imagick_s_like_elfie/nehalem-w37/load",
        "f765cb08e2a01126 Stopped roi=59963 warm=37 ckpt=115 ME-L -"},
       {"imagick_s_like_elfie/gainestown8-w37/cold",
        "edbeaa017604ce8a Stopped roi=59963 warm=37 ckpt=115 ME-- -"},
       {"imagick_s_like_elfie/gainestown8-w37/save",
-       "edbeaa017604ce8a Stopped roi=59963 warm=37 ckpt=115 MES- 0ddc92115c8a8e58"},
+       "edbeaa017604ce8a Stopped roi=59963 warm=37 ckpt=115 MES- dac5a6c3b29a4741"},
       {"imagick_s_like_elfie/gainestown8-w37/load",
        "edbeaa017604ce8a Stopped roi=59963 warm=37 ckpt=115 ME-L -"},
       {"imagick_s_like_elfie/nehalem-w1013/cold",
        "3fc87c9fcc584f48 Stopped roi=58987 warm=1013 ckpt=1091 ME-- -"},
       {"imagick_s_like_elfie/nehalem-w1013/save",
-       "3fc87c9fcc584f48 Stopped roi=58987 warm=1013 ckpt=1091 MES- 5debb0a7ddc9ea87"},
+       "3fc87c9fcc584f48 Stopped roi=58987 warm=1013 ckpt=1091 MES- 4a5d6a8aa55fa1f9"},
       {"imagick_s_like_elfie/nehalem-w1013/load",
        "3fc87c9fcc584f48 Stopped roi=58987 warm=1013 ckpt=1091 ME-L -"},
       {"imagick_s_like_elfie/gainestown8-w1013/cold",
        "a94bd9094793affc Stopped roi=58987 warm=1013 ckpt=1091 ME-- -"},
       {"imagick_s_like_elfie/gainestown8-w1013/save",
-       "a94bd9094793affc Stopped roi=58987 warm=1013 ckpt=1091 MES- 1f52f010739ca074"},
+       "a94bd9094793affc Stopped roi=58987 warm=1013 ckpt=1091 MES- c9b34d37d9cd3421"},
       {"imagick_s_like_elfie/gainestown8-w1013/load",
        "a94bd9094793affc Stopped roi=58987 warm=1013 ckpt=1091 ME-L -"},
       {"imagick_s_like_pinball/nehalem-constrained-w37/cold",
        "c4f34d62e5042e79 BudgetReached roi=59963 warm=37 ckpt=37 ---- -"},
       {"imagick_s_like_pinball/nehalem-constrained-w37/save",
-       "c4f34d62e5042e79 BudgetReached roi=59963 warm=37 ckpt=37 --S- e8faca5b0f37b493"},
+       "c4f34d62e5042e79 BudgetReached roi=59963 warm=37 ckpt=37 --S- dc599ac6773a159b"},
       {"imagick_s_like_pinball/nehalem-constrained-w37/load",
        "c4f34d62e5042e79 BudgetReached roi=59963 warm=37 ckpt=37 ---L -"},
       {"imagick_s_like_pinball/nehalem-free-w37/cold",
        "c4f34d62e5042e79 BudgetReached roi=59963 warm=37 ckpt=37 ---- -"},
       {"imagick_s_like_pinball/nehalem-free-w37/save",
-       "c4f34d62e5042e79 BudgetReached roi=59963 warm=37 ckpt=37 --S- e8faca5b0f37b493"},
+       "c4f34d62e5042e79 BudgetReached roi=59963 warm=37 ckpt=37 --S- dc599ac6773a159b"},
       {"imagick_s_like_pinball/nehalem-free-w37/load",
        "c4f34d62e5042e79 BudgetReached roi=59963 warm=37 ckpt=37 ---L -"},
       {"imagick_s_like_pinball/nehalem-constrained-w1013/cold",
        "375fffd2ab2cf216 BudgetReached roi=58987 warm=1013 ckpt=1013 ---- -"},
       {"imagick_s_like_pinball/nehalem-constrained-w1013/save",
-       "375fffd2ab2cf216 BudgetReached roi=58987 warm=1013 ckpt=1013 --S- 28fb0335afc2b557"},
+       "375fffd2ab2cf216 BudgetReached roi=58987 warm=1013 ckpt=1013 --S- 5183074b4c47968c"},
       {"imagick_s_like_pinball/nehalem-constrained-w1013/load",
        "375fffd2ab2cf216 BudgetReached roi=58987 warm=1013 ckpt=1013 ---L -"},
       {"imagick_s_like_pinball/nehalem-free-w1013/cold",
        "375fffd2ab2cf216 BudgetReached roi=58987 warm=1013 ckpt=1013 ---- -"},
       {"imagick_s_like_pinball/nehalem-free-w1013/save",
-       "375fffd2ab2cf216 BudgetReached roi=58987 warm=1013 ckpt=1013 --S- 28fb0335afc2b557"},
+       "375fffd2ab2cf216 BudgetReached roi=58987 warm=1013 ckpt=1013 --S- 5183074b4c47968c"},
       {"imagick_s_like_pinball/nehalem-free-w1013/load",
        "375fffd2ab2cf216 BudgetReached roi=58987 warm=1013 ckpt=1013 ---L -"},
   };

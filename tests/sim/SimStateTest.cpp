@@ -96,14 +96,12 @@ TEST(SimComponentRoundTrip, CachePreservesLRUOrder) {
 
   Cache B(256, 2);
   ASSERT_FALSE(componentLoad(B, componentBytes(A)).isError());
-  EXPECT_EQ(B.hits(), A.hits());
-  EXPECT_EQ(B.misses(), A.misses());
+  EXPECT_EQ(componentBytes(B), componentBytes(A));
   EXPECT_TRUE(B.contains(0));
   EXPECT_TRUE(B.contains(128));
 
   // The restored cache must evict the same victim the original would.
-  A.access(256, false);
-  B.access(256, false);
+  EXPECT_EQ(B.access(256, false), A.access(256, false));
   EXPECT_TRUE(B.contains(0));
   EXPECT_FALSE(B.contains(128)) << "LRU order lost in the round trip";
   EXPECT_TRUE(B.contains(256));
@@ -121,20 +119,33 @@ TEST(SimComponentRoundTrip, CacheGeometryMismatchFailsClosed) {
   Cache WrongAssoc(256, 4);
   EXPECT_EQ(componentLoad(WrongAssoc, componentBytes(A)).code(),
             "EFAULT.SIMSTATE.COMPONENT");
+
+  // Set 0's valid count (the u32 after line size, ways and sets) set to
+  // one more than the ways.
+  std::vector<uint8_t> Hostile = componentBytes(A);
+  Hostile[12] = 3;
+  Cache Same(256, 2);
+  E = componentLoad(Same, Hostile);
+  EXPECT_EQ(E.code(), "EFAULT.SIMSTATE.COMPONENT");
+  EXPECT_NE(E.str().find("set 0 holds 3 lines, more than its 2 ways"),
+            std::string::npos)
+      << E.str();
 }
 
 TEST(SimComponentRoundTrip, TLBRoundTripAndPageMismatch) {
-  TLB A(16);
-  A.access(0x1000);
-  A.access(0x2000);
-  A.access(0x1fff);
-  TLB B(16);
+  Cache A(16 * TLBPageSize, TLBAssoc, TLBPageSize);
+  A.access(0x1000, false);
+  A.access(0x2000, false);
+  A.access(0x1fff, false);
+  Cache B(16 * TLBPageSize, TLBAssoc, TLBPageSize);
   ASSERT_FALSE(componentLoad(B, componentBytes(A)).isError());
-  EXPECT_EQ(B.hits(), A.hits());
-  EXPECT_EQ(B.misses(), A.misses());
-  EXPECT_TRUE(B.access(0x1000)) << "restored translation must hit";
+  EXPECT_EQ(componentBytes(B), componentBytes(A));
+  EXPECT_TRUE(B.access(0x1000, false)) << "restored translation must hit";
+  EXPECT_TRUE(B.access(0x2000, false)) << "restored translation must hit";
 
-  TLB HugePages(16, 4, 2 * 1024 * 1024);
+  // The same number of entries over 2 MiB pages: a line-size mismatch.
+  const uint32_t HugePage = 2 * 1024 * 1024;
+  Cache HugePages(16ull * HugePage, TLBAssoc, HugePage);
   EXPECT_EQ(componentLoad(HugePages, componentBytes(A)).code(),
             "EFAULT.SIMSTATE.COMPONENT");
 }
@@ -148,8 +159,7 @@ TEST(SimComponentRoundTrip, GShareHistoryAndCounters) {
   GSharePredictor B(10);
   ASSERT_FALSE(componentLoad(B, componentBytes(A)).isError());
   EXPECT_EQ(B.history(), A.history());
-  EXPECT_EQ(B.lookups(), A.lookups());
-  EXPECT_EQ(B.mispredicts(), A.mispredicts());
+  EXPECT_EQ(componentBytes(B), componentBytes(A));
   // Both must predict identically from here on.
   for (int I = 0; I < 100; ++I) {
     bool Taken = (I % 3) == 0;
@@ -169,9 +179,10 @@ TEST(SimComponentRoundTrip, BTBEntries) {
   A.predictAndUpdate(0x108, 0x900);
   BTB B(8);
   ASSERT_FALSE(componentLoad(B, componentBytes(A)).isError());
+  EXPECT_EQ(componentBytes(B), componentBytes(A));
   EXPECT_TRUE(B.predictAndUpdate(0x100, 0x500));
   EXPECT_TRUE(B.predictAndUpdate(0x108, 0x900));
-  EXPECT_EQ(B.lookups(), A.lookups() + 2);
+  EXPECT_FALSE(B.predictAndUpdate(0x100, 0x600)) << "a new target misses";
 
   BTB WrongBits(9);
   EXPECT_EQ(componentLoad(WrongBits, componentBytes(A)).code(),
@@ -187,8 +198,8 @@ TEST(SimComponentRoundTrip, CoreStateNestsAllParts) {
   A.L1I.access(0x2000, false);
   A.L1D.access(0x3000, true);
   A.L2.access(0x3000, true);
-  A.Dtlb.access(0x3000);
-  A.Itlb.access(0x2000);
+  A.Dtlb.access(0x3000, false);
+  A.Itlb.access(0x2000, false);
   A.LastFetchLine = 0x2000 / CacheLineSize;
   A.SinceTimer = 123;
   A.KernelCursor = 456;
@@ -437,6 +448,32 @@ TEST(SimStateFile, ComponentIdMismatchRejected) {
     reseal(B);
   });
   EXPECT_EQ(F.loadCode(), "EFAULT.SIMSTATE.COMPONENT");
+}
+
+// A sidecar written before the caches kept their tags in recency order
+// carries payload version 1 for each core and the L3: it is refused, not
+// read as the new arrays.
+TEST(SimStateFile, VersionOnePayloadsRejected) {
+  SidecarFixture F("payloadv1");
+  auto Saved = readFileBytes(F.Path);
+  ASSERT_TRUE(Saved.hasValue()) << Saved.message();
+  for (const char *Id : {"core0", "l3"}) {
+    SCOPED_TRACE(Id);
+    mutateFile(F.Path, [&](std::vector<uint8_t> &B) {
+      test::resealU32After(B, Id, 0, 1);
+    });
+    auto File = SimStateFile::open(F.Path);
+    ASSERT_TRUE(File.hasValue()) << File.message();
+    TimingModel Fresh(F.Machine);
+    Error E = File->apply(Fresh);
+    EXPECT_EQ(E.code(), "EFAULT.SIMSTATE.VERSION");
+    EXPECT_NE(E.str().find("component '" + std::string(Id) +
+                           "' has payload version 1, this build reads 2"),
+              std::string::npos)
+        << E.str();
+    ASSERT_FALSE(
+        writeFileAtomic(F.Path, Saved->data(), Saved->size()).isError());
+  }
 }
 
 TEST(SimStateFile, PathHelperStripsTrailingSlash) {
@@ -836,14 +873,17 @@ TEST(SidecarDigest, ColdSaveWritesTheRecordedBytes) {
     EXPECT_TRUE(Save->StateSaved);
     auto Bytes = readFileBytes(StatePath);
     ASSERT_TRUE(Bytes.hasValue()) << Bytes.message();
-    // Recorded at format version 2, whose input digest is the root.
+    // Recorded at format version 2, whose input digest is the root. Both
+    // pins are of the bytes recorded before the core and l3 payloads
+    // became recency-ordered tag arrays (payload version 2), converted to
+    // that layout.
     EXPECT_EQ(sha256Hex(Bytes->data(), Bytes->size()),
-              "3fcd868e86dc49422d17f97988d5bb3e9d7ce343401bcd939de471c48b57ebe2")
+              "cceb4501cd3a39fba22107558793068f59a809d0e1ac01ab2278809924b9dd90")
         << "run " << Run;
-    // Recorded before the digest moved off the critical path, at format
-    // version 1 with the whole-image input digest.
+    // The same bytes at format version 1, with the whole-image input
+    // digest, as recorded before the digest moved off the critical path.
     EXPECT_EQ(versionOneHex(*Bytes, P.Image),
-              "69a0a1e342ed3946228520152913bd1345ae2119abdf312afcc81886f08e46dd")
+              "8ce029c6b39ede8584a206657a36b7882f08d25908feadafcec668c66c0acb30")
         << "run " << Run;
   }
 }
@@ -1013,14 +1053,16 @@ TEST(SidecarDigest, ZeroWarmupSaveWritesTheRecordedBytes) {
     EXPECT_EQ(Save->WarmupRetired, 0u);
     auto Bytes = readFileBytes(StatePath);
     ASSERT_TRUE(Bytes.hasValue()) << Bytes.message();
-    // Recorded at format version 2, whose input digest is the root.
+    // Recorded at format version 2, whose input digest is the root, and
+    // converted like ColdSaveWritesTheRecordedBytes' pins.
     EXPECT_EQ(sha256Hex(Bytes->data(), Bytes->size()),
-              "efe6d3a2d79f4ac165d08a4dba56c38999836cb58868b6b64933b2f83c5fe9a2")
+              "126d635212a23f65ce719a623df25178c1bde954542f635c3d808f6b0ca5dc1a")
         << "run " << Run;
-    // Recorded while the digest was still joined at the boundary, at
-    // format version 1 with the whole-image input digest.
+    // The same bytes at format version 1, with the whole-image input
+    // digest, as recorded while the digest was still joined at the
+    // boundary.
     EXPECT_EQ(versionOneHex(*Bytes, P.Image),
-              "f664fe70dbb2ac6a247480c2b26118384f8859556274380095fa2027a7892cca")
+              "c13adf94460f14ba9b3767bac55780e24616f2fbc0e65a9cbdc0ae9aaa7f00cb")
         << "run " << Run;
   }
   removeTree(P.Dir);

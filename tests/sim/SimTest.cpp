@@ -38,36 +38,36 @@ TEST(Cache, HitAfterFill) {
   EXPECT_TRUE(C.access(0x100, false));
   EXPECT_TRUE(C.access(0x13f, false)) << "same 64B line";
   EXPECT_FALSE(C.access(0x140, false)) << "next line";
-  EXPECT_EQ(C.hits(), 2u);
-  EXPECT_EQ(C.misses(), 2u);
+  EXPECT_TRUE(C.contains(0x100));
+  EXPECT_TRUE(C.contains(0x140));
 }
 
 TEST(Cache, LRUEviction) {
   // 2-way, 2 sets (256 B): lines mapping to set 0 are multiples of 128.
   Cache C(256, 2);
-  C.access(0, false);
-  C.access(128, false);
-  C.access(0, false);   // refresh line 0
-  C.access(256, false); // evicts 128 (LRU)
+  EXPECT_FALSE(C.access(0, false));
+  EXPECT_FALSE(C.access(128, false));
+  EXPECT_TRUE(C.access(0, false)); // refresh line 0
+  EXPECT_FALSE(C.access(256, false)); // evicts 128 (LRU)
   EXPECT_TRUE(C.contains(0));
-  EXPECT_FALSE(C.contains(128));
+  EXPECT_FALSE(C.contains(128)) << "the least recent line is the victim";
   EXPECT_TRUE(C.contains(256));
-  EXPECT_EQ(C.evictions(), 1u);
 }
 
 TEST(Cache, WorkingSetBiggerThanCacheThrashes) {
-  Cache C(4096, 4);
+  auto Hits = [](Cache &C, uint64_t Bytes) {
+    unsigned N = 0;
+    for (int Pass = 0; Pass < 2; ++Pass)
+      for (uint64_t A = 0; A < Bytes; A += 64)
+        N += C.access(A, false);
+    return N;
+  };
   // Two passes over 16 KiB: everything misses both times.
-  for (int Pass = 0; Pass < 2; ++Pass)
-    for (uint64_t A = 0; A < 16384; A += 64)
-      C.access(A, false);
-  EXPECT_EQ(C.hits(), 0u);
+  Cache C(4096, 4);
+  EXPECT_EQ(Hits(C, 16384), 0u);
   // Two passes over 2 KiB: second pass all hits.
   Cache C2(4096, 4);
-  for (int Pass = 0; Pass < 2; ++Pass)
-    for (uint64_t A = 0; A < 2048; A += 64)
-      C2.access(A, false);
-  EXPECT_EQ(C2.hits(), 32u);
+  EXPECT_EQ(Hits(C2, 2048), 32u);
 }
 
 TEST(Cache, InvalidateRemovesLine) {
@@ -78,11 +78,26 @@ TEST(Cache, InvalidateRemovesLine) {
   EXPECT_FALSE(C.contains(0x200));
 }
 
+TEST(Cache, InvalidateKeepsTheOtherLinesInRecencyOrder) {
+  // 4-way, 1 set: every line maps to it.
+  Cache C(256, 4);
+  for (uint64_t L : {0, 1, 2, 3})
+    C.access(L * 64, false);
+  C.invalidate(1 * 64); // from the middle
+  EXPECT_FALSE(C.contains(1 * 64));
+  EXPECT_FALSE(C.access(4 * 64, false)) << "fills the freed way";
+  EXPECT_TRUE(C.contains(0));
+  EXPECT_FALSE(C.access(5 * 64, false));
+  EXPECT_FALSE(C.contains(0)) << "line 0 is still the least recent";
+  for (uint64_t L : {2, 3, 4, 5})
+    EXPECT_TRUE(C.contains(L * 64)) << "line " << L;
+}
+
 TEST(TLBTest, PageGranularity) {
-  TLB T(16);
-  EXPECT_FALSE(T.access(0x1000));
-  EXPECT_TRUE(T.access(0x1fff)) << "same page";
-  EXPECT_FALSE(T.access(0x2000)) << "next page";
+  Cache T(16 * TLBPageSize, TLBAssoc, TLBPageSize);
+  EXPECT_FALSE(T.access(0x1000, false));
+  EXPECT_TRUE(T.access(0x1fff, false)) << "same page";
+  EXPECT_FALSE(T.access(0x2000, false)) << "next page";
 }
 
 // ---- Branch predictor unit tests ----

@@ -497,20 +497,37 @@ TEST_F(ToolPipeline, SimStateComponentTableCheckedByBothConsumers) {
     const char *What;
     Corruption Corrupt; ///< null: no sidecar at all
     const char *Code;     ///< esim's code without the "EFAULT." prefix
-    const char *Fragment; ///< in both consumers' output
+    std::string Fragment; ///< in both consumers' output
     bool SameText;        ///< false: everify's finding is its own
   };
+  const uint32_t L3Ways = sim::makeNehalemLike().L3.Assoc;
   const Row Rows[] = {
       {"l3 renamed l4",
        [](std::vector<uint8_t> &B) { test::renameAndReseal(B, "l3", "l4"); },
        "SIMSTATE.COMPONENT", "component 2 is 'l4', expected 'l3'", true},
-      {"l3 payload version 2",
-       [](std::vector<uint8_t> &B) { test::resealU32After(B, "l3", 0, 2); },
+      {"l3 payload version from the future",
+       [](std::vector<uint8_t> &B) {
+         test::resealU32After(B, "l3", 0, sim::Cache::StateVersion + 1);
+       },
        "SIMSTATE.VERSION",
-       "component 'l3' has payload version 2, this build reads 1", true},
+       formatString("component 'l3' has payload version %u, this build "
+                    "reads %u",
+                    sim::Cache::StateVersion + 1, sim::Cache::StateVersion),
+       true},
       {"l3 line size 128",
        [](std::vector<uint8_t> &B) { test::resealU32After(B, "l3", 8, 128); },
        "SIMSTATE.COMPONENT", "(128-byte lines)", true},
+      // Past line size, ways and sets (offsets 8 to 19) come the per-set
+      // valid counts.
+      {"l3 set 0 holding ways + 1 lines",
+       [](std::vector<uint8_t> &B) {
+         test::resealU32After(B, "l3", 20,
+                              sim::makeNehalemLike().L3.Assoc + 1);
+       },
+       "SIMSTATE.COMPONENT",
+       formatString("cache set 0 holds %u lines, more than its %u ways",
+                    L3Ways + 1, L3Ways),
+       true},
       // esim resumes under the -config it is given; everify has only the
       // recorded name, which names no config.
       {"config nehalex",
