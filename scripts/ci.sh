@@ -255,10 +255,13 @@ ctest --test-dir "$ROOT/default" -L isa --timeout 120 \
 ctest --test-dir "$ROOT/sanitize" -L isa --timeout 120 \
   --output-on-failure
 
-# Analysis suite standalone, mirroring the jit lane: the CFG/dataflow
-# subsystem carries the `analyze` label.
-echo "==== [analyze label] CFG recovery + dataflow suite ===="
+# Analysis suite standalone (label `analyze`): the everify passes and the
+# CFG/dataflow subsystem, in the default and sanitized trees (PERM
+# compares pages through views into the section bytes).
+echo "==== [analyze label] everify passes + CFG recovery + dataflow suite ===="
 ctest --test-dir "$ROOT/default" -L analyze --timeout 120 \
+  --output-on-failure
+ctest --test-dir "$ROOT/sanitize" -L analyze --timeout 240 \
   --output-on-failure
 
 # Size lane: the line count of src/, tracked from run to run (the design

@@ -19,12 +19,32 @@
 #include "support/Format.h"
 #include "vm/VM.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace elfie;
 using namespace elfie::analyze;
 
 namespace {
+
+/// Offset of the first byte at which the captured page \p Captured differs
+/// from the emitted page whose file bytes start at \p File; the part of the
+/// page past \p File reads as zero. GuestPageSize when the two agree. Only
+/// a page that differs is searched byte by byte.
+uint64_t firstDifference(std::span<const uint8_t> File,
+                         const uint8_t *Captured) {
+  size_t N = std::min<size_t>(File.size(), vm::GuestPageSize);
+  if ((N == 0 || std::memcmp(File.data(), Captured, N) == 0) &&
+      std::memcmp(Captured + N, vm::zeroPage(), vm::GuestPageSize - N) == 0)
+    return vm::GuestPageSize;
+  const uint8_t *Head =
+      std::mismatch(Captured, Captured + N, File.data()).first;
+  if (Head != Captured + N)
+    return Head - Captured;
+  return std::find_if(Captured + N, Captured + vm::GuestPageSize,
+                      [](uint8_t B) { return B != 0; }) -
+         Captured;
+}
 
 class PermPass : public Pass {
 public:
@@ -76,8 +96,9 @@ public:
                              static_cast<unsigned long long>(P->Addr),
                              permName(WantW, WantX), permName(HaveW, HaveX),
                              S->Name.c_str()));
-      // Content: compare against the section payload (NOBITS reads as
-      // zero). Works for executables and ET_REL objects alike.
+      // Content: compare against the section's file bytes; the part of
+      // the page past them (NOBITS) reads as zero. Works for executables
+      // and ET_REL objects alike.
       uint64_t Off = P->Addr - S->Addr;
       if (Off + vm::GuestPageSize > S->Size) {
         Out.add(Severity::Error, "PERM.MISSING", P->Addr,
@@ -87,17 +108,18 @@ public:
                              S->Name.c_str()));
         continue;
       }
-      for (uint64_t I = 0; I < vm::GuestPageSize; ++I) {
-        uint8_t Emitted = Off + I < S->Data.size() ? S->Data[Off + I] : 0;
-        if (Emitted != P->Bytes[I]) {
-          Out.add(Severity::Error, "PERM.CONTENT", P->Addr + I,
-                  formatString("page %#llx differs from the pinball at "
-                               "offset %llu (emitted %#x, captured %#x)",
-                               static_cast<unsigned long long>(P->Addr),
-                               static_cast<unsigned long long>(I), Emitted,
-                               P->Bytes[I]));
-          break; // one finding per page is enough
-        }
+      std::span<const uint8_t> File;
+      if (Off < S->Data.size())
+        File = S->Data.subspan(Off);
+      uint64_t I = firstDifference(File, P->Bytes.data());
+      if (I < vm::GuestPageSize) {
+        uint8_t Emitted = I < File.size() ? File[I] : 0;
+        Out.add(Severity::Error, "PERM.CONTENT", P->Addr + I,
+                formatString("page %#llx differs from the pinball at "
+                             "offset %llu (emitted %#x, captured %#x)",
+                             static_cast<unsigned long long>(P->Addr),
+                             static_cast<unsigned long long>(I), Emitted,
+                             P->Bytes[I]));
       }
     }
   }
@@ -118,11 +140,17 @@ private:
                         uint64_t Index, Report &Out) const {
     if (!Stash)
       return; // LayoutPass reports the missing stash section
+    // A slot past the stash's file bytes (a NOBITS or truncated header)
+    // cannot be checked against what the startup code copies back.
     uint64_t Off = Index * vm::GuestPageSize;
     if (Off + vm::GuestPageSize > Stash->Data.size())
-      return; // LayoutPass reports the size mismatch
-    if (std::memcmp(Stash->Data.data() + Off, P.Bytes.data(),
-                    vm::GuestPageSize) != 0)
+      Out.add(Severity::Error, "PERM.STASH_CONTENT", P.Addr,
+              formatString("stash slot %llu for stack page %#llx has no "
+                           "file bytes",
+                           static_cast<unsigned long long>(Index),
+                           static_cast<unsigned long long>(P.Addr)));
+    else if (firstDifference(Stash->Data.subspan(Off, vm::GuestPageSize),
+                             P.Bytes.data()) < vm::GuestPageSize)
       Out.add(Severity::Error, "PERM.STASH_CONTENT", P.Addr,
               formatString("stashed copy of stack page %#llx (stash slot "
                            "%llu) differs from the pinball",

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <unistd.h>
 
@@ -112,6 +113,23 @@ bool hasFinding(const analyze::Report &R, const std::string &Code,
     if (F.Code == Code && F.Sev == Sev)
       return true;
   return false;
+}
+
+std::vector<analyze::Finding> findingsWithCode(const analyze::Report &R,
+                                              const std::string &Code) {
+  std::vector<analyze::Finding> Out;
+  for (const analyze::Finding &F : R.findings())
+    if (F.Code == Code)
+      Out.push_back(F);
+  return Out;
+}
+
+/// Offset of the first non-zero byte of \p P; GuestPageSize when none.
+size_t firstNonZero(const pinball::PageRecord &P) {
+  const uint8_t *B = P.Bytes.data();
+  return std::find_if(B, B + vm::GuestPageSize,
+                      [](uint8_t X) { return X != 0; }) -
+         B;
 }
 
 /// Replaces \p Bytes with a copy whose byte \p I is inverted.
@@ -392,11 +410,22 @@ TEST(Analyze, DetectsPagePermAndContentDrift) {
   }
   ASSERT_NE(DataPage, SIZE_MAX);
   PB.Image[PermPage].Perm ^= vm::PermWrite;
-  flipByte(PB.Image[DataPage].Bytes, 0);
 
-  analyze::Report R = runOn(C.Native, &PB);
-  EXPECT_TRUE(hasFinding(R, "PERM.MISMATCH")) << R.renderText();
-  EXPECT_TRUE(hasFinding(R, "PERM.CONTENT")) << R.renderText();
+  // A differing byte anywhere in a page is reported where it is: one
+  // finding for the page, at page + offset, with the offset in the message.
+  for (size_t Offset : {size_t(0), size_t(2049), size_t(vm::GuestPageSize - 1)}) {
+    SCOPED_TRACE(Offset);
+    pinball::Pinball Drifted = PB;
+    flipByte(Drifted.Image[DataPage].Bytes, Offset);
+    analyze::Report R = runOn(C.Native, &Drifted);
+    EXPECT_TRUE(hasFinding(R, "PERM.MISMATCH")) << R.renderText();
+    std::vector<analyze::Finding> F = findingsWithCode(R, "PERM.CONTENT");
+    ASSERT_EQ(F.size(), 1u) << R.renderText();
+    EXPECT_EQ(F[0].Addr, PB.Image[DataPage].Addr + Offset);
+    EXPECT_NE(F[0].Message.find("at offset " + std::to_string(Offset) + " "),
+              std::string::npos)
+        << F[0].Message;
+  }
 }
 
 TEST(Analyze, DetectsStashContentDrift) {
@@ -414,6 +443,84 @@ TEST(Analyze, DetectsStashContentDrift) {
 
   analyze::Report R = runOn(C.Native, &PB);
   EXPECT_TRUE(hasFinding(R, "PERM.STASH_CONTENT")) << R.renderText();
+}
+
+// A page-run section turned NOBITS has no file bytes: its pages read as
+// zero, so an all-zero captured page still matches and any other page is
+// reported at its first non-zero byte.
+TEST(Analyze, NoBitsPageRunReadsAsZero) {
+  const Corpus &C = corpus();
+  ASSERT_TRUE(C.OK);
+  auto Elf = elf::ELFReader::parse(C.Native);
+  ASSERT_TRUE(Elf.hasValue());
+  // A page-run section holding both a zero and a non-zero captured page.
+  std::string Name;
+  std::vector<const pinball::PageRecord *> Pages;
+  for (const auto &Sec : Elf->sections()) {
+    if (Sec.Name.rfind(".data.0x", 0) != 0)
+      continue;
+    std::vector<const pinball::PageRecord *> In;
+    bool Zero = false, NonZero = false;
+    for (const auto &P : C.PB.Image)
+      if (P.Addr >= Sec.Addr && P.Addr < Sec.Addr + Sec.Size) {
+        In.push_back(&P);
+        if (firstNonZero(P) == vm::GuestPageSize)
+          Zero = true;
+        else
+          NonZero = true;
+      }
+    if (Zero && NonZero) {
+      Name = Sec.Name;
+      Pages = std::move(In);
+      break;
+    }
+  }
+  ASSERT_FALSE(Name.empty()) << "no page run with zero and non-zero pages";
+
+  std::vector<uint8_t> B = C.Native;
+  size_t Index = sectionIndex(B, Name);
+  elf::Elf64_Shdr S = readShdr(B, Index);
+  S.sh_type = elf::SHT_NOBITS;
+  writeShdr(B, Index, S);
+
+  analyze::Report R = runOn(B, &C.PB);
+  std::vector<analyze::Finding> F = findingsWithCode(R, "PERM.CONTENT");
+  for (const pinball::PageRecord *P : Pages) {
+    SCOPED_TRACE(P->Addr);
+    size_t Offset = firstNonZero(*P);
+    size_t Found = 0;
+    for (const analyze::Finding &X : F)
+      if (X.Addr >= P->Addr && X.Addr < P->Addr + vm::GuestPageSize) {
+        ++Found;
+        EXPECT_EQ(X.Addr, P->Addr + Offset);
+        EXPECT_NE(X.Message.find("(emitted 0, captured "), std::string::npos)
+            << X.Message;
+      }
+    EXPECT_EQ(Found, Offset == vm::GuestPageSize ? 0u : 1u)
+        << R.renderText();
+  }
+}
+
+// A stash whose section header says NOBITS has no file bytes to check,
+// although the PT_LOAD still maps whatever the file holds there.
+TEST(Analyze, DetectsStashWithoutFileBytes) {
+  const Corpus &C = corpus();
+  ASSERT_TRUE(C.OK);
+  ASSERT_GT(stackPageCount(C.PB), 0u);
+  std::vector<uint8_t> B = C.Native;
+  size_t Index = sectionIndex(B, ".elfie.stash");
+  ASSERT_NE(Index, SIZE_MAX);
+  elf::Elf64_Shdr S = readShdr(B, Index);
+  std::memset(B.data() + S.sh_offset, 0xcc, S.sh_size);
+  S.sh_type = elf::SHT_NOBITS;
+  writeShdr(B, Index, S);
+
+  analyze::Report R = runOn(B, &C.PB);
+  std::vector<analyze::Finding> F = findingsWithCode(R, "PERM.STASH_CONTENT");
+  EXPECT_EQ(F.size(), stackPageCount(C.PB)) << R.renderText();
+  for (const analyze::Finding &X : F)
+    EXPECT_NE(X.Message.find("has no file bytes"), std::string::npos)
+        << X.Message;
 }
 
 //===--------------------------------------------------------------------===//
