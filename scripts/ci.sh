@@ -94,11 +94,20 @@ fi
 # LRU stamp or clock, a TLB class or a structure's own event counter
 # means state the sidecar would carry for nothing has come back
 # (DESIGN.md §16.1).
-echo "==== [sim-structures] no LRU clock, TLB class or shadow counters in sim/ ===="
+echo "==== [sim-structures] no LRU clock, TLB class, shadow counters or warming-inert sidecar state in sim/ ===="
 if grep -rnE '\bLRUStamp\b|\bclass TLB\b|\bClock\b|\b(hits|misses|evictions|lookups|mispredicts)\(\)' \
     "$REPO/src/sim"; then
   echo "ci.sh: an LRU clock, TLB class or shadow counter in src/sim (keep" \
     "sets in recency order, build TLBs as Caches, count in SimStats)"
+  exit 1
+fi
+# The sidecar holds only what warming changes (DESIGN.md §16): a stats
+# payload version, a SimStats load or a kernel-mode flag on a core means
+# state a warming model never moves is being checkpointed again.
+if grep -rnE '\bSimStatsPayloadVersion\b|\bInKernel\b|\bload\(StateReader' \
+    "$REPO/src/sim"; then
+  echo "ci.sh: src/sim checkpoints state warming never changes (SimStats" \
+    "are not loaded, and the kernel flag is chargeStall's argument)"
   exit 1
 fi
 

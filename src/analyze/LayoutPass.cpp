@@ -125,6 +125,19 @@ public:
                                S.Name.c_str(),
                                static_cast<unsigned long long>(S.Offset),
                                static_cast<unsigned long long>(S.Addr)));
+        // A NOBITS section reads as zero, so no PT_LOAD may map file
+        // bytes over it: the loader would map those bytes, not zeros.
+        if (S.Type == elf::SHT_NOBITS)
+          for (const auto &Seg : R.segments())
+            if (Seg.Type == elf::PT_LOAD && S.Addr < Seg.VAddr + Seg.FileSize &&
+                Seg.VAddr < S.Addr + S.Size)
+              Out.add(Severity::Error, "LAYOUT.NOBITS", S.Addr,
+                      formatString("NOBITS section '%s' lies inside the "
+                                   "file bytes [%#llx, %#llx) of a PT_LOAD",
+                                   S.Name.c_str(),
+                                   static_cast<unsigned long long>(Seg.VAddr),
+                                   static_cast<unsigned long long>(
+                                       Seg.VAddr + Seg.FileSize)));
       } else if (S.Addr && R.segmentContaining(S.Addr)) {
         Out.add(Severity::Error, "LAYOUT.STASH_LOADED", S.Addr,
                 formatString("non-ALLOC section '%s' is covered by a "

@@ -62,8 +62,6 @@ struct CFGBlock {
 
   uint64_t pcAt(size_t I) const { return StartPC + isa::InstSize * I; }
   uint64_t lastPC() const { return pcAt(Insts.size() - 1); }
-  /// First address past the decoded instructions.
-  uint64_t endPC() const { return StartPC + isa::InstSize * Insts.size(); }
 };
 
 /// A violation the walk ran into. PC is the offending address, FromPC the

@@ -78,15 +78,6 @@ constexpr int32_t SigInfoAddrOff = 16;
 constexpr int32_t UCtxSavedR15Off = 40 + 7 * 8;  // gregs[7]
 constexpr int32_t UCtxSavedRipOff = 40 + 16 * 8; // gregs[16]
 
-// Ungraceful-exit codes of the emitted ELFie itself (documented in
-// DESIGN.md §8): the abort stub (divergence) exits 127, a trapped hardware
-// signal exits 126, the watchdog exits 125.
-enum : uint32_t {
-  ExitCodeDivergence = 127,
-  ExitCodeSignal = 126,
-  ExitCodeWatchdog = 125,
-};
-
 // elfie_fault_report block layout (64 bytes in .elfie.data; statically
 // checkable by everify's REACH pass, populated by the abort stub and the
 // signal handler before exit).
@@ -612,7 +603,7 @@ void NativeEmitter::emitRuntime() {
   E.movRegImm32(RDX, static_cast<uint32_t>(AbortMsg.size()));
   E.movRegImm32(RAX, NR_write);
   E.syscall();
-  E.movRegImm32(RDI, ExitCodeDivergence);
+  E.movRegImm32(RDI, ExitElfieDivergence);
   E.movRegImm32(RAX, NR_exit_group);
   E.syscall();
 
@@ -703,11 +694,11 @@ void NativeEmitter::emitFaultHandler() {
   Label WatchExit;
   E.cmpRegImm32(R12, SIG_ALRM);
   E.jcc(CondE, WatchExit);
-  E.movRegImm32(RDI, ExitCodeSignal);
+  E.movRegImm32(RDI, ExitElfieSignal);
   E.movRegImm32(RAX, NR_exit_group);
   E.syscall();
   E.bind(WatchExit);
-  E.movRegImm32(RDI, ExitCodeWatchdog);
+  E.movRegImm32(RDI, ExitWatchdog);
   E.movRegImm32(RAX, NR_exit_group);
   E.syscall();
 

@@ -66,7 +66,6 @@ public:
                 std::vector<uint8_t> &Data) override;
   Error onRead(const std::string &Path, std::vector<uint8_t> &Data) override;
 
-  uint64_t readsSeen() const { return Reads; }
   uint64_t writesSeen() const { return Writes; }
 
 private:

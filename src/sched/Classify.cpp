@@ -8,8 +8,6 @@
 #include "sched/Classify.h"
 
 #include "support/Error.h"
-#include "support/Subprocess.h"
-#include "support/Watchdog.h"
 
 using namespace elfie;
 using namespace elfie::sched;
@@ -42,11 +40,11 @@ JobClass elfie::sched::classifyOutcome(const AttemptOutcome &O,
   case ExitUsage:
   case ExitDivergence:
     return JobClass::Deterministic;
-  case ExitExecFailure: // 124: the tool binary itself is missing/broken
+  case ExitExecFailure: // the tool binary itself is missing/broken
     return JobClass::Deterministic;
-  case 127: // native ELFie divergence abort
-  case 126: // native ELFie trapped hardware signal
-  case ExitWatchdog: // 125: budget watchdog (ELFie runtime or host guard)
+  case ExitElfieDivergence:
+  case ExitElfieSignal:
+  case ExitWatchdog: // budget watchdog (ELFie runtime or host guard)
     return JobClass::Deterministic;
   case ExitFailure:
     return stderrLooksTransient(StderrText) ? JobClass::Transient
@@ -73,8 +71,8 @@ const char *elfie::sched::classifyDetail(const AttemptOutcome &O,
     return "divergence";
   case ExitExecFailure:
     return "exec-failure";
-  case 127:
-  case 126:
+  case ExitElfieDivergence:
+  case ExitElfieSignal:
   case ExitWatchdog:
     return "elfie-fault";
   case ExitFailure:

@@ -10,6 +10,7 @@
 #include "sched/Journal.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
+#include "support/Hashing.h"
 #include "support/SocketIO.h"
 #include "support/Subprocess.h"
 
@@ -25,14 +26,9 @@ using namespace elfie::sched;
 using namespace elfie::sched::proto;
 
 /// Per-campaign backoff seeds derive from the daemon seed and the campaign
-/// key so two campaigns never share a jitter sequence (FNV-1a).
+/// key so two campaigns never share a jitter sequence.
 static uint64_t mixSeed(uint64_t Seed, const std::string &Key) {
-  uint64_t H = 14695981039346656037ull ^ Seed;
-  for (char C : Key) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ull;
-  }
-  return H;
+  return fnv1a(Key.data(), Key.size(), 0xcbf29ce484222325ull ^ Seed);
 }
 
 /// One accepted campaign: the engine plus its service-side bookkeeping.

@@ -122,8 +122,6 @@ public:
   /// True once every campaign has sealed during shutdown.
   bool shutdownComplete() const;
 
-  const std::string &socketPath() const { return SockPath; }
-
 private:
   struct Campaign;
   struct Conn;

@@ -89,10 +89,7 @@ public:
   /// Peer gone or caps blown: the daemon reaps the session.
   bool dead() const { return Dead; }
 
-  /// Marks the session for disconnect after its pending output drains
-  /// (used after terminal replies when the peer already half-closed).
-  void closeAfterFlush() { CloseWhenDrained = true; }
-  bool shouldClose() const { return Dead || (CloseWhenDrained && OutBuf.empty()); }
+  bool shouldClose() const { return Dead; }
 
 private:
   void flush();
@@ -103,7 +100,6 @@ private:
   std::string OutBuf;
   size_t SendCap;
   bool Dead = false;
-  bool CloseWhenDrained = false;
 };
 
 } // namespace sched

@@ -60,10 +60,6 @@ public:
   /// Invalidates the line holding \p Addr if present.
   void invalidate(uint64_t Addr);
 
-  uint32_t lineSize() const { return LineSize; }
-  uint32_t assoc() const { return Assoc; }
-  uint32_t numSets() const { return NumSets; }
-
   /// The "l3" payload version in the sidecar's component table (the
   /// private caches and TLBs ride on CoreState::StateVersion).
   static constexpr uint32_t StateVersion = 2;

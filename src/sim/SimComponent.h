@@ -7,11 +7,11 @@
 ///
 /// \file
 /// The field-level writer and reader every stateful simulator structure
-/// (Cache, GSharePredictor, BTB, CoreState, SimStats) serializes its
-/// complete state through, in plain saveState/loadState (save/load)
-/// members. A save writes the contents (cache tags in recency order with
-/// their valid counts, predictor tables and history, BTB entries, the
-/// stats) so a restore is bit-exact; a load fails closed
+/// (Cache, GSharePredictor, BTB, CoreState) serializes its complete state
+/// through, in plain saveState/loadState members; SimStats::save writes
+/// through the same writer. A save writes the contents (cache tags in
+/// recency order with their valid counts, predictor tables and history,
+/// BTB entries) so a restore is bit-exact; a load fails closed
 /// (EFAULT.SIMSTATE.COMPONENT) when the payload's recorded geometry does
 /// not match the instance. SimState.cpp names the components and their
 /// payload versions (sim::simStateComponentTable) and packs them into the
@@ -81,7 +81,6 @@ public:
   uint8_t readU8() { return R.readU8(); }
   uint32_t readU32() { return R.readU32(); }
   uint64_t readU64() { return R.readU64(); }
-  double readDouble() { return R.readDouble(); }
   bool readBool() { return R.readU8() != 0; }
   void readBytes(void *Out, size_t Size) { R.readRaw(Out, Size); }
 

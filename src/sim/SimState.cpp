@@ -20,14 +20,11 @@ using namespace elfie::sim;
 namespace {
 
 constexpr char SimStateMagic[8] = {'E', 'S', 'I', 'M', 'S', 'T', '0', '1'};
-constexpr uint32_t SimStatsPayloadVersion = 1;
 
-/// Entry \p I of the component table: the stats, core I-1, or the L3.
+/// Entry \p I of the component table: core I, or the L3.
 void saveComponent(const TimingModel &Model, size_t I, StateWriter &W) {
-  if (I == 0)
-    Model.stats().save(W);
-  else if (I <= Model.numCores())
-    Model.core(I - 1).saveState(W);
+  if (I < Model.numCores())
+    Model.core(I).saveState(W);
   else
     Model.l3().saveState(W);
 }
@@ -45,10 +42,8 @@ void writeHeader(BinaryWriter &W, const SimStateMeta &Meta) {
 }
 
 Error loadComponent(TimingModel &Model, size_t I, StateReader &R) {
-  if (I == 0)
-    return Model.stats().load(R);
-  if (I <= Model.numCores())
-    return Model.core(I - 1).loadState(R);
+  if (I < Model.numCores())
+    return Model.core(I).loadState(R);
   return Model.l3().loadState(R);
 }
 
@@ -62,7 +57,7 @@ std::string sim::simStatePathFor(std::string InputPath) {
 
 std::vector<SimStateComponentId>
 sim::simStateComponentTable(const MachineConfig &Machine) {
-  std::vector<SimStateComponentId> Table = {{"stats", SimStatsPayloadVersion}};
+  std::vector<SimStateComponentId> Table;
   for (unsigned I = 0; I < Machine.NumCores; ++I)
     Table.push_back({formatString("core%u", I), CoreState::StateVersion});
   Table.push_back({"l3", Cache::StateVersion});

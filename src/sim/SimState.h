@@ -10,7 +10,11 @@
 /// prefixed, SHA-256-sealed container for the timing model's state,
 /// written by `esim -warmup-save` at the warming -> detailed phase
 /// boundary, resumed from by `esim -warmup-load` and checked by
-/// `everify -simstate` (DESIGN.md §16).
+/// `everify -simstate` (DESIGN.md §16). It holds only what warming
+/// changes: the predictors, caches, TLBs and fetch line of each core and
+/// the L3. A warming model charges no statistic, advances no timer and
+/// runs no kernel handler, so the rest is still as constructed at the
+/// boundary, and a resume builds it afresh.
 ///
 /// Layout (little-endian):
 ///
@@ -26,8 +30,8 @@
 ///   u64   detailed budget       ROI budget recorded at save (0 = none)
 ///   u32   component count
 ///   per component:
-///     str  component id         simStateComponentTable: "stats",
-///                               "core0".."coreN-1", "l3"
+///     str  component id         simStateComponentTable: "core0"..
+///                               "coreN-1", "l3"
 ///     u32  component version    the table's payload version
 ///     blob payload              length-prefixed saveState() bytes
 ///   32B   seal                  SHA-256 over every preceding byte
@@ -85,9 +89,9 @@ struct SimStateComponentId {
   uint32_t Version = 0;
 };
 
-/// The component table of \p Machine, in sidecar order: "stats", one
-/// "core<i>" per core, then "l3". Saves write it, and loads and everify
-/// require exactly it.
+/// The component table of \p Machine, in sidecar order: one "core<i>" per
+/// core, then "l3". Saves write it, and loads and everify require exactly
+/// it: a sidecar with any other entry is EFAULT.SIMSTATE.COMPONENT.
 std::vector<SimStateComponentId>
 simStateComponentTable(const MachineConfig &Machine);
 

@@ -24,9 +24,6 @@ void CoreState::saveState(StateWriter &W) const {
   Dtlb.saveState(W);
   Itlb.saveState(W);
   W.writeU64(LastFetchLine);
-  W.writeU64(SinceTimer);
-  W.writeU64(KernelCursor);
-  W.writeBool(InKernel);
 }
 
 Error CoreState::loadState(StateReader &R) {
@@ -38,9 +35,6 @@ Error CoreState::loadState(StateReader &R) {
     if (Error E = C->loadState(R))
       return E;
   LastFetchLine = R.readU64();
-  SinceTimer = R.readU64();
-  KernelCursor = R.readU64();
-  InKernel = R.readBool();
   return Error::success();
 }
 
@@ -57,7 +51,8 @@ TimingModel::TimingModel(const MachineConfig &Config) : Config(Config) {
 
 TimingModel::~TimingModel() = default;
 
-void TimingModel::chargeStall(CoreState &C, unsigned Latency, bool IsStore) {
+void TimingModel::chargeStall(CoreState &C, unsigned Latency, bool IsStore,
+                              bool Kernel) {
   if (Latency == 0)
     return;
   // The out-of-order window hides part of the latency; stores mostly drain
@@ -70,7 +65,7 @@ void TimingModel::chargeStall(CoreState &C, unsigned Latency, bool IsStore) {
   Stall += std::min<double>(Latency, Window) * 0.1;
   if (IsStore)
     Stall *= 0.3;
-  if (C.InKernel)
+  if (Kernel)
     C.Stats->Ring0Cycles += Stall;
   C.Stats->Cycles += Stall;
 }
@@ -181,8 +176,8 @@ void TimingModel::memoryAccess(unsigned Core, uint64_t Addr, uint32_t Size,
     dataAccess<false>(C, Addr, IsWrite, /*Kernel=*/false);
     return;
   }
-  unsigned Latency = dataAccess<true>(C, Addr, IsWrite, C.InKernel);
-  chargeStall(C, Latency, IsWrite);
+  unsigned Latency = dataAccess<true>(C, Addr, IsWrite, /*Kernel=*/false);
+  chargeStall(C, Latency, IsWrite, /*Kernel=*/false);
 }
 
 void TimingModel::controlTransfer(unsigned Core, uint64_t FromPC,
@@ -200,15 +195,12 @@ void TimingModel::controlTransfer(unsigned Core, uint64_t FromPC,
   if (!Correct) {
     ++C.Stats->BranchMispredicts;
     C.Stats->Cycles += Config.Core.MispredictPenalty;
-    if (C.InKernel)
-      C.Stats->Ring0Cycles += Config.Core.MispredictPenalty;
   }
 }
 
 void TimingModel::runKernelHandler(CoreState &C, unsigned NumInsts,
                                    uint64_t Seed) {
   const KernelConfig &K = Config.Kernel;
-  C.InKernel = true;
   double CyclesBefore = C.Stats->Cycles;
   // The handler walks kernel text (i-side) and strides through kernel data
   // structures (d-side), polluting the shared hierarchy.
@@ -235,7 +227,7 @@ void TimingModel::runKernelHandler(CoreState &C, unsigned NumInsts,
       }
       unsigned Lat =
           dataAccess<true>(C, Addr, (I & 15) == 0, /*Kernel=*/true);
-      chargeStall(C, Lat, false);
+      chargeStall(C, Lat, /*IsStore=*/false, /*Kernel=*/true);
     }
   }
   // Mode-switch cost (trap entry/exit).
@@ -243,7 +235,6 @@ void TimingModel::runKernelHandler(CoreState &C, unsigned NumInsts,
   C.Stats->Ring0Cycles += (C.Stats->Cycles - CyclesBefore);
   // Returning to user code refetches.
   C.LastFetchLine = UINT64_MAX;
-  C.InKernel = false;
 }
 
 void TimingModel::syscall(unsigned Core, uint64_t Nr) {
@@ -289,49 +280,6 @@ void SimStats::save(StateWriter &W) const {
   for (uint64_t P : KernelDataPages)
     W.writeU64(P);
   W.writeDouble(FreqGHz);
-}
-
-Error SimStats::load(StateReader &R) {
-  uint32_t NumCores = R.readU32();
-  if (R.hadError() || NumCores != Cores.size())
-    return makeCodedError("EFAULT.SIMSTATE.COMPONENT",
-                          "stats core count mismatch: checkpoint has %u, "
-                          "this machine has %zu",
-                          NumCores, Cores.size());
-  for (CoreStats &C : Cores) {
-    C.Instructions = R.readU64();
-    C.Ring0Instructions = R.readU64();
-    C.Cycles = R.readDouble();
-    C.Ring0Cycles = R.readDouble();
-    C.Branches = R.readU64();
-    C.BranchMispredicts = R.readU64();
-    C.L1DAccesses = R.readU64();
-    C.L1DMisses = R.readU64();
-    C.L2Misses = R.readU64();
-    C.L3Misses = R.readU64();
-    C.DTLBMisses = R.readU64();
-    C.ITLBMisses = R.readU64();
-    C.Prefetches = R.readU64();
-    C.CoherenceInvalidations = R.readU64();
-    C.Syscalls = R.readU64();
-  }
-  UserDataPages.clear();
-  KernelDataPages.clear();
-  LastUserPage = LastKernelPage = UINT64_MAX;
-  uint64_t NumUser = R.readU64();
-  if (NumUser > R.remaining() / 8)
-    return makeCodedError("EFAULT.SIMSTATE.COMPONENT",
-                          "stats page set overruns the payload");
-  for (uint64_t I = 0; I < NumUser; ++I)
-    UserDataPages.insert(R.readU64());
-  uint64_t NumKernel = R.readU64();
-  if (NumKernel > R.remaining() / 8)
-    return makeCodedError("EFAULT.SIMSTATE.COMPONENT",
-                          "stats page set overruns the payload");
-  for (uint64_t I = 0; I < NumKernel; ++I)
-    KernelDataPages.insert(R.readU64());
-  FreqGHz = R.readDouble();
-  return Error::success();
 }
 
 uint64_t SimStats::totalInstructions() const {

@@ -96,15 +96,15 @@ struct SimStats {
   /// Formats a human-readable summary.
   std::string summary() const;
 
-  /// Sidecar serialization (the "stats" component of an .esimstate file).
-  /// The container frames and versions them like every other payload.
+  /// The canonical bytes of these statistics, for comparing two runs
+  /// bit for bit. A sidecar holds none of them: a warming model charges
+  /// nothing, so at the boundary they are still as constructed.
   void save(StateWriter &W) const;
-  Error load(StateReader &R);
 
 private:
   /// addDataPage's memo of the page it added last to each set, which is
   /// in that set while the sets only grow; UINT64_MAX is no page (a page
-  /// number is at most 2^52 - 1). load() resets it with the sets.
+  /// number is at most 2^52 - 1).
   uint64_t LastUserPage = UINT64_MAX;
   uint64_t LastKernelPage = UINT64_MAX;
 };
@@ -127,7 +127,6 @@ struct CoreState {
   uint64_t SinceTimer = 0;
   /// Rotating base for the synthetic kernel handler's data walks.
   uint64_t KernelCursor = 0;
-  bool InKernel = false;
 
   explicit CoreState(const CoreConfig &C)
       : BP(C.BPBits), Btb(C.BTBBits), L1I(C.L1I.SizeBytes, C.L1I.Assoc),
@@ -136,8 +135,10 @@ struct CoreState {
         Itlb(uint64_t(C.ITLBEntries) * TLBPageSize, TLBAssoc, TLBPageSize) {}
 
   /// The "core<i>" payload version in the sidecar's component table. It
-  /// covers the nested predictor, BTB, cache and TLB layouts too.
-  static constexpr uint32_t StateVersion = 2;
+  /// covers the nested predictor, BTB, cache and TLB layouts too. The
+  /// payload ends at LastFetchLine: only a measuring model moves
+  /// SinceTimer and KernelCursor, so at the boundary both are still zero.
+  static constexpr uint32_t StateVersion = 3;
   void saveState(StateWriter &W) const;
   Error loadState(StateReader &R);
 };
@@ -190,7 +191,9 @@ private:
                       bool Kernel);
   template <bool Measure> unsigned fetchAccess(CoreState &C, uint64_t PC);
   void runKernelHandler(CoreState &C, unsigned NumInsts, uint64_t Seed);
-  void chargeStall(CoreState &C, unsigned Latency, bool IsStore);
+  /// Charges what the window does not hide of a \p Latency miss, to ring 0
+  /// as well when the synthetic \p Kernel takes it.
+  void chargeStall(CoreState &C, unsigned Latency, bool IsStore, bool Kernel);
 
   MachineConfig Config;
   SimStats Stats;

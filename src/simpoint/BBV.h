@@ -65,7 +65,6 @@ public:
   void finish();
 
   const std::vector<SliceVector> &slices() const { return Slices; }
-  uint64_t sliceSize() const { return SliceSize; }
   unsigned dims() const { return Dims; }
 
 private:

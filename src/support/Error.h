@@ -25,14 +25,22 @@
 
 namespace elfie {
 
-/// Stable process exit codes shared by every tool (documented in README and
-/// DESIGN.md §8): 0 = success, 1 = error finding / bad input, 2 = usage,
-/// 3 = divergence or ungraceful region exit.
+/// Stable process exit codes (documented in README and DESIGN.md §8).
+/// Every tool: 0 = success, 1 = error finding / bad input, 2 = usage,
+/// 3 = divergence or ungraceful region exit. The emitted native ELFie's
+/// ungraceful exits sit clear of those: its abort stub (divergence) exits
+/// 127, a trapped hardware signal 126 and its watchdog 125, which is also
+/// the code of ereplay's and evm's host watchdog. A spawned child whose
+/// exec fails (tool binary missing or not executable) exits 124.
 enum ExitCode : int {
   ExitSuccess = 0,
   ExitFailure = 1,
   ExitUsage = 2,
   ExitDivergence = 3,
+  ExitElfieDivergence = 127,
+  ExitElfieSignal = 126,
+  ExitWatchdog = 125,
+  ExitExecFailure = 124,
 };
 
 /// A recoverable error: either success (empty) or a failure message.

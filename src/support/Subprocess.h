@@ -26,12 +26,6 @@
 
 namespace elfie {
 
-/// Exit code a spawned child reports when the exec itself fails (tool binary
-/// missing or not executable). Chosen to stay clear of the tool taxonomy
-/// (0/1/2/3) and the native-ELFie fault codes (127/126/125); efault uses
-/// the same convention.
-enum : int { ExitExecFailure = 124 };
-
 /// What to run and how to wire it up.
 struct SpawnSpec {
   /// argv[0] must be the executable path (no PATH search).

@@ -7,6 +7,8 @@
 
 #include "support/Watchdog.h"
 
+#include "support/Error.h"
+
 #include <algorithm>
 #include <cstring>
 #include <signal.h>

@@ -25,10 +25,6 @@
 
 namespace elfie {
 
-/// Exit code of a fired watchdog, at every layer (native ELFie runtime,
-/// ereplay/evm host guard, efleet's view of either).
-enum : int { ExitWatchdog = 125 };
-
 /// Budget-scaled timeout: FloorSecs of fixed headroom plus the time the
 /// budget would take at a pessimistically slow \p InstrPerSec, capped so a
 /// corrupt budget cannot disable the guard. The 50M/s default matches the

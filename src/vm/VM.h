@@ -315,9 +315,6 @@ public:
   /// The most recent fault (valid after a Faulted stop).
   const Fault &lastFault() const { return LastFault; }
 
-  /// The exit code from exit_group / the last thread exit.
-  int64_t exitCode() const { return GroupExitCode; }
-
   /// Guest-visible virtual time in nanoseconds (what clock_gettime sees).
   uint64_t virtualTimeNs() const;
 

@@ -87,13 +87,6 @@ void Encoder::call(Label &L) {
   emitRel32To(L);
 }
 
-void Encoder::jmpTo(size_t TargetOffset) {
-  byte(0xE9);
-  int64_t Rel = static_cast<int64_t>(TargetOffset) -
-                (static_cast<int64_t>(Code.size()) + 4);
-  dword(static_cast<uint32_t>(static_cast<int32_t>(Rel)));
-}
-
 void Encoder::repMovsb() {
   byte(0xF3);
   byte(0xA4);
@@ -339,12 +332,6 @@ void Encoder::negReg(Reg R) {
   rex(true, 0, R);
   byte(0xF7);
   modrmReg(3, R);
-}
-
-void Encoder::notReg(Reg R) {
-  rex(true, 0, R);
-  byte(0xF7);
-  modrmReg(2, R);
 }
 
 void Encoder::shlRegCl(Reg R) {
@@ -606,11 +593,7 @@ void Encoder::rdtsc() {
   byte(0x31);
 }
 
-void Encoder::nop() { byte(0x90); }
-
 void Encoder::ud2() {
   byte(0x0F);
   byte(0x0B);
 }
-
-void Encoder::int3() { byte(0xCC); }

@@ -102,8 +102,6 @@ public:
   void jmp(Label &L);
   void jcc(Cond C, Label &L);
   void call(Label &L);
-  /// jmp rel32 to an already-emitted encoder offset.
-  void jmpTo(size_t TargetOffset);
 
   // ---- Moves ----
   void movRegImm64(Reg Dst, uint64_t Imm); ///< movabs
@@ -151,7 +149,6 @@ public:
   void divReg(Reg Divisor);  ///< unsigned
   void cqo();                ///< sign-extend rax into rdx
   void negReg(Reg R);
-  void notReg(Reg R);
   void shlRegCl(Reg R);
   void shrRegCl(Reg R);
   void sarRegCl(Reg R);
@@ -206,9 +203,7 @@ public:
   // ---- System ----
   void syscall();
   void rdtsc(); ///< edx:eax = tsc
-  void nop();
   void ud2();   ///< abort: guaranteed SIGILL
-  void int3();
 
   /// Emits raw bytes (escape hatch for tests).
   void emitBytes(std::initializer_list<uint8_t> Bytes) {

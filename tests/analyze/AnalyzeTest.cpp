@@ -20,6 +20,7 @@
 #include "isa/ISA.h"
 #include "sysstate/SysState.h"
 #include "vm/VM.h"
+#include "workloads/Workloads.h"
 #include "x86/Translator.h"
 
 #include "../common/TestHelpers.h"
@@ -521,6 +522,40 @@ TEST(Analyze, DetectsStashWithoutFileBytes) {
   for (const analyze::Finding &X : F)
     EXPECT_NE(X.Message.find("has no file bytes"), std::string::npos)
         << X.Message;
+}
+
+// The same tampering on a registry workload's region, checked without the
+// pinball, as efault's ELFie sweep runs everify: the PT_LOAD over the stash
+// maps file bytes that the NOBITS header says are zeros.
+TEST(Analyze, DetectsNoBitsSectionOverFileBytes) {
+  std::string Dir = tempDir("nobits");
+  std::string Prog = Dir + "/mcf_like.elf";
+  ASSERT_FALSE(workloads::buildWorkloadFile("mcf_like",
+                                            workloads::InputSet::Test, Prog)
+                   .isError());
+  auto PB = pinball::captureRegion(pinball::fatRequest(Prog, 2000, 4000));
+  ASSERT_TRUE(PB.hasValue()) << PB.message();
+  auto Native = core::emitNativeElfie(*PB, core::Pinball2ElfOptions());
+  ASSERT_TRUE(Native.hasValue()) << Native.message();
+  removeTree(Dir);
+  EXPECT_FALSE(hasFinding(runOn(*Native, nullptr), "LAYOUT.NOBITS"))
+      << "an emitted ELFie's NOBITS sections have no file bytes";
+
+  std::vector<uint8_t> B = std::move(*Native);
+  size_t Index = sectionIndex(B, ".elfie.stash");
+  ASSERT_NE(Index, SIZE_MAX);
+  elf::Elf64_Shdr S = readShdr(B, Index);
+  std::memset(B.data() + S.sh_offset, 0xcc, S.sh_size);
+  S.sh_type = elf::SHT_NOBITS;
+  writeShdr(B, Index, S);
+
+  analyze::Report R = runOn(B, nullptr);
+  std::vector<analyze::Finding> F = findingsWithCode(R, "LAYOUT.NOBITS");
+  ASSERT_EQ(F.size(), 1u) << R.renderText();
+  EXPECT_EQ(F[0].Sev, analyze::Severity::Error);
+  EXPECT_EQ(F[0].Addr, S.sh_addr);
+  EXPECT_NE(F[0].Message.find("'.elfie.stash'"), std::string::npos)
+      << F[0].Message;
 }
 
 //===--------------------------------------------------------------------===//

@@ -201,72 +201,11 @@ TEST(SimComponentRoundTrip, CoreStateNestsAllParts) {
   A.Dtlb.access(0x3000, false);
   A.Itlb.access(0x2000, false);
   A.LastFetchLine = 0x2000 / CacheLineSize;
-  A.SinceTimer = 123;
-  A.KernelCursor = 456;
-  A.InKernel = false;
 
   CoreState B(Cfg);
   ASSERT_FALSE(componentLoad(B, componentBytes(A)).isError());
   EXPECT_EQ(B.LastFetchLine, A.LastFetchLine);
-  EXPECT_EQ(B.SinceTimer, A.SinceTimer);
-  EXPECT_EQ(B.KernelCursor, A.KernelCursor);
   EXPECT_EQ(componentBytes(B), componentBytes(A));
-}
-
-TEST(SimComponentRoundTrip, SimStatsValueType) {
-  SimStats A;
-  A.Cores.resize(2);
-  A.Cores[0].Instructions = 1000;
-  A.Cores[0].Cycles = 1234.5;
-  A.Cores[1].BranchMispredicts = 7;
-  A.Cores[1].Ring0Cycles = 0.25;
-  A.UserDataPages = {0x1000, 0x5000, 0x9000};
-  A.KernelDataPages = {0xffff0000};
-  A.FreqGHz = 2.66;
-
-  SimStats B;
-  B.Cores.resize(2);
-  BinaryWriter W;
-  StateWriter SW(W);
-  A.save(SW);
-  BinaryReader R(W.bytes().data(), W.size());
-  StateReader SR(R);
-  ASSERT_FALSE(B.load(SR).isError());
-  EXPECT_TRUE(R.atEnd());
-  EXPECT_EQ(statsBytes(B), statsBytes(A));
-
-  SimStats OneCore;
-  OneCore.Cores.resize(1);
-  BinaryReader R2(W.bytes().data(), W.size());
-  StateReader SR2(R2);
-  EXPECT_EQ(OneCore.load(SR2).code(), "EFAULT.SIMSTATE.COMPONENT");
-}
-
-TEST(SimComponentRoundTrip, LoadResetsTheFootprintMemo) {
-  // addDataPage skips a repeat of the page it added last. Loaded stats
-  // replace the page sets, so that page must be added again.
-  SimStats Empty;
-  Empty.Cores.resize(1);
-  BinaryWriter W;
-  StateWriter SW(W);
-  Empty.save(SW);
-
-  SimStats S;
-  S.Cores.resize(1);
-  for (bool Kernel : {false, true}) {
-    S.addDataPage(0x42, Kernel);
-    S.addDataPage(0x42, Kernel);
-  }
-  EXPECT_EQ(S.UserDataPages, std::set<uint64_t>{0x42});
-  EXPECT_EQ(S.KernelDataPages, std::set<uint64_t>{0x42});
-  BinaryReader R(W.bytes().data(), W.size());
-  StateReader SR(R);
-  ASSERT_FALSE(S.load(SR).isError());
-  EXPECT_TRUE(S.UserDataPages.empty());
-  for (bool Kernel : {false, true})
-    S.addDataPage(0x42, Kernel);
-  EXPECT_EQ(S.UserDataPages, std::set<uint64_t>{0x42});
-  EXPECT_EQ(S.KernelDataPages, std::set<uint64_t>{0x42});
 }
 
 // ---- Sidecar format: fail-closed taxonomy ----
@@ -376,10 +315,9 @@ TEST(SimStateFile, InspectReportsComponentTable) {
   // open() succeeds only at this build's format version.
   ASSERT_TRUE(File.hasValue()) << File.message();
   EXPECT_EQ(File->meta().ConfigName, "nehalem");
-  ASSERT_EQ(File->numComponents(), 3u) << "stats + core0 + l3";
-  EXPECT_EQ(File->componentId(0), "stats");
-  EXPECT_EQ(File->componentId(1), "core0");
-  EXPECT_EQ(File->componentId(2), "l3");
+  ASSERT_EQ(File->numComponents(), 2u) << "core0 + l3";
+  EXPECT_EQ(File->componentId(0), "core0");
+  EXPECT_EQ(File->componentId(1), "l3");
   for (size_t I = 0; I < File->numComponents(); ++I)
     EXPECT_GT(File->payloadBytes(I), 0u);
 }
@@ -439,13 +377,9 @@ TEST(SimStateFile, InputDigestMismatchRejected) {
 TEST(SimStateFile, ComponentIdMismatchRejected) {
   SidecarFixture F("component");
   mutateFile(F.Path, [](std::vector<uint8_t> &B) {
-    // Corrupt the "stats" component id in place, then reseal so the load
+    // Corrupt the "core0" component id in place, then reseal so the load
     // reaches the component-table check.
-    const char Needle[] = "stats";
-    auto It = std::search(B.begin(), B.end(), Needle, Needle + 5);
-    ASSERT_NE(It, B.end());
-    *It = 'x';
-    reseal(B);
+    renameAndReseal(B, "core0", "xore0");
   });
   EXPECT_EQ(F.loadCode(), "EFAULT.SIMSTATE.COMPONENT");
 }
@@ -457,7 +391,9 @@ TEST(SimStateFile, VersionOnePayloadsRejected) {
   SidecarFixture F("payloadv1");
   auto Saved = readFileBytes(F.Path);
   ASSERT_TRUE(Saved.hasValue()) << Saved.message();
-  for (const char *Id : {"core0", "l3"}) {
+  for (auto [Id, Reads] : {std::pair<const char *, uint32_t>{
+                               "core0", CoreState::StateVersion},
+                           {"l3", Cache::StateVersion}}) {
     SCOPED_TRACE(Id);
     mutateFile(F.Path, [&](std::vector<uint8_t> &B) {
       test::resealU32After(B, Id, 0, 1);
@@ -468,7 +404,8 @@ TEST(SimStateFile, VersionOnePayloadsRejected) {
     Error E = File->apply(Fresh);
     EXPECT_EQ(E.code(), "EFAULT.SIMSTATE.VERSION");
     EXPECT_NE(E.str().find("component '" + std::string(Id) +
-                           "' has payload version 1, this build reads 2"),
+                           "' has payload version 1, this build reads " +
+                           std::to_string(Reads)),
               std::string::npos)
         << E.str();
     ASSERT_FALSE(
@@ -876,14 +813,15 @@ TEST(SidecarDigest, ColdSaveWritesTheRecordedBytes) {
     // Recorded at format version 2, whose input digest is the root. Both
     // pins are of the bytes recorded before the core and l3 payloads
     // became recency-ordered tag arrays (payload version 2), converted to
-    // that layout.
+    // that layout and then to the one without the "stats" component and
+    // with core payloads that end at the fetch line (version 3).
     EXPECT_EQ(sha256Hex(Bytes->data(), Bytes->size()),
-              "cceb4501cd3a39fba22107558793068f59a809d0e1ac01ab2278809924b9dd90")
+              "08189583c6b2eb3f5e89b9264c01bc0c81769409ce11560993aa5bbd7b81df9a")
         << "run " << Run;
     // The same bytes at format version 1, with the whole-image input
     // digest, as recorded before the digest moved off the critical path.
     EXPECT_EQ(versionOneHex(*Bytes, P.Image),
-              "8ce029c6b39ede8584a206657a36b7882f08d25908feadafcec668c66c0acb30")
+              "8a59f32b618bc27a9f1452ce00b37785bb0570640738a276fdfdc1c8783d12df")
         << "run " << Run;
   }
 }
@@ -1056,13 +994,13 @@ TEST(SidecarDigest, ZeroWarmupSaveWritesTheRecordedBytes) {
     // Recorded at format version 2, whose input digest is the root, and
     // converted like ColdSaveWritesTheRecordedBytes' pins.
     EXPECT_EQ(sha256Hex(Bytes->data(), Bytes->size()),
-              "126d635212a23f65ce719a623df25178c1bde954542f635c3d808f6b0ca5dc1a")
+              "1afb9a2d072088411ab04471b1de3d179a7e9e680ac151c6547e10f077c26d2e")
         << "run " << Run;
     // The same bytes at format version 1, with the whole-image input
     // digest, as recorded while the digest was still joined at the
     // boundary.
     EXPECT_EQ(versionOneHex(*Bytes, P.Image),
-              "c13adf94460f14ba9b3767bac55780e24616f2fbc0e65a9cbdc0ae9aaa7f00cb")
+              "a0d2786db6ba68160384d868f9e2b37d2cc87e977421d8e181a1c8b5a09f3828")
         << "run " << Run;
   }
   removeTree(P.Dir);

@@ -41,6 +41,47 @@ CmdResult runTool(const std::string &CmdLine) {
   return runToolEnv("", CmdLine);
 }
 
+/// Rewrites a one-core nehalem sidecar in the older layout that also
+/// checkpointed state warming never changes: a "stats" component (payload
+/// version 1, a fresh model's SimStats) ahead of the cores, and each core
+/// payload at version 2 with three more fields (SinceTimer, KernelCursor,
+/// InKernel; zero) past its fetch line. Sealed.
+void toLayoutWithStats(std::vector<uint8_t> &B) {
+  BinaryReader R(B.data(), B.size() - 32);
+  R.skip(12); // magic, format version
+  R.readString();
+  R.skip(32 + 32 + 3 * 8); // fingerprint, input digest, three counts
+  BinaryWriter W;
+  W.writeRaw(B.data(), R.offset());
+  uint32_t Count = R.readU32();
+  W.writeU32(Count + 1);
+  sim::TimingModel Fresh(sim::makeNehalemLike());
+  BinaryWriter Stats;
+  sim::StateWriter SW(Stats);
+  Fresh.stats().save(SW);
+  W.writeString("stats");
+  W.writeU32(1);
+  W.writeBlob(Stats.bytes().data(), Stats.size());
+  for (uint32_t I = 0; I < Count; ++I) {
+    std::string Id = R.readString();
+    uint32_t Version = R.readU32();
+    std::span<const uint8_t> Payload = R.readBlobView();
+    std::vector<uint8_t> P(Payload.begin(), Payload.end());
+    if (Id.starts_with("core")) {
+      Version = 2;
+      P.resize(P.size() + 8 + 8 + 1);
+    }
+    W.writeString(Id);
+    W.writeU32(Version);
+    W.writeBlob(P.data(), P.size());
+  }
+  ASSERT_FALSE(R.hadError());
+  ASSERT_TRUE(R.atEnd());
+  W.writeRaw(B.data() + B.size() - 32, 32);
+  B = W.bytes();
+  test::resealSidecar(B);
+}
+
 class ToolPipeline : public testing::Test {
 protected:
   void SetUp() override {
@@ -504,7 +545,12 @@ TEST_F(ToolPipeline, SimStateComponentTableCheckedByBothConsumers) {
   const Row Rows[] = {
       {"l3 renamed l4",
        [](std::vector<uint8_t> &B) { test::renameAndReseal(B, "l3", "l4"); },
-       "SIMSTATE.COMPONENT", "component 2 is 'l4', expected 'l3'", true},
+       "SIMSTATE.COMPONENT", "component 1 is 'l4', expected 'l3'", true},
+      // A sidecar an older build wrote is refused as a whole, not read
+      // into the wrong components.
+      {"stats component, core payload version 2", toLayoutWithStats,
+       "SIMSTATE.COMPONENT",
+       "component count mismatch: sidecar has 3, machine expects 2", true},
       {"l3 payload version from the future",
        [](std::vector<uint8_t> &B) {
          test::resealU32After(B, "l3", 0, sim::Cache::StateVersion + 1);
